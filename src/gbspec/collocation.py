@@ -9,6 +9,15 @@ hyperbolic and trigonometric families:
 * ``nonnested``:  ``mu = n*alpha``, so every ``n`` uses the same cardinal
   shape with effective phase ``alpha``.
 
+The basis is built from the structure the spectral analysis rests on.  The
+integral recursion runs once, on a short open knot vector of ``2p+2`` unit
+intervals (``n`` if smaller) with the effective phase ``mu/n``.  Its ``p``
+splines at each end are the boundary splines, which depend only on ``p`` and
+that phase; the ``n-p`` interior splines are integer translates of its first
+full-support spline.  Each spline is stored on its own support only, at most
+``p+1`` intervals, so building the basis costs O(p^3) plus O(np) copying, and
+assembly samples each spline only at the Greville points inside its support.
+
 The model problem is  -kappa u'' + beta u' + gamma u = f  on (0, 1) with
 homogeneous Dirichlet data, collocated at the interior Greville abscissae; a
 1D geometry map folds into transformed coefficients.
@@ -22,9 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprparse
+from .cardinal import _seed_rows
 from .errors import ConstraintError, NumericalError, UsageError, ValidationError
 from .sections import (PiecewiseFn, SectionFamily,
                        piecewise_antiderivative, piecewise_derivative)
+from .spectral import ToeplitzSpec, toeplitz
 from .symbols import symbol_fn
 
 NESTED = "nested"
@@ -69,7 +80,12 @@ def _min_feasible_n(alpha: float) -> int:
 
 @dataclass(frozen=True)
 class GBBasis:
-    """GB-spline basis N_1..N_{n+p} over an open uniform knot vector."""
+    """GB-spline basis N_1..N_{n+p} over an open uniform knot vector.
+
+    ``splines[i-1]`` is N_i as a :class:`PiecewiseFn` over its support
+    ``[t_i, t_{i+p+1}]`` alone (at most ``p+1`` intervals); it evaluates to 0
+    outside.  ``normalizers[i-1]`` is ``1 / integral(N_i)``.
+    """
 
     knots: KnotVector
     family: SectionFamily
@@ -110,35 +126,24 @@ def _rep_family(family: SectionFamily, mode: str, n: int) -> tuple[SectionFamily
     return SectionFamily(family.tag, mu), mu
 
 
-def _seed_level(kv: KnotVector, rep: SectionFamily) -> list[PiecewiseFn]:
-    """Degree-1 splines over the distinct grid, one per index i = 1..n+2p-1."""
-    n, p = kv.n, kv.degree
-    grid = np.arange(n + 1) / n
-    eps = rep.effective(1.0 / n)
-    if rep.is_polynomial:
-        up = np.array([0.0, 1.0])
-        down = np.array([1.0, -1.0])
-    elif rep.tag == "hyperbolic":
-        up = np.array([0.0, 1.0 / math.sinh(eps)])
-        down = np.array([1.0, -math.cosh(eps) / math.sinh(eps)])
-    else:
-        up = np.array([0.0, 1.0 / math.sin(eps)])
-        down = np.array([1.0, -math.cos(eps) / math.sin(eps)])
-
+def _seed_level(m: int, p: int, rep: SectionFamily) -> list[PiecewiseFn]:
+    """Degree-1 splines over m unit intervals, one per index i = 1..m+2p-1."""
+    up, down = _seed_rows(rep)
+    grid = np.arange(m + 1.0)
     seeds = []
-    for i in range(1, n + 2 * p):
-        coeffs = np.zeros((n, 2))
+    for i in range(1, m + 2 * p):
+        coeffs = np.zeros((m, 2))
         # ascending branch on knot interval [t_i, t_{i+1}), 1-based knots
-        if p + 1 <= i <= p + n:
+        if p + 1 <= i <= p + m:
             coeffs[i - p - 1] = up
         # descending branch on [t_{i+1}, t_{i+2})
-        if p + 1 <= i + 1 <= p + n:
+        if p + 1 <= i + 1 <= p + m:
             coeffs[i - p] = down
         seeds.append(PiecewiseFn(rep, 1, grid, coeffs))
     return seeds
 
 
-def _cumulative(spline: PiecewiseFn, left_degenerate: bool) -> tuple[PiecewiseFn, float]:
+def _cumulative(spline: PiecewiseFn, left_degenerate: bool) -> PiecewiseFn:
     """Normalized cumulative integral of one spline of degree q-1.
 
     For identically-zero boundary splines the cumulative degenerates to a
@@ -152,28 +157,67 @@ def _cumulative(spline: PiecewiseFn, left_degenerate: bool) -> tuple[PiecewiseFn
         value = 1.0 if left_degenerate else 0.0
         coeffs = np.zeros((grid.size - 1, q + 1))
         coeffs[:, 0] = value
-        return PiecewiseFn(spline.family, q, grid, coeffs), 0.0
+        return PiecewiseFn(spline.family, q, grid, coeffs)
     anti = piecewise_antiderivative(spline)
-    total = anti(grid[-1])
-    return anti.scaled(1.0 / total), 1.0 / total
+    return anti.scaled(1.0 / anti(grid[-1]))
 
 
 def gb_basis(n: int, p: int, family: SectionFamily,
              mode: str = NONNESTED) -> GBBasis:
-    """Construct the GB-spline basis by the integral recursion."""
+    """Construct the GB-spline basis N_1..N_{n+p} on n uniform intervals.
+
+    The integral recursion runs once, on the open knot vector of
+    ``m = min(n, 2p+2)`` unit intervals with the effective phase ``mu/n``.
+    Its first ``p`` and last ``p`` splines are the boundary splines, which
+    depend only on ``p`` and that phase; the ``n-p`` interior splines are
+    translates of its first full-support spline N_{p+1}.  Each spline is
+    then placed on its own support in [0, 1], at most ``p+1`` intervals of
+    width ``1/n``, so the cost does not grow with ``n`` beyond copying.
+    """
     if mode not in (NESTED, NONNESTED):
         raise UsageError(f"unknown phase mode {mode!r}")
     kv = KnotVector.open_uniform(n, p)
     rep, mu = _rep_family(family, mode, n)
-    level = _seed_level(kv, rep)
+    m = min(n, 2 * p + 2)
+    short = _seed_level(m, p, rep if mu is None else SectionFamily(rep.tag, mu / n))
     for q in range(2, p + 1):
-        cums = []
-        for i, s in enumerate(level, start=1):
-            # spline N_{i,q-1} collapses at the left boundary iff t_{i+q} = 0
-            cums.append(_cumulative(s, left_degenerate=(i + q <= p + 1))[0])
-        level = [cums[i].minus(cums[i + 1]) for i in range(len(cums) - 1)]
-    normalizers = np.array([1.0 / s.integral() for s in level])
-    return GBBasis(kv, family, mode, mu, tuple(level), normalizers)
+        # spline N_{i,q-1} collapses at the left boundary iff t_{i+q} = 0
+        cums = [_cumulative(s, left_degenerate=(i + q <= p + 1))
+                for i, s in enumerate(short, start=1)]
+        short = [cums[i].minus(cums[i + 1]) for i in range(len(cums) - 1)]
+    short_norms = [1.0 / s.integral() for s in short]
+    grid = np.arange(n + 1) / n
+    splines, normalizers = [], []
+    for i in range(1, n + p + 1):
+        # 1-based index of the short-vector spline with the same shape
+        k = i if i <= p else p + 1 if i <= n else i - n + m
+        lo, hi = max(0, i - p - 1), min(n, i)
+        k_lo = max(0, k - p - 1)
+        splines.append(PiecewiseFn(rep, p, grid[lo:hi + 1],
+                                   short[k - 1].coeffs[k_lo:k_lo + hi - lo]))
+        normalizers.append(n * short_norms[k - 1])
+    return GBBasis(kv, family, mode, mu, tuple(splines), np.array(normalizers))
+
+
+def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray, np.ndarray]:
+    """Interior Greville points xi and the matrices N_j(xi_i), N_j'(xi_i), N_j''(xi_i).
+
+    Columns run over the boundary-vanishing splines N_2..N_{n+p-1}.  Each
+    spline is sampled only at the Greville points in ``[a, b)`` of its
+    support ``[a, b]``; every other entry is zero, which matches the
+    right-continuous convention at interior knots.
+    """
+    xi = greville_abscissae(basis.knots)
+    mats = tuple(np.zeros((xi.size, xi.size)) for _ in range(3))
+    for j, s in enumerate(basis.splines[1:-1]):
+        lo, hi = np.searchsorted(xi, s.support)
+        pts = xi[lo:hi]
+        d1 = piecewise_derivative(s)
+        mats[0][lo:hi, j] = s(pts)
+        mats[1][lo:hi, j] = d1(pts)
+        mats[2][lo:hi, j] = piecewise_derivative(d1)(pts)
+    return (xi, *mats)
 
 
 def _grid_eval(expr, xs: np.ndarray, name: str) -> np.ndarray:
@@ -275,14 +319,9 @@ def assemble(problem: ProblemCoefficients, geometry: GeometryMap1D,
              basis: GBBasis) -> CollocationSystem:
     """Collocate the (geometry-transformed) model problem at Greville points."""
     n, p = basis.n, basis.degree
-    xi = greville_abscissae(basis.knots)
-    inner = basis.splines[1:-1]
-    d1 = [piecewise_derivative(s) for s in inner]
-    d2 = [piecewise_derivative(s) for s in d1]
-
-    mass = np.column_stack([s(xi) for s in inner])
-    adv = np.column_stack([s(xi) for s in d1]) / n
-    stiff = -np.column_stack([s(xi) for s in d2]) / n**2
+    xi, mass, first, second = greville_samples(basis)
+    adv = first / n
+    stiff = -second / n**2
 
     env = {"x": xi, "x1": xi}
     gx = np.asarray(exprparse.evaluate(geometry.g, env), dtype=float)
@@ -322,15 +361,6 @@ def central_range(n: int, p: int) -> tuple[int, int] | None:
     if n < 2 * p + 1 - (p % 2) or hi < lo:
         return None
     return lo - 1, hi
-
-
-def _toeplitz_from(coeffs: np.ndarray, m: int) -> np.ndarray:
-    b = coeffs.size // 2
-    out = np.zeros((m, m))
-    idx = np.subtract.outer(np.arange(m), np.arange(m))
-    mask = np.abs(idx) <= b
-    out[mask] = coeffs[idx[mask] + b].real
-    return out
 
 
 @dataclass(frozen=True)
@@ -379,18 +409,16 @@ def structure_report(sys: CollocationSystem, tol: float = 1e-10) -> StructureRep
 
     eff = (SectionFamily(sys.family.tag, sys.effective_phase)
            if not sys.family.is_polynomial else sys.family)
-    m = sys.order
-    t_f = _toeplitz_from(symbol_fn("f", p, eff).toeplitz_coefficients(), m)
-    t_h = _toeplitz_from(symbol_fn("h", p, eff).toeplitz_coefficients(), m)
-    # skew Toeplitz from first-derivative samples: entry (i, j) is the
-    # derivative value at (p+1)/2 + i - j
-    g_coeffs = symbol_fn("g", p, eff).coefficients
-    b = g_coeffs.size - 1
-    signed = np.zeros(2 * b + 1)
-    for k in range(1, b + 1):
-        signed[b + k] = -g_coeffs[k]  # antisymmetry about the midpoint
-        signed[b - k] = g_coeffs[k]
-    t_g = _toeplitz_from(signed, m)
+
+    def central(kind: str, scale: complex = 1.0) -> np.ndarray:
+        coeffs = scale * symbol_fn(kind, p, eff).toeplitz_coefficients()
+        return toeplitz(ToeplitzSpec(coeffs.real), sys.order)
+
+    t_f = central("f")
+    t_h = central("h")
+    # the advection block is i T(g), with entry (i, j) the first-derivative
+    # sample at (p+1)/2 + i - j
+    t_g = central("g", 1j)
 
     def num_rank(mat):
         sv = np.linalg.svd(mat, compute_uv=False)

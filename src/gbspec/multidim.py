@@ -19,9 +19,9 @@ import numpy as np
 
 from . import exprparse
 from .collocation import (NESTED, NONNESTED, GBBasis, gb_basis,
-                          greville_abscissae)
+                          greville_samples)
 from .errors import UsageError, ValidationError
-from .sections import SectionFamily, polynomial, piecewise_derivative
+from .sections import SectionFamily, polynomial
 from .spectral import _order_statistics
 from .symbols import symbol_fn
 
@@ -202,13 +202,10 @@ def _direction_data(problem: ProblemMD, n: int):
         nj = problem.nu[j] * n
         basis = gb_basis(nj, problem.degrees[j], problem.families[j],
                          problem.mode)
-        xi = greville_abscissae(basis.knots)
-        inner = basis.splines[1:-1]
-        d1 = [piecewise_derivative(s) for s in inner]
-        d2 = [piecewise_derivative(s) for s in d1]
-        values.append(np.column_stack([s(xi) for s in inner]))
-        first.append(np.column_stack([s(xi) for s in d1]))
-        second.append(np.column_stack([s(xi) for s in d2]))
+        xi, v, d1, d2 = greville_samples(basis)
+        values.append(v)
+        first.append(d1)
+        second.append(d2)
         grevilles.append(xi)
         bases.append(basis)
     return bases, values, first, second, grevilles

@@ -261,16 +261,16 @@ def piecewise_eval(f: PiecewiseFn, x):
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
     bp = f.breakpoints
-    idx = np.searchsorted(bp, xs, side="right") - 1
     inside = (xs >= bp[0]) & (xs <= bp[-1])
+    xin = xs[inside]
     # the right endpoint evaluates as the left limit of the last piece
-    idx = np.clip(idx, 0, bp.size - 2)
-    tau = (xs - bp[idx]) / f._widths[idx]
-    tau[xs == bp[-1]] = 1.0
+    idx = np.minimum(np.searchsorted(bp, xin, side="right") - 1, bp.size - 2)
+    tau = (xin - bp[idx]) / f._widths[idx]
+    tau[xin == bp[-1]] = 1.0
     eps = f._eff_phases()[idx]
     basis = _basis_matrix(f.family, f.degree, eps, tau)
-    vals = np.einsum("ij,ij->i", basis, f.coeffs[idx])
-    vals = np.where(inside, vals, 0.0)
+    vals = np.zeros(xs.shape)
+    vals[inside] = np.einsum("ij,ij->i", basis, f.coeffs[idx])
     return float(vals[0]) if scalar else vals
 
 

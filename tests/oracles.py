@@ -2,10 +2,19 @@
 
 Everything here is deliberately decoupled from the package's exact-algebra
 path: integrals come from composite Gauss-Legendre quadrature, derivatives
-from centered finite differences.
+from centered finite differences, and GB-spline values from the integral
+recursion carried out in mpmath (:func:`mp_greville_samples`).  The one
+exception is :func:`full_span_basis`, the package's former construction by
+the integral recursion over the whole knot vector, kept as the reference
+for the banded basis.
 """
 
+import math
+
 import numpy as np
+
+from gbspec.collocation import KnotVector, _rep_family
+from gbspec.sections import PiecewiseFn, piecewise_antiderivative
 
 
 def gauss_legendre(fn, a: float, b: float, pieces: int = 8,
@@ -39,3 +48,165 @@ def central_second_difference(fn, t: float, h: float = 1e-5) -> float:
 def sign_changes(values: np.ndarray, tol: float = 1e-13) -> int:
     signs = np.sign(values[np.abs(values) > tol])
     return int(np.sum(signs[1:] != signs[:-1]))
+
+
+def _full_span_seeds(kv: KnotVector, rep) -> list:
+    """Degree-1 splines over the distinct grid, one per index i = 1..n+2p-1."""
+    n, p = kv.n, kv.degree
+    grid = np.arange(n + 1) / n
+    eps = rep.effective(1.0 / n)
+    if rep.is_polynomial:
+        up = np.array([0.0, 1.0])
+        down = np.array([1.0, -1.0])
+    elif rep.tag == "hyperbolic":
+        up = np.array([0.0, 1.0 / math.sinh(eps)])
+        down = np.array([1.0, -math.cosh(eps) / math.sinh(eps)])
+    else:
+        up = np.array([0.0, 1.0 / math.sin(eps)])
+        down = np.array([1.0, -math.cos(eps) / math.sin(eps)])
+    seeds = []
+    for i in range(1, n + 2 * p):
+        coeffs = np.zeros((n, 2))
+        if p + 1 <= i <= p + n:
+            coeffs[i - p - 1] = up
+        if p + 1 <= i + 1 <= p + n:
+            coeffs[i - p] = down
+        seeds.append(PiecewiseFn(rep, 1, grid, coeffs))
+    return seeds
+
+
+def _full_span_cumulative(spline, left_degenerate: bool):
+    q = spline.degree + 1
+    grid = spline.breakpoints
+    if not np.any(spline.coeffs):
+        coeffs = np.zeros((grid.size - 1, q + 1))
+        coeffs[:, 0] = 1.0 if left_degenerate else 0.0
+        return PiecewiseFn(spline.family, q, grid, coeffs)
+    anti = piecewise_antiderivative(spline)
+    return anti.scaled(1.0 / anti(grid[-1]))
+
+
+def full_span_basis(n: int, p: int, family, mode: str = "nonnested") -> list:
+    """The n+p GB-splines by the integral recursion over all n intervals.
+
+    Every spline is a PiecewiseFn over the whole of [0, 1] (zero outside its
+    support).  This costs O(n^2 p) and serves only as the reference for
+    ``gbspec.collocation.gb_basis``.
+    """
+    kv = KnotVector.open_uniform(n, p)
+    rep, _ = _rep_family(family, mode, n)
+    level = _full_span_seeds(kv, rep)
+    for q in range(2, p + 1):
+        cums = [_full_span_cumulative(s, left_degenerate=(i + q <= p + 1))
+                for i, s in enumerate(level, start=1)]
+        level = [cums[i].minus(cums[i + 1]) for i in range(len(cums) - 1)]
+    return level
+
+
+def _mp_local_basis(tag: str, q: int, e, tau, r: int, mp) -> list:
+    """r-th tau-derivative of the q+1 local section functions at tau."""
+    out = [mp.ff(j, r) * tau ** (j - r) if j >= r else mp.mpf(0)
+           for j in range(q - 1)]
+    if tag == "polynomial":
+        return out + [mp.ff(j, r) * tau ** (j - r) if j >= r else mp.mpf(0)
+                      for j in (q - 1, q)]
+    if tag == "hyperbolic":
+        pair = (mp.cosh(e * tau), mp.sinh(e * tau))
+        pair = pair if r % 2 == 0 else pair[::-1]
+    else:
+        c, s = mp.cos(e * tau), mp.sin(e * tau)
+        pair = ((c, s), (-s, c), (-c, -s), (s, -c))[r % 4]
+    return out + [e**r * pair[0], e**r * pair[1]]
+
+
+def _mp_primitive(tag: str, q: int, e, c: list, mp) -> list:
+    """Primitive vanishing at tau = 0 of a degree-q row, as a degree-q+1 row."""
+    out = [mp.mpf(0)] * (q + 2)
+    for j in range(q - 1):
+        out[j + 1] += c[j] / (j + 1)
+    if tag == "polynomial":
+        out[q] += c[q - 1] / q
+        out[q + 1] += c[q] / (q + 1)
+    elif tag == "hyperbolic":
+        out[q + 1] += c[q - 1] / e
+        out[q] += c[q] / e
+        out[0] -= c[q] / e
+    else:
+        out[q + 1] += c[q - 1] / e
+        out[q] -= c[q] / e
+        out[0] += c[q] / e
+    return out
+
+
+def mp_greville_samples(n: int, p: int, tag: str, eff: float, xs,
+                        dps: int = 40) -> list:
+    """``[d^r N_j/dx^r (x_i)]`` for j = 2..n+p-1 and r = 0, 1, 2, in mpmath.
+
+    Each spline N_j comes from the integral recursion run on its own knots
+    t_j..t_{j+p+1} alone (B-splines are local), at ``dps`` digits, in units
+    of one knot interval with effective phase ``eff`` per interval.  Values
+    are right-continuous at knots and zero outside the support.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return _mp_samples(n, p, tag, eff, xs, mp)
+
+
+def _mp_samples(n, p, tag, eff, xs, mp) -> list:
+    e = mp.mpf(eff) if tag != "polynomial" else mp.mpf(0)
+    # knot t_k (1-based) in interval units
+    knot = [None] + [min(n, max(0, k - p - 1)) for k in range(1, n + 2 * p + 2)]
+    if tag == "polynomial":
+        up, down = [0, 1], [1, -1]
+    elif tag == "hyperbolic":
+        up, down = [0, 1 / mp.sinh(e)], [1, -mp.cosh(e) / mp.sinh(e)]
+    else:
+        up, down = [0, 1 / mp.sin(e)], [1, -mp.cos(e) / mp.sin(e)]
+
+    def spline(j: int) -> dict:
+        lo, hi = knot[j], knot[j + p + 1]
+        cells = range(lo, hi)
+        # degree-1 splines N_{k,1}, k = j..j+p, as {cell: row}
+        level = []
+        for k in range(j, j + p + 1):
+            rows = {c: [mp.mpf(0), mp.mpf(0)] for c in cells}
+            if knot[k + 1] > knot[k]:
+                rows[knot[k]] = [mp.mpf(v) for v in up]
+            if knot[k + 2] > knot[k + 1]:
+                rows[knot[k + 1]] = [mp.mpf(v) for v in down]
+            level.append(rows)
+        for q in range(2, p + 1):
+            cums = []
+            for off, rows in enumerate(level):
+                k = j + off
+                if all(v == 0 for row in rows.values() for v in row):
+                    step = 1 if knot[k] == 0 else 0
+                    cums.append({c: [mp.mpf(step)] + [mp.mpf(0)] * q
+                                 for c in cells})
+                    continue
+                acc, anti = mp.mpf(0), {}
+                for c in cells:
+                    prim = _mp_primitive(tag, q - 1, e, rows[c], mp)
+                    prim[0] += acc
+                    anti[c] = prim
+                    acc = mp.fsum(a * b for a, b in zip(
+                        _mp_local_basis(tag, q, e, mp.mpf(1), 0, mp), prim))
+                cums.append({c: [v / acc for v in row] for c, row in anti.items()})
+            level = [{c: [a - b for a, b in zip(cums[i][c], cums[i + 1][c])]
+                      for c in cells} for i in range(len(cums) - 1)]
+        return level[0]
+
+    splines = [spline(j) for j in range(2, n + p)]
+    out = [np.zeros((len(xs), len(splines))) for _ in range(3)]
+    for i, x in enumerate(xs):
+        u = mp.mpf(float(x)) * n
+        cell = min(int(mp.floor(u)), n - 1)
+        tau = u - cell
+        for r in range(3):
+            basis = _mp_local_basis(tag, p, e, tau, r, mp)
+            for col, rows in enumerate(splines):
+                if cell in rows:
+                    value = mp.fsum(a * b for a, b in zip(basis, rows[cell]))
+                    out[r][i, col] = float(value * mp.mpf(n) ** r)
+    return out

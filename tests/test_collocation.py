@@ -7,10 +7,11 @@ from gbspec.cardinal import cardinal_spline
 from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
                                 ProblemCoefficients, assemble, central_range,
                                 gb_basis, greville_abscissae,
-                                structure_report)
+                                greville_samples, structure_report)
 from gbspec.errors import ConstraintError, UsageError, ValidationError
 from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
+from oracles import full_span_basis, mp_greville_samples
 
 MODES = ("nested", "nonnested")
 Q_CASES = [(hyperbolic(10.0), "nonnested"), (hyperbolic(10.0), "nested"),
@@ -102,6 +103,86 @@ class TestBasis:
             gb_basis(2, 2, trigonometric(7.0), "nested")
         assert "n >= 3" in str(err.value)
         gb_basis(3, 2, trigonometric(7.0), "nested")  # minimal feasible n
+
+
+# trigonometric(7) in nested mode is feasible from n = 3 on
+BANDED_CASES = [(polynomial(), "nonnested"),
+                (hyperbolic(10.0), "nested"), (hyperbolic(10.0), "nonnested"),
+                (trigonometric(2.0), "nested"), (trigonometric(2.0), "nonnested"),
+                (trigonometric(7.0), "nested")]
+BANDED_SIZES = ("smallest", "n0", "n0+1", 37, 64)
+
+
+def _banded_size(size, p: int, family: SectionFamily, mode: str) -> int:
+    if size == "smallest":
+        nested_trig = family.tag == "trigonometric" and mode == "nested"
+        return max(2, math.floor(family.phase / math.pi) + 1) if nested_trig else 2
+    if size == "n0":
+        return 2 * p + 2
+    if size == "n0+1":
+        return 2 * p + 3
+    return size
+
+
+def _full_span_samples(n: int, p: int, family: SectionFamily, mode: str):
+    """Reference sample matrices and partition-of-unity residual."""
+    splines = full_span_basis(n, p, family, mode)
+    xi = greville_abscissae(KnotVector.open_uniform(n, p))
+    d1 = [piecewise_derivative(s) for s in splines]
+    d2 = [piecewise_derivative(s) for s in d1]
+    mats = [np.column_stack([s(xi) for s in fns[1:-1]]) for fns in (splines, d1, d2)]
+    xs = np.linspace(0.0, 1.0, 301)
+    residual = np.max(np.abs(sum(s(xs) for s in splines) - 1.0))
+    return mats, residual
+
+
+def _rel_err(mats, refs) -> float:
+    """Largest max-norm relative error over the value/first/second matrices."""
+    return max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(mats, refs))
+
+
+class TestBandedBasis:
+    @pytest.mark.parametrize("size", BANDED_SIZES)
+    @pytest.mark.parametrize("p", range(2, 7))
+    @pytest.mark.parametrize("case", BANDED_CASES,
+                             ids=lambda c: f"{c[0].tag}{c[0].phase or ''}-{c[1]}")
+    def test_matches_full_span(self, case, p, size):
+        family, mode = case
+        n = _banded_size(size, p, family, mode)
+        basis = gb_basis(n, p, family, mode)
+        t = basis.knots.knots
+        for i, s in enumerate(basis.splines, start=1):
+            assert s.coeffs.shape[0] <= p + 1
+            assert s.support == (t[i - 1], t[i + p])
+        mats = greville_samples(basis)[1:]
+        refs, residual = _full_span_samples(n, p, family, mode)
+        err = _rel_err(mats, refs)
+        if err <= 1e-12:
+            return
+        if residual > 1e-12:
+            # the reference misses partition of unity: agree on its own scale
+            assert err <= 1e3 * residual
+            return
+        # the two constructions round differently; against 40-digit values
+        # the banded basis must be as accurate as the reference, up to the
+        # factor that rounding at different interval widths costs
+        pytest.importorskip("mpmath")
+        exact = mp_greville_samples(n, p, family.tag, basis.effective_phase or 0.0,
+                                    greville_abscissae(basis.knots))
+        assert _rel_err(mats, exact) <= 32 * _rel_err(refs, exact)
+
+    def test_interior_splines_share_coefficients(self):
+        basis = gb_basis(40, 4, hyperbolic(3.0), "nested")
+        interior = basis.splines[4:40]
+        assert all(np.array_equal(s.coeffs, interior[0].coeffs) for s in interior)
+
+    @pytest.mark.xfail(strict=True, reason="small effective phases lose "
+                       "partition of unity in the {cosh, sinh} recursion")
+    def test_small_phase_partition_of_unity(self):
+        basis = gb_basis(64, 6, hyperbolic(1.0), "nested")
+        xs = np.linspace(0.0, 1.0, 1001)
+        total = sum(s(xs) for s in basis.splines)
+        assert np.max(np.abs(total - 1.0)) <= 1e-10
 
 
 def make_system(n=8, p=2, family=polynomial(), mode="nonnested",

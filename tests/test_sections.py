@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gbspec.cardinal import cardinal_spline
 from gbspec.errors import ConstraintError, UsageError
 from gbspec.sections import (LocalBasis, PiecewiseFn, SectionFamily,
                              basis_eval, hyperbolic, piecewise_antiderivative,
@@ -70,6 +71,15 @@ class TestEval:
                         np.array([[0.0, 1.0 / math.sinh(2.0)]]))
         assert piecewise_eval(f, 0.5) == pytest.approx(
             math.sinh(1.0) / math.sinh(2.0), abs=1e-15)
+
+    def test_far_outside_support_does_not_overflow(self):
+        # the section basis extrapolated to tau = 97 would overflow cosh
+        cs = cardinal_spline(hyperbolic(10.0), 3)
+        with np.errstate(all="raise"):
+            assert cs(100.0) == 0.0
+            vals = cs(np.array([-100.0, 2.0, 100.0, np.nan]))
+        assert vals[0] == 0.0 and vals[2] == 0.0 and vals[3] == 0.0
+        assert vals[1] == pytest.approx(float(cs(2.0)))
 
     def test_right_endpoint_is_left_limit(self):
         assert piecewise_eval(hat(), 2.0) == 0.0
