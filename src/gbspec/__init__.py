@@ -15,8 +15,7 @@ from .collocation import (CollocationSystem, GBBasis, GeometryMap1D,
 from .errors import (ConstraintError, ExprError, GbspecError, NumericalError,
                      UsageError, ValidationError)
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                       assemble_md, delinearize, linearize, md_symbol_samples,
-                       symbol_matrix)
+                       assemble_md, md_symbol_samples)
 from .sections import (LocalBasis, PiecewiseFn, SectionFamily, basis_eval,
                        hyperbolic, piecewise_antiderivative,
                        piecewise_derivative, piecewise_eval, polynomial,
@@ -38,12 +37,12 @@ __all__ = [
     "ProblemMD", "SectionFamily", "StructureReport", "SymbolFn",
     "ToeplitzSpec", "UsageError", "ValidationError", "assemble",
     "assemble_md", "basis_eval", "bounds_report", "cardinal_derivative",
-    "cardinal_spline", "central_range", "decay_ratio", "delinearize",
+    "cardinal_spline", "central_range", "decay_ratio",
     "eigenvalues_dense", "fourier_phi", "gb_basis", "greville_abscissae",
-    "hyperbolic", "linearize", "lower_bound_residual", "md_symbol_samples",
+    "hyperbolic", "lower_bound_residual", "md_symbol_samples",
     "piecewise_antiderivative", "piecewise_derivative", "piecewise_eval",
     "polynomial",
     "product_symbol_sampler", "structure_report", "symbol_closed_form",
-    "symbol_fn", "symbol_matrix", "symbol_max", "symbol_series", "toeplitz",
+    "symbol_fn", "symbol_max", "symbol_series", "toeplitz",
     "toeplitz_tensor", "trigonometric", "weyl_report",
 ]

@@ -204,7 +204,8 @@ def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
         return md_symbol_samples(problem, geometry, count, symbols)
 
     def solve(n: int):
-        a = assemble_md(problem, geometry, n) / n**2
+        a = assemble_md(problem, geometry, n)
+        a /= n**2
         return weyl_report(eigenvalues_dense(a), sampler, eps)
 
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(ns))) as pool:

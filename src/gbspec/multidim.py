@@ -3,7 +3,12 @@
 Basis functions are products of 1D GB-splines (families, degrees and phases
 may differ per direction), collocated at tensor Greville points under the
 standard lexicographic ordering with the last index varying fastest.  The
-multivariate symbol couples the PDE coefficient matrix, the geometry
+collocation matrix is assembled from per-direction bands of at most ``p+1``
+columns: each Kronecker term is an outer product of bands, the terms are
+summed in band storage and scattered once into the dense result, so the
+working memory is the result plus O(N (p+1)^d).
+
+The multivariate symbol couples the PDE coefficient matrix, the geometry
 Jacobian, and a d-by-d matrix of 1D symbols: diffusion symbols ``f`` on the
 diagonal, products of advection symbols ``g`` off the diagonal, and value
 symbols ``h`` in the remaining directions.
@@ -22,40 +27,11 @@ from .collocation import (NESTED, NONNESTED, GBBasis, gb_basis,
                           greville_samples)
 from .errors import UsageError, ValidationError
 from .sections import SectionFamily, polynomial
-from .spectral import _order_statistics
+from .spectral import DEFAULT_ORDER_CAP, _order_statistics
 from .symbols import symbol_fn
 
 _GRID_PER_DIM = {2: 33, 3: 9}
 _MD_OVERSAMPLE = 32
-DEFAULT_ORDER_CAP = 4096
-
-
-def linearize(idx: Sequence[int], lo: Sequence[int], hi: Sequence[int]) -> int:
-    """Rank of a multi-index in lexicographic order (last component fastest)."""
-    idx, lo, hi = (np.asarray(v, dtype=int) for v in (idx, lo, hi))
-    if idx.shape != lo.shape or idx.shape != hi.shape:
-        raise UsageError("multi-index shapes disagree")
-    if np.any(idx < lo) or np.any(idx > hi):
-        raise UsageError(f"multi-index {idx.tolist()} outside range")
-    sizes = hi - lo + 1
-    rank = 0
-    for k in range(idx.size):
-        rank = rank * sizes[k] + (idx[k] - lo[k])
-    return int(rank)
-
-
-def delinearize(rank: int, lo: Sequence[int], hi: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`linearize`."""
-    lo, hi = (np.asarray(v, dtype=int) for v in (lo, hi))
-    sizes = hi - lo + 1
-    total = int(np.prod(sizes))
-    if not 0 <= rank < total:
-        raise UsageError(f"rank {rank} outside 0..{total - 1}")
-    out = np.zeros_like(lo)
-    for k in range(lo.size - 1, -1, -1):
-        rank, r = divmod(rank, int(sizes[k]))
-        out[k] = lo[k] + r
-    return tuple(int(v) for v in out)
 
 
 def _vars(d: int) -> tuple[str, ...]:
@@ -211,11 +187,19 @@ def _direction_data(problem: ProblemMD, n: int):
     return bases, values, first, second, grevilles
 
 
-def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def _band(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Columns ``cols[i]`` of row i holding every nonzero of ``mats``, and the bands.
+
+    The window is one width ``w`` for all rows, at most ``p+1`` for the
+    Greville samples of a GB-spline basis; ``band[i, a] = mat[i, cols[i, a]]``.
+    """
+    nz = np.logical_or.reduce([m != 0 for m in mats])
+    size = nz.shape[1]
+    lo = nz.argmax(axis=1)
+    hi = size - 1 - nz[:, ::-1].argmax(axis=1)
+    width = int(np.max(hi - lo)) + 1
+    cols = np.minimum(lo, size - width)[:, None] + np.arange(width)
+    return cols, [np.take_along_axis(m, cols, axis=1) for m in mats]
 
 
 def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
@@ -225,6 +209,17 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
     Rows follow the lexicographic ordering of tensor Greville points; the
     geometry map is handled by the chain rule in two dimensions and must be
     the identity in three.
+
+    The matrix is a weighted sum of ``d^2 + d + 1`` Kronecker products of 1D
+    value/derivative matrices, and is built without forming any of them:
+    each direction k keeps only the band of ``w_k <= p_k + 1`` columns around
+    the nonzeros of each of its ``m_k`` Greville rows; every term is the
+    outer product of its factors' bands, of shape ``(m_1..m_d, w_1..w_d)``,
+    multiplied in ``np.kron`` order and scaled by its pointwise weight; the
+    terms are summed in that band array, which is written once into the
+    dense result.  Every entry therefore comes from the same products and
+    additions, in the same order, as the sum of dense Kronecker products.
+    Working memory is the dense ``N x N`` result plus ``O(N prod_k w_k)``.
     """
     d = problem.d
     if geometry.d != d:
@@ -232,7 +227,8 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
     if d == 3 and not geometry.is_identity:
         raise UsageError("d = 3 supports the identity geometry only")
     _, values, first, second, grevilles = _direction_data(problem, n)
-    order = int(np.prod([v.shape[0] for v in values]))
+    sizes = [v.shape[0] for v in values]
+    order = int(np.prod(sizes))
     if order > order_cap:
         raise UsageError(f"system order {order} exceeds cap {order_cap}")
 
@@ -254,30 +250,35 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
     s = np.einsum("nij,ncij->nc", bmat, ghess)
     grad_w = np.einsum("nij,nj->ni", jinv, beta + s)
 
+    # bands[k][r] is the band of the r-th derivative matrix in direction k;
     # the 1D derivative matrices are true parametric derivatives, so the
     # direction scalings nu_j * n are already inside them
-    parts = []
-    for i in range(d):
-        for j in range(d):
-            mats = []
-            for k in range(d):
-                if k == i == j:
-                    mats.append(second[k])
-                elif k in (i, j):
-                    mats.append(first[k])
-                else:
-                    mats.append(values[k])
-            parts.append((-bmat[:, i, j], _kron_all(mats)))
-    for i in range(d):
-        mats = [first[k] if k == i else values[k] for k in range(d)]
-        parts.append((grad_w[:, i], _kron_all(mats)))
-    parts.append((gamma, _kron_all(values)))
+    cols, bands = zip(*(_band(mats) for mats in zip(values, first, second)))
 
+    def spread(arr: np.ndarray, k: int) -> np.ndarray:
+        shape = [1] * (2 * d)
+        shape[k], shape[d + k] = arr.shape
+        return arr.reshape(shape)
+
+    terms = [(-bmat[:, i, j], [2 if k == i == j else int(k in (i, j))
+                               for k in range(d)])
+             for i in range(d) for j in range(d)]
+    terms += [(grad_w[:, i], [int(k == i) for k in range(d)]) for i in range(d)]
+    terms.append((gamma, [0] * d))
+    acc = np.zeros(sizes + [c.shape[1] for c in cols])
+    for weight, derivs in terms:
+        prod = spread(bands[0][derivs[0]], 0)
+        for k in range(1, d):
+            prod = prod * spread(bands[k][derivs[k]], k)
+        acc += weight.reshape(sizes + [1] * d) * prod
+
+    # column rank of (cols_1[i_1, a_1], ..., cols_d[i_d, a_d]), last fastest
+    strides = np.cumprod([1] + sizes[:0:-1])[::-1]
+    ranks = sum(spread(cols[k] * strides[k], k) for k in range(d))
     out = np.zeros((order, order))
-    for weight, mat in parts:
-        out += weight[:, None] * mat
+    np.put_along_axis(out, ranks.reshape(order, -1), acc.reshape(order, -1),
+                      axis=1)
     return out
-
 
 class DirectionSymbols:
     """Per-direction 1D symbols backing the multivariate symbol matrix."""
@@ -324,12 +325,6 @@ class DirectionSymbols:
         return out
 
 
-def symbol_matrix(degrees: Sequence[int], families: Sequence[SectionFamily],
-                  thetas: Sequence[float], mode: str = NESTED) -> np.ndarray:
-    """Convenience wrapper building :class:`DirectionSymbols` for one point."""
-    return DirectionSymbols(degrees, families, mode).matrix(thetas)
-
-
 def md_symbol_samples(problem: ProblemMD, geometry: GeometryMapMD,
                       count: int, symbols: DirectionSymbols | None = None) -> np.ndarray:
     """Sorted samples of  nu (J^{-1} K(G) J^{-T} o H(theta)) nu^T.
@@ -363,4 +358,5 @@ def md_symbol_samples(problem: ProblemMD, geometry: GeometryMapMD,
     nu = np.asarray(problem.nu, dtype=float)
     weights = np.einsum("i,nij,j->nij", nu, hmats, nu)
     values = np.einsum("mij,nij->mn", bmat, weights).ravel()
-    return _order_statistics(np.sort(values), count)
+    values.sort()
+    return _order_statistics(values, count)

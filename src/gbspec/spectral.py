@@ -180,8 +180,9 @@ def product_symbol_sampler(coefficient: Callable[[np.ndarray], np.ndarray],
         thetas = (np.arange(side) + 1.0) * math.pi / side
         cvals = np.broadcast_to(np.asarray(coefficient(xs), dtype=float), xs.shape)
         svals = np.broadcast_to(np.asarray(symbol(thetas), dtype=float), thetas.shape)
-        values = np.multiply.outer(cvals, svals)
-        return _order_statistics(np.sort(values.ravel()), count)
+        values = np.multiply.outer(cvals, svals).ravel()
+        values.sort()
+        return _order_statistics(values, count)
 
     return sample
 

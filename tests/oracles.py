@@ -6,7 +6,9 @@ from centered finite differences, and GB-spline values from the integral
 recursion carried out in mpmath (:func:`mp_greville_samples`).  The one
 exception is :func:`full_span_basis`, the package's former construction by
 the integral recursion over the whole knot vector, kept as the reference
-for the banded basis.
+for the banded basis, and :func:`dense_kron_assemble_md`, the former d-variate
+assembly from dense Kronecker products, kept as the bit-identity reference
+for the band assembly.
 """
 
 import math
@@ -14,6 +16,8 @@ import math
 import numpy as np
 
 from gbspec.collocation import KnotVector, _rep_family
+from gbspec.errors import UsageError, ValidationError
+from gbspec.multidim import _direction_data, _eval_grid
 from gbspec.sections import PiecewiseFn, piecewise_antiderivative
 
 
@@ -209,4 +213,67 @@ def _mp_samples(n, p, tag, eff, xs, mp) -> list:
                 if cell in rows:
                     value = mp.fsum(a * b for a, b in zip(basis, rows[cell]))
                     out[r][i, col] = float(value * mp.mpf(n) ** r)
+    return out
+
+
+def _kron_all(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def dense_kron_assemble_md(problem, geometry, n: int,
+                           order_cap: int = 4096) -> np.ndarray:
+    """The d-variate collocation matrix as a sum of dense Kronecker products."""
+    d = problem.d
+    if geometry.d != d:
+        raise ValidationError("geometry dimension disagrees with the problem")
+    if d == 3 and not geometry.is_identity:
+        raise UsageError("d = 3 supports the identity geometry only")
+    _, values, first, second, grevilles = _direction_data(problem, n)
+    order = int(np.prod([v.shape[0] for v in values]))
+    if order > order_cap:
+        raise UsageError(f"system order {order} exceeds cap {order_cap}")
+
+    mesh = np.meshgrid(*grevilles, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    phys = geometry.map_at(pts)
+    jac = geometry.jacobian_at(pts)
+    jinv = np.linalg.inv(jac)
+    kmat = problem.diffusion_at(phys)
+    beta = problem.advection_at(phys)
+    gamma = _eval_grid(problem.gamma, phys, d)
+
+    # B = J^{-1} K J^{-T} per collocation point
+    bmat = np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
+    # hessians of the geometry components fold the gradient term:
+    # tr(K Hx) = sum_ij B_ij Hhat_ij - sum_c s_c (grad_x)_c with
+    # s_c = tr(B Hhat(G_c)); the advection term adds J^{-1} beta.
+    ghess = geometry.hessians_at(pts)
+    s = np.einsum("nij,ncij->nc", bmat, ghess)
+    grad_w = np.einsum("nij,nj->ni", jinv, beta + s)
+
+    # the 1D derivative matrices are true parametric derivatives, so the
+    # direction scalings nu_j * n are already inside them
+    parts = []
+    for i in range(d):
+        for j in range(d):
+            mats = []
+            for k in range(d):
+                if k == i == j:
+                    mats.append(second[k])
+                elif k in (i, j):
+                    mats.append(first[k])
+                else:
+                    mats.append(values[k])
+            parts.append((-bmat[:, i, j], _kron_all(mats)))
+    for i in range(d):
+        mats = [first[k] if k == i else values[k] for k in range(d)]
+        parts.append((grad_w[:, i], _kron_all(mats)))
+    parts.append((gamma, _kron_all(values)))
+
+    out = np.zeros((order, order))
+    for weight, mat in parts:
+        out += weight[:, None] * mat
     return out

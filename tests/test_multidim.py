@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from gbspec import exprparse
 from gbspec.collocation import GeometryMap1D, ProblemCoefficients, assemble, gb_basis
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                             assemble_md, delinearize, linearize,
-                             md_symbol_samples, symbol_matrix)
-from gbspec.sections import hyperbolic, piecewise_derivative, polynomial
+                             _band, _direction_data, assemble_md,
+                             md_symbol_samples)
+from gbspec.sections import (hyperbolic, piecewise_derivative, polynomial,
+                             trigonometric)
 from gbspec.symbols import symbol_fn
+
+from oracles import dense_kron_assemble_md
 
 ONE = exprparse.parse("1")
 ZERO = exprparse.parse("0")
@@ -26,26 +30,6 @@ def laplace_problem(gamma="0", degrees=(2, 2), families=None, mode="nested",
         advection=tuple(exprparse.parse(b) for b in beta),
         gamma=exprparse.parse(gamma), families=families,
         degrees=degrees, nu=nu, mode=mode)
-
-
-class TestOrdering:
-    def test_documented_example(self):
-        assert linearize((1, 2), (1, 1), (2, 3)) == 1
-
-    def test_extremes(self):
-        assert linearize((1, 1), (1, 1), (2, 3)) == 0
-        assert linearize((2, 3), (1, 1), (2, 3)) == 5
-
-    def test_out_of_range(self):
-        with pytest.raises(UsageError):
-            linearize((0, 1), (1, 1), (2, 3))
-
-    def test_bijectivity(self):
-        lo, hi = (1, 0, 2), (10, 19, 51)  # 10 * 20 * 50 = 10^4 indices
-        total = 10 * 20 * 50
-        for rank in range(0, total, 7):
-            assert linearize(delinearize(rank, lo, hi), lo, hi) == rank
-        assert linearize(delinearize(total - 1, lo, hi), lo, hi) == total - 1
 
 
 class TestValidation:
@@ -199,14 +183,94 @@ class TestAssembly:
         assert np.max(np.abs(a - ref)) <= 1e-9
 
 
+def cube_problem(family) -> ProblemMD:
+    k3 = tuple(tuple(ONE if i == j else ZERO for j in range(3))
+               for i in range(3))
+    return ProblemMD(d=3, diffusion=k3, advection=(ZERO,) * 3, gamma=ZERO,
+                     families=(family,) * 3, degrees=(3, 3, 3), nu=(1, 1, 1),
+                     mode="nonnested")
+
+
+CURVED = ("x1+0.2*x1*(1-x1)*x2", "x2")
+# (problem, geometry components, n values); at the smallest legal n = 2 the
+# band is the whole 1D matrix in every direction with nu = 1
+BAND_CASES = {
+    "curved_advection": (
+        lambda: laplace_problem(degrees=(3, 3), mode="nonnested",
+                                families=(hyperbolic(10.0),) * 2,
+                                kdiag=("1+x1", "1+x2"), beta=("1", "0")),
+        CURVED, (2, 3, 5, 8, 13, 24)),
+    "nu_mixed_families": (
+        lambda: laplace_problem(degrees=(2, 4), nu=(1, 2),
+                                families=(polynomial(), trigonometric(2.0))),
+        None, (2, 3, 7, 24)),
+    "offdiagonal_reaction": (
+        lambda: laplace_problem(gamma="1+x1*x2", kdiag=("1+x1", "2"),
+                                koff="x1*x2/4", beta=("x2", "1"),
+                                degrees=(3, 2)),
+        CURVED, (2, 4, 11, 24)),
+    "cube_hyperbolic": (
+        lambda: cube_problem(hyperbolic(10.0)), None, (2, 4, 7, 10)),
+}
+
+
+class TestBandAssembly:
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_bit_identical_to_dense_kronecker(self, case):
+        make, components, ns = BAND_CASES[case]
+        problem = make()
+        geometry = (GeometryMapMD.identity(problem.d) if components is None
+                    else GeometryMapMD(problem.d, tuple(
+                        exprparse.parse(c) for c in components)))
+        for n in ns:
+            a = assemble_md(problem, geometry, n)
+            ref = dense_kron_assemble_md(problem, geometry, n)
+            assert np.array_equal(a, ref), (case, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_bands_hold_every_nonzero(self, n):
+        problem = laplace_problem(degrees=(2, 5), nu=(1, 2), mode="nonnested",
+                                  families=(hyperbolic(3.0),) * 2)
+        _, values, first, second, _ = _direction_data(problem, n)
+        for k, mats in enumerate(zip(values, first, second)):
+            cols, bands = _band(mats)
+            size = mats[0].shape[1]
+            assert cols.shape[1] <= problem.degrees[k] + 1
+            assert cols.min() >= 0 and cols.max() < size
+            for mat, band in zip(mats, bands):
+                rebuilt = np.zeros_like(mat)
+                np.put_along_axis(rebuilt, cols, band, axis=1)
+                assert np.array_equal(rebuilt, mat)
+
+    def test_whole_matrix_band_at_smallest_n(self):
+        problem = laplace_problem(degrees=(3, 3))
+        _, values, first, second, _ = _direction_data(problem, 2)
+        cols, _ = _band((values[0], first[0], second[0]))
+        assert cols.shape == values[0].shape
+
+    def test_peak_memory_near_result_size(self):
+        problem = cube_problem(hyperbolic(10.0))
+        geometry = GeometryMapMD.identity(3)
+        assemble_md(problem, geometry, 2)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            a = assemble_md(problem, geometry, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.shape == (1331, 1331)
+        assert peak <= 2 * a.nbytes
+
+
 class TestSymbolMatrix:
     def test_diagonal_at_pi(self):
-        h = symbol_matrix((2, 2), (polynomial(), polynomial()),
-                          (math.pi, math.pi))
+        h = DirectionSymbols((2, 2), (polynomial(), polynomial())).matrix(
+            (math.pi, math.pi))
         assert np.allclose(h, np.diag([2.0, 2.0]), atol=1e-12)
 
     def test_zero_frequency(self):
-        h = symbol_matrix((2, 2), (polynomial(), polynomial()), (0.0, 0.0))
+        h = DirectionSymbols((2, 2), (polynomial(), polynomial())).matrix(
+            (0.0, 0.0))
         assert np.allclose(h, 0.0, atol=1e-14)
 
     def test_symmetric_for_random_frequencies(self):
@@ -223,7 +287,7 @@ class TestSymbolMatrix:
         f2 = symbol_fn("f", 2, polynomial())
         h2 = symbol_fn("h", 2, polynomial())
         g2 = symbol_fn("g", 2, polynomial())
-        h = symbol_matrix((2, 2), (polynomial(), polynomial()), th)
+        h = DirectionSymbols((2, 2), (polynomial(), polynomial())).matrix(th)
         assert h[0, 0] == pytest.approx(float(f2(th[0]) * h2(th[1])), abs=1e-14)
         assert h[1, 1] == pytest.approx(float(h2(th[0]) * f2(th[1])), abs=1e-14)
         assert h[0, 1] == pytest.approx(float(g2(th[0]) * g2(th[1])), abs=1e-14)
