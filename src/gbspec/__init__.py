@@ -16,10 +16,9 @@ from .errors import (ConstraintError, ExprError, GbspecError, NumericalError,
                      UsageError, ValidationError)
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
                        assemble_md, md_symbol_samples)
-from .sections import (LocalBasis, PiecewiseFn, SectionFamily, basis_eval,
-                       hyperbolic, piecewise_antiderivative,
-                       piecewise_derivative, piecewise_eval, polynomial,
-                       trigonometric)
+from .sections import (PiecewiseFn, SectionFamily, hyperbolic,
+                       piecewise_antiderivative, piecewise_derivative,
+                       piecewise_eval, polynomial, trigonometric)
 from .spectral import (DistributionReport, ToeplitzSpec, eigenvalues_dense,
                        product_symbol_sampler, toeplitz, toeplitz_tensor,
                        weyl_report)
@@ -33,10 +32,10 @@ __all__ = [
     "BoundReport", "CardinalSpline", "CollocationSystem", "ConstraintError",
     "DirectionSymbols", "DistributionReport", "ExprError", "GBBasis",
     "GbspecError", "GeometryMap1D", "GeometryMapMD", "KnotVector",
-    "LocalBasis", "NumericalError", "PiecewiseFn", "ProblemCoefficients",
+    "NumericalError", "PiecewiseFn", "ProblemCoefficients",
     "ProblemMD", "SectionFamily", "StructureReport", "SymbolFn",
     "ToeplitzSpec", "UsageError", "ValidationError", "assemble",
-    "assemble_md", "basis_eval", "bounds_report", "cardinal_derivative",
+    "assemble_md", "bounds_report", "cardinal_derivative",
     "cardinal_spline", "central_range", "decay_ratio",
     "eigenvalues_dense", "fourier_phi", "gb_basis", "greville_abscissae",
     "hyperbolic", "lower_bound_residual", "md_symbol_samples",

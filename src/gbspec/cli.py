@@ -21,7 +21,7 @@ import numpy as np
 from . import exprparse
 from .cardinal import cardinal_spline
 from .collocation import (GeometryMap1D, ProblemCoefficients, assemble,
-                          gb_basis)
+                          gb_basis, limit_family, transformed_coefficients)
 from .errors import GbspecError, NumericalError
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
                        assemble_md, md_symbol_samples)
@@ -106,11 +106,10 @@ def load_problem_1d(cfg: dict):
     kappa = _require(cfg, "kappa", str, where)
     beta = _require(cfg, "beta", str, where)
     gamma = _require(cfg, "gamma", str, where)
-    rhs = cfg.get("rhs", "0")
     family = make_family(_require(cfg, "family", str, where), cfg.get("alpha"))
     mode = _require(cfg, "mode", str, where)
     p = _require(cfg, "p", int, where)
-    problem = ProblemCoefficients.from_strings(kappa, beta, gamma, rhs)
+    problem = ProblemCoefficients.from_strings(kappa, beta, gamma)
     geo_cfg = cfg.get("geometry")
     if geo_cfg is None:
         geometry = GeometryMap1D.identity()
@@ -155,25 +154,12 @@ def load_problem_md(cfg: dict) -> tuple[ProblemMD, GeometryMapMD]:
 
 
 def _coefficient_sampler(problem: ProblemCoefficients, geometry: GeometryMap1D):
-    def coef(xs: np.ndarray) -> np.ndarray:
-        env = {"x": xs}
-        gx = np.broadcast_to(
-            np.asarray(exprparse.evaluate(geometry.g, env), dtype=float), xs.shape)
-        g1 = np.broadcast_to(
-            np.asarray(exprparse.evaluate(geometry.g1, env), dtype=float), xs.shape)
-        kx = np.broadcast_to(
-            np.asarray(exprparse.evaluate(problem.kappa, {"x": gx}), dtype=float),
-            xs.shape)
-        return kx / g1**2
-
-    return coef
+    return lambda xs: transformed_coefficients(problem, geometry, xs)[0]
 
 
 def _distribution_symbol(family: SectionFamily, mode: str, p: int):
     """Limit symbol of the scaled collocation sequence for the given mode."""
-    if family.is_polynomial or mode == "nested":
-        return symbol_fn("f", p, polynomial())
-    return symbol_fn("f", p, family)
+    return symbol_fn("f", p, limit_family(family, mode))
 
 
 def _run_distribution_1d(cfg: dict, ns: list[int], eps: list[float]) -> dict:

@@ -21,20 +21,26 @@ assembly samples each spline only at the Greville points inside its support.
 The model problem is  -kappa u'' + beta u' + gamma u = f  on (0, 1) with
 homogeneous Dirichlet data, collocated at the interior Greville abscissae; a
 1D geometry map folds into transformed coefficients.
+
+In any dimension the collocation matrix is a weighted sum of tensor products
+of the 1D value, first- and second-derivative matrices.  One band assembler
+builds it for d = 1, 2, 3: ``assemble`` is the d = 1 case and
+``multidim.assemble_md`` the d = 2, 3 case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import exprparse
 from .cardinal import _seed_rows
 from .errors import ConstraintError, NumericalError, UsageError, ValidationError
-from .sections import (PiecewiseFn, SectionFamily,
-                       piecewise_antiderivative, piecewise_derivative)
+from .sections import (PiecewiseFn, SectionFamily, piecewise_antiderivative,
+                       piecewise_derivative, polynomial)
 from .spectral import ToeplitzSpec, toeplitz
 from .symbols import symbol_fn
 
@@ -59,11 +65,6 @@ class KnotVector:
         interior = np.arange(1, n) / n
         knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
         return cls(n, p, knots)
-
-    @property
-    def dim(self) -> int:
-        """Dimension n + p of the full spline space."""
-        return self.n + self.degree
 
 
 def greville_abscissae(kv: KnotVector) -> np.ndarray:
@@ -124,6 +125,15 @@ def _rep_family(family: SectionFamily, mode: str, n: int) -> tuple[SectionFamily
             f"trigonometric phase {alpha} needs n >= {_min_feasible_n(alpha)} "
             f"in nested mode, got n = {n}")
     return SectionFamily(family.tag, mu), mu
+
+
+def limit_family(family: SectionFamily, mode: str) -> SectionFamily:
+    """Family of the limit symbol of the scaled collocation matrices.
+
+    Nested refinement drives every effective phase ``alpha/n`` to zero, so
+    the limit symbols are the polynomial ones; non-nested keeps the family.
+    """
+    return polynomial() if mode == NESTED else family
 
 
 def _seed_level(m: int, p: int, rep: SectionFamily) -> list[PiecewiseFn]:
@@ -220,6 +230,60 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     return (xi, *mats)
 
 
+def _band(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Columns ``cols[i]`` of row i holding every nonzero of ``mats``, and the bands.
+
+    The window is one width ``w`` for all rows, at most ``p+1`` for the
+    Greville samples of a GB-spline basis; ``band[i, a] = mat[i, cols[i, a]]``.
+    """
+    nz = np.logical_or.reduce([m != 0 for m in mats])
+    size = nz.shape[1]
+    lo = nz.argmax(axis=1)
+    hi = size - 1 - nz[:, ::-1].argmax(axis=1)
+    width = int(np.max(hi - lo)) + 1
+    cols = np.minimum(lo, size - width)[:, None] + np.arange(width)
+    return cols, [np.take_along_axis(m, cols, axis=1) for m in mats]
+
+
+def _assemble_terms(factors: Sequence[Sequence[np.ndarray]],
+                    terms: Sequence[tuple[np.ndarray, Sequence[int]]]) -> np.ndarray:
+    """Dense sum of ``weight[:, None] * kron(factors[0][r_0], ..., factors[d-1][r_{d-1}])``.
+
+    ``factors[k][r]`` is the derivative-order-r matrix of direction k; each
+    term is ``(weight, (r_0, ..., r_{d-1}))``, one weight per row in
+    lexicographic order, last index fastest.  No Kronecker product is
+    formed: each term is the outer product of its factors' bands
+    (:func:`_band`), multiplied in ``np.kron`` order, and the terms are summed
+    in the given order in band storage, then written once into the dense
+    result.  Every entry thus comes from the same products and additions as
+    the dense sum, and the working memory is the result plus O(N prod_k w_k).
+    """
+    d = len(factors)
+    cols, bands = zip(*(_band(mats) for mats in factors))
+    sizes = [c.shape[0] for c in cols]
+    order = math.prod(sizes)
+
+    def spread(arr: np.ndarray, k: int) -> np.ndarray:
+        shape = [1] * (2 * d)
+        shape[k], shape[d + k] = arr.shape
+        return arr.reshape(shape)
+
+    acc = np.zeros(sizes + [c.shape[1] for c in cols])
+    for weight, derivs in terms:
+        prod = spread(bands[0][derivs[0]], 0)
+        for k in range(1, d):
+            prod = prod * spread(bands[k][derivs[k]], k)
+        acc += weight.reshape(sizes + [1] * d) * prod
+
+    # column rank of (cols_1[i_1, a_1], ..., cols_d[i_d, a_d]), last fastest
+    strides = np.cumprod([1] + sizes[:0:-1])[::-1]
+    ranks = sum(spread(cols[k] * strides[k], k) for k in range(d))
+    out = np.zeros((order, order))
+    np.put_along_axis(out, ranks.reshape(order, -1), acc.reshape(order, -1),
+                      axis=1)
+    return out
+
+
 def _grid_eval(expr, xs: np.ndarray, name: str) -> np.ndarray:
     vals = np.asarray(exprparse.evaluate(expr, {"x": xs, "x1": xs}), dtype=float)
     if vals.ndim == 0:
@@ -231,12 +295,11 @@ def _grid_eval(expr, xs: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemCoefficients:
-    """Diffusion/advection/reaction coefficients and right-hand side on [0, 1]."""
+    """Diffusion/advection/reaction coefficients on [0, 1] (f enters no matrix)."""
 
     kappa: exprparse.ExprAst
     beta: exprparse.ExprAst
     gamma: exprparse.ExprAst
-    rhs: exprparse.ExprAst
 
     def __post_init__(self):
         xs = np.linspace(0.0, 1.0, _VALIDATION_POINTS)
@@ -247,9 +310,9 @@ class ProblemCoefficients:
         _grid_eval(self.beta, xs, "beta")
 
     @classmethod
-    def from_strings(cls, kappa: str = "1", beta: str = "0", gamma: str = "0",
-                     rhs: str = "0") -> "ProblemCoefficients":
-        return cls(*(exprparse.parse(s) for s in (kappa, beta, gamma, rhs)))
+    def from_strings(cls, kappa: str = "1", beta: str = "0",
+                     gamma: str = "0") -> "ProblemCoefficients":
+        return cls(*(exprparse.parse(s) for s in (kappa, beta, gamma)))
 
 
 @dataclass(frozen=True)
@@ -315,33 +378,39 @@ class CollocationSystem:
         return None if self.mu is None else self.mu / self.n
 
 
+def transformed_coefficients(problem: ProblemCoefficients,
+                             geometry: GeometryMap1D, xs: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of the problem pulled back through G, sampled at ``xs``.
+
+    ``kappa_hat = kappa(G)/G'^2``, ``beta_hat = kappa(G) G''/G'^3 +
+    beta(G)/G'`` and ``gamma_hat = gamma(G)``.
+    """
+    def sample(expr, at):
+        vals = np.asarray(exprparse.evaluate(expr, {"x": at, "x1": at}), dtype=float)
+        return np.broadcast_to(vals, xs.shape).astype(float)
+
+    gx, g1, g2 = (sample(e, xs) for e in (geometry.g, geometry.g1, geometry.g2))
+    kappa = sample(problem.kappa, gx)
+    return (kappa / g1**2, kappa * g2 / g1**3 + sample(problem.beta, gx) / g1,
+            sample(problem.gamma, gx))
+
+
 def assemble(problem: ProblemCoefficients, geometry: GeometryMap1D,
              basis: GBBasis) -> CollocationSystem:
-    """Collocate the (geometry-transformed) model problem at Greville points."""
+    """Collocate the (geometry-transformed) model problem at Greville points.
+
+    This is the d = 1 case of :func:`_assemble_terms`, with one term per
+    derivative order.
+    """
     n, p = basis.n, basis.degree
     xi, mass, first, second = greville_samples(basis)
     adv = first / n
     stiff = -second / n**2
-
-    env = {"x": xi, "x1": xi}
-    gx = np.asarray(exprparse.evaluate(geometry.g, env), dtype=float)
-    g1 = np.asarray(exprparse.evaluate(geometry.g1, env), dtype=float)
-    g2 = np.asarray(exprparse.evaluate(geometry.g2, env), dtype=float)
-    gx, g1, g2 = (np.broadcast_to(v, xi.shape).astype(float) for v in (gx, g1, g2))
-    penv = {"x": gx, "x1": gx}
-
-    def sample(expr):
-        vals = np.asarray(exprparse.evaluate(expr, penv), dtype=float)
-        return np.broadcast_to(vals, xi.shape).astype(float)
-
-    kappa = sample(problem.kappa)
-    kappa_hat = kappa / g1**2
-    beta_hat = kappa * g2 / g1**3 + sample(problem.beta) / g1
-    gamma_hat = sample(problem.gamma)
-
-    full = (n**2 * kappa_hat[:, None] * stiff
-            + n * beta_hat[:, None] * adv
-            + gamma_hat[:, None] * mass)
+    kappa_hat, beta_hat, gamma_hat = transformed_coefficients(problem, geometry, xi)
+    full = _assemble_terms([(mass, adv, stiff)],
+                           [(n**2 * kappa_hat, (2,)), (n * beta_hat, (1,)),
+                            (gamma_hat, (0,))])
     return CollocationSystem(
         n=n, degree=p, family=basis.family, mode=basis.mode, mu=basis.mu,
         greville=xi, stiffness=stiff, advection=adv, mass=mass,

@@ -3,10 +3,10 @@
 Basis functions are products of 1D GB-splines (families, degrees and phases
 may differ per direction), collocated at tensor Greville points under the
 standard lexicographic ordering with the last index varying fastest.  The
-collocation matrix is assembled from per-direction bands of at most ``p+1``
-columns: each Kronecker term is an outer product of bands, the terms are
-summed in band storage and scattered once into the dense result, so the
-working memory is the result plus O(N (p+1)^d).
+collocation matrix is the weighted sum of Kronecker products of the 1D
+value, first- and second-derivative matrices; it is built by the band
+assembler of :mod:`gbspec.collocation`, of which the 1D matrix is the
+d = 1 case.
 
 The multivariate symbol couples the PDE coefficient matrix, the geometry
 Jacobian, and a d-by-d matrix of 1D symbols: diffusion symbols ``f`` on the
@@ -23,10 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from . import exprparse
-from .collocation import (NESTED, NONNESTED, GBBasis, gb_basis,
-                          greville_samples)
+from .collocation import (NESTED, NONNESTED, _assemble_terms, gb_basis,
+                          greville_samples, limit_family)
 from .errors import UsageError, ValidationError
-from .sections import SectionFamily, polynomial
+from .sections import SectionFamily
 from .spectral import DEFAULT_ORDER_CAP, _order_statistics
 from .symbols import symbol_fn
 
@@ -171,35 +171,11 @@ class GeometryMapMD:
 
 
 def _direction_data(problem: ProblemMD, n: int):
-    """1D bases plus value/derivative matrices at the interior Greville points."""
-    bases: list[GBBasis] = []
-    values, first, second, grevilles = [], [], [], []
-    for j in range(problem.d):
-        nj = problem.nu[j] * n
-        basis = gb_basis(nj, problem.degrees[j], problem.families[j],
-                         problem.mode)
-        xi, v, d1, d2 = greville_samples(basis)
-        values.append(v)
-        first.append(d1)
-        second.append(d2)
-        grevilles.append(xi)
-        bases.append(basis)
-    return bases, values, first, second, grevilles
-
-
-def _band(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Columns ``cols[i]`` of row i holding every nonzero of ``mats``, and the bands.
-
-    The window is one width ``w`` for all rows, at most ``p+1`` for the
-    Greville samples of a GB-spline basis; ``band[i, a] = mat[i, cols[i, a]]``.
-    """
-    nz = np.logical_or.reduce([m != 0 for m in mats])
-    size = nz.shape[1]
-    lo = nz.argmax(axis=1)
-    hi = size - 1 - nz[:, ::-1].argmax(axis=1)
-    width = int(np.max(hi - lo)) + 1
-    cols = np.minimum(lo, size - width)[:, None] + np.arange(width)
-    return cols, [np.take_along_axis(m, cols, axis=1) for m in mats]
+    """Interior Greville points, value and derivative matrices per direction."""
+    return tuple(zip(*(greville_samples(gb_basis(problem.nu[j] * n,
+                                                 problem.degrees[j],
+                                                 problem.families[j], problem.mode))
+                       for j in range(problem.d))))
 
 
 def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
@@ -211,24 +187,16 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
     the identity in three.
 
     The matrix is a weighted sum of ``d^2 + d + 1`` Kronecker products of 1D
-    value/derivative matrices, and is built without forming any of them:
-    each direction k keeps only the band of ``w_k <= p_k + 1`` columns around
-    the nonzeros of each of its ``m_k`` Greville rows; every term is the
-    outer product of its factors' bands, of shape ``(m_1..m_d, w_1..w_d)``,
-    multiplied in ``np.kron`` order and scaled by its pointwise weight; the
-    terms are summed in that band array, which is written once into the
-    dense result.  Every entry therefore comes from the same products and
-    additions, in the same order, as the sum of dense Kronecker products.
-    Working memory is the dense ``N x N`` result plus ``O(N prod_k w_k)``.
+    value/derivative matrices, built from per-direction bands by
+    :func:`collocation._assemble_terms` without forming any of them.
     """
     d = problem.d
     if geometry.d != d:
         raise ValidationError("geometry dimension disagrees with the problem")
     if d == 3 and not geometry.is_identity:
         raise UsageError("d = 3 supports the identity geometry only")
-    _, values, first, second, grevilles = _direction_data(problem, n)
-    sizes = [v.shape[0] for v in values]
-    order = int(np.prod(sizes))
+    grevilles, values, first, second = _direction_data(problem, n)
+    order = int(np.prod([v.shape[0] for v in values]))
     if order > order_cap:
         raise UsageError(f"system order {order} exceeds cap {order_cap}")
 
@@ -250,35 +218,15 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
     s = np.einsum("nij,ncij->nc", bmat, ghess)
     grad_w = np.einsum("nij,nj->ni", jinv, beta + s)
 
-    # bands[k][r] is the band of the r-th derivative matrix in direction k;
     # the 1D derivative matrices are true parametric derivatives, so the
     # direction scalings nu_j * n are already inside them
-    cols, bands = zip(*(_band(mats) for mats in zip(values, first, second)))
-
-    def spread(arr: np.ndarray, k: int) -> np.ndarray:
-        shape = [1] * (2 * d)
-        shape[k], shape[d + k] = arr.shape
-        return arr.reshape(shape)
-
     terms = [(-bmat[:, i, j], [2 if k == i == j else int(k in (i, j))
                                for k in range(d)])
              for i in range(d) for j in range(d)]
     terms += [(grad_w[:, i], [int(k == i) for k in range(d)]) for i in range(d)]
     terms.append((gamma, [0] * d))
-    acc = np.zeros(sizes + [c.shape[1] for c in cols])
-    for weight, derivs in terms:
-        prod = spread(bands[0][derivs[0]], 0)
-        for k in range(1, d):
-            prod = prod * spread(bands[k][derivs[k]], k)
-        acc += weight.reshape(sizes + [1] * d) * prod
+    return _assemble_terms(list(zip(values, first, second)), terms)
 
-    # column rank of (cols_1[i_1, a_1], ..., cols_d[i_d, a_d]), last fastest
-    strides = np.cumprod([1] + sizes[:0:-1])[::-1]
-    ranks = sum(spread(cols[k] * strides[k], k) for k in range(d))
-    out = np.zeros((order, order))
-    np.put_along_axis(out, ranks.reshape(order, -1), acc.reshape(order, -1),
-                      axis=1)
-    return out
 
 class DirectionSymbols:
     """Per-direction 1D symbols backing the multivariate symbol matrix."""
@@ -288,9 +236,7 @@ class DirectionSymbols:
         if mode not in (NESTED, NONNESTED):
             raise UsageError(f"unknown phase mode {mode!r}")
         self.degrees = tuple(degrees)
-        # nested refinement drives every effective phase to zero, so the
-        # limiting symbols are the polynomial ones
-        fams = [polynomial() if mode == NESTED else f for f in families]
+        fams = [limit_family(f, mode) for f in families]
         self.h = [symbol_fn("h", p, f) for p, f in zip(self.degrees, fams)]
         self.g = [symbol_fn("g", p, f) for p, f in zip(self.degrees, fams)]
         self.f = [symbol_fn("f", p, f) for p, f in zip(self.degrees, fams)]

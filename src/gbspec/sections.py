@@ -84,51 +84,6 @@ def trigonometric(alpha: float) -> SectionFamily:
     return SectionFamily(TRIGONOMETRIC, float(alpha))
 
 
-@dataclass(frozen=True)
-class LocalBasis:
-    """Local section basis on one interval, in its unit coordinate.
-
-    Basis slots: ``tau**0, ..., tau**(p-2), u, v`` (size ``p+1``).  For
-    ``p == 1`` only ``u`` and ``v`` remain; for the polynomial family these
-    are ``1`` and ``tau``.
-    """
-
-    family: SectionFamily
-    degree: int
-    eff_phase: float
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise UsageError("degree must be >= 0")
-        if self.degree == 0 and not self.family.is_polynomial:
-            raise UsageError("degree-0 pieces are supported for polynomials only")
-        if self.family.tag == TRIGONOMETRIC and not 0 < self.eff_phase < math.pi:
-            raise ConstraintError(
-                f"trigonometric effective phase {self.eff_phase} not in (0, pi)"
-            )
-
-    @property
-    def size(self) -> int:
-        return self.degree + 1
-
-
-def basis_eval(basis: LocalBasis, j: int, tau: float) -> float:
-    """Value of the ``j``-th local basis function at ``tau`` in [0, 1]."""
-    p = basis.degree
-    if not 0 <= j <= p:
-        raise UsageError(f"basis index {j} out of range 0..{p}")
-    if p == 0:
-        return 1.0
-    if j < p - 1:
-        return float(tau) ** j
-    eps = basis.eff_phase
-    if basis.family.is_polynomial:
-        return float(tau) ** (p - 1 if j == p - 1 else p)
-    if basis.family.tag == HYPERBOLIC:
-        return math.cosh(eps * tau) if j == p - 1 else math.sinh(eps * tau)
-    return math.cos(eps * tau) if j == p - 1 else math.sin(eps * tau)
-
-
 def _basis_matrix(family: SectionFamily, p: int, eps: np.ndarray,
                   tau: np.ndarray) -> np.ndarray:
     """Stack the p+1 basis values at each (eps, tau) pair; shape (len(tau), p+1)."""

@@ -6,16 +6,18 @@ from centered finite differences, and GB-spline values from the integral
 recursion carried out in mpmath (:func:`mp_greville_samples`).  The one
 exception is :func:`full_span_basis`, the package's former construction by
 the integral recursion over the whole knot vector, kept as the reference
-for the banded basis, and :func:`dense_kron_assemble_md`, the former d-variate
-assembly from dense Kronecker products, kept as the bit-identity reference
-for the band assembly.
+for the banded basis, and the former dense assemblies kept as bit-identity
+references for the band assembler: :func:`dense_assemble_1d` (1D) and
+:func:`dense_kron_assemble_md` (d-variate, from dense Kronecker products).
 """
 
 import math
 
 import numpy as np
 
-from gbspec.collocation import KnotVector, _rep_family
+from gbspec import exprparse
+from gbspec.collocation import (CollocationSystem, KnotVector, _rep_family,
+                                greville_samples)
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import _direction_data, _eval_grid
 from gbspec.sections import PiecewiseFn, piecewise_antiderivative
@@ -231,7 +233,7 @@ def dense_kron_assemble_md(problem, geometry, n: int,
         raise ValidationError("geometry dimension disagrees with the problem")
     if d == 3 and not geometry.is_identity:
         raise UsageError("d = 3 supports the identity geometry only")
-    _, values, first, second, grevilles = _direction_data(problem, n)
+    grevilles, values, first, second = _direction_data(problem, n)
     order = int(np.prod([v.shape[0] for v in values]))
     if order > order_cap:
         raise UsageError(f"system order {order} exceeds cap {order_cap}")
@@ -277,3 +279,37 @@ def dense_kron_assemble_md(problem, geometry, n: int,
     for weight, mat in parts:
         out += weight[:, None] * mat
     return out
+
+
+def dense_assemble_1d(problem, geometry, basis) -> CollocationSystem:
+    """The 1D collocation system from the dense three-term formula."""
+    n, p = basis.n, basis.degree
+    xi, mass, first, second = greville_samples(basis)
+    adv = first / n
+    stiff = -second / n**2
+
+    env = {"x": xi, "x1": xi}
+    gx = np.asarray(exprparse.evaluate(geometry.g, env), dtype=float)
+    g1 = np.asarray(exprparse.evaluate(geometry.g1, env), dtype=float)
+    g2 = np.asarray(exprparse.evaluate(geometry.g2, env), dtype=float)
+    gx, g1, g2 = (np.broadcast_to(v, xi.shape).astype(float) for v in (gx, g1, g2))
+    penv = {"x": gx, "x1": gx}
+
+    def sample(expr):
+        vals = np.asarray(exprparse.evaluate(expr, penv), dtype=float)
+        return np.broadcast_to(vals, xi.shape).astype(float)
+
+    kappa = sample(problem.kappa)
+    kappa_hat = kappa / g1**2
+    beta_hat = kappa * g2 / g1**3 + sample(problem.beta) / g1
+    gamma_hat = sample(problem.gamma)
+
+    full = (n**2 * kappa_hat[:, None] * stiff
+            + n * beta_hat[:, None] * adv
+            + gamma_hat[:, None] * mass)
+    return CollocationSystem(
+        n=n, degree=p, family=basis.family, mode=basis.mode, mu=basis.mu,
+        greville=xi, stiffness=stiff, advection=adv, mass=mass,
+        kappa_hat=kappa_hat, beta_hat=beta_hat, gamma_hat=gamma_hat,
+        full_matrix=full, scaled_matrix=full / n**2,
+    )

@@ -154,6 +154,17 @@ class TestDistributionCommands:
         payload = json.loads(out)
         assert payload["runs"][0]["order"] == 36
 
+    def test_x1_names_the_1d_coordinate(self, capsys, tmp_path):
+        outputs = []
+        for kappa in ("1+x1", "1+x"):
+            path = tmp_path / "kappa.json"
+            path.write_text(json.dumps(dict(PROBLEM_1D, kappa=kappa)))
+            code, out = run(capsys, "distribution", "--config", str(path),
+                            "--n", "16")
+            assert code == 0, kappa
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_invalid_config_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"d": 1, "kappa": "x-2"}))

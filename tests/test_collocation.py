@@ -11,7 +11,7 @@ from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
 from gbspec.errors import ConstraintError, UsageError, ValidationError
 from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
-from oracles import full_span_basis, mp_greville_samples
+from oracles import dense_assemble_1d, full_span_basis, mp_greville_samples
 
 MODES = ("nested", "nonnested")
 Q_CASES = [(hyperbolic(10.0), "nonnested"), (hyperbolic(10.0), "nested"),
@@ -270,6 +270,36 @@ class TestAssemble:
             GeometryMap1D.from_strings("x/2")  # G(1) != 1
         with pytest.raises(ValidationError):
             GeometryMap1D.from_strings("1-x")  # decreasing
+
+
+# (kappa, beta, gamma, family, mode, geometry): the three 1D benchmark
+# configurations, and one with advection, reaction and a curved geometry
+ASSEMBLY_CASES = {
+    "hyperbolic-geometry": ("1+x", "0", "0", hyperbolic(10.0), "nonnested",
+                            "(x+x^2)/2"),
+    "trigonometric-nested": ("1+x", "0", "0", trigonometric(10.0), "nested", "x"),
+    "polynomial-advection": ("1", "5", "0", polynomial(), "nonnested", "x"),
+    "all-terms-curved": ("1+x^2", "sin(6*x)-1/2", "1+x", hyperbolic(3.0), "nested",
+                         "(2*x+x^3)/3"),
+}
+
+
+class TestBandAssembly1D:
+    @pytest.mark.parametrize("p", range(2, 7))
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+    def test_bit_identical_to_dense_formula(self, case, p):
+        kappa, beta, gamma, family, mode, g = ASSEMBLY_CASES[case]
+        problem = ProblemCoefficients.from_strings(kappa, beta, gamma)
+        geometry = GeometryMap1D.from_strings(g)
+        for size in BANDED_SIZES:
+            basis = gb_basis(_banded_size(size, p, family, mode), p, family, mode)
+            system = assemble(problem, geometry, basis)
+            ref = dense_assemble_1d(problem, geometry, basis)
+            for name in ("full_matrix", "scaled_matrix", "stiffness", "advection",
+                         "mass", "kappa_hat", "beta_hat", "gamma_hat"):
+                a, b = getattr(system, name), getattr(ref, name)
+                assert np.array_equal(a, b), (name, size)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (name, size)
 
 
 class TestNorms:

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from gbspec import exprparse
-from gbspec.collocation import GeometryMap1D, ProblemCoefficients, assemble, gb_basis
+from gbspec.collocation import (GeometryMap1D, ProblemCoefficients, _band,
+                                assemble, gb_basis)
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                             _band, _direction_data, assemble_md,
-                             md_symbol_samples)
+                             _direction_data, assemble_md, md_symbol_samples)
 from gbspec.sections import (hyperbolic, piecewise_derivative, polynomial,
                              trigonometric)
 from gbspec.symbols import symbol_fn
@@ -231,7 +231,7 @@ class TestBandAssembly:
     def test_bands_hold_every_nonzero(self, n):
         problem = laplace_problem(degrees=(2, 5), nu=(1, 2), mode="nonnested",
                                   families=(hyperbolic(3.0),) * 2)
-        _, values, first, second, _ = _direction_data(problem, n)
+        _, values, first, second = _direction_data(problem, n)
         for k, mats in enumerate(zip(values, first, second)):
             cols, bands = _band(mats)
             size = mats[0].shape[1]
@@ -244,7 +244,7 @@ class TestBandAssembly:
 
     def test_whole_matrix_band_at_smallest_n(self):
         problem = laplace_problem(degrees=(3, 3))
-        _, values, first, second, _ = _direction_data(problem, 2)
+        _, values, first, second = _direction_data(problem, 2)
         cols, _ = _band((values[0], first[0], second[0]))
         assert cols.shape == values[0].shape
 

@@ -5,10 +5,9 @@ import pytest
 
 from gbspec.cardinal import cardinal_spline
 from gbspec.errors import ConstraintError, UsageError
-from gbspec.sections import (LocalBasis, PiecewiseFn, SectionFamily,
-                             basis_eval, hyperbolic, piecewise_antiderivative,
-                             piecewise_derivative, piecewise_eval, polynomial,
-                             trigonometric)
+from gbspec.sections import (PiecewiseFn, SectionFamily, hyperbolic,
+                             piecewise_antiderivative, piecewise_derivative,
+                             piecewise_eval, polynomial, trigonometric)
 from oracles import gauss_legendre_split, sign_changes
 
 
@@ -16,6 +15,13 @@ def hat() -> PiecewiseFn:
     # unit hat on [0, 2]: v on the first interval, u - v on the second
     return PiecewiseFn(polynomial(), 1, np.array([0.0, 1.0, 2.0]),
                        np.array([[0.0, 1.0], [1.0, -1.0]]))
+
+
+def unit_slot(family, p: int, j: int) -> PiecewiseFn:
+    # the j-th local basis function as a one-piece function on [0, 1]
+    coeffs = np.zeros((1, p + 1))
+    coeffs[0, j] = 1.0
+    return PiecewiseFn(family, p, np.array([0.0, 1.0]), coeffs)
 
 
 def random_pw(family, p, rng, m=3) -> PiecewiseFn:
@@ -39,21 +45,15 @@ class TestFamilies:
 
 class TestBasisEval:
     def test_polynomial_constant_slot(self):
-        basis = LocalBasis(polynomial(), 2, 0.0)
-        assert basis_eval(basis, 0, 0.7) == 1.0
+        assert unit_slot(polynomial(), 2, 0)(0.7) == 1.0
 
     def test_hyperbolic_v_slot(self):
-        basis = LocalBasis(hyperbolic(2.0), 3, 2.0)
-        assert basis_eval(basis, 3, 0.5) == pytest.approx(math.sinh(1.0), abs=1e-15)
+        assert unit_slot(hyperbolic(2.0), 3, 3)(0.5) == pytest.approx(
+            math.sinh(1.0), abs=1e-15)
 
     def test_trigonometric_u_slot_quarter_period(self):
-        basis = LocalBasis(trigonometric(math.pi / 2), 2, math.pi / 2)
-        assert basis_eval(basis, 1, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_index_out_of_range(self):
-        basis = LocalBasis(polynomial(), 2, 0.0)
-        with pytest.raises(UsageError):
-            basis_eval(basis, 3, 0.5)
+        assert unit_slot(trigonometric(math.pi / 2), 2, 1)(1.0) == pytest.approx(
+            0.0, abs=1e-15)
 
 
 class TestEval:
@@ -158,11 +158,10 @@ class TestExactness:
                          ids=lambda f: f.tag)
 def test_derived_pair_is_chebyshev(family):
     # any nontrivial a*u' + b*v' may change sign at most once on [0, 1]
-    basis = LocalBasis(family, 2, family.phase)
     grid = np.linspace(0.0, 1.0, 1000)
     rng = np.random.default_rng(11)
-    u = np.array([basis_eval(basis, 1, t) for t in grid])
-    v = np.array([basis_eval(basis, 2, t) for t in grid])
+    u = unit_slot(family, 2, 1)(grid)
+    v = unit_slot(family, 2, 2)(grid)
     # derivatives of (u, v) stay inside span{u, v} for these families
     du, dv = family.phase * v, family.phase * u
     if family.tag == "trigonometric":

@@ -1,0 +1,111 @@
+"""Compare the gbspec CLI of two source trees on a fixed set of commands.
+
+Usage:  python3 tools/golden_cli.py SRC_A SRC_B
+
+SRC_A and SRC_B are checkouts of this repository (each holding
+``src/gbspec``).  Every command below runs once against each tree, in a
+fresh interpreter with ``PYTHONPATH=<tree>/src``; the configurations come
+from this checkout's ``gbbench/configs``, so both trees read the same files.
+One more 1D configuration, with diffusion, advection and reaction terms
+and a curved geometry, is written to a temporary directory, since two-term
+sums cannot show a change in the order the terms are added.  One line per
+command reports ``same`` or which of stdout, stderr and exit code differ.
+The exit code is 1 if any command differs, else 0.
+
+Standard library only.  Thread counts are pinned to 1 so that the run stays
+small and both trees see the same environment.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = Path(__file__).resolve().parent.parent / "gbbench" / "configs"
+
+
+def _cfg(name: str) -> str:
+    return str(CONFIGS / name)
+
+
+_CURVED = _cfg("1d_hyperbolic_geometry.json")
+_ADVECTION = _cfg("1d_polynomial_advection.json")
+_ALL_TERMS = "1d_all_terms.json"
+ALL_TERMS_CONFIG = {
+    "d": 1, "kappa": "1+x^2", "beta": "sin(6*x)-1/2", "gamma": "1+x",
+    "family": "hyperbolic", "alpha": 3.0, "mode": "nested", "p": 4,
+    "geometry": {"G": "(2*x+x^3)/3"},
+}
+
+COMMANDS: list[list[str]] = [
+    # the six benchmark distribution jobs, with the benchmark's n lists
+    ["distribution", "--config", _CURVED, "--n", "128,256"],
+    ["distribution", "--config", _cfg("1d_trigonometric_nested.json"), "--n", "128"],
+    ["distribution", "--config", _ADVECTION, "--n", "128"],
+    ["distribution-md", "--config", _cfg("2d_hyperbolic_curved.json"), "--n", "24,36"],
+    ["distribution-md", "--config", _cfg("2d_polynomial_trigonometric.json"),
+     "--n", "24"],
+    ["distribution-md", "--config", _cfg("3d_hyperbolic.json"), "--n", "10"],
+    # 1D assembly: every part, the normalized matrix, a non-symmetric case
+    *[["assemble", "--config", _CURVED, "--n", "24", "--part", part]
+      for part in ("full", "stiffness", "advection", "mass")],
+    ["assemble", "--config", _CURVED, "--n", "24", "--normalized"],
+    ["assemble", "--config", _ADVECTION, "--n", "16"],
+    ["assemble", "--config", _ALL_TERMS, "--n", "24"],
+    ["eig", "--config", _ALL_TERMS, "--n", "24"],
+    ["eig", "--config", _CURVED, "--n", "32"],
+    ["eig", "--config", _ADVECTION, "--n", "32", "--raw"],
+    ["cardinal", "--family", "hyperbolic", "--alpha", "10", "--p", "5",
+     "--grid", "257"],
+    ["symbol", "--kind", "g", "--p", "4", "--family", "trigonometric",
+     "--alpha", "1.2", "--grid", "128"],
+    ["bounds", "--p", "5", "--family", "hyperbolic", "--alpha", "10",
+     "--grid", "512"],
+    ["decay", "--family", "polynomial", "--pmin", "2", "--pmax", "10"],
+    ["toeplitz", "--symbol", "f", "--p", "3", "--family", "hyperbolic",
+     "--alpha", "10", "--m", "12"],
+    ["toeplitz", "--symbol", "g", "--p", "3", "--family", "polynomial",
+     "--m", "8", "--eig"],
+]
+
+_RUN = "import sys; from gbspec.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run(tree: Path, argv: list[str], cwd: str) -> tuple[bytes, bytes, int]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), GBSPEC_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _RUN, *argv], env=env, cwd=cwd,
+                          capture_output=True, check=False)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__.split("\n\n")[1] + "\n")
+        return 2
+    trees = [Path(a).resolve() for a in argv]
+    for tree in trees:
+        if not (tree / "src" / "gbspec").is_dir():
+            sys.stderr.write(f"error: {tree} has no src/gbspec\n")
+            return 2
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, _ALL_TERMS).write_text(json.dumps(ALL_TERMS_CONFIG))
+        results = [[run(tree, cmd, tmp) for tree in trees] for cmd in COMMANDS]
+    for cmd, (a, b) in zip(COMMANDS, results):
+        diffs = [name for name, x, y in zip(("stdout", "stderr", "exit"), a, b)
+                 if x != y]
+        label = " ".join(Path(c).name if c.startswith("/") else c for c in cmd)
+        print(f"{'DIFF ' + ','.join(diffs) if diffs else 'same'}: {label}"
+              f" (exit {a[2]}, {len(a[0])} bytes)")
+        differing += bool(diffs)
+    print(f"{len(COMMANDS) - differing}/{len(COMMANDS)} commands byte-identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
