@@ -3,8 +3,8 @@
 Subcommands: cardinal, symbol, bounds, decay, assemble, eig, toeplitz,
 distribution, distribution-md.  All numeric output is deterministic given the
 configuration; CSV uses 17 significant digits, JSON uses stable key order.
-The environment variable GBSPEC_THREADS caps parallelism (default: available
-cores).
+The distribution commands solve their n values one after another; the
+environment variable GBSPEC_THREADS > 1 spreads them over that many threads.
 """
 
 from __future__ import annotations
@@ -34,13 +34,29 @@ _FAMILY_NAMES = ("polynomial", "hyperbolic", "trigonometric")
 
 
 def worker_count() -> int:
+    """Threads the distribution commands use: GBSPEC_THREADS, default 1.
+
+    One by default: the eigensolve already runs on every core through BLAS,
+    and threads over the n values neither paid on 1D nor on 2D/3D, while
+    their concurrent N x N arrays made the peak memory differ from run to
+    run (see ROADMAP item 1).
+    """
     env = os.environ.get("GBSPEC_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise GbspecError(f"GBSPEC_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    return 1
+
+
+def _solve_each(solve, ns: list[int]) -> list:
+    """``[solve(n) for n in ns]``, over ``worker_count()`` threads if above 1."""
+    workers = min(worker_count(), len(ns))
+    if workers <= 1:
+        return [solve(n) for n in ns]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(solve, ns))
 
 
 def _fmt(x: float) -> str:
@@ -173,8 +189,7 @@ def _run_distribution_1d(cfg: dict, ns: list[int], eps: list[float]) -> dict:
         eigs = eigenvalues_dense(system.scaled_matrix)
         return weyl_report(eigs, sampler, eps)
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(ns))) as pool:
-        reports = list(pool.map(solve, ns))
+    reports = _solve_each(solve, ns)
     return {
         "d": 1, "p": p, "family": family.tag, "alpha": family.phase,
         "mode": mode,
@@ -194,8 +209,7 @@ def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
         a /= n**2
         return weyl_report(eigenvalues_dense(a), sampler, eps)
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(ns))) as pool:
-        reports = list(pool.map(solve, ns))
+    reports = _solve_each(solve, ns)
     return {
         "d": problem.d, "p": list(problem.degrees),
         "family": [f.tag for f in problem.families],

@@ -1,9 +1,11 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from gbspec import cli
 from gbspec.cli import main
 
 PROBLEM_1D = {
@@ -195,3 +197,16 @@ def test_thread_cap_env_var(capsys, config_1d, monkeypatch):
     monkeypatch.setenv("GBSPEC_THREADS", "zebra")
     code, _ = run(capsys, *args)
     assert code == 1
+
+
+def test_n_values_are_solved_in_the_calling_thread_by_default(monkeypatch):
+    # one thread keeps a single N x N solve alive at a time, so the peak
+    # memory of a multi-n run does not depend on how threads interleave
+    monkeypatch.delenv("GBSPEC_THREADS", raising=False)
+    assert cli.worker_count() == 1
+    caller = threading.get_ident()
+    assert cli._solve_each(lambda n: (n, threading.get_ident()), [8, 16, 24]) == [
+        (8, caller), (16, caller), (24, caller)]
+    monkeypatch.setenv("GBSPEC_THREADS", "2")
+    assert [n for n, _ in cli._solve_each(lambda n: (n, threading.get_ident()),
+                                          [8, 16, 24])] == [8, 16, 24]
