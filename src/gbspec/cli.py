@@ -185,8 +185,9 @@ def _run_distribution_1d(cfg: dict, ns: list[int], eps: list[float]) -> dict:
 
     def solve(n: int):
         basis = gb_basis(n, p, family, mode)
-        system = assemble(problem, geometry, basis)
-        eigs = eigenvalues_dense(system.scaled_matrix)
+        # keep no system alive while the Weyl report samples the symbol,
+        # so the samples can reuse its memory
+        eigs = eigenvalues_dense(assemble(problem, geometry, basis).scaled_matrix)
         return weyl_report(eigs, sampler, eps)
 
     reports = _solve_each(solve, ns)
@@ -207,7 +208,11 @@ def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
     def solve(n: int):
         a = assemble_md(problem, geometry, n)
         a /= n**2
-        return weyl_report(eigenvalues_dense(a), sampler, eps)
+        eigs = eigenvalues_dense(a)
+        # free the matrix before the Weyl report samples the symbol, so
+        # the samples can reuse its memory
+        del a
+        return weyl_report(eigs, sampler, eps)
 
     reports = _solve_each(solve, ns)
     return {

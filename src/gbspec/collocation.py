@@ -15,8 +15,13 @@ intervals (``n`` if smaller) with the effective phase ``mu/n``.  Its ``p``
 splines at each end are the boundary splines, which depend only on ``p`` and
 that phase; the ``n-p`` interior splines are integer translates of its first
 full-support spline.  Each spline is stored on its own support only, at most
-``p+1`` intervals, so building the basis costs O(p^3) plus O(np) copying, and
-assembly samples each spline only at the Greville points inside its support.
+``p+1`` intervals, so building the basis costs O(p^3) plus O(np) copying.
+
+The value, first- and second-derivative matrices at the Greville points are
+sampled in one vectorised pass: every nonzero ``(row, column)`` pair of the
+band takes its spline's coefficient row on the interval holding the point,
+and one basis evaluation serves all three orders, so no Python loop runs
+over the splines or the rows.
 
 The model problem is  -kappa u'' + beta u' + gamma u = f  on (0, 1) with
 homogeneous Dirichlet data, collocated at the interior Greville abscissae; a
@@ -39,8 +44,8 @@ import numpy as np
 from . import exprparse
 from .cardinal import _seed_rows
 from .errors import ConstraintError, NumericalError, UsageError, ValidationError
-from .sections import (PiecewiseFn, SectionFamily, piecewise_antiderivative,
-                       piecewise_derivative, polynomial)
+from .sections import (PiecewiseFn, SectionFamily, _basis_matrix,
+                       _local_derivative, piecewise_antiderivative, polynomial)
 from .spectral import ToeplitzSpec, toeplitz
 from .symbols import symbol_fn
 
@@ -70,9 +75,9 @@ class KnotVector:
 def greville_abscissae(kv: KnotVector) -> np.ndarray:
     """Interior Greville points (knot averages), one per boundary-vanishing spline."""
     p = kv.degree
-    t = kv.knots
-    full = np.array([t[i:i + p].mean() for i in range(1, kv.n + p + 1)])
-    return full[1:-1]
+    # the p-knot windows t_{i+1..i+p} (1-based) for i = 2..n+p-1
+    windows = kv.knots[np.arange(2, kv.n + p)[:, None] + np.arange(p)]
+    return windows.mean(axis=1)
 
 
 def _min_feasible_n(alpha: float) -> int:
@@ -217,16 +222,50 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     spline is sampled only at the Greville points in ``[a, b)`` of its
     support ``[a, b]``; every other entry is zero, which matches the
     right-continuous convention at interior knots.
+
+    All nonzero entries are sampled in one pass: every ``(row, column)`` pair
+    of the band takes the coefficient row of its spline's piece, the
+    derivative rows follow from it, and one basis evaluation serves the three
+    orders.  A row has at most ``p+1`` such pairs; a column near the ends,
+    where the Greville points crowd, has up to ``2p-1``.  These are the operations of
+    :func:`~gbspec.sections.piecewise_eval` and
+    :func:`~gbspec.sections.piecewise_derivative` on the same values, so the
+    result is that of sampling each spline on its own.
     """
-    xi = greville_abscissae(basis.knots)
+    kv = basis.knots
+    n, p = kv.n, kv.degree
+    xi = greville_abscissae(kv)
+    t = kv.knots
+    grid = t[p:n + p + 1]  # the distinct knots 0, 1/n, ..., 1
+    widths = np.diff(grid)
+    # column j holds N_{j+2}, supported on [a_j, b_j] = [t_{j+2}, t_{j+p+3}]
+    # (1-based knots), the grid intervals lo[j]..lo[j]+pieces[j]-1, and is
+    # sampled at the Greville points first[j]..stop[j]-1
+    a, b = t[1:n + p - 1], t[p + 2:n + 2 * p]
+    lo = np.searchsorted(grid, a)
+    pieces = np.searchsorted(grid, b) - lo
+    first, stop = np.searchsorted(xi, a), np.searchsorted(xi, b)
+    rows = first[:, None] + np.arange(np.max(stop - first))
+    inside = rows < stop[:, None]
+    rows = rows[inside]
+    cols = np.nonzero(inside)[0]
+
+    x = xi[rows]
+    interval = np.searchsorted(grid, x, side="right") - 1
+    w = widths[interval]
+    tau = (x - grid[interval]) / w
+    rep = basis.splines[0].family
+    eps = rep.effective(w)
+    coeffs = np.concatenate([s.coeffs for s in basis.splines[1:-1]])
+    offsets = np.cumsum(pieces) - pieces
+    c0 = coeffs[offsets[cols] + interval - lo[cols]]
+    c1 = _local_derivative(rep, p, eps, c0) / w[:, None]
+    c2 = _local_derivative(rep, p, eps, c1) / w[:, None]
+    vals = np.einsum("ij,ij->i", np.tile(_basis_matrix(rep, p, eps, tau), (3, 1)),
+                     np.concatenate([c0, c1, c2]))
     mats = tuple(np.zeros((xi.size, xi.size)) for _ in range(3))
-    for j, s in enumerate(basis.splines[1:-1]):
-        lo, hi = np.searchsorted(xi, s.support)
-        pts = xi[lo:hi]
-        d1 = piecewise_derivative(s)
-        mats[0][lo:hi, j] = s(pts)
-        mats[1][lo:hi, j] = d1(pts)
-        mats[2][lo:hi, j] = piecewise_derivative(d1)(pts)
+    for mat, v in zip(mats, vals.reshape(3, -1)):
+        mat[rows, cols] = v
     return (xi, *mats)
 
 
@@ -335,9 +374,11 @@ class GeometryMap1D:
     @classmethod
     def from_strings(cls, g: str, g1: str | None = None,
                      g2: str | None = None) -> "GeometryMap1D":
+        # x and x1 both name the one coordinate
+        coord = ("x", "x1")
         ast = exprparse.parse(g)
-        d1 = exprparse.parse(g1) if g1 else exprparse.differentiate(ast, "x")
-        d2 = exprparse.parse(g2) if g2 else exprparse.differentiate(d1, "x")
+        d1 = exprparse.parse(g1) if g1 else exprparse.differentiate(ast, coord)
+        d2 = exprparse.parse(g2) if g2 else exprparse.differentiate(d1, coord)
         return cls(ast, d1, d2)
 
     @classmethod

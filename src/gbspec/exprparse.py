@@ -242,12 +242,17 @@ def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
     return BinOp("*", a, b)
 
 
-def differentiate(ast: ExprAst, var: str) -> ExprAst:
-    """Symbolic derivative with light zero/one folding (no general simplifier)."""
+def differentiate(ast: ExprAst, var: str | tuple[str, ...]) -> ExprAst:
+    """Symbolic derivative with light zero/one folding (no general simplifier).
+
+    ``var`` is one variable name, or a tuple of names bound to the same
+    coordinate, whose derivative is then the sum over those names.
+    """
     if isinstance(ast, Const):
         return Const(0.0)
     if isinstance(ast, Var):
-        return Const(1.0 if ast.name == var else 0.0)
+        names = (var,) if isinstance(var, str) else var
+        return Const(1.0 if ast.name in names else 0.0)
     if isinstance(ast, Neg):
         inner = differentiate(ast.arg, var)
         return Const(0.0) if _is_const(inner, 0.0) else Neg(inner)

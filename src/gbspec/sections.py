@@ -229,26 +229,29 @@ def piecewise_eval(f: PiecewiseFn, x):
     return float(vals[0]) if scalar else vals
 
 
-def _local_derivative(family: SectionFamily, p: int, eps: float,
-                      c: np.ndarray) -> np.ndarray:
-    """d/dtau of a coefficient row, expressed in the same degree-p basis."""
+def _local_derivative(family: SectionFamily, p: int, eps, c: np.ndarray) -> np.ndarray:
+    """d/dtau of coefficient rows, expressed in the same degree-p basis.
+
+    ``c`` is one row or a stack of rows (last axis the p+1 slots), with one
+    effective phase ``eps`` per row.
+    """
     out = np.zeros_like(c)
     if p == 0:
         return out
     for j in range(1, p - 1):
-        out[j - 1] += j * c[j]
+        out[..., j - 1] += j * c[..., j]
     if family.is_polynomial:
         if p == 1:
-            out[0] += c[1]  # u = 1, v = tau
+            out[..., 0] += c[..., 1]  # u = 1, v = tau
         else:
-            out[p - 2] += (p - 1) * c[p - 1]
-            out[p - 1] += p * c[p]
+            out[..., p - 2] += (p - 1) * c[..., p - 1]
+            out[..., p - 1] += p * c[..., p]
     elif family.tag == HYPERBOLIC:
-        out[p - 1] += eps * c[p]
-        out[p] += eps * c[p - 1]
+        out[..., p - 1] += eps * c[..., p]
+        out[..., p] += eps * c[..., p - 1]
     else:
-        out[p - 1] += eps * c[p]
-        out[p] += -eps * c[p - 1]
+        out[..., p - 1] += eps * c[..., p]
+        out[..., p] += -eps * c[..., p - 1]
     return out
 
 
@@ -258,12 +261,9 @@ def piecewise_derivative(f: PiecewiseFn) -> PiecewiseFn:
     Monomial slots shift down; the (u, v) pair maps within its own span,
     scaled by the effective phase.  Degree-0 input yields the zero function.
     """
-    p = f.degree
-    eps = f._eff_phases()
-    out = np.zeros_like(f.coeffs)
-    for i in range(f.coeffs.shape[0]):
-        out[i] = _local_derivative(f.family, p, eps[i], f.coeffs[i]) / f._widths[i]
-    return PiecewiseFn(f.family, p, f.breakpoints, out)
+    out = (_local_derivative(f.family, f.degree, f._eff_phases(), f.coeffs)
+           / f._widths[:, None])
+    return PiecewiseFn(f.family, f.degree, f.breakpoints, out)
 
 
 def _local_primitive(family: SectionFamily, p: int, eps: float,
@@ -302,11 +302,12 @@ def piecewise_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
     m = f.coeffs.shape[0]
     eps = f._eff_phases()
     out = np.zeros((m, p + 2))
+    # degree-(p+1) basis rows at tau = 1, the right end of every piece
+    ends = _basis_matrix(f.family, p + 1, eps, np.ones(m))
     acc = 0.0
     for i in range(m):
         prim = _local_primitive(f.family, p, eps[i], f.coeffs[i]) * f._widths[i]
         prim[0] += acc
         out[i] = prim
-        end = _basis_matrix(f.family, p + 1, np.array([eps[i]]), np.array([1.0]))
-        acc = _dot2(end[0], prim)
+        acc = _dot2(ends[i], prim)
     return PiecewiseFn(f.family, p + 1, f.breakpoints, out)

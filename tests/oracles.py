@@ -6,9 +6,11 @@ from centered finite differences, and GB-spline values from the integral
 recursion carried out in mpmath (:func:`mp_greville_samples`).  The one
 exception is :func:`full_span_basis`, the package's former construction by
 the integral recursion over the whole knot vector, kept as the reference
-for the banded basis, and the former dense assemblies kept as bit-identity
+for the banded basis, the former dense assemblies kept as bit-identity
 references for the band assembler: :func:`dense_assemble_1d` (1D) and
-:func:`dense_kron_assemble_md` (d-variate, from dense Kronecker products).
+:func:`dense_kron_assemble_md` (d-variate, from dense Kronecker products),
+and the former spline-by-spline Greville sampling kept as the bit-identity
+reference for the one-pass sampler: :func:`loop_greville_samples`.
 """
 
 import math
@@ -20,7 +22,8 @@ from gbspec.collocation import (CollocationSystem, KnotVector, _rep_family,
                                 greville_samples)
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import _direction_data, _eval_grid
-from gbspec.sections import PiecewiseFn, piecewise_antiderivative
+from gbspec.sections import (PiecewiseFn, _local_derivative,
+                             piecewise_antiderivative)
 
 
 def gauss_legendre(fn, a: float, b: float, pieces: int = 8,
@@ -107,6 +110,42 @@ def full_span_basis(n: int, p: int, family, mode: str = "nonnested") -> list:
                 for i, s in enumerate(level, start=1)]
         level = [cums[i].minus(cums[i + 1]) for i in range(len(cums) - 1)]
     return level
+
+
+def loop_greville_abscissae(kv: KnotVector) -> np.ndarray:
+    """Interior Greville points, one knot-window mean at a time."""
+    p = kv.degree
+    t = kv.knots
+    full = np.array([t[i:i + p].mean() for i in range(1, kv.n + p + 1)])
+    return full[1:-1]
+
+
+def _loop_derivative(f: PiecewiseFn) -> PiecewiseFn:
+    """Exact derivative of ``f``, one piece at a time."""
+    p = f.degree
+    eps = f._eff_phases()
+    out = np.zeros_like(f.coeffs)
+    for i in range(f.coeffs.shape[0]):
+        out[i] = _local_derivative(f.family, p, eps[i], f.coeffs[i]) / f._widths[i]
+    return PiecewiseFn(f.family, p, f.breakpoints, out)
+
+
+def loop_greville_samples(basis):
+    """Greville points and value/first/second-derivative matrices, spline by spline.
+
+    Each boundary-vanishing spline is differentiated and evaluated on its own
+    at the Greville points in ``[a, b)`` of its support.
+    """
+    xi = loop_greville_abscissae(basis.knots)
+    mats = tuple(np.zeros((xi.size, xi.size)) for _ in range(3))
+    for j, s in enumerate(basis.splines[1:-1]):
+        lo, hi = np.searchsorted(xi, s.support)
+        pts = xi[lo:hi]
+        d1 = _loop_derivative(s)
+        mats[0][lo:hi, j] = s(pts)
+        mats[1][lo:hi, j] = d1(pts)
+        mats[2][lo:hi, j] = _loop_derivative(d1)(pts)
+    return (xi, *mats)
 
 
 def _mp_local_basis(tag: str, q: int, e, tau, r: int, mp) -> list:

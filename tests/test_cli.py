@@ -167,6 +167,17 @@ class TestDistributionCommands:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    def test_geometry_in_x1_matches_x(self, capsys, tmp_path):
+        outputs = []
+        for g in ("(x1+x1^2)/2", "(x+x^2)/2"):
+            path = tmp_path / "geometry.json"
+            path.write_text(json.dumps(dict(PROBLEM_1D, geometry={"G": g})))
+            code, out = run(capsys, "distribution", "--config", str(path),
+                            "--n", "16")
+            assert code == 0, g
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_invalid_config_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"d": 1, "kappa": "x-2"}))

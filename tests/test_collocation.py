@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gbspec import collocation, sections
 from gbspec.cardinal import cardinal_spline
 from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
                                 ProblemCoefficients, assemble, central_range,
@@ -11,7 +12,8 @@ from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
 from gbspec.errors import ConstraintError, UsageError, ValidationError
 from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
-from oracles import dense_assemble_1d, full_span_basis, mp_greville_samples
+from oracles import (dense_assemble_1d, full_span_basis, loop_greville_samples,
+                     mp_greville_samples)
 
 MODES = ("nested", "nonnested")
 Q_CASES = [(hyperbolic(10.0), "nonnested"), (hyperbolic(10.0), "nested"),
@@ -183,6 +185,47 @@ class TestBandedBasis:
         xs = np.linspace(0.0, 1.0, 1001)
         total = sum(s(xs) for s in basis.splines)
         assert np.max(np.abs(total - 1.0)) <= 1e-10
+
+
+# n = 48 is the nu = 2 direction of the 2D benchmark configuration
+# (trigonometric(2), nested, p = 4) at n = 24
+ONE_PASS_SIZES = BANDED_SIZES + (2, 48)
+
+
+class TestOnePassSampling:
+    @pytest.mark.parametrize("p", range(2, 7))
+    @pytest.mark.parametrize("case", BANDED_CASES,
+                             ids=lambda c: f"{c[0].tag}{c[0].phase or ''}-{c[1]}")
+    def test_bit_identical_to_loop_sampler(self, case, p):
+        family, mode = case
+        smallest = _banded_size("smallest", p, family, mode)
+        for size in ONE_PASS_SIZES:
+            n = _banded_size(size, p, family, mode)
+            if n < smallest:
+                continue
+            basis = gb_basis(n, p, family, mode)
+            got, ref = greville_samples(basis), loop_greville_samples(basis)
+            for name, a, b in zip(("xi", "value", "first", "second"), got, ref):
+                assert np.array_equal(a, b), (name, n)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (name, n)
+
+    def test_basis_evaluations_do_not_grow_with_n(self, monkeypatch):
+        calls = []
+        inner = sections._basis_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(sections, "_basis_matrix", counted)
+        monkeypatch.setattr(collocation, "_basis_matrix", counted)
+        counts = {}
+        for n in (16, 256):
+            basis = gb_basis(n, 3, hyperbolic(10.0), "nonnested")
+            calls.clear()
+            greville_samples(basis)
+            counts[n] = len(calls)
+        assert counts[16] == counts[256] >= 1
 
 
 def make_system(n=8, p=2, family=polynomial(), mode="nonnested",

@@ -5,7 +5,8 @@ import pytest
 
 from gbspec.cardinal import cardinal_spline
 from gbspec.errors import ConstraintError, UsageError
-from gbspec.sections import (PiecewiseFn, SectionFamily, hyperbolic,
+from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
+                             hyperbolic,
                              piecewise_antiderivative, piecewise_derivative,
                              piecewise_eval, polynomial, trigonometric)
 from oracles import gauss_legendre_split, sign_changes
@@ -134,6 +135,20 @@ class TestAntiderivative:
             left = anti(b - 1e-12)
             right = anti(b)
             assert right == pytest.approx(left, abs=1e-10)
+
+
+    @pytest.mark.parametrize("tag", ["polynomial", "hyperbolic", "trigonometric"])
+    def test_end_rows_in_one_call_match_single_rows(self, tag):
+        # the antiderivative evaluates the tau = 1 rows of all pieces at once
+        eps = np.geomspace(1e-6, 100.0, 41)
+        if tag == "trigonometric":
+            eps = eps[eps < math.pi]
+        for p in range(1, 14):
+            family = polynomial() if tag == "polynomial" else SectionFamily(tag, 1.0)
+            rows = _basis_matrix(family, p, eps, np.ones(eps.size))
+            for e, row in zip(eps, rows):
+                single = _basis_matrix(family, p, np.array([e]), np.array([1.0]))
+                assert np.array_equal(row, single[0])
 
 
 class TestExactness:

@@ -6,8 +6,9 @@ import pytest
 from gbspec.collocation import GeometryMap1D, ProblemCoefficients, assemble, gb_basis
 from gbspec.errors import UsageError
 from gbspec.sections import hyperbolic, polynomial
+from gbspec import spectral
 from gbspec.spectral import (DistributionReport, ToeplitzSpec,
-                             eigenvalues_dense, product_symbol_sampler,
+                             _hermitian_residual, eigenvalues_dense, product_symbol_sampler,
                              toeplitz, toeplitz_tensor, weyl_report)
 from gbspec.symbols import symbol_fn, symbol_max
 
@@ -95,6 +96,65 @@ class TestEigenvalues:
                 toeplitz(spec_of("h", p, hyperbolic(10.0)), 60)).real
             assert eigs.min() >= grid.min() - 1e-9
             assert eigs.max() <= grid.max() + 1e-9
+
+
+def _former_symmetry_test(a):
+    """The whole-matrix expressions the blocked symmetry test replaces."""
+    scale = np.max(np.abs(a)) if a.size else 0.0
+    return np.max(np.abs(a - a.conj().T)), scale
+
+
+class TestSymmetryTest:
+    @pytest.mark.parametrize("rows", [7, 256])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_same_maxima_as_whole_matrix(self, monkeypatch, rows, dtype):
+        monkeypatch.setattr(spectral, "_SYMMETRY_ROWS", rows)
+        rng = np.random.default_rng(11)
+        for size in (1, 6, 7, 8, 50, 300):
+            a = rng.standard_normal((size, size)).astype(dtype)
+            if dtype is complex:
+                a += 1j * rng.standard_normal((size, size))
+            for mat in (a, a + a.conj().T):
+                assert _hermitian_residual(mat) == _former_symmetry_test(mat)
+
+    def test_nan_propagates(self):
+        a = np.eye(300)
+        a[280, 3] = np.nan
+        residual, scale = _hermitian_residual(a)
+        assert np.isnan(residual) and np.isnan(scale)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_solver_choice_at_the_threshold(self, monkeypatch, dtype):
+        # one off-diagonal pair in the second block differs by exactly d;
+        # the symmetric solver is taken iff d <= 1e-13 * max(scale, 1)
+        size = 600
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((size, size))
+        base = ((m + m.T) / 2).astype(dtype)
+        base[0, 0] = 3.0
+        base[400, 17] = base[17, 400] = 0.0
+        scale = np.max(np.abs(base))
+        threshold = 1e-13 * max(scale, 1.0)
+        used = []
+        for name in ("eigvalsh", "eigvals"):
+            solver = getattr(np.linalg, name)
+
+            def spy(a, solver=solver, name=name):
+                used.append(name)
+                return solver(a)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        for d, expected in ((np.nextafter(threshold, 0.0), "eigvalsh"),
+                            (threshold, "eigvalsh"),
+                            (np.nextafter(threshold, 1.0), "eigvals")):
+            a = base.copy()
+            a[400, 17] = d
+            residual, former_scale = _former_symmetry_test(a)
+            assert residual == d and former_scale == scale
+            assert _hermitian_residual(a) == (residual, former_scale)
+            used.clear()
+            eigenvalues_dense(a)
+            assert used == [expected], d
 
 
 class TestWeylReport:
