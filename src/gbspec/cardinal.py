@@ -118,10 +118,14 @@ def cardinal_derivative(cs: CardinalSpline, r: int) -> PiecewiseFn:
     Valid for ``1 <= r <= p-1``; agrees with ``piecewise_derivative`` applied
     r times.
     """
-    p = cs.degree
+    return _derivative_of_degree(cs.family, cs.degree, r)
+
+
+def _derivative_of_degree(family: SectionFamily, p: int, r: int) -> PiecewiseFn:
+    """:func:`cardinal_derivative` of the degree-``p`` spline, which it never builds."""
     if not 1 <= r <= p - 1:
         raise UsageError(f"derivative order {r} outside 1..{p - 1}")
-    base = cardinal_spline(cs.family, p - r).pw
+    base = cardinal_spline(family, p - r).pw
     q = p - r
     out = np.zeros((p + 1, q + 1))
     for j in range(r + 1):

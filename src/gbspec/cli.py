@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .spectral import (ToeplitzSpec, eigenvalues_dense,
 from .symbols import bounds_report, decay_ratio, symbol_fn
 
 _FAMILY_NAMES = ("polynomial", "hyperbolic", "trigonometric")
+_CSV_BLOCK = 4096  # values per format operation
 
 
 def worker_count() -> int:
@@ -59,10 +61,6 @@ def _solve_each(solve, ns: list[int]) -> list:
         return list(pool.map(solve, ns))
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -72,9 +70,23 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _csv(header: list[str], rows) -> str:
+    """The header line, then one line per row of ``len(header)`` values.
+
+    A value prints as ``%.17g`` of its float, a complex one as ``re+imj``
+    with both parts so.  Rows are formatted a block at a time, one format
+    string per block, so only one block's Python floats exist at once.
+    """
+    block_rows = max(1, _CSV_BLOCK // max(1, len(header)))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    rows = iter(rows)
+    while block := list(islice(rows, block_rows)):
+        values = np.array(block)
+        if np.iscomplexobj(values):
+            field, values = "%.17g%+.17gj", values.view(float)
+        else:
+            field, values = "%.17g", values.astype(float)
+        line = ",".join([field] * len(header))
+        lines.append("\n".join([line] * len(block)) % tuple(values.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -387,12 +399,7 @@ def _cmd_toeplitz(args) -> None:
         _write(args.out, _csv(["re", "im"], zip(eigs.real, eigs.imag)))
         return
     header = [f"c{j}" for j in range(mat.shape[1])]
-    if np.iscomplexobj(mat):
-        rows = ([f"{v.real:.17g}{v.imag:+.17g}j" for v in row] for row in mat)
-        lines = [",".join(header)] + [",".join(r) for r in rows]
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        _write(args.out, _csv(header, mat))
+    _write(args.out, _csv(header, mat))
 
 
 def _cmd_distribution(args) -> None:

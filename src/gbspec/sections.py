@@ -181,7 +181,8 @@ class PiecewiseFn:
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
+def _two_prod(a, b):
+    """Dekker's TwoProduct: ``a*b`` and its rounding error, for floats or arrays."""
     p = a * b
     a1 = a * _SPLIT
     ah = a1 - (a1 - a)
@@ -192,6 +193,18 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
+def _sum2(prods, errs) -> float:
+    """Compensated sum of TwoProduct pairs, in order (the tail of Dot2)."""
+    s = 0.0
+    c = 0.0
+    for p, e in zip(prods, errs):
+        t = s + p
+        z = t - s
+        c += e + ((s - (t - z)) + (p - z))
+        s = t
+    return s + c
+
+
 def _dot2(a, b) -> float:
     """Compensated dot product (Ogita-Rump-Oishi Dot2).
 
@@ -199,15 +212,10 @@ def _dot2(a, b) -> float:
     effective phases, so the integration-constant chain is accumulated in
     roughly doubled precision to keep normalization factors at full accuracy.
     """
-    s = 0.0
-    c = 0.0
-    for x, y in zip(a, b):
-        p, e = _two_prod(float(x), float(y))
-        t = s + p
-        z = t - s
-        c += e + ((s - (t - z)) + (p - z))
-        s = t
-    return s + c
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
+        prods, errs = _two_prod(np.asarray(a, dtype=float),
+                                np.asarray(b, dtype=float))
+    return _sum2(prods.tolist(), errs.tolist())
 
 
 def piecewise_eval(f: PiecewiseFn, x):
@@ -266,28 +274,31 @@ def piecewise_derivative(f: PiecewiseFn) -> PiecewiseFn:
     return PiecewiseFn(f.family, f.degree, f.breakpoints, out)
 
 
-def _local_primitive(family: SectionFamily, p: int, eps: float,
+def _local_primitive(family: SectionFamily, p: int, eps,
                      c: np.ndarray) -> np.ndarray:
-    """Primitive of a degree-p row (vanishing at tau=0) in the degree-p+1 basis."""
-    out = np.zeros(p + 2)
+    """Primitive of coefficient rows (vanishing at tau=0) in the degree-p+1 basis.
+
+    ``c`` is one row or a stack of rows (last axis the p+1 slots), with one
+    effective phase ``eps`` per row.
+    """
+    out = np.zeros(c.shape[:-1] + (p + 2,))
     if p == 0:
-        out[1] = c[0]  # degree-1 polynomial basis is {1, tau}
+        out[..., 1] = c[..., 0]  # degree-1 polynomial basis is {1, tau}
         return out
-    for j in range(p - 1):
-        out[j + 1] += c[j] / (j + 1)
+    out[..., 1:p] += c[..., :p - 1] / np.arange(1.0, p)
     if family.is_polynomial:
-        out[p] += c[p - 1] / p
-        out[p + 1] += c[p] / (p + 1)
+        out[..., p] += c[..., p - 1] / p
+        out[..., p + 1] += c[..., p] / (p + 1)
     elif family.tag == HYPERBOLIC:
         # int cosh = sinh/eps ; int sinh = (cosh - 1)/eps
-        out[p + 1] += c[p - 1] / eps
-        out[p] += c[p] / eps
-        out[0] -= c[p] / eps
+        out[..., p + 1] += c[..., p - 1] / eps
+        out[..., p] += c[..., p] / eps
+        out[..., 0] -= c[..., p] / eps
     else:
         # int cos = sin/eps ; int sin = (1 - cos)/eps
-        out[p + 1] += c[p - 1] / eps
-        out[p] -= c[p] / eps
-        out[0] += c[p] / eps
+        out[..., p + 1] += c[..., p - 1] / eps
+        out[..., p] -= c[..., p] / eps
+        out[..., 0] += c[..., p] / eps
     return out
 
 
@@ -301,13 +312,21 @@ def piecewise_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
     p = f.degree
     m = f.coeffs.shape[0]
     eps = f._eff_phases()
-    out = np.zeros((m, p + 2))
+    out = _local_primitive(f.family, p, eps, f.coeffs) * f._widths[:, None]
     # degree-(p+1) basis rows at tau = 1, the right end of every piece
     ends = _basis_matrix(f.family, p + 1, eps, np.ones(m))
+    # The constant of piece i is the Dot2 of ends[i-1] and row i-1, whose
+    # constant slot holds the previous constant.  Every other product of the
+    # chain is known up front, so only slot 0 and the sums run per piece.
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
+        prods, errs = _two_prod(ends[:, 1:], out[:, 1:])
+    heads = []
     acc = 0.0
-    for i in range(m):
-        prim = _local_primitive(f.family, p, eps[i], f.coeffs[i]) * f._widths[i]
-        prim[0] += acc
-        out[i] = prim
-        acc = _dot2(ends[i], prim)
+    for head, end, prod, err in zip(out[:, 0].tolist(), ends[:, 0].tolist(),
+                                    prods.tolist(), errs.tolist()):
+        head += acc
+        heads.append(head)
+        head_prod, head_err = _two_prod(end, head)
+        acc = _sum2([head_prod, *prod], [head_err, *err])
+    out[:, 0] = heads
     return PiecewiseFn(f.family, p + 1, f.breakpoints, out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cardinal import _phi1_hat, cardinal_derivative, cardinal_spline
+from .cardinal import _derivative_of_degree, _phi1_hat, cardinal_spline
 from .errors import UsageError
 from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily,
                        piecewise_derivative)
@@ -92,8 +92,8 @@ def symbol_fn(kind: str, p: int, family: SectionFamily) -> SymbolFn:
             pw = piecewise_derivative(pw)
     else:
         # the derivative recurrence samples a lower-degree spline, which keeps
-        # the coefficients O(1) at large phases
-        pw = cardinal_derivative(cardinal_spline(family, p), r)
+        # the coefficients O(1) at large phases; only that spline is built
+        pw = _derivative_of_degree(family, p, r)
     pts = (p + 1) / 2 - np.arange(0, p // 2 + 1)
     return SymbolFn(kind, p, family, np.asarray(pw(pts), dtype=float))
 

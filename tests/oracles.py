@@ -9,8 +9,10 @@ the integral recursion over the whole knot vector, kept as the reference
 for the banded basis, the former dense assemblies kept as bit-identity
 references for the band assembler: :func:`dense_assemble_1d` (1D) and
 :func:`dense_kron_assemble_md` (d-variate, from dense Kronecker products),
-and the former spline-by-spline Greville sampling kept as the bit-identity
-reference for the one-pass sampler: :func:`loop_greville_samples`.
+the former spline-by-spline Greville sampling kept as the bit-identity
+reference for the one-pass sampler: :func:`loop_greville_samples`, and
+the former piece-by-piece antiderivative kept as the bit-identity reference
+for the batched one: :func:`loop_antiderivative`.
 """
 
 import math
@@ -22,7 +24,7 @@ from gbspec.collocation import (CollocationSystem, KnotVector, _rep_family,
                                 greville_samples)
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import _direction_data, _eval_grid
-from gbspec.sections import (PiecewiseFn, _local_derivative,
+from gbspec.sections import (PiecewiseFn, _basis_matrix, _local_derivative,
                              piecewise_antiderivative)
 
 
@@ -110,6 +112,68 @@ def full_span_basis(n: int, p: int, family, mode: str = "nonnested") -> list:
                 for i, s in enumerate(level, start=1)]
         level = [cums[i].minus(cums[i + 1]) for i in range(len(cums) - 1)]
     return level
+
+
+def _loop_primitive(family, p: int, eps: float, c: np.ndarray) -> np.ndarray:
+    """Primitive of one degree-p row (vanishing at tau=0), degree p+1."""
+    out = np.zeros(p + 2)
+    if p == 0:
+        out[1] = c[0]  # degree-1 polynomial basis is {1, tau}
+        return out
+    for j in range(p - 1):
+        out[j + 1] += c[j] / (j + 1)
+    if family.is_polynomial:
+        out[p] += c[p - 1] / p
+        out[p + 1] += c[p] / (p + 1)
+    elif family.tag == "hyperbolic":
+        out[p + 1] += c[p - 1] / eps
+        out[p] += c[p] / eps
+        out[0] -= c[p] / eps
+    else:
+        out[p + 1] += c[p - 1] / eps
+        out[p] -= c[p] / eps
+        out[0] += c[p] / eps
+    return out
+
+
+def _scalar_two_prod(a: float, b: float) -> tuple[float, float]:
+    split = 134217729.0  # 2**27 + 1
+    p = a * b
+    a1 = a * split
+    ah = a1 - (a1 - a)
+    al = a - ah
+    b1 = b * split
+    bh = b1 - (b1 - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _scalar_dot2(a, b) -> float:
+    s = 0.0
+    c = 0.0
+    for x, y in zip(a, b):
+        p, e = _scalar_two_prod(float(x), float(y))
+        t = s + p
+        z = t - s
+        c += e + ((s - (t - z)) + (p - z))
+        s = t
+    return s + c
+
+
+def loop_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
+    """Exact antiderivative of ``f``, one piece and one Dot2 call at a time."""
+    p = f.degree
+    m = f.coeffs.shape[0]
+    eps = f._eff_phases()
+    out = np.zeros((m, p + 2))
+    ends = _basis_matrix(f.family, p + 1, eps, np.ones(m))
+    acc = 0.0
+    for i in range(m):
+        prim = _loop_primitive(f.family, p, eps[i], f.coeffs[i]) * f._widths[i]
+        prim[0] += acc
+        out[i] = prim
+        acc = _scalar_dot2(ends[i], prim)
+    return PiecewiseFn(f.family, p + 1, f.breakpoints, out)
 
 
 def loop_greville_abscissae(kv: KnotVector) -> np.ndarray:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from gbspec import cardinal, sections
 from gbspec.cardinal import (cardinal_derivative, cardinal_spline,
                              fourier_phi)
 from gbspec.errors import ConstraintError, UsageError
 from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
-from oracles import central_second_difference, gauss_legendre_split
+from oracles import (central_second_difference, gauss_legendre_split,
+                     loop_antiderivative)
 
 
 class TestConstruction:
@@ -43,6 +45,21 @@ class TestConstruction:
             assert np.all(cs(inner) > 0)
             assert cs(-0.5) == 0.0
             assert cs(p + 1.5) == 0.0
+
+
+    def test_same_coefficients_as_loop_antiderivative(self, monkeypatch):
+        families = [polynomial(), hyperbolic(1e-9), hyperbolic(0.1),
+                    hyperbolic(10.0), hyperbolic(30.0), trigonometric(0.5),
+                    trigonometric(3.0)]
+        built = {(f, p): cardinal_spline(f, p) for f in families for p in range(1, 14)}
+        monkeypatch.setattr(sections, "piecewise_antiderivative", loop_antiderivative)
+        monkeypatch.setattr(cardinal, "piecewise_antiderivative", loop_antiderivative)
+        for (family, p), cs in built.items():
+            ref = cardinal_spline(family, p)
+            assert np.array_equal(cs.pw.coeffs, ref.pw.coeffs), (family, p)
+            assert np.array_equal(np.signbit(cs.pw.coeffs),
+                                  np.signbit(ref.pw.coeffs)), (family, p)
+            assert cs.delta1 == ref.delta1
 
 
 class TestProperties:

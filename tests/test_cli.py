@@ -221,3 +221,53 @@ def test_n_values_are_solved_in_the_calling_thread_by_default(monkeypatch):
     monkeypatch.setenv("GBSPEC_THREADS", "2")
     assert [n for n, _ in cli._solve_each(lambda n: (n, threading.get_ident()),
                                           [8, 16, 24])] == [8, 16, 24]
+
+
+def _value_by_value_csv(header, rows) -> str:
+    """The former CSV emitter: one f-string per value."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e-310, 1.7976931348623157e308,
+                  1 / 3, 0.1, 1e16, 1e-5, 1e-4, 2.0**53 + 2]
+
+
+class TestCsv:
+    def test_special_values_in_zip_input(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([SPECIAL_VALUES, rng.standard_normal(3000)
+                                 * 10.0 ** rng.integers(-300, 300, 3000)])
+        other = rng.permutation(values)
+        assert cli._csv(["t", "value"], zip(values, other)) == \
+            _value_by_value_csv(["t", "value"], zip(values, other))
+
+    def test_integer_column(self):
+        rows = [(p, v) for p, v in zip(range(2, 2 + len(SPECIAL_VALUES)),
+                                       SPECIAL_VALUES)]
+        assert cli._csv(["p", "ratio"], rows) == _value_by_value_csv(["p", "ratio"], rows)
+
+    def test_matrix_rows_across_blocks(self):
+        rng = np.random.default_rng(6)
+        for shape in ((3, 27), (cli._CSV_BLOCK, 3), (5, cli._CSV_BLOCK + 1)):
+            mat = rng.standard_normal(shape)
+            mat[0, :2] = [-0.0, math.nan]
+            header = [f"c{j}" for j in range(shape[1])]
+            assert cli._csv(header, mat) == _value_by_value_csv(header, mat)
+
+    def test_zero_rows(self):
+        assert cli._csv(["re", "im"], []) == "re,im\n"
+        assert cli._csv(["c0"], np.zeros((0, 1))) == "c0\n"
+
+    def test_complex_values(self):
+        rng = np.random.default_rng(7)
+        mat = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        mat[0, :4] = [complex(-0.0, -0.0), complex(math.nan, math.inf),
+                      complex(5e-324, -math.inf), 1j]
+        header = [f"c{j}" for j in range(9)]
+        lines = [",".join(header)] + [
+            ",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in mat]
+        assert cli._csv(header, mat) == "\n".join(lines) + "\n"

@@ -12,8 +12,8 @@ from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
 from gbspec.errors import ConstraintError, UsageError, ValidationError
 from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
-from oracles import (dense_assemble_1d, full_span_basis, loop_greville_samples,
-                     mp_greville_samples)
+from oracles import (dense_assemble_1d, full_span_basis, loop_antiderivative,
+                     loop_greville_samples, mp_greville_samples)
 
 MODES = ("nested", "nonnested")
 Q_CASES = [(hyperbolic(10.0), "nonnested"), (hyperbolic(10.0), "nested"),
@@ -177,6 +177,24 @@ class TestBandedBasis:
         basis = gb_basis(40, 4, hyperbolic(3.0), "nested")
         interior = basis.splines[4:40]
         assert all(np.array_equal(s.coeffs, interior[0].coeffs) for s in interior)
+
+    @pytest.mark.parametrize("p", range(2, 7))
+    @pytest.mark.parametrize("case", BANDED_CASES,
+                             ids=lambda c: f"{c[0].tag}{c[0].phase or ''}-{c[1]}")
+    def test_same_as_with_loop_antiderivative(self, case, p, monkeypatch):
+        family, mode = case
+        sizes = [_banded_size(size, p, family, mode) for size in BANDED_SIZES]
+        built = {n: gb_basis(n, p, family, mode) for n in sizes}
+        monkeypatch.setattr(sections, "piecewise_antiderivative", loop_antiderivative)
+        monkeypatch.setattr(collocation, "piecewise_antiderivative",
+                            loop_antiderivative)
+        for n, basis in built.items():
+            ref = gb_basis(n, p, family, mode)
+            got = np.concatenate([s.coeffs for s in basis.splines])
+            want = np.concatenate([s.coeffs for s in ref.splines])
+            assert np.array_equal(got, want), n
+            assert np.array_equal(np.signbit(got), np.signbit(want)), n
+            assert np.array_equal(basis.normalizers, ref.normalizers), n
 
     @pytest.mark.xfail(strict=True, reason="small effective phases lose "
                        "partition of unity in the {cosh, sinh} recursion")

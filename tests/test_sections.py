@@ -9,7 +9,7 @@ from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
                              hyperbolic,
                              piecewise_antiderivative, piecewise_derivative,
                              piecewise_eval, polynomial, trigonometric)
-from oracles import gauss_legendre_split, sign_changes
+from oracles import gauss_legendre_split, loop_antiderivative, sign_changes
 
 
 def hat() -> PiecewiseFn:
@@ -149,6 +149,31 @@ class TestAntiderivative:
             for e, row in zip(eps, rows):
                 single = _basis_matrix(family, p, np.array([e]), np.array([1.0]))
                 assert np.array_equal(row, single[0])
+
+
+    @pytest.mark.parametrize("tag", ["polynomial", "hyperbolic", "trigonometric"])
+    def test_bit_identical_to_loop_antiderivative(self, tag):
+        rng = np.random.default_rng(2024)
+        cases = 0
+        for p in range(0 if tag == "polynomial" else 1, 14):
+            for phase in np.geomspace(1e-6, 100.0, 9):
+                for widths in (np.ones(5), rng.uniform(0.1, 2.0, 7)):
+                    if tag == "trigonometric" and not phase * widths.max() < math.pi:
+                        continue
+                    family = (polynomial() if tag == "polynomial"
+                              else SectionFamily(tag, float(phase)))
+                    scale = 10.0 ** rng.uniform(-8, 8)
+                    coeffs = rng.standard_normal((widths.size, p + 1)) * scale
+                    coeffs[rng.random(coeffs.shape) < 0.1] = -0.0
+                    f = PiecewiseFn(family, p, np.cumsum(np.r_[0.0, widths]), coeffs)
+                    got = piecewise_antiderivative(f).coeffs
+                    ref = loop_antiderivative(f).coeffs
+                    assert np.array_equal(got, ref), (p, phase)
+                    assert np.array_equal(np.signbit(got), np.signbit(ref)), (p, phase)
+                    cases += 1
+                if tag == "polynomial":
+                    break  # the phase does not enter
+        assert cases >= 26
 
 
 class TestExactness:

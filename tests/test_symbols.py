@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gbspec import cardinal
 from gbspec.errors import UsageError
 from gbspec.sections import hyperbolic, polynomial, trigonometric
 from gbspec.symbols import (bounds_report, decay_ratio, lower_bound_residual,
@@ -211,3 +212,34 @@ class TestBoundsReport:
         leading = (_phi1_hat(fam, THETA) * np.exp(1j * THETA)).real * sinc**3
         h = symbol_fn("h", 4, fam)(THETA)
         assert np.max(np.abs(leading + res - h)) <= 1e-13
+
+
+class TestSplineBuilds:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Degrees of the cardinal splines built, in order."""
+        degrees = []
+        inner = cardinal._build
+
+        def counted(rep, p):
+            degrees.append(p)
+            return inner(rep, p)
+
+        monkeypatch.setattr(cardinal, "_build", counted)
+        return degrees
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_g_and_f_build_only_the_sampled_degree(self, family, p, built):
+        symbol_fn("g", p, family)
+        assert built == [p - 1]
+        built.clear()
+        symbol_fn("f", p, family)
+        # f of degree 2 differentiates the degree-2 spline twice
+        assert built == [p - 2 if p >= 3 else 2]
+
+    def test_bounds_and_decay(self, family, built):
+        bounds_report(6, family, 256)
+        assert built == [6, 4]
+        built.clear()
+        decay_ratio(6, family)
+        assert built == [4]

@@ -70,6 +70,20 @@ COMMANDS: list[list[str]] = [
      "--alpha", "10", "--m", "12"],
     ["toeplitz", "--symbol", "g", "--p", "3", "--family", "polynomial",
      "--m", "8", "--eig"],
+    # high degrees, the small-phase fallback, g and f through the derivative
+    # recurrence, and a complex Toeplitz matrix
+    ["cardinal", "--family", "polynomial", "--p", "11", "--grid", "300"],
+    ["cardinal", "--family", "trigonometric", "--alpha", "1.5", "--p", "11",
+     "--grid", "300"],
+    ["cardinal", "--family", "hyperbolic", "--alpha", "1e-9", "--p", "7",
+     "--grid", "300"],
+    ["bounds", "--p", "12", "--family", "polynomial"],
+    ["decay", "--family", "hyperbolic", "--alpha", "10", "--pmin", "2",
+     "--pmax", "14"],
+    ["toeplitz", "--symbol", "g", "--p", "5", "--family", "hyperbolic",
+     "--alpha", "3", "--m", "9"],
+    ["symbol", "--kind", "f", "--p", "7", "--family", "trigonometric",
+     "--alpha", "2", "--grid", "200"],
 ]
 
 _RUN = "import sys; from gbspec.cli import main; sys.exit(main(sys.argv[1:]))"
