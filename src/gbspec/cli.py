@@ -3,8 +3,7 @@
 Subcommands: cardinal, symbol, bounds, decay, assemble, eig, toeplitz,
 distribution, distribution-md.  All numeric output is deterministic given the
 configuration; CSV uses 17 significant digits, JSON uses stable key order.
-The distribution commands solve their n values one after another; the
-environment variable GBSPEC_THREADS > 1 spreads them over that many threads.
+The distribution commands solve their n values one after another.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import numpy as np
@@ -36,29 +33,8 @@ _CSV_BLOCK = 4096  # values per format operation
 
 
 def worker_count() -> int:
-    """Threads the distribution commands use: GBSPEC_THREADS, default 1.
-
-    One by default: the eigensolve already runs on every core through BLAS,
-    and threads over the n values neither paid on 1D nor on 2D/3D, while
-    their concurrent N x N arrays made the peak memory differ from run to
-    run (see ROADMAP item 1).
-    """
-    env = os.environ.get("GBSPEC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise GbspecError(f"GBSPEC_THREADS must be an integer, got {env!r}")
+    """Threads the distribution commands use over their n values: always 1."""
     return 1
-
-
-def _solve_each(solve, ns: list[int]) -> list:
-    """``[solve(n) for n in ns]``, over ``worker_count()`` threads if above 1."""
-    workers = min(worker_count(), len(ns))
-    if workers <= 1:
-        return [solve(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(solve, ns))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -202,7 +178,7 @@ def _run_distribution_1d(cfg: dict, ns: list[int], eps: list[float]) -> dict:
         eigs = eigenvalues_dense(assemble(problem, geometry, basis).scaled_matrix)
         return weyl_report(eigs, sampler, eps)
 
-    reports = _solve_each(solve, ns)
+    reports = [solve(n) for n in ns]
     return {
         "d": 1, "p": p, "family": family.tag, "alpha": family.phase,
         "mode": mode,
@@ -226,7 +202,7 @@ def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
         del a
         return weyl_report(eigs, sampler, eps)
 
-    reports = _solve_each(solve, ns)
+    reports = [solve(n) for n in ns]
     return {
         "d": problem.d, "p": list(problem.degrees),
         "family": [f.tag for f in problem.families],

@@ -11,17 +11,20 @@ hyperbolic and trigonometric families:
 
 The basis is built from the structure the spectral analysis rests on.  The
 integral recursion runs once, on a short open knot vector of ``2p+2`` unit
-intervals (``n`` if smaller) with the effective phase ``mu/n``.  Its ``p``
+intervals (``n`` if smaller) with the effective phase ``mu/n``.  It runs one
+level at a time: the splines of a level share one grid, degree and phase,
+so they are integrated as one stacked coefficient array.  The run's ``p``
 splines at each end are the boundary splines, which depend only on ``p`` and
 that phase; the ``n-p`` interior splines are integer translates of its first
-full-support spline.  Each spline is stored on its own support only, at most
-``p+1`` intervals, so building the basis costs O(p^3) plus O(np) copying.
+full-support spline.  The basis stores each of these shapes once, with the
+rule that maps every spline to its shape, so building it costs the same for
+every ``n`` beyond the knot vector.
 
 The value, first- and second-derivative matrices at the Greville points are
 sampled in one vectorised pass: every nonzero ``(row, column)`` pair of the
-band takes its spline's coefficient row on the interval holding the point,
-and one basis evaluation serves all three orders, so no Python loop runs
-over the splines or the rows.
+band takes the coefficient row of its spline's shape on the interval
+holding the point, and one basis evaluation serves all three orders, so no
+Python loop runs over the splines or the rows.
 
 The model problem is  -kappa u'' + beta u' + gamma u = f  on (0, 1) with
 homogeneous Dirichlet data, collocated at the interior Greville abscissae; a
@@ -44,8 +47,8 @@ import numpy as np
 from . import exprparse
 from .cardinal import _seed_rows
 from .errors import ConstraintError, NumericalError, UsageError, ValidationError
-from .sections import (PiecewiseFn, SectionFamily, _basis_matrix,
-                       _local_derivative, piecewise_antiderivative, polynomial)
+from .sections import (PiecewiseFn, SectionFamily, _antiderivative_stack,
+                       _basis_matrix, _dot2, _local_derivative, polynomial)
 from .spectral import ToeplitzSpec, toeplitz
 from .symbols import symbol_fn
 
@@ -67,7 +70,7 @@ class KnotVector:
     def open_uniform(cls, n: int, p: int) -> "KnotVector":
         if n < 2 or p < 2:
             raise UsageError("need n >= 2 subintervals and degree p >= 2")
-        interior = np.arange(1, n) / n
+        interior = np.arange(1.0, n) / n
         knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
         return cls(n, p, knots)
 
@@ -88,17 +91,20 @@ def _min_feasible_n(alpha: float) -> int:
 class GBBasis:
     """GB-spline basis N_1..N_{n+p} over an open uniform knot vector.
 
-    ``splines[i-1]`` is N_i as a :class:`PiecewiseFn` over its support
-    ``[t_i, t_{i+p+1}]`` alone (at most ``p+1`` intervals); it evaluates to 0
-    outside.  ``normalizers[i-1]`` is ``1 / integral(N_i)``.
+    Each distinct shape is stored once.  ``shapes`` has shape ``(m+p, m,
+    p+1)``: row ``k`` holds the coefficients of spline N_{k+1} of the short
+    run of :func:`gb_basis`, on its ``m = min(n, 2p+2)`` unit intervals;
+    ``shape_normalizers[k]`` is ``1 / integral`` of that spline.  N_i has the
+    shape ``shape_index[i-1]``, translated and scaled to width ``1/n``.
+    ``splines`` and ``normalizers`` give the basis spline by spline.
     """
 
     knots: KnotVector
     family: SectionFamily
     mode: str
     mu: float | None
-    splines: tuple[PiecewiseFn, ...]
-    normalizers: np.ndarray
+    shapes: np.ndarray
+    shape_normalizers: np.ndarray
 
     @property
     def n(self) -> int:
@@ -112,6 +118,45 @@ class GBBasis:
     def effective_phase(self) -> float | None:
         """Phase of the cardinal shape matching the interior splines."""
         return None if self.mu is None else self.mu / self.n
+
+    @property
+    def section_family(self) -> SectionFamily:
+        """The family with the construction phase ``mu``, per unit of x."""
+        return self.family if self.mu is None else SectionFamily(self.family.tag,
+                                                                 self.mu)
+
+    @property
+    def shape_index(self) -> np.ndarray:
+        """0-based row of ``shapes`` holding N_i, for i = 1..n+p.
+
+        The first and last ``p`` splines are the boundary shapes; every
+        interior spline is a translate of N_{p+1}.
+        """
+        n, p, m = self.n, self.degree, self.shapes.shape[1]
+        i = np.arange(1, n + p + 1)
+        return np.where(i <= p, i, np.where(i <= n, p + 1, i - n + m)) - 1
+
+    @property
+    def normalizers(self) -> np.ndarray:
+        """``normalizers[i-1]`` is ``1 / integral(N_i)``."""
+        return self.n * self.shape_normalizers[self.shape_index]
+
+    @property
+    def splines(self) -> tuple[PiecewiseFn, ...]:
+        """N_1..N_{n+p}, built on each access; ``splines[i-1]`` is N_i.
+
+        N_i is a :class:`PiecewiseFn` over its support ``[t_i, t_{i+p+1}]``
+        alone (at most ``p+1`` intervals); it evaluates to 0 outside.
+        """
+        n, p, rep = self.n, self.degree, self.section_family
+        grid = np.arange(n + 1) / n
+        out = []
+        for i, k in enumerate(self.shape_index.tolist(), start=1):
+            lo, hi = max(0, i - p - 1), min(n, i)
+            first = max(0, k - p)  # first short-run piece of the support
+            out.append(PiecewiseFn(rep, p, grid[lo:hi + 1],
+                                   self.shapes[k, first:first + hi - lo]))
+        return tuple(out)
 
 
 def _rep_family(family: SectionFamily, mode: str, n: int) -> tuple[SectionFamily, float | None]:
@@ -141,40 +186,67 @@ def limit_family(family: SectionFamily, mode: str) -> SectionFamily:
     return polynomial() if mode == NESTED else family
 
 
-def _seed_level(m: int, p: int, rep: SectionFamily) -> list[PiecewiseFn]:
-    """Degree-1 splines over m unit intervals, one per index i = 1..m+2p-1."""
+def _seed_level(m: int, p: int, rep: SectionFamily) -> np.ndarray:
+    """Degree-1 splines N_{i,1}, i = 1..m+2p-1, over m unit intervals, stacked."""
     up, down = _seed_rows(rep)
-    grid = np.arange(m + 1.0)
-    seeds = []
-    for i in range(1, m + 2 * p):
-        coeffs = np.zeros((m, 2))
-        # ascending branch on knot interval [t_i, t_{i+1}), 1-based knots
-        if p + 1 <= i <= p + m:
-            coeffs[i - p - 1] = up
-        # descending branch on [t_{i+1}, t_{i+2})
-        if p + 1 <= i + 1 <= p + m:
-            coeffs[i - p] = down
-        seeds.append(PiecewiseFn(rep, 1, grid, coeffs))
+    seeds = np.zeros((m + 2 * p - 1, m, 2))
+    pieces = np.arange(m)
+    # N_{i,1} ascends on knot interval [t_i, t_{i+1}) (1-based knots), the
+    # unit interval i-p-1, and descends on the next one
+    seeds[pieces + p, pieces] = up
+    seeds[pieces + p - 1, pieces] = down
     return seeds
 
 
-def _cumulative(spline: PiecewiseFn, left_degenerate: bool) -> PiecewiseFn:
-    """Normalized cumulative integral of one spline of degree q-1.
+def _reciprocals(integrals: np.ndarray, degree: int,
+                 rep: SectionFamily) -> np.ndarray:
+    """``1 / integrals``, refused unless every integral is finite and nonzero."""
+    bad = ~np.isfinite(integrals) | (integrals == 0)
+    if np.any(bad):
+        raise NumericalError(
+            f"GB-spline recursion breaks down at degree {degree}, effective "
+            f"phase {rep.effective(1.0):g}: a spline integrates to "
+            f"{float(integrals[bad][0])!r}")
+    return 1.0 / integrals
 
-    For identically-zero boundary splines the cumulative degenerates to a
-    unit step: one everywhere if the collapsed support sits at the left end
-    of the domain, zero if it sits at the right end (zero-denominator
-    convention at boundary knots).
+
+def _cumulative(level: np.ndarray, left_degenerate: np.ndarray,
+                rep: SectionFamily, eps: np.ndarray) -> np.ndarray:
+    """Normalized cumulative integrals of a level of splines of degree q-1, stacked.
+
+    An identically-zero boundary spline's cumulative degenerates to a unit
+    step: one everywhere if its collapsed support sits at the left end of
+    the domain (``left_degenerate``), zero if it sits at the right end
+    (zero-denominator convention at boundary knots).
     """
-    q = spline.degree + 1
-    grid = spline.breakpoints
-    if not np.any(spline.coeffs):
-        value = 1.0 if left_degenerate else 0.0
-        coeffs = np.zeros((grid.size - 1, q + 1))
-        coeffs[:, 0] = value
-        return PiecewiseFn(spline.family, q, grid, coeffs)
-    anti = piecewise_antiderivative(spline)
-    return anti.scaled(1.0 / anti(grid[-1]))
+    size, m, q = level.shape
+    live = np.any(level, axis=(1, 2))
+    anti = _antiderivative_stack(rep, q - 1, eps, np.ones(m), level[live])
+    # each antiderivative at the right end of the last interval
+    end = _basis_matrix(rep, q, eps[-1:], np.ones(1))
+    totals = np.einsum("ij,ij->i", np.repeat(end, len(anti), axis=0), anti[:, -1])
+    cums = np.zeros((size, m, q + 1))
+    cums[:, :, 0] = left_degenerate[:, None]
+    cums[live] = anti * _reciprocals(totals, q - 1, rep)[:, None, None]
+    return cums
+
+
+def _short_run(m: int, p: int, rep: SectionFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The integral recursion on m unit intervals, one level at a time.
+
+    Returns its m+p splines of degree p, stacked with shape ``(m+p, m,
+    p+1)``, and ``1 / integral`` of each.
+    """
+    eps = np.full(m, rep.effective(1.0))
+    level = _seed_level(m, p, rep)
+    for q in range(2, p + 1):
+        # spline N_{i,q-1} collapses at the left boundary iff t_{i+q} = 0
+        index = np.arange(1, level.shape[0] + 1)
+        cums = _cumulative(level, index + q <= p + 1, rep, eps)
+        level = cums[:-1] - cums[1:]
+    anti = _antiderivative_stack(rep, p, eps, np.ones(m), level)
+    end = _basis_matrix(rep, p + 1, eps[-1:], np.ones(1))[0]
+    return level, _reciprocals(_dot2(end, anti[:, -1]), p, rep)
 
 
 def gb_basis(n: int, p: int, family: SectionFamily,
@@ -182,36 +254,23 @@ def gb_basis(n: int, p: int, family: SectionFamily,
     """Construct the GB-spline basis N_1..N_{n+p} on n uniform intervals.
 
     The integral recursion runs once, on the open knot vector of
-    ``m = min(n, 2p+2)`` unit intervals with the effective phase ``mu/n``.
-    Its first ``p`` and last ``p`` splines are the boundary splines, which
-    depend only on ``p`` and that phase; the ``n-p`` interior splines are
-    translates of its first full-support spline N_{p+1}.  Each spline is
-    then placed on its own support in [0, 1], at most ``p+1`` intervals of
-    width ``1/n``, so the cost does not grow with ``n`` beyond copying.
+    ``m = min(n, 2p+2)`` unit intervals with the effective phase ``mu/n``,
+    one level at a time: each level's splines share one grid, degree and
+    phase, so one stacked antiderivative serves them all.  Its first ``p``
+    and last ``p`` splines are the boundary splines, which depend only on
+    ``p`` and that phase; the ``n-p`` interior splines are translates of its
+    first full-support spline N_{p+1}.  The basis keeps that run's ``m+p``
+    shapes and their normalizers, so its cost does not depend on ``n``
+    beyond the knot vector.  A spline with a zero or non-finite integral
+    raises :class:`~gbspec.errors.NumericalError`.
     """
     if mode not in (NESTED, NONNESTED):
         raise UsageError(f"unknown phase mode {mode!r}")
     kv = KnotVector.open_uniform(n, p)
     rep, mu = _rep_family(family, mode, n)
     m = min(n, 2 * p + 2)
-    short = _seed_level(m, p, rep if mu is None else SectionFamily(rep.tag, mu / n))
-    for q in range(2, p + 1):
-        # spline N_{i,q-1} collapses at the left boundary iff t_{i+q} = 0
-        cums = [_cumulative(s, left_degenerate=(i + q <= p + 1))
-                for i, s in enumerate(short, start=1)]
-        short = [cums[i].minus(cums[i + 1]) for i in range(len(cums) - 1)]
-    short_norms = [1.0 / s.integral() for s in short]
-    grid = np.arange(n + 1) / n
-    splines, normalizers = [], []
-    for i in range(1, n + p + 1):
-        # 1-based index of the short-vector spline with the same shape
-        k = i if i <= p else p + 1 if i <= n else i - n + m
-        lo, hi = max(0, i - p - 1), min(n, i)
-        k_lo = max(0, k - p - 1)
-        splines.append(PiecewiseFn(rep, p, grid[lo:hi + 1],
-                                   short[k - 1].coeffs[k_lo:k_lo + hi - lo]))
-        normalizers.append(n * short_norms[k - 1])
-    return GBBasis(kv, family, mode, mu, tuple(splines), np.array(normalizers))
+    unit = rep if mu is None else SectionFamily(rep.tag, mu / n)
+    return GBBasis(kv, family, mode, mu, *_short_run(m, p, unit))
 
 
 def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
@@ -239,11 +298,10 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     grid = t[p:n + p + 1]  # the distinct knots 0, 1/n, ..., 1
     widths = np.diff(grid)
     # column j holds N_{j+2}, supported on [a_j, b_j] = [t_{j+2}, t_{j+p+3}]
-    # (1-based knots), the grid intervals lo[j]..lo[j]+pieces[j]-1, and is
-    # sampled at the Greville points first[j]..stop[j]-1
+    # (1-based knots) from grid interval lo[j] on, and is sampled at the
+    # Greville points first[j]..stop[j]-1
     a, b = t[1:n + p - 1], t[p + 2:n + 2 * p]
     lo = np.searchsorted(grid, a)
-    pieces = np.searchsorted(grid, b) - lo
     first, stop = np.searchsorted(xi, a), np.searchsorted(xi, b)
     rows = first[:, None] + np.arange(np.max(stop - first))
     inside = rows < stop[:, None]
@@ -254,11 +312,12 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     interval = np.searchsorted(grid, x, side="right") - 1
     w = widths[interval]
     tau = (x - grid[interval]) / w
-    rep = basis.splines[0].family
+    rep = basis.section_family
     eps = rep.effective(w)
-    coeffs = np.concatenate([s.coeffs for s in basis.splines[1:-1]])
-    offsets = np.cumsum(pieces) - pieces
-    c0 = coeffs[offsets[cols] + interval - lo[cols]]
+    # N_{j+2} is the shape k, whose support starts at its short-run piece
+    # max(0, k-p) (see GBBasis.splines)
+    k = basis.shape_index[1:-1][cols]
+    c0 = basis.shapes[k, np.maximum(k - p, 0) + interval - lo[cols]]
     c1 = _local_derivative(rep, p, eps, c0) / w[:, None]
     c2 = _local_derivative(rep, p, eps, c1) / w[:, None]
     vals = np.einsum("ij,ij->i", np.tile(_basis_matrix(rep, p, eps, tau), (3, 1)),

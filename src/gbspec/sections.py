@@ -140,12 +140,6 @@ class PiecewiseFn:
         object.__setattr__(self, "coeffs", cf)
         object.__setattr__(self, "_widths", widths)
 
-    @classmethod
-    def zeros(cls, family: SectionFamily, degree: int,
-              breakpoints: np.ndarray) -> "PiecewiseFn":
-        bp = np.asarray(breakpoints, dtype=float)
-        return cls(family, degree, bp, np.zeros((bp.size - 1, degree + 1)))
-
     @property
     def support(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
@@ -161,14 +155,6 @@ class PiecewiseFn:
     def scaled(self, factor: float) -> "PiecewiseFn":
         return PiecewiseFn(self.family, self.degree, self.breakpoints,
                            self.coeffs * factor)
-
-    def minus(self, other: "PiecewiseFn") -> "PiecewiseFn":
-        if (other.degree != self.degree
-                or other.breakpoints.shape != self.breakpoints.shape
-                or not np.array_equal(other.breakpoints, self.breakpoints)):
-            raise UsageError("operands must share degree and breakpoints")
-        return PiecewiseFn(self.family, self.degree, self.breakpoints,
-                           self.coeffs - other.coeffs)
 
     def integral(self) -> float:
         """Integral over the whole span (exact, via antidifferentiation)."""
@@ -193,8 +179,11 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _sum2(prods, errs) -> float:
-    """Compensated sum of TwoProduct pairs, in order (the tail of Dot2)."""
+def _sum2(prods, errs):
+    """Compensated sum of TwoProduct pairs, in order (the tail of Dot2).
+
+    The pairs are floats, or equal-length arrays summed element by element.
+    """
     s = 0.0
     c = 0.0
     for p, e in zip(prods, errs):
@@ -205,17 +194,21 @@ def _sum2(prods, errs) -> float:
     return s + c
 
 
-def _dot2(a, b) -> float:
+def _dot2(a, b):
     """Compensated dot product (Ogita-Rump-Oishi Dot2).
 
     The hyperbolic basis pair {cosh, sinh} is ill-conditioned at large
     effective phases, so the integration-constant chain is accumulated in
     roughly doubled precision to keep normalization factors at full accuracy.
+    ``b`` is one row, giving a float, or a stack of rows, giving one Dot2
+    of ``a`` with each row.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
         prods, errs = _two_prod(np.asarray(a, dtype=float),
                                 np.asarray(b, dtype=float))
-    return _sum2(prods.tolist(), errs.tolist())
+        if prods.ndim == 1:
+            return _sum2(prods.tolist(), errs.tolist())
+        return _sum2(prods.T, errs.T)
 
 
 def piecewise_eval(f: PiecewiseFn, x):
@@ -302,6 +295,41 @@ def _local_primitive(family: SectionFamily, p: int, eps,
     return out
 
 
+def _antiderivative_stack(family: SectionFamily, p: int, eps: np.ndarray,
+                          widths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of the antiderivatives of a stack of piecewise functions.
+
+    ``coeffs`` has shape ``(S, m, p+1)``: S functions of degree ``p`` on one
+    grid of m pieces with effective phases ``eps`` and widths ``widths``.
+    The result, of shape ``(S, m, p+2)``, is what
+    :func:`piecewise_antiderivative` gives for each function on its own.
+    """
+    m = coeffs.shape[1]
+    out = _local_primitive(family, p, eps, coeffs) * widths[:, None]
+    # degree-(p+1) basis rows at tau = 1, the right end of every piece
+    ends = _basis_matrix(family, p + 1, eps, np.ones(m))
+    # The constant of piece i is the Dot2 of ends[i-1] and row i-1, whose
+    # constant slot holds the previous constant.  Every other product of the
+    # chain is known up front, so only slot 0 and the sums run per piece,
+    # on one column of S values per slot (plain floats when S = 1).
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
+        prods, errs = _two_prod(ends[:, 1:], out[..., 1:])
+        if coeffs.shape[0] == 1:
+            heads, prods, errs = (a[0].tolist() for a in (out[..., 0], prods, errs))
+        else:
+            heads = out[..., 0].T
+            prods, errs = np.moveaxis(prods, 0, -1), np.moveaxis(errs, 0, -1)
+        chained = []
+        acc = 0.0
+        for head, end, prod, err in zip(heads, ends[:, 0].tolist(), prods, errs):
+            head = head + acc
+            chained.append(head)
+            head_prod, head_err = _two_prod(end, head)
+            acc = _sum2([head_prod, *prod], [head_err, *err])
+    out[..., 0] = np.transpose(chained)
+    return out
+
+
 def piecewise_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
     """Exact antiderivative ``F(x) = int_{left}^{x} f``, of degree ``p+1``.
 
@@ -309,24 +337,6 @@ def piecewise_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
     outside the span the compact-support convention of :class:`PiecewiseFn`
     applies (in particular ``F`` at the last breakpoint is the total integral).
     """
-    p = f.degree
-    m = f.coeffs.shape[0]
-    eps = f._eff_phases()
-    out = _local_primitive(f.family, p, eps, f.coeffs) * f._widths[:, None]
-    # degree-(p+1) basis rows at tau = 1, the right end of every piece
-    ends = _basis_matrix(f.family, p + 1, eps, np.ones(m))
-    # The constant of piece i is the Dot2 of ends[i-1] and row i-1, whose
-    # constant slot holds the previous constant.  Every other product of the
-    # chain is known up front, so only slot 0 and the sums run per piece.
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
-        prods, errs = _two_prod(ends[:, 1:], out[:, 1:])
-    heads = []
-    acc = 0.0
-    for head, end, prod, err in zip(out[:, 0].tolist(), ends[:, 0].tolist(),
-                                    prods.tolist(), errs.tolist()):
-        head += acc
-        heads.append(head)
-        head_prod, head_err = _two_prod(end, head)
-        acc = _sum2([head_prod, *prod], [head_err, *err])
-    out[:, 0] = heads
-    return PiecewiseFn(f.family, p + 1, f.breakpoints, out)
+    out = _antiderivative_stack(f.family, f.degree, f._eff_phases(), f._widths,
+                                f.coeffs[None])
+    return PiecewiseFn(f.family, f.degree + 1, f.breakpoints, out[0])

@@ -204,10 +204,14 @@ def lower_bound_residual(p: int, family: SectionFamily, theta) -> np.ndarray:
 def symbol_max(s: SymbolFn, grid: int = 4096) -> float:
     """Maximum over [-pi, pi]: coarse grid scan plus golden-section refinement."""
     thetas = np.linspace(-math.pi, math.pi, grid)
-    vals = s(thetas)
+    return _refined_max(s, thetas, s(thetas))
+
+
+def _refined_max(s: SymbolFn, thetas: np.ndarray, vals: np.ndarray) -> float:
+    """:func:`symbol_max` from the values ``vals`` of ``s`` on the grid ``thetas``."""
     i = int(np.argmax(vals))
     lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, grid - 1)]
+    hi = thetas[min(i + 1, thetas.size - 1)]
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv * (b - a)
@@ -305,17 +309,16 @@ def bounds_report(p: int, family: SectionFamily,
     h = symbol_fn("h", p, family) if p >= 1 else None
     f = symbol_fn("f", p, family) if p >= 2 else None
     hv = h(theta)
+    fv = f(theta) if f is not None else None
     upper = 0
     if p >= 2:
         upper += int(np.sum(hv > 1.0 + _BOUND_SLACK))
     if f is not None and (p >= 4 or (family.is_polynomial and p >= 2)):
-        fv = f(theta)
         upper += int(np.sum(fv > 2.0 - 2.0 * np.cos(theta) + _BOUND_SLACK))
 
     lower = 0
     lower += int(np.sum(hv < _lower_envelope(family, p, "h", theta) - _BOUND_SLACK))
     if f is not None and (p >= 3 or (family.is_polynomial and p >= 2)):
-        fv = f(theta)
         lower += int(np.sum(fv < _lower_envelope(family, p, "f", theta) - _BOUND_SLACK))
     if family.is_polynomial or (family.tag == HYPERBOLIC and p % 2 == 1):
         status = "PROVED"
@@ -327,7 +330,7 @@ def bounds_report(p: int, family: SectionFamily,
         f0 = float(f(0.0))
         first = float(f(step) - f(-step)) / (2 * step)
         second = float(f(step) - 2 * f0 + f(-step)) / step**2
-        mx = symbol_max(f, grid_size)
+        mx = _refined_max(f, theta, fv)
         ratio = float(f(math.pi)) / mx
     else:
         f0 = first = second = mx = ratio = float("nan")

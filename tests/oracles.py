@@ -12,7 +12,9 @@ references for the band assembler: :func:`dense_assemble_1d` (1D) and
 the former spline-by-spline Greville sampling kept as the bit-identity
 reference for the one-pass sampler: :func:`loop_greville_samples`, and
 the former piece-by-piece antiderivative kept as the bit-identity reference
-for the batched one: :func:`loop_antiderivative`.
+for the batched one: :func:`loop_antiderivative`, and the former
+spline-by-spline basis construction kept as the bit-identity reference for
+the level-batched one: :func:`loop_gb_basis`.
 """
 
 import math
@@ -22,10 +24,11 @@ import numpy as np
 from gbspec import exprparse
 from gbspec.collocation import (CollocationSystem, KnotVector, _rep_family,
                                 greville_samples)
+from gbspec.cardinal import _seed_rows
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import _direction_data, _eval_grid
-from gbspec.sections import (PiecewiseFn, _basis_matrix, _local_derivative,
-                             piecewise_antiderivative)
+from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
+                             _local_derivative, piecewise_antiderivative)
 
 
 def gauss_legendre(fn, a: float, b: float, pieces: int = 8,
@@ -86,15 +89,23 @@ def _full_span_seeds(kv: KnotVector, rep) -> list:
     return seeds
 
 
-def _full_span_cumulative(spline, left_degenerate: bool):
+def _cumulative(spline, left_degenerate: bool,
+                antiderivative=piecewise_antiderivative):
+    """Normalized cumulative integral of one spline, or the unit step if it is 0."""
     q = spline.degree + 1
     grid = spline.breakpoints
     if not np.any(spline.coeffs):
         coeffs = np.zeros((grid.size - 1, q + 1))
         coeffs[:, 0] = 1.0 if left_degenerate else 0.0
         return PiecewiseFn(spline.family, q, grid, coeffs)
-    anti = piecewise_antiderivative(spline)
+    anti = antiderivative(spline)
     return anti.scaled(1.0 / anti(grid[-1]))
+
+
+def _next_level(cums: list) -> list:
+    """The differences of consecutive cumulative integrals."""
+    return [PiecewiseFn(a.family, a.degree, a.breakpoints, a.coeffs - b.coeffs)
+            for a, b in zip(cums[:-1], cums[1:])]
 
 
 def full_span_basis(n: int, p: int, family, mode: str = "nonnested") -> list:
@@ -108,10 +119,56 @@ def full_span_basis(n: int, p: int, family, mode: str = "nonnested") -> list:
     rep, _ = _rep_family(family, mode, n)
     level = _full_span_seeds(kv, rep)
     for q in range(2, p + 1):
-        cums = [_full_span_cumulative(s, left_degenerate=(i + q <= p + 1))
-                for i, s in enumerate(level, start=1)]
-        level = [cums[i].minus(cums[i + 1]) for i in range(len(cums) - 1)]
+        level = _next_level([_cumulative(s, left_degenerate=(i + q <= p + 1))
+                             for i, s in enumerate(level, start=1)])
     return level
+
+
+def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
+                  antiderivative=piecewise_antiderivative) -> tuple:
+    """The GB-spline basis spline by spline: ``(splines, normalizers)``.
+
+    The integral recursion runs on ``m = min(n, 2p+2)`` unit intervals with
+    one PiecewiseFn per spline per level, each integrated on its own by
+    ``antiderivative``; the n+p splines are then placed on their supports in
+    [0, 1] as boundary splines and translates of N_{p+1}.  This is the
+    former ``gbspec.collocation.gb_basis``, kept as the bit-identity
+    reference for the level-batched one.
+    """
+    kv = KnotVector.open_uniform(n, p)
+    rep, mu = _rep_family(family, mode, n)
+    m = min(n, 2 * p + 2)
+    unit = rep if mu is None else SectionFamily(rep.tag, mu / n)
+    up, down = _seed_rows(unit)
+    grid = np.arange(m + 1.0)
+    short = []
+    for i in range(1, m + 2 * p):
+        coeffs = np.zeros((m, 2))
+        if p + 1 <= i <= p + m:
+            coeffs[i - p - 1] = up
+        if p + 1 <= i + 1 <= p + m:
+            coeffs[i - p] = down
+        short.append(PiecewiseFn(unit, 1, grid, coeffs))
+    for q in range(2, p + 1):
+        short = _next_level([_cumulative(s, i + q <= p + 1, antiderivative)
+                             for i, s in enumerate(short, start=1)])
+    short_norms = []
+    for s in short:
+        anti = antiderivative(s)
+        end = _basis_matrix(anti.family, anti.degree, anti._eff_phases()[-1:],
+                            np.array([1.0]))
+        short_norms.append(1.0 / _scalar_dot2(end[0], anti.coeffs[-1]))
+    grid = np.arange(n + 1) / n
+    splines, normalizers = [], []
+    for i in range(1, n + p + 1):
+        # 1-based index of the short-vector spline with the same shape
+        k = i if i <= p else p + 1 if i <= n else i - n + m
+        lo, hi = max(0, i - p - 1), min(n, i)
+        k_lo = max(0, k - p - 1)
+        splines.append(PiecewiseFn(rep, p, grid[lo:hi + 1],
+                                   short[k - 1].coeffs[k_lo:k_lo + hi - lo]))
+        normalizers.append(n * short_norms[k - 1])
+    return tuple(splines), np.array(normalizers)
 
 
 def _loop_primitive(family, p: int, eps: float, c: np.ndarray) -> np.ndarray:

@@ -1,6 +1,5 @@
 import json
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -196,31 +195,20 @@ def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
 
 
-def test_thread_cap_env_var(capsys, config_1d, monkeypatch):
-    args = ("distribution", "--config", config_1d, "--n", "8,16")
-    monkeypatch.setenv("GBSPEC_THREADS", "1")
-    code, serial = run(capsys, *args)
-    assert code == 0
-    monkeypatch.setenv("GBSPEC_THREADS", "4")
-    _, parallel = run(capsys, *args)
-    assert serial == parallel
-
-    monkeypatch.setenv("GBSPEC_THREADS", "zebra")
-    code, _ = run(capsys, *args)
-    assert code == 1
-
-
-def test_n_values_are_solved_in_the_calling_thread_by_default(monkeypatch):
-    # one thread keeps a single N x N solve alive at a time, so the peak
-    # memory of a multi-n run does not depend on how threads interleave
-    monkeypatch.delenv("GBSPEC_THREADS", raising=False)
-    assert cli.worker_count() == 1
-    caller = threading.get_ident()
-    assert cli._solve_each(lambda n: (n, threading.get_ident()), [8, 16, 24]) == [
-        (8, caller), (16, caller), (24, caller)]
-    monkeypatch.setenv("GBSPEC_THREADS", "2")
-    assert [n for n, _ in cli._solve_each(lambda n: (n, threading.get_ident()),
-                                          [8, 16, 24])] == [8, 16, 24]
+@pytest.mark.parametrize("family,alpha,p,n", [("hyperbolic", 1.0, 7, 256),
+                                              ("trigonometric", 2.0, 8, 64)])
+def test_zero_spline_integral_is_a_numerical_failure(capsys, tmp_path, family,
+                                                     alpha, p, n):
+    # at these small effective phases the integral recursion cancels to a
+    # spline of zero integral, which cannot be normalized
+    path = tmp_path / "small_phase.json"
+    path.write_text(json.dumps({**PROBLEM_1D, "family": family, "alpha": alpha,
+                                "mode": "nested", "p": p}))
+    code = main(["distribution", "--config", str(path), "--n", str(n)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure: GB-spline recursion breaks down")
+    assert "Traceback" not in err
 
 
 def _value_by_value_csv(header, rows) -> str:

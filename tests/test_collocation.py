@@ -9,11 +9,12 @@ from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
                                 ProblemCoefficients, assemble, central_range,
                                 gb_basis, greville_abscissae,
                                 greville_samples, structure_report)
-from gbspec.errors import ConstraintError, UsageError, ValidationError
+from gbspec.errors import (ConstraintError, NumericalError, UsageError,
+                           ValidationError)
 from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
 from oracles import (dense_assemble_1d, full_span_basis, loop_antiderivative,
-                     loop_greville_samples, mp_greville_samples)
+                     loop_gb_basis, loop_greville_samples, mp_greville_samples)
 
 MODES = ("nested", "nonnested")
 Q_CASES = [(hyperbolic(10.0), "nonnested"), (hyperbolic(10.0), "nested"),
@@ -138,6 +139,25 @@ def _full_span_samples(n: int, p: int, family: SectionFamily, mode: str):
     return mats, residual
 
 
+def _assert_same_as_loop_basis(n: int, p: int, family: SectionFamily, mode: str,
+                               antiderivative=sections.piecewise_antiderivative):
+    """gb_basis equals the spline-by-spline oracle bit for bit, or both fail."""
+    try:
+        splines, normalizers = loop_gb_basis(n, p, family, mode, antiderivative)
+    except ZeroDivisionError:
+        with pytest.raises(NumericalError):
+            gb_basis(n, p, family, mode)
+        return
+    basis = gb_basis(n, p, family, mode)
+    got = basis.splines
+    assert [s.support for s in got] == [s.support for s in splines], n
+    assert {s.family for s in got} == {s.family for s in splines}, n
+    got, want = (np.concatenate([s.coeffs for s in fns]) for fns in (got, splines))
+    assert np.array_equal(got, want), n
+    assert np.array_equal(np.signbit(got), np.signbit(want)), n
+    assert np.array_equal(basis.normalizers, normalizers), n
+
+
 def _rel_err(mats, refs) -> float:
     """Largest max-norm relative error over the value/first/second matrices."""
     return max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(mats, refs))
@@ -178,23 +198,53 @@ class TestBandedBasis:
         interior = basis.splines[4:40]
         assert all(np.array_equal(s.coeffs, interior[0].coeffs) for s in interior)
 
+    @pytest.mark.parametrize("p", range(2, 11))
+    @pytest.mark.parametrize("case", BANDED_CASES,
+                             ids=lambda c: f"{c[0].tag}{c[0].phase or ''}-{c[1]}")
+    def test_bit_identical_to_loop_basis(self, case, p):
+        # knot vectors shorter than 2p+2 and degrees up to 10; the sizes of
+        # test_matches_full_span are covered, with loop_antiderivative, by
+        # test_same_as_with_loop_antiderivative
+        family, mode = case
+        smallest = _banded_size("smallest", p, family, mode)
+        sizes = ("smallest", p + 1, 2 * p + 1) if p <= 6 else (p + 1, "n0")
+        for size in sizes:
+            n = _banded_size(size, p, family, mode)
+            if n >= smallest:
+                _assert_same_as_loop_basis(n, p, family, mode)
+
     @pytest.mark.parametrize("p", range(2, 7))
     @pytest.mark.parametrize("case", BANDED_CASES,
                              ids=lambda c: f"{c[0].tag}{c[0].phase or ''}-{c[1]}")
-    def test_same_as_with_loop_antiderivative(self, case, p, monkeypatch):
+    def test_same_as_with_loop_antiderivative(self, case, p):
         family, mode = case
-        sizes = [_banded_size(size, p, family, mode) for size in BANDED_SIZES]
-        built = {n: gb_basis(n, p, family, mode) for n in sizes}
-        monkeypatch.setattr(sections, "piecewise_antiderivative", loop_antiderivative)
-        monkeypatch.setattr(collocation, "piecewise_antiderivative",
-                            loop_antiderivative)
-        for n, basis in built.items():
-            ref = gb_basis(n, p, family, mode)
-            got = np.concatenate([s.coeffs for s in basis.splines])
-            want = np.concatenate([s.coeffs for s in ref.splines])
-            assert np.array_equal(got, want), n
-            assert np.array_equal(np.signbit(got), np.signbit(want)), n
-            assert np.array_equal(basis.normalizers, ref.normalizers), n
+        for size in BANDED_SIZES:
+            n = _banded_size(size, p, family, mode)
+            _assert_same_as_loop_basis(n, p, family, mode, loop_antiderivative)
+
+    def test_work_does_not_grow_with_n(self, monkeypatch):
+        made = []
+        init = sections.PiecewiseFn.__post_init__
+
+        def counted(self):
+            made.append(self)
+            init(self)
+
+        monkeypatch.setattr(sections.PiecewiseFn, "__post_init__", counted)
+        counts = {}
+        for n in (64, 4096):
+            made.clear()
+            basis = gb_basis(n, 3, hyperbolic(10.0), "nonnested")
+            counts[n] = len(made)
+            if n == 64:
+                made.clear()
+                greville_samples(basis)
+                assert made == []
+        assert counts[64] == counts[4096]
+
+    def test_zero_integral_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="integrates to 0.0"):
+            gb_basis(256, 7, hyperbolic(1.0), "nested")
 
     @pytest.mark.xfail(strict=True, reason="small effective phases lose "
                        "partition of unity in the {cosh, sinh} recursion")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gbspec import cardinal
+from gbspec import cardinal, symbols
 from gbspec.errors import UsageError
 from gbspec.sections import hyperbolic, polynomial, trigonometric
 from gbspec.symbols import (bounds_report, decay_ratio, lower_bound_residual,
@@ -194,6 +194,20 @@ class TestBoundsReport:
     def test_grid_minimum(self):
         with pytest.raises(UsageError):
             bounds_report(3, polynomial(), 32)
+
+    def test_each_symbol_is_evaluated_once_on_the_grid(self, monkeypatch):
+        grid_calls = []
+        call = symbols.SymbolFn.__call__
+
+        def counted(self, theta):
+            if np.ndim(theta):
+                grid_calls.append(self.kind)
+            return call(self, theta)
+
+        monkeypatch.setattr(symbols.SymbolFn, "__call__", counted)
+        rep = bounds_report(6, hyperbolic(10.0), 512)
+        assert sorted(grid_calls) == ["f", "h"]
+        assert rep.symbol_max == symbol_max(symbol_fn("f", 6, hyperbolic(10.0)), 512)
 
     @pytest.mark.parametrize("alpha", [1.0, 10.0])
     @pytest.mark.parametrize("p", [3, 5, 7])

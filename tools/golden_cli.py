@@ -6,9 +6,11 @@ SRC_A and SRC_B are checkouts of this repository (each holding
 ``src/gbspec``).  Every command below runs once against each tree, in a
 fresh interpreter with ``PYTHONPATH=<tree>/src``; the configurations come
 from this checkout's ``gbbench/configs``, so both trees read the same files.
-One more 1D configuration, with diffusion, advection and reaction terms
-and a curved geometry, is written to a temporary directory, since two-term
-sums cannot show a change in the order the terms are added.  One line per
+Three more 1D configurations are written to a temporary directory: one
+with diffusion, advection and reaction terms and a curved geometry, since
+two-term sums cannot show a change in the order the terms are added, and
+two at degrees 6 and 7, whose short knot vectors (n < 2p+2) and boundary
+splines the benchmark configurations do not reach.  One line per
 command reports ``same`` or which of stdout, stderr and exit code differ.
 The exit code is 1 if any command differs, else 0.
 
@@ -35,10 +37,22 @@ def _cfg(name: str) -> str:
 _CURVED = _cfg("1d_hyperbolic_geometry.json")
 _ADVECTION = _cfg("1d_polynomial_advection.json")
 _ALL_TERMS = "1d_all_terms.json"
-ALL_TERMS_CONFIG = {
-    "d": 1, "kappa": "1+x^2", "beta": "sin(6*x)-1/2", "gamma": "1+x",
-    "family": "hyperbolic", "alpha": 3.0, "mode": "nested", "p": 4,
-    "geometry": {"G": "(2*x+x^3)/3"},
+_TRIG_P7 = "1d_trigonometric_p7.json"
+_HYP_P6 = "1d_hyperbolic_p6.json"
+TEMP_CONFIGS = {
+    _ALL_TERMS: {
+        "d": 1, "kappa": "1+x^2", "beta": "sin(6*x)-1/2", "gamma": "1+x",
+        "family": "hyperbolic", "alpha": 3.0, "mode": "nested", "p": 4,
+        "geometry": {"G": "(2*x+x^3)/3"},
+    },
+    _TRIG_P7: {
+        "d": 1, "kappa": "1+x", "beta": "1", "gamma": "0",
+        "family": "trigonometric", "alpha": 2.0, "mode": "nested", "p": 7,
+    },
+    _HYP_P6: {
+        "d": 1, "kappa": "1", "beta": "0", "gamma": "1",
+        "family": "hyperbolic", "alpha": 3.0, "mode": "nonnested", "p": 6,
+    },
 }
 
 COMMANDS: list[list[str]] = [
@@ -84,6 +98,11 @@ COMMANDS: list[list[str]] = [
      "--alpha", "3", "--m", "9"],
     ["symbol", "--kind", "f", "--p", "7", "--family", "trigonometric",
      "--alpha", "2", "--grid", "200"],
+    # degree 6 and 7 bases, with n below and above 2p+2
+    ["eig", "--config", _TRIG_P7, "--n", "9"],
+    ["eig", "--config", _TRIG_P7, "--n", "40"],
+    ["assemble", "--config", _HYP_P6, "--n", "11"],
+    ["eig", "--config", _HYP_P6, "--n", "64"],
 ]
 
 _RUN = "import sys; from gbspec.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -108,7 +127,8 @@ def main(argv: list[str]) -> int:
             return 2
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, _ALL_TERMS).write_text(json.dumps(ALL_TERMS_CONFIG))
+        for name, cfg in TEMP_CONFIGS.items():
+            Path(tmp, name).write_text(json.dumps(cfg))
         results = [[run(tree, cmd, tmp) for tree in trees] for cmd in COMMANDS]
     for cmd, (a, b) in zip(COMMANDS, results):
         diffs = [name for name, x, y in zip(("stdout", "stderr", "exit"), a, b)
