@@ -7,7 +7,8 @@ the associated spectral symbols, and provides the machinery to verify
 eigenvalue-distribution, clustering, bound and decay statements numerically.
 """
 
-from .cardinal import CardinalSpline, cardinal_derivative, cardinal_spline, fourier_phi
+from .cardinal import (CardinalSpline, cardinal_derivative, cardinal_spline,
+                       cardinal_splines, fourier_phi)
 from .collocation import (CollocationSystem, GBBasis, GeometryMap1D,
                           KnotVector, ProblemCoefficients, StructureReport,
                           assemble, central_range, gb_basis,
@@ -23,8 +24,8 @@ from .spectral import (DistributionReport, ToeplitzSpec, eigenvalues_dense,
                        product_symbol_sampler, toeplitz, toeplitz_tensor,
                        weyl_report)
 from .symbols import (BoundReport, SymbolFn, bounds_report, decay_ratio,
-                      lower_bound_residual, symbol_closed_form, symbol_fn,
-                      symbol_max, symbol_series)
+                      decay_ratios, lower_bound_residual, symbol_closed_form,
+                      symbol_fn, symbol_fns, symbol_max, symbol_series)
 
 __version__ = "0.1.0"
 
@@ -36,12 +37,13 @@ __all__ = [
     "ProblemMD", "SectionFamily", "StructureReport", "SymbolFn",
     "ToeplitzSpec", "UsageError", "ValidationError", "assemble",
     "assemble_md", "bounds_report", "cardinal_derivative",
-    "cardinal_spline", "central_range", "decay_ratio",
+    "cardinal_spline", "cardinal_splines", "central_range", "decay_ratio",
+    "decay_ratios",
     "eigenvalues_dense", "fourier_phi", "gb_basis", "greville_abscissae",
     "hyperbolic", "lower_bound_residual", "md_symbol_samples",
     "piecewise_antiderivative", "piecewise_derivative", "piecewise_eval",
     "polynomial",
     "product_symbol_sampler", "structure_report", "symbol_closed_form",
-    "symbol_fn", "symbol_max", "symbol_series", "toeplitz",
+    "symbol_fn", "symbol_fns", "symbol_max", "symbol_series", "toeplitz",
     "toeplitz_tensor", "trigonometric", "weyl_report",
 ]

@@ -8,6 +8,9 @@ degree is obtained by exact antidifferentiation,
 
 so all stated properties (compact support on (0, p+1), positivity, partition
 of unity, C^{p-1} smoothness, symmetry about (p+1)/2) hold to rounding error.
+Level q of the recursion is the degree-q spline, so one recursion up to p
+serves every degree up to p: :func:`cardinal_splines` builds several
+degrees of one family from a single run.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .sections import (HYPERBOLIC, POLYNOMIAL, TRIGONOMETRIC, PiecewiseFn,
                        SectionFamily, piecewise_antiderivative)
 
@@ -37,8 +40,12 @@ def _seed_rows(family: SectionFamily) -> np.ndarray:
         return np.array([[0.0, 1.0], [1.0, -1.0]])
     a = family.phase
     if family.tag == HYPERBOLIC:
-        return np.array([[0.0, 1.0 / math.sinh(a)],
-                         [1.0, -math.cosh(a) / math.sinh(a)]])
+        try:
+            sinh, cosh = math.sinh(a), math.cosh(a)
+        except OverflowError:
+            raise NumericalError(
+                f"hyperbolic seed overflows at effective phase {a:g}") from None
+        return np.array([[0.0, 1.0 / sinh], [1.0, -cosh / sinh]])
     return np.array([[0.0, 1.0 / math.sin(a)],
                      [1.0, -math.cos(a) / math.sin(a)]])
 
@@ -71,45 +78,69 @@ def effective_family(family: SectionFamily) -> SectionFamily:
     return family
 
 
-def _build(rep: SectionFamily, p: int) -> tuple[PiecewiseFn, float]:
+def _reciprocals(integrals: np.ndarray, degree: int,
+                 rep: SectionFamily) -> np.ndarray:
+    """``1 / integrals``, refused unless every integral is finite and nonzero."""
+    bad = ~np.isfinite(integrals) | (integrals == 0)
+    if np.any(bad):
+        raise NumericalError(
+            f"GB-spline recursion breaks down at degree {degree}, effective "
+            f"phase {rep.effective(1.0):g}: a spline integrates to "
+            f"{float(integrals[bad][0])!r}")
+    return 1.0 / integrals
+
+
+def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
+    """Levels ``degrees`` of one recursion up to the largest, each with delta1."""
     coeffs = _seed_rows(rep)
     pw = PiecewiseFn(rep, 1, np.array([0.0, 1.0, 2.0]), coeffs)
-    total = pw.integral()
-    delta1 = 1.0 / total
-    pw = pw.scaled(delta1)
+    delta1 = _reciprocals(np.array([pw.integral()]), 1, rep).item()
+    levels = [pw.scaled(delta1)]
 
-    for q in range(2, p + 1):
-        anti = piecewise_antiderivative(pw)  # degree q on {0..q}
+    for q in range(2, max(degrees) + 1):
+        anti = piecewise_antiderivative(levels[-1])  # degree q on {0..q}
         one = np.zeros(q + 1)
         one[0] = 1.0  # constant slot exists for q >= 2
         rows = np.vstack([anti.coeffs, one])
         shifted = np.vstack([np.zeros(q + 1), rows[:-1]])
-        pw = PiecewiseFn(rep, q, np.arange(0.0, q + 2), rows - shifted)
-    return pw, delta1
+        levels.append(PiecewiseFn(rep, q, np.arange(0.0, q + 2), rows - shifted))
+    return [(levels[q - 1], delta1) for q in degrees]
 
 
-def cardinal_spline(family: SectionFamily, p: int) -> CardinalSpline:
-    """Build the degree-``p`` cardinal spline of the given family.
+def cardinal_splines(family: SectionFamily, degrees) -> list[CardinalSpline]:
+    """The cardinal splines of the given family and degrees, in order.
 
-    Small phases fall back to the polynomial limit: antidifferentiation
-    divides the (u, v) coefficients by the effective phase, so at phase
-    ``a`` the representation's rounding error grows like ``a**(1-p)`` while
-    the polynomial limit differs from the true spline only by O(a**2).  The
-    construction measures its own coefficient scale and keeps whichever
-    branch has the smaller error estimate.
+    One recursion up to the largest degree serves them all.  Small phases
+    fall back to the polynomial limit: antidifferentiation divides the
+    (u, v) coefficients by the effective phase, so at phase ``a`` the
+    representation's rounding error grows like ``a**(1-p)`` while the
+    polynomial limit differs from the true spline only by O(a**2).  Each
+    degree measures its own coefficient scale and keeps whichever branch
+    has the smaller error estimate.
     """
-    if p < 1:
+    if any(p < 1 for p in degrees):
         raise UsageError("cardinal splines require degree p >= 1")
+    if not degrees:
+        return []
     rep = effective_family(family)
     if rep.tag == TRIGONOMETRIC:
         rep.check_interval(1.0)
-    pw, delta1 = _build(rep, p)
+    levels = _build(rep, degrees)
     if not rep.is_polynomial:
-        rounding_estimate = float(np.max(np.abs(pw.coeffs))) * 1e-16
         polynomial_model_error = 0.1 * rep.phase**2
-        if rounding_estimate > max(polynomial_model_error, 1e-12):
-            pw, delta1 = _build(SectionFamily(POLYNOMIAL), p)
-    return CardinalSpline(p, family, pw, delta1)
+        fallback = [p for p, (pw, _) in zip(degrees, levels)
+                    if float(np.max(np.abs(pw.coeffs))) * 1e-16
+                    > max(polynomial_model_error, 1e-12)]
+        if fallback:
+            rebuilt = dict(zip(fallback, _build(SectionFamily(POLYNOMIAL), fallback)))
+            levels = [rebuilt.get(p, level) for p, level in zip(degrees, levels)]
+    return [CardinalSpline(p, family, pw, delta1)
+            for p, (pw, delta1) in zip(degrees, levels)]
+
+
+def cardinal_spline(family: SectionFamily, p: int) -> CardinalSpline:
+    """Build the degree-``p`` cardinal spline of the given family."""
+    return cardinal_splines(family, [p])[0]
 
 
 def cardinal_derivative(cs: CardinalSpline, r: int) -> PiecewiseFn:
@@ -118,20 +149,21 @@ def cardinal_derivative(cs: CardinalSpline, r: int) -> PiecewiseFn:
     Valid for ``1 <= r <= p-1``; agrees with ``piecewise_derivative`` applied
     r times.
     """
-    return _derivative_of_degree(cs.family, cs.degree, r)
+    if not 1 <= r <= cs.degree - 1:
+        raise UsageError(f"derivative order {r} outside 1..{cs.degree - 1}")
+    return _derivative_from(cardinal_spline(cs.family, cs.degree - r), r)
 
 
-def _derivative_of_degree(family: SectionFamily, p: int, r: int) -> PiecewiseFn:
-    """:func:`cardinal_derivative` of the degree-``p`` spline, which it never builds."""
-    if not 1 <= r <= p - 1:
-        raise UsageError(f"derivative order {r} outside 1..{p - 1}")
-    base = cardinal_spline(family, p - r).pw
-    q = p - r
+def _derivative_from(base: CardinalSpline, r: int) -> PiecewiseFn:
+    """:func:`cardinal_derivative` of order ``r`` of the degree ``base.degree + r``
+    spline, from the lower-degree ``base`` alone."""
+    q = base.degree
+    p = q + r
     out = np.zeros((p + 1, q + 1))
     for j in range(r + 1):
         w = (-1) ** j * math.comb(r, j)
-        out[j:j + q + 1] += w * base.coeffs
-    return PiecewiseFn(base.family, q, np.arange(0.0, p + 2), out)
+        out[j:j + q + 1] += w * base.pw.coeffs
+    return PiecewiseFn(base.pw.family, q, np.arange(0.0, p + 2), out)
 
 
 def _phi0_hat(theta: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
 from .sections import SectionFamily, polynomial
 from .spectral import (ToeplitzSpec, eigenvalues_dense,
                        product_symbol_sampler, toeplitz, weyl_report)
-from .symbols import bounds_report, decay_ratio, symbol_fn
+from .symbols import bounds_report, decay_ratios, symbol_fn
 
 _FAMILY_NAMES = ("polynomial", "hyperbolic", "trigonometric")
 _CSV_BLOCK = 4096  # values per format operation
@@ -226,88 +226,6 @@ def _float_list(text: str) -> list[float]:
         raise GbspecError(f"expected a comma-separated float list, got {text!r}")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 with usage, not argparse's default 2
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(1)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="gbspec",
-                  description="GB-spline collocation matrices and spectral symbols")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add_family(p):
-        p.add_argument("--family", required=True, choices=_FAMILY_NAMES)
-        p.add_argument("--alpha", type=float, default=None,
-                       help="phase parameter (hyperbolic/trigonometric)")
-
-    p = sub.add_parser("cardinal", help="cardinal spline values as CSV")
-    add_family(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("symbol", help="symbol values on a theta grid as CSV")
-    p.add_argument("--kind", required=True, choices=("h", "g", "f"))
-    p.add_argument("--p", type=int, required=True)
-    add_family(p)
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("bounds", help="bound-violation report as JSON")
-    p.add_argument("--p", type=int, required=True)
-    add_family(p)
-    p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("decay", help="decay ratios f_p(pi)/max f_p over a degree range")
-    add_family(p)
-    p.add_argument("--pmin", type=int, default=2)
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("assemble", help="collocation matrix to CSV or npy")
-    p.add_argument("--config", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--part", default="full",
-                   choices=("full", "stiffness", "advection", "mass"))
-    p.add_argument("--normalized", action="store_true",
-                   help="divide the full matrix by n^2")
-    p.add_argument("--format", default="csv", choices=("csv", "npy"))
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("eig", help="eigenvalues of the scaled collocation matrix")
-    p.add_argument("--config", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--raw", action="store_true",
-                   help="skip the 1/n^2 normalization")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("toeplitz", help="Toeplitz matrix of a symbol (or its spectrum)")
-    p.add_argument("--symbol", required=True, choices=("h", "g", "f"))
-    p.add_argument("--p", type=int, required=True)
-    add_family(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--eig", action="store_true")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("distribution", help="1D Weyl distribution report as JSON")
-    p.add_argument("--config", required=True)
-    p.add_argument("--n", required=True, help="comma-separated list of n values")
-    p.add_argument("--eps", default="", help="comma-separated outlier epsilons")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("distribution-md",
-                       help="multidimensional Weyl distribution report as JSON")
-    p.add_argument("--config", required=True)
-    p.add_argument("--n", required=True, help="comma-separated list of n values")
-    p.add_argument("--eps", default="")
-    p.add_argument("--out", default=None)
-    return top
-
-
 def _cmd_cardinal(args) -> None:
     fam = make_family(args.family, args.alpha)
     cs = cardinal_spline(fam, args.p)
@@ -329,8 +247,8 @@ def _cmd_bounds(args) -> None:
 
 def _cmd_decay(args) -> None:
     fam = make_family(args.family, args.alpha)
-    rows = [(p, decay_ratio(p, fam)) for p in range(args.pmin, args.pmax + 1)]
-    _write(args.out, _csv(["p", "ratio"], rows))
+    degrees = range(args.pmin, args.pmax + 1)
+    _write(args.out, _csv(["p", "ratio"], zip(degrees, decay_ratios(degrees, fam))))
 
 
 def _build_system(args):
@@ -390,27 +308,98 @@ def _cmd_distribution_md(args) -> None:
     _write(args.out, _json(report))
 
 
-_HANDLERS = {
-    "cardinal": _cmd_cardinal,
-    "symbol": _cmd_symbol,
-    "bounds": _cmd_bounds,
-    "decay": _cmd_decay,
-    "assemble": _cmd_assemble,
-    "eig": _cmd_eig,
-    "toeplitz": _cmd_toeplitz,
-    "distribution": _cmd_distribution,
-    "distribution-md": _cmd_distribution_md,
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+_OUT = _arg("--out", default=None)
+_CONFIG = _arg("--config", required=True)
+_N = _arg("--n", type=int, required=True)
+_N_LIST = _arg("--n", required=True, help="comma-separated list of n values")
+_P = _arg("--p", type=int, required=True)
+_FAMILY = (_arg("--family", required=True, choices=_FAMILY_NAMES),
+           _arg("--alpha", type=float, default=None,
+                help="phase parameter (hyperbolic/trigonometric)"))
+
+# name: (help, arguments in order, handler)
+_COMMANDS = {
+    "cardinal": ("cardinal spline values as CSV",
+                 (*_FAMILY, _P, _arg("--grid", type=int, default=512), _OUT),
+                 _cmd_cardinal),
+    "symbol": ("symbol values on a theta grid as CSV",
+               (_arg("--kind", required=True, choices=("h", "g", "f")), _P,
+                *_FAMILY, _arg("--grid", type=int, default=512), _OUT),
+               _cmd_symbol),
+    "bounds": ("bound-violation report as JSON",
+               (_P, *_FAMILY, _arg("--grid", type=int, default=4096), _OUT),
+               _cmd_bounds),
+    "decay": ("decay ratios f_p(pi)/max f_p over a degree range",
+              (*_FAMILY, _arg("--pmin", type=int, default=2),
+               _arg("--pmax", type=int, required=True), _OUT),
+              _cmd_decay),
+    "assemble": ("collocation matrix to CSV or npy",
+                 (_CONFIG, _N,
+                  _arg("--part", default="full",
+                       choices=("full", "stiffness", "advection", "mass")),
+                  _arg("--normalized", action="store_true",
+                       help="divide the full matrix by n^2"),
+                  _arg("--format", default="csv", choices=("csv", "npy")), _OUT),
+                 _cmd_assemble),
+    "eig": ("eigenvalues of the scaled collocation matrix",
+            (_CONFIG, _N,
+             _arg("--raw", action="store_true", help="skip the 1/n^2 normalization"),
+             _OUT),
+            _cmd_eig),
+    "toeplitz": ("Toeplitz matrix of a symbol (or its spectrum)",
+                 (_arg("--symbol", required=True, choices=("h", "g", "f")), _P,
+                  *_FAMILY, _arg("--m", type=int, required=True),
+                  _arg("--eig", action="store_true"), _OUT),
+                 _cmd_toeplitz),
+    "distribution": ("1D Weyl distribution report as JSON",
+                     (_CONFIG, _N_LIST,
+                      _arg("--eps", default="", help="comma-separated outlier epsilons"),
+                      _OUT),
+                     _cmd_distribution),
+    "distribution-md": ("multidimensional Weyl distribution report as JSON",
+                        (_CONFIG, _N_LIST, _arg("--eps", default=""), _OUT),
+                        _cmd_distribution_md),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 with usage, not argparse's default 2
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"error: {message}\n")
+        raise SystemExit(1)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or only ``command``'s."""
+    top = _Parser(prog="gbspec",
+                  description="GB-spline collocation matrices and spectral symbols")
+    # the usage line lists every subcommand either way; the default metavar
+    # is kept where it can be, since errors name the argument by its metavar
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=handler)
+    return top
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names its command needs that subparser only
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _HANDLERS[args.command](args)
+        args.handler(args)
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2

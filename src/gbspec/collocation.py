@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exprparse
-from .cardinal import _seed_rows
+from .cardinal import _reciprocals, _seed_rows
 from .errors import ConstraintError, NumericalError, UsageError, ValidationError
 from .sections import (PiecewiseFn, SectionFamily, _antiderivative_stack,
                        _basis_matrix, _dot2, _local_derivative, polynomial)
@@ -196,18 +196,6 @@ def _seed_level(m: int, p: int, rep: SectionFamily) -> np.ndarray:
     seeds[pieces + p, pieces] = up
     seeds[pieces + p - 1, pieces] = down
     return seeds
-
-
-def _reciprocals(integrals: np.ndarray, degree: int,
-                 rep: SectionFamily) -> np.ndarray:
-    """``1 / integrals``, refused unless every integral is finite and nonzero."""
-    bad = ~np.isfinite(integrals) | (integrals == 0)
-    if np.any(bad):
-        raise NumericalError(
-            f"GB-spline recursion breaks down at degree {degree}, effective "
-            f"phase {rep.effective(1.0):g}: a spline integrates to "
-            f"{float(integrals[bad][0])!r}")
-    return 1.0 / integrals
 
 
 def _cumulative(level: np.ndarray, left_degenerate: np.ndarray,

@@ -28,7 +28,7 @@ from .collocation import (NESTED, NONNESTED, _assemble_terms, gb_basis,
 from .errors import UsageError, ValidationError
 from .sections import SectionFamily
 from .spectral import DEFAULT_ORDER_CAP, _order_statistics
-from .symbols import symbol_fn
+from .symbols import symbol_fns
 
 _GRID_PER_DIM = {2: 33, 3: 9}
 _MD_OVERSAMPLE = 32
@@ -237,9 +237,9 @@ class DirectionSymbols:
             raise UsageError(f"unknown phase mode {mode!r}")
         self.degrees = tuple(degrees)
         fams = [limit_family(f, mode) for f in families]
-        self.h = [symbol_fn("h", p, f) for p, f in zip(self.degrees, fams)]
-        self.g = [symbol_fn("g", p, f) for p, f in zip(self.degrees, fams)]
-        self.f = [symbol_fn("f", p, f) for p, f in zip(self.degrees, fams)]
+        per_direction = [symbol_fns([("h", p), ("g", p), ("f", p)], f)
+                         for p, f in zip(self.degrees, fams)]
+        self.h, self.g, self.f = (list(s) for s in zip(*per_direction))
 
     @property
     def d(self) -> int:

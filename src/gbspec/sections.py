@@ -182,16 +182,25 @@ def _two_prod(a, b):
 def _sum2(prods, errs):
     """Compensated sum of TwoProduct pairs, in order (the tail of Dot2).
 
-    The pairs are floats, or equal-length arrays summed element by element.
+    The pairs are floats, or equal-length arrays summed element by element
+    in whole-array steps: the running sums and the correction sum are each
+    one sequential ``np.add.accumulate``, with the float loop's operations.
     """
-    s = 0.0
-    c = 0.0
-    for p, e in zip(prods, errs):
-        t = s + p
-        z = t - s
-        c += e + ((s - (t - z)) + (p - z))
-        s = t
-    return s + c
+    if isinstance(prods[0], float):
+        s = 0.0
+        c = 0.0
+        for p, e in zip(prods, errs):
+            t = s + p
+            z = t - s
+            c += e + ((s - (t - z)) + (p - z))
+            s = t
+        return s + c
+    zero = np.zeros_like(prods[:1])  # both sums start from +0.0, as in the loop
+    sums = np.add.accumulate(np.concatenate([zero, prods]))
+    s, t = sums[:-1], sums[1:]
+    z = t - s
+    terms = errs + ((s - (t - z)) + (prods - z))
+    return t[-1] + np.add.accumulate(np.concatenate([zero, terms]))[-1]
 
 
 def _dot2(a, b):
@@ -313,19 +322,20 @@ def _antiderivative_stack(family: SectionFamily, p: int, eps: np.ndarray,
     # chain is known up front, so only slot 0 and the sums run per piece,
     # on one column of S values per slot (plain floats when S = 1).
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
-        prods, errs = _two_prod(ends[:, 1:], out[..., 1:])
+        prods, errs = _two_prod(ends, out)  # slot 0 is redone in the chain
         if coeffs.shape[0] == 1:
             heads, prods, errs = (a[0].tolist() for a in (out[..., 0], prods, errs))
         else:
             heads = out[..., 0].T
-            prods, errs = np.moveaxis(prods, 0, -1), np.moveaxis(errs, 0, -1)
+            prods, errs = (np.ascontiguousarray(np.moveaxis(a, 0, -1))
+                           for a in (prods, errs))
         chained = []
         acc = 0.0
         for head, end, prod, err in zip(heads, ends[:, 0].tolist(), prods, errs):
             head = head + acc
             chained.append(head)
-            head_prod, head_err = _two_prod(end, head)
-            acc = _sum2([head_prod, *prod], [head_err, *err])
+            prod[0], err[0] = _two_prod(end, head)
+            acc = _sum2(prod, err)
     out[..., 0] = np.transpose(chained)
     return out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cardinal import _derivative_of_degree, _phi1_hat, cardinal_spline
+from .cardinal import _derivative_from, _phi1_hat, cardinal_splines
 from .errors import UsageError
 from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily,
                        piecewise_derivative)
@@ -79,23 +79,35 @@ class SymbolFn:
 
 def symbol_fn(kind: str, p: int, family: SectionFamily) -> SymbolFn:
     """Build a symbol from exact cardinal-spline (derivative) samples."""
-    if kind not in KINDS:
-        raise UsageError(f"unknown symbol kind {kind!r}")
-    if p < _MIN_DEGREE[kind]:
-        raise UsageError(f"kind {kind!r} requires degree >= {_MIN_DEGREE[kind]}")
-    r = {"h": 0, "g": 1, "f": 2}[kind]
-    if r == 0 or r > p - 1:
-        # second derivative of the degree-2 spline is not covered by the
-        # derivative recurrence; differentiate the representation directly
-        pw = cardinal_spline(family, p).pw
-        for _ in range(r):
-            pw = piecewise_derivative(pw)
-    else:
-        # the derivative recurrence samples a lower-degree spline, which keeps
-        # the coefficients O(1) at large phases; only that spline is built
-        pw = _derivative_of_degree(family, p, r)
-    pts = (p + 1) / 2 - np.arange(0, p // 2 + 1)
-    return SymbolFn(kind, p, family, np.asarray(pw(pts), dtype=float))
+    return symbol_fns([(kind, p)], family)[0]
+
+
+def symbol_fns(requests, family: SectionFamily) -> list[SymbolFn]:
+    """:func:`symbol_fn` of each ``(kind, p)`` in ``requests``, in order.
+
+    The splines they sample come from one cardinal recursion.
+    """
+    for kind, p in requests:
+        if kind not in KINDS:
+            raise UsageError(f"unknown symbol kind {kind!r}")
+        if p < _MIN_DEGREE[kind]:
+            raise UsageError(f"kind {kind!r} requires degree >= {_MIN_DEGREE[kind]}")
+    orders = [KINDS.index(kind) for kind, _ in requests]  # derivative orders
+    # the derivative recurrence samples a lower-degree spline, which keeps
+    # the coefficients O(1) at large phases; it does not cover the second
+    # derivative of the degree-2 spline, which is taken from that spline
+    degrees = [p if r >= p else p - r for (_, p), r in zip(requests, orders)]
+    out = []
+    for (kind, p), r, cs in zip(requests, orders, cardinal_splines(family, degrees)):
+        if cs.degree == p:
+            pw = cs.pw
+            for _ in range(r):
+                pw = piecewise_derivative(pw)
+        else:
+            pw = _derivative_from(cs, r)
+        pts = (p + 1) / 2 - np.arange(0, p // 2 + 1)
+        out.append(SymbolFn(kind, p, family, np.asarray(pw(pts), dtype=float)))
+    return out
 
 
 def symbol_series(kind: str, p: int, family: SectionFamily, theta: float,
@@ -233,8 +245,13 @@ def _refined_max(s: SymbolFn, thetas: np.ndarray, vals: np.ndarray) -> float:
 
 def decay_ratio(p: int, family: SectionFamily) -> float:
     """Ratio of the diffusion symbol at pi to its maximum."""
-    f = symbol_fn("f", p, family)
-    return float(f(math.pi)) / symbol_max(f)
+    return decay_ratios([p], family)[0]
+
+
+def decay_ratios(degrees, family: SectionFamily) -> list[float]:
+    """:func:`decay_ratio` of each degree, from one cardinal recursion."""
+    fs = symbol_fns([("f", p) for p in degrees], family)
+    return [float(f(math.pi)) / symbol_max(f) for f in fs]
 
 
 @dataclass(frozen=True)
@@ -306,8 +323,8 @@ def bounds_report(p: int, family: SectionFamily,
     if grid_size < 64:
         raise UsageError("grid_size must be >= 64")
     theta = np.linspace(-math.pi, math.pi, grid_size)
-    h = symbol_fn("h", p, family) if p >= 1 else None
-    f = symbol_fn("f", p, family) if p >= 2 else None
+    h, f = symbol_fns([("h", p), ("f", p)], family) if p >= 2 else \
+        (symbol_fn("h", p, family), None)
     hv = h(theta)
     fv = f(theta) if f is not None else None
     upper = 0

@@ -5,8 +5,8 @@ import pytest
 
 from gbspec import cardinal, sections
 from gbspec.cardinal import (cardinal_derivative, cardinal_spline,
-                             fourier_phi)
-from gbspec.errors import ConstraintError, UsageError
+                             cardinal_splines, fourier_phi)
+from gbspec.errors import ConstraintError, NumericalError, UsageError
 from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
 from oracles import (central_second_difference, gauss_legendre_split,
@@ -60,6 +60,33 @@ class TestConstruction:
             assert np.array_equal(np.signbit(cs.pw.coeffs),
                                   np.signbit(ref.pw.coeffs)), (family, p)
             assert cs.delta1 == ref.delta1
+
+
+    @pytest.mark.parametrize("family", [
+        polynomial(), hyperbolic(1e-3), hyperbolic(10.0), trigonometric(0.01),
+        trigonometric(3.0)], ids=repr)
+    def test_one_recursion_gives_each_degree_as_built_alone(self, family):
+        degrees = [9, 1, 4, 13, 4, 2]
+        splines = cardinal_splines(family, degrees)
+        for p, cs in zip(degrees, splines):
+            ref = cardinal_spline(family, p)
+            assert (cs.degree, cs.family, cs.pw.family) == (p, family, ref.pw.family)
+            assert np.array_equal(cs.pw.coeffs, ref.pw.coeffs), p
+            assert np.array_equal(np.signbit(cs.pw.coeffs),
+                                  np.signbit(ref.pw.coeffs)), p
+            assert cs.delta1 == ref.delta1
+        if family.phase in (1e-3, 0.01):
+            # the polynomial fallback is decided per degree: low degrees
+            # keep the family, high ones fall back
+            assert {cs.pw.family.is_polynomial for cs in splines} == {False, True}
+
+    def test_no_degrees(self):
+        assert cardinal_splines(hyperbolic(100.0), []) == []
+
+    @pytest.mark.parametrize("alpha", [100.0, 200.0, 800.0])
+    def test_large_phase_is_a_numerical_error(self, alpha):
+        with pytest.raises(NumericalError):
+            cardinal_spline(hyperbolic(alpha), 3)
 
 
 class TestProperties:

@@ -193,6 +193,11 @@ class TestDistributionCommands:
 
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
+    # argparse names the command argument by its dest, as ever
+    assert "argument command: invalid choice: 'frobnicate'" in capsys.readouterr().err
+    assert main([]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: command\n")
 
 
 @pytest.mark.parametrize("family,alpha,p,n", [("hyperbolic", 1.0, 7, 256),
@@ -209,6 +214,73 @@ def test_zero_spline_integral_is_a_numerical_failure(capsys, tmp_path, family,
     assert code == 2
     assert err.startswith("numerical failure: GB-spline recursion breaks down")
     assert "Traceback" not in err
+
+
+
+SYMBOL_COMMANDS = [
+    ["cardinal", "--p", "3"],
+    ["symbol", "--kind", "f", "--p", "4"],
+    ["bounds", "--p", "3"],
+    ["decay", "--pmax", "5"],
+    ["toeplitz", "--symbol", "h", "--p", "3", "--m", "5"],
+]
+
+
+@pytest.mark.parametrize("alpha", ["100", "200", "800"])
+@pytest.mark.parametrize("argv", SYMBOL_COMMANDS, ids=lambda a: a[0])
+def test_large_hyperbolic_phase_is_a_numerical_failure(capsys, argv, alpha):
+    # the seed's integral cancels to 0 at 100 and 200; sinh overflows at 800
+    code = main([*argv, "--family", "hyperbolic", "--alpha", alpha])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: ")
+    assert "Traceback" not in err
+
+
+PARSER_ARGVS = [
+    [], ["-h"], ["bogus"], ["--"], ["--", "bounds"],
+    *[[name, "-h"] for name in cli._COMMANDS],
+    ["bounds", "--p", "3", "--family", "polynomial", "--bogus"],
+    ["bounds", "--p", "3", "--family", "polynomial", "extra"],
+    ["bounds", "--family", "polynomial"],
+    ["bounds", "--p", "3", "--family", "cubic"],
+    ["bounds", "--p", "x", "--family", "polynomial"],
+    ["bounds", "--p", "3", "--family", "polynomial", "--grid", "64", "--"],
+    ["bounds", "--", "--p", "3", "--family", "polynomial"],
+    ["cardinal", "--fam", "polynomial", "--p", "2", "--grid", "5"],
+    ["decay", "--family", "polynomial", "--pmin", "1", "--pmax", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(a) or "-")
+def test_named_command_parses_as_with_the_full_parser(capsys, monkeypatch, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_full_parser_has_every_command():
+    family = ["--family", "polynomial"]
+    minimal = {
+        "cardinal": [*family, "--p", "2"],
+        "symbol": ["--kind", "h", "--p", "2", *family],
+        "bounds": ["--p", "2", *family],
+        "decay": [*family, "--pmax", "2"],
+        "assemble": ["--config", "c.json", "--n", "4"],
+        "eig": ["--config", "c.json", "--n", "4"],
+        "toeplitz": ["--symbol", "h", "--p", "2", *family, "--m", "3"],
+        "distribution": ["--config", "c.json", "--n", "4"],
+        "distribution-md": ["--config", "c.json", "--n", "4"],
+    }
+    parser = cli.build_parser()
+    assert list(minimal) == list(cli._COMMANDS)
+    for name, rest in minimal.items():
+        args = parser.parse_args([name, *rest])
+        assert (args.command, args.handler) == (name, cli._COMMANDS[name][2])
 
 
 def _value_by_value_csv(header, rows) -> str:

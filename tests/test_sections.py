@@ -6,7 +6,7 @@ import pytest
 from gbspec.cardinal import cardinal_spline
 from gbspec.errors import ConstraintError, UsageError
 from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
-                             hyperbolic,
+                             _sum2, hyperbolic,
                              piecewise_antiderivative, piecewise_derivative,
                              piecewise_eval, polynomial, trigonometric)
 from oracles import gauss_legendre_split, loop_antiderivative, sign_changes
@@ -174,6 +174,25 @@ class TestAntiderivative:
                 if tag == "polynomial":
                     break  # the phase does not enter
         assert cases >= 26
+
+
+class TestCompensatedSum:
+    def test_arrays_sum_as_the_float_loop(self):
+        # columns with signed zeros, infinities, nan and huge values, and
+        # columns of -0.0 only: the array steps must give the loop's bits
+        rng = np.random.default_rng(11)
+        prods = rng.standard_normal((7, 500)) * 10.0 ** rng.integers(-30, 30, (7, 500))
+        errs = prods * rng.standard_normal((7, 500)) * 1e-17
+        special = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, -1e308])
+        for a in (prods, errs):
+            mask = rng.random(a.shape) < 0.25
+            a[mask] = rng.choice(special, mask.sum())
+            a[:, :10] = -0.0
+        with np.errstate(all="ignore"):
+            got = _sum2(prods, errs)
+        ref = np.array([_sum2(p.tolist(), e.tolist()) for p, e in zip(prods.T, errs.T)])
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestExactness:

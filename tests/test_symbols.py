@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gbspec import cardinal, symbols
+from gbspec import cardinal, cli, symbols
 from gbspec.errors import UsageError
+from gbspec.multidim import DirectionSymbols
 from gbspec.sections import hyperbolic, polynomial, trigonometric
 from gbspec.symbols import (bounds_report, decay_ratio, lower_bound_residual,
                             symbol_closed_form, symbol_fn, symbol_max,
@@ -231,13 +232,13 @@ class TestBoundsReport:
 class TestSplineBuilds:
     @pytest.fixture
     def built(self, monkeypatch):
-        """Degrees of the cardinal splines built, in order."""
+        """Top degree of each cardinal recursion run, in order."""
         degrees = []
         inner = cardinal._build
 
-        def counted(rep, p):
-            degrees.append(p)
-            return inner(rep, p)
+        def counted(rep, wanted):
+            degrees.append(max(wanted))
+            return inner(rep, wanted)
 
         monkeypatch.setattr(cardinal, "_build", counted)
         return degrees
@@ -253,7 +254,22 @@ class TestSplineBuilds:
 
     def test_bounds_and_decay(self, family, built):
         bounds_report(6, family, 256)
-        assert built == [6, 4]
+        assert built == [6]
         built.clear()
         decay_ratio(6, family)
         assert built == [4]
+
+    def test_decay_command_runs_one_recursion(self, family, built, capsys):
+        argv = ["decay", "--family", family.tag, "--pmin", "2", "--pmax", "14"]
+        if not family.is_polynomial:
+            argv += ["--alpha", repr(family.phase)]
+        assert cli.main(argv) == 0
+        assert built == [12]
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == [
+            decay_ratio(p, family) for p in range(2, 15)]
+
+    def test_direction_symbols_run_one_recursion_per_direction(self, family, built):
+        DirectionSymbols([3, 5], [family, family], "nonnested")
+        assert built == [3, 5]
+

@@ -103,13 +103,21 @@ COMMANDS: list[list[str]] = [
     ["eig", "--config", _TRIG_P7, "--n", "40"],
     ["assemble", "--config", _HYP_P6, "--n", "11"],
     ["eig", "--config", _HYP_P6, "--n", "64"],
+    # parser paths: usage, help and errors, with and without a command
+    [],
+    ["-h"],
+    ["bogus"],
+    ["bounds", "-h"],
+    ["bounds", "--p", "3", "--family", "polynomial", "--bogus"],
+    ["bounds", "--p", "x", "--family", "polynomial"],
+    ["bounds", "--p", "3", "--family", "cubic"],
 ]
 
 _RUN = "import sys; from gbspec.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def run(tree: Path, argv: list[str], cwd: str) -> tuple[bytes, bytes, int]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), GBSPEC_THREADS="1",
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _RUN, *argv], env=env, cwd=cwd,
                           capture_output=True, check=False)
@@ -133,7 +141,8 @@ def main(argv: list[str]) -> int:
     for cmd, (a, b) in zip(COMMANDS, results):
         diffs = [name for name, x, y in zip(("stdout", "stderr", "exit"), a, b)
                  if x != y]
-        label = " ".join(Path(c).name if c.startswith("/") else c for c in cmd)
+        label = " ".join(Path(c).name if c.startswith("/") else c
+                         for c in cmd) or "(no arguments)"
         print(f"{'DIFF ' + ','.join(diffs) if diffs else 'same'}: {label}"
               f" (exit {a[2]}, {len(a[0])} bytes)")
         differing += bool(diffs)
