@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .sections import (HYPERBOLIC, POLYNOMIAL, TRIGONOMETRIC, PiecewiseFn,
-                       SectionFamily, piecewise_antiderivative)
+                       SectionFamily, _antiderivative_stack, _basis_matrix,
+                       _dot2)
 
 # Below this phase the non-polynomial section functions are numerically
 # indistinguishable from their polynomial limits and the explicit formulas
@@ -91,20 +92,35 @@ def _reciprocals(integrals: np.ndarray, degree: int,
 
 
 def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
-    """Levels ``degrees`` of one recursion up to the largest, each with delta1."""
-    coeffs = _seed_rows(rep)
-    pw = PiecewiseFn(rep, 1, np.array([0.0, 1.0, 2.0]), coeffs)
-    delta1 = _reciprocals(np.array([pw.integral()]), 1, rep).item()
-    levels = [pw.scaled(delta1)]
+    """Levels ``degrees`` of one recursion up to the largest, each with delta1.
 
-    for q in range(2, max(degrees) + 1):
-        anti = piecewise_antiderivative(levels[-1])  # degree q on {0..q}
+    The recursion runs on plain ``(pieces, slots)`` coefficient arrays on
+    unit intervals; only the levels asked for become :class:`PiecewiseFn`.
+    """
+    top = max(degrees)
+    eps = np.full(top + 1, rep.effective(1.0))  # effective phase of every piece
+    widths = np.ones(top + 1)
+
+    def antiderivative(rows: np.ndarray) -> np.ndarray:
+        pieces, slots = rows.shape
+        return _antiderivative_stack(rep, slots - 1, eps[:pieces], widths[:pieces],
+                                     rows[None])[0]
+
+    seed = _seed_rows(rep)
+    end = _basis_matrix(rep, 2, eps[:1], np.array([1.0]))[0]
+    integral = _dot2(end, antiderivative(seed)[-1])
+    delta1 = _reciprocals(np.array([integral]), 1, rep).item()
+    levels = [seed * delta1]
+
+    for q in range(2, top + 1):
         one = np.zeros(q + 1)
         one[0] = 1.0  # constant slot exists for q >= 2
-        rows = np.vstack([anti.coeffs, one])
+        # the antiderivative ends at q; the constant row adds the piece [q, q+1)
+        rows = np.vstack([antiderivative(levels[-1]), one])
         shifted = np.vstack([np.zeros(q + 1), rows[:-1]])
-        levels.append(PiecewiseFn(rep, q, np.arange(0.0, q + 2), rows - shifted))
-    return [(levels[q - 1], delta1) for q in degrees]
+        levels.append(rows - shifted)
+    return [(PiecewiseFn(rep, q, np.arange(0.0, q + 2), levels[q - 1]), delta1)
+            for q in degrees]
 
 
 def cardinal_splines(family: SectionFamily, degrees) -> list[CardinalSpline]:
@@ -151,19 +167,19 @@ def cardinal_derivative(cs: CardinalSpline, r: int) -> PiecewiseFn:
     """
     if not 1 <= r <= cs.degree - 1:
         raise UsageError(f"derivative order {r} outside 1..{cs.degree - 1}")
-    return _derivative_from(cardinal_spline(cs.family, cs.degree - r), r)
+    base = cardinal_spline(cs.family, cs.degree - r)
+    return PiecewiseFn(base.pw.family, base.degree, np.arange(0.0, cs.degree + 2),
+                       _derivative_rows(base.pw.coeffs, r))
 
 
-def _derivative_from(base: CardinalSpline, r: int) -> PiecewiseFn:
-    """:func:`cardinal_derivative` of order ``r`` of the degree ``base.degree + r``
-    spline, from the lower-degree ``base`` alone."""
-    q = base.degree
-    p = q + r
-    out = np.zeros((p + 1, q + 1))
+def _derivative_rows(coeffs: np.ndarray, r: int) -> np.ndarray:
+    """Coefficient rows of the r-th derivative of the degree ``q + r`` cardinal
+    spline, in the degree-q basis, from the rows ``coeffs`` of the degree-q one."""
+    pieces = coeffs.shape[0]
+    out = np.zeros((pieces + r, coeffs.shape[1]))
     for j in range(r + 1):
-        w = (-1) ** j * math.comb(r, j)
-        out[j:j + q + 1] += w * base.pw.coeffs
-    return PiecewiseFn(base.pw.family, q, np.arange(0.0, p + 2), out)
+        out[j:j + pieces] += (-1) ** j * math.comb(r, j) * coeffs
+    return out
 
 
 def _phi0_hat(theta: np.ndarray) -> np.ndarray:

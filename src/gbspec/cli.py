@@ -20,7 +20,7 @@ from . import exprparse
 from .cardinal import cardinal_spline
 from .collocation import (GeometryMap1D, ProblemCoefficients, assemble,
                           gb_basis, limit_family, transformed_coefficients)
-from .errors import GbspecError, NumericalError
+from .errors import GbspecError, NumericalError, UsageError
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
                        assemble_md, md_symbol_samples)
 from .sections import SectionFamily, polynomial
@@ -45,24 +45,33 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _blocks(rows, size: int):
+    """Successive arrays of at most ``size`` rows of a 2-D array or a row iterable."""
+    if isinstance(rows, np.ndarray):
+        for start in range(0, len(rows), size):
+            yield rows[start:start + size]
+        return
+    rows = iter(rows)
+    while block := list(islice(rows, size)):
+        yield np.array(block)
+
+
 def _csv(header: list[str], rows) -> str:
     """The header line, then one line per row of ``len(header)`` values.
 
-    A value prints as ``%.17g`` of its float, a complex one as ``re+imj``
-    with both parts so.  Rows are formatted a block at a time, one format
-    string per block, so only one block's Python floats exist at once.
+    ``rows`` is a 2-D array or an iterable of rows.  A value prints as
+    ``%.17g`` of its float, a complex one as ``re+imj`` with both parts so.
+    Rows are formatted a block at a time, one format string per block, so
+    only one block's Python floats exist at once.
     """
-    block_rows = max(1, _CSV_BLOCK // max(1, len(header)))
     lines = [",".join(header)]
-    rows = iter(rows)
-    while block := list(islice(rows, block_rows)):
-        values = np.array(block)
+    for values in _blocks(rows, max(1, _CSV_BLOCK // max(1, len(header)))):
         if np.iscomplexobj(values):
-            field, values = "%.17g%+.17gj", values.view(float)
+            field, values = "%.17g%+.17gj", np.ascontiguousarray(values).view(float)
         else:
-            field, values = "%.17g", values.astype(float)
+            field, values = "%.17g", np.asarray(values, dtype=float)
         line = ",".join([field] * len(header))
-        lines.append("\n".join([line] * len(block)) % tuple(values.ravel().tolist()))
+        lines.append("\n".join([line] * len(values)) % tuple(values.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -226,18 +235,25 @@ def _float_list(text: str) -> list[float]:
         raise GbspecError(f"expected a comma-separated float list, got {text!r}")
 
 
+def _grid(start: float, stop: float, count: int) -> np.ndarray:
+    """``count`` evenly spaced points of ``[start, stop]``, for ``--grid``."""
+    if count < 0:
+        raise UsageError(f"--grid must be >= 0, got {count}")
+    return np.linspace(start, stop, count)
+
+
 def _cmd_cardinal(args) -> None:
     fam = make_family(args.family, args.alpha)
     cs = cardinal_spline(fam, args.p)
-    ts = np.linspace(0.0, args.p + 1.0, args.grid)
-    _write(args.out, _csv(["t", "value"], zip(ts, cs(ts))))
+    ts = _grid(0.0, args.p + 1.0, args.grid)
+    _write(args.out, _csv(["t", "value"], np.column_stack((ts, cs(ts)))))
 
 
 def _cmd_symbol(args) -> None:
     fam = make_family(args.family, args.alpha)
     sym = symbol_fn(args.kind, args.p, fam)
-    thetas = np.linspace(-math.pi, math.pi, args.grid)
-    _write(args.out, _csv(["theta", "value"], zip(thetas, sym(thetas))))
+    thetas = _grid(-math.pi, math.pi, args.grid)
+    _write(args.out, _csv(["theta", "value"], np.column_stack((thetas, sym(thetas)))))
 
 
 def _cmd_bounds(args) -> None:
@@ -280,7 +296,7 @@ def _cmd_eig(args) -> None:
     system = _build_system(args)
     mat = system.full_matrix if args.raw else system.scaled_matrix
     eigs = np.sort_complex(eigenvalues_dense(mat))
-    _write(args.out, _csv(["re", "im"], zip(eigs.real, eigs.imag)))
+    _write(args.out, _csv(["re", "im"], np.column_stack((eigs.real, eigs.imag))))
 
 
 def _cmd_toeplitz(args) -> None:
@@ -290,7 +306,7 @@ def _cmd_toeplitz(args) -> None:
     mat = toeplitz(spec, args.m)
     if args.eig:
         eigs = np.sort_complex(eigenvalues_dense(mat))
-        _write(args.out, _csv(["re", "im"], zip(eigs.real, eigs.imag)))
+        _write(args.out, _csv(["re", "im"], np.column_stack((eigs.real, eigs.imag))))
         return
     header = [f"c{j}" for j in range(mat.shape[1])]
     _write(args.out, _csv(header, mat))

@@ -50,7 +50,7 @@ from .errors import ConstraintError, NumericalError, UsageError, ValidationError
 from .sections import (PiecewiseFn, SectionFamily, _antiderivative_stack,
                        _basis_matrix, _dot2, _local_derivative, polynomial)
 from .spectral import ToeplitzSpec, toeplitz
-from .symbols import symbol_fn
+from .symbols import symbol_fns
 
 NESTED = "nested"
 NONNESTED = "nonnested"
@@ -567,15 +567,16 @@ def structure_report(sys: CollocationSystem, tol: float = 1e-10) -> StructureRep
     eff = (SectionFamily(sys.family.tag, sys.effective_phase)
            if not sys.family.is_polynomial else sys.family)
 
-    def central(kind: str, scale: complex = 1.0) -> np.ndarray:
-        coeffs = scale * symbol_fn(kind, p, eff).toeplitz_coefficients()
+    def central(sym, scale: complex = 1.0) -> np.ndarray:
+        coeffs = scale * sym.toeplitz_coefficients()
         return toeplitz(ToeplitzSpec(coeffs.real), sys.order)
 
-    t_f = central("f")
-    t_h = central("h")
+    f, h, g = symbol_fns([("f", p), ("h", p), ("g", p)], eff)
+    t_f = central(f)
+    t_h = central(h)
     # the advection block is i T(g), with entry (i, j) the first-derivative
     # sample at (p+1)/2 + i - j
-    t_g = central("g", 1j)
+    t_g = central(g, 1j)
 
     def num_rank(mat):
         sv = np.linalg.svd(mat, compute_uv=False)

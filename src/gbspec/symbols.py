@@ -16,14 +16,14 @@ low degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cardinal import _derivative_from, _phi1_hat, cardinal_splines
+from .cardinal import _derivative_rows, _phi1_hat, cardinal_splines
 from .errors import UsageError
-from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily,
-                       piecewise_derivative)
+from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily, _basis_matrix,
+                       _local_derivative)
 
 KINDS = ("h", "g", "f")
 _MIN_DEGREE = {"h": 1, "g": 2, "f": 2}
@@ -46,17 +46,26 @@ class SymbolFn:
     degree: int
     family: SectionFamily
     coefficients: np.ndarray
+    _k: np.ndarray = field(init=False, repr=False, compare=False)
+    _tail: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_k", np.arange(1, self.coefficients.size))
+        object.__setattr__(self, "_tail", self.coefficients[1:])
 
     def __call__(self, theta):
-        th = np.asarray(theta, dtype=float)
-        c = self.coefficients
-        k = np.arange(1, c.size)
-        if self.kind == "h":
-            out = c[0] + 2.0 * np.cos(np.multiply.outer(th, k)) @ c[1:]
-        elif self.kind == "g":
-            out = -2.0 * np.sin(np.multiply.outer(th, k)) @ c[1:]
+        # a float theta, as in the golden-section search, needs no outer product
+        if isinstance(theta, float):
+            arg = theta * self._k
         else:
-            out = -c[0] - 2.0 * np.cos(np.multiply.outer(th, k)) @ c[1:]
+            arg = np.multiply.outer(np.asarray(theta, dtype=float), self._k)
+        c0 = self.coefficients[0]
+        if self.kind == "h":
+            out = c0 + 2.0 * np.cos(arg) @ self._tail
+        elif self.kind == "g":
+            out = -2.0 * np.sin(arg) @ self._tail
+        else:
+            out = -c0 - 2.0 * np.cos(arg) @ self._tail
         return out
 
     def toeplitz_coefficients(self) -> np.ndarray:
@@ -99,14 +108,20 @@ def symbol_fns(requests, family: SectionFamily) -> list[SymbolFn]:
     degrees = [p if r >= p else p - r for (_, p), r in zip(requests, orders)]
     out = []
     for (kind, p), r, cs in zip(requests, orders, cardinal_splines(family, degrees)):
+        rep, rows = cs.pw.family, cs.pw.coeffs  # one row per unit interval
+        eps = rep.effective(1.0)
         if cs.degree == p:
-            pw = cs.pw
             for _ in range(r):
-                pw = piecewise_derivative(pw)
+                rows = _local_derivative(rep, p, eps, rows)
         else:
-            pw = _derivative_from(cs, r)
-        pts = (p + 1) / 2 - np.arange(0, p // 2 + 1)
-        out.append(SymbolFn(kind, p, family, np.asarray(pw(pts), dtype=float)))
+            rows = _derivative_rows(rows, r)
+        # the sample at (p+1)/2 - k lies on piece (p+1)//2 - k, at its
+        # midpoint for even p and at its left end for odd p
+        pieces = (p + 1) // 2 - np.arange(0, p // 2 + 1)
+        tau = np.full(pieces.size, 0.5 if p % 2 == 0 else 0.0)
+        basis = _basis_matrix(rep, rows.shape[1] - 1, eps, tau)
+        out.append(SymbolFn(kind, p, family,
+                            np.einsum("ij,ij->i", basis, rows[pieces])))
     return out
 
 

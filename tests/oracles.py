@@ -12,7 +12,12 @@ references for the band assembler: :func:`dense_assemble_1d` (1D) and
 the former spline-by-spline Greville sampling kept as the bit-identity
 reference for the one-pass sampler: :func:`loop_greville_samples`, and
 the former piece-by-piece antiderivative kept as the bit-identity reference
-for the batched one: :func:`loop_antiderivative`, and the former
+for the batched one: :func:`loop_antiderivative`, the former cardinal
+recursion that builds a function at every level, kept as the bit-identity
+reference for the one on coefficient arrays: :func:`loop_cardinal_build`,
+the former symbol sampling through piecewise functions, kept as the
+bit-identity reference for the one on coefficient rows:
+:func:`piecewise_symbol_coefficients`, and the former
 spline-by-spline basis construction kept as the bit-identity reference for
 the level-batched one: :func:`loop_gb_basis`.
 """
@@ -24,11 +29,12 @@ import numpy as np
 from gbspec import exprparse
 from gbspec.collocation import (CollocationSystem, KnotVector, _rep_family,
                                 greville_samples)
-from gbspec.cardinal import _seed_rows
+from gbspec.cardinal import _seed_rows, cardinal_derivative, cardinal_spline
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import _direction_data, _eval_grid
 from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
-                             _local_derivative, piecewise_antiderivative)
+                             _local_derivative, piecewise_antiderivative,
+                             piecewise_derivative)
 
 
 def gauss_legendre(fn, a: float, b: float, pieces: int = 8,
@@ -231,6 +237,44 @@ def loop_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
         out[i] = prim
         acc = _scalar_dot2(ends[i], prim)
     return PiecewiseFn(f.family, p + 1, f.breakpoints, out)
+
+
+def loop_cardinal_build(rep, degrees) -> list:
+    """``(levels, delta1)`` of the cardinal recursion, one function per level.
+
+    Level q is the degree-q cardinal spline of the section family ``rep`` on
+    {0, ..., q+1}; every antiderivative is :func:`loop_antiderivative`.
+    """
+    pw = PiecewiseFn(rep, 1, np.array([0.0, 1.0, 2.0]), _seed_rows(rep))
+    anti = loop_antiderivative(pw)
+    end = _basis_matrix(rep, 2, anti._eff_phases()[-1:], np.array([1.0]))
+    delta1 = 1.0 / _scalar_dot2(end[0], anti.coeffs[-1])
+    levels = [pw.scaled(delta1)]
+    for q in range(2, max(degrees) + 1):
+        anti = loop_antiderivative(levels[-1])  # degree q on {0..q}
+        one = np.zeros(q + 1)
+        one[0] = 1.0
+        rows = np.vstack([anti.coeffs, one])
+        shifted = np.vstack([np.zeros(q + 1), rows[:-1]])
+        levels.append(PiecewiseFn(rep, q, np.arange(0.0, q + 2), rows - shifted))
+    return [(levels[q - 1], delta1) for q in degrees]
+
+
+def piecewise_symbol_coefficients(kind: str, p: int, family) -> np.ndarray:
+    """Samples of a symbol: a derivative function built and evaluated at the points.
+
+    The r-th derivative (r = 0, 1, 2 for h, g, f) comes from the recurrence
+    on the degree ``p - r`` spline, or, where ``r >= p``, by differentiating
+    the degree-p spline r times.
+    """
+    r = "hgf".index(kind)
+    if r >= p or r == 0:
+        pw = cardinal_spline(family, p).pw
+        for _ in range(r):
+            pw = piecewise_derivative(pw)
+    else:
+        pw = cardinal_derivative(cardinal_spline(family, p), r)
+    return pw((p + 1) / 2 - np.arange(0, p // 2 + 1))
 
 
 def loop_greville_abscissae(kv: KnotVector) -> np.ndarray:

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gbspec import cardinal, sections
+from gbspec import cardinal
 from gbspec.cardinal import (cardinal_derivative, cardinal_spline,
                              cardinal_splines, fourier_phi)
 from gbspec.errors import ConstraintError, NumericalError, UsageError
 from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
 from oracles import (central_second_difference, gauss_legendre_split,
-                     loop_antiderivative)
+                     loop_cardinal_build)
 
 
 class TestConstruction:
@@ -47,20 +47,25 @@ class TestConstruction:
             assert cs(p + 1.5) == 0.0
 
 
-    def test_same_coefficients_as_loop_antiderivative(self, monkeypatch):
+    def test_same_coefficients_as_loop_antiderivative(self):
         families = [polynomial(), hyperbolic(1e-9), hyperbolic(0.1),
                     hyperbolic(10.0), hyperbolic(30.0), trigonometric(0.5),
                     trigonometric(3.0)]
-        built = {(f, p): cardinal_spline(f, p) for f in families for p in range(1, 14)}
-        monkeypatch.setattr(sections, "piecewise_antiderivative", loop_antiderivative)
-        monkeypatch.setattr(cardinal, "piecewise_antiderivative", loop_antiderivative)
-        for (family, p), cs in built.items():
-            ref = cardinal_spline(family, p)
-            assert np.array_equal(cs.pw.coeffs, ref.pw.coeffs), (family, p)
-            assert np.array_equal(np.signbit(cs.pw.coeffs),
-                                  np.signbit(ref.pw.coeffs)), (family, p)
-            assert cs.delta1 == ref.delta1
-
+        degrees = list(range(1, 14))
+        # each family and, below PHASE_FALLBACK, its polynomial limit
+        reps = {rep for f in families for rep in (f, cardinal.effective_family(f))}
+        for rep in reps:
+            ref = loop_cardinal_build(rep, degrees)
+            runs = [cardinal._build(rep, degrees),
+                    [level for p in degrees for level in cardinal._build(rep, [p])]]
+            for run in runs:
+                for p, (pw, delta1), (ref_pw, ref_delta1) in zip(degrees, run, ref):
+                    assert (pw.family, pw.degree) == (rep, p)
+                    assert np.array_equal(pw.breakpoints, ref_pw.breakpoints)
+                    assert np.array_equal(pw.coeffs, ref_pw.coeffs), (rep, p)
+                    assert np.array_equal(np.signbit(pw.coeffs),
+                                          np.signbit(ref_pw.coeffs)), (rep, p)
+                    assert delta1 == ref_delta1
 
     @pytest.mark.parametrize("family", [
         polynomial(), hyperbolic(1e-3), hyperbolic(10.0), trigonometric(0.01),

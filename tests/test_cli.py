@@ -238,6 +238,25 @@ def test_large_hyperbolic_phase_is_a_numerical_failure(capsys, argv, alpha):
     assert "Traceback" not in err
 
 
+GRID_COMMANDS = [
+    (["cardinal", "--p", "3", "--family", "polynomial"], "t,value\n"),
+    (["symbol", "--kind", "h", "--p", "3", "--family", "hyperbolic", "--alpha", "2"],
+     "theta,value\n"),
+]
+
+
+@pytest.mark.parametrize("argv,header", GRID_COMMANDS, ids=["cardinal", "symbol"])
+def test_negative_grid_is_refused(capsys, argv, header):
+    for grid in ("-1", "-5000"):
+        code = main([*argv, "--grid", grid])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --grid must be >= 0, got {grid}\n"
+    assert main([*argv, "--grid", "0"]) == 0
+    assert capsys.readouterr().out == header
+
+
 PARSER_ARGVS = [
     [], ["-h"], ["bogus"], ["--"], ["--", "bounds"],
     *[[name, "-h"] for name in cli._COMMANDS],
@@ -331,3 +350,36 @@ class TestCsv:
         lines = [",".join(header)] + [
             ",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in mat]
         assert cli._csv(header, mat) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("columns", [1, 2, 3, 100])
+    def test_array_matches_rows_across_block_edges(self, columns):
+        size = max(1, cli._CSV_BLOCK // columns)  # rows per block
+        rng = np.random.default_rng(columns)
+        header = [f"c{j}" for j in range(columns)]
+        counts = {0, 1, size - 1, size, size + 1, 2 * size - 1, 2 * size, 2 * size + 1}
+        for count in sorted(counts):
+            mat = rng.standard_normal((count, columns)) * \
+                10.0 ** rng.integers(-300, 300, (count, columns))
+            special = min(mat.size, len(SPECIAL_VALUES))
+            mat.flat[:special] = SPECIAL_VALUES[:special]
+            text = cli._csv(header, mat)
+            assert text == cli._csv(header, zip(*mat.T)), count
+            assert text == _value_by_value_csv(header, mat), count
+            assert text.count("\n") == count + 1
+
+    @pytest.mark.parametrize("columns", [2, 9])
+    def test_complex_array_matches_rows_across_block_edges(self, columns):
+        size = cli._CSV_BLOCK // columns
+        rng = np.random.default_rng(columns)
+        header = [f"c{j}" for j in range(columns)]
+        for count in (0, 1, size - 1, size, size + 1, 2 * size + 1):
+            mat = rng.standard_normal((count, columns)) + \
+                1j * rng.standard_normal((count, columns))
+            special = min(mat.size, 4)
+            mat.flat[:special] = [complex(-0.0, -0.0), complex(math.nan, math.inf),
+                                  complex(5e-324, -math.inf), 1j][:special]
+            text = cli._csv(header, zip(*mat.T))
+            assert cli._csv(header, mat) == text, count
+            # a column-major copy has rows that are not contiguous
+            assert cli._csv(header, np.asfortranarray(mat)) == text, count
+

@@ -7,9 +7,10 @@ from gbspec import cardinal, cli, symbols
 from gbspec.errors import UsageError
 from gbspec.multidim import DirectionSymbols
 from gbspec.sections import hyperbolic, polynomial, trigonometric
-from gbspec.symbols import (bounds_report, decay_ratio, lower_bound_residual,
-                            symbol_closed_form, symbol_fn, symbol_max,
-                            symbol_series)
+from gbspec.symbols import (KINDS, bounds_report, decay_ratio,
+                            lower_bound_residual, symbol_closed_form, symbol_fn,
+                            symbol_fns, symbol_max, symbol_series)
+from oracles import piecewise_symbol_coefficients
 
 Q_FAMILIES = [hyperbolic(1.0), hyperbolic(10.0),
               trigonometric(math.pi / 4), trigonometric(math.pi / 2)]
@@ -56,6 +57,34 @@ class TestFiniteSum:
         assert np.max(np.abs(h(pts) - h(-pts))) <= 1e-12
         assert np.max(np.abs(f(pts) - f(-pts))) <= 1e-12
         assert np.max(np.abs(g(pts) + g(-pts))) <= 1e-12
+
+
+class TestSampling:
+    @pytest.mark.parametrize("family", [
+        polynomial(), hyperbolic(1e-9), hyperbolic(1e-3), hyperbolic(10.0),
+        hyperbolic(30.0), trigonometric(0.01), trigonometric(3.0)], ids=repr)
+    def test_same_samples_as_piecewise_functions(self, family):
+        requests = [(kind, p) for p in range(1, 15) for kind in KINDS
+                    if (kind, p) not in (("g", 1), ("f", 1))]
+        for (kind, p), sym in zip(requests, symbol_fns(requests, family)):
+            ref = piecewise_symbol_coefficients(kind, p, family)
+            assert np.array_equal(sym.coefficients, ref), (kind, p)
+            assert np.array_equal(np.signbit(sym.coefficients),
+                                  np.signbit(ref)), (kind, p)
+
+    @pytest.mark.parametrize("family", [
+        polynomial(), hyperbolic(10.0), trigonometric(1.5)], ids=repr)
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_float_theta_matches_array_theta(self, family, p):
+        thetas = [*np.linspace(-math.pi, math.pi, 41).tolist(), -0.0, 5e-324]
+        for sym in symbol_fns([(kind, p) for kind in KINDS], family):
+            for theta in thetas:
+                values = [sym(theta), sym(np.array(theta)), sym(np.array([theta]))]
+                assert [np.shape(v) for v in values] == [(), (), (1,)]
+                values = np.array([np.ravel(v)[0] for v in values])
+                assert np.array_equal(values, np.full(3, values[0])), (sym.kind, theta)
+                assert np.array_equal(np.signbit(values),
+                                      np.full(3, np.signbit(values[0])))
 
 
 class TestClosedForms:

@@ -98,6 +98,16 @@ COMMANDS: list[list[str]] = [
      "--alpha", "3", "--m", "9"],
     ["symbol", "--kind", "f", "--p", "7", "--family", "trigonometric",
      "--alpha", "2", "--grid", "200"],
+    # CSV output over several blocks of rows (2-column files: 2048 rows a
+    # block) or of columns (a 100-column matrix: 40 rows a block)
+    ["cardinal", "--family", "hyperbolic", "--alpha", "10", "--p", "7",
+     "--grid", "4097"],
+    ["symbol", "--kind", "h", "--p", "5", "--family", "trigonometric",
+     "--alpha", "1.5", "--grid", "5000"],
+    ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
+     "--m", "100"],
+    ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
+     "--m", "300", "--eig"],
     # degree 6 and 7 bases, with n below and above 2p+2
     ["eig", "--config", _TRIG_P7, "--n", "9"],
     ["eig", "--config", _TRIG_P7, "--n", "40"],
