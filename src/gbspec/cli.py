@@ -26,7 +26,7 @@ from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
 from .sections import SectionFamily, polynomial
 from .spectral import (ToeplitzSpec, eigenvalues_dense,
                        product_symbol_sampler, toeplitz, weyl_report)
-from .symbols import bounds_report, decay_ratios, symbol_fn
+from .symbols import MIN_BOUNDS_GRID, bounds_report, decay_ratios, symbol_fn
 
 _FAMILY_NAMES = ("polynomial", "hyperbolic", "trigonometric")
 _CSV_BLOCK = 4096  # values per format operation
@@ -235,11 +235,16 @@ def _float_list(text: str) -> list[float]:
         raise GbspecError(f"expected a comma-separated float list, got {text!r}")
 
 
+def _grid_size(count: int, least: int = 0) -> int:
+    """The ``--grid`` value, refused below ``least``."""
+    if count < least:
+        raise UsageError(f"--grid must be >= {least}, got {count}")
+    return count
+
+
 def _grid(start: float, stop: float, count: int) -> np.ndarray:
     """``count`` evenly spaced points of ``[start, stop]``, for ``--grid``."""
-    if count < 0:
-        raise UsageError(f"--grid must be >= 0, got {count}")
-    return np.linspace(start, stop, count)
+    return np.linspace(start, stop, _grid_size(count))
 
 
 def _cmd_cardinal(args) -> None:
@@ -258,7 +263,8 @@ def _cmd_symbol(args) -> None:
 
 def _cmd_bounds(args) -> None:
     fam = make_family(args.family, args.alpha)
-    _write(args.out, _json(bounds_report(args.p, fam, args.grid).to_dict()))
+    grid = _grid_size(args.grid, MIN_BOUNDS_GRID)
+    _write(args.out, _json(bounds_report(args.p, fam, grid).to_dict()))
 
 
 def _cmd_decay(args) -> None:

@@ -24,7 +24,10 @@ The value, first- and second-derivative matrices at the Greville points are
 sampled in one vectorised pass: every nonzero ``(row, column)`` pair of the
 band takes the coefficient row of its spline's shape on the interval
 holding the point, and one basis evaluation serves all three orders, so no
-Python loop runs over the splines or the rows.
+Python loop runs over the splines or the rows.  The basis is symmetric about
+``x = 1/2``, so only the rows down to the middle are sampled and the rest
+are their reflections: the matrices are reflection-symmetric by
+construction, which the dense eigensolver of :mod:`gbspec.spectral` uses.
 
 The model problem is  -kappa u'' + beta u' + gamma u = f  on (0, 1) with
 homogeneous Dirichlet data, collocated at the interior Greville abscissae; a
@@ -278,6 +281,17 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     :func:`~gbspec.sections.piecewise_eval` and
     :func:`~gbspec.sections.piecewise_derivative` on the same values, so the
     result is that of sampling each spline on its own.
+
+    Only rows ``i < m - m//2`` of the ``m`` rows are sampled.  Since
+    ``N_{j+2}(1-x) = N_{n+p-1-j}(x)``, row ``m-1-i`` is row ``i`` reversed,
+    times ``(-1)**r`` for the r-th derivative; for odd ``m`` the middle row's
+    right half is its left half reversed, and the first derivative's middle
+    entry is 0.  The value and second-derivative matrices are thus exactly
+    unchanged by reversing rows and columns, and the first-derivative
+    matrix exactly changes sign.  Reflecting rather than averaging the two
+    halves keeps each row's band: a sample at the start of a support can be
+    a rounding residue (about 1e-17) where its mirror, at the end of a
+    support, is an exact zero.
     """
     kv = basis.knots
     n, p = kv.n, kv.degree
@@ -291,8 +305,10 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     a, b = t[1:n + p - 1], t[p + 2:n + 2 * p]
     lo = np.searchsorted(grid, a)
     first, stop = np.searchsorted(xi, a), np.searchsorted(xi, b)
+    # rows below the middle are reflections (see below): sample the rest
+    size, half = xi.size, xi.size // 2
     rows = first[:, None] + np.arange(np.max(stop - first))
-    inside = rows < stop[:, None]
+    inside = (rows < stop[:, None]) & (rows < size - half)
     rows = rows[inside]
     cols = np.nonzero(inside)[0]
 
@@ -310,10 +326,26 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     c2 = _local_derivative(rep, p, eps, c1) / w[:, None]
     vals = np.einsum("ij,ij->i", np.tile(_basis_matrix(rep, p, eps, tau), (3, 1)),
                      np.concatenate([c0, c1, c2]))
-    mats = tuple(np.zeros((xi.size, xi.size)) for _ in range(3))
-    for mat, v in zip(mats, vals.reshape(3, -1)):
+    mats = tuple(np.zeros((size, size)) for _ in range(3))
+    for order, (mat, v) in enumerate(zip(mats, vals.reshape(3, -1))):
         mat[rows, cols] = v
+        # N_{j+2}(1-x) = N_{n+p-1-j}(x): row size-1-i is row i reversed,
+        # times (-1)^order; an odd row count has its own middle row
+        mat[size - half:] = _mirror(mat[:half], order)
+        if size % 2:
+            mat[half, half + 1:] = _mirror(mat[half, :half], order)
+            if order == 1:
+                mat[half, half] = 0.0
     return (xi, *mats)
+
+
+def _mirror(block: np.ndarray, order: int) -> np.ndarray:
+    """``block`` reversed along every axis, times ``(-1)**order``.
+
+    ``0.0 - v`` negates ``v`` exactly and keeps its zeros ``+0.0``.
+    """
+    flipped = np.flip(block)
+    return 0.0 - flipped if order % 2 else flipped
 
 
 def _band(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

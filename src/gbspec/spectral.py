@@ -1,5 +1,14 @@
 """Toeplitz generation, dense eigenvalues and Weyl-distribution reports.
 
+Dense eigenvalues use the reflection symmetry of the matrices when it is
+exact.  A matrix unchanged, entry for entry, by reversing the index inside
+every block of ``s`` consecutive indices, for nested block sizes ``s_1 |
+s_2 | ...`` (a tensor collocation matrix with constant coefficients on the
+identity geometry, or a symmetric Toeplitz matrix), is solved as ``2**k``
+independent parity blocks of about ``N / 2**k`` rows each, built one after
+another in a single workspace of ``N**2`` entries.  Any other matrix takes
+one LAPACK call as a whole.
+
 The distribution comparator sorts eigenvalue real parts against the monotone
 rearrangement of symbol samples, reports moment errors for the test functions
 ``F(z) = z**r`` (r = 1..4), the largest imaginary part, and outlier counts
@@ -91,6 +100,16 @@ def eigenvalues_dense(a: np.ndarray, order_cap: int = DEFAULT_ORDER_CAP) -> np.n
     Symmetric/Hermitian inputs are routed to the symmetric solver
     (tridiagonalization plus implicitly shifted iterations); everything else
     goes through Hessenberg reduction with shifted QR iterations.
+
+    A matrix that equals itself exactly, entry for entry, after reversing
+    the index inside every block of ``s`` consecutive indices, for one or
+    more block sizes ``s`` (:func:`_reflection_sizes`), is first split into
+    independent parity blocks of about ``N / 2**k`` rows, where ``k`` is the
+    number of sizes found (:func:`_parity_eigenvalues`); a tensor collocation
+    matrix with constant coefficients on the identity geometry has one such
+    size per direction.  The blocks are built in one workspace of ``N**2``
+    entries and take the same solver as the whole matrix would.  Any other
+    matrix goes to that solver unchanged.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -99,11 +118,134 @@ def eigenvalues_dense(a: np.ndarray, order_cap: int = DEFAULT_ORDER_CAP) -> np.n
         raise UsageError(f"order {a.shape[0]} exceeds cap {order_cap}")
     try:
         residual, scale = _hermitian_residual(a)
-        if residual <= 1e-13 * max(scale, 1.0):
+        hermitian = bool(residual <= 1e-13 * max(scale, 1.0))
+        sizes = _reflection_sizes(a)
+        if sizes:
+            return _parity_eigenvalues(a, sizes, hermitian)
+        if hermitian:
             return np.linalg.eigvalsh(a).astype(complex)
         return np.asarray(np.linalg.eigvals(a), dtype=complex)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+
+
+def _reflection_sizes(a: np.ndarray) -> list[int]:
+    """Block sizes ``s >= 2`` under whose reversal ``a`` is exactly invariant.
+
+    Reversing inside blocks of size ``s`` maps index ``i`` to ``s*(i//s) +
+    s-1 - i%s``.  The sizes are taken in ascending order, each one only if
+    the previous one divides it, so that they nest: ``s_1 | s_2 | ... | N``.
+    """
+    size = a.shape[0]
+    sizes: list[int] = []
+    for s in range(2, size + 1):
+        if size % s == 0 and (not sizes or s % sizes[-1] == 0) \
+                and _reflection_invariant(a, s):
+            sizes.append(s)
+    return sizes
+
+
+def _reflection_invariant(a: np.ndarray, s: int) -> bool:
+    """Whether ``a`` equals itself with the index reversed inside each s-block.
+
+    Row 0 is compared with its image, row ``s-1``, first, which rejects most
+    sizes in O(N); the whole matrix is then compared over blocks of about
+    ``_SYMMETRY_ROWS`` rows, so no N x N temporary is made.
+    """
+    blocks = a.shape[0] // s
+    if not np.array_equal(a[0].reshape(blocks, s),
+                          a[s - 1].reshape(blocks, s)[:, ::-1]):
+        return False
+    x = a.reshape(blocks, s, blocks, s)
+    mirror = x[:, ::-1, :, ::-1]
+    step = max(1, _SYMMETRY_ROWS // blocks)
+    return all(np.array_equal(x[:, lo:lo + step], mirror[:, lo:lo + step])
+               for lo in range(0, s, step))
+
+
+def _parity_eigenvalues(a: np.ndarray, sizes: Sequence[int],
+                        hermitian: bool) -> np.ndarray:
+    """Eigenvalues of ``a``, invariant under the nested reversals ``sizes``.
+
+    Nested sizes ``s_1 | ... | s_k`` write each index in mixed radix with the
+    digits ``N/s_k, s_k/s_{k-1}, ..., s_1``; reversing inside s_j-blocks
+    flips the last j digits, so reversing any one of the last k digits
+    alone also leaves ``a`` unchanged.  Each such digit of radix r splits
+    into its even part (index pairs ``a, r-1-a`` added; the middle index of
+    an odd r times sqrt(2)) and its odd part (the pairs subtracted).  That
+    change of basis is sqrt(2) times an orthogonal one, so it keeps a
+    symmetric or Hermitian matrix so, and it doubles every eigenvalue.  In
+    it, ``a`` has no entries between the parts, so each split leaves two
+    independent blocks: after k splits, 2**k blocks, of about N / 2**k rows.
+
+    The blocks are built depth first into one workspace of ``N**2``
+    entries: each split writes its two blocks into the workspace past the
+    block it splits, and a block is solved as soon as it has no digit left
+    to split.  The eigenvalues of a symmetric or Hermitian ``a`` are
+    returned in ascending order, as the symmetric solver returns them.
+    """
+    size = a.shape[0]
+    bounds = [size, *sizes[::-1]]
+    radices = [hi // lo for hi, lo in zip(bounds, bounds[1:])] + [sizes[0]]
+    dtype = np.result_type(a.dtype, float)
+    x = a.reshape(radices * 2).astype(dtype, copy=False)
+    work = np.empty(size * size, dtype=dtype)
+    solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
+    eigs = []
+
+    def split(block: np.ndarray, axis: int, free: np.ndarray) -> None:
+        if axis == 0:
+            order = math.isqrt(block.size)
+            eigs.append(solve(block.reshape(order, order)))
+            return
+        children = []
+        for part in (0, 1):
+            shape = list(block.shape)
+            shape[axis] = shape[axis + len(radices)] = (
+                (block.shape[axis] + 1 - part) // 2)
+            count = math.prod(shape)
+            children.append(free[:count].reshape(shape))
+            free = free[count:]
+        _split_parity(block, axis, *children)
+        for child in children:
+            split(child, axis - 1, free)
+
+    split(x, len(radices) - 1, work)
+    vals = np.concatenate(eigs) / 2.0 ** len(sizes)
+    return (np.sort(vals) if hermitian else vals).astype(complex)
+
+
+def _split_parity(x: np.ndarray, axis: int, even: np.ndarray,
+                  odd: np.ndarray) -> None:
+    """Write the even and odd parity blocks of ``x`` along one digit.
+
+    ``axis`` is the digit's row axis; its column axis is ``axis + x.ndim//2``.
+    With ``f`` the first ``r//2`` values of the digit and ``b`` their mirror
+    images ``r-1, r-2, ...``, the odd block is ``x[f,f] - x[f,b] - x[b,f] +
+    x[b,b]`` and the even block has the sums with plus signs, bordered for
+    odd ``r`` by the middle row and column added to their mirrors and times
+    sqrt(2), and the middle entry times 2.  Every sum is formed in place.
+    """
+    r = x.shape[axis]
+    h = r // 2
+    front, back, mid = slice(0, h), slice(r - 1, r - 1 - h, -1), slice(h, h + 1)
+
+    def at(arr: np.ndarray, row: slice, col: slice) -> np.ndarray:
+        index = [slice(None)] * arr.ndim
+        index[axis], index[axis + arr.ndim // 2] = row, col
+        return arr[tuple(index)]
+
+    for out, combine in ((at(even, front, front), np.add), (odd, np.subtract)):
+        np.add(at(x, front, front), at(x, back, back), out=out)
+        combine(out, at(x, front, back), out=out)
+        combine(out, at(x, back, front), out=out)
+    if r % 2:
+        row, col = at(even, mid, front), at(even, front, mid)
+        np.add(at(x, mid, front), at(x, mid, back), out=row)
+        np.add(at(x, front, mid), at(x, back, mid), out=col)
+        row *= math.sqrt(2.0)
+        col *= math.sqrt(2.0)
+        np.multiply(at(x, mid, mid), 2.0, out=at(even, mid, mid))
 
 
 def _hermitian_residual(a: np.ndarray) -> tuple[float, float]:

@@ -28,6 +28,8 @@ from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily, _basis_matrix,
 KINDS = ("h", "g", "f")
 _MIN_DEGREE = {"h": 1, "g": 2, "f": 2}
 _MIN_SERIES_DEGREE = {"h": 3, "g": 4, "f": 5}
+#: fewest theta points bounds_report accepts
+MIN_BOUNDS_GRID = 64
 
 # Numerical slack when counting bound violations on a grid: the bounds are
 # sharp (equality at theta = 0), so exact comparisons would trip on rounding.
@@ -335,8 +337,8 @@ def bounds_report(p: int, family: SectionFamily,
     otherwise, and the report labels them accordingly without failing on
     conjectured ones.
     """
-    if grid_size < 64:
-        raise UsageError("grid_size must be >= 64")
+    if grid_size < MIN_BOUNDS_GRID:
+        raise UsageError(f"grid_size must be >= {MIN_BOUNDS_GRID}")
     theta = np.linspace(-math.pi, math.pi, grid_size)
     h, f = symbol_fns([("h", p), ("f", p)], family) if p >= 2 else \
         (symbol_fn("h", p, family), None)

@@ -10,7 +10,9 @@ for the banded basis, the former dense assemblies kept as bit-identity
 references for the band assembler: :func:`dense_assemble_1d` (1D) and
 :func:`dense_kron_assemble_md` (d-variate, from dense Kronecker products),
 the former spline-by-spline Greville sampling kept as the bit-identity
-reference for the one-pass sampler: :func:`loop_greville_samples`, and
+reference for the one-pass sampler: :func:`loop_greville_samples` (which
+samples every row; :func:`reflect_rows` turns its result into the
+reflected one), and
 the former piece-by-piece antiderivative kept as the bit-identity reference
 for the batched one: :func:`loop_antiderivative`, the former cardinal
 recursion that builds a function at every level, kept as the bit-identity
@@ -23,6 +25,7 @@ the level-batched one: :func:`loop_gb_basis`.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -313,6 +316,38 @@ def loop_greville_samples(basis):
     return (xi, *mats)
 
 
+def reflect_rows(samples):
+    """Greville samples with every row below the middle replaced by its mirror.
+
+    Row ``i >= m - m//2`` of the r-th derivative matrix becomes row
+    ``m-1-i`` reversed, times ``(-1)**r``; for odd ``m`` the middle row's
+    entries right of its middle column become its left entries reversed, and
+    the first derivative's middle entry becomes 0.  A negated entry is
+    ``0.0 - v``, so zeros stay ``+0.0``.  Entry by entry, for one row at a time.
+    """
+    xi, *mats = samples
+    m = xi.size
+    out = []
+    for r, mat in enumerate(mats):
+        ref = mat.copy()
+        for i in range(m):
+            for j in range(m):
+                if i >= m - m // 2 or (2 * i == m - 1 and j > i):
+                    v = mat[m - 1 - i, m - 1 - j]
+                    ref[i, j] = 0.0 - v if r == 1 else v
+        if m % 2 and r == 1:
+            ref[m // 2, m // 2] = 0.0
+        out.append(ref)
+    return (xi, *out)
+
+
+def exact_greville_abscissae(n: int, p: int) -> list:
+    """Interior Greville points of the open uniform knot vector, as fractions."""
+    knots = ([Fraction(0)] * (p + 1) + [Fraction(k, n) for k in range(1, n)]
+             + [Fraction(1)] * (p + 1))
+    return [sum(knots[i + 1:i + p + 1]) / p for i in range(1, n + p - 1)]
+
+
 def _mp_local_basis(tag: str, q: int, e, tau, r: int, mp) -> list:
     """r-th tau-derivative of the q+1 local section functions at tau."""
     out = [mp.ff(j, r) * tau ** (j - r) if j >= r else mp.mpf(0)
@@ -355,7 +390,8 @@ def mp_greville_samples(n: int, p: int, tag: str, eff: float, xs,
     Each spline N_j comes from the integral recursion run on its own knots
     t_j..t_{j+p+1} alone (B-splines are local), at ``dps`` digits, in units
     of one knot interval with effective phase ``eff`` per interval.  Values
-    are right-continuous at knots and zero outside the support.
+    are right-continuous at knots and zero outside the support.  The points
+    ``xs`` are floats or fractions, taken exactly.
     """
     import mpmath as mp
 
@@ -410,9 +446,9 @@ def _mp_samples(n, p, tag, eff, xs, mp) -> list:
     splines = [spline(j) for j in range(2, n + p)]
     out = [np.zeros((len(xs), len(splines))) for _ in range(3)]
     for i, x in enumerate(xs):
-        u = mp.mpf(float(x)) * n
-        cell = min(int(mp.floor(u)), n - 1)
-        tau = u - cell
+        u = Fraction(x) * n
+        cell = min(math.floor(u), n - 1)
+        tau = mp.mpf((u - cell).numerator) / (u - cell).denominator
         for r in range(3):
             basis = _mp_local_basis(tag, p, e, tau, r, mp)
             for col, rows in enumerate(splines):

@@ -257,6 +257,18 @@ def test_negative_grid_is_refused(capsys, argv, header):
     assert capsys.readouterr().out == header
 
 
+def test_small_bounds_grid_names_the_option(capsys):
+    argv = ["bounds", "--p", "3", "--family", "polynomial"]
+    for grid in ("10", "63", "-1"):
+        code = main([*argv, "--grid", grid])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --grid must be >= 64, got {grid}\n"
+    assert main([*argv, "--grid", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["grid_size"] == 64
+
+
 PARSER_ARGVS = [
     [], ["-h"], ["bogus"], ["--"], ["--", "bounds"],
     *[[name, "-h"] for name in cli._COMMANDS],

@@ -13,8 +13,9 @@ from gbspec.errors import (ConstraintError, NumericalError, UsageError,
                            ValidationError)
 from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
-from oracles import (dense_assemble_1d, full_span_basis, loop_antiderivative,
-                     loop_gb_basis, loop_greville_samples, mp_greville_samples)
+from oracles import (dense_assemble_1d, exact_greville_abscissae,
+                     full_span_basis, loop_antiderivative, loop_gb_basis,
+                     loop_greville_samples, mp_greville_samples, reflect_rows)
 
 MODES = ("nested", "nonnested")
 Q_CASES = [(hyperbolic(10.0), "nonnested"), (hyperbolic(10.0), "nested"),
@@ -272,7 +273,8 @@ class TestOnePassSampling:
             if n < smallest:
                 continue
             basis = gb_basis(n, p, family, mode)
-            got, ref = greville_samples(basis), loop_greville_samples(basis)
+            got = greville_samples(basis)
+            ref = reflect_rows(loop_greville_samples(basis))
             for name, a, b in zip(("xi", "value", "first", "second"), got, ref):
                 assert np.array_equal(a, b), (name, n)
                 assert np.array_equal(np.signbit(a), np.signbit(b)), (name, n)
@@ -294,6 +296,41 @@ class TestOnePassSampling:
             greville_samples(basis)
             counts[n] = len(calls)
         assert counts[16] == counts[256] >= 1
+
+
+class TestReflectedSamples:
+    @pytest.mark.parametrize("p", range(2, 9))
+    @pytest.mark.parametrize("case", BANDED_CASES,
+                             ids=lambda c: f"{c[0].tag}{c[0].phase or ''}-{c[1]}")
+    def test_exactly_reflection_symmetric(self, case, p):
+        family, mode = case
+        smallest = _banded_size("smallest", p, family, mode)
+        # m = n+p-2 rows: both parities, below and above n = 2p+2
+        for n in (smallest, smallest + 1, 2 * p + 2, 2 * p + 3):
+            _, *mats = greville_samples(gb_basis(n, p, family, mode))
+            for r, mat in enumerate(mats):
+                assert np.array_equal(mat[::-1, ::-1], (-1) ** r * mat), (n, r)
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    @pytest.mark.parametrize("case", BANDED_CASES,
+                             ids=lambda c: f"{c[0].tag}{c[0].phase or ''}-{c[1]}")
+    def test_as_accurate_as_sampling_every_row(self, case, p):
+        # against 40-digit values at the exact Greville points, which are
+        # symmetric about 1/2 as their floating-point values need not be
+        pytest.importorskip("mpmath")
+        family, mode = case
+        smallest = _banded_size("smallest", p, family, mode)
+        for n in (smallest, smallest + 1):
+            basis = gb_basis(n, p, family, mode)
+            exact = mp_greville_samples(n, p, family.tag,
+                                        basis.effective_phase or 0.0,
+                                        exact_greville_abscissae(n, p))
+            got = greville_samples(basis)[1:]
+            every_row = loop_greville_samples(basis)[1:]
+            for r, (a, b, ref) in enumerate(zip(got, every_row, exact)):
+                ulp = np.finfo(float).eps * np.max(np.abs(ref))
+                assert (np.max(np.abs(a - ref))
+                        <= np.max(np.abs(b - ref)) + 4 * ulp), (n, r)
 
 
 def make_system(n=8, p=2, family=polynomial(), mode="nonnested",

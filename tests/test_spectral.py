@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gbspec import exprparse
 from gbspec.collocation import GeometryMap1D, ProblemCoefficients, assemble, gb_basis
 from gbspec.errors import UsageError
+from gbspec.multidim import GeometryMapMD, ProblemMD, assemble_md
 from gbspec.sections import hyperbolic, polynomial
 from gbspec import spectral
 from gbspec.spectral import (DistributionReport, ToeplitzSpec,
-                             _hermitian_residual, eigenvalues_dense, product_symbol_sampler,
+                             _hermitian_residual, _reflection_sizes,
+                             eigenvalues_dense, product_symbol_sampler,
                              toeplitz, toeplitz_tensor, weyl_report)
 from gbspec.symbols import symbol_fn, symbol_max
 
@@ -98,6 +102,20 @@ class TestEigenvalues:
             assert eigs.max() <= grid.max() + 1e-9
 
 
+def _spy_solvers(monkeypatch) -> list:
+    """Record (solver name, order) of every np.linalg eigenvalue call."""
+    used = []
+    for name in ("eigvalsh", "eigvals"):
+        solver = getattr(np.linalg, name)
+
+        def spy(a, solver=solver, name=name):
+            used.append((name, a.shape[0]))
+            return solver(a)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return used
+
+
 def _former_symmetry_test(a):
     """The whole-matrix expressions the blocked symmetry test replaces."""
     scale = np.max(np.abs(a)) if a.size else 0.0
@@ -135,15 +153,7 @@ class TestSymmetryTest:
         base[400, 17] = base[17, 400] = 0.0
         scale = np.max(np.abs(base))
         threshold = 1e-13 * max(scale, 1.0)
-        used = []
-        for name in ("eigvalsh", "eigvals"):
-            solver = getattr(np.linalg, name)
-
-            def spy(a, solver=solver, name=name):
-                used.append(name)
-                return solver(a)
-
-            monkeypatch.setattr(np.linalg, name, spy)
+        used = _spy_solvers(monkeypatch)
         for d, expected in ((np.nextafter(threshold, 0.0), "eigvalsh"),
                             (threshold, "eigvalsh"),
                             (np.nextafter(threshold, 1.0), "eigvals")):
@@ -154,7 +164,114 @@ class TestSymmetryTest:
             assert _hermitian_residual(a) == (residual, former_scale)
             used.clear()
             eigenvalues_dense(a)
-            assert used == [expected], d
+            assert used == [(expected, size)], d
+
+
+def _invariant_matrix(shape, flipped, kind, seed=0):
+    """Random matrix on the tensor index ``shape`` (last index fastest).
+
+    It is made exactly invariant under reversing each direction in
+    ``flipped``, and made symmetric or Hermitian for those kinds.
+    """
+    rng = np.random.default_rng(seed)
+    order = math.prod(shape)
+    a = rng.standard_normal((order, order))
+    if kind == "hermitian":
+        a = a + 1j * rng.standard_normal((order, order))
+    t = a.reshape(shape * 2)
+    for k in flipped:
+        # t + flip(t) is unchanged by the flip: addition commutes
+        t = t + np.flip(t, axis=(k, k + len(shape)))
+    a = t.reshape(order, order)
+    return a + a.conj().T if kind in ("symmetric", "hermitian") else a
+
+
+def _matched_error(got: np.ndarray, ref: np.ndarray) -> float:
+    """Largest distance when each reference eigenvalue takes its nearest unused one."""
+    left = list(got)
+    worst = 0.0
+    for z in ref:
+        k = int(np.argmin(np.abs(np.array(left) - z)))
+        worst = max(worst, abs(left.pop(k) - z))
+    return worst
+
+
+# (tensor shape, reversed directions, block sizes found): odd and even
+# radices; a reversal of a leading direction alone is no block reversal
+SPLIT_CASES = [
+    ((7,), (0,), [7]),
+    ((8,), (0,), [8]),
+    ((3, 4), (0, 1), [4, 12]),
+    ((5, 6), (1,), [6]),
+    ((4, 5), (0,), []),
+    ((3, 4, 5), (0, 1, 2), [5, 20, 60]),
+    ((2, 3, 3), (1, 2), [3, 9]),
+    ((5, 3, 4), (2,), [4]),
+]
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize("kind", ["general", "symmetric", "hermitian"])
+    @pytest.mark.parametrize("case", SPLIT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_same_eigenvalues_as_one_solve(self, monkeypatch, case, kind):
+        shape, flipped, sizes = case
+        a = _invariant_matrix(shape, flipped, kind)
+        assert _reflection_sizes(a) == sizes
+        ref = np.linalg.eigvals(a)
+        used = _spy_solvers(monkeypatch)
+        got = eigenvalues_dense(a)
+        assert got.shape == ref.shape
+        assert _matched_error(got, ref) <= 1e-12 * np.max(np.abs(ref))
+        solver = "eigvals" if kind == "general" else "eigvalsh"
+        assert [name for name, _ in used] == [solver] * 2 ** len(sizes)
+        assert sum(order for _, order in used) == a.shape[0]
+        if kind != "general":
+            assert np.array_equal(got, np.sort(got.real))
+
+    @pytest.mark.parametrize("kind", ["general", "symmetric", "hermitian"])
+    def test_no_symmetry_is_one_unchanged_solve(self, kind):
+        a = _invariant_matrix((6, 5), (), kind)
+        assert _reflection_sizes(a) == []
+        if kind == "general":
+            ref = np.asarray(np.linalg.eigvals(a), dtype=complex)
+        else:
+            ref = np.linalg.eigvalsh(a).astype(complex)
+        got = eigenvalues_dense(a)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+
+    # every reversal of these cases moves both entries, so the image keeps
+    # the old value; row 0 is checked first on its own, row 1 only with
+    # the whole matrix
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 2)])
+    @pytest.mark.parametrize("case", SPLIT_CASES[:4], ids=lambda c: str(c[0]))
+    def test_one_ulp_turns_the_split_off(self, monkeypatch, case, entry):
+        shape, flipped, _ = case
+        a = _invariant_matrix(shape, flipped, "general")
+        a[entry] = np.nextafter(a[entry], np.inf)
+        assert _reflection_sizes(a) == []
+        used = _spy_solvers(monkeypatch)
+        eigenvalues_dense(a)
+        assert used == [("eigvals", a.shape[0])]
+
+    def test_workspace_is_one_matrix(self):
+        k3 = tuple(tuple(exprparse.parse("1" if i == j else "0")
+                         for j in range(3)) for i in range(3))
+        zero = exprparse.parse("0")
+        problem = ProblemMD(d=3, diffusion=k3, advection=(zero,) * 3,
+                            gamma=zero, families=(hyperbolic(10.0),) * 3,
+                            degrees=(3, 3, 3), nu=(1, 1, 1), mode="nonnested")
+        a = assemble_md(problem, GeometryMapMD.identity(3), 10) / 100
+        assert _reflection_sizes(a) == [11, 121, 1331]
+        eigenvalues_dense(a[:11, :11])  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            eigenvalues_dense(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * a.nbytes
 
 
 class TestWeylReport:

@@ -113,6 +113,12 @@ COMMANDS: list[list[str]] = [
     ["eig", "--config", _TRIG_P7, "--n", "40"],
     ["assemble", "--config", _HYP_P6, "--n", "11"],
     ["eig", "--config", _HYP_P6, "--n", "64"],
+    # reflection-symmetric matrices at sizes the benchmark does not reach:
+    # even radices in 3D, odd orders of a Toeplitz and of a 1D system
+    ["distribution-md", "--config", _cfg("3d_hyperbolic.json"), "--n", "9"],
+    ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
+     "--m", "301", "--eig"],
+    ["eig", "--config", _HYP_P6, "--n", "63"],
     # parser paths: usage, help and errors, with and without a command
     [],
     ["-h"],
@@ -121,6 +127,7 @@ COMMANDS: list[list[str]] = [
     ["bounds", "--p", "3", "--family", "polynomial", "--bogus"],
     ["bounds", "--p", "x", "--family", "polynomial"],
     ["bounds", "--p", "3", "--family", "cubic"],
+    ["bounds", "--p", "3", "--family", "polynomial", "--grid", "10"],
 ]
 
 _RUN = "import sys; from gbspec.cli import main; sys.exit(main(sys.argv[1:]))"
