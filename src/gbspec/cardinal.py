@@ -10,7 +10,10 @@ so all stated properties (compact support on (0, p+1), positivity, partition
 of unity, C^{p-1} smoothness, symmetry about (p+1)/2) hold to rounding error.
 Level q of the recursion is the degree-q spline, so one recursion up to p
 serves every degree up to p: :func:`cardinal_splines` builds several
-degrees of one family from a single run.
+degrees of one family from a single run.  The recursion runs in the section
+basis of :mod:`gbspec.sections`, which is one basis for every family and
+phase, so the same steps serve the polynomial limit and every phase up to
+:data:`MAX_HYPERBOLIC_PHASE`.
 """
 
 from __future__ import annotations
@@ -21,34 +24,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .sections import (HYPERBOLIC, POLYNOMIAL, TRIGONOMETRIC, PiecewiseFn,
-                       SectionFamily, _antiderivative_stack, _basis_matrix,
-                       _dot2)
+from .sections import (HYPERBOLIC, PiecewiseFn, SectionFamily,
+                       _antiderivative_stack, _at_edge)
 
-# Below this phase the non-polynomial section functions are numerically
-# indistinguishable from their polynomial limits and the explicit formulas
-# suffer cancellation, so construction falls back to the polynomial branch.
-PHASE_FALLBACK = 1e-8
+#: Largest hyperbolic effective phase on a unit interval that is accepted;
+#: larger ones are refused with :class:`~gbspec.errors.NumericalError`.
+MAX_HYPERBOLIC_PHASE = 76.0
+
+#: Degree-1 rows of the unnormalized two-piece seed in the basis (u, v),
+#: for every family: the ascending branch sinh(eps tau)/sinh(eps) on [0, 1)
+#: is (u + v)/2, the descending one on [1, 2) is (u - v)/2.
+SEED_ROWS = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 
-def _seed_rows(family: SectionFamily) -> np.ndarray:
-    """Degree-1 coefficient rows of the unnormalized two-piece seed.
+def _check_phase(unit: SectionFamily) -> None:
+    """Refuse a hyperbolic effective phase above :data:`MAX_HYPERBOLIC_PHASE`.
 
-    Row 0 is the ascending branch on [0,1); row 1 the descending branch on
-    [1,2), both in local coordinates and in the degree-1 basis {u, v}.
+    ``unit`` is the family on unit intervals, so its phase is the effective one.
     """
-    if family.is_polynomial:
-        return np.array([[0.0, 1.0], [1.0, -1.0]])
-    a = family.phase
-    if family.tag == HYPERBOLIC:
-        try:
-            sinh, cosh = math.sinh(a), math.cosh(a)
-        except OverflowError:
-            raise NumericalError(
-                f"hyperbolic seed overflows at effective phase {a:g}") from None
-        return np.array([[0.0, 1.0 / sinh], [1.0, -cosh / sinh]])
-    return np.array([[0.0, 1.0 / math.sin(a)],
-                     [1.0, -math.cos(a) / math.sin(a)]])
+    if unit.tag == HYPERBOLIC and unit.phase > MAX_HYPERBOLIC_PHASE:
+        raise NumericalError(
+            f"hyperbolic effective phase {unit.phase:g} is above the supported "
+            f"maximum {MAX_HYPERBOLIC_PHASE:g}")
 
 
 @dataclass(frozen=True)
@@ -72,23 +69,15 @@ class CardinalSpline:
         return (self.degree + 1) / 2
 
 
-def effective_family(family: SectionFamily) -> SectionFamily:
-    """The family actually used for construction (polynomial for tiny phases)."""
-    if not family.is_polynomial and family.phase < PHASE_FALLBACK:
-        return SectionFamily(POLYNOMIAL)
-    return family
-
-
-def _reciprocals(integrals: np.ndarray, degree: int,
-                 rep: SectionFamily) -> np.ndarray:
-    """``1 / integrals``, refused unless every integral is finite and nonzero."""
+def _checked(integrals: np.ndarray, degree: int, rep: SectionFamily) -> np.ndarray:
+    """``integrals``, refused unless every one is finite and nonzero."""
     bad = ~np.isfinite(integrals) | (integrals == 0)
     if np.any(bad):
         raise NumericalError(
             f"GB-spline recursion breaks down at degree {degree}, effective "
             f"phase {rep.effective(1.0):g}: a spline integrates to "
             f"{float(integrals[bad][0])!r}")
-    return 1.0 / integrals
+    return integrals
 
 
 def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
@@ -97,20 +86,19 @@ def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
     The recursion runs on plain ``(pieces, slots)`` coefficient arrays on
     unit intervals; only the levels asked for become :class:`PiecewiseFn`.
     """
+    _check_phase(rep)
     top = max(degrees)
-    eps = np.full(top + 1, rep.effective(1.0))  # effective phase of every piece
+    eps = rep.effective(1.0)  # the effective phase of every piece
     widths = np.ones(top + 1)
 
     def antiderivative(rows: np.ndarray) -> np.ndarray:
         pieces, slots = rows.shape
-        return _antiderivative_stack(rep, slots - 1, eps[:pieces], widths[:pieces],
+        return _antiderivative_stack(rep, slots - 1, eps, widths[:pieces],
                                      rows[None])[0]
 
-    seed = _seed_rows(rep)
-    end = _basis_matrix(rep, 2, eps[:1], np.array([1.0]))[0]
-    integral = _dot2(end, antiderivative(seed)[-1])
-    delta1 = _reciprocals(np.array([integral]), 1, rep).item()
-    levels = [seed * delta1]
+    integral = _at_edge(antiderivative(SEED_ROWS)[-1])
+    delta1 = 1.0 / _checked(np.array([integral]), 1, rep).item()
+    levels = [SEED_ROWS * delta1]
 
     for q in range(2, top + 1):
         one = np.zeros(q + 1)
@@ -126,32 +114,15 @@ def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
 def cardinal_splines(family: SectionFamily, degrees) -> list[CardinalSpline]:
     """The cardinal splines of the given family and degrees, in order.
 
-    One recursion up to the largest degree serves them all.  Small phases
-    fall back to the polynomial limit: antidifferentiation divides the
-    (u, v) coefficients by the effective phase, so at phase ``a`` the
-    representation's rounding error grows like ``a**(1-p)`` while the
-    polynomial limit differs from the true spline only by O(a**2).  Each
-    degree measures its own coefficient scale and keeps whichever branch
-    has the smaller error estimate.
+    One recursion up to the largest degree serves them all.
     """
     if any(p < 1 for p in degrees):
         raise UsageError("cardinal splines require degree p >= 1")
     if not degrees:
         return []
-    rep = effective_family(family)
-    if rep.tag == TRIGONOMETRIC:
-        rep.check_interval(1.0)
-    levels = _build(rep, degrees)
-    if not rep.is_polynomial:
-        polynomial_model_error = 0.1 * rep.phase**2
-        fallback = [p for p, (pw, _) in zip(degrees, levels)
-                    if float(np.max(np.abs(pw.coeffs))) * 1e-16
-                    > max(polynomial_model_error, 1e-12)]
-        if fallback:
-            rebuilt = dict(zip(fallback, _build(SectionFamily(POLYNOMIAL), fallback)))
-            levels = [rebuilt.get(p, level) for p, level in zip(degrees, levels)]
+    family.check_interval(1.0)
     return [CardinalSpline(p, family, pw, delta1)
-            for p, (pw, delta1) in zip(degrees, levels)]
+            for p, (pw, delta1) in zip(degrees, _build(family, degrees))]
 
 
 def cardinal_spline(family: SectionFamily, p: int) -> CardinalSpline:
@@ -189,21 +160,24 @@ def _phi0_hat(theta: np.ndarray) -> np.ndarray:
 
 
 def _phi1_hat(family: SectionFamily, theta: np.ndarray) -> np.ndarray:
-    rep = effective_family(family)
-    if rep.is_polynomial:
+    if family.is_polynomial:
         return _phi0_hat(theta) ** 2
-    a = rep.phase
-    if rep.tag == HYPERBOLIC:
-        amp = a * a / (2.0 * math.sinh(a / 2.0) ** 2)
-        ratio = (math.cosh(a) - np.cos(theta)) / (theta * theta + a * a)
+    a = family.phase
+    if family.tag == HYPERBOLIC:
+        # amp * (cosh a - cos t)/(t^2 + a^2) with amp = a^2/(2 sinh^2(a/2)),
+        # written by cosh a - cos t = 2 sinh^2(a/2) + 2 sin^2(t/2) as a sum
+        # of positive terms: q^2 sinc^2(t/2) (1 - w) + w, w = a^2/(t^2 + a^2)
+        q = a / (2.0 * math.sinh(a / 2.0))
+        w = 1.0 / (1.0 + (theta / a) ** 2)
+        ratio = q * q * np.sinc(theta / (2.0 * math.pi)) ** 2 * (1.0 - w) + w
     else:
         amp = a * a / (2.0 * math.sin(a / 2.0) ** 2)
         # (cos a - cos t)/(t^2 - a^2) written as a product of sinc factors,
         # which removes both poles t = +-a.
         u = (theta + a) / 2.0
         v = (theta - a) / 2.0
-        ratio = 0.5 * np.sinc(u / math.pi) * np.sinc(v / math.pi)
-    return amp * ratio * np.exp(-1j * theta)
+        ratio = amp * (0.5 * np.sinc(u / math.pi) * np.sinc(v / math.pi))
+    return ratio * np.exp(-1j * theta)
 
 
 def fourier_phi(family: SectionFamily, p: int, theta):

@@ -48,10 +48,10 @@ from typing import Sequence
 import numpy as np
 
 from . import exprparse
-from .cardinal import _reciprocals, _seed_rows
+from .cardinal import SEED_ROWS, _check_phase, _checked
 from .errors import ConstraintError, NumericalError, UsageError, ValidationError
 from .sections import (PiecewiseFn, SectionFamily, _antiderivative_stack,
-                       _basis_matrix, _dot2, _local_derivative, polynomial)
+                       _at_edge, _basis_matrix, _local_derivative, polynomial)
 from .spectral import ToeplitzSpec, toeplitz
 from .symbols import symbol_fns
 
@@ -189,9 +189,9 @@ def limit_family(family: SectionFamily, mode: str) -> SectionFamily:
     return polynomial() if mode == NESTED else family
 
 
-def _seed_level(m: int, p: int, rep: SectionFamily) -> np.ndarray:
+def _seed_level(m: int, p: int) -> np.ndarray:
     """Degree-1 splines N_{i,1}, i = 1..m+2p-1, over m unit intervals, stacked."""
-    up, down = _seed_rows(rep)
+    up, down = SEED_ROWS
     seeds = np.zeros((m + 2 * p - 1, m, 2))
     pieces = np.arange(m)
     # N_{i,1} ascends on knot interval [t_i, t_{i+1}) (1-based knots), the
@@ -202,7 +202,7 @@ def _seed_level(m: int, p: int, rep: SectionFamily) -> np.ndarray:
 
 
 def _cumulative(level: np.ndarray, left_degenerate: np.ndarray,
-                rep: SectionFamily, eps: np.ndarray) -> np.ndarray:
+                rep: SectionFamily, eps: float) -> np.ndarray:
     """Normalized cumulative integrals of a level of splines of degree q-1, stacked.
 
     An identically-zero boundary spline's cumulative degenerates to a unit
@@ -214,11 +214,12 @@ def _cumulative(level: np.ndarray, left_degenerate: np.ndarray,
     live = np.any(level, axis=(1, 2))
     anti = _antiderivative_stack(rep, q - 1, eps, np.ones(m), level[live])
     # each antiderivative at the right end of the last interval
-    end = _basis_matrix(rep, q, eps[-1:], np.ones(1))
-    totals = np.einsum("ij,ij->i", np.repeat(end, len(anti), axis=0), anti[:, -1])
+    totals = _at_edge(anti[:, -1])
     cums = np.zeros((size, m, q + 1))
     cums[:, :, 0] = left_degenerate[:, None]
-    cums[live] = anti * _reciprocals(totals, q - 1, rep)[:, None, None]
+    # dividing, rather than scaling by the reciprocal, keeps a cumulative
+    # exactly 1 beyond the support of its spline
+    cums[live] = anti / _checked(totals, q - 1, rep)[:, None, None]
     return cums
 
 
@@ -228,16 +229,16 @@ def _short_run(m: int, p: int, rep: SectionFamily) -> tuple[np.ndarray, np.ndarr
     Returns its m+p splines of degree p, stacked with shape ``(m+p, m,
     p+1)``, and ``1 / integral`` of each.
     """
-    eps = np.full(m, rep.effective(1.0))
-    level = _seed_level(m, p, rep)
+    _check_phase(rep)
+    eps = rep.effective(1.0)
+    level = _seed_level(m, p)
     for q in range(2, p + 1):
         # spline N_{i,q-1} collapses at the left boundary iff t_{i+q} = 0
         index = np.arange(1, level.shape[0] + 1)
         cums = _cumulative(level, index + q <= p + 1, rep, eps)
         level = cums[:-1] - cums[1:]
     anti = _antiderivative_stack(rep, p, eps, np.ones(m), level)
-    end = _basis_matrix(rep, p + 1, eps[-1:], np.ones(1))[0]
-    return level, _reciprocals(_dot2(end, anti[:, -1]), p, rep)
+    return level, 1.0 / _checked(_at_edge(anti[:, -1]), p, rep)
 
 
 def gb_basis(n: int, p: int, family: SectionFamily,
@@ -252,8 +253,9 @@ def gb_basis(n: int, p: int, family: SectionFamily,
     ``p`` and that phase; the ``n-p`` interior splines are translates of its
     first full-support spline N_{p+1}.  The basis keeps that run's ``m+p``
     shapes and their normalizers, so its cost does not depend on ``n``
-    beyond the knot vector.  A spline with a zero or non-finite integral
-    raises :class:`~gbspec.errors.NumericalError`.
+    beyond the knot vector.  A hyperbolic effective phase above
+    :data:`~gbspec.cardinal.MAX_HYPERBOLIC_PHASE`, or a spline with a zero
+    or non-finite integral, raises :class:`~gbspec.errors.NumericalError`.
     """
     if mode not in (NESTED, NONNESTED):
         raise UsageError(f"unknown phase mode {mode!r}")

@@ -1,24 +1,32 @@
 """Exact algebra for functions that are piecewise in a section space.
 
-A section space of degree ``p`` is spanned by the monomials ``1, t, ...,
-t**(p-2)`` together with a pair ``(u, v)`` that depends on the family:
-
-* polynomial:     ``u = t**(p-1)``, ``v = t**p``
-* hyperbolic:     ``u = cosh(eps*t)``, ``v = sinh(eps*t)``
-* trigonometric:  ``u = cos(eps*t)``,  ``v = sin(eps*t)``
-
-Every piece is stored in local coordinates ``tau in [0, 1)`` of its interval,
+Every piece is stored in local coordinates ``tau in [0, 1]`` of its interval,
 so a global phase ``alpha`` turns into the effective phase ``eps = alpha *
-width`` on each interval.  All three families are closed under
-differentiation, and antidifferentiation lands in the degree ``p+1`` space,
-which is what makes the recursive spline constructions exact instead of
-quadrature-based.
+width`` on each interval.  The three families are one family in the signed
+square of that phase: ``s = eps**2`` for hyperbolic sections, ``-eps**2``
+for trigonometric ones and ``0`` for polynomials.  On the centred coordinate
+``sigma = tau - 1/2`` the degree-``p`` section space is spanned by
+
+    1, sigma, ..., sigma**(p-2),   u = R_{p-1}/N_{p-1},   v = R_p/N_p,
+
+    R_k(sigma) = sum_{m >= 0} s**m sigma**(k+2m) / (k+2m)!,   N_k = R_k(1/2),
+
+the normalised exponential remainders (``R_k`` is ``cosh`` or ``sinh`` of
+``eps*sigma`` less its Taylor terms below degree ``k``, over ``eps**k``; for
+``s = 0`` it is ``sigma**k/k!``).  Differentiation and integration only
+shift ``k``, so no step divides by the phase and one formula serves every
+family and phase.  ``u`` and ``v`` are 1 at ``tau = 1`` and ``(-1)**(p-1)``,
+``(-1)**p`` at ``tau = 0``; as the phase tends to 0 they tend to
+``(2 sigma)**(p-1)`` and ``(2 sigma)**p``.  Antidifferentiation lands in the
+degree ``p+1`` space, which is what makes the recursive spline
+constructions exact instead of quadrature-based.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,26 +92,124 @@ def trigonometric(alpha: float) -> SectionFamily:
     return SectionFamily(TRIGONOMETRIC, float(alpha))
 
 
-def _basis_matrix(family: SectionFamily, p: int, eps: np.ndarray,
-                  tau: np.ndarray) -> np.ndarray:
-    """Stack the p+1 basis values at each (eps, tau) pair; shape (len(tau), p+1)."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.empty((tau.size, p + 1))
+_SIGN = {POLYNOMIAL: 0.0, HYPERBOLIC: 1.0, TRIGONOMETRIC: -1.0}
+
+
+def _signed_square(family: SectionFamily, eps):
+    """``s``: the effective phase squared, negated for trigonometric sections."""
+    return _SIGN[family.tag] * np.square(eps)
+
+
+@lru_cache(maxsize=4096)
+def _coefficients(s: float, k: int) -> tuple:
+    """``k!/(k+2m)!`` for the terms ``m`` of ``G_k`` that reach rounding at ``s``.
+
+    On ``|sigma| <= 1/2`` the terms left out sum to less than 1e-20 of the
+    sum of magnitudes.
+    """
+    x = abs(s) / 4.0
+    out = [1.0]
+    total = term = 1.0
+    while term > 1e-20 * total:
+        m = len(out)
+        term *= x / ((k + 2 * m - 1) * (k + 2 * m))
+        total += term
+        out.append(math.factorial(k) / math.factorial(k + 2 * m))
+    return tuple(out)
+
+
+def _series(s: float, k: int, sigma):
+    """``G_k(s sigma**2) = sum_m (s sigma**2)**m k!/(k+2m)!`` at a float or array ``sigma``.
+
+    ``G_0`` is ``cosh`` or ``cos`` of ``sqrt(|s|) sigma``, taken from the
+    library, since its alternating sum cancels for phases near pi; from
+    ``k = 1`` on the sum is well conditioned and is summed by Horner's rule.
+    """
+    if k == 0:
+        root = math.sqrt(abs(s))
+        return np.cosh(root * sigma) if s >= 0 else np.cos(root * sigma)
+    x = s * sigma**2
+    coefficients = _coefficients(s, k)
+    acc = np.full(np.shape(x), coefficients[-1])
+    for c in reversed(coefficients[:-1]):
+        acc *= x
+        acc += c
+    return acc
+
+
+@lru_cache(maxsize=4096)
+def _norm_at(s: float, k: int) -> float:
+    """``G_k(s/4) = 2**k k! N_k``, which is 1 for polynomials."""
+    return float(_series(s, k, 0.5))
+
+
+def _distinct(s) -> list:
+    """``(value, where)`` for each distinct value of the float or array ``s``.
+
+    ``where`` selects the entries holding the value; it is ``...`` when
+    every entry does, as for a scalar or a uniform phase.
+    """
+    s = np.asarray(s)
+    if s.size and (s == s.flat[0]).all():
+        return [(float(s.flat[0]), ...)]
+    values, index = np.unique(s, return_inverse=True)
+    index = index.reshape(s.shape)
+    return [(v, index == i) for i, v in enumerate(values.tolist())]
+
+
+def _norms(s, ks) -> list:
+    """``G_k(s/4)`` for each k of ``ks``, at the float or array ``s``.
+
+    Each is a float if ``s`` has one value, else an array shaped like ``s``.
+    """
+    groups = _distinct(s)
+    if len(groups) == 1:
+        return [_norm_at(groups[0][0], k) for k in ks]
+    out = np.empty((len(ks),) + np.shape(s))
+    for value, at in groups:
+        for row, k in zip(out, ks):
+            row[at] = _norm_at(value, k)
+    return list(out)
+
+
+@lru_cache(maxsize=None)
+def _edge_row(p: int, side: float) -> np.ndarray:
+    """The degree-``p`` basis at ``tau = 1`` (``side = 1``) or ``tau = 0`` (``side = -1``).
+
+    It is ``(side/2)**j`` for the monomials, then ``side**(p-1)`` and
+    ``side**p`` for ``u`` and ``v``, whatever the family and phase.
+    """
+    row = np.r_[(side / 2.0) ** np.arange(p - 1), side ** (p - 1), side ** p]
+    row = row if p else np.ones(1)
+    row.flags.writeable = False  # shared by every caller
+    return row
+
+
+def _at_edge(rows: np.ndarray, side: float = 1.0) -> np.ndarray:
+    """Values at ``tau = 1`` (``side = 1``) or ``tau = 0`` (``side = -1``) of
+    coefficient rows (last axis the slots), from the constant edge row."""
+    return np.sum(rows * _edge_row(rows.shape[-1] - 1, side), axis=-1)
+
+
+def _basis_matrix(family: SectionFamily, p: int, eps, tau) -> np.ndarray:
+    """Stack the p+1 basis values at each (eps, tau) pair; shape (len(tau), p+1).
+
+    ``u`` and ``v`` are ``(2 sigma)**k G_k(s sigma**2)/G_k(s/4)`` for
+    ``k = p-1, p``.  Each value depends on its own ``eps`` and ``tau`` alone:
+    every distinct phase is summed with its own term count.
+    """
+    sigma = np.asarray(tau, dtype=float).ravel() - 0.5
+    slots = np.ones((p + 1, sigma.size))  # one row per slot, transposed at the end
     if p == 0:
-        out[:, 0] = 1.0
-        return out
-    for j in range(p - 1):
-        out[:, j] = tau**j
-    if family.is_polynomial:
-        out[:, p - 1] = tau ** (p - 1)
-        out[:, p] = tau**p
-    elif family.tag == HYPERBOLIC:
-        out[:, p - 1] = np.cosh(eps * tau)
-        out[:, p] = np.sinh(eps * tau)
-    else:
-        out[:, p - 1] = np.cos(eps * tau)
-        out[:, p] = np.sin(eps * tau)
-    return out
+        return slots.T.copy()
+    for j in range(1, p + 1):  # sigma**j by products: pow is slow for sigma < 0
+        slots[j] = slots[j - 1] * sigma
+    slots[p - 1:] *= [[2.0 ** (p - 1)], [2.0**p]]
+    for value, at in _distinct(_signed_square(family, eps)):
+        if value != 0.0:  # G_k = 1 for polynomials
+            for k in (p - 1, p):
+                slots[k, at] *= _series(value, k, sigma[at]) / _norm_at(value, k)
+    return slots.T.copy()  # row-major, as every caller's einsum expects
 
 
 @dataclass(frozen=True)
@@ -159,65 +265,7 @@ class PiecewiseFn:
     def integral(self) -> float:
         """Integral over the whole span (exact, via antidifferentiation)."""
         anti = piecewise_antiderivative(self)
-        end = _basis_matrix(anti.family, anti.degree,
-                            anti._eff_phases()[-1:], np.array([1.0]))
-        return _dot2(end[0], anti.coeffs[-1])
-
-
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_prod(a, b):
-    """Dekker's TwoProduct: ``a*b`` and its rounding error, for floats or arrays."""
-    p = a * b
-    a1 = a * _SPLIT
-    ah = a1 - (a1 - a)
-    al = a - ah
-    b1 = b * _SPLIT
-    bh = b1 - (b1 - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _sum2(prods, errs):
-    """Compensated sum of TwoProduct pairs, in order (the tail of Dot2).
-
-    The pairs are floats, or equal-length arrays summed element by element
-    in whole-array steps: the running sums and the correction sum are each
-    one sequential ``np.add.accumulate``, with the float loop's operations.
-    """
-    if isinstance(prods[0], float):
-        s = 0.0
-        c = 0.0
-        for p, e in zip(prods, errs):
-            t = s + p
-            z = t - s
-            c += e + ((s - (t - z)) + (p - z))
-            s = t
-        return s + c
-    zero = np.zeros_like(prods[:1])  # both sums start from +0.0, as in the loop
-    sums = np.add.accumulate(np.concatenate([zero, prods]))
-    s, t = sums[:-1], sums[1:]
-    z = t - s
-    terms = errs + ((s - (t - z)) + (prods - z))
-    return t[-1] + np.add.accumulate(np.concatenate([zero, terms]))[-1]
-
-
-def _dot2(a, b):
-    """Compensated dot product (Ogita-Rump-Oishi Dot2).
-
-    The hyperbolic basis pair {cosh, sinh} is ill-conditioned at large
-    effective phases, so the integration-constant chain is accumulated in
-    roughly doubled precision to keep normalization factors at full accuracy.
-    ``b`` is one row, giving a float, or a stack of rows, giving one Dot2
-    of ``a`` with each row.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
-        prods, errs = _two_prod(np.asarray(a, dtype=float),
-                                np.asarray(b, dtype=float))
-        if prods.ndim == 1:
-            return _sum2(prods.tolist(), errs.tolist())
-        return _sum2(prods.T, errs.T)
+        return float(_at_edge(anti.coeffs[-1]))
 
 
 def piecewise_eval(f: PiecewiseFn, x):
@@ -243,33 +291,29 @@ def _local_derivative(family: SectionFamily, p: int, eps, c: np.ndarray) -> np.n
     """d/dtau of coefficient rows, expressed in the same degree-p basis.
 
     ``c`` is one row or a stack of rows (last axis the p+1 slots), with one
-    effective phase ``eps`` per row.
+    effective phase ``eps`` per row.  With ``G_k = 2**k k! N_k``:
+    ``u' = sigma**(p-2)/((p-2)! N_{p-1}) + s (N_p/N_{p-1}) v`` (no monomial
+    term for ``p = 1``) and ``v' = (N_{p-1}/N_p) u``.
     """
     out = np.zeros_like(c)
     if p == 0:
         return out
     for j in range(1, p - 1):
         out[..., j - 1] += j * c[..., j]
-    if family.is_polynomial:
-        if p == 1:
-            out[..., 0] += c[..., 1]  # u = 1, v = tau
-        else:
-            out[..., p - 2] += (p - 1) * c[..., p - 1]
-            out[..., p - 1] += p * c[..., p]
-    elif family.tag == HYPERBOLIC:
-        out[..., p - 1] += eps * c[..., p]
-        out[..., p] += eps * c[..., p - 1]
-    else:
-        out[..., p - 1] += eps * c[..., p]
-        out[..., p] += -eps * c[..., p - 1]
+    s = _signed_square(family, eps)
+    gu, gv = _norms(s, (p - 1, p))
+    if p > 1:
+        out[..., p - 2] += (p - 1) * 2.0 ** (p - 1) / gu * c[..., p - 1]
+    out[..., p - 1] += 2 * p * gu / gv * c[..., p]
+    out[..., p] += s * gv / (2 * p * gu) * c[..., p - 1]
     return out
 
 
 def piecewise_derivative(f: PiecewiseFn) -> PiecewiseFn:
     """Exact derivative, represented at the same degree.
 
-    Monomial slots shift down; the (u, v) pair maps within its own span,
-    scaled by the effective phase.  Degree-0 input yields the zero function.
+    Monomial slots shift down; the (u, v) pair maps into its own span plus
+    the top monomial.  Degree-0 input yields the zero function.
     """
     out = (_local_derivative(f.family, f.degree, f._eff_phases(), f.coeffs)
            / f._widths[:, None])
@@ -281,31 +325,26 @@ def _local_primitive(family: SectionFamily, p: int, eps,
     """Primitive of coefficient rows (vanishing at tau=0) in the degree-p+1 basis.
 
     ``c`` is one row or a stack of rows (last axis the p+1 slots), with one
-    effective phase ``eps`` per row.
+    effective phase ``eps`` per row.  ``sigma**j`` goes to
+    ``sigma**(j+1)/(j+1)``, ``u`` to ``(N_p/N_{p-1}) u+`` and ``v`` to
+    ``(N_{p+1}/N_p) v+``; the constant slot then subtracts the value at
+    tau = 0.
     """
     out = np.zeros(c.shape[:-1] + (p + 2,))
     if p == 0:
-        out[..., 1] = c[..., 0]  # degree-1 polynomial basis is {1, tau}
+        out[..., :2] = c / 2.0  # tau = (u + v)/2 in the degree-1 basis
         return out
-    out[..., 1:p] += c[..., :p - 1] / np.arange(1.0, p)
-    if family.is_polynomial:
-        out[..., p] += c[..., p - 1] / p
-        out[..., p + 1] += c[..., p] / (p + 1)
-    elif family.tag == HYPERBOLIC:
-        # int cosh = sinh/eps ; int sinh = (cosh - 1)/eps
-        out[..., p + 1] += c[..., p - 1] / eps
-        out[..., p] += c[..., p] / eps
-        out[..., 0] -= c[..., p] / eps
-    else:
-        # int cos = sin/eps ; int sin = (1 - cos)/eps
-        out[..., p + 1] += c[..., p - 1] / eps
-        out[..., p] -= c[..., p] / eps
-        out[..., 0] += c[..., p] / eps
+    out[..., 1:p] = c[..., :p - 1] / np.arange(1.0, p)
+    s = _signed_square(family, eps)
+    gu, gv, gw = _norms(s, (p - 1, p, p + 1))
+    out[..., p] = gv / (2 * p * gu) * c[..., p - 1]
+    out[..., p + 1] = gw / (2 * (p + 1) * gv) * c[..., p]
+    out[..., 0] = -_at_edge(out, -1.0)
     return out
 
 
-def _antiderivative_stack(family: SectionFamily, p: int, eps: np.ndarray,
-                          widths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _antiderivative_stack(family: SectionFamily, p: int, eps, widths: np.ndarray,
+                          coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of the antiderivatives of a stack of piecewise functions.
 
     ``coeffs`` has shape ``(S, m, p+1)``: S functions of degree ``p`` on one
@@ -313,30 +352,11 @@ def _antiderivative_stack(family: SectionFamily, p: int, eps: np.ndarray,
     The result, of shape ``(S, m, p+2)``, is what
     :func:`piecewise_antiderivative` gives for each function on its own.
     """
-    m = coeffs.shape[1]
     out = _local_primitive(family, p, eps, coeffs) * widths[:, None]
-    # degree-(p+1) basis rows at tau = 1, the right end of every piece
-    ends = _basis_matrix(family, p + 1, eps, np.ones(m))
-    # The constant of piece i is the Dot2 of ends[i-1] and row i-1, whose
-    # constant slot holds the previous constant.  Every other product of the
-    # chain is known up front, so only slot 0 and the sums run per piece,
-    # on one column of S values per slot (plain floats when S = 1).
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
-        prods, errs = _two_prod(ends, out)  # slot 0 is redone in the chain
-        if coeffs.shape[0] == 1:
-            heads, prods, errs = (a[0].tolist() for a in (out[..., 0], prods, errs))
-        else:
-            heads = out[..., 0].T
-            prods, errs = (np.ascontiguousarray(np.moveaxis(a, 0, -1))
-                           for a in (prods, errs))
-        chained = []
-        acc = 0.0
-        for head, end, prod, err in zip(heads, ends[:, 0].tolist(), prods, errs):
-            head = head + acc
-            chained.append(head)
-            prod[0], err[0] = _two_prod(end, head)
-            acc = _sum2(prod, err)
-    out[..., 0] = np.transpose(chained)
+    # each piece's integral is its primitive at tau = 1, where the basis row
+    # is a constant; the integration constants are their running sums
+    steps = _at_edge(out)
+    out[..., 1:, 0] += np.cumsum(steps[..., :-1], axis=-1)
     return out
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately decoupled from the package's exact-algebra
 path: integrals come from composite Gauss-Legendre quadrature, derivatives
 from centered finite differences, and GB-spline values from the integral
-recursion carried out in mpmath (:func:`mp_greville_samples`).  The one
+recursion carried out in mpmath in the former ``{cosh, sinh}`` section
+basis (:func:`mp_greville_samples` for bases, :func:`mp_cardinal` for
+cardinal splines and their derivatives).  The one
 exception is :func:`full_span_basis`, the package's former construction by
 the integral recursion over the whole knot vector, kept as the reference
 for the banded basis, the former dense assemblies kept as bit-identity
@@ -26,18 +28,19 @@ the level-batched one: :func:`loop_gb_basis`.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from gbspec import exprparse
 from gbspec.collocation import (CollocationSystem, KnotVector, _rep_family,
-                                greville_samples)
-from gbspec.cardinal import _seed_rows, cardinal_derivative, cardinal_spline
+                                gb_basis, greville_abscissae, greville_samples)
+from gbspec.cardinal import SEED_ROWS, cardinal_derivative, cardinal_spline
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import _direction_data, _eval_grid
 from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
-                             _local_derivative, piecewise_antiderivative,
-                             piecewise_derivative)
+                             _local_derivative, _norm_at, _signed_square,
+                             piecewise_antiderivative, piecewise_derivative)
 
 
 def gauss_legendre(fn, a: float, b: float, pieces: int = 8,
@@ -77,16 +80,7 @@ def _full_span_seeds(kv: KnotVector, rep) -> list:
     """Degree-1 splines over the distinct grid, one per index i = 1..n+2p-1."""
     n, p = kv.n, kv.degree
     grid = np.arange(n + 1) / n
-    eps = rep.effective(1.0 / n)
-    if rep.is_polynomial:
-        up = np.array([0.0, 1.0])
-        down = np.array([1.0, -1.0])
-    elif rep.tag == "hyperbolic":
-        up = np.array([0.0, 1.0 / math.sinh(eps)])
-        down = np.array([1.0, -math.cosh(eps) / math.sinh(eps)])
-    else:
-        up = np.array([0.0, 1.0 / math.sin(eps)])
-        down = np.array([1.0, -math.cos(eps) / math.sin(eps)])
+    up, down = SEED_ROWS
     seeds = []
     for i in range(1, n + 2 * p):
         coeffs = np.zeros((n, 2))
@@ -108,7 +102,7 @@ def _cumulative(spline, left_degenerate: bool,
         coeffs[:, 0] = 1.0 if left_degenerate else 0.0
         return PiecewiseFn(spline.family, q, grid, coeffs)
     anti = antiderivative(spline)
-    return anti.scaled(1.0 / anti(grid[-1]))
+    return PiecewiseFn(anti.family, q, grid, anti.coeffs / _total(anti))
 
 
 def _next_level(cums: list) -> list:
@@ -148,7 +142,7 @@ def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
     rep, mu = _rep_family(family, mode, n)
     m = min(n, 2 * p + 2)
     unit = rep if mu is None else SectionFamily(rep.tag, mu / n)
-    up, down = _seed_rows(unit)
+    up, down = SEED_ROWS
     grid = np.arange(m + 1.0)
     short = []
     for i in range(1, m + 2 * p):
@@ -163,10 +157,7 @@ def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
                              for i, s in enumerate(short, start=1)])
     short_norms = []
     for s in short:
-        anti = antiderivative(s)
-        end = _basis_matrix(anti.family, anti.degree, anti._eff_phases()[-1:],
-                            np.array([1.0]))
-        short_norms.append(1.0 / _scalar_dot2(end[0], anti.coeffs[-1]))
+        short_norms.append(1.0 / _total(antiderivative(s)))
     grid = np.arange(n + 1) / n
     splines, normalizers = [], []
     for i in range(1, n + p + 1):
@@ -180,65 +171,54 @@ def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
     return tuple(splines), np.array(normalizers)
 
 
-def _loop_primitive(family, p: int, eps: float, c: np.ndarray) -> np.ndarray:
-    """Primitive of one degree-p row (vanishing at tau=0), degree p+1."""
+def _loop_primitive(family, p: int, eps: float, c: np.ndarray,
+                    start: np.ndarray) -> np.ndarray:
+    """Primitive of one degree-p row (vanishing at tau=0), degree p+1.
+
+    ``start`` is the degree-(p+1) basis row at tau = 0.
+    """
     out = np.zeros(p + 2)
     if p == 0:
-        out[1] = c[0]  # degree-1 polynomial basis is {1, tau}
+        out[0] = out[1] = c[0] / 2.0  # tau = (u + v)/2 in the degree-1 basis
         return out
     for j in range(p - 1):
-        out[j + 1] += c[j] / (j + 1)
-    if family.is_polynomial:
-        out[p] += c[p - 1] / p
-        out[p + 1] += c[p] / (p + 1)
-    elif family.tag == "hyperbolic":
-        out[p + 1] += c[p - 1] / eps
-        out[p] += c[p] / eps
-        out[0] -= c[p] / eps
-    else:
-        out[p + 1] += c[p - 1] / eps
-        out[p] -= c[p] / eps
-        out[0] += c[p] / eps
+        out[j + 1] = c[j] / (j + 1)
+    s = float(_signed_square(family, eps))
+    gu, gv, gw = (_norm_at(s, k) for k in (p - 1, p, p + 1))
+    out[p] = gv / (2 * p * gu) * c[p - 1]
+    out[p + 1] = gw / (2 * (p + 1) * gv) * c[p]
+    out[0] = -np.sum(out * start)
     return out
 
 
-def _scalar_two_prod(a: float, b: float) -> tuple[float, float]:
-    split = 134217729.0  # 2**27 + 1
-    p = a * b
-    a1 = a * split
-    ah = a1 - (a1 - a)
-    al = a - ah
-    b1 = b * split
-    bh = b1 - (b1 - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _scalar_dot2(a, b) -> float:
-    s = 0.0
-    c = 0.0
-    for x, y in zip(a, b):
-        p, e = _scalar_two_prod(float(x), float(y))
-        t = s + p
-        z = t - s
-        c += e + ((s - (t - z)) + (p - z))
-        s = t
-    return s + c
+def _total(f: PiecewiseFn) -> float:
+    """``f`` at the right end of its last piece, from the basis row there."""
+    end = _basis_matrix(f.family, f.degree, f._eff_phases()[-1:], np.ones(1))[0]
+    return np.sum(f.coeffs[-1] * end)
 
 
 def loop_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
-    """Exact antiderivative of ``f``, one piece and one Dot2 call at a time."""
+    """Exact antiderivative of ``f``, one piece at a time.
+
+    Each piece's integral is its primitive at tau = 1; the integration
+    constant of piece i is the running sum of the integrals before it.
+    """
     p = f.degree
     m = f.coeffs.shape[0]
     eps = f._eff_phases()
+    starts, ends = (_basis_matrix(f.family, p + 1, eps, np.full(m, tau))
+                    for tau in (0.0, 1.0))
     out = np.zeros((m, p + 2))
-    ends = _basis_matrix(f.family, p + 1, eps, np.ones(m))
     acc = 0.0
     for i in range(m):
-        prim = _loop_primitive(f.family, p, eps[i], f.coeffs[i]) * f._widths[i]
-        prim[0] += acc
+        prim = _loop_primitive(f.family, p, eps[i], f.coeffs[i], starts[i]) * f._widths[i]
+        step = np.sum(prim * ends[i])
+        if i:
+            prim[0] += acc
+            acc = acc + step
+        else:
+            acc = step
         out[i] = prim
-        acc = _scalar_dot2(ends[i], prim)
     return PiecewiseFn(f.family, p + 1, f.breakpoints, out)
 
 
@@ -248,10 +228,8 @@ def loop_cardinal_build(rep, degrees) -> list:
     Level q is the degree-q cardinal spline of the section family ``rep`` on
     {0, ..., q+1}; every antiderivative is :func:`loop_antiderivative`.
     """
-    pw = PiecewiseFn(rep, 1, np.array([0.0, 1.0, 2.0]), _seed_rows(rep))
-    anti = loop_antiderivative(pw)
-    end = _basis_matrix(rep, 2, anti._eff_phases()[-1:], np.array([1.0]))
-    delta1 = 1.0 / _scalar_dot2(end[0], anti.coeffs[-1])
+    pw = PiecewiseFn(rep, 1, np.array([0.0, 1.0, 2.0]), SEED_ROWS)
+    delta1 = 1.0 / _total(loop_antiderivative(pw))
     levels = [pw.scaled(delta1)]
     for q in range(2, max(degrees) + 1):
         anti = loop_antiderivative(levels[-1])  # degree q on {0..q}
@@ -399,6 +377,29 @@ def mp_greville_samples(n: int, p: int, tag: str, eff: float, xs,
         return _mp_samples(n, p, tag, eff, xs, mp)
 
 
+@lru_cache(maxsize=None)
+def mp_nested_shape_error(n: int, p: int, family) -> float:
+    """Relative error of the shapes of ``gb_basis(n, p, family, "nested")``.
+
+    Beyond ``n = 2p+2`` the shapes depend only on p and the effective phase
+    ``alpha/n``, so they are checked through the basis of ``n0 = 2p+2``
+    intervals at that phase: the largest max-norm relative error of its
+    value, first- and second-derivative Greville matrices against
+    :func:`mp_greville_samples`, which is cheap at ``n0``.
+    """
+    basis = gb_basis(n, p, family, "nested")
+    n0 = min(n, 2 * p + 2)
+    small = gb_basis(n0, p, SectionFamily(family.tag, family.phase * n0 / n),
+                     "nested")
+    if small.effective_phase != basis.effective_phase or not np.array_equal(
+            small.shapes, basis.shapes):
+        raise ValueError(f"n = {n0} does not reproduce the shapes of n = {n}")
+    exact = mp_greville_samples(n0, p, family.tag, small.effective_phase,
+                                greville_abscissae(small.knots))
+    return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+               for a, b in zip(greville_samples(small)[1:], exact))
+
+
 def _mp_samples(n, p, tag, eff, xs, mp) -> list:
     e = mp.mpf(eff) if tag != "polynomial" else mp.mpf(0)
     # knot t_k (1-based) in interval units
@@ -456,6 +457,84 @@ def _mp_samples(n, p, tag, eff, xs, mp) -> list:
                     value = mp.fsum(a * b for a, b in zip(basis, rows[cell]))
                     out[r][i, col] = float(value * mp.mpf(n) ** r)
     return out
+
+
+#: families whose cardinal splines and symbols are checked against mpmath:
+#: small, moderate and large phases, up to the largest accepted hyperbolic one
+PHASE_SWEEP = ([SectionFamily("hyperbolic", a)
+                for a in (1e-6, 1e-3, 0.1, 1.0, 10.0, 30.0, 50.0, 76.0)]
+               + [SectionFamily("trigonometric", a)
+                  for a in (1e-6, 0.5, 1.5, 3.0, 3.14)])
+
+
+def _mp_digits(alpha) -> int:
+    """Working digits that leave 40 after the {cosh, sinh} recursion's cancellation.
+
+    Antidifferentiation divides by the phase at every level, and values near
+    the right end of a piece cancel terms of size e**alpha.
+    """
+    if alpha is None:
+        return 40
+    return 40 + math.ceil(alpha) + 12 * max(0, math.ceil(-math.log10(alpha)))
+
+
+@lru_cache(maxsize=None)
+def _mp_cardinal_rows(tag: str, alpha, top: int):
+    """Rows of the degree-1..top cardinal splines in the {cosh, sinh} basis.
+
+    The integral recursion of :mod:`gbspec.cardinal` carried out in mpmath
+    in the basis of :func:`_mp_local_basis`, on unit intervals with the
+    phase ``alpha``: ``rows[q][i]`` holds the degree-q spline on [i, i+1).
+    """
+    import mpmath as mp
+
+    with mp.workdps(_mp_digits(alpha)):
+        e = mp.mpf(0) if tag == "polynomial" else mp.mpf(alpha)
+        if tag == "polynomial":
+            seed = [[0, 1], [1, -1]]
+        elif tag == "hyperbolic":
+            seed = [[0, 1 / mp.sinh(e)], [1, -mp.cosh(e) / mp.sinh(e)]]
+        else:
+            seed = [[0, 1 / mp.sin(e)], [1, -mp.cos(e) / mp.sin(e)]]
+
+        def antiderivative(rows: list, q: int) -> tuple:
+            end = _mp_local_basis(tag, q, e, mp.mpf(1), 0, mp)
+            acc, out = mp.mpf(0), []
+            for row in rows:
+                prim = _mp_primitive(tag, q - 1, e, row, mp)
+                prim[0] += acc
+                out.append(prim)
+                acc = mp.fsum(a * b for a, b in zip(end, prim))
+            return out, acc
+
+        total = antiderivative([[mp.mpf(v) for v in row] for row in seed], 2)[1]
+        rows = {1: [[mp.mpf(v) / total for v in row] for row in seed]}
+        for q in range(2, top + 1):
+            anti = antiderivative(rows[q - 1], q)[0] + [[mp.mpf(1)] + [mp.mpf(0)] * q]
+            rows[q] = [[a - b for a, b in zip(row, prev)]
+                       for row, prev in zip(anti, [[0] * (q + 1)] + anti[:-1])]
+    return rows
+
+
+def mp_cardinal(tag: str, alpha, q: int, t, r: int = 0, top: int = 10) -> float:
+    """r-th derivative of the degree-q cardinal spline at ``t``, from mpmath.
+
+    One recursion up to ``top`` serves every degree; the points ``t`` are
+    floats or fractions, taken exactly.  The spline is right-continuous at
+    knots and its right end evaluates as the left limit.
+    """
+    import mpmath as mp
+
+    rows = _mp_cardinal_rows(tag, alpha, top)[q]
+    t = Fraction(t)
+    if not 0 <= t <= q + 1:
+        return 0.0
+    with mp.workdps(_mp_digits(alpha)):
+        e = mp.mpf(0) if tag == "polynomial" else mp.mpf(alpha)
+        piece = min(math.floor(t), q)
+        tau = mp.mpf((t - piece).numerator) / (t - piece).denominator
+        basis = _mp_local_basis(tag, q, e, tau, r, mp)
+        return float(mp.fsum(a * b for a, b in zip(basis, rows[piece])))
 
 
 def _kron_all(mats):

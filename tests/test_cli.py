@@ -6,6 +6,8 @@ import pytest
 
 from gbspec import cli
 from gbspec.cli import main
+from gbspec.sections import SectionFamily
+from oracles import mp_nested_shape_error
 
 PROBLEM_1D = {
     "d": 1, "kappa": "1", "beta": "0", "gamma": "0",
@@ -202,19 +204,18 @@ def test_unknown_command_exits_one(capsys):
 
 @pytest.mark.parametrize("family,alpha,p,n", [("hyperbolic", 1.0, 7, 256),
                                               ("trigonometric", 2.0, 8, 64)])
-def test_zero_spline_integral_is_a_numerical_failure(capsys, tmp_path, family,
-                                                     alpha, p, n):
-    # at these small effective phases the integral recursion cancels to a
-    # spline of zero integral, which cannot be normalized
+def test_small_phase_high_degree_distribution_answers(capsys, tmp_path, family,
+                                                      alpha, p, n):
+    # effective phases 1/256 and 1/32 at degrees 7 and 8
     path = tmp_path / "small_phase.json"
     path.write_text(json.dumps({**PROBLEM_1D, "family": family, "alpha": alpha,
                                 "mode": "nested", "p": p}))
     code = main(["distribution", "--config", str(path), "--n", str(n)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("numerical failure: GB-spline recursion breaks down")
-    assert "Traceback" not in err
-
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["runs"][0]["order"] == n + p - 2
+    fam = SectionFamily(family, alpha)
+    assert mp_nested_shape_error(n, p, fam) <= 1e-9
 
 
 SYMBOL_COMMANDS = [
@@ -229,13 +230,37 @@ SYMBOL_COMMANDS = [
 @pytest.mark.parametrize("alpha", ["100", "200", "800"])
 @pytest.mark.parametrize("argv", SYMBOL_COMMANDS, ids=lambda a: a[0])
 def test_large_hyperbolic_phase_is_a_numerical_failure(capsys, argv, alpha):
-    # the seed's integral cancels to 0 at 100 and 200; sinh overflows at 800
+    # hyperbolic phases above 76 are refused
     code = main([*argv, "--family", "hyperbolic", "--alpha", alpha])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert err.startswith("numerical failure: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", SYMBOL_COMMANDS, ids=lambda a: a[0])
+def test_hyperbolic_phase_cap(capsys, argv):
+    assert main([*argv, "--family", "hyperbolic", "--alpha", "76"]) == 0
+    assert capsys.readouterr().err == ""
+    for alpha in ("76.5", "100"):
+        code = main([*argv, "--family", "hyperbolic", "--alpha", alpha])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == (f"numerical failure: hyperbolic effective phase {alpha} is "
+                       "above the supported maximum 76\n")
+
+
+def test_hyperbolic_phase_cap_in_nonnested_distribution(capsys, tmp_path):
+    # every interval of a non-nested basis has the effective phase alpha
+    path = tmp_path / "large_phase.json"
+    for alpha, expected in ((76.0, 0), (77.0, 2)):
+        path.write_text(json.dumps({**PROBLEM_1D, "alpha": alpha}))
+        code = main(["distribution", "--config", str(path), "--n", "8"])
+        out, err = capsys.readouterr()
+        assert code == expected, alpha
+        if expected:
+            assert out == "" and "above the supported maximum 76" in err
 
 
 GRID_COMMANDS = [

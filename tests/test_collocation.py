@@ -15,7 +15,8 @@ from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
 from oracles import (dense_assemble_1d, exact_greville_abscissae,
                      full_span_basis, loop_antiderivative, loop_gb_basis,
-                     loop_greville_samples, mp_greville_samples, reflect_rows)
+                     loop_greville_samples, mp_greville_samples,
+                     mp_nested_shape_error, reflect_rows)
 
 MODES = ("nested", "nonnested")
 Q_CASES = [(hyperbolic(10.0), "nonnested"), (hyperbolic(10.0), "nested"),
@@ -115,6 +116,8 @@ BANDED_CASES = [(polynomial(), "nonnested"),
                 (trigonometric(2.0), "nested"), (trigonometric(2.0), "nonnested"),
                 (trigonometric(7.0), "nested")]
 BANDED_SIZES = ("smallest", "n0", "n0+1", 37, 64)
+#: small effective phases at high degree, (family, p, n) in nested mode
+SMALL_PHASE_CASES = [(hyperbolic(1.0), 7, 256), (trigonometric(2.0), 8, 64)]
 
 
 def _banded_size(size, p: int, family: SectionFamily, mode: str) -> int:
@@ -243,12 +246,11 @@ class TestBandedBasis:
                 assert made == []
         assert counts[64] == counts[4096]
 
-    def test_zero_integral_is_a_numerical_error(self):
-        with pytest.raises(NumericalError, match="integrates to 0.0"):
-            gb_basis(256, 7, hyperbolic(1.0), "nested")
+    @pytest.mark.parametrize("family,p,n", SMALL_PHASE_CASES, ids=repr)
+    def test_small_phase_high_degree_basis_matches_mpmath(self, family, p, n):
+        # effective phases 1/256 and 1/32 at degrees 7 and 8
+        assert mp_nested_shape_error(n, p, family) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="small effective phases lose "
-                       "partition of unity in the {cosh, sinh} recursion")
     def test_small_phase_partition_of_unity(self):
         basis = gb_basis(64, 6, hyperbolic(1.0), "nested")
         xs = np.linspace(0.0, 1.0, 1001)

@@ -6,16 +6,17 @@ import pytest
 from gbspec.cardinal import cardinal_spline
 from gbspec.errors import ConstraintError, UsageError
 from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
-                             _sum2, hyperbolic,
-                             piecewise_antiderivative, piecewise_derivative,
-                             piecewise_eval, polynomial, trigonometric)
+                             _edge_row, hyperbolic, piecewise_antiderivative,
+                             piecewise_derivative, piecewise_eval, polynomial,
+                             trigonometric)
 from oracles import gauss_legendre_split, loop_antiderivative, sign_changes
 
 
 def hat() -> PiecewiseFn:
-    # unit hat on [0, 2]: v on the first interval, u - v on the second
+    # unit hat on [0, 2]: (u + v)/2 = tau on the first interval, (u - v)/2
+    # on the second, with u = 1 and v = 2 tau - 1
     return PiecewiseFn(polynomial(), 1, np.array([0.0, 1.0, 2.0]),
-                       np.array([[0.0, 1.0], [1.0, -1.0]]))
+                       np.array([[0.5, 0.5], [0.5, -0.5]]))
 
 
 def unit_slot(family, p: int, j: int) -> PiecewiseFn:
@@ -49,12 +50,26 @@ class TestBasisEval:
         assert unit_slot(polynomial(), 2, 0)(0.7) == 1.0
 
     def test_hyperbolic_v_slot(self):
-        assert unit_slot(hyperbolic(2.0), 3, 3)(0.5) == pytest.approx(
-            math.sinh(1.0), abs=1e-15)
+        # v = R_3/N_3 with R_3(sigma) = (sinh(eps sigma) - eps sigma)/eps**3
+        want = (math.sinh(0.5) - 0.5) / (math.sinh(1.0) - 1.0)
+        assert unit_slot(hyperbolic(2.0), 3, 3)(0.75) == pytest.approx(
+            want, abs=1e-15)
 
     def test_trigonometric_u_slot_quarter_period(self):
-        assert unit_slot(trigonometric(math.pi / 2), 2, 1)(1.0) == pytest.approx(
-            0.0, abs=1e-15)
+        # u = R_1/N_1 with R_1(sigma) = sin(eps sigma)/eps
+        eps = math.pi / 2
+        assert unit_slot(trigonometric(eps), 2, 1)(0.75) == pytest.approx(
+            math.sin(eps / 4) / math.sin(eps / 2), abs=1e-15)
+        assert unit_slot(trigonometric(eps), 2, 1)(1.0) == 1.0
+
+    @pytest.mark.parametrize("tag", ["hyperbolic", "trigonometric"])
+    def test_small_phase_pair_tends_to_monomials(self, tag):
+        # u -> (2 sigma)**(p-1) and v -> (2 sigma)**p as the phase tends to 0
+        tau = np.linspace(0.0, 1.0, 11)
+        for p in range(1, 12):
+            for j, power in ((p - 1, p - 1), (p, p)):
+                got = unit_slot(SectionFamily(tag, 1e-6), p, j)(tau)
+                assert np.max(np.abs(got - (2 * tau - 1) ** power)) <= 1e-12
 
 
 class TestEval:
@@ -67,9 +82,9 @@ class TestEval:
         assert piecewise_eval(f, -0.5) == 0.0
 
     def test_hyperbolic_interpolating_piece(self):
-        # sinh(alpha t)/sinh(alpha) on [0, 1] with alpha = 2
+        # sinh(alpha t)/sinh(alpha) = (u + v)/2 on [0, 1] with alpha = 2
         f = PiecewiseFn(hyperbolic(2.0), 1, np.array([0.0, 1.0]),
-                        np.array([[0.0, 1.0 / math.sinh(2.0)]]))
+                        np.array([[0.5, 0.5]]))
         assert piecewise_eval(f, 0.5) == pytest.approx(
             math.sinh(1.0) / math.sinh(2.0), abs=1e-15)
 
@@ -92,8 +107,9 @@ class TestDerivative:
         assert piecewise_derivative(hat())(0.25) == pytest.approx(1.0)
 
     def test_hyperbolic_chain_rule_at_zero(self):
+        half = math.sinh(2.0) / 2
         f = PiecewiseFn(hyperbolic(2.0), 1, np.array([0.0, 1.0]),
-                        np.array([[0.0, 1.0]]))  # sinh(2 tau)
+                        np.array([[half, half]]))  # sinh(2 tau)
         assert piecewise_derivative(f)(0.0) == pytest.approx(2.0)
 
     def test_cardinal_symmetry_point(self):
@@ -107,9 +123,9 @@ class TestDerivative:
         assert df(0.3) == 0.0
 
     def test_interval_width_scaling(self):
-        # v = tau on an interval of width 1/4 has global slope 4
+        # (u + v)/2 = tau on an interval of width 1/4 has global slope 4
         f = PiecewiseFn(polynomial(), 1, np.array([0.0, 0.25]),
-                        np.array([[0.0, 1.0]]))
+                        np.array([[0.5, 0.5]]))
         assert piecewise_derivative(f)(0.1) == pytest.approx(4.0)
 
 
@@ -123,8 +139,9 @@ class TestAntiderivative:
 
     def test_cosine_piece(self):
         eps = math.pi / 2
+        # cos(eps tau) = cos(eps/2)**2 u - sin(eps/2)**2 v
         f = PiecewiseFn(trigonometric(eps), 1, np.array([0.0, 1.0]),
-                        np.array([[1.0, 0.0]]))  # cos(eps tau)
+                        np.array([[0.5, -0.5]]))  # cos(eps tau)
         assert piecewise_antiderivative(f)(1.0) == pytest.approx(2.0 / math.pi)
 
     def test_continuity_across_breakpoints(self, family):
@@ -139,7 +156,8 @@ class TestAntiderivative:
 
     @pytest.mark.parametrize("tag", ["polynomial", "hyperbolic", "trigonometric"])
     def test_end_rows_in_one_call_match_single_rows(self, tag):
-        # the antiderivative evaluates the tau = 1 rows of all pieces at once
+        # the basis rows at tau = 1 of all pieces, in one call and one by
+        # one, are the constant row the antiderivative uses
         eps = np.geomspace(1e-6, 100.0, 41)
         if tag == "trigonometric":
             eps = eps[eps < math.pi]
@@ -149,6 +167,7 @@ class TestAntiderivative:
             for e, row in zip(eps, rows):
                 single = _basis_matrix(family, p, np.array([e]), np.array([1.0]))
                 assert np.array_equal(row, single[0])
+                assert np.array_equal(row, _edge_row(p, 1.0))
 
 
     @pytest.mark.parametrize("tag", ["polynomial", "hyperbolic", "trigonometric"])
@@ -176,25 +195,6 @@ class TestAntiderivative:
         assert cases >= 26
 
 
-class TestCompensatedSum:
-    def test_arrays_sum_as_the_float_loop(self):
-        # columns with signed zeros, infinities, nan and huge values, and
-        # columns of -0.0 only: the array steps must give the loop's bits
-        rng = np.random.default_rng(11)
-        prods = rng.standard_normal((7, 500)) * 10.0 ** rng.integers(-30, 30, (7, 500))
-        errs = prods * rng.standard_normal((7, 500)) * 1e-17
-        special = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, -1e308])
-        for a in (prods, errs):
-            mask = rng.random(a.shape) < 0.25
-            a[mask] = rng.choice(special, mask.sum())
-            a[:, :10] = -0.0
-        with np.errstate(all="ignore"):
-            got = _sum2(prods, errs)
-        ref = np.array([_sum2(p.tolist(), e.tolist()) for p, e in zip(prods.T, errs.T)])
-        assert np.array_equal(got, ref, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
-
-
 class TestExactness:
     def test_derivative_of_antiderivative(self, family):
         rng = np.random.default_rng(42)
@@ -219,12 +219,8 @@ def test_derived_pair_is_chebyshev(family):
     # any nontrivial a*u' + b*v' may change sign at most once on [0, 1]
     grid = np.linspace(0.0, 1.0, 1000)
     rng = np.random.default_rng(11)
-    u = unit_slot(family, 2, 1)(grid)
-    v = unit_slot(family, 2, 2)(grid)
-    # derivatives of (u, v) stay inside span{u, v} for these families
-    du, dv = family.phase * v, family.phase * u
-    if family.tag == "trigonometric":
-        du, dv = -family.phase * v, family.phase * u
+    du = piecewise_derivative(unit_slot(family, 2, 1))(grid)
+    dv = piecewise_derivative(unit_slot(family, 2, 2))(grid)
     for _ in range(100):
         a, b = rng.uniform(-1, 1, 2)
         if abs(a) + abs(b) < 1e-3:

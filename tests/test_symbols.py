@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from gbspec.sections import hyperbolic, polynomial, trigonometric
 from gbspec.symbols import (KINDS, bounds_report, decay_ratio,
                             lower_bound_residual, symbol_closed_form, symbol_fn,
                             symbol_fns, symbol_max, symbol_series)
-from oracles import piecewise_symbol_coefficients
+from oracles import PHASE_SWEEP, mp_cardinal, piecewise_symbol_coefficients
 
 Q_FAMILIES = [hyperbolic(1.0), hyperbolic(10.0),
               trigonometric(math.pi / 4), trigonometric(math.pi / 2)]
@@ -57,6 +58,22 @@ class TestFiniteSum:
         assert np.max(np.abs(h(pts) - h(-pts))) <= 1e-12
         assert np.max(np.abs(f(pts) - f(-pts))) <= 1e-12
         assert np.max(np.abs(g(pts) + g(-pts))) <= 1e-12
+
+
+@pytest.mark.parametrize("family", PHASE_SWEEP, ids=repr)
+def test_coefficients_match_mpmath(family):
+    # h, g and f of degrees 1..10 from one recursion, each within 1e-14 of
+    # its maximum over a fine theta grid
+    requests = [(kind, p) for p in range(1, 11) for kind in KINDS
+                if p >= symbols._MIN_DEGREE[kind]]
+    thetas = np.linspace(-math.pi, math.pi, 1025)
+    for (kind, p), sym in zip(requests, symbol_fns(requests, family)):
+        r = KINDS.index(kind)
+        want = np.array([mp_cardinal(family.tag, family.phase, p,
+                                     Fraction(p + 1, 2) - k, r)
+                         for k in range(p // 2 + 1)])
+        scale = np.max(np.abs(symbols.SymbolFn(kind, p, family, want)(thetas)))
+        assert np.max(np.abs(sym.coefficients - want)) <= 1e-14 * scale, (kind, p)
 
 
 class TestSampling:

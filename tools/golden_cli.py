@@ -6,13 +6,16 @@ SRC_A and SRC_B are checkouts of this repository (each holding
 ``src/gbspec``).  Every command below runs once against each tree, in a
 fresh interpreter with ``PYTHONPATH=<tree>/src``; the configurations come
 from this checkout's ``gbbench/configs``, so both trees read the same files.
-Three more 1D configurations are written to a temporary directory: one
+Four more 1D configurations are written to a temporary directory: one
 with diffusion, advection and reaction terms and a curved geometry, since
-two-term sums cannot show a change in the order the terms are added, and
-two at degrees 6 and 7, whose short knot vectors (n < 2p+2) and boundary
-splines the benchmark configurations do not reach.  One line per
-command reports ``same`` or which of stdout, stderr and exit code differ.
-The exit code is 1 if any command differs, else 0.
+two-term sums cannot show a change in the order the terms are added, two
+at degrees 6 and 7, whose short knot vectors (n < 2p+2) and boundary
+splines the benchmark configurations do not reach, and a nested degree-7
+one whose effective phase 1/n is small.  One line per command reports
+``same`` or which of stdout, stderr and exit code differ; when the two
+stdouts differ and hold the same count of numbers, the line also gives
+the largest absolute difference between them.  The exit code is 1 if any
+command differs, else 0.
 
 Standard library only.  Thread counts are pinned to 1 so that the run stays
 small and both trees see the same environment.
@@ -21,7 +24,9 @@ small and both trees see the same environment.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,6 +44,7 @@ _ADVECTION = _cfg("1d_polynomial_advection.json")
 _ALL_TERMS = "1d_all_terms.json"
 _TRIG_P7 = "1d_trigonometric_p7.json"
 _HYP_P6 = "1d_hyperbolic_p6.json"
+_HYP_P7_NESTED = "1d_hyperbolic_p7_nested.json"
 TEMP_CONFIGS = {
     _ALL_TERMS: {
         "d": 1, "kappa": "1+x^2", "beta": "sin(6*x)-1/2", "gamma": "1+x",
@@ -52,6 +58,10 @@ TEMP_CONFIGS = {
     _HYP_P6: {
         "d": 1, "kappa": "1", "beta": "0", "gamma": "1",
         "family": "hyperbolic", "alpha": 3.0, "mode": "nonnested", "p": 6,
+    },
+    _HYP_P7_NESTED: {
+        "d": 1, "kappa": "1", "beta": "0", "gamma": "0",
+        "family": "hyperbolic", "alpha": 1.0, "mode": "nested", "p": 7,
     },
 }
 
@@ -84,7 +94,7 @@ COMMANDS: list[list[str]] = [
      "--alpha", "10", "--m", "12"],
     ["toeplitz", "--symbol", "g", "--p", "3", "--family", "polynomial",
      "--m", "8", "--eig"],
-    # high degrees, the small-phase fallback, g and f through the derivative
+    # high degrees, a tiny phase, g and f through the derivative
     # recurrence, and a complex Toeplitz matrix
     ["cardinal", "--family", "polynomial", "--p", "11", "--grid", "300"],
     ["cardinal", "--family", "trigonometric", "--alpha", "1.5", "--p", "11",
@@ -119,6 +129,15 @@ COMMANDS: list[list[str]] = [
     ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
      "--m", "301", "--eig"],
     ["eig", "--config", _HYP_P6, "--n", "63"],
+    # phases the former section basis got wrong or refused, and the
+    # refusal above the largest supported hyperbolic phase
+    ["cardinal", "--family", "hyperbolic", "--alpha", "50", "--p", "3",
+     "--grid", "300"],
+    ["bounds", "--p", "9", "--family", "hyperbolic", "--alpha", "0.1"],
+    ["cardinal", "--family", "trigonometric", "--alpha", "0.5", "--p", "11",
+     "--grid", "300"],
+    ["cardinal", "--family", "hyperbolic", "--alpha", "100", "--p", "3"],
+    ["eig", "--config", _HYP_P7_NESTED, "--n", "256"],
     # parser paths: usage, help and errors, with and without a command
     [],
     ["-h"],
@@ -131,6 +150,20 @@ COMMANDS: list[list[str]] = [
 ]
 
 _RUN = "import sys; from gbspec.cli import main; sys.exit(main(sys.argv[1:]))"
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+
+
+def largest_difference(a: bytes, b: bytes) -> float | None:
+    """Largest absolute difference between the numbers of two outputs.
+
+    None if they hold different counts of numbers.  Equal infinities and
+    two nans count as no difference.
+    """
+    xs, ys = ([float(m) for m in _NUMBER.findall(out)] for out in (a, b))
+    if len(xs) != len(ys):
+        return None
+    return max((0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+                for x, y in zip(xs, ys)), default=0.0)
 
 
 def run(tree: Path, argv: list[str], cwd: str) -> tuple[bytes, bytes, int]:
@@ -160,8 +193,10 @@ def main(argv: list[str]) -> int:
                  if x != y]
         label = " ".join(Path(c).name if c.startswith("/") else c
                          for c in cmd) or "(no arguments)"
+        gap = largest_difference(a[0], b[0]) if "stdout" in diffs else None
         print(f"{'DIFF ' + ','.join(diffs) if diffs else 'same'}: {label}"
-              f" (exit {a[2]}, {len(a[0])} bytes)")
+              f" (exit {a[2]}, {len(a[0])} bytes)"
+              + ("" if gap is None else f" largest difference {gap:.3g}"))
         differing += bool(diffs)
     print(f"{len(COMMANDS) - differing}/{len(COMMANDS)} commands byte-identical")
     return 1 if differing else 0
