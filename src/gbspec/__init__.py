@@ -20,9 +20,9 @@ from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
 from .sections import (PiecewiseFn, SectionFamily, hyperbolic,
                        piecewise_antiderivative, piecewise_derivative,
                        piecewise_eval, polynomial, trigonometric)
-from .spectral import (DistributionReport, ToeplitzSpec, eigenvalues_dense,
-                       product_symbol_sampler, toeplitz, toeplitz_tensor,
-                       weyl_report)
+from .spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
+                       eigenvalues_dense, product_symbol_sampler,
+                       symbol_moments, toeplitz, toeplitz_tensor, weyl_report)
 from .symbols import (BoundReport, SymbolFn, bounds_report, decay_ratio,
                       decay_ratios, lower_bound_residual, symbol_closed_form,
                       symbol_fn, symbol_fns, symbol_max, symbol_series)
@@ -34,7 +34,7 @@ __all__ = [
     "DirectionSymbols", "DistributionReport", "ExprError", "GBBasis",
     "GbspecError", "GeometryMap1D", "GeometryMapMD", "KnotVector",
     "NumericalError", "PiecewiseFn", "ProblemCoefficients",
-    "ProblemMD", "SectionFamily", "StructureReport", "SymbolFn",
+    "ProblemMD", "SectionFamily", "StructureReport", "SymbolDraw", "SymbolFn",
     "ToeplitzSpec", "UsageError", "ValidationError", "assemble",
     "assemble_md", "bounds_report", "cardinal_derivative",
     "cardinal_spline", "cardinal_splines", "central_range", "decay_ratio",
@@ -44,6 +44,7 @@ __all__ = [
     "piecewise_antiderivative", "piecewise_derivative", "piecewise_eval",
     "polynomial",
     "product_symbol_sampler", "structure_report", "symbol_closed_form",
-    "symbol_fn", "symbol_fns", "symbol_max", "symbol_series", "toeplitz",
+    "symbol_fn", "symbol_fns", "symbol_max", "symbol_moments",
+    "symbol_series", "toeplitz",
     "toeplitz_tensor", "trigonometric", "weyl_report",
 ]

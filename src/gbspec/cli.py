@@ -24,7 +24,7 @@ from .errors import GbspecError, NumericalError, UsageError
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
                        assemble_md, md_symbol_samples)
 from .sections import SectionFamily, polynomial
-from .spectral import (ToeplitzSpec, eigenvalues_dense,
+from .spectral import (SymbolDraw, ToeplitzSpec, eigenvalues_dense,
                        product_symbol_sampler, toeplitz, weyl_report)
 from .symbols import MIN_BOUNDS_GRID, bounds_report, decay_ratios, symbol_fn
 
@@ -199,7 +199,7 @@ def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
     problem, geometry = load_problem_md(cfg)
     symbols = DirectionSymbols(problem.degrees, problem.families, problem.mode)
 
-    def sampler(count: int) -> np.ndarray:
+    def sampler(count: int) -> SymbolDraw:
         return md_symbol_samples(problem, geometry, count, symbols)
 
     def solve(n: int):

@@ -27,7 +27,8 @@ from .collocation import (NESTED, NONNESTED, _assemble_terms, gb_basis,
                           greville_samples, limit_family)
 from .errors import UsageError, ValidationError
 from .sections import SectionFamily
-from .spectral import DEFAULT_ORDER_CAP, _order_statistics
+from .spectral import (DEFAULT_ORDER_CAP, SymbolDraw, _order_statistics,
+                       symbol_moments)
 from .symbols import symbol_fns
 
 _GRID_PER_DIM = {2: 33, 3: 9}
@@ -272,18 +273,35 @@ class DirectionSymbols:
 
 
 def md_symbol_samples(problem: ProblemMD, geometry: GeometryMapMD,
-                      count: int, symbols: DirectionSymbols | None = None) -> np.ndarray:
-    """Sorted samples of  nu (J^{-1} K(G) J^{-T} o H(theta)) nu^T.
+                      count: int, symbols: DirectionSymbols | None = None) -> SymbolDraw:
+    """Draw of the symbol  nu (J^{-1} K(G) J^{-T} o H(theta)) nu^T.
 
-    Evaluates the scalar symbol on a uniform lattice over [0,1]^d x [-pi,pi]^d
-    (oversampled relative to ``count``) and reduces to evenly spaced order
-    statistics.
+    The quantiles are evenly spaced order statistics of the sorted symbol
+    values on a uniform lattice over [0,1]^d x [-pi,pi]^d, oversampled
+    relative to ``count``; the moments come from
+    :func:`spectral.symbol_moments`, with the bandwidth of each direction
+    the largest Fourier index among its ``h``, ``g`` and ``f``.
     """
     if count < 1:
         raise UsageError("sample count must be >= 1")
     d = problem.d
     if symbols is None:
         symbols = DirectionSymbols(problem.degrees, problem.families, problem.mode)
+    nu = np.asarray(problem.nu, dtype=float)
+
+    def pullback(xpts: np.ndarray) -> np.ndarray:
+        jac = geometry.jacobian_at(xpts)
+        dets = np.linalg.det(jac)
+        if np.min(np.abs(dets)) < 1e-12:
+            bad = xpts[int(np.argmin(np.abs(dets)))]
+            raise ValidationError(f"geometry Jacobian singular near {bad.tolist()}")
+        jinv = np.linalg.inv(jac)
+        kmat = problem.diffusion_at(geometry.map_at(xpts))
+        return np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
+
+    def weights(tpts: np.ndarray) -> np.ndarray:
+        return np.einsum("i,nij,j->nij", nu, symbols.matrix_batch(tpts), nu)
+
     per_dim = max(4, math.ceil((_MD_OVERSAMPLE * count) ** (1.0 / (2 * d))))
     xs = (np.arange(per_dim) + 0.5) / per_dim
     ths = -math.pi + 2.0 * math.pi * (np.arange(per_dim) + 0.5) / per_dim
@@ -291,18 +309,11 @@ def md_symbol_samples(problem: ProblemMD, geometry: GeometryMapMD,
     xpts = np.stack([m.ravel() for m in xmesh], axis=1)
     tmesh = np.meshgrid(*([ths] * d), indexing="ij")
     tpts = np.stack([m.ravel() for m in tmesh], axis=1)
-
-    jac = geometry.jacobian_at(xpts)
-    dets = np.linalg.det(jac)
-    if np.min(np.abs(dets)) < 1e-12:
-        bad = xpts[int(np.argmin(np.abs(dets)))]
-        raise ValidationError(f"geometry Jacobian singular near {bad.tolist()}")
-    jinv = np.linalg.inv(jac)
-    kmat = problem.diffusion_at(geometry.map_at(xpts))
-    bmat = np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
-    hmats = symbols.matrix_batch(tpts)
-    nu = np.asarray(problem.nu, dtype=float)
-    weights = np.einsum("i,nij,j->nij", nu, hmats, nu)
-    values = np.einsum("mij,nij->mn", bmat, weights).ravel()
+    values = np.einsum("mij,nij->mn", pullback(xpts), weights(tpts)).ravel()
     values.sort()
-    return _order_statistics(values, count)
+    moments = symbol_moments(
+        lambda x: pullback(x).reshape(x.shape[0], d * d),
+        lambda t: weights(t).reshape(t.shape[0], d * d).T,
+        [max(s.coefficients.size - 1 for s in (h, g, f))
+         for h, g, f in zip(symbols.h, symbols.g, symbols.f)])
+    return SymbolDraw(_order_statistics(values, count), moments)

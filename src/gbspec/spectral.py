@@ -11,19 +11,23 @@ one LAPACK call as a whole.
 
 The distribution comparator sorts eigenvalue real parts against the monotone
 rearrangement of symbol samples, reports moment errors for the test functions
-``F(z) = z**r`` (r = 1..4), the largest imaginary part, and outlier counts
-relative to box expansions of the sampled symbol range.
+``F(z) = z**r`` (r = 1..4) against the symbol's moments by exact quadrature in
+theta, the largest imaginary part, and outlier counts relative to box
+expansions of the sampled symbol range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, UsageError
+
+if TYPE_CHECKING:
+    from .symbols import SymbolFn
 
 #: refuse dense eigenvalue computations above this order by default
 DEFAULT_ORDER_CAP = 4096
@@ -31,11 +35,23 @@ DEFAULT_ORDER_CAP = 4096
 #: oversampling factor of the symbol lattice relative to the requested count
 LATTICE_OVERSAMPLE = 32
 
-#: sample-count multiplier used for the reference moments in weyl_report
-MOMENT_REFINEMENT = 64
+#: Gauss-Legendre nodes per panel of the moment quadrature in x
+_GAUSS_NODES = 8
 
-#: rows per block of the symmetry test in eigenvalues_dense
+#: agreement of two quadrature levels at which a moment is taken as settled
+_MOMENT_RTOL = 1e-13
+
+#: nodes in x beyond which an unsettled moment is refused
+_MAX_QUADRATURE_NODES = 2**21
+
+#: symbol values evaluated at a time by the moment quadrature
+_CHUNK_VALUES = 2**16
+
+#: rows per block of the reflection test in eigenvalues_dense
 _SYMMETRY_ROWS = 256
+
+#: entries of the one row-block buffer of the Hermitian test
+_RESIDUAL_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -251,20 +267,39 @@ def _split_parity(x: np.ndarray, axis: int, even: np.ndarray,
 def _hermitian_residual(a: np.ndarray) -> tuple[float, float]:
     """``max|a - a^H|`` and ``max|a|`` of a square matrix, by row blocks.
 
-    Each block of ``_SYMMETRY_ROWS`` rows is compared with the matching
-    columns, so the working memory is O(_SYMMETRY_ROWS * N) rather than a few
-    N x N temporaries; a maximum does not depend on the order it is taken in,
-    so both values equal those of the whole-matrix expressions.
+    Each block of rows is compared with the matching columns in one buffer
+    of about ``_RESIDUAL_ENTRIES`` entries, reused for every block, so no
+    N x N temporary is made; a maximum does not depend on the order it is
+    taken in, so both values equal those of the whole-matrix expressions.
     """
+    size = a.shape[0]
+    rows = max(1, _RESIDUAL_ENTRIES // size)
+    block = np.empty((min(rows, size), size), dtype=a.dtype)
+    magnitude = np.empty(block.shape) if np.iscomplexobj(block) else block
     residuals, scales = [], []
-    for lo in range(0, a.shape[0], _SYMMETRY_ROWS):
-        rows = slice(lo, lo + _SYMMETRY_ROWS)
-        residuals.append(np.max(np.abs(a[rows] - a[:, rows].conj().T)))
-        scales.append(np.max(np.abs(a[rows])))
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        out, mag = block[:hi - lo], magnitude[:hi - lo]
+        np.conjugate(a[:, lo:hi].T, out=out)
+        np.subtract(a[lo:hi], out, out=out)
+        residuals.append(np.max(np.abs(out, out=mag)))
+        scales.append(np.max(np.abs(a[lo:hi], out=mag)))
     return np.max(residuals), np.max(scales)
 
 
-Sampler = Callable[[int], np.ndarray]
+class SymbolDraw(NamedTuple):
+    """What a sampler returns for ``count``.
+
+    ``quantiles`` are ``count`` evenly spaced order statistics of the symbol
+    over its domain, ascending; ``moments`` are the means of ``symbol**r``
+    over the whole domain, r = 1..4, by :func:`symbol_moments`.
+    """
+
+    quantiles: np.ndarray
+    moments: tuple[float, float, float, float]
+
+
+Sampler = Callable[[int], SymbolDraw]
 
 
 @dataclass(frozen=True)
@@ -291,25 +326,25 @@ def weyl_report(eigs: np.ndarray, sampler: Sampler,
                 eps_values: Sequence[float] = ()) -> DistributionReport:
     """Compare a spectrum against a symbol through its monotone rearrangement.
 
-    ``sampler(count)`` must return ``count`` sorted samples of the symbol
-    distribution.  Moment references are taken from a denser draw of the same
-    sampler so that the r-th moment error estimates
-    |mean(lambda^r) - mean(symbol^r)| with negligible sampling bias.
+    ``sampler(count)`` is called once and returns a :class:`SymbolDraw`:
+    its ``count`` quantiles give the discrepancy and the outlier box, and
+    the r-th moment error is |mean(lambda^r) - mean(symbol^r)| against its
+    ``moments``.
     """
     eigs = np.asarray(eigs, dtype=complex).ravel()
     d = eigs.size
     if d == 0:
         raise UsageError("empty spectrum")
-    samples = np.sort(np.asarray(sampler(d), dtype=float).ravel())
+    draw = sampler(d)
+    samples = np.sort(np.asarray(draw.quantiles, dtype=float).ravel())
     if samples.size != d:
         raise UsageError(f"sampler returned {samples.size} values, expected {d}")
+    if len(draw.moments) != 4:
+        raise UsageError(f"sampler returned {len(draw.moments)} moments, expected 4")
     sorted_re = np.sort(eigs.real)
     discrepancy = float(np.mean(np.abs(sorted_re - samples)))
-
-    ref = np.asarray(sampler(MOMENT_REFINEMENT * d), dtype=float).ravel()
-    errors = []
-    for r in range(1, 5):
-        errors.append(float(abs(np.mean(eigs**r) - np.mean(ref**r))))
+    errors = tuple(float(abs(np.mean(eigs**r) - m))
+                   for r, m in enumerate(draw.moments, start=1))
 
     lo, hi = float(samples.min()), float(samples.max())
     outliers = {}
@@ -319,21 +354,90 @@ def weyl_report(eigs: np.ndarray, sampler: Sampler,
         outliers[float(eps)] = int(np.sum(bad))
     return DistributionReport(
         order=d, mean_abs_discrepancy=discrepancy,
-        moment_errors=tuple(errors), max_imag=float(np.max(np.abs(eigs.imag))),
+        moment_errors=errors, max_imag=float(np.max(np.abs(eigs.imag))),
         outliers=outliers,
     )
 
 
+def symbol_moments(coefficients: Callable[[np.ndarray], np.ndarray],
+                   weights: Callable[[np.ndarray], np.ndarray],
+                   bandwidths: Sequence[int]) -> tuple[float, float, float, float]:
+    """Means of ``s**r``, r = 1..4, over [0,1]^d x [-pi,pi]^d, by quadrature.
+
+    The symbol is ``s(x, theta) = sum_t coefficients(x)[t] * weights(theta)[t]``:
+    ``coefficients`` maps points of shape ``(k, d)`` to values ``(k, T)`` and
+    ``weights`` maps frequencies ``(M, d)`` to values ``(T, M)``, a
+    trigonometric polynomial of degree at most ``bandwidths[k]`` in
+    ``theta_k``.  In theta the rule is ``4 b_k + 1`` equispaced points per
+    direction over the whole period, exact for the fourth power.  In x it is
+    the tensor composite Gauss-Legendre rule of ``_GAUSS_NODES`` nodes on
+    ``2**level`` panels per direction, doubled until two levels agree to
+    ``_MOMENT_RTOL`` relative to the mean of ``|s|**r``; it evaluates at most
+    about ``_CHUNK_VALUES`` symbol values at a time.  Raises
+    :class:`NumericalError` if a moment has not settled at
+    ``_MAX_QUADRATURE_NODES`` nodes in x.
+    """
+    d = len(bandwidths)
+    axes = [-math.pi + 2.0 * math.pi * np.arange(4 * b + 1) / (4 * b + 1)
+            for b in bandwidths]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    w = np.asarray(weights(np.stack([m.ravel() for m in mesh], axis=1)), dtype=float)
+    nodes, node_weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    previous, panels = None, 1
+    while True:
+        xs = (np.arange(panels)[:, None] + (nodes + 1.0) / 2.0).ravel() / panels
+        ws = np.tile(node_weights / (2.0 * panels), panels)
+        sums, scales = _moment_sums(coefficients, w, xs, ws, d)
+        if previous is not None:
+            unsettled = np.abs(sums - previous) > _MOMENT_RTOL * scales
+            if not unsettled.any():
+                return tuple(float(v) for v in sums)
+            if (2 * xs.size) ** d > _MAX_QUADRATURE_NODES:
+                r = int(np.argmax(unsettled))
+                raise NumericalError(
+                    f"moment r={r + 1} of the symbol did not settle: "
+                    f"{previous[r]!r} with {xs.size // 2} and {sums[r]!r} with "
+                    f"{xs.size} Gauss-Legendre nodes per direction")
+        previous, panels = sums, 2 * panels
+
+
+def _moment_sums(coefficients, w: np.ndarray, xs: np.ndarray, ws: np.ndarray,
+                 d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature sums of ``s**r`` and ``|s|**r``, r = 1..4, on one x rule.
+
+    ``xs``, ``ws`` are the 1D nodes and weights, taken to the power d as a
+    tensor rule; the theta mean is over the columns of ``w``.
+    """
+    count = xs.size ** d
+    rows = max(1, _CHUNK_VALUES // w.shape[1])
+    sums, scales = np.zeros(4), np.zeros(4)
+    for lo in range(0, count, rows):
+        index = np.unravel_index(np.arange(lo, min(lo + rows, count)),
+                                 (xs.size,) * d)
+        points = np.stack([xs[i] for i in index], axis=1)
+        weight = np.prod([ws[i] for i in index], axis=0)
+        s = np.asarray(coefficients(points), dtype=float) @ w
+        power = np.ones_like(s)
+        for r in range(4):
+            power *= s
+            sums[r] += weight @ power.mean(axis=1)
+            scales[r] += weight @ (np.abs(power) if r % 2 == 0 else power).mean(axis=1)
+    return sums, scales
+
+
 def product_symbol_sampler(coefficient: Callable[[np.ndarray], np.ndarray],
-                           symbol: Callable[[np.ndarray], np.ndarray]) -> Sampler:
+                           symbol: SymbolFn) -> Sampler:
     """Sampler for a separable symbol  a(x) * s(theta)  on [0,1] x [-pi,pi].
 
-    Samples a midpoint lattice in x and a uniform theta grid on (0, pi]
-    (the symbols are even), oversampled relative to the requested count, then
-    reduces to evenly spaced order statistics of the sorted values.
+    The quantiles come from a midpoint lattice in x and a uniform theta grid
+    on (0, pi] (the symbols are even), oversampled relative to the requested
+    count, reduced to evenly spaced order statistics of the sorted values.
+    The moments come from :func:`symbol_moments`, once for every count.
     """
+    moments = None
 
-    def sample(count: int) -> np.ndarray:
+    def sample(count: int) -> SymbolDraw:
+        nonlocal moments
         if count < 1:
             raise UsageError("sample count must be >= 1")
         side = max(64, math.isqrt(LATTICE_OVERSAMPLE * count) + 1)
@@ -343,7 +447,13 @@ def product_symbol_sampler(coefficient: Callable[[np.ndarray], np.ndarray],
         svals = np.broadcast_to(np.asarray(symbol(thetas), dtype=float), thetas.shape)
         values = np.multiply.outer(cvals, svals).ravel()
         values.sort()
-        return _order_statistics(values, count)
+        if moments is None:
+            moments = symbol_moments(
+                lambda x: np.broadcast_to(np.asarray(coefficient(x[:, 0]), dtype=float),
+                                          x.shape[:1])[:, None],
+                lambda t: np.asarray(symbol(t[:, 0]), dtype=float)[None, :],
+                [symbol.coefficients.size - 1])
+        return SymbolDraw(_order_statistics(values, count), moments)
 
     return sample
 

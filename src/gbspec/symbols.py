@@ -363,7 +363,9 @@ def bounds_report(p: int, family: SectionFamily,
         step = 1e-3
         f0 = float(f(0.0))
         first = float(f(step) - f(-step)) / (2 * step)
-        second = float(f(step) - 2 * f0 + f(-step)) / step**2
+        # f(h) - 2 f(0) + f(-h) = 8 sum c_k sin^2(k h / 2), without the
+        # cancellation of the three values
+        second = 8.0 * float(np.sin(f._k * (step / 2)) ** 2 @ f._tail) / step**2
         mx = _refined_max(f, theta, fv)
         ratio = float(f(math.pi)) / mx
     else:

@@ -21,9 +21,14 @@ recursion that builds a function at every level, kept as the bit-identity
 reference for the one on coefficient arrays: :func:`loop_cardinal_build`,
 the former symbol sampling through piecewise functions, kept as the
 bit-identity reference for the one on coefficient rows:
-:func:`piecewise_symbol_coefficients`, and the former
+:func:`piecewise_symbol_coefficients`, the former
 spline-by-spline basis construction kept as the bit-identity reference for
-the level-batched one: :func:`loop_gb_basis`.
+the level-batched one: :func:`loop_gb_basis`, and the former symbol
+lattices kept as the bit-identity references for the samplers' quantiles:
+:func:`former_product_quantiles` and :func:`former_md_quantiles`.  The
+samplers' moments are checked against :func:`mp_product_moments` (mpmath
+quadrature) and :func:`richardson_md_moments` (Richardson-extrapolated
+midpoint rules).
 """
 
 import math
@@ -632,3 +637,110 @@ def dense_assemble_1d(problem, geometry, basis) -> CollocationSystem:
         kappa_hat=kappa_hat, beta_hat=beta_hat, gamma_hat=gamma_hat,
         full_matrix=full, scaled_matrix=full / n**2,
     )
+
+
+def mp_product_moments(coefficient, symbol) -> list:
+    """Means of ``(coefficient(x) f(theta))**r``, r = 1..4, by mpmath ``quad``.
+
+    The reference for the moments of the 1D sampler: the separable integral
+    over [0,1] x [-pi,pi] as the product of a tanh-sinh quadrature in x, of
+    ``coefficient`` evaluated in floats, and one in theta of the cosine
+    polynomial ``f = -c_0 - 2 sum c_k cos(k theta)`` of ``symbol``'s
+    coefficients, evaluated in mpmath.
+    """
+    import mpmath as mp
+
+    c = [mp.mpf(float(v)) for v in symbol.coefficients]
+
+    def f(t):
+        return -c[0] - 2 * mp.fsum(ck * mp.cos(k * t) for k, ck in enumerate(c[1:], 1))
+
+    def kappa(x):
+        return mp.mpf(float(np.asarray(coefficient(np.array([float(x)])))[0]))
+
+    out = []
+    for r in range(1, 5):
+        x_part = mp.quad(lambda x: kappa(x) ** r, [0, 1])
+        t_part = mp.quad(lambda t: f(t) ** r, [-mp.pi, 0, mp.pi]) / (2 * mp.pi)
+        out.append(float(x_part * t_part))
+    return out
+
+
+def richardson_md_moments(problem, geometry, symbols, levels, thetas: int = 12) -> list:
+    """Means of the d-variate symbol's powers, r = 1..4, by Richardson midpoint.
+
+    The reference for the moments of the d-variate sampler.  In theta the
+    midpoint rule of ``thetas`` points per direction over the whole period,
+    exact for trigonometric polynomials of degree below ``thetas``; in x the
+    tensor midpoint rule of ``n`` points per direction for each ``n`` in
+    ``levels`` (each twice the last), whose errors, even powers of 1/n, a
+    Romberg table removes.  The symbol
+    ``sum_ij (J^{-1} K(G) J^{-T})_ij nu_i nu_j H_ij(theta)`` is evaluated
+    with the geometry's and the problem's own methods.
+    """
+    d = problem.d
+    nu = np.asarray(problem.nu, dtype=float)
+    th = -math.pi + 2.0 * math.pi * (np.arange(thetas) + 0.5) / thetas
+    tpts = np.stack([m.ravel() for m in np.meshgrid(*[th] * d, indexing="ij")], axis=1)
+    h = symbols.matrix_batch(tpts) * nu[:, None] * nu[None, :]
+    table = []
+    for n in levels:
+        xs = (np.arange(n) + 0.5) / n
+        xpts = np.stack([m.ravel() for m in np.meshgrid(*[xs] * d, indexing="ij")],
+                        axis=1)
+        sums = np.zeros(4)
+        for lo in range(0, xpts.shape[0], 256):
+            pts = xpts[lo:lo + 256]
+            jinv = np.linalg.inv(geometry.jacobian_at(pts))
+            b = jinv @ problem.diffusion_at(geometry.map_at(pts)) @ jinv.transpose(0, 2, 1)
+            s = np.einsum("kij,mij->km", b, h)
+            sums += [np.sum(s**r) for r in range(1, 5)]
+        table.append([sums / (xpts.shape[0] * tpts.shape[0])])
+        for k in range(1, len(table)):
+            prev, cur = table[-2][k - 1], table[-1][k - 1]
+            table[-1].append(cur + (cur - prev) / (4**k - 1))
+    return [float(v) for v in table[-1][-1]]
+
+
+def former_product_quantiles(coefficient, symbol, count: int) -> np.ndarray:
+    """The former 1D sampler: order statistics of a sorted lattice pool.
+
+    Kept as the bit-identity reference for the quantiles of
+    :func:`gbspec.spectral.product_symbol_sampler`.
+    """
+    side = max(64, math.isqrt(32 * count) + 1)
+    xs = (np.arange(side) + 0.5) / side
+    thetas = (np.arange(side) + 1.0) * math.pi / side
+    cvals = np.broadcast_to(np.asarray(coefficient(xs), dtype=float), xs.shape)
+    svals = np.broadcast_to(np.asarray(symbol(thetas), dtype=float), thetas.shape)
+    values = np.sort(np.multiply.outer(cvals, svals).ravel())
+    return _former_order_statistics(values, count)
+
+
+def former_md_quantiles(problem, geometry, count: int, symbols) -> np.ndarray:
+    """The former d-variate sampler: order statistics of a sorted lattice pool.
+
+    Kept as the bit-identity reference for the quantiles of
+    :func:`gbspec.multidim.md_symbol_samples`.
+    """
+    d = problem.d
+    per_dim = max(4, math.ceil((32 * count) ** (1.0 / (2 * d))))
+    xs = (np.arange(per_dim) + 0.5) / per_dim
+    ths = -math.pi + 2.0 * math.pi * (np.arange(per_dim) + 0.5) / per_dim
+    xpts = np.stack([m.ravel() for m in np.meshgrid(*([xs] * d), indexing="ij")],
+                    axis=1)
+    tpts = np.stack([m.ravel() for m in np.meshgrid(*([ths] * d), indexing="ij")],
+                    axis=1)
+    jinv = np.linalg.inv(geometry.jacobian_at(xpts))
+    kmat = problem.diffusion_at(geometry.map_at(xpts))
+    bmat = np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
+    nu = np.asarray(problem.nu, dtype=float)
+    weights = np.einsum("i,nij,j->nij", nu, symbols.matrix_batch(tpts), nu)
+    values = np.sort(np.einsum("mij,nij->mn", bmat, weights).ravel())
+    return _former_order_statistics(values, count)
+
+
+def _former_order_statistics(sorted_values: np.ndarray, count: int) -> np.ndarray:
+    pos = ((np.arange(count) + 0.5) * sorted_values.size / count - 0.5)
+    idx = np.clip(np.round(pos).astype(int), 0, sorted_values.size - 1)
+    return sorted_values[idx]

@@ -297,14 +297,14 @@ class TestSymbolSamples:
     def test_identity_setup_matches_separable_form(self):
         problem = laplace_problem()
         geometry = GeometryMapMD.identity(2)
-        samples = md_symbol_samples(problem, geometry, 200)
+        samples = md_symbol_samples(problem, geometry, 200).quantiles
         assert samples.size == 200
         assert np.all(np.diff(samples) >= 0)
         assert samples.min() >= -1e-12  # nested polynomial symbol is nonnegative
 
     def test_nonnegative_for_nested_polynomial(self):
         problem = laplace_problem(kdiag=("1+x1", "2"), koff="x1*x2/4")
-        samples = md_symbol_samples(problem, GeometryMapMD.identity(2), 500)
+        samples = md_symbol_samples(problem, GeometryMapMD.identity(2), 500).quantiles
         assert samples.min() >= -1e-12
 
 

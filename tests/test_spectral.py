@@ -4,17 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gbspec import exprparse
+from gbspec import cli, exprparse
 from gbspec.collocation import GeometryMap1D, ProblemCoefficients, assemble, gb_basis
-from gbspec.errors import UsageError
-from gbspec.multidim import GeometryMapMD, ProblemMD, assemble_md
+from gbspec.errors import NumericalError, UsageError
+from gbspec.multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
+                             assemble_md, md_symbol_samples)
 from gbspec.sections import hyperbolic, polynomial
 from gbspec import spectral
-from gbspec.spectral import (DistributionReport, ToeplitzSpec,
+from gbspec.spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
                              _hermitian_residual, _reflection_sizes,
                              eigenvalues_dense, product_symbol_sampler,
-                             toeplitz, toeplitz_tensor, weyl_report)
+                             symbol_moments, toeplitz, toeplitz_tensor,
+                             weyl_report)
 from gbspec.symbols import symbol_fn, symbol_max
+
+from oracles import (former_md_quantiles, former_product_quantiles,
+                     mp_product_moments, richardson_md_moments)
 
 
 def spec_of(kind, p, family=polynomial()) -> ToeplitzSpec:
@@ -123,10 +128,10 @@ def _former_symmetry_test(a):
 
 
 class TestSymmetryTest:
-    @pytest.mark.parametrize("rows", [7, 256])
+    @pytest.mark.parametrize("entries", [1, 700, 2**17])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_same_maxima_as_whole_matrix(self, monkeypatch, rows, dtype):
-        monkeypatch.setattr(spectral, "_SYMMETRY_ROWS", rows)
+    def test_same_maxima_as_whole_matrix(self, monkeypatch, entries, dtype):
+        monkeypatch.setattr(spectral, "_RESIDUAL_ENTRIES", entries)
         rng = np.random.default_rng(11)
         for size in (1, 6, 7, 8, 50, 300):
             a = rng.standard_normal((size, size)).astype(dtype)
@@ -134,6 +139,19 @@ class TestSymmetryTest:
                 a += 1j * rng.standard_normal((size, size))
             for mat in (a, a + a.conj().T):
                 assert _hermitian_residual(mat) == _former_symmetry_test(mat)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_works_in_one_small_buffer(self, dtype):
+        a = np.ones((1000, 1000), dtype=dtype)
+        _hermitian_residual(a[:10, :10])  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            _hermitian_residual(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffers = spectral._RESIDUAL_ENTRIES * (24 if dtype is complex else 8)
+        assert peak <= 1.1 * buffers
 
     def test_nan_propagates(self):
         a = np.eye(300)
@@ -274,11 +292,19 @@ class TestParitySplit:
         assert peak <= 1.25 * a.nbytes
 
 
+def _draw(values):
+    """Sampler whose quantiles are ``values(count)``, with their own moments."""
+    def sample(count):
+        q = np.asarray(values(count), dtype=float)
+        return SymbolDraw(q, tuple(float(np.mean(q**r)) for r in range(1, 5)))
+    return sample
+
+
 class TestWeylReport:
     def test_identical_inputs_give_zero(self):
         vals = np.linspace(0.0, 4.0, 30)
         rep = weyl_report(vals.astype(complex),
-                          lambda m: np.linspace(0.0, 4.0, m))
+                          _draw(lambda m: np.linspace(0.0, 4.0, m)))
         assert rep.mean_abs_discrepancy == pytest.approx(0.0, abs=1e-14)
         assert rep.moment_errors[0] <= 1e-13
 
@@ -286,25 +312,41 @@ class TestWeylReport:
         t = toeplitz(spec_of("f", 2), 128)
         eigs = eigenvalues_dense(t)
         rep = weyl_report(
-            eigs, lambda m: np.sort(2 - 2 * np.cos(np.arange(1, m + 1)
-                                                   * math.pi / (m + 1))))
+            eigs, _draw(lambda m: np.sort(2 - 2 * np.cos(np.arange(1, m + 1)
+                                                         * math.pi / (m + 1)))))
         assert rep.mean_abs_discrepancy <= 0.05
         assert rep.max_imag == 0.0
 
     def test_sampler_size_mismatch(self):
         with pytest.raises(UsageError):
-            weyl_report(np.ones(4), lambda m: np.zeros(m + 1))
+            weyl_report(np.ones(4), _draw(lambda m: np.zeros(m + 1)))
+
+    def test_moment_count_mismatch(self):
+        with pytest.raises(UsageError):
+            weyl_report(np.ones(4), lambda m: SymbolDraw(np.ones(m), (1.0,) * 3))
+
+    def test_sampler_called_once(self):
+        counts = []
+        sampler = _draw(lambda m: counts.append(m) or np.ones(m))
+        weyl_report(np.ones(5, dtype=complex), sampler, [0.5])
+        assert counts == [5]
+
+    def test_moment_errors_against_the_draw(self):
+        eigs = np.array([1.0, 2.0, 3.0], dtype=complex)
+        rep = weyl_report(eigs, lambda m: SymbolDraw(np.ones(m), (2.5, 4.0, 9.0, 0.0)))
+        assert rep.moment_errors == pytest.approx((0.5, 2 / 3, 3.0, 98 / 3),
+                                                  rel=1e-15)
 
     def test_outliers_monotone_in_eps(self):
         eigs = np.array([0.0, 1.0, 5.0, -3.0], dtype=complex)
-        rep = weyl_report(eigs, lambda m: np.linspace(0.0, 1.0, m),
+        rep = weyl_report(eigs, _draw(lambda m: np.linspace(0.0, 1.0, m)),
                           eps_values=[0.1, 2.0, 10.0])
         counts = [rep.outliers[e] for e in (0.1, 2.0, 10.0)]
         assert counts == sorted(counts, reverse=True)
 
     def test_report_serializes(self):
         rep = weyl_report(np.ones(3, dtype=complex),
-                          lambda m: np.ones(m), [0.5])
+                          _draw(lambda m: np.ones(m)), [0.5])
         payload = rep.to_dict()
         assert isinstance(rep, DistributionReport)
         assert payload["order"] == 3
@@ -336,3 +378,115 @@ class TestDistributionScenario:
         (eps_a,) = rep_a.outliers
         (eps_b,) = rep_b.outliers
         assert rep_b.outliers[eps_b] <= rep_a.outliers[eps_a]
+
+
+# the distribution configurations of the benchmark, by name
+CONFIGS = {
+    "1d_hyperbolic_geometry": {
+        "d": 1, "kappa": "1+x", "beta": "0", "gamma": "0",
+        "family": "hyperbolic", "alpha": 10.0, "mode": "nonnested", "p": 3,
+        "geometry": {"G": "(x+x^2)/2", "G1": None, "G2": None}},
+    "1d_trigonometric_nested": {
+        "d": 1, "kappa": "1+x", "beta": "0", "gamma": "0",
+        "family": "trigonometric", "alpha": 10.0, "mode": "nested", "p": 4},
+    "1d_polynomial_advection": {
+        "d": 1, "kappa": "1", "beta": "5", "gamma": "0",
+        "family": "polynomial", "mode": "nonnested", "p": 5},
+    "2d_hyperbolic_curved": {
+        "d": 2, "K": [["1+x1", "0"], ["0", "1+x2"]], "beta": ["1", "0"],
+        "gamma": "0", "nu": [1, 1], "p": [3, 3],
+        "family": ["hyperbolic", "hyperbolic"], "alpha": [10.0, 10.0],
+        "mode": "nonnested",
+        "geometry": {"G": ["x1+0.2*x1*(1-x1)*x2", "x2"]}},
+    "2d_polynomial_trigonometric": {
+        "d": 2, "K": [["1", "0"], ["0", "1"]], "beta": ["0", "0"],
+        "gamma": "0", "nu": [1, 2], "p": [2, 4],
+        "family": ["polynomial", "trigonometric"], "alpha": [None, 2.0],
+        "mode": "nested"},
+    "3d_hyperbolic": {
+        "d": 3, "K": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "beta": ["0", "0", "0"], "gamma": "0", "nu": [1, 1, 1],
+        "p": [3, 3, 3], "family": ["hyperbolic"] * 3, "alpha": [10.0] * 3,
+        "mode": "nonnested"},
+}
+CONFIGS_1D = [name for name, cfg in CONFIGS.items() if cfg["d"] == 1]
+CONFIGS_MD = [name for name, cfg in CONFIGS.items() if cfg["d"] > 1]
+#: Romberg levels of the midpoint reference, by dimension
+RICHARDSON_LEVELS = {2: (8, 16, 32, 64, 128), 3: (4, 8)}
+
+
+def _sampler_1d(name):
+    problem, geometry, family, mode, p = cli.load_problem_1d(CONFIGS[name])
+    coefficient = cli._coefficient_sampler(problem, geometry)
+    sym = cli._distribution_symbol(family, mode, p)
+    return coefficient, sym, product_symbol_sampler(coefficient, sym)
+
+
+def _problem_md(name):
+    problem, geometry = cli.load_problem_md(CONFIGS[name])
+    return problem, geometry, DirectionSymbols(problem.degrees, problem.families,
+                                               problem.mode)
+
+
+class TestSymbolMoments:
+    """The samplers' quadrature moments and their unchanged quantiles."""
+
+    @pytest.mark.parametrize("name", CONFIGS_1D)
+    def test_1d_moments_match_mpmath(self, name):
+        coefficient, sym, sampler = _sampler_1d(name)
+        got = sampler(50).moments
+        assert got == pytest.approx(mp_product_moments(coefficient, sym), rel=1e-12)
+
+    @pytest.mark.parametrize("name", CONFIGS_MD)
+    def test_md_moments_match_richardson(self, name):
+        problem, geometry, symbols = _problem_md(name)
+        got = md_symbol_samples(problem, geometry, 50, symbols).moments
+        want = richardson_md_moments(problem, geometry, symbols,
+                                     RICHARDSON_LEVELS[problem.d])
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", CONFIGS_1D)
+    @pytest.mark.parametrize("count", [1, 129, 257])
+    def test_1d_quantiles_are_the_former_lattice(self, name, count):
+        coefficient, sym, sampler = _sampler_1d(name)
+        want = former_product_quantiles(coefficient, sym, count)
+        assert np.array_equal(sampler(count).quantiles, want)
+
+    @pytest.mark.parametrize("name", CONFIGS_MD)
+    @pytest.mark.parametrize("count", [1, 625, 1331])
+    def test_md_quantiles_are_the_former_lattice(self, name, count):
+        problem, geometry, symbols = _problem_md(name)
+        want = former_md_quantiles(problem, geometry, count, symbols)
+        got = md_symbol_samples(problem, geometry, count, symbols).quantiles
+        assert np.array_equal(got, want)
+
+    def test_1d_moments_computed_once_for_every_count(self, monkeypatch):
+        calls = []
+        original = spectral.symbol_moments
+        monkeypatch.setattr(spectral, "symbol_moments",
+                            lambda *a: calls.append(1) or original(*a))
+        _, _, sampler = _sampler_1d("1d_hyperbolic_geometry")
+        assert sampler(10).moments == sampler(20).moments
+        assert len(calls) == 1
+
+    def test_theta_rule_exact_for_the_fourth_power(self):
+        # cos(b theta)**4 has mean 3/8; 4b points alias cos(4 b theta) to 1
+        for b in (1, 2, 5):
+            got = symbol_moments(lambda x: np.ones((x.shape[0], 1)),
+                                 lambda t: np.cos(b * t[:, 0])[None, :], [b])
+            assert got == pytest.approx((0.0, 0.5, 0.0, 3 / 8), abs=1e-15)
+
+    def test_unsettled_moment_is_refused(self, monkeypatch):
+        # sqrt(x) is not smooth at 0, so the panels converge only slowly
+        monkeypatch.setattr(spectral, "_MAX_QUADRATURE_NODES", 256)
+        with pytest.raises(NumericalError, match=r"moment r=1 .* with 128 and .* "
+                                                 r"with 256 Gauss-Legendre"):
+            symbol_moments(lambda x: np.sqrt(x), lambda t: np.ones((1, t.shape[0])),
+                           [0])
+
+    def test_curved_1d_error_is_first_order(self):
+        # n * (first moment error) is level: the reference has no bias
+        out = cli._run_distribution_1d(CONFIGS["1d_hyperbolic_geometry"],
+                                       [64, 128, 256, 512], [])
+        scaled = [run["n"] * run["moment_errors"][0] for run in out["runs"]]
+        assert max(scaled) <= 1.01 * min(scaled)

@@ -238,6 +238,28 @@ class TestBoundsReport:
         assert rep.f_zero_first_diff == pytest.approx(0.0, abs=1e-10)
         assert rep.f_zero_second_diff == pytest.approx(2.0, abs=1e-4)
 
+    @pytest.mark.parametrize("family", [polynomial(), hyperbolic(0.1),
+                                        hyperbolic(10.0), trigonometric(2.0)],
+                             ids=lambda f: f"{f.tag}{f.phase or ''}")
+    @pytest.mark.parametrize("p", [3, 6, 9, 12])
+    def test_second_difference_matches_mpmath(self, family, p):
+        # the quotient (f(h) - 2 f(0) + f(-h)) / h^2 at h = 1e-3, evaluated
+        # in mpmath from f's coefficients: the three-point form in floats
+        # was 3.8e-11 off at p = 12 (polynomial)
+        import mpmath as mp
+
+        c = symbol_fn("f", p, family).coefficients
+        with mp.workdps(50):
+            h = mp.mpf(1e-3)
+
+            def f(t):
+                return -c[0] - 2 * mp.fsum(mp.mpf(ck) * mp.cos(k * t)
+                                           for k, ck in enumerate(c[1:], 1))
+
+            want = float((f(h) - 2 * f(0) + f(-h)) / h**2)
+        got = bounds_report(p, family, 512).f_zero_second_diff
+        assert got == pytest.approx(want, rel=1e-14)
+
     def test_grid_minimum(self):
         with pytest.raises(UsageError):
             bounds_report(3, polynomial(), 32)

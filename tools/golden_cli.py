@@ -74,6 +74,11 @@ COMMANDS: list[list[str]] = [
     ["distribution-md", "--config", _cfg("2d_polynomial_trigonometric.json"),
      "--n", "24"],
     ["distribution-md", "--config", _cfg("3d_hyperbolic.json"), "--n", "10"],
+    # outlier counts, which the benchmark's jobs (no --eps) do not print
+    ["distribution", "--config", _ADVECTION, "--n", "64,128", "--eps",
+     "0.001,0.1,1"],
+    ["distribution-md", "--config", _cfg("2d_hyperbolic_curved.json"), "--n",
+     "24", "--eps", "0.1,1,5"],
     # 1D assembly: every part, the normalized matrix, a non-symmetric case
     *[["assemble", "--config", _CURVED, "--n", "24", "--part", part]
       for part in ("full", "stiffness", "advection", "mass")],
