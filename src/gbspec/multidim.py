@@ -16,7 +16,6 @@ symbols ``h`` in the remaining directions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,12 +26,10 @@ from .collocation import (NESTED, NONNESTED, _assemble_terms, gb_basis,
                           greville_samples, limit_family)
 from .errors import UsageError, ValidationError
 from .sections import SectionFamily
-from .spectral import (DEFAULT_ORDER_CAP, SymbolDraw, _order_statistics,
-                       symbol_moments)
+from .spectral import DEFAULT_ORDER_CAP, SymbolDraw, _tensor_grid, symbol_sampler
 from .symbols import symbol_fns
 
 _GRID_PER_DIM = {2: 33, 3: 9}
-_MD_OVERSAMPLE = 32
 
 
 def _vars(d: int) -> tuple[str, ...]:
@@ -48,9 +45,7 @@ def _eval_grid(expr, points: np.ndarray, d: int) -> np.ndarray:
 
 
 def _lattice(d: int, per_dim: int) -> np.ndarray:
-    axes = [(np.arange(per_dim) + 0.5) / per_dim] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _tensor_grid([(np.arange(per_dim) + 0.5) / per_dim] * d)
 
 
 @dataclass(frozen=True)
@@ -129,9 +124,7 @@ class GeometryMapMD:
         pts = _lattice(self.d, _GRID_PER_DIM[self.d])
         if np.min(np.abs(np.linalg.det(self.jacobian_at(pts)))) < 1e-12:
             raise ValidationError("geometry Jacobian is singular on the grid")
-        mesh = np.meshgrid(*([np.array([0.0, 1.0])] * self.d), indexing="ij")
-        corners = np.stack([m.ravel() for m in mesh], axis=1)
-        img = self.map_at(corners)
+        img = self.map_at(_tensor_grid([np.array([0.0, 1.0])] * self.d))
         if np.max(np.minimum(np.abs(img), np.abs(img - 1.0))) > 1e-8:
             raise ValidationError("geometry must map corners onto the boundary")
 
@@ -179,6 +172,14 @@ def _direction_data(problem: ProblemMD, n: int):
                        for j in range(problem.d))))
 
 
+def _pullback(problem: ProblemMD, geometry: GeometryMapMD, points: np.ndarray,
+              jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``J^{-1}`` and ``B = J^{-1} K(G) J^{-T}`` at ``points``, ``jac`` being J there."""
+    jinv = np.linalg.inv(jac)
+    kmat = problem.diffusion_at(geometry.map_at(points))
+    return jinv, np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
+
+
 def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
                 order_cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
     """Assemble the multivariate collocation matrix (unnormalized).
@@ -201,17 +202,12 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
     if order > order_cap:
         raise UsageError(f"system order {order} exceeds cap {order_cap}")
 
-    mesh = np.meshgrid(*grevilles, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = _tensor_grid(grevilles)
     phys = geometry.map_at(pts)
-    jac = geometry.jacobian_at(pts)
-    jinv = np.linalg.inv(jac)
-    kmat = problem.diffusion_at(phys)
+    jinv, bmat = _pullback(problem, geometry, pts, geometry.jacobian_at(pts))
     beta = problem.advection_at(phys)
     gamma = _eval_grid(problem.gamma, phys, d)
 
-    # B = J^{-1} K J^{-T} per collocation point
-    bmat = np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
     # hessians of the geometry components fold the gradient term:
     # tr(K Hx) = sum_ij B_ij Hhat_ij - sum_c s_c (grad_x)_c with
     # s_c = tr(B Hhat(G_c)); the advection term adds J^{-1} beta.
@@ -276,44 +272,27 @@ def md_symbol_samples(problem: ProblemMD, geometry: GeometryMapMD,
                       count: int, symbols: DirectionSymbols | None = None) -> SymbolDraw:
     """Draw of the symbol  nu (J^{-1} K(G) J^{-T} o H(theta)) nu^T.
 
-    The quantiles are evenly spaced order statistics of the sorted symbol
-    values on a uniform lattice over [0,1]^d x [-pi,pi]^d, oversampled
-    relative to ``count``; the moments come from
-    :func:`spectral.symbol_moments`, with the bandwidth of each direction
-    the largest Fourier index among its ``h``, ``g`` and ``f``.
+    :func:`spectral.symbol_sampler` with a term per matrix entry; direction
+    k's bandwidth is the largest Fourier index of its ``h``, ``g`` and ``f``.
+    A Jacobian that is singular at a sampled point is refused.
     """
-    if count < 1:
-        raise UsageError("sample count must be >= 1")
     d = problem.d
     if symbols is None:
         symbols = DirectionSymbols(problem.degrees, problem.families, problem.mode)
     nu = np.asarray(problem.nu, dtype=float)
 
-    def pullback(xpts: np.ndarray) -> np.ndarray:
+    def coefficients(xpts: np.ndarray) -> np.ndarray:
         jac = geometry.jacobian_at(xpts)
         dets = np.linalg.det(jac)
         if np.min(np.abs(dets)) < 1e-12:
             bad = xpts[int(np.argmin(np.abs(dets)))]
             raise ValidationError(f"geometry Jacobian singular near {bad.tolist()}")
-        jinv = np.linalg.inv(jac)
-        kmat = problem.diffusion_at(geometry.map_at(xpts))
-        return np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
+        return _pullback(problem, geometry, xpts, jac)[1].reshape(xpts.shape[0], d * d)
 
     def weights(tpts: np.ndarray) -> np.ndarray:
-        return np.einsum("i,nij,j->nij", nu, symbols.matrix_batch(tpts), nu)
+        h = np.einsum("i,nij,j->nij", nu, symbols.matrix_batch(tpts), nu)
+        return h.reshape(tpts.shape[0], d * d).T
 
-    per_dim = max(4, math.ceil((_MD_OVERSAMPLE * count) ** (1.0 / (2 * d))))
-    xs = (np.arange(per_dim) + 0.5) / per_dim
-    ths = -math.pi + 2.0 * math.pi * (np.arange(per_dim) + 0.5) / per_dim
-    xmesh = np.meshgrid(*([xs] * d), indexing="ij")
-    xpts = np.stack([m.ravel() for m in xmesh], axis=1)
-    tmesh = np.meshgrid(*([ths] * d), indexing="ij")
-    tpts = np.stack([m.ravel() for m in tmesh], axis=1)
-    values = np.einsum("mij,nij->mn", pullback(xpts), weights(tpts)).ravel()
-    values.sort()
-    moments = symbol_moments(
-        lambda x: pullback(x).reshape(x.shape[0], d * d),
-        lambda t: weights(t).reshape(t.shape[0], d * d).T,
-        [max(s.coefficients.size - 1 for s in (h, g, f))
-         for h, g, f in zip(symbols.h, symbols.g, symbols.f)])
-    return SymbolDraw(_order_statistics(values, count), moments)
+    bandwidths = [max(s.coefficients.size - 1 for s in (h, g, f))
+                  for h, g, f in zip(symbols.h, symbols.g, symbols.f)]
+    return symbol_sampler(coefficients, weights, bandwidths)(count)

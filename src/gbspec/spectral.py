@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 #: refuse dense eigenvalue computations above this order by default
 DEFAULT_ORDER_CAP = 4096
 
-#: oversampling factor of the symbol lattice relative to the requested count
+#: symbol lattice values per requested quantile, at least
 LATTICE_OVERSAMPLE = 32
 
 #: Gauss-Legendre nodes per panel of the moment quadrature in x
@@ -329,8 +329,12 @@ def weyl_report(eigs: np.ndarray, sampler: Sampler,
     ``sampler(count)`` is called once and returns a :class:`SymbolDraw`:
     its ``count`` quantiles give the discrepancy and the outlier box, and
     the r-th moment error is |mean(lambda^r) - mean(symbol^r)| against its
-    ``moments``.
+    ``moments``.  An outlier ``eps`` that is NaN, infinite or negative is
+    refused.
     """
+    for eps in eps_values:
+        if not 0.0 <= eps < math.inf:
+            raise UsageError(f"outlier eps must be finite and >= 0, got {eps!r}")
     eigs = np.asarray(eigs, dtype=complex).ravel()
     d = eigs.size
     if d == 0:
@@ -380,8 +384,7 @@ def symbol_moments(coefficients: Callable[[np.ndarray], np.ndarray],
     d = len(bandwidths)
     axes = [-math.pi + 2.0 * math.pi * np.arange(4 * b + 1) / (4 * b + 1)
             for b in bandwidths]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    w = np.asarray(weights(np.stack([m.ravel() for m in mesh], axis=1)), dtype=float)
+    w = np.asarray(weights(_tensor_grid(axes)), dtype=float)
     nodes, node_weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     previous, panels = None, 1
     while True:
@@ -425,37 +428,53 @@ def _moment_sums(coefficients, w: np.ndarray, xs: np.ndarray, ws: np.ndarray,
     return sums, scales
 
 
-def product_symbol_sampler(coefficient: Callable[[np.ndarray], np.ndarray],
-                           symbol: SymbolFn) -> Sampler:
-    """Sampler for a separable symbol  a(x) * s(theta)  on [0,1] x [-pi,pi].
+def symbol_sampler(coefficients: Callable[[np.ndarray], np.ndarray],
+                   weights: Callable[[np.ndarray], np.ndarray],
+                   bandwidths: Sequence[int]) -> Sampler:
+    """Sampler of the symbol of :func:`symbol_moments`, with the same arguments.
 
-    The quantiles come from a midpoint lattice in x and a uniform theta grid
-    on (0, pi] (the symbols are even), oversampled relative to the requested
-    count, reduced to evenly spaced order statistics of the sorted values.
-    The moments come from :func:`symbol_moments`, once for every count.
+    The quantiles are evenly spaced order statistics of the sorted symbol
+    values on the midpoint lattice over [0,1]^d x [-pi,pi]^d, which holds at
+    least ``LATTICE_OVERSAMPLE`` values per quantile.  The moments come from
+    :func:`symbol_moments`, once for every count.
     """
+    d = len(bandwidths)
     moments = None
 
     def sample(count: int) -> SymbolDraw:
         nonlocal moments
         if count < 1:
             raise UsageError("sample count must be >= 1")
-        side = max(64, math.isqrt(LATTICE_OVERSAMPLE * count) + 1)
-        xs = (np.arange(side) + 0.5) / side
-        thetas = (np.arange(side) + 1.0) * math.pi / side
-        cvals = np.broadcast_to(np.asarray(coefficient(xs), dtype=float), xs.shape)
-        svals = np.broadcast_to(np.asarray(symbol(thetas), dtype=float), thetas.shape)
-        values = np.multiply.outer(cvals, svals).ravel()
+        side = max(4, math.ceil((LATTICE_OVERSAMPLE * count) ** (1.0 / (2 * d))))
+        k = np.arange(side) + 0.5
+        c = np.asarray(coefficients(_tensor_grid([k / side] * d)), dtype=float)
+        w = np.asarray(weights(_tensor_grid([-math.pi + 2.0 * math.pi * k / side] * d)),
+                       dtype=float)
+        # einsum sums each value's terms in index order over contiguous
+        # rows, which fixes its bits; ``@`` leaves the order to BLAS
+        values = np.einsum("mt,nt->mn", np.ascontiguousarray(c),
+                           np.ascontiguousarray(w.T)).ravel()
         values.sort()
         if moments is None:
-            moments = symbol_moments(
-                lambda x: np.broadcast_to(np.asarray(coefficient(x[:, 0]), dtype=float),
-                                          x.shape[:1])[:, None],
-                lambda t: np.asarray(symbol(t[:, 0]), dtype=float)[None, :],
-                [symbol.coefficients.size - 1])
+            moments = symbol_moments(coefficients, weights, bandwidths)
         return SymbolDraw(_order_statistics(values, count), moments)
 
     return sample
+
+
+def product_symbol_sampler(coefficient: Callable[[np.ndarray], np.ndarray],
+                           symbol: SymbolFn) -> Sampler:
+    """:func:`symbol_sampler` for a separable symbol  a(x) * s(theta)  in 1D."""
+    return symbol_sampler(
+        lambda x: np.broadcast_to(np.asarray(coefficient(x[:, 0]), dtype=float),
+                                  x.shape[:1])[:, None],
+        lambda t: np.asarray(symbol(t[:, 0]), dtype=float)[None, :],
+        [symbol.coefficients.size - 1])
+
+
+def _tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Points of the tensor grid of ``axes``, shape (points, d), last axis fastest."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def _order_statistics(sorted_values: np.ndarray, count: int) -> np.ndarray:

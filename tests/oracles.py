@@ -23,9 +23,10 @@ the former symbol sampling through piecewise functions, kept as the
 bit-identity reference for the one on coefficient rows:
 :func:`piecewise_symbol_coefficients`, the former
 spline-by-spline basis construction kept as the bit-identity reference for
-the level-batched one: :func:`loop_gb_basis`, and the former symbol
-lattices kept as the bit-identity references for the samplers' quantiles:
-:func:`former_product_quantiles` and :func:`former_md_quantiles`.  The
+the level-batched one: :func:`loop_gb_basis`, and the former d-variate
+symbol lattice kept as the bit-identity reference for the quantiles of
+d = 2, 3: :func:`former_md_quantiles`.  The 1D quantiles are checked
+against :func:`reference_discrepancy`, a far finer lattice.  The
 samplers' moments are checked against :func:`mp_product_moments` (mpmath
 quadrature) and :func:`richardson_md_moments` (Richardson-extrapolated
 midpoint rules).
@@ -702,19 +703,24 @@ def richardson_md_moments(problem, geometry, symbols, levels, thetas: int = 12) 
     return [float(v) for v in table[-1][-1]]
 
 
-def former_product_quantiles(coefficient, symbol, count: int) -> np.ndarray:
-    """The former 1D sampler: order statistics of a sorted lattice pool.
+def reference_discrepancy(eigs, coefficient, f_coefficients, side: int = 2048) -> float:
+    """Mean distance of the sorted eigenvalue real parts to the 1D symbol's quantiles.
 
-    Kept as the bit-identity reference for the quantiles of
-    :func:`gbspec.spectral.product_symbol_sampler`.
+    The reference for the 1D ``mean_abs_discrepancy``: the quantiles are the
+    evenly spaced order statistics of ``coefficient(x) * f(theta)`` on the
+    ``side`` x ``side`` midpoint lattice over (0,1) x (0,pi), where f is the
+    even cosine polynomial ``-c_0 - 2 sum c_k cos(k theta)`` of
+    ``f_coefficients``.
     """
-    side = max(64, math.isqrt(32 * count) + 1)
+    c = np.asarray(f_coefficients, dtype=float)
     xs = (np.arange(side) + 0.5) / side
-    thetas = (np.arange(side) + 1.0) * math.pi / side
-    cvals = np.broadcast_to(np.asarray(coefficient(xs), dtype=float), xs.shape)
-    svals = np.broadcast_to(np.asarray(symbol(thetas), dtype=float), thetas.shape)
-    values = np.sort(np.multiply.outer(cvals, svals).ravel())
-    return _former_order_statistics(values, count)
+    thetas = (np.arange(side) + 0.5) * math.pi / side
+    f = -c[0] - 2.0 * np.cos(np.outer(thetas, np.arange(1, c.size))) @ c[1:]
+    a = np.broadcast_to(np.asarray(coefficient(xs), dtype=float), xs.shape)
+    pool = np.sort(np.multiply.outer(a, f).ravel())
+    count = np.size(eigs)
+    quantiles = pool[((np.arange(count) + 0.5) * pool.size / count).astype(int)]
+    return float(np.mean(np.abs(np.sort(np.real(eigs)) - quantiles)))
 
 
 def former_md_quantiles(problem, geometry, count: int, symbols) -> np.ndarray:

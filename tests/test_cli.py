@@ -192,6 +192,15 @@ class TestDistributionCommands:
         code, _ = run(capsys, "distribution", "--config", str(path), "--n", "8")
         assert code == 1
 
+    @pytest.mark.parametrize("eps,shown", [("nan", "nan"), ("-1", "-1.0"),
+                                           ("inf", "inf"), ("-inf", "-inf")])
+    def test_meaningless_eps_is_refused(self, capsys, config_1d, eps, shown):
+        code = main(["distribution", "--config", config_1d, "--n", "8",
+                     "--eps", f"0.1,{eps}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert f"got {shown}\n" in captured.err
+
 
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1

@@ -18,8 +18,8 @@ from gbspec.spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
                              weyl_report)
 from gbspec.symbols import symbol_fn, symbol_max
 
-from oracles import (former_md_quantiles, former_product_quantiles,
-                     mp_product_moments, richardson_md_moments)
+from oracles import (former_md_quantiles, mp_product_moments, reference_discrepancy,
+                     richardson_md_moments)
 
 
 def spec_of(kind, p, family=polynomial()) -> ToeplitzSpec:
@@ -445,12 +445,23 @@ class TestSymbolMoments:
                                      RICHARDSON_LEVELS[problem.d])
         assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("name", CONFIGS_1D)
-    @pytest.mark.parametrize("count", [1, 129, 257])
-    def test_1d_quantiles_are_the_former_lattice(self, name, count):
-        coefficient, sym, sampler = _sampler_1d(name)
-        want = former_product_quantiles(coefficient, sym, count)
-        assert np.array_equal(sampler(count).quantiles, want)
+    @pytest.mark.parametrize("name,n", [("1d_hyperbolic_geometry", 128),
+                                        ("1d_hyperbolic_geometry", 256),
+                                        ("1d_trigonometric_nested", 128)])
+    def test_1d_discrepancy_matches_a_finer_lattice(self, name, n):
+        problem, geometry, family, mode, p = cli.load_problem_1d(CONFIGS[name])
+        printed = cli._run_distribution_1d(CONFIGS[name], [n], [])["runs"][0]
+        eigs = eigenvalues_dense(
+            assemble(problem, geometry, gb_basis(n, p, family, mode)).scaled_matrix)
+
+        def coefficient(xs):
+            g = exprparse.evaluate(geometry.g, {"x": xs})
+            g1 = exprparse.evaluate(geometry.g1, {"x": xs})
+            return exprparse.evaluate(problem.kappa, {"x": g}) / g1**2
+
+        want = reference_discrepancy(
+            eigs, coefficient, cli._distribution_symbol(family, mode, p).coefficients)
+        assert printed["mean_abs_discrepancy"] == pytest.approx(want, rel=0.05)
 
     @pytest.mark.parametrize("name", CONFIGS_MD)
     @pytest.mark.parametrize("count", [1, 625, 1331])

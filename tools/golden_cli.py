@@ -14,8 +14,10 @@ splines the benchmark configurations do not reach, and a nested degree-7
 one whose effective phase 1/n is small.  One line per command reports
 ``same`` or which of stdout, stderr and exit code differ; when the two
 stdouts differ and hold the same count of numbers, the line also gives
-the largest absolute difference between them.  The exit code is 1 if any
-command differs, else 0.
+the largest absolute difference between them.  When both stdouts parse
+as JSON, one more line per differing field names it by its path, with
+the two values, e.g. ``runs[1].outliers.0.001: 69 -> 68``.  The exit
+code is 1 if any command differs, else 0.
 
 Standard library only.  Thread counts are pinned to 1 so that the run stays
 small and both trees see the same environment.
@@ -79,6 +81,8 @@ COMMANDS: list[list[str]] = [
      "0.001,0.1,1"],
     ["distribution-md", "--config", _cfg("2d_hyperbolic_curved.json"), "--n",
      "24", "--eps", "0.1,1,5"],
+    # a negative outlier eps, which is refused
+    ["distribution", "--config", _ADVECTION, "--n", "64", "--eps", "-1"],
     # 1D assembly: every part, the normalized matrix, a non-symmetric case
     *[["assemble", "--config", _CURVED, "--n", "24", "--part", part]
       for part in ("full", "stiffness", "advection", "mass")],
@@ -171,6 +175,33 @@ def largest_difference(a: bytes, b: bytes) -> float | None:
                 for x, y in zip(xs, ys)), default=0.0)
 
 
+def json_changes(a: bytes, b: bytes) -> list[str]:
+    """``path: old -> new`` for each differing field of two JSON outputs.
+
+    Empty unless both outputs parse as JSON.  Objects with the same keys
+    and arrays of the same length are compared field by field; any other
+    pair that differs is one change.
+    """
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except ValueError:
+        return []
+    changes: list[str] = []
+
+    def walk(path: str, x, y) -> None:
+        if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+            for key in x:
+                walk(f"{path}.{key}" if path else key, x[key], y[key])
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(f"{path}[{i}]", u, v)
+        elif json.dumps(x) != json.dumps(y):
+            changes.append(f"{path or '(output)'}: {json.dumps(x)} -> {json.dumps(y)}")
+
+    walk("", x, y)
+    return changes
+
+
 def run(tree: Path, argv: list[str], cwd: str) -> tuple[bytes, bytes, int]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -202,6 +233,9 @@ def main(argv: list[str]) -> int:
         print(f"{'DIFF ' + ','.join(diffs) if diffs else 'same'}: {label}"
               f" (exit {a[2]}, {len(a[0])} bytes)"
               + ("" if gap is None else f" largest difference {gap:.3g}"))
+        if "stdout" in diffs:
+            for change in json_changes(a[0], b[0]):
+                print(f"    {change}")
         differing += bool(diffs)
     print(f"{len(COMMANDS) - differing}/{len(COMMANDS)} commands byte-identical")
     return 1 if differing else 0
