@@ -1,0 +1,37 @@
+"""The field-by-field report of ``tools/golden_cli.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "golden_cli.py"
+_SPEC = importlib.util.spec_from_file_location("golden_cli", _PATH)
+golden_cli = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden_cli)
+
+
+def _dump(payload) -> bytes:
+    return json.dumps(payload).encode()
+
+
+def test_json_changes_name_each_field_by_its_path():
+    old = {"d": 1, "runs": [{"n": 64, "outliers": {"0.001": 70}},
+                            {"n": 128, "outliers": {"0.001": 69, "1": 0}}]}
+    new = json.loads(json.dumps(old))
+    new["runs"][1]["outliers"]["0.001"] = 68
+    new["d"] = 2
+    assert golden_cli.json_changes(_dump(old), _dump(new)) == [
+        "d: 1 -> 2", "runs[1].outliers.0.001: 69 -> 68"]
+
+
+def test_json_changes_report_a_changed_shape_once():
+    old = {"runs": [1, 2], "p": {"a": 1}}
+    new = {"runs": [1, 2, 3], "p": {"b": 1}}
+    assert golden_cli.json_changes(_dump(old), _dump(new)) == [
+        "runs: [1, 2] -> [1, 2, 3]", 'p: {"a": 1} -> {"b": 1}']
+
+
+def test_json_changes_are_empty_unless_both_parse():
+    assert golden_cli.json_changes(b"x,y\n1,2\n", b"x,y\n1,3\n") == []
+    assert golden_cli.json_changes(b"[1]", b"") == []
+    assert golden_cli.json_changes(_dump([1.5]), _dump([1.5])) == []

@@ -463,6 +463,42 @@ class TestSymbolMoments:
             eigs, coefficient, cli._distribution_symbol(family, mode, p).coefficients)
         assert printed["mean_abs_discrepancy"] == pytest.approx(want, rel=0.05)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 129, 257])
+    def test_lattice_is_the_least_side_with_the_oversample(self, monkeypatch, d, count):
+        pools = []
+        original = spectral._order_statistics
+        monkeypatch.setattr(spectral, "_order_statistics",
+                            lambda v, m: pools.append(v.size) or original(v, m))
+        sampler = spectral.symbol_sampler(lambda x: np.ones((x.shape[0], 1)),
+                                          lambda t: np.ones((1, t.shape[0])), [0] * d)
+        assert sampler(count).quantiles.size == count
+        side = round(pools[0] ** (1.0 / (2 * d)))
+        assert side ** (2 * d) == pools[0]
+        assert side ** (2 * d) >= spectral.LATTICE_OVERSAMPLE * count
+        assert side == 4 or (side - 1) ** (2 * d) < spectral.LATTICE_OVERSAMPLE * count
+
+    def test_1d_quantiles_of_a_cosine_are_two_sided(self):
+        # count 64 gives an even side, 46, so the midpoint lattice over
+        # [-pi, pi] holds theta with pi - theta and the quantiles of
+        # 2 - 2 cos(theta) are symmetric about 2; the one-sided grid on
+        # (0, pi] held pi but not 0 and was not
+        count, side = 64, 46
+        sampler = spectral.symbol_sampler(lambda x: np.ones((x.shape[0], 1)),
+                                          lambda t: 2.0 - 2.0 * np.cos(t[:, 0])[None, :],
+                                          [1])
+        got = sampler(count).quantiles
+        assert np.max(np.abs(got + got[::-1] - 4.0)) <= 1e-12
+        # within one lattice step, of slope at most 2, of the exact quantiles
+        want = 2.0 - 2.0 * np.cos(math.pi * (np.arange(count) + 0.5) / count)
+        assert np.max(np.abs(got - want)) <= 2.0 * 2.0 * math.pi / side
+
+    def test_sampler_count_below_one_is_refused(self):
+        sampler = spectral.symbol_sampler(lambda x: np.ones((x.shape[0], 1)),
+                                          lambda t: np.ones((1, t.shape[0])), [0])
+        with pytest.raises(UsageError, match="sample count"):
+            sampler(0)
+
     @pytest.mark.parametrize("name", CONFIGS_MD)
     @pytest.mark.parametrize("count", [1, 625, 1331])
     def test_md_quantiles_are_the_former_lattice(self, name, count):
