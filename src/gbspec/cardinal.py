@@ -27,7 +27,7 @@ from .errors import NumericalError, UsageError
 from .sections import (HYPERBOLIC, PiecewiseFn, SectionFamily,
                        _antiderivative_stack, _at_edge)
 
-#: Largest hyperbolic effective phase on a unit interval that is accepted;
+#: Largest hyperbolic effective phase of a piece that is accepted;
 #: larger ones are refused with :class:`~gbspec.errors.NumericalError`.
 MAX_HYPERBOLIC_PHASE = 76.0
 
@@ -40,7 +40,7 @@ SEED_ROWS = np.array([[0.5, 0.5], [0.5, -0.5]])
 def _check_phase(unit: SectionFamily) -> None:
     """Refuse a hyperbolic effective phase above :data:`MAX_HYPERBOLIC_PHASE`.
 
-    ``unit`` is the family on unit intervals, so its phase is the effective one.
+    ``unit`` is a family of pieces, so its phase is the effective one.
     """
     if unit.tag == HYPERBOLIC and unit.phase > MAX_HYPERBOLIC_PHASE:
         raise NumericalError(
@@ -75,7 +75,7 @@ def _checked(integrals: np.ndarray, degree: int, rep: SectionFamily) -> np.ndarr
     if np.any(bad):
         raise NumericalError(
             f"GB-spline recursion breaks down at degree {degree}, effective "
-            f"phase {rep.effective(1.0):g}: a spline integrates to "
+            f"phase {rep.effective():g}: a spline integrates to "
             f"{float(integrals[bad][0])!r}")
     return integrals
 
@@ -88,7 +88,7 @@ def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
     """
     _check_phase(rep)
     top = max(degrees)
-    eps = rep.effective(1.0)  # the effective phase of every piece
+    eps = rep.effective()  # the effective phase of every piece
     widths = np.ones(top + 1)
 
     def antiderivative(rows: np.ndarray) -> np.ndarray:
@@ -120,7 +120,7 @@ def cardinal_splines(family: SectionFamily, degrees) -> list[CardinalSpline]:
         raise UsageError("cardinal splines require degree p >= 1")
     if not degrees:
         return []
-    family.check_interval(1.0)
+    family.check_interval()
     return [CardinalSpline(p, family, pw, delta1)
             for p, (pw, delta1) in zip(degrees, _build(family, degrees))]
 

@@ -24,8 +24,9 @@ from .errors import GbspecError, NumericalError, UsageError
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
                        assemble_md, md_symbol_samples)
 from .sections import SectionFamily, polynomial
-from .spectral import (SymbolDraw, ToeplitzSpec, eigenvalues_dense,
-                       product_symbol_sampler, toeplitz, weyl_report)
+from .spectral import (SymbolDraw, ToeplitzSpec, check_outlier_eps,
+                       eigenvalues_dense, product_symbol_sampler, toeplitz,
+                       weyl_report)
 from .symbols import MIN_BOUNDS_GRID, bounds_report, decay_ratios, symbol_fn
 
 _FAMILY_NAMES = ("polynomial", "hyperbolic", "trigonometric")
@@ -176,6 +177,7 @@ def _distribution_symbol(family: SectionFamily, mode: str, p: int):
 
 
 def _run_distribution_1d(cfg: dict, ns: list[int], eps: list[float]) -> dict:
+    check_outlier_eps(eps)  # refuse a bad eps before any solve
     problem, geometry, family, mode, p = load_problem_1d(cfg)
     sym = _distribution_symbol(family, mode, p)
     sampler = product_symbol_sampler(_coefficient_sampler(problem, geometry), sym)
@@ -196,6 +198,7 @@ def _run_distribution_1d(cfg: dict, ns: list[int], eps: list[float]) -> dict:
 
 
 def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
+    check_outlier_eps(eps)  # refuse a bad eps before any solve
     problem, geometry = load_problem_md(cfg)
     symbols = DirectionSymbols(problem.degrees, problem.families, problem.mode)
 
@@ -222,10 +225,14 @@ def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
 
 
 def _int_list(text: str) -> list[int]:
+    """The ``--n`` list, refused if it holds no value."""
     try:
-        return [int(v) for v in text.split(",") if v]
+        values = [int(v) for v in text.split(",") if v]
     except ValueError:
         raise GbspecError(f"expected a comma-separated integer list, got {text!r}")
+    if not values:
+        raise UsageError(f"--n needs at least one value, got {text!r}")
+    return values
 
 
 def _float_list(text: str) -> list[float]:

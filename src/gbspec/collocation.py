@@ -1,19 +1,20 @@
 """Open-knot GB-spline bases, Greville points and 1D collocation matrices.
 
 The basis lives on the uniform open knot vector with ``p+1``-fold boundary
-knots and interior knots ``i/n``.  Two phase modes are supported for the
-hyperbolic and trigonometric families:
+knots and interior knots ``i/n``, so every piece of a basis has one
+effective phase.  Two phase modes are supported for the hyperbolic and
+trigonometric families:
 
-* ``nested``:     construction phase ``mu = alpha``, so the effective phase
-  per interval is ``alpha/n`` and the spline spaces nest under refinement;
-* ``nonnested``:  ``mu = n*alpha``, so every ``n`` uses the same cardinal
-  shape with effective phase ``alpha``.
+* ``nested``:     the effective phase is ``alpha/n``, and the spline spaces
+  nest under refinement;
+* ``nonnested``:  the effective phase is ``alpha``, so every ``n`` uses the
+  same cardinal shape.
 
 The basis is built from the structure the spectral analysis rests on.  The
 integral recursion runs once, on a short open knot vector of ``2p+2`` unit
-intervals (``n`` if smaller) with the effective phase ``mu/n``.  It runs one
-level at a time: the splines of a level share one grid, degree and phase,
-so they are integrated as one stacked coefficient array.  The run's ``p``
+intervals (``n`` if smaller) at that effective phase.  It runs one level at
+a time: the splines of a level share one grid, degree and phase, so they
+are integrated as one stacked coefficient array.  The run's ``p``
 splines at each end are the boundary splines, which depend only on ``p`` and
 that phase; the ``n-p`` interior splines are integer translates of its first
 full-support spline.  The basis stores each of these shapes once, with the
@@ -50,8 +51,9 @@ import numpy as np
 from . import exprparse
 from .cardinal import SEED_ROWS, _check_phase, _checked
 from .errors import ConstraintError, NumericalError, UsageError, ValidationError
-from .sections import (PiecewiseFn, SectionFamily, _antiderivative_stack,
-                       _at_edge, _basis_matrix, _local_derivative, polynomial)
+from .sections import (TRIGONOMETRIC, PiecewiseFn, SectionFamily,
+                       _antiderivative_stack, _at_edge, _basis_matrix,
+                       _local_derivative, polynomial)
 from .spectral import ToeplitzSpec, toeplitz
 from .symbols import symbol_fns
 
@@ -94,6 +96,10 @@ def _min_feasible_n(alpha: float) -> int:
 class GBBasis:
     """GB-spline basis N_1..N_{n+p} over an open uniform knot vector.
 
+    ``section_family`` is the family of every piece of the basis, whose
+    phase is the effective one: ``family`` itself when not nested, and
+    ``family`` with the phase ``alpha/n`` when nested.
+
     Each distinct shape is stored once.  ``shapes`` has shape ``(m+p, m,
     p+1)``: row ``k`` holds the coefficients of spline N_{k+1} of the short
     run of :func:`gb_basis`, on its ``m = min(n, 2p+2)`` unit intervals;
@@ -105,7 +111,7 @@ class GBBasis:
     knots: KnotVector
     family: SectionFamily
     mode: str
-    mu: float | None
+    section_family: SectionFamily
     shapes: np.ndarray
     shape_normalizers: np.ndarray
 
@@ -120,13 +126,7 @@ class GBBasis:
     @property
     def effective_phase(self) -> float | None:
         """Phase of the cardinal shape matching the interior splines."""
-        return None if self.mu is None else self.mu / self.n
-
-    @property
-    def section_family(self) -> SectionFamily:
-        """The family with the construction phase ``mu``, per unit of x."""
-        return self.family if self.mu is None else SectionFamily(self.family.tag,
-                                                                 self.mu)
+        return self.section_family.phase
 
     @property
     def shape_index(self) -> np.ndarray:
@@ -160,24 +160,6 @@ class GBBasis:
             out.append(PiecewiseFn(rep, p, grid[lo:hi + 1],
                                    self.shapes[k, first:first + hi - lo]))
         return tuple(out)
-
-
-def _rep_family(family: SectionFamily, mode: str, n: int) -> tuple[SectionFamily, float | None]:
-    if family.is_polynomial:
-        return family, None
-    if mode not in (NESTED, NONNESTED):
-        raise UsageError(f"unknown phase mode {mode!r}")
-    alpha = family.phase
-    mu = alpha if mode == NESTED else n * alpha
-    if family.tag == "trigonometric" and not mu / n < math.pi:
-        if mode == NONNESTED:
-            raise ConstraintError(
-                f"trigonometric phase {alpha} is infeasible in non-nested mode "
-                "(needs alpha < pi for every n)")
-        raise ConstraintError(
-            f"trigonometric phase {alpha} needs n >= {_min_feasible_n(alpha)} "
-            f"in nested mode, got n = {n}")
-    return SectionFamily(family.tag, mu), mu
 
 
 def limit_family(family: SectionFamily, mode: str) -> SectionFamily:
@@ -230,7 +212,7 @@ def _short_run(m: int, p: int, rep: SectionFamily) -> tuple[np.ndarray, np.ndarr
     p+1)``, and ``1 / integral`` of each.
     """
     _check_phase(rep)
-    eps = rep.effective(1.0)
+    eps = rep.effective()
     level = _seed_level(m, p)
     for q in range(2, p + 1):
         # spline N_{i,q-1} collapses at the left boundary iff t_{i+q} = 0
@@ -245,25 +227,36 @@ def gb_basis(n: int, p: int, family: SectionFamily,
              mode: str = NONNESTED) -> GBBasis:
     """Construct the GB-spline basis N_1..N_{n+p} on n uniform intervals.
 
-    The integral recursion runs once, on the open knot vector of
-    ``m = min(n, 2p+2)`` unit intervals with the effective phase ``mu/n``,
-    one level at a time: each level's splines share one grid, degree and
-    phase, so one stacked antiderivative serves them all.  Its first ``p``
-    and last ``p`` splines are the boundary splines, which depend only on
-    ``p`` and that phase; the ``n-p`` interior splines are translates of its
-    first full-support spline N_{p+1}.  The basis keeps that run's ``m+p``
-    shapes and their normalizers, so its cost does not depend on ``n``
-    beyond the knot vector.  A hyperbolic effective phase above
+    The effective phase of every piece is ``alpha``, or ``alpha/n`` when
+    nested.  The integral recursion runs once, on the open knot vector of
+    ``m = min(n, 2p+2)`` unit intervals at that phase, one level at a time:
+    each level's splines share one grid, degree and phase, so one stacked
+    antiderivative serves them all.  Its first ``p`` and last ``p`` splines
+    are the boundary splines, which depend only on ``p`` and that phase;
+    the ``n-p`` interior splines are translates of its first full-support
+    spline N_{p+1}.  The basis keeps that run's ``m+p`` shapes and their
+    normalizers, so its cost does not depend on ``n`` beyond the knot
+    vector.  A hyperbolic effective phase above
     :data:`~gbspec.cardinal.MAX_HYPERBOLIC_PHASE`, or a spline with a zero
     or non-finite integral, raises :class:`~gbspec.errors.NumericalError`.
     """
     if mode not in (NESTED, NONNESTED):
         raise UsageError(f"unknown phase mode {mode!r}")
     kv = KnotVector.open_uniform(n, p)
-    rep, mu = _rep_family(family, mode, n)
+    piece = family
+    if mode == NESTED and not family.is_polynomial:
+        piece = SectionFamily(family.tag, family.phase / n)
+    if family.tag == TRIGONOMETRIC and not piece.phase < math.pi:
+        alpha = family.phase
+        if mode == NONNESTED:
+            raise ConstraintError(
+                f"trigonometric phase {alpha} is infeasible in non-nested mode "
+                "(needs alpha < pi for every n)")
+        raise ConstraintError(
+            f"trigonometric phase {alpha} needs n >= {_min_feasible_n(alpha)} "
+            f"in nested mode, got n = {n}")
     m = min(n, 2 * p + 2)
-    unit = rep if mu is None else SectionFamily(rep.tag, mu / n)
-    return GBBasis(kv, family, mode, mu, *_short_run(m, p, unit))
+    return GBBasis(kv, family, mode, piece, *_short_run(m, p, piece))
 
 
 def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
@@ -319,7 +312,7 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     w = widths[interval]
     tau = (x - grid[interval]) / w
     rep = basis.section_family
-    eps = rep.effective(w)
+    eps = rep.effective()
     # N_{j+2} is the shape k, whose support starts at its short-run piece
     # max(0, k-p) (see GBBasis.splines)
     k = basis.shape_index[1:-1][cols]
@@ -480,7 +473,7 @@ class CollocationSystem:
     degree: int
     family: SectionFamily
     mode: str
-    mu: float | None
+    section_family: SectionFamily
     greville: np.ndarray
     stiffness: np.ndarray  # [-N_j''(xi_i)] / n^2
     advection: np.ndarray  # [N_j'(xi_i)] / n
@@ -494,10 +487,6 @@ class CollocationSystem:
     @property
     def order(self) -> int:
         return self.mass.shape[0]
-
-    @property
-    def effective_phase(self) -> float | None:
-        return None if self.mu is None else self.mu / self.n
 
 
 def transformed_coefficients(problem: ProblemCoefficients,
@@ -534,7 +523,8 @@ def assemble(problem: ProblemCoefficients, geometry: GeometryMap1D,
                            [(n**2 * kappa_hat, (2,)), (n * beta_hat, (1,)),
                             (gamma_hat, (0,))])
     return CollocationSystem(
-        n=n, degree=p, family=basis.family, mode=basis.mode, mu=basis.mu,
+        n=n, degree=p, family=basis.family, mode=basis.mode,
+        section_family=basis.section_family,
         greville=xi, stiffness=stiff, advection=adv, mass=mass,
         kappa_hat=kappa_hat, beta_hat=beta_hat, gamma_hat=gamma_hat,
         full_matrix=full, scaled_matrix=full / n**2,
@@ -598,14 +588,11 @@ def structure_report(sys: CollocationSystem, tol: float = 1e-10) -> StructureRep
     mass_sym = np.max(np.abs(blocks["mass"] - blocks["mass"].T)) <= tol
     adv_skew = np.max(np.abs(blocks["advection"] + blocks["advection"].T)) <= tol
 
-    eff = (SectionFamily(sys.family.tag, sys.effective_phase)
-           if not sys.family.is_polynomial else sys.family)
-
     def central(sym, scale: complex = 1.0) -> np.ndarray:
         coeffs = scale * sym.toeplitz_coefficients()
         return toeplitz(ToeplitzSpec(coeffs.real), sys.order)
 
-    f, h, g = symbol_fns([("f", p), ("h", p), ("g", p)], eff)
+    f, h, g = symbol_fns([("f", p), ("h", p), ("g", p)], sys.section_family)
     t_f = central(f)
     t_h = central(h)
     # the advection block is i T(g), with entry (i, j) the first-derivative

@@ -1,10 +1,11 @@
 """Exact algebra for functions that are piecewise in a section space.
 
 Every piece is stored in local coordinates ``tau in [0, 1]`` of its interval,
-so a global phase ``alpha`` turns into the effective phase ``eps = alpha *
-width`` on each interval.  The three families are one family in the signed
-square of that phase: ``s = eps**2`` for hyperbolic sections, ``-eps**2``
-for trigonometric ones and ``0`` for polynomials.  On the centred coordinate
+and the phase belongs to the pieces: a family's phase ``eps`` is the
+effective phase of every piece on its local coordinate, whatever the
+piece's width.  The three families are one family in the signed square of
+that phase: ``s = eps**2`` for hyperbolic sections, ``-eps**2`` for
+trigonometric ones and ``0`` for polynomials.  On the centred coordinate
 ``sigma = tau - 1/2`` the degree-``p`` section space is spanned by
 
     1, sigma, ..., sigma**(p-2),   u = R_{p-1}/N_{p-1},   v = R_p/N_p,
@@ -41,11 +42,11 @@ _FAMILIES = (POLYNOMIAL, HYPERBOLIC, TRIGONOMETRIC)
 
 @dataclass(frozen=True)
 class SectionFamily:
-    """Section-space family: a tag plus the (global) phase parameter.
+    """Section-space family: a tag plus the phase parameter.
 
-    The phase is expressed per unit of the global coordinate; an interval of
-    width ``w`` uses the effective phase ``phase * w``.  Polynomial sections
-    carry no phase.
+    The phase belongs to the pieces: it is the effective phase of every
+    piece on its local coordinate ``tau in [0, 1]``, whatever the piece's
+    width.  Polynomial sections carry no phase.
     """
 
     tag: str
@@ -65,18 +66,16 @@ class SectionFamily:
     def is_polynomial(self) -> bool:
         return self.tag == POLYNOMIAL
 
-    def effective(self, width: float) -> float:
-        """Effective phase on an interval of the given width (0 if polynomial)."""
-        if self.is_polynomial:
-            return 0.0
-        return self.phase * width
+    def effective(self) -> float:
+        """Effective phase of every piece (0 if polynomial)."""
+        return 0.0 if self.is_polynomial else self.phase
 
-    def check_interval(self, width: float) -> None:
-        """Validate the per-interval feasibility constraint."""
-        if self.tag == TRIGONOMETRIC and not self.phase * width < math.pi:
+    def check_interval(self) -> None:
+        """Validate the per-piece feasibility constraint."""
+        if self.tag == TRIGONOMETRIC and not self.phase < math.pi:
             raise ConstraintError(
-                f"trigonometric phase {self.phase} infeasible on interval of "
-                f"width {width} (effective phase must stay below pi)"
+                f"trigonometric phase {self.phase} infeasible "
+                "(effective phase must stay below pi)"
             )
 
 
@@ -95,9 +94,9 @@ def trigonometric(alpha: float) -> SectionFamily:
 _SIGN = {POLYNOMIAL: 0.0, HYPERBOLIC: 1.0, TRIGONOMETRIC: -1.0}
 
 
-def _signed_square(family: SectionFamily, eps):
+def _signed_square(family: SectionFamily, eps: float) -> float:
     """``s``: the effective phase squared, negated for trigonometric sections."""
-    return _SIGN[family.tag] * np.square(eps)
+    return _SIGN[family.tag] * (eps * eps)
 
 
 @lru_cache(maxsize=4096)
@@ -143,35 +142,6 @@ def _norm_at(s: float, k: int) -> float:
     return float(_series(s, k, 0.5))
 
 
-def _distinct(s) -> list:
-    """``(value, where)`` for each distinct value of the float or array ``s``.
-
-    ``where`` selects the entries holding the value; it is ``...`` when
-    every entry does, as for a scalar or a uniform phase.
-    """
-    s = np.asarray(s)
-    if s.size and (s == s.flat[0]).all():
-        return [(float(s.flat[0]), ...)]
-    values, index = np.unique(s, return_inverse=True)
-    index = index.reshape(s.shape)
-    return [(v, index == i) for i, v in enumerate(values.tolist())]
-
-
-def _norms(s, ks) -> list:
-    """``G_k(s/4)`` for each k of ``ks``, at the float or array ``s``.
-
-    Each is a float if ``s`` has one value, else an array shaped like ``s``.
-    """
-    groups = _distinct(s)
-    if len(groups) == 1:
-        return [_norm_at(groups[0][0], k) for k in ks]
-    out = np.empty((len(ks),) + np.shape(s))
-    for value, at in groups:
-        for row, k in zip(out, ks):
-            row[at] = _norm_at(value, k)
-    return list(out)
-
-
 @lru_cache(maxsize=None)
 def _edge_row(p: int, side: float) -> np.ndarray:
     """The degree-``p`` basis at ``tau = 1`` (``side = 1``) or ``tau = 0`` (``side = -1``).
@@ -191,12 +161,11 @@ def _at_edge(rows: np.ndarray, side: float = 1.0) -> np.ndarray:
     return np.sum(rows * _edge_row(rows.shape[-1] - 1, side), axis=-1)
 
 
-def _basis_matrix(family: SectionFamily, p: int, eps, tau) -> np.ndarray:
-    """Stack the p+1 basis values at each (eps, tau) pair; shape (len(tau), p+1).
+def _basis_matrix(family: SectionFamily, p: int, eps: float, tau) -> np.ndarray:
+    """Stack the p+1 basis values at each ``tau``, at the effective phase ``eps``.
 
-    ``u`` and ``v`` are ``(2 sigma)**k G_k(s sigma**2)/G_k(s/4)`` for
-    ``k = p-1, p``.  Each value depends on its own ``eps`` and ``tau`` alone:
-    every distinct phase is summed with its own term count.
+    The shape is ``(len(tau), p+1)``.  ``u`` and ``v`` are ``(2 sigma)**k
+    G_k(s sigma**2)/G_k(s/4)`` for ``k = p-1, p``.
     """
     sigma = np.asarray(tau, dtype=float).ravel() - 0.5
     slots = np.ones((p + 1, sigma.size))  # one row per slot, transposed at the end
@@ -205,10 +174,10 @@ def _basis_matrix(family: SectionFamily, p: int, eps, tau) -> np.ndarray:
     for j in range(1, p + 1):  # sigma**j by products: pow is slow for sigma < 0
         slots[j] = slots[j - 1] * sigma
     slots[p - 1:] *= [[2.0 ** (p - 1)], [2.0**p]]
-    for value, at in _distinct(_signed_square(family, eps)):
-        if value != 0.0:  # G_k = 1 for polynomials
-            for k in (p - 1, p):
-                slots[k, at] *= _series(value, k, sigma[at]) / _norm_at(value, k)
+    s = _signed_square(family, eps)
+    if s != 0.0:  # G_k = 1 for polynomials
+        for k in (p - 1, p):
+            slots[k] *= _series(s, k, sigma) / _norm_at(s, k)
     return slots.T.copy()  # row-major, as every caller's einsum expects
 
 
@@ -217,7 +186,10 @@ class PiecewiseFn:
     """Function piecewise in a degree-``p`` section space over a breakpoint grid.
 
     ``coeffs[i]`` holds the local-basis coefficients on
-    ``[breakpoints[i], breakpoints[i+1])``.  Values are 0 outside the span,
+    ``[breakpoints[i], breakpoints[i+1])``.  ``family`` is the family of the
+    pieces on their local coordinate: every piece has the effective phase
+    ``family.phase``, and the breakpoints only place the pieces and scale
+    derivatives and integrals.  Values are 0 outside the span,
     right-continuous at interior breakpoints, and the last breakpoint
     evaluates as the left limit.
     """
@@ -240,8 +212,7 @@ class PiecewiseFn:
             )
         if self.degree == 0 and not self.family.is_polynomial:
             raise UsageError("degree-0 pieces are supported for polynomials only")
-        if self.family.tag == TRIGONOMETRIC:
-            self.family.check_interval(float(widths.max()))
+        self.family.check_interval()
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coeffs", cf)
         object.__setattr__(self, "_widths", widths)
@@ -249,11 +220,6 @@ class PiecewiseFn:
     @property
     def support(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
-
-    def _eff_phases(self) -> np.ndarray:
-        if self.family.is_polynomial:
-            return np.zeros_like(self._widths)
-        return self.family.phase * self._widths
 
     def __call__(self, x):
         return piecewise_eval(self, x)
@@ -280,18 +246,18 @@ def piecewise_eval(f: PiecewiseFn, x):
     idx = np.minimum(np.searchsorted(bp, xin, side="right") - 1, bp.size - 2)
     tau = (xin - bp[idx]) / f._widths[idx]
     tau[xin == bp[-1]] = 1.0
-    eps = f._eff_phases()[idx]
-    basis = _basis_matrix(f.family, f.degree, eps, tau)
+    basis = _basis_matrix(f.family, f.degree, f.family.effective(), tau)
     vals = np.zeros(xs.shape)
     vals[inside] = np.einsum("ij,ij->i", basis, f.coeffs[idx])
     return float(vals[0]) if scalar else vals
 
 
-def _local_derivative(family: SectionFamily, p: int, eps, c: np.ndarray) -> np.ndarray:
+def _local_derivative(family: SectionFamily, p: int, eps: float,
+                      c: np.ndarray) -> np.ndarray:
     """d/dtau of coefficient rows, expressed in the same degree-p basis.
 
-    ``c`` is one row or a stack of rows (last axis the p+1 slots), with one
-    effective phase ``eps`` per row.  With ``G_k = 2**k k! N_k``:
+    ``c`` is one row or a stack of rows (last axis the p+1 slots), all at
+    the effective phase ``eps``.  With ``G_k = 2**k k! N_k``:
     ``u' = sigma**(p-2)/((p-2)! N_{p-1}) + s (N_p/N_{p-1}) v`` (no monomial
     term for ``p = 1``) and ``v' = (N_{p-1}/N_p) u``.
     """
@@ -301,7 +267,7 @@ def _local_derivative(family: SectionFamily, p: int, eps, c: np.ndarray) -> np.n
     for j in range(1, p - 1):
         out[..., j - 1] += j * c[..., j]
     s = _signed_square(family, eps)
-    gu, gv = _norms(s, (p - 1, p))
+    gu, gv = (_norm_at(s, k) for k in (p - 1, p))
     if p > 1:
         out[..., p - 2] += (p - 1) * 2.0 ** (p - 1) / gu * c[..., p - 1]
     out[..., p - 1] += 2 * p * gu / gv * c[..., p]
@@ -315,17 +281,17 @@ def piecewise_derivative(f: PiecewiseFn) -> PiecewiseFn:
     Monomial slots shift down; the (u, v) pair maps into its own span plus
     the top monomial.  Degree-0 input yields the zero function.
     """
-    out = (_local_derivative(f.family, f.degree, f._eff_phases(), f.coeffs)
+    out = (_local_derivative(f.family, f.degree, f.family.effective(), f.coeffs)
            / f._widths[:, None])
     return PiecewiseFn(f.family, f.degree, f.breakpoints, out)
 
 
-def _local_primitive(family: SectionFamily, p: int, eps,
+def _local_primitive(family: SectionFamily, p: int, eps: float,
                      c: np.ndarray) -> np.ndarray:
     """Primitive of coefficient rows (vanishing at tau=0) in the degree-p+1 basis.
 
-    ``c`` is one row or a stack of rows (last axis the p+1 slots), with one
-    effective phase ``eps`` per row.  ``sigma**j`` goes to
+    ``c`` is one row or a stack of rows (last axis the p+1 slots), all at
+    the effective phase ``eps``.  ``sigma**j`` goes to
     ``sigma**(j+1)/(j+1)``, ``u`` to ``(N_p/N_{p-1}) u+`` and ``v`` to
     ``(N_{p+1}/N_p) v+``; the constant slot then subtracts the value at
     tau = 0.
@@ -336,19 +302,20 @@ def _local_primitive(family: SectionFamily, p: int, eps,
         return out
     out[..., 1:p] = c[..., :p - 1] / np.arange(1.0, p)
     s = _signed_square(family, eps)
-    gu, gv, gw = _norms(s, (p - 1, p, p + 1))
+    gu, gv, gw = (_norm_at(s, k) for k in (p - 1, p, p + 1))
     out[..., p] = gv / (2 * p * gu) * c[..., p - 1]
     out[..., p + 1] = gw / (2 * (p + 1) * gv) * c[..., p]
     out[..., 0] = -_at_edge(out, -1.0)
     return out
 
 
-def _antiderivative_stack(family: SectionFamily, p: int, eps, widths: np.ndarray,
-                          coeffs: np.ndarray) -> np.ndarray:
+def _antiderivative_stack(family: SectionFamily, p: int, eps: float,
+                          widths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of the antiderivatives of a stack of piecewise functions.
 
     ``coeffs`` has shape ``(S, m, p+1)``: S functions of degree ``p`` on one
-    grid of m pieces with effective phases ``eps`` and widths ``widths``.
+    grid of m pieces of widths ``widths``, every piece at the effective
+    phase ``eps``.
     The result, of shape ``(S, m, p+2)``, is what
     :func:`piecewise_antiderivative` gives for each function on its own.
     """
@@ -367,6 +334,6 @@ def piecewise_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
     outside the span the compact-support convention of :class:`PiecewiseFn`
     applies (in particular ``F`` at the last breakpoint is the total integral).
     """
-    out = _antiderivative_stack(f.family, f.degree, f._eff_phases(), f._widths,
-                                f.coeffs[None])
+    out = _antiderivative_stack(f.family, f.degree, f.family.effective(),
+                                f._widths, f.coeffs[None])
     return PiecewiseFn(f.family, f.degree + 1, f.breakpoints, out[0])

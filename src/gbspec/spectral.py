@@ -94,20 +94,9 @@ def toeplitz_tensor(cf: ToeplitzSpec, ch: ToeplitzSpec, m1: int,
                     m2: int) -> np.ndarray:
     """Two-level Toeplitz of the product symbol f(t1)h(t2).
 
-    Built entrywise from the coefficient products, which coincides with the
-    Kronecker product of the two one-level matrices.
+    It is the Kronecker product of the two one-level matrices.
     """
-    if m1 < 1 or m2 < 1:
-        raise UsageError("orders must be >= 1")
-    c1, c2 = cf.coefficients, ch.coefficients
-    b1, b2 = cf.bandwidth, ch.bandwidth
-    dtype = float if np.isrealobj(c1) and np.isrealobj(c2) else complex
-    d1 = np.subtract.outer(np.arange(m1), np.arange(m1))
-    d2 = np.subtract.outer(np.arange(m2), np.arange(m2))
-    v1 = np.where(np.abs(d1) <= b1, c1[np.clip(d1 + b1, 0, c1.size - 1)], 0)
-    v2 = np.where(np.abs(d2) <= b2, c2[np.clip(d2 + b2, 0, c2.size - 1)], 0)
-    out = (v1[:, None, :, None] * v2[None, :, None, :]).astype(dtype)
-    return out.reshape(m1 * m2, m1 * m2)
+    return np.kron(toeplitz(cf, m1), toeplitz(ch, m2))
 
 
 def eigenvalues_dense(a: np.ndarray, order_cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
@@ -322,6 +311,13 @@ class DistributionReport:
         }
 
 
+def check_outlier_eps(eps_values: Sequence[float]) -> None:
+    """Refuse an outlier ``eps`` that is NaN, infinite or negative."""
+    for eps in eps_values:
+        if not 0.0 <= eps < math.inf:
+            raise UsageError(f"outlier eps must be finite and >= 0, got {eps!r}")
+
+
 def weyl_report(eigs: np.ndarray, sampler: Sampler,
                 eps_values: Sequence[float] = ()) -> DistributionReport:
     """Compare a spectrum against a symbol through its monotone rearrangement.
@@ -330,11 +326,9 @@ def weyl_report(eigs: np.ndarray, sampler: Sampler,
     its ``count`` quantiles give the discrepancy and the outlier box, and
     the r-th moment error is |mean(lambda^r) - mean(symbol^r)| against its
     ``moments``.  An outlier ``eps`` that is NaN, infinite or negative is
-    refused.
+    refused (:func:`check_outlier_eps`).
     """
-    for eps in eps_values:
-        if not 0.0 <= eps < math.inf:
-            raise UsageError(f"outlier eps must be finite and >= 0, got {eps!r}")
+    check_outlier_eps(eps_values)
     eigs = np.asarray(eigs, dtype=complex).ravel()
     d = eigs.size
     if d == 0:

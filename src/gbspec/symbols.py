@@ -111,7 +111,7 @@ def symbol_fns(requests, family: SectionFamily) -> list[SymbolFn]:
     out = []
     for (kind, p), r, cs in zip(requests, orders, cardinal_splines(family, degrees)):
         rep, rows = cs.pw.family, cs.pw.coeffs  # one row per unit interval
-        eps = rep.effective(1.0)
+        eps = rep.effective()
         if cs.degree == p:
             for _ in range(r):
                 rows = _local_derivative(rep, p, eps, rows)
@@ -273,21 +273,25 @@ def decay_ratios(degrees, family: SectionFamily) -> list[float]:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Grid scan of the proved/conjectured envelope bounds for one (p, family)."""
+    """Grid scan of the proved/conjectured envelope bounds for one (p, family).
+
+    The fields about ``f`` (``symbol_max``, ``decay_ratio`` and the
+    ``f_zero_*`` ones) are None below degree 2, where there is no ``f``.
+    """
 
     degree: int
     family: str
     phase: float | None
     grid_size: int
-    symbol_max: float
+    symbol_max: float | None
     h_min: float
     upper_violations: int
     lower_violations: int
     lower_status: str
-    decay_ratio: float
-    f_zero_value: float
-    f_zero_first_diff: float
-    f_zero_second_diff: float
+    decay_ratio: float | None
+    f_zero_value: float | None
+    f_zero_first_diff: float | None
+    f_zero_second_diff: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -369,7 +373,7 @@ def bounds_report(p: int, family: SectionFamily,
         mx = _refined_max(f, theta, fv)
         ratio = float(f(math.pi)) / mx
     else:
-        f0 = first = second = mx = ratio = float("nan")
+        f0 = first = second = mx = ratio = None
 
     return BoundReport(
         degree=p, family=family.tag, phase=family.phase, grid_size=grid_size,

@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from gbspec import exprparse
-from gbspec.collocation import (CollocationSystem, KnotVector, _rep_family,
-                                gb_basis, greville_abscissae, greville_samples)
+from gbspec.collocation import (CollocationSystem, KnotVector, gb_basis,
+                                greville_abscissae, greville_samples)
 from gbspec.cardinal import SEED_ROWS, cardinal_derivative, cardinal_spline
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import _direction_data, _eval_grid
@@ -80,6 +80,16 @@ def central_second_difference(fn, t: float, h: float = 1e-5) -> float:
 def sign_changes(values: np.ndarray, tol: float = 1e-13) -> int:
     signs = np.sign(values[np.abs(values) > tol])
     return int(np.sum(signs[1:] != signs[:-1]))
+
+
+def piece_family(family, mode: str, n: int):
+    """The family of every piece of a basis on n uniform intervals.
+
+    Its phase is the effective one: ``alpha``, or ``alpha/n`` when nested.
+    """
+    if family.is_polynomial or mode == "nonnested":
+        return family
+    return SectionFamily(family.tag, family.phase / n)
 
 
 def _full_span_seeds(kv: KnotVector, rep) -> list:
@@ -125,8 +135,7 @@ def full_span_basis(n: int, p: int, family, mode: str = "nonnested") -> list:
     ``gbspec.collocation.gb_basis``.
     """
     kv = KnotVector.open_uniform(n, p)
-    rep, _ = _rep_family(family, mode, n)
-    level = _full_span_seeds(kv, rep)
+    level = _full_span_seeds(kv, piece_family(family, mode, n))
     for q in range(2, p + 1):
         level = _next_level([_cumulative(s, left_degenerate=(i + q <= p + 1))
                              for i, s in enumerate(level, start=1)])
@@ -144,10 +153,8 @@ def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
     former ``gbspec.collocation.gb_basis``, kept as the bit-identity
     reference for the level-batched one.
     """
-    kv = KnotVector.open_uniform(n, p)
-    rep, mu = _rep_family(family, mode, n)
+    rep = piece_family(family, mode, n)
     m = min(n, 2 * p + 2)
-    unit = rep if mu is None else SectionFamily(rep.tag, mu / n)
     up, down = SEED_ROWS
     grid = np.arange(m + 1.0)
     short = []
@@ -157,7 +164,7 @@ def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
             coeffs[i - p - 1] = up
         if p + 1 <= i + 1 <= p + m:
             coeffs[i - p] = down
-        short.append(PiecewiseFn(unit, 1, grid, coeffs))
+        short.append(PiecewiseFn(rep, 1, grid, coeffs))
     for q in range(2, p + 1):
         short = _next_level([_cumulative(s, i + q <= p + 1, antiderivative)
                              for i, s in enumerate(short, start=1)])
@@ -189,7 +196,7 @@ def _loop_primitive(family, p: int, eps: float, c: np.ndarray,
         return out
     for j in range(p - 1):
         out[j + 1] = c[j] / (j + 1)
-    s = float(_signed_square(family, eps))
+    s = _signed_square(family, eps)
     gu, gv, gw = (_norm_at(s, k) for k in (p - 1, p, p + 1))
     out[p] = gv / (2 * p * gu) * c[p - 1]
     out[p + 1] = gw / (2 * (p + 1) * gv) * c[p]
@@ -199,7 +206,7 @@ def _loop_primitive(family, p: int, eps: float, c: np.ndarray,
 
 def _total(f: PiecewiseFn) -> float:
     """``f`` at the right end of its last piece, from the basis row there."""
-    end = _basis_matrix(f.family, f.degree, f._eff_phases()[-1:], np.ones(1))[0]
+    end = _basis_matrix(f.family, f.degree, f.family.effective(), np.ones(1))[0]
     return np.sum(f.coeffs[-1] * end)
 
 
@@ -211,13 +218,13 @@ def loop_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
     """
     p = f.degree
     m = f.coeffs.shape[0]
-    eps = f._eff_phases()
+    eps = f.family.effective()
     starts, ends = (_basis_matrix(f.family, p + 1, eps, np.full(m, tau))
                     for tau in (0.0, 1.0))
     out = np.zeros((m, p + 2))
     acc = 0.0
     for i in range(m):
-        prim = _loop_primitive(f.family, p, eps[i], f.coeffs[i], starts[i]) * f._widths[i]
+        prim = _loop_primitive(f.family, p, eps, f.coeffs[i], starts[i]) * f._widths[i]
         step = np.sum(prim * ends[i])
         if i:
             prim[0] += acc
@@ -275,10 +282,10 @@ def loop_greville_abscissae(kv: KnotVector) -> np.ndarray:
 def _loop_derivative(f: PiecewiseFn) -> PiecewiseFn:
     """Exact derivative of ``f``, one piece at a time."""
     p = f.degree
-    eps = f._eff_phases()
+    eps = f.family.effective()
     out = np.zeros_like(f.coeffs)
     for i in range(f.coeffs.shape[0]):
-        out[i] = _local_derivative(f.family, p, eps[i], f.coeffs[i]) / f._widths[i]
+        out[i] = _local_derivative(f.family, p, eps, f.coeffs[i]) / f._widths[i]
     return PiecewiseFn(f.family, p, f.breakpoints, out)
 
 
@@ -633,7 +640,8 @@ def dense_assemble_1d(problem, geometry, basis) -> CollocationSystem:
             + n * beta_hat[:, None] * adv
             + gamma_hat[:, None] * mass)
     return CollocationSystem(
-        n=n, degree=p, family=basis.family, mode=basis.mode, mu=basis.mu,
+        n=n, degree=p, family=basis.family, mode=basis.mode,
+        section_family=basis.section_family,
         greville=xi, stiffness=stiff, advection=adv, mass=mass,
         kappa_hat=kappa_hat, beta_hat=beta_hat, gamma_hat=gamma_hat,
         full_matrix=full, scaled_matrix=full / n**2,

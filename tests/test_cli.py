@@ -7,6 +7,7 @@ import pytest
 from gbspec import cli
 from gbspec.cli import main
 from gbspec.sections import SectionFamily
+from gbspec.spectral import eigenvalues_dense
 from oracles import mp_nested_shape_error
 
 PROBLEM_1D = {
@@ -91,6 +92,23 @@ class TestCardinalAndBounds:
         payload = json.loads(out)
         assert payload["lower_status"] == "PROVED"
         assert payload["upper_violations"] == 0
+
+    @pytest.mark.parametrize("family", [("polynomial",),
+                                        ("hyperbolic", "--alpha", "10"),
+                                        ("trigonometric", "--alpha", "2")])
+    def test_bounds_below_degree_two_is_strict_json(self, capsys, family):
+        # there is no f below p = 2: its fields print null, never a bare NaN
+        code, out = run(capsys, "bounds", "--p", "1", "--family", *family)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(out, parse_constant=refuse)
+        for key in ("symbol_max", "decay_ratio", "f_zero_value",
+                    "f_zero_first_diff", "f_zero_second_diff"):
+            assert payload[key] is None, key
+        assert math.isfinite(payload["h_min"])
 
     def test_decay_table(self, capsys):
         code, out = run(capsys, "decay", "--family", "polynomial",
@@ -200,6 +218,32 @@ class TestDistributionCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert f"got {shown}\n" in captured.err
+
+    @pytest.mark.parametrize("command", ["distribution", "distribution-md"])
+    def test_bad_eps_is_refused_before_any_solve(self, capsys, monkeypatch,
+                                                 config_1d, config_2d, command):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return eigenvalues_dense(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "eigenvalues_dense", counted)
+        config = config_1d if command == "distribution" else config_2d
+        code = main([command, "--config", config, "--n", "8,16", "--eps", "-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, len(solves)) == (1, "", 0)
+        assert "outlier eps must be finite and >= 0, got -1.0\n" in captured.err
+
+    @pytest.mark.parametrize("command", ["distribution", "distribution-md"])
+    @pytest.mark.parametrize("ns", [",", ""])
+    def test_empty_n_list_is_refused(self, capsys, config_1d, config_2d,
+                                     command, ns):
+        config = config_1d if command == "distribution" else config_2d
+        code = main([command, "--config", config, "--n", ns])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "--n needs at least one value" in captured.err
 
 
 def test_unknown_command_exits_one(capsys):

@@ -110,6 +110,49 @@ class TestBasis:
         gb_basis(3, 2, trigonometric(7.0), "nested")  # minimal feasible n
 
 
+class TestEffectivePhase:
+    """Every piece of a basis has one effective phase: alpha, or alpha/n nested."""
+
+    @pytest.mark.parametrize("alpha,n", [(0.7, 12), (0.1, 24), (10.0, 24),
+                                         (10.0, 36)])
+    def test_nonnested_phase_is_alpha(self, alpha, n):
+        basis = gb_basis(n, 3, hyperbolic(alpha), "nonnested")
+        assert basis.effective_phase == alpha
+        assert basis.section_family == hyperbolic(alpha)
+
+    @pytest.mark.parametrize("n", [24, 36, 256])
+    def test_nested_phase_is_alpha_over_n(self, n):
+        basis = gb_basis(n, 3, trigonometric(2.0), "nested")
+        assert basis.section_family == trigonometric(2.0 / n)
+
+    def test_nonnested_shapes_do_not_depend_on_n(self):
+        ref = gb_basis(8, 3, hyperbolic(0.7), "nonnested")
+        for n in range(9, 200):
+            basis = gb_basis(n, 3, hyperbolic(0.7), "nonnested")
+            assert np.array_equal(basis.shapes, ref.shapes), n
+            assert np.array_equal(basis.shape_normalizers,
+                                  ref.shape_normalizers), n
+
+    def test_series_evaluations_do_not_depend_on_n(self, monkeypatch):
+        # one array evaluation for each of the slots u and v, at any n
+        calls = []
+        inner = sections._series
+
+        def counted(s, k, sigma):
+            if isinstance(sigma, np.ndarray):
+                calls.append(k)
+            return inner(s, k, sigma)
+
+        monkeypatch.setattr(sections, "_series", counted)
+        counts = {}
+        for n in (24, 32, 36, 256):
+            basis = gb_basis(n, 3, hyperbolic(10.0), "nonnested")
+            calls.clear()
+            greville_samples(basis)
+            counts[n] = len(calls)
+        assert counts == {24: 2, 32: 2, 36: 2, 256: 2}
+
+
 # trigonometric(7) in nested mode is feasible from n = 3 on
 BANDED_CASES = [(polynomial(), "nonnested"),
                 (hyperbolic(10.0), "nested"), (hyperbolic(10.0), "nonnested"),

@@ -45,6 +45,22 @@ class TestFamilies:
                         np.zeros((1, 3)))
 
 
+class TestPiecePhase:
+    def test_phase_belongs_to_the_pieces(self):
+        # pieces of width 1/4 are the unit pieces with the argument scaled
+        # by 4: the breakpoints only place them and scale d/dx and integrals
+        rng = np.random.default_rng(5)
+        coeffs = rng.uniform(-1, 1, size=(2, 4))
+        short = PiecewiseFn(hyperbolic(2.0), 3, np.array([0.0, 0.25, 0.5]), coeffs)
+        unit = PiecewiseFn(hyperbolic(2.0), 3, np.array([0.0, 1.0, 2.0]), coeffs)
+        xs = np.linspace(0.0, 0.5, 101)
+        assert np.array_equal(short(xs), unit(4 * xs))
+        assert np.array_equal(piecewise_derivative(short)(xs),
+                              4 * piecewise_derivative(unit)(4 * xs))
+        assert np.array_equal(piecewise_antiderivative(short)(xs),
+                              piecewise_antiderivative(unit)(4 * xs) / 4)
+
+
 class TestBasisEval:
     def test_polynomial_constant_slot(self):
         assert unit_slot(polynomial(), 2, 0)(0.7) == 1.0
@@ -163,11 +179,12 @@ class TestAntiderivative:
             eps = eps[eps < math.pi]
         for p in range(1, 14):
             family = polynomial() if tag == "polynomial" else SectionFamily(tag, 1.0)
-            rows = _basis_matrix(family, p, eps, np.ones(eps.size))
-            for e, row in zip(eps, rows):
-                single = _basis_matrix(family, p, np.array([e]), np.array([1.0]))
-                assert np.array_equal(row, single[0])
-                assert np.array_equal(row, _edge_row(p, 1.0))
+            for e in eps:
+                rows = _basis_matrix(family, p, float(e), np.ones(3))
+                single = _basis_matrix(family, p, float(e), np.array([1.0]))
+                for row in rows:
+                    assert np.array_equal(row, single[0])
+                    assert np.array_equal(row, _edge_row(p, 1.0))
 
 
     @pytest.mark.parametrize("tag", ["polynomial", "hyperbolic", "trigonometric"])

@@ -76,6 +76,9 @@ COMMANDS: list[list[str]] = [
     ["distribution-md", "--config", _cfg("2d_polynomial_trigonometric.json"),
      "--n", "24"],
     ["distribution-md", "--config", _cfg("3d_hyperbolic.json"), "--n", "10"],
+    # 1D Weyl reports at n that are not powers of two, where the interval
+    # widths of the uniform grid differ in their last bits
+    ["distribution", "--config", _CURVED, "--n", "24,36"],
     # outlier counts, which the benchmark's jobs (no --eps) do not print
     ["distribution", "--config", _ADVECTION, "--n", "64,128", "--eps",
      "0.001,0.1,1"],
