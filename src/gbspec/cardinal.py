@@ -64,10 +64,6 @@ class CardinalSpline:
     def __call__(self, t):
         return self.pw(t)
 
-    @property
-    def center(self) -> float:
-        return (self.degree + 1) / 2
-
 
 def _checked(integrals: np.ndarray, degree: int, rep: SectionFamily) -> np.ndarray:
     """``integrals``, refused unless every one is finite and nonzero."""
@@ -75,7 +71,7 @@ def _checked(integrals: np.ndarray, degree: int, rep: SectionFamily) -> np.ndarr
     if np.any(bad):
         raise NumericalError(
             f"GB-spline recursion breaks down at degree {degree}, effective "
-            f"phase {rep.effective():g}: a spline integrates to "
+            f"phase {rep.phase or 0.0:g}: a spline integrates to "
             f"{float(integrals[bad][0])!r}")
     return integrals
 
@@ -88,13 +84,12 @@ def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
     """
     _check_phase(rep)
     top = max(degrees)
-    eps = rep.effective()  # the effective phase of every piece
+    s = rep.signed_square  # every piece has the effective phase
     widths = np.ones(top + 1)
 
     def antiderivative(rows: np.ndarray) -> np.ndarray:
         pieces, slots = rows.shape
-        return _antiderivative_stack(rep, slots - 1, eps, widths[:pieces],
-                                     rows[None])[0]
+        return _antiderivative_stack(slots - 1, s, widths[:pieces], rows[None])[0]
 
     integral = _at_edge(antiderivative(SEED_ROWS)[-1])
     delta1 = 1.0 / _checked(np.array([integral]), 1, rep).item()

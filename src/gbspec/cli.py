@@ -22,9 +22,9 @@ from .collocation import (GeometryMap1D, ProblemCoefficients, assemble,
                           gb_basis, limit_family, transformed_coefficients)
 from .errors import GbspecError, NumericalError, UsageError
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                       assemble_md, md_symbol_samples)
+                       assemble_md, direction_bases, md_symbol_samples)
 from .sections import SectionFamily, polynomial
-from .spectral import (SymbolDraw, ToeplitzSpec, check_outlier_eps,
+from .spectral import (SymbolDraw, ToeplitzSpec, check_order, check_outlier_eps,
                        eigenvalues_dense, product_symbol_sampler, toeplitz,
                        weyl_report)
 from .symbols import MIN_BOUNDS_GRID, bounds_report, decay_ratios, symbol_fn
@@ -176,20 +176,29 @@ def _distribution_symbol(family: SectionFamily, mode: str, p: int):
     return symbol_fn("f", p, limit_family(family, mode))
 
 
+def _capped_basis(n: int, p: int, family: SectionFamily, mode: str):
+    """``gb_basis``, refused before it is built if the order of its
+    collocation system, one row per spline N_2..N_{n+p-1}, exceeds the cap
+    of :func:`eigenvalues_dense`."""
+    check_order(n + p - 2)
+    return gb_basis(n, p, family, mode)
+
+
 def _run_distribution_1d(cfg: dict, ns: list[int], eps: list[float]) -> dict:
     check_outlier_eps(eps)  # refuse a bad eps before any solve
     problem, geometry, family, mode, p = load_problem_1d(cfg)
     sym = _distribution_symbol(family, mode, p)
     sampler = product_symbol_sampler(_coefficient_sampler(problem, geometry), sym)
+    # refuse a bad n before the first solve
+    bases = [_capped_basis(n, p, family, mode) for n in ns]
 
-    def solve(n: int):
-        basis = gb_basis(n, p, family, mode)
+    def solve(basis):
         # keep no system alive while the Weyl report samples the symbol,
         # so the samples can reuse its memory
         eigs = eigenvalues_dense(assemble(problem, geometry, basis).scaled_matrix)
         return weyl_report(eigs, sampler, eps)
 
-    reports = [solve(n) for n in ns]
+    reports = [solve(basis) for basis in bases]
     return {
         "d": 1, "p": p, "family": family.tag, "alpha": family.phase,
         "mode": mode,
@@ -204,6 +213,9 @@ def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
 
     def sampler(count: int) -> SymbolDraw:
         return md_symbol_samples(problem, geometry, count, symbols)
+
+    for n in ns:  # refuse a bad n before the first solve
+        direction_bases(problem, geometry, n)
 
     def solve(n: int):
         a = assemble_md(problem, geometry, n)
@@ -280,11 +292,10 @@ def _cmd_decay(args) -> None:
     _write(args.out, _csv(["p", "ratio"], zip(degrees, decay_ratios(degrees, fam))))
 
 
-def _build_system(args):
+def _build_system(args, make_basis=gb_basis):
     cfg = load_config(args.config)
     problem, geometry, family, mode, p = load_problem_1d(cfg)
-    basis = gb_basis(args.n, p, family, mode)
-    return assemble(problem, geometry, basis)
+    return assemble(problem, geometry, make_basis(args.n, p, family, mode))
 
 
 def _cmd_assemble(args) -> None:
@@ -306,7 +317,7 @@ def _cmd_assemble(args) -> None:
 
 
 def _cmd_eig(args) -> None:
-    system = _build_system(args)
+    system = _build_system(args, _capped_basis)
     mat = system.full_matrix if args.raw else system.scaled_matrix
     eigs = np.sort_complex(eigenvalues_dense(mat))
     _write(args.out, _csv(["re", "im"], np.column_stack((eigs.real, eigs.imag))))
@@ -316,11 +327,12 @@ def _cmd_toeplitz(args) -> None:
     fam = make_family(args.family, args.alpha)
     sym = symbol_fn(args.symbol, args.p, fam)
     spec = ToeplitzSpec(sym.toeplitz_coefficients())
-    mat = toeplitz(spec, args.m)
     if args.eig:
-        eigs = np.sort_complex(eigenvalues_dense(mat))
+        check_order(args.m)  # before the matrix is built
+        eigs = np.sort_complex(eigenvalues_dense(toeplitz(spec, args.m)))
         _write(args.out, _csv(["re", "im"], np.column_stack((eigs.real, eigs.imag))))
         return
+    mat = toeplitz(spec, args.m)
     header = [f"c{j}" for j in range(mat.shape[1])]
     _write(args.out, _csv(header, mat))
 

@@ -124,11 +124,6 @@ class GBBasis:
         return self.knots.degree
 
     @property
-    def effective_phase(self) -> float | None:
-        """Phase of the cardinal shape matching the interior splines."""
-        return self.section_family.phase
-
-    @property
     def shape_index(self) -> np.ndarray:
         """0-based row of ``shapes`` holding N_i, for i = 1..n+p.
 
@@ -184,7 +179,7 @@ def _seed_level(m: int, p: int) -> np.ndarray:
 
 
 def _cumulative(level: np.ndarray, left_degenerate: np.ndarray,
-                rep: SectionFamily, eps: float) -> np.ndarray:
+                rep: SectionFamily) -> np.ndarray:
     """Normalized cumulative integrals of a level of splines of degree q-1, stacked.
 
     An identically-zero boundary spline's cumulative degenerates to a unit
@@ -194,7 +189,7 @@ def _cumulative(level: np.ndarray, left_degenerate: np.ndarray,
     """
     size, m, q = level.shape
     live = np.any(level, axis=(1, 2))
-    anti = _antiderivative_stack(rep, q - 1, eps, np.ones(m), level[live])
+    anti = _antiderivative_stack(q - 1, rep.signed_square, np.ones(m), level[live])
     # each antiderivative at the right end of the last interval
     totals = _at_edge(anti[:, -1])
     cums = np.zeros((size, m, q + 1))
@@ -212,14 +207,13 @@ def _short_run(m: int, p: int, rep: SectionFamily) -> tuple[np.ndarray, np.ndarr
     p+1)``, and ``1 / integral`` of each.
     """
     _check_phase(rep)
-    eps = rep.effective()
     level = _seed_level(m, p)
     for q in range(2, p + 1):
         # spline N_{i,q-1} collapses at the left boundary iff t_{i+q} = 0
         index = np.arange(1, level.shape[0] + 1)
-        cums = _cumulative(level, index + q <= p + 1, rep, eps)
+        cums = _cumulative(level, index + q <= p + 1, rep)
         level = cums[:-1] - cums[1:]
-    anti = _antiderivative_stack(rep, p, eps, np.ones(m), level)
+    anti = _antiderivative_stack(p, rep.signed_square, np.ones(m), level)
     return level, 1.0 / _checked(_at_edge(anti[:, -1]), p, rep)
 
 
@@ -311,15 +305,14 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     interval = np.searchsorted(grid, x, side="right") - 1
     w = widths[interval]
     tau = (x - grid[interval]) / w
-    rep = basis.section_family
-    eps = rep.effective()
+    s = basis.section_family.signed_square
     # N_{j+2} is the shape k, whose support starts at its short-run piece
     # max(0, k-p) (see GBBasis.splines)
     k = basis.shape_index[1:-1][cols]
     c0 = basis.shapes[k, np.maximum(k - p, 0) + interval - lo[cols]]
-    c1 = _local_derivative(rep, p, eps, c0) / w[:, None]
-    c2 = _local_derivative(rep, p, eps, c1) / w[:, None]
-    vals = np.einsum("ij,ij->i", np.tile(_basis_matrix(rep, p, eps, tau), (3, 1)),
+    c1 = _local_derivative(p, s, c0) / w[:, None]
+    c2 = _local_derivative(p, s, c1) / w[:, None]
+    vals = np.einsum("ij,ij->i", np.tile(_basis_matrix(p, s, tau), (3, 1)),
                      np.concatenate([c0, c1, c2]))
     mats = tuple(np.zeros((size, size)) for _ in range(3))
     for order, (mat, v) in enumerate(zip(mats, vals.reshape(3, -1))):

@@ -302,32 +302,3 @@ def differentiate(ast: ExprAst, var: str | tuple[str, ...]) -> ExprAst:
     return _mul(BinOp("^", a, b),
                 _add(_mul(db, Call("log", a)), BinOp("/", _mul(b, da), a)))
 
-
-def pretty(ast: ExprAst) -> str:
-    """Render an AST back to source (parseable, up to whitespace)."""
-    return _pretty(ast, 0)
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _pretty(ast: ExprAst, parent_prec: int) -> str:
-    if isinstance(ast, Const):
-        v = ast.value
-        text = repr(int(v)) if float(v).is_integer() and abs(v) < 1e16 else repr(v)
-        if v < 0:
-            return f"({text})" if parent_prec > 0 else text
-        return text
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Neg):
-        inner = _pretty(ast.arg, _PREC["neg"])
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > _PREC["neg"] else text
-    if isinstance(ast, Call):
-        return f"{ast.fn}({_pretty(ast.arg, 0)})"
-    prec = _PREC[ast.op]
-    left = _pretty(ast.left, prec if ast.op != "^" else prec + 1)
-    right = _pretty(ast.right, prec + 1 if ast.op in "-/" else prec)
-    text = f"{left}{ast.op}{right}"
-    return f"({text})" if prec < parent_prec else text

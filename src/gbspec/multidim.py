@@ -16,13 +16,14 @@ symbols ``h`` in the remaining directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import exprparse
-from .collocation import (NESTED, NONNESTED, _assemble_terms, gb_basis,
+from .collocation import (NESTED, NONNESTED, GBBasis, _assemble_terms, gb_basis,
                           greville_samples, limit_family)
 from .errors import UsageError, ValidationError
 from .sections import SectionFamily
@@ -164,12 +165,24 @@ class GeometryMapMD:
         return out
 
 
-def _direction_data(problem: ProblemMD, n: int):
-    """Interior Greville points, value and derivative matrices per direction."""
-    return tuple(zip(*(greville_samples(gb_basis(problem.nu[j] * n,
-                                                 problem.degrees[j],
-                                                 problem.families[j], problem.mode))
-                       for j in range(problem.d))))
+def direction_bases(problem: ProblemMD, geometry: GeometryMapMD, n: int,
+                    order_cap: int = DEFAULT_ORDER_CAP) -> list[GBBasis]:
+    """The 1D basis of each direction at ``n``, after every check of :func:`assemble_md`.
+
+    It builds no matrix, so whatever :func:`assemble_md` refuses, an order
+    above ``order_cap`` included, is refused at the cost of the bases.
+    """
+    d = problem.d
+    if geometry.d != d:
+        raise ValidationError("geometry dimension disagrees with the problem")
+    if d == 3 and not geometry.is_identity:
+        raise UsageError("d = 3 supports the identity geometry only")
+    bases = [gb_basis(problem.nu[j] * n, problem.degrees[j], problem.families[j],
+                      problem.mode) for j in range(d)]
+    order = math.prod(b.n + b.degree - 2 for b in bases)  # N_2..N_{n+p-1}
+    if order > order_cap:
+        raise UsageError(f"system order {order} exceeds cap {order_cap}")
+    return bases
 
 
 def _pullback(problem: ProblemMD, geometry: GeometryMapMD, points: np.ndarray,
@@ -193,14 +206,8 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
     :func:`collocation._assemble_terms` without forming any of them.
     """
     d = problem.d
-    if geometry.d != d:
-        raise ValidationError("geometry dimension disagrees with the problem")
-    if d == 3 and not geometry.is_identity:
-        raise UsageError("d = 3 supports the identity geometry only")
-    grevilles, values, first, second = _direction_data(problem, n)
-    order = int(np.prod([v.shape[0] for v in values]))
-    if order > order_cap:
-        raise UsageError(f"system order {order} exceeds cap {order_cap}")
+    bases = direction_bases(problem, geometry, n, order_cap)
+    grevilles, values, first, second = zip(*map(greville_samples, bases))
 
     pts = _tensor_grid(grevilles)
     phys = geometry.map_at(pts)

@@ -3,9 +3,11 @@
 Every piece is stored in local coordinates ``tau in [0, 1]`` of its interval,
 and the phase belongs to the pieces: a family's phase ``eps`` is the
 effective phase of every piece on its local coordinate, whatever the
-piece's width.  The three families are one family in the signed square of
-that phase: ``s = eps**2`` for hyperbolic sections, ``-eps**2`` for
-trigonometric ones and ``0`` for polynomials.  On the centred coordinate
+piece's width.  The three families are one section space in the signed
+square of that phase, :attr:`SectionFamily.signed_square`: ``s = eps**2``
+for hyperbolic sections, ``-eps**2`` for trigonometric ones and ``0`` for
+polynomials.  ``s`` is the only parameter of the algebra: every section
+function takes the degree and ``s``.  On the centred coordinate
 ``sigma = tau - 1/2`` the degree-``p`` section space is spanned by
 
     1, sigma, ..., sigma**(p-2),   u = R_{p-1}/N_{p-1},   v = R_p/N_p,
@@ -16,8 +18,8 @@ the normalised exponential remainders (``R_k`` is ``cosh`` or ``sinh`` of
 ``eps*sigma`` less its Taylor terms below degree ``k``, over ``eps**k``; for
 ``s = 0`` it is ``sigma**k/k!``).  Differentiation and integration only
 shift ``k``, so no step divides by the phase and one formula serves every
-family and phase.  ``u`` and ``v`` are 1 at ``tau = 1`` and ``(-1)**(p-1)``,
-``(-1)**p`` at ``tau = 0``; as the phase tends to 0 they tend to
+``s``.  ``u`` and ``v`` are 1 at ``tau = 1`` and ``(-1)**(p-1)``,
+``(-1)**p`` at ``tau = 0``; as ``s`` tends to 0 they tend to
 ``(2 sigma)**(p-1)`` and ``(2 sigma)**p``.  Antidifferentiation lands in the
 degree ``p+1`` space, which is what makes the recursive spline
 constructions exact instead of quadrature-based.
@@ -66,9 +68,14 @@ class SectionFamily:
     def is_polynomial(self) -> bool:
         return self.tag == POLYNOMIAL
 
-    def effective(self) -> float:
-        """Effective phase of every piece (0 if polynomial)."""
-        return 0.0 if self.is_polynomial else self.phase
+    @property
+    def signed_square(self) -> float:
+        """``s``: the phase squared, negated for trigonometric sections, 0 for
+        polynomials; the one parameter of the section space."""
+        if self.is_polynomial:
+            return 0.0
+        square = self.phase * self.phase
+        return square if self.tag == HYPERBOLIC else -square
 
     def check_interval(self) -> None:
         """Validate the per-piece feasibility constraint."""
@@ -89,14 +96,6 @@ def hyperbolic(alpha: float) -> SectionFamily:
 
 def trigonometric(alpha: float) -> SectionFamily:
     return SectionFamily(TRIGONOMETRIC, float(alpha))
-
-
-_SIGN = {POLYNOMIAL: 0.0, HYPERBOLIC: 1.0, TRIGONOMETRIC: -1.0}
-
-
-def _signed_square(family: SectionFamily, eps: float) -> float:
-    """``s``: the effective phase squared, negated for trigonometric sections."""
-    return _SIGN[family.tag] * (eps * eps)
 
 
 @lru_cache(maxsize=4096)
@@ -161,8 +160,8 @@ def _at_edge(rows: np.ndarray, side: float = 1.0) -> np.ndarray:
     return np.sum(rows * _edge_row(rows.shape[-1] - 1, side), axis=-1)
 
 
-def _basis_matrix(family: SectionFamily, p: int, eps: float, tau) -> np.ndarray:
-    """Stack the p+1 basis values at each ``tau``, at the effective phase ``eps``.
+def _basis_matrix(p: int, s: float, tau) -> np.ndarray:
+    """Stack the p+1 basis values at each ``tau``, at the signed square ``s``.
 
     The shape is ``(len(tau), p+1)``.  ``u`` and ``v`` are ``(2 sigma)**k
     G_k(s sigma**2)/G_k(s/4)`` for ``k = p-1, p``.
@@ -174,7 +173,6 @@ def _basis_matrix(family: SectionFamily, p: int, eps: float, tau) -> np.ndarray:
     for j in range(1, p + 1):  # sigma**j by products: pow is slow for sigma < 0
         slots[j] = slots[j - 1] * sigma
     slots[p - 1:] *= [[2.0 ** (p - 1)], [2.0**p]]
-    s = _signed_square(family, eps)
     if s != 0.0:  # G_k = 1 for polynomials
         for k in (p - 1, p):
             slots[k] *= _series(s, k, sigma) / _norm_at(s, k)
@@ -246,18 +244,17 @@ def piecewise_eval(f: PiecewiseFn, x):
     idx = np.minimum(np.searchsorted(bp, xin, side="right") - 1, bp.size - 2)
     tau = (xin - bp[idx]) / f._widths[idx]
     tau[xin == bp[-1]] = 1.0
-    basis = _basis_matrix(f.family, f.degree, f.family.effective(), tau)
+    basis = _basis_matrix(f.degree, f.family.signed_square, tau)
     vals = np.zeros(xs.shape)
     vals[inside] = np.einsum("ij,ij->i", basis, f.coeffs[idx])
     return float(vals[0]) if scalar else vals
 
 
-def _local_derivative(family: SectionFamily, p: int, eps: float,
-                      c: np.ndarray) -> np.ndarray:
+def _local_derivative(p: int, s: float, c: np.ndarray) -> np.ndarray:
     """d/dtau of coefficient rows, expressed in the same degree-p basis.
 
     ``c`` is one row or a stack of rows (last axis the p+1 slots), all at
-    the effective phase ``eps``.  With ``G_k = 2**k k! N_k``:
+    the signed square ``s``.  With ``G_k = 2**k k! N_k``:
     ``u' = sigma**(p-2)/((p-2)! N_{p-1}) + s (N_p/N_{p-1}) v`` (no monomial
     term for ``p = 1``) and ``v' = (N_{p-1}/N_p) u``.
     """
@@ -266,7 +263,6 @@ def _local_derivative(family: SectionFamily, p: int, eps: float,
         return out
     for j in range(1, p - 1):
         out[..., j - 1] += j * c[..., j]
-    s = _signed_square(family, eps)
     gu, gv = (_norm_at(s, k) for k in (p - 1, p))
     if p > 1:
         out[..., p - 2] += (p - 1) * 2.0 ** (p - 1) / gu * c[..., p - 1]
@@ -281,17 +277,16 @@ def piecewise_derivative(f: PiecewiseFn) -> PiecewiseFn:
     Monomial slots shift down; the (u, v) pair maps into its own span plus
     the top monomial.  Degree-0 input yields the zero function.
     """
-    out = (_local_derivative(f.family, f.degree, f.family.effective(), f.coeffs)
+    out = (_local_derivative(f.degree, f.family.signed_square, f.coeffs)
            / f._widths[:, None])
     return PiecewiseFn(f.family, f.degree, f.breakpoints, out)
 
 
-def _local_primitive(family: SectionFamily, p: int, eps: float,
-                     c: np.ndarray) -> np.ndarray:
+def _local_primitive(p: int, s: float, c: np.ndarray) -> np.ndarray:
     """Primitive of coefficient rows (vanishing at tau=0) in the degree-p+1 basis.
 
     ``c`` is one row or a stack of rows (last axis the p+1 slots), all at
-    the effective phase ``eps``.  ``sigma**j`` goes to
+    the signed square ``s``.  ``sigma**j`` goes to
     ``sigma**(j+1)/(j+1)``, ``u`` to ``(N_p/N_{p-1}) u+`` and ``v`` to
     ``(N_{p+1}/N_p) v+``; the constant slot then subtracts the value at
     tau = 0.
@@ -301,7 +296,6 @@ def _local_primitive(family: SectionFamily, p: int, eps: float,
         out[..., :2] = c / 2.0  # tau = (u + v)/2 in the degree-1 basis
         return out
     out[..., 1:p] = c[..., :p - 1] / np.arange(1.0, p)
-    s = _signed_square(family, eps)
     gu, gv, gw = (_norm_at(s, k) for k in (p - 1, p, p + 1))
     out[..., p] = gv / (2 * p * gu) * c[..., p - 1]
     out[..., p + 1] = gw / (2 * (p + 1) * gv) * c[..., p]
@@ -309,17 +303,17 @@ def _local_primitive(family: SectionFamily, p: int, eps: float,
     return out
 
 
-def _antiderivative_stack(family: SectionFamily, p: int, eps: float,
-                          widths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _antiderivative_stack(p: int, s: float, widths: np.ndarray,
+                          coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of the antiderivatives of a stack of piecewise functions.
 
     ``coeffs`` has shape ``(S, m, p+1)``: S functions of degree ``p`` on one
-    grid of m pieces of widths ``widths``, every piece at the effective
-    phase ``eps``.
+    grid of m pieces of widths ``widths``, every piece at the signed
+    square ``s``.
     The result, of shape ``(S, m, p+2)``, is what
     :func:`piecewise_antiderivative` gives for each function on its own.
     """
-    out = _local_primitive(family, p, eps, coeffs) * widths[:, None]
+    out = _local_primitive(p, s, coeffs) * widths[:, None]
     # each piece's integral is its primitive at tau = 1, where the basis row
     # is a constant; the integration constants are their running sums
     steps = _at_edge(out)
@@ -334,6 +328,6 @@ def piecewise_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
     outside the span the compact-support convention of :class:`PiecewiseFn`
     applies (in particular ``F`` at the last breakpoint is the total integral).
     """
-    out = _antiderivative_stack(f.family, f.degree, f.family.effective(),
-                                f._widths, f.coeffs[None])
+    out = _antiderivative_stack(f.degree, f.family.signed_square, f._widths,
+                                f.coeffs[None])
     return PiecewiseFn(f.family, f.degree + 1, f.breakpoints, out[0])

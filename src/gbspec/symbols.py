@@ -110,18 +110,18 @@ def symbol_fns(requests, family: SectionFamily) -> list[SymbolFn]:
     degrees = [p if r >= p else p - r for (_, p), r in zip(requests, orders)]
     out = []
     for (kind, p), r, cs in zip(requests, orders, cardinal_splines(family, degrees)):
-        rep, rows = cs.pw.family, cs.pw.coeffs  # one row per unit interval
-        eps = rep.effective()
+        s = cs.pw.family.signed_square
+        rows = cs.pw.coeffs  # one row per unit interval
         if cs.degree == p:
             for _ in range(r):
-                rows = _local_derivative(rep, p, eps, rows)
+                rows = _local_derivative(p, s, rows)
         else:
             rows = _derivative_rows(rows, r)
         # the sample at (p+1)/2 - k lies on piece (p+1)//2 - k, at its
         # midpoint for even p and at its left end for odd p
         pieces = (p + 1) // 2 - np.arange(0, p // 2 + 1)
         tau = np.full(pieces.size, 0.5 if p % 2 == 0 else 0.0)
-        basis = _basis_matrix(rep, rows.shape[1] - 1, eps, tau)
+        basis = _basis_matrix(rows.shape[1] - 1, s, tau)
         out.append(SymbolFn(kind, p, family,
                             np.einsum("ij,ij->i", basis, rows[pieces])))
     return out

@@ -43,9 +43,9 @@ from gbspec.collocation import (CollocationSystem, KnotVector, gb_basis,
                                 greville_abscissae, greville_samples)
 from gbspec.cardinal import SEED_ROWS, cardinal_derivative, cardinal_spline
 from gbspec.errors import UsageError, ValidationError
-from gbspec.multidim import _direction_data, _eval_grid
+from gbspec.multidim import _eval_grid, direction_bases
 from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
-                             _local_derivative, _norm_at, _signed_square,
+                             _local_derivative, _norm_at,
                              piecewise_antiderivative, piecewise_derivative)
 
 
@@ -184,7 +184,7 @@ def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
     return tuple(splines), np.array(normalizers)
 
 
-def _loop_primitive(family, p: int, eps: float, c: np.ndarray,
+def _loop_primitive(p: int, s: float, c: np.ndarray,
                     start: np.ndarray) -> np.ndarray:
     """Primitive of one degree-p row (vanishing at tau=0), degree p+1.
 
@@ -196,7 +196,6 @@ def _loop_primitive(family, p: int, eps: float, c: np.ndarray,
         return out
     for j in range(p - 1):
         out[j + 1] = c[j] / (j + 1)
-    s = _signed_square(family, eps)
     gu, gv, gw = (_norm_at(s, k) for k in (p - 1, p, p + 1))
     out[p] = gv / (2 * p * gu) * c[p - 1]
     out[p + 1] = gw / (2 * (p + 1) * gv) * c[p]
@@ -206,7 +205,7 @@ def _loop_primitive(family, p: int, eps: float, c: np.ndarray,
 
 def _total(f: PiecewiseFn) -> float:
     """``f`` at the right end of its last piece, from the basis row there."""
-    end = _basis_matrix(f.family, f.degree, f.family.effective(), np.ones(1))[0]
+    end = _basis_matrix(f.degree, f.family.signed_square, np.ones(1))[0]
     return np.sum(f.coeffs[-1] * end)
 
 
@@ -218,13 +217,13 @@ def loop_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
     """
     p = f.degree
     m = f.coeffs.shape[0]
-    eps = f.family.effective()
-    starts, ends = (_basis_matrix(f.family, p + 1, eps, np.full(m, tau))
+    s = f.family.signed_square
+    starts, ends = (_basis_matrix(p + 1, s, np.full(m, tau))
                     for tau in (0.0, 1.0))
     out = np.zeros((m, p + 2))
     acc = 0.0
     for i in range(m):
-        prim = _loop_primitive(f.family, p, eps, f.coeffs[i], starts[i]) * f._widths[i]
+        prim = _loop_primitive(p, s, f.coeffs[i], starts[i]) * f._widths[i]
         step = np.sum(prim * ends[i])
         if i:
             prim[0] += acc
@@ -282,10 +281,10 @@ def loop_greville_abscissae(kv: KnotVector) -> np.ndarray:
 def _loop_derivative(f: PiecewiseFn) -> PiecewiseFn:
     """Exact derivative of ``f``, one piece at a time."""
     p = f.degree
-    eps = f.family.effective()
+    s = f.family.signed_square
     out = np.zeros_like(f.coeffs)
     for i in range(f.coeffs.shape[0]):
-        out[i] = _local_derivative(f.family, p, eps, f.coeffs[i]) / f._widths[i]
+        out[i] = _local_derivative(p, s, f.coeffs[i]) / f._widths[i]
     return PiecewiseFn(f.family, p, f.breakpoints, out)
 
 
@@ -404,10 +403,10 @@ def mp_nested_shape_error(n: int, p: int, family) -> float:
     n0 = min(n, 2 * p + 2)
     small = gb_basis(n0, p, SectionFamily(family.tag, family.phase * n0 / n),
                      "nested")
-    if small.effective_phase != basis.effective_phase or not np.array_equal(
+    if small.section_family != basis.section_family or not np.array_equal(
             small.shapes, basis.shapes):
         raise ValueError(f"n = {n0} does not reproduce the shapes of n = {n}")
-    exact = mp_greville_samples(n0, p, family.tag, small.effective_phase,
+    exact = mp_greville_samples(n0, p, family.tag, small.section_family.phase,
                                 greville_abscissae(small.knots))
     return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
                for a, b in zip(greville_samples(small)[1:], exact))
@@ -565,7 +564,8 @@ def dense_kron_assemble_md(problem, geometry, n: int,
         raise ValidationError("geometry dimension disagrees with the problem")
     if d == 3 and not geometry.is_identity:
         raise UsageError("d = 3 supports the identity geometry only")
-    grevilles, values, first, second = _direction_data(problem, n)
+    bases = direction_bases(problem, geometry, n, math.inf)  # capped below
+    grevilles, values, first, second = zip(*map(greville_samples, bases))
     order = int(np.prod([v.shape[0] for v in values]))
     if order > order_cap:
         raise UsageError(f"system order {order} exceeds cap {order_cap}")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from gbspec import cli
 from gbspec.cli import main
 from gbspec.sections import SectionFamily
-from gbspec.spectral import eigenvalues_dense
 from oracles import mp_nested_shape_error
+
+CONFIGS = Path(__file__).resolve().parent.parent / "gbbench" / "configs"
 
 PROBLEM_1D = {
     "d": 1, "kappa": "1", "beta": "0", "gamma": "0",
@@ -222,18 +224,33 @@ class TestDistributionCommands:
     @pytest.mark.parametrize("command", ["distribution", "distribution-md"])
     def test_bad_eps_is_refused_before_any_solve(self, capsys, monkeypatch,
                                                  config_1d, config_2d, command):
-        solves = []
-
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return eigenvalues_dense(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "eigenvalues_dense", counted)
+        solves = _counted(monkeypatch, "eigenvalues_dense")
         config = config_1d if command == "distribution" else config_2d
         code = main([command, "--config", config, "--n", "8,16", "--eps", "-1"])
         captured = capsys.readouterr()
         assert (code, captured.out, len(solves)) == (1, "", 0)
         assert "outlier eps must be finite and >= 0, got -1.0\n" in captured.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["distribution", "--config", "1d_polynomial_advection.json", "--n", "64,1"],
+         "need n >= 2 subintervals and degree p >= 2"),
+        (["distribution-md", "--config", "2d_polynomial_trigonometric.json",
+          "--n", "8,1"], "need n >= 2 subintervals and degree p >= 2"),
+        (["distribution", "--config", "1d_trigonometric_nested.json", "--n", "64,2"],
+         "trigonometric phase 10.0 needs n >= 4 in nested mode, got n = 2"),
+        (["distribution", "--config", "1d_hyperbolic_geometry.json",
+          "--n", "64,4096"], "order 4097 exceeds cap 4096"),
+        (["distribution-md", "--config", "2d_polynomial_trigonometric.json",
+          "--n", "8,100"], "system order 20200 exceeds cap 4096"),
+    ], ids=["1d-n1", "md-n1", "1d-nested-trigonometric", "1d-cap", "md-cap"])
+    def test_bad_n_is_refused_before_any_solve(self, capsys, monkeypatch, argv,
+                                               message):
+        solves = _counted(monkeypatch, "eigenvalues_dense")
+        argv[2] = str(CONFIGS / argv[2])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+        assert solves == []
 
     @pytest.mark.parametrize("command", ["distribution", "distribution-md"])
     @pytest.mark.parametrize("ns", [",", ""])
@@ -244,6 +261,34 @@ class TestDistributionCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert "--n needs at least one value" in captured.err
+
+
+@pytest.mark.parametrize("argv,counted", [
+    (["eig", "--config", str(CONFIGS / "1d_hyperbolic_geometry.json"),
+      "--n", "4096"], ("gb_basis", "assemble")),
+    (["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
+      "--m", "4097", "--eig"], ("toeplitz",)),
+], ids=["eig", "toeplitz"])
+def test_order_cap_is_checked_before_any_matrix(capsys, monkeypatch, argv, counted):
+    calls = [_counted(monkeypatch, name) for name in counted]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: order 4097 exceeds cap 4096\n"
+    assert calls == [[]] * len(counted)
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """Wrap ``cli.<name>`` to record its calls; returns the call list."""
+    calls = []
+    inner = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
 
 
 def test_unknown_command_exits_one(capsys):

@@ -87,7 +87,7 @@ class TestBasis:
         family, mode = case
         n, p = 8, 3
         basis = gb_basis(n, p, family, mode)
-        cs = cardinal_spline(SectionFamily(family.tag, basis.effective_phase), p)
+        cs = cardinal_spline(basis.section_family, p)
         xs = np.linspace(0.0, 1.0, 257)
         for i in range(p + 1, n + 1):  # 1-based interior indices
             vals = basis.splines[i - 1](xs)
@@ -117,7 +117,7 @@ class TestEffectivePhase:
                                          (10.0, 36)])
     def test_nonnested_phase_is_alpha(self, alpha, n):
         basis = gb_basis(n, 3, hyperbolic(alpha), "nonnested")
-        assert basis.effective_phase == alpha
+        assert basis.section_family.phase == alpha
         assert basis.section_family == hyperbolic(alpha)
 
     @pytest.mark.parametrize("n", [24, 36, 256])
@@ -236,7 +236,8 @@ class TestBandedBasis:
         # the banded basis must be as accurate as the reference, up to the
         # factor that rounding at different interval widths costs
         pytest.importorskip("mpmath")
-        exact = mp_greville_samples(n, p, family.tag, basis.effective_phase or 0.0,
+        exact = mp_greville_samples(n, p, family.tag,
+                                    basis.section_family.phase or 0.0,
                                     greville_abscissae(basis.knots))
         assert _rel_err(mats, exact) <= 32 * _rel_err(refs, exact)
 
@@ -368,7 +369,7 @@ class TestReflectedSamples:
         for n in (smallest, smallest + 1):
             basis = gb_basis(n, p, family, mode)
             exact = mp_greville_samples(n, p, family.tag,
-                                        basis.effective_phase or 0.0,
+                                        basis.section_family.phase or 0.0,
                                         exact_greville_abscissae(n, p))
             got = greville_samples(basis)[1:]
             every_row = loop_greville_samples(basis)[1:]

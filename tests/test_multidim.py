@@ -4,17 +4,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gbspec import exprparse
+from gbspec import exprparse, multidim
 from gbspec.collocation import (GeometryMap1D, ProblemCoefficients, _band,
-                                assemble, gb_basis)
+                                assemble, gb_basis, greville_samples)
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                             _direction_data, assemble_md, md_symbol_samples)
+                             assemble_md, direction_bases, md_symbol_samples)
 from gbspec.sections import (hyperbolic, piecewise_derivative, polynomial,
                              trigonometric)
 from gbspec.symbols import symbol_fn
 
 from oracles import dense_kron_assemble_md
+
+
+def direction_data(problem, n):
+    """Greville points, value and derivative matrices of each direction."""
+    bases = direction_bases(problem, GeometryMapMD.identity(problem.d), n)
+    return tuple(zip(*map(greville_samples, bases)))
+
 
 ONE = exprparse.parse("1")
 ZERO = exprparse.parse("0")
@@ -115,10 +122,14 @@ class TestAssembly:
                     expected[j1 * size + j2] = -diff + adv + rea
             assert np.max(np.abs(a[row] - expected)) <= 1e-9
 
-    def test_order_cap(self):
-        with pytest.raises(UsageError):
+    def test_order_cap(self, monkeypatch):
+        # refused from the bases alone, before any 1D matrix is sampled
+        samples = []
+        monkeypatch.setattr(multidim, "greville_samples", samples.append)
+        with pytest.raises(UsageError, match="system order 64 exceeds cap 10"):
             assemble_md(laplace_problem(), GeometryMapMD.identity(2), 8,
                         order_cap=10)
+        assert samples == []
 
     def test_anisotropic_grid_ratios(self):
         n = 3
@@ -231,7 +242,7 @@ class TestBandAssembly:
     def test_bands_hold_every_nonzero(self, n):
         problem = laplace_problem(degrees=(2, 5), nu=(1, 2), mode="nonnested",
                                   families=(hyperbolic(3.0),) * 2)
-        _, values, first, second = _direction_data(problem, n)
+        _, values, first, second = direction_data(problem, n)
         for k, mats in enumerate(zip(values, first, second)):
             cols, bands = _band(mats)
             size = mats[0].shape[1]
@@ -244,7 +255,7 @@ class TestBandAssembly:
 
     def test_whole_matrix_band_at_smallest_n(self):
         problem = laplace_problem(degrees=(3, 3))
-        _, values, first, second = _direction_data(problem, 2)
+        _, values, first, second = direction_data(problem, 2)
         cols, _ = _band((values[0], first[0], second[0]))
         assert cols.shape == values[0].shape
 

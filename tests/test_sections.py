@@ -9,7 +9,8 @@ from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
                              _edge_row, hyperbolic, piecewise_antiderivative,
                              piecewise_derivative, piecewise_eval, polynomial,
                              trigonometric)
-from oracles import gauss_legendre_split, loop_antiderivative, sign_changes
+from oracles import (PHASE_SWEEP, gauss_legendre_split, loop_antiderivative,
+                     sign_changes)
 
 
 def hat() -> PiecewiseFn:
@@ -43,6 +44,21 @@ class TestFamilies:
         with pytest.raises(ConstraintError):
             PiecewiseFn(trigonometric(3.2), 2, np.array([0.0, 1.0]),
                         np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("family", [polynomial(), *PHASE_SWEEP],
+                             ids=lambda f: f"{f.tag}{f.phase or ''}")
+    def test_signed_square(self, family):
+        # s is the phase squared, negated for trigonometric sections, and +0.0
+        # for polynomials: the one parameter of the section functions
+        if family.is_polynomial:
+            expected = 0.0
+        elif family.tag == "hyperbolic":
+            expected = family.phase * family.phase
+        else:
+            expected = -(family.phase * family.phase)
+        s = family.signed_square
+        assert type(s) is float
+        assert s == expected and math.copysign(1.0, s) == math.copysign(1.0, expected)
 
 
 class TestPiecePhase:
@@ -178,10 +194,11 @@ class TestAntiderivative:
         if tag == "trigonometric":
             eps = eps[eps < math.pi]
         for p in range(1, 14):
-            family = polynomial() if tag == "polynomial" else SectionFamily(tag, 1.0)
             for e in eps:
-                rows = _basis_matrix(family, p, float(e), np.ones(3))
-                single = _basis_matrix(family, p, float(e), np.array([1.0]))
+                s = (0.0 if tag == "polynomial"
+                     else SectionFamily(tag, float(e)).signed_square)
+                rows = _basis_matrix(p, s, np.ones(3))
+                single = _basis_matrix(p, s, np.array([1.0]))
                 for row in rows:
                     assert np.array_equal(row, single[0])
                     assert np.array_equal(row, _edge_row(p, 1.0))
