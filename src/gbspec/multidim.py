@@ -167,7 +167,8 @@ class GeometryMapMD:
 
 def direction_bases(problem: ProblemMD, geometry: GeometryMapMD, n: int,
                     order_cap: int = DEFAULT_ORDER_CAP) -> list[GBBasis]:
-    """The 1D basis of each direction at ``n``, after every check of :func:`assemble_md`.
+    """The 1D basis of each direction at ``n``, after every check of
+    :func:`assemble_md`.
 
     It builds no matrix, so whatever :func:`assemble_md` refuses, an order
     above ``order_cap`` included, is refused at the cost of the bases.
