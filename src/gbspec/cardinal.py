@@ -10,7 +10,8 @@ so all stated properties (compact support on (0, p+1), positivity, partition
 of unity, C^{p-1} smoothness, symmetry about (p+1)/2) hold to rounding error.
 Level q of the recursion is the degree-q spline, so one recursion up to p
 serves every degree up to p: :func:`cardinal_splines` builds several
-degrees of one family from a single run.  The recursion runs in the section
+degrees of one family from a single run, and a process keeps each family's
+levels, read-only, for later calls.  The recursion runs in the section
 basis of :mod:`gbspec.sections`, which is one basis for every family and
 phase, so the same steps serve the polynomial limit and every phase up to
 :data:`MAX_HYPERBOLIC_PHASE`.
@@ -19,6 +20,7 @@ phase, so the same steps serve the polynomial limit and every phase up to
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,32 +78,67 @@ def _checked(integrals: np.ndarray, degree: int, rep: SectionFamily) -> np.ndarr
     return integrals
 
 
-def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
-    """Levels ``degrees`` of one recursion up to the largest, each with delta1.
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    rows.flags.writeable = False
+    return rows
 
-    The recursion runs on plain ``(pieces, slots)`` coefficient arrays on
-    unit intervals; only the levels asked for become :class:`PiecewiseFn`.
+
+def _recursion(rep: SectionFamily, top: int, done=None):
+    """``(delta1, levels)``: levels 1..``top`` of one recursion.
+
+    The run carries on from ``done``, the ``(delta1, levels)`` of a shorter
+    run of the same family, or starts from the seed.  It works on plain
+    ``(pieces, slots)`` coefficient arrays on unit intervals, each made
+    read-only.
     """
-    _check_phase(rep)
-    top = max(degrees)
     s = rep.signed_square  # every piece has the effective phase
-    widths = np.ones(top + 1)
 
     def antiderivative(rows: np.ndarray) -> np.ndarray:
         pieces, slots = rows.shape
-        return _antiderivative_stack(slots - 1, s, widths[:pieces], rows[None])[0]
+        return _antiderivative_stack(slots - 1, s, np.ones(pieces), rows[None])[0]
 
-    integral = _at_edge(antiderivative(SEED_ROWS)[-1])
-    delta1 = 1.0 / _checked(np.array([integral]), 1, rep).item()
-    levels = [SEED_ROWS * delta1]
-
-    for q in range(2, top + 1):
+    if done is None:
+        integral = _at_edge(antiderivative(SEED_ROWS)[-1])
+        delta1 = 1.0 / _checked(np.array([integral]), 1, rep).item()
+        levels = [_frozen(SEED_ROWS * delta1)]
+    else:
+        delta1, levels = done[0], list(done[1])
+    for q in range(len(levels) + 1, top + 1):
         one = np.zeros(q + 1)
         one[0] = 1.0  # constant slot exists for q >= 2
         # the antiderivative ends at q; the constant row adds the piece [q, q+1)
         rows = np.vstack([antiderivative(levels[-1]), one])
         shifted = np.vstack([np.zeros(q + 1), rows[:-1]])
-        levels.append(rows - shifted)
+        levels.append(_frozen(rows - shifted))
+    return delta1, tuple(levels)
+
+
+#: Families whose recursion a process keeps; the least recently used one
+#: is dropped beyond this.
+CACHED_FAMILIES = 64
+
+_RECURSIONS: dict[SectionFamily, tuple[float, tuple[np.ndarray, ...]]] = {}
+_RECURSIONS_LOCK = threading.Lock()
+
+
+def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
+    """Levels ``degrees`` of the family's recursion, each with delta1.
+
+    A process runs each family's recursion once: the levels built so far
+    are kept (:data:`CACHED_FAMILIES`) and carried on from the last when a
+    higher degree is asked.  Only the levels asked for become
+    :class:`PiecewiseFn`.
+    """
+    _check_phase(rep)
+    top = max(degrees)
+    with _RECURSIONS_LOCK:
+        done = _RECURSIONS.pop(rep, None)
+        if done is None or len(done[1]) < top:
+            done = _recursion(rep, top, done)
+        _RECURSIONS[rep] = done  # now the most recently used
+        if len(_RECURSIONS) > CACHED_FAMILIES:
+            del _RECURSIONS[next(iter(_RECURSIONS))]
+    delta1, levels = done
     return [(PiecewiseFn(rep, q, np.arange(0.0, q + 2), levels[q - 1]), delta1)
             for q in degrees]
 

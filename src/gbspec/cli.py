@@ -431,10 +431,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return top
 
 
+#: parsers :func:`main` has built, by command name (``None``: the full one)
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a call that names its command needs that subparser only
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

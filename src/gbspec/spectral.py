@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, UsageError
 
@@ -82,12 +83,12 @@ def toeplitz(spec: ToeplitzSpec, m: int) -> np.ndarray:
         raise UsageError("order must be >= 1")
     c = spec.coefficients
     b = spec.bandwidth
-    dtype = float if np.isrealobj(c) else complex
-    out = np.zeros((m, m), dtype=dtype)
-    idx = np.subtract.outer(np.arange(m), np.arange(m))
-    mask = np.abs(idx) <= b
-    out[mask] = c[idx[mask] + b].astype(dtype)
-    return out
+    reach = max(b, m - 1)
+    padded = np.zeros(2 * reach + 1, dtype=float if np.isrealobj(c) else complex)
+    padded[reach - b:reach + b + 1] = c
+    # diagonal j - k = d holds padded[reach + d]: row j is a reversed window
+    diagonals = padded[reach - m + 1:reach + m]
+    return sliding_window_view(diagonals, m)[:, ::-1].copy()
 
 
 def toeplitz_tensor(cf: ToeplitzSpec, ch: ToeplitzSpec, m1: int,

@@ -25,7 +25,9 @@ bit-identity reference for the one on coefficient rows:
 spline-by-spline basis construction kept as the bit-identity reference for
 the level-batched one: :func:`loop_gb_basis`, and the former d-variate
 symbol lattice kept as the bit-identity reference for the quantiles of
-d = 2, 3: :func:`former_md_quantiles`.  The 1D quantiles are checked
+d = 2, 3: :func:`former_md_quantiles`, and the former Toeplitz build
+from an N-by-N index of diagonals, kept as the bit-identity reference for
+the strided one: :func:`outer_index_toeplitz`.  The 1D quantiles are checked
 against :func:`reference_discrepancy`, a far finer lattice.  The
 samplers' moments are checked against :func:`mp_product_moments` (mpmath
 quadrature) and :func:`richardson_md_moments` (Richardson-extrapolated
@@ -758,3 +760,18 @@ def _former_order_statistics(sorted_values: np.ndarray, count: int) -> np.ndarra
     pos = ((np.arange(count) + 0.5) * sorted_values.size / count - 0.5)
     idx = np.clip(np.round(pos).astype(int), 0, sorted_values.size - 1)
     return sorted_values[idx]
+
+
+def outer_index_toeplitz(spec, m: int) -> np.ndarray:
+    """The former Toeplitz build: every entry's diagonal from an m-by-m index.
+
+    Kept as the bit-identity reference for :func:`gbspec.spectral.toeplitz`.
+    """
+    c = spec.coefficients
+    b = spec.bandwidth
+    dtype = float if np.isrealobj(c) else complex
+    out = np.zeros((m, m), dtype=dtype)
+    idx = np.subtract.outer(np.arange(m), np.arange(m))
+    mask = np.abs(idx) <= b
+    out[mask] = c[idx[mask] + b].astype(dtype)
+    return out

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gbspec import cardinal
+from gbspec import cardinal, cli
 from gbspec.cardinal import (cardinal_derivative, cardinal_spline,
                              cardinal_splines, fourier_phi)
 from gbspec.errors import ConstraintError, NumericalError, UsageError
@@ -87,6 +87,78 @@ class TestConstruction:
     def test_large_phase_is_a_numerical_error(self, alpha):
         with pytest.raises(NumericalError):
             cardinal_spline(hyperbolic(alpha), 3)
+
+
+class TestKeptLevels:
+    """A process keeps each family's recursion levels for later calls."""
+
+    FAMILIES = [polynomial(), hyperbolic(1e-9), hyperbolic(10.0),
+                hyperbolic(76.0), trigonometric(0.5), trigonometric(3.0)]
+
+    def test_kept_levels_are_read_only(self, recursion_runs):
+        family = hyperbolic(10.0)
+        cs = cardinal_spline(family, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            cs.pw.coeffs[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cs.pw.coeffs *= 2.0
+        (ref, _), = loop_cardinal_build(family, [3])
+        assert np.array_equal(cardinal_spline(family, 3).pw.coeffs, ref.coeffs)
+        assert recursion_runs == [(1, 3)]
+
+    @pytest.mark.parametrize("first, second", [(3, 11), (11, 3)])
+    def test_either_order_matches_the_loop_recursion(self, first, second,
+                                                     recursion_runs):
+        for family in self.FAMILIES:
+            ref = dict(zip((first, second),
+                           loop_cardinal_build(family, [first, second])))
+            for p in (first, second):
+                (cs,) = cardinal_splines(family, [p])
+                ref_pw, ref_delta1 = ref[p]
+                assert np.array_equal(cs.pw.breakpoints, ref_pw.breakpoints)
+                assert np.array_equal(cs.pw.coeffs, ref_pw.coeffs), (family, p)
+                assert np.array_equal(np.signbit(cs.pw.coeffs),
+                                      np.signbit(ref_pw.coeffs)), (family, p)
+                assert cs.delta1 == ref_delta1
+        # a higher degree carries the kept run on; a lower one runs nothing
+        runs = [(1, 3), (4, 11)] if first < second else [(1, 11)]
+        assert recursion_runs == runs * len(self.FAMILIES)
+
+    @pytest.mark.parametrize("fill", ["empty", "other families", "full", "planted"])
+    def test_large_phase_is_refused_however_levels_are_kept(self, fill, capsys,
+                                                            recursion_runs):
+        if fill in ("other families", "planted"):
+            cardinal_splines(hyperbolic(76.0), [3])
+            cardinal_splines(polynomial(), [11])
+        if fill == "full":
+            for k in range(cardinal.CACHED_FAMILIES):
+                cardinal_spline(hyperbolic(1.0 + k), 2)
+        if fill == "planted":  # a refused family's key holding levels
+            kept = cardinal._RECURSIONS
+            kept[hyperbolic(100.0)] = kept[hyperbolic(76.0)]
+            kept[trigonometric(3.5)] = kept[polynomial()]
+        with pytest.raises(ConstraintError):
+            cardinal_spline(trigonometric(3.5), 2)
+        argv = ["cardinal", "--family", "hyperbolic", "--alpha", "100", "--p", "3"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "numerical failure: hyperbolic effective phase 100 is above the "
+            "supported maximum 76\n"))
+
+    def test_kept_families_stay_at_the_limit(self, recursion_runs):
+        limit = cardinal.CACHED_FAMILIES
+        families = [hyperbolic(1.0 + k) for k in range(limit + 5)]
+        for family in families:
+            cardinal_spline(family, 2)
+        assert list(cardinal._RECURSIONS) == families[-limit:]
+        # a kept family becomes the most recently used, so the next new
+        # family drops the one after it
+        recursion_runs.clear()
+        cardinal_spline(families[-limit], 2)
+        cardinal_spline(families[0], 2)
+        assert recursion_runs == [(1, 2)]
+        assert list(cardinal._RECURSIONS) == [
+            *families[-limit + 2:], families[-limit], families[0]]
 
 
 @pytest.mark.parametrize("family", PHASE_SWEEP, ids=repr)

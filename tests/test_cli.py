@@ -411,10 +411,35 @@ PARSER_ARGVS = [
 def test_named_command_parses_as_with_the_full_parser(capsys, monkeypatch, argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
+    # a fresh full parser, not one that main kept from an earlier call
+    built = []
     full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+
+    def fresh_full(command=None):
+        built.append(command)
+        return full()
+
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "build_parser", fresh_full)
     assert main(list(argv)) == code
     assert capsys.readouterr() == (out, err)
+    assert len(built) == 1
+
+
+def test_main_builds_one_parser_per_command(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    built = _counted(monkeypatch, "build_parser")
+    argvs = [["bounds", "--p", "3", "--family", "polynomial", "--grid", "64"],
+             ["bounds", "--p", "x", "--family", "polynomial"], ["bogus"],
+             ["cardinal", "--family", "polynomial", "--p", "2", "--grid", "5"], []]
+    first = []
+    for argv in argvs:
+        first.append((main(list(argv)), capsys.readouterr()))
+    assert built == [("bounds",), (None,), ("cardinal",)]
+    # the kept parsers answer every call as the first ones did
+    for argv, want in zip(argvs[::-1], first[::-1]):
+        assert (main(list(argv)), capsys.readouterr()) == want
+    assert len(built) == 3
 
 
 def test_full_parser_has_every_command():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gbspec import cardinal, collocation, sections
+from gbspec import collocation, sections
 from gbspec.cardinal import cardinal_spline
 from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
                                 ProblemCoefficients, assemble, central_range,
@@ -544,19 +544,11 @@ class TestStructure:
             assert np.max(np.abs(system.advection[i - 1] - d1(args))) <= 1e-10
             assert np.max(np.abs(system.mass[i - 1] - cs(args))) <= 1e-10
 
-    def test_one_cardinal_recursion(self, monkeypatch):
+    def test_one_cardinal_recursion(self, recursion_runs):
         # f, h and g sample degrees p-2, p and p-1 of one recursion
-        built = []
-        inner = cardinal._build
-
-        def counted(rep, wanted):
-            built.append(max(wanted))
-            return inner(rep, wanted)
-
         system = make_system(n=24, p=4, family=hyperbolic(10.0), mode="nonnested")
-        monkeypatch.setattr(cardinal, "_build", counted)
         rep = structure_report(system)
-        assert built == [4]
+        assert recursion_runs == [(1, 4)]
         assert rep.central_toeplitz
         assert rep.stiffness_correction_rank <= rep.rank_bound
 

@@ -35,3 +35,16 @@ def test_json_changes_are_empty_unless_both_parse():
     assert golden_cli.json_changes(b"x,y\n1,2\n", b"x,y\n1,3\n") == []
     assert golden_cli.json_changes(b"[1]", b"") == []
     assert golden_cli.json_changes(_dump([1.5]), _dump([1.5])) == []
+
+
+def test_one_process_run_gives_each_command_its_fresh_bytes(tmp_path):
+    tree = _PATH.parent.parent
+    argvs = [["bounds", "--p", "3", "--family", "polynomial", "--grid", "64"],
+             ["bounds", "--p", "x", "--family", "polynomial"],
+             ["cardinal", "--family", "hyperbolic", "--alpha", "100", "--p", "3"],
+             ["cardinal", "--family", "hyperbolic", "--alpha", "2", "--p", "3",
+              "--grid", "9"], ["-h"]]
+    fresh = [golden_cli.run(tree, argv, str(tmp_path)) for argv in argvs]
+    assert [code for _, _, code in fresh] == [0, 1, 2, 0, 0]
+    assert golden_cli.run_in_one_process(tree, argvs + argvs[::-1],
+                                         str(tmp_path)) == fresh + fresh[::-1]

@@ -18,8 +18,8 @@ from gbspec.spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
                              weyl_report)
 from gbspec.symbols import symbol_fn, symbol_max
 
-from oracles import (former_md_quantiles, mp_product_moments, reference_discrepancy,
-                     richardson_md_moments)
+from oracles import (former_md_quantiles, mp_product_moments, outer_index_toeplitz,
+                     reference_discrepancy, richardson_md_moments)
 
 
 def spec_of(kind, p, family=polynomial()) -> ToeplitzSpec:
@@ -34,6 +34,26 @@ class TestToeplitz:
     def test_degree_one_value_symbol_gives_identity(self):
         t = toeplitz(spec_of("h", 1), 5)
         assert np.allclose(t, np.eye(5))
+
+    @pytest.mark.parametrize("kind, p, family", [
+        ("h", 5, hyperbolic(10.0)), ("f", 7, polynomial()),
+        ("g", 5, hyperbolic(3.0)), ("g", 2, polynomial())], ids=str)
+    def test_same_matrix_as_the_outer_index_build(self, kind, p, family):
+        spec = spec_of(kind, p, family)
+        b = spec.bandwidth
+        assert np.iscomplexobj(spec.coefficients) == (kind == "g")
+        # a zero coefficient of either sign, which must keep its sign
+        signed = spec.coefficients.copy()
+        signed[0] = -0.0
+        for spec in (spec, ToeplitzSpec(signed)):
+            for m in sorted({1, max(1, b - 1), b, b + 1, 1024}):
+                t = toeplitz(spec, m)
+                ref = outer_index_toeplitz(spec, m)
+                assert t.dtype == ref.dtype and t.flags.c_contiguous
+                assert np.array_equal(t, ref), m
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(t)),
+                                          np.signbit(part(ref))), m
 
     def test_hermitian_detection(self):
         assert spec_of("f", 4).is_hermitian

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gbspec import cardinal, cli, symbols
+from gbspec import cli, symbols
 from gbspec.errors import UsageError
 from gbspec.multidim import DirectionSymbols
 from gbspec.sections import hyperbolic, polynomial, trigonometric
@@ -298,46 +298,37 @@ class TestBoundsReport:
 
 
 class TestSplineBuilds:
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """Top degree of each cardinal recursion run, in order."""
-        degrees = []
-        inner = cardinal._build
-
-        def counted(rep, wanted):
-            degrees.append(max(wanted))
-            return inner(rep, wanted)
-
-        monkeypatch.setattr(cardinal, "_build", counted)
-        return degrees
+    """One recursion run per call, each from the seed to the top degree
+    asked for, with no degree kept from an earlier call."""
 
     @pytest.mark.parametrize("p", range(2, 9))
-    def test_g_and_f_build_only_the_sampled_degree(self, family, p, built):
+    def test_g_and_f_build_only_the_sampled_degree(self, family, p, recursion_runs):
         symbol_fn("g", p, family)
-        assert built == [p - 1]
-        built.clear()
+        assert recursion_runs == [(1, p - 1)]
+        recursion_runs.reset()
         symbol_fn("f", p, family)
         # f of degree 2 differentiates the degree-2 spline twice
-        assert built == [p - 2 if p >= 3 else 2]
+        assert recursion_runs == [(1, p - 2 if p >= 3 else 2)]
 
-    def test_bounds_and_decay(self, family, built):
+    def test_bounds_and_decay(self, family, recursion_runs):
         bounds_report(6, family, 256)
-        assert built == [6]
-        built.clear()
+        assert recursion_runs == [(1, 6)]
+        recursion_runs.reset()
         decay_ratio(6, family)
-        assert built == [4]
+        assert recursion_runs == [(1, 4)]
 
-    def test_decay_command_runs_one_recursion(self, family, built, capsys):
+    def test_decay_command_runs_one_recursion(self, family, recursion_runs, capsys):
         argv = ["decay", "--family", family.tag, "--pmin", "2", "--pmax", "14"]
         if not family.is_polynomial:
             argv += ["--alpha", repr(family.phase)]
         assert cli.main(argv) == 0
-        assert built == [12]
+        assert recursion_runs == [(1, 12)]
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [float(r.split(",")[1]) for r in rows] == [
             decay_ratio(p, family) for p in range(2, 15)]
 
-    def test_direction_symbols_run_one_recursion_per_direction(self, family, built):
+    def test_direction_symbols_build_each_level_once(self, family, recursion_runs):
+        # the second direction carries the first one's run on to its degree
         DirectionSymbols([3, 5], [family, family], "nonnested")
-        assert built == [3, 5]
+        assert recursion_runs == [(1, 3), (4, 5)]
 

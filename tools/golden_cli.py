@@ -16,8 +16,14 @@ one whose effective phase 1/n is small.  One line per command reports
 stdouts differ and hold the same count of numbers, the line also gives
 the largest absolute difference between them.  When both stdouts parse
 as JSON, one more line per differing field names it by its path, with
-the two values, e.g. ``runs[1].outliers.0.001: 69 -> 68``.  The exit
-code is 1 if any command differs, else 0.
+the two values, e.g. ``runs[1].outliers.0.001: 69 -> 68``.
+
+Then every command runs again against SRC_B, all in one interpreter
+through ``gbspec.cli.main``: in list order, then in reverse.  Each call's
+stdout, stderr and exit code must equal its fresh-interpreter ones, so
+state that one call leaves for the next (a kept parser or recursion level,
+say) cannot change an answer; each differing call gets a line.  The exit
+code is 1 if any command differs in either comparison, else 0.
 
 Standard library only.  Thread counts are pinned to 1 so that the run stays
 small and both trees see the same environment.
@@ -162,6 +168,22 @@ COMMANDS: list[list[str]] = [
 ]
 
 _RUN = "import sys; from gbspec.cli import main; sys.exit(main(sys.argv[1:]))"
+# reads a JSON list of argument lists; writes [stdout, stderr, exit] of each
+_RUN_ALL = """
+import contextlib, io, json, sys, traceback
+from gbspec.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    results.append([out.getvalue(), err.getvalue(), code])
+json.dump(results, sys.stdout)
+"""
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
@@ -205,12 +227,34 @@ def json_changes(a: bytes, b: bytes) -> list[str]:
     return changes
 
 
+def _env(tree: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"),
+                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+
 def run(tree: Path, argv: list[str], cwd: str) -> tuple[bytes, bytes, int]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _RUN, *argv], env=env, cwd=cwd,
-                          capture_output=True, check=False)
+    proc = subprocess.run([sys.executable, "-c", _RUN, *argv], env=_env(tree),
+                          cwd=cwd, capture_output=True, check=False)
     return proc.stdout, proc.stderr, proc.returncode
+
+
+def run_in_one_process(tree: Path, argvs: list[list[str]],
+                       cwd: str) -> list[tuple[bytes, bytes, int]]:
+    """``run`` of every argument list in turn, all in one interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL], env=_env(tree), cwd=cwd,
+                          input=json.dumps(argvs).encode(), capture_output=True,
+                          check=True)
+    return [(out.encode(), err.encode(), code)
+            for out, err, code in json.loads(proc.stdout)]
+
+
+def _label(cmd: list[str]) -> str:
+    return " ".join(Path(c).name if c.startswith("/") else c
+                    for c in cmd) or "(no arguments)"
+
+
+def _differing(a, b) -> list[str]:
+    return [name for name, x, y in zip(("stdout", "stderr", "exit"), a, b) if x != y]
 
 
 def main(argv: list[str]) -> int:
@@ -227,13 +271,11 @@ def main(argv: list[str]) -> int:
         for name, cfg in TEMP_CONFIGS.items():
             Path(tmp, name).write_text(json.dumps(cfg))
         results = [[run(tree, cmd, tmp) for tree in trees] for cmd in COMMANDS]
+        together = run_in_one_process(trees[1], COMMANDS + COMMANDS[::-1], tmp)
     for cmd, (a, b) in zip(COMMANDS, results):
-        diffs = [name for name, x, y in zip(("stdout", "stderr", "exit"), a, b)
-                 if x != y]
-        label = " ".join(Path(c).name if c.startswith("/") else c
-                         for c in cmd) or "(no arguments)"
+        diffs = _differing(a, b)
         gap = largest_difference(a[0], b[0]) if "stdout" in diffs else None
-        print(f"{'DIFF ' + ','.join(diffs) if diffs else 'same'}: {label}"
+        print(f"{'DIFF ' + ','.join(diffs) if diffs else 'same'}: {_label(cmd)}"
               f" (exit {a[2]}, {len(a[0])} bytes)"
               + ("" if gap is None else f" largest difference {gap:.3g}"))
         if "stdout" in diffs:
@@ -241,6 +283,19 @@ def main(argv: list[str]) -> int:
                 print(f"    {change}")
         differing += bool(diffs)
     print(f"{len(COMMANDS) - differing}/{len(COMMANDS)} commands byte-identical")
+    fresh = [b for _, b in results]
+    count = len(COMMANDS)
+    for order, cmds, expected, got in (
+            ("in order", COMMANDS, fresh, together[:count]),
+            ("reversed", COMMANDS[::-1], fresh[::-1], together[count:])):
+        mismatched = 0
+        for cmd, x, y in zip(cmds, expected, got):
+            if diffs := _differing(x, y):
+                print(f"DIFF {','.join(diffs)} in one process, {order}: {_label(cmd)}")
+                mismatched += 1
+        print(f"{count - mismatched}/{count} commands byte-identical"
+              f" in one process, {order}")
+        differing += mismatched
     return 1 if differing else 0
 
 
