@@ -113,19 +113,22 @@ def _recursion(rep: SectionFamily, top: int, done=None):
     return delta1, tuple(levels)
 
 
-#: Families whose recursion a process keeps; the least recently used one
-#: is dropped beyond this.
-CACHED_FAMILIES = 64
+#: Bytes of recursion levels a process keeps, over all families.
+KEPT_LEVEL_BYTES = 2**25
 
 _RECURSIONS: dict[SectionFamily, tuple[float, tuple[np.ndarray, ...]]] = {}
 _RECURSIONS_LOCK = threading.Lock()
+
+
+def _level_bytes(done) -> int:
+    return sum(level.nbytes for level in done[1])
 
 
 def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
     """Levels ``degrees`` of the family's recursion, each with delta1.
 
     A process runs each family's recursion once: the levels built so far
-    are kept (:data:`CACHED_FAMILIES`) and carried on from the last when a
+    are kept (:data:`KEPT_LEVEL_BYTES`) and carried on from the last when a
     higher degree is asked.  Only the levels asked for become
     :class:`PiecewiseFn`.
     """
@@ -135,9 +138,13 @@ def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
         done = _RECURSIONS.pop(rep, None)
         if done is None or len(done[1]) < top:
             done = _recursion(rep, top, done)
-        _RECURSIONS[rep] = done  # now the most recently used
-        if len(_RECURSIONS) > CACHED_FAMILIES:
-            del _RECURSIONS[next(iter(_RECURSIONS))]
+            total = sum(map(_level_bytes, (done, *_RECURSIONS.values())))
+            # drop the least recently used families to fit, unless these
+            # levels alone exceed the budget: then they are not kept
+            while _RECURSIONS and total > KEPT_LEVEL_BYTES >= _level_bytes(done):
+                total -= _level_bytes(_RECURSIONS.pop(next(iter(_RECURSIONS))))
+        if _level_bytes(done) <= KEPT_LEVEL_BYTES:
+            _RECURSIONS[rep] = done  # now the most recently used
     delta1, levels = done
     return [(PiecewiseFn(rep, q, np.arange(0.0, q + 2), levels[q - 1]), delta1)
             for q in degrees]

@@ -292,10 +292,10 @@ def _cmd_decay(args) -> None:
     _write(args.out, _csv(["p", "ratio"], zip(degrees, decay_ratios(degrees, fam))))
 
 
-def _build_system(args, make_basis=gb_basis):
+def _build_system(args):
     cfg = load_config(args.config)
     problem, geometry, family, mode, p = load_problem_1d(cfg)
-    return assemble(problem, geometry, make_basis(args.n, p, family, mode))
+    return assemble(problem, geometry, _capped_basis(args.n, p, family, mode))
 
 
 def _cmd_assemble(args) -> None:
@@ -317,7 +317,7 @@ def _cmd_assemble(args) -> None:
 
 
 def _cmd_eig(args) -> None:
-    system = _build_system(args, _capped_basis)
+    system = _build_system(args)
     mat = system.full_matrix if args.raw else system.scaled_matrix
     eigs = np.sort_complex(eigenvalues_dense(mat))
     _write(args.out, _csv(["re", "im"], np.column_stack((eigs.real, eigs.imag))))

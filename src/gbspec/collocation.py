@@ -21,14 +21,14 @@ full-support spline.  The basis stores each of these shapes once, with the
 rule that maps every spline to its shape, so building it costs the same for
 every ``n`` beyond the knot vector.
 
-The value, first- and second-derivative matrices at the Greville points are
-sampled in one vectorised pass: every nonzero ``(row, column)`` pair of the
-band takes the coefficient row of its spline's shape on the interval
-holding the point, and one basis evaluation serves all three orders, so no
-Python loop runs over the splines or the rows.  The basis is symmetric about
-``x = 1/2``, so only the rows down to the middle are sampled and the rest
-are their reflections: the matrices are reflection-symmetric by
-construction, which the dense eigensolver of :mod:`gbspec.spectral` uses.
+The value, first- and second-derivative matrices at the Greville points
+are Toeplitz plus corners: away from ``floor(3p/2)-1`` rows at each end,
+they are the Toeplitz matrices of the basis's own symbols h, g and f, times
+``n**r`` for the r-th derivative.  The top rows are sampled from the shapes
+at the exact Greville points ``J/(n p)``, J an integer, and the bottom rows
+are their reflections about ``x = 1/2``: the matrices are
+reflection-symmetric by construction, which the dense eigensolver of
+:mod:`gbspec.spectral` uses.
 
 The model problem is  -kappa u'' + beta u' + gamma u = f  on (0, 1) with
 homogeneous Dirichlet data, collocated at the interior Greville abscissae; a
@@ -80,12 +80,16 @@ class KnotVector:
         return cls(n, p, knots)
 
 
+def _greville_units(n: int, p: int) -> np.ndarray:
+    """The integer sums J of the knots t_{i+1..i+p} (1-based) in units of 1/n,
+    i = 2..n+p-1: the interior Greville points are ``J / (n p)``."""
+    units = np.clip(np.arange(-p, n + p + 1), 0, n)  # n t_k, k = 1..n+2p+1
+    return units[np.arange(2, n + p)[:, None] + np.arange(p)].sum(axis=1)
+
+
 def greville_abscissae(kv: KnotVector) -> np.ndarray:
-    """Interior Greville points (knot averages), one per boundary-vanishing spline."""
-    p = kv.degree
-    # the p-knot windows t_{i+1..i+p} (1-based) for i = 2..n+p-1
-    windows = kv.knots[np.arange(2, kv.n + p)[:, None] + np.arange(p)]
-    return windows.mean(axis=1)
+    """Interior Greville points (knot averages), each correctly rounded."""
+    return _greville_units(kv.n, kv.degree) / (kv.n * kv.degree)
 
 
 def _min_feasible_n(alpha: float) -> int:
@@ -257,74 +261,71 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray, np.ndarray]:
     """Interior Greville points xi and the matrices N_j(xi_i), N_j'(xi_i), N_j''(xi_i).
 
-    Columns run over the boundary-vanishing splines N_2..N_{n+p-1}.  Each
-    spline is sampled only at the Greville points in ``[a, b)`` of its
-    support ``[a, b]``; every other entry is zero, which matches the
-    right-continuous convention at interior knots.
+    Columns run over the boundary-vanishing splines N_2..N_{n+p-1}; an
+    entry is zero unless its point lies in ``[a, b)`` of the spline's
+    support ``[a, b]`` (right-continuous at interior knots).
 
-    All nonzero entries are sampled in one pass: every ``(row, column)`` pair
-    of the band takes the coefficient row of its spline's piece, the
-    derivative rows follow from it, and one basis evaluation serves the three
-    orders.  A row has at most ``p+1`` such pairs; a column near the ends,
-    where the Greville points crowd, has up to ``2p-1``.  These are the operations of
-    :func:`~gbspec.sections.piecewise_eval` and
-    :func:`~gbspec.sections.piecewise_derivative` on the same values, so the
-    result is that of sampling each spline on its own.
+    The rows of :func:`central_range` are those of T(h), n T(g) and -n^2
+    T(f) (:func:`symbol_toeplitz`).  The rows above are sampled, or every
+    row down to the middle if there is no central row: the point ``J/(n p)``
+    lies on interval ``J // p`` at the exact local coordinate ``(J mod
+    p)/p``, where the p+1 active splines take the coefficient rows of their
+    shapes, and one basis evaluation serves the three orders.
 
-    Only rows ``i < m - m//2`` of the ``m`` rows are sampled.  Since
-    ``N_{j+2}(1-x) = N_{n+p-1-j}(x)``, row ``m-1-i`` is row ``i`` reversed,
-    times ``(-1)**r`` for the r-th derivative; for odd ``m`` the middle row's
-    right half is its left half reversed, and the first derivative's middle
-    entry is 0.  The value and second-derivative matrices are thus exactly
-    unchanged by reversing rows and columns, and the first-derivative
-    matrix exactly changes sign.  Reflecting rather than averaging the two
-    halves keeps each row's band: a sample at the start of a support can be
-    a rounding residue (about 1e-17) where its mirror, at the end of a
-    support, is an exact zero.
+    Since ``N_{j+2}(1-x) = N_{n+p-1-j}(x)``, row ``m-1-i`` of the ``m`` rows
+    is set to row ``i`` reversed, times ``(-1)**r`` for the r-th derivative,
+    and so is the right half of a sampled middle row (0 at the first
+    derivative's middle entry).  So the value and second-derivative matrices
+    are exactly unchanged by reversing rows and columns, and the
+    first-derivative matrix exactly changes sign.  Reflecting rather than
+    averaging keeps each row's band: a sample at the start of a support can
+    be a rounding residue (about 1e-17) where its mirror is an exact zero.
     """
-    kv = basis.knots
-    n, p = kv.n, kv.degree
-    xi = greville_abscissae(kv)
-    t = kv.knots
-    grid = t[p:n + p + 1]  # the distinct knots 0, 1/n, ..., 1
-    widths = np.diff(grid)
-    # column j holds N_{j+2}, supported on [a_j, b_j] = [t_{j+2}, t_{j+p+3}]
-    # (1-based knots) from grid interval lo[j] on, and is sampled at the
-    # Greville points first[j]..stop[j]-1
-    a, b = t[1:n + p - 1], t[p + 2:n + 2 * p]
-    lo = np.searchsorted(grid, a)
-    first, stop = np.searchsorted(xi, a), np.searchsorted(xi, b)
-    # rows below the middle are reflections (see below): sample the rest
-    size, half = xi.size, xi.size // 2
-    rows = first[:, None] + np.arange(np.max(stop - first))
-    inside = (rows < stop[:, None]) & (rows < size - half)
-    rows = rows[inside]
-    cols = np.nonzero(inside)[0]
-
-    x = xi[rows]
-    interval = np.searchsorted(grid, x, side="right") - 1
-    w = widths[interval]
-    tau = (x - grid[interval]) / w
+    n, p = basis.n, basis.degree
+    units = _greville_units(n, p)
+    xi, size = units / (n * p), units.size
+    mats = symbol_toeplitz(basis.section_family, p, size, (1.0, n, -n * n))
+    rng = central_range(n, p)
+    # the top ``top`` rows are sampled, the last ``half`` reflect the first
+    half = size // 2 if rng is None else rng[0]
+    top = size - half if rng is None else half
+    # on interval c = J // p, N_{c+1}..N_{c+p+1} are active: columns c-1..c+p-1
+    interval, steps = np.divmod(units[:top], p)
+    cols = interval[:, None] - 1 + np.arange(p + 1)
+    inside = (cols >= 0) & (cols < size)
+    rows, cols = np.nonzero(inside)[0], cols[inside]
+    interval = interval[rows]
+    # column j holds N_{j+2}, the shape k, whose support starts at grid
+    # interval max(0, j+1-p) and at its short-run piece max(0, k-p)
+    k = basis.shape_index[cols + 1]
+    c0 = basis.shapes[k, np.maximum(k - p, 0) + interval - np.maximum(cols + 1 - p, 0)]
     s = basis.section_family.signed_square
-    # N_{j+2} is the shape k, whose support starts at its short-run piece
-    # max(0, k-p) (see GBBasis.splines)
-    k = basis.shape_index[1:-1][cols]
-    c0 = basis.shapes[k, np.maximum(k - p, 0) + interval - lo[cols]]
-    c1 = _local_derivative(p, s, c0) / w[:, None]
-    c2 = _local_derivative(p, s, c1) / w[:, None]
+    c1 = n * _local_derivative(p, s, c0)
+    c2 = n * _local_derivative(p, s, c1)
+    tau = steps[rows] / p
     vals = np.einsum("ij,ij->i", np.tile(_basis_matrix(p, s, tau), (3, 1)),
                      np.concatenate([c0, c1, c2]))
-    mats = tuple(np.zeros((size, size)) for _ in range(3))
     for order, (mat, v) in enumerate(zip(mats, vals.reshape(3, -1))):
+        mat[:top] = 0.0
         mat[rows, cols] = v
-        # N_{j+2}(1-x) = N_{n+p-1-j}(x): row size-1-i is row i reversed,
-        # times (-1)^order; an odd row count has its own middle row
         mat[size - half:] = _mirror(mat[:half], order)
-        if size % 2:
+        if top > half:  # the sampled middle row of an odd row count
             mat[half, half + 1:] = _mirror(mat[half, :half], order)
             if order == 1:
                 mat[half, half] = 0.0
     return (xi, *mats)
+
+
+def symbol_toeplitz(family: SectionFamily, p: int, size: int,
+                    scales: Sequence[float] = (1.0, 1.0, 1.0)) -> list[np.ndarray]:
+    """T(h), i T(g) and T(f) of order ``size``, each times its scale.
+
+    They are the central rows of the mass, advection and stiffness matrices.
+    """
+    h, g, f = symbol_fns([("h", p), ("g", p), ("f", p)], family)
+    coeffs = (h.toeplitz_coefficients(), (1j * g.toeplitz_coefficients()).real,
+              f.toeplitz_coefficients())
+    return [toeplitz(ToeplitzSpec(c * scale), size) for c, scale in zip(coeffs, scales)]
 
 
 def _mirror(block: np.ndarray, order: int) -> np.ndarray:
@@ -566,41 +567,26 @@ def structure_report(sys: CollocationSystem, tol: float = 1e-10) -> StructureRep
 
     # central submatrix: 1-based block indices p..n-1
     sl = slice(p - 1, n - 1)
-    blocks = {name: m[sl, sl] for name, m in
-              (("stiffness", sys.stiffness), ("advection", sys.advection),
-               ("mass", sys.mass))}
+    stiff, adv, mass = (m[sl, sl] for m in (sys.stiffness, sys.advection, sys.mass))
 
-    def is_toeplitz(b):
-        return all(
-            np.max(np.abs(np.diagonal(b, off) - np.diagonal(b, off)[0])) <= tol
-            for off in range(-b.shape[0] + 1, b.shape[0]) if np.diagonal(b, off).size
-        )
+    def is_toeplitz(b):  # each diagonal within tol of its first entry
+        first = ToeplitzSpec(np.r_[b[0, :0:-1], b[:, 0]])
+        return np.max(np.abs(b - toeplitz(first, b.shape[0]))) <= tol
 
-    central_toeplitz = all(is_toeplitz(b) for b in blocks.values())
-    stiff_sym = np.max(np.abs(blocks["stiffness"] - blocks["stiffness"].T)) <= tol
-    mass_sym = np.max(np.abs(blocks["mass"] - blocks["mass"].T)) <= tol
-    adv_skew = np.max(np.abs(blocks["advection"] + blocks["advection"].T)) <= tol
+    central_toeplitz = all(map(is_toeplitz, (stiff, adv, mass)))
+    stiff_sym = np.max(np.abs(stiff - stiff.T)) <= tol
+    mass_sym = np.max(np.abs(mass - mass.T)) <= tol
+    adv_skew = np.max(np.abs(adv + adv.T)) <= tol
 
-    def central(sym, scale: complex = 1.0) -> np.ndarray:
-        coeffs = scale * sym.toeplitz_coefficients()
-        return toeplitz(ToeplitzSpec(coeffs.real), sys.order)
-
-    f, h, g = symbol_fns([("f", p), ("h", p), ("g", p)], sys.section_family)
-    t_f = central(f)
-    t_h = central(h)
-    # the advection block is i T(g), with entry (i, j) the first-derivative
-    # sample at (p+1)/2 + i - j
-    t_g = central(g, 1j)
-
-    def num_rank(mat):
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            return 0
-        return int(np.sum(sv > 1e-8 * sv[0]))
-
-    r_stiff = num_rank(sys.stiffness - t_f)
-    r_adv = num_rank(sys.advection - t_g)
-    r_mass = num_rank(sys.mass - t_h)
+    # every other row is that of T, up to the rounding of the scaling by
+    # n^r: the correction ranks are those of the corner rows
+    corners = np.r_[0:rng[0], rng[1]:sys.order]
+    ranks = []
+    for mat, t in zip((sys.mass, sys.advection, sys.stiffness),
+                      symbol_toeplitz(sys.section_family, p, sys.order)):
+        sv = np.linalg.svd(mat[corners] - t[corners], compute_uv=False)
+        ranks.append(int(np.sum(sv > 1e-8 * sv[0])))
+    r_mass, r_adv, r_stiff = ranks
     if r_stiff > bound:
         raise NumericalError(
             f"stiffness correction rank {r_stiff} exceeds bound {bound}")

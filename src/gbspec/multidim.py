@@ -27,7 +27,7 @@ from .collocation import (NESTED, NONNESTED, GBBasis, _assemble_terms, gb_basis,
                           greville_samples, limit_family)
 from .errors import UsageError, ValidationError
 from .sections import SectionFamily
-from .spectral import DEFAULT_ORDER_CAP, SymbolDraw, _tensor_grid, symbol_sampler
+from .spectral import SymbolDraw, _tensor_grid, check_order, symbol_sampler
 from .symbols import symbol_fns
 
 _GRID_PER_DIM = {2: 33, 3: 9}
@@ -165,13 +165,14 @@ class GeometryMapMD:
         return out
 
 
-def direction_bases(problem: ProblemMD, geometry: GeometryMapMD, n: int,
-                    order_cap: int = DEFAULT_ORDER_CAP) -> list[GBBasis]:
+def direction_bases(problem: ProblemMD, geometry: GeometryMapMD,
+                    n: int) -> list[GBBasis]:
     """The 1D basis of each direction at ``n``, after every check of
     :func:`assemble_md`.
 
     It builds no matrix, so whatever :func:`assemble_md` refuses, an order
-    above ``order_cap`` included, is refused at the cost of the bases.
+    above :data:`~gbspec.spectral.DEFAULT_ORDER_CAP` included, is refused
+    at the cost of the bases.
     """
     d = problem.d
     if geometry.d != d:
@@ -180,9 +181,8 @@ def direction_bases(problem: ProblemMD, geometry: GeometryMapMD, n: int,
         raise UsageError("d = 3 supports the identity geometry only")
     bases = [gb_basis(problem.nu[j] * n, problem.degrees[j], problem.families[j],
                       problem.mode) for j in range(d)]
-    order = math.prod(b.n + b.degree - 2 for b in bases)  # N_2..N_{n+p-1}
-    if order > order_cap:
-        raise UsageError(f"system order {order} exceeds cap {order_cap}")
+    # N_2..N_{n+p-1}
+    check_order(math.prod(b.n + b.degree - 2 for b in bases), "system order")
     return bases
 
 
@@ -194,8 +194,7 @@ def _pullback(problem: ProblemMD, geometry: GeometryMapMD, points: np.ndarray,
     return jinv, np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
 
 
-def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
-                order_cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
+def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int) -> np.ndarray:
     """Assemble the multivariate collocation matrix (unnormalized).
 
     Rows follow the lexicographic ordering of tensor Greville points; the
@@ -207,7 +206,7 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int,
     :func:`collocation._assemble_terms` without forming any of them.
     """
     d = problem.d
-    bases = direction_bases(problem, geometry, n, order_cap)
+    bases = direction_bases(problem, geometry, n)
     grevilles, values, first, second = zip(*map(greville_samples, bases))
 
     pts = _tensor_grid(grevilles)

@@ -100,13 +100,13 @@ def toeplitz_tensor(cf: ToeplitzSpec, ch: ToeplitzSpec, m1: int,
     return np.kron(toeplitz(cf, m1), toeplitz(ch, m2))
 
 
-def check_order(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> None:
-    """Refuse a matrix order above ``order_cap``, as :func:`eigenvalues_dense` does."""
-    if order > order_cap:
-        raise UsageError(f"order {order} exceeds cap {order_cap}")
+def check_order(order: int, what: str = "order") -> None:
+    """Refuse an ``order`` above :data:`DEFAULT_ORDER_CAP`, read at call time."""
+    if order > DEFAULT_ORDER_CAP:
+        raise UsageError(f"{what} {order} exceeds cap {DEFAULT_ORDER_CAP}")
 
 
-def eigenvalues_dense(a: np.ndarray, order_cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
+def eigenvalues_dense(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense matrix, as a complex array.
 
     Symmetric/Hermitian inputs are routed to the symmetric solver
@@ -126,7 +126,7 @@ def eigenvalues_dense(a: np.ndarray, order_cap: int = DEFAULT_ORDER_CAP) -> np.n
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise UsageError("matrix must be square")
-    check_order(a.shape[0], order_cap)
+    check_order(a.shape[0])
     try:
         residual, scale = _hermitian_residual(a)
         hermitian = bool(residual <= 1e-13 * max(scale, 1.0))

@@ -11,10 +11,10 @@ the integral recursion over the whole knot vector, kept as the reference
 for the banded basis, the former dense assemblies kept as bit-identity
 references for the band assembler: :func:`dense_assemble_1d` (1D) and
 :func:`dense_kron_assemble_md` (d-variate, from dense Kronecker products),
-the former spline-by-spline Greville sampling kept as the bit-identity
-reference for the one-pass sampler: :func:`loop_greville_samples` (which
-samples every row; :func:`reflect_rows` turns its result into the
-reflected one), and
+the former spline-by-spline Greville sampling at floating-point points,
+kept as the independent reference for the corner rows and the accuracy
+baseline of the Toeplitz-plus-corners sampler:
+:func:`loop_greville_samples` (which samples every row), and
 the former piece-by-piece antiderivative kept as the bit-identity reference
 for the batched one: :func:`loop_antiderivative`, the former cardinal
 recursion that builds a function at every level, kept as the bit-identity
@@ -45,7 +45,7 @@ from gbspec.collocation import (CollocationSystem, KnotVector, gb_basis,
                                 greville_abscissae, greville_samples)
 from gbspec.cardinal import SEED_ROWS, cardinal_derivative, cardinal_spline
 from gbspec.errors import UsageError, ValidationError
-from gbspec.multidim import _eval_grid, direction_bases
+from gbspec.multidim import _eval_grid
 from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
                              _local_derivative, _norm_at,
                              piecewise_antiderivative, piecewise_derivative)
@@ -342,10 +342,11 @@ def exact_greville_abscissae(n: int, p: int) -> list:
 
 def _mp_local_basis(tag: str, q: int, e, tau, r: int, mp) -> list:
     """r-th tau-derivative of the q+1 local section functions at tau."""
-    out = [mp.ff(j, r) * tau ** (j - r) if j >= r else mp.mpf(0)
+    # math.perm(j, r) is the falling factorial j (j-1) ... (j-r+1), exactly
+    out = [math.perm(j, r) * tau ** (j - r) if j >= r else mp.mpf(0)
            for j in range(q - 1)]
     if tag == "polynomial":
-        return out + [mp.ff(j, r) * tau ** (j - r) if j >= r else mp.mpf(0)
+        return out + [math.perm(j, r) * tau ** (j - r) if j >= r else mp.mpf(0)
                       for j in (q - 1, q)]
     if tag == "hyperbolic":
         pair = (mp.cosh(e * tau), mp.sinh(e * tau))
@@ -381,7 +382,8 @@ def mp_greville_samples(n: int, p: int, tag: str, eff: float, xs,
 
     Each spline N_j comes from the integral recursion run on its own knots
     t_j..t_{j+p+1} alone (B-splines are local), at ``dps`` digits, in units
-    of one knot interval with effective phase ``eff`` per interval.  Values
+    of one knot interval with effective phase ``eff`` per interval; splines
+    whose knots are translates of each other share one run.  Values
     are right-continuous at knots and zero outside the support.  The points
     ``xs`` are floats or fractions, taken exactly.
     """
@@ -458,7 +460,19 @@ def _mp_samples(n, p, tag, eff, xs, mp) -> list:
                       for c in cells} for i in range(len(cums) - 1)]
         return level[0]
 
-    splines = [spline(j) for j in range(2, n + p)]
+    runs = {}
+
+    def translated(j: int) -> dict:
+        # the run depends on the knots t_j..t_{j+p+2} relative to t_j, and
+        # on whether t_j is the left end: splines alike in both share it
+        lo = knot[j]
+        key = (tuple(knot[k] - lo for k in range(j, j + p + 3)), lo == 0)
+        if key not in runs:
+            runs[key] = (lo, spline(j))
+        base, rows = runs[key]
+        return {c - base + lo: row for c, row in rows.items()}
+
+    splines = [translated(j) for j in range(2, n + p)]
     out = [np.zeros((len(xs), len(splines))) for _ in range(3)]
     for i, x in enumerate(xs):
         u = Fraction(x) * n
@@ -566,7 +580,8 @@ def dense_kron_assemble_md(problem, geometry, n: int,
         raise ValidationError("geometry dimension disagrees with the problem")
     if d == 3 and not geometry.is_identity:
         raise UsageError("d = 3 supports the identity geometry only")
-    bases = direction_bases(problem, geometry, n, math.inf)  # capped below
+    bases = [gb_basis(problem.nu[j] * n, problem.degrees[j], problem.families[j],
+                      problem.mode) for j in range(d)]
     grevilles, values, first, second = zip(*map(greville_samples, bases))
     order = int(np.prod([v.shape[0] for v in values]))
     if order > order_cap:

@@ -13,6 +13,9 @@ from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
 from oracles import (PHASE_SWEEP, central_second_difference,
                      gauss_legendre_split, loop_cardinal_build, mp_cardinal)
 
+#: bytes of the kept levels of one family up to degree 2: 2x2 and 3x3 floats
+_P2_BYTES = 8 * (2 * 2 + 3 * 3)
+
 
 class TestConstruction:
     def test_polynomial_degree_one_is_unit_hat(self):
@@ -126,12 +129,14 @@ class TestKeptLevels:
 
     @pytest.mark.parametrize("fill", ["empty", "other families", "full", "planted"])
     def test_large_phase_is_refused_however_levels_are_kept(self, fill, capsys,
+                                                            monkeypatch,
                                                             recursion_runs):
         if fill in ("other families", "planted"):
             cardinal_splines(hyperbolic(76.0), [3])
             cardinal_splines(polynomial(), [11])
         if fill == "full":
-            for k in range(cardinal.CACHED_FAMILIES):
+            monkeypatch.setattr(cardinal, "KEPT_LEVEL_BYTES", 8 * _P2_BYTES)
+            for k in range(8):
                 cardinal_spline(hyperbolic(1.0 + k), 2)
         if fill == "planted":  # a refused family's key holding levels
             kept = cardinal._RECURSIONS
@@ -145,8 +150,10 @@ class TestKeptLevels:
             "numerical failure: hyperbolic effective phase 100 is above the "
             "supported maximum 76\n"))
 
-    def test_kept_families_stay_at_the_limit(self, recursion_runs):
-        limit = cardinal.CACHED_FAMILIES
+    def test_kept_levels_stay_within_the_budget(self, monkeypatch,
+                                                recursion_runs):
+        limit = 8
+        monkeypatch.setattr(cardinal, "KEPT_LEVEL_BYTES", limit * _P2_BYTES)
         families = [hyperbolic(1.0 + k) for k in range(limit + 5)]
         for family in families:
             cardinal_spline(family, 2)
@@ -159,6 +166,30 @@ class TestKeptLevels:
         assert recursion_runs == [(1, 2)]
         assert list(cardinal._RECURSIONS) == [
             *families[-limit + 2:], families[-limit], families[0]]
+        # a higher degree of a kept family drops the oldest families to fit
+        cardinal_spline(families[0], 3)
+        assert list(cardinal._RECURSIONS) == [
+            *families[-limit + 4:], families[-limit], families[0]]
+
+    def test_levels_over_the_budget_are_returned_not_kept(self, monkeypatch,
+                                                           recursion_runs):
+        monkeypatch.setattr(cardinal, "KEPT_LEVEL_BYTES", 8 * _P2_BYTES)
+        kept = [hyperbolic(1.0), polynomial()]
+        for family in kept:
+            cardinal_spline(family, 2)
+        (ref, _), = loop_cardinal_build(trigonometric(0.5), [11])
+        cs = cardinal_spline(trigonometric(0.5), 11)
+        assert np.array_equal(cs.pw.coeffs, ref.coeffs)
+        assert list(cardinal._RECURSIONS) == kept
+        cardinal_spline(trigonometric(0.5), 11)
+        assert recursion_runs == [(1, 2), (1, 2), (1, 11), (1, 11)]
+
+    def test_degree_200_stays_within_the_budget(self, capsys, recursion_runs):
+        argv = ["cardinal", "--family", "polynomial", "--p", "200", "--grid", "8"]
+        assert cli.main(argv) == 0
+        kept = sum(map(cardinal._level_bytes, cardinal._RECURSIONS.values()))
+        assert 0 < kept <= cardinal.KEPT_LEVEL_BYTES
+        assert list(cardinal._RECURSIONS) == [polynomial()]
 
 
 @pytest.mark.parametrize("family", PHASE_SWEEP, ids=repr)

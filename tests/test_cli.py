@@ -266,9 +266,11 @@ class TestDistributionCommands:
 @pytest.mark.parametrize("argv,counted", [
     (["eig", "--config", str(CONFIGS / "1d_hyperbolic_geometry.json"),
       "--n", "4096"], ("gb_basis", "assemble")),
+    (["assemble", "--config", str(CONFIGS / "1d_hyperbolic_geometry.json"),
+      "--n", "4096"], ("gb_basis", "assemble")),
     (["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
       "--m", "4097", "--eig"], ("toeplitz",)),
-], ids=["eig", "toeplitz"])
+], ids=["eig", "assemble", "toeplitz"])
 def test_order_cap_is_checked_before_any_matrix(capsys, monkeypatch, argv, counted):
     calls = [_counted(monkeypatch, name) for name in counted]
     code = main(argv)

@@ -37,6 +37,17 @@ def test_json_changes_are_empty_unless_both_parse():
     assert golden_cli.json_changes(_dump([1.5]), _dump([1.5])) == []
 
 
+def test_largest_difference_is_absolute_and_relative_to_the_largest_number():
+    old = b"c0,c1\n-4096,1e-17\n2,nan\n"
+    new = b"c0,c1\n-4096.000000000001,0\n2,nan\n"
+    gap, rel = golden_cli.largest_difference(old, new)
+    assert gap == 4096.000000000001 - 4096
+    assert rel == gap / 4096
+    assert golden_cli.largest_difference(b"0,1", b"0,1") == (0.0, 0.0)
+    assert golden_cli.largest_difference(b"0", b"1") == (1.0, float("inf"))
+    assert golden_cli.largest_difference(b"1,2", b"1") is None
+
+
 def test_one_process_run_gives_each_command_its_fresh_bytes(tmp_path):
     tree = _PATH.parent.parent
     argvs = [["bounds", "--p", "3", "--family", "polynomial", "--grid", "64"],

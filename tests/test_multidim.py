@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gbspec import exprparse, multidim
+from gbspec import exprparse, multidim, spectral
 from gbspec.collocation import (GeometryMap1D, ProblemCoefficients, _band,
                                 assemble, gb_basis, greville_samples)
 from gbspec.errors import UsageError, ValidationError
@@ -126,9 +126,9 @@ class TestAssembly:
         # refused from the bases alone, before any 1D matrix is sampled
         samples = []
         monkeypatch.setattr(multidim, "greville_samples", samples.append)
-        with pytest.raises(UsageError, match="system order 64 exceeds cap 10"):
-            assemble_md(laplace_problem(), GeometryMapMD.identity(2), 8,
-                        order_cap=10)
+        monkeypatch.setattr(spectral, "DEFAULT_ORDER_CAP", 10)
+        with pytest.raises(UsageError, match="^system order 64 exceeds cap 10$"):
+            assemble_md(laplace_problem(), GeometryMapMD.identity(2), 8)
         assert samples == []
 
     def test_anisotropic_grid_ratios(self):

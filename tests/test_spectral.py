@@ -90,9 +90,10 @@ class TestEigenvalues:
                                                            [-1.0, 0.0]])))
         assert np.allclose(eigs, [-1j, 1j])
 
-    def test_order_cap(self):
-        with pytest.raises(UsageError):
-            eigenvalues_dense(np.eye(10), order_cap=5)
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DEFAULT_ORDER_CAP", 5)
+        with pytest.raises(UsageError, match="^order 10 exceeds cap 5$"):
+            eigenvalues_dense(np.eye(10))
 
     def test_non_square(self):
         with pytest.raises(UsageError):

@@ -14,7 +14,10 @@ splines the benchmark configurations do not reach, and a nested degree-7
 one whose effective phase 1/n is small.  One line per command reports
 ``same`` or which of stdout, stderr and exit code differ; when the two
 stdouts differ and hold the same count of numbers, the line also gives
-the largest absolute difference between them.  When both stdouts parse
+the largest absolute difference between them, and that difference
+relative to the largest magnitude among the first stdout's numbers (the
+max-norm relative difference, which shows a rounding-level change in
+entries of any size).  When both stdouts parse
 as JSON, one more line per differing field names it by its path, with
 the two values, e.g. ``runs[1].outliers.0.001: 69 -> 68``.
 
@@ -187,8 +190,9 @@ json.dump(results, sys.stdout)
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
-def largest_difference(a: bytes, b: bytes) -> float | None:
-    """Largest absolute difference between the numbers of two outputs.
+def largest_difference(a: bytes, b: bytes) -> tuple[float, float] | None:
+    """Largest absolute difference between the numbers of two outputs, and
+    that difference over the largest finite magnitude among those of ``a``.
 
     None if they hold different counts of numbers.  Equal infinities and
     two nans count as no difference.
@@ -196,8 +200,10 @@ def largest_difference(a: bytes, b: bytes) -> float | None:
     xs, ys = ([float(m) for m in _NUMBER.findall(out)] for out in (a, b))
     if len(xs) != len(ys):
         return None
-    return max((0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
-                for x, y in zip(xs, ys)), default=0.0)
+    gap = max((0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+               for x, y in zip(xs, ys)), default=0.0)
+    scale = max((abs(x) for x in xs if math.isfinite(x)), default=0.0)
+    return gap, gap / scale if scale else (math.inf if gap else 0.0)
 
 
 def json_changes(a: bytes, b: bytes) -> list[str]:
@@ -277,7 +283,8 @@ def main(argv: list[str]) -> int:
         gap = largest_difference(a[0], b[0]) if "stdout" in diffs else None
         print(f"{'DIFF ' + ','.join(diffs) if diffs else 'same'}: {_label(cmd)}"
               f" (exit {a[2]}, {len(a[0])} bytes)"
-              + ("" if gap is None else f" largest difference {gap:.3g}"))
+              + ("" if gap is None else
+                 f" largest difference {gap[0]:.3g} (relative {gap[1]:.3g})"))
         if "stdout" in diffs:
             for change in json_changes(a[0], b[0]):
                 print(f"    {change}")
