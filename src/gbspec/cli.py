@@ -25,8 +25,8 @@ from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
                        assemble_md, direction_bases, md_symbol_samples)
 from .sections import SectionFamily, polynomial
 from .spectral import (SymbolDraw, ToeplitzSpec, check_order, check_outlier_eps,
-                       eigenvalues_dense, product_symbol_sampler, toeplitz,
-                       weyl_report)
+                       eigenvalues_dense, product_symbol_sampler,
+                       toeplitz_view, weyl_report)
 from .symbols import MIN_BOUNDS_GRID, bounds_report, decay_ratios, symbol_fn
 
 _FAMILY_NAMES = ("polynomial", "hyperbolic", "trigonometric")
@@ -326,15 +326,14 @@ def _cmd_eig(args) -> None:
 def _cmd_toeplitz(args) -> None:
     fam = make_family(args.family, args.alpha)
     sym = symbol_fn(args.symbol, args.p, fam)
-    spec = ToeplitzSpec(sym.toeplitz_coefficients())
+    check_order(args.m)  # before the matrix is built
+    # a read-only view: neither path makes an m-by-m copy of its own
+    mat = toeplitz_view(ToeplitzSpec(sym.toeplitz_coefficients()), args.m)
     if args.eig:
-        check_order(args.m)  # before the matrix is built
-        eigs = np.sort_complex(eigenvalues_dense(toeplitz(spec, args.m)))
+        eigs = np.sort_complex(eigenvalues_dense(mat))
         _write(args.out, _csv(["re", "im"], np.column_stack((eigs.real, eigs.imag))))
         return
-    mat = toeplitz(spec, args.m)
-    header = [f"c{j}" for j in range(mat.shape[1])]
-    _write(args.out, _csv(header, mat))
+    _write(args.out, _csv([f"c{j}" for j in range(args.m)], mat))
 
 
 def _cmd_distribution(args) -> None:
@@ -454,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
     except GbspecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:  # e.g. a --grid too large for the machine
+        sys.stderr.write(f"out of memory: {exc}\n")
+        return 2
     return 0
 
 

@@ -79,6 +79,14 @@ class ToeplitzSpec:
 
 def toeplitz(spec: ToeplitzSpec, m: int) -> np.ndarray:
     """Dense m-by-m Toeplitz matrix with entries c_{j-k} (zero beyond the band)."""
+    return toeplitz_view(spec, m).copy()
+
+
+def toeplitz_view(spec: ToeplitzSpec, m: int) -> np.ndarray:
+    """:func:`toeplitz` as a read-only strided view of its 2m-1 diagonals.
+
+    It holds O(m) memory: no m-by-m array is made.
+    """
     if m < 1:
         raise UsageError("order must be >= 1")
     c = spec.coefficients
@@ -88,7 +96,7 @@ def toeplitz(spec: ToeplitzSpec, m: int) -> np.ndarray:
     padded[reach - b:reach + b + 1] = c
     # diagonal j - k = d holds padded[reach + d]: row j is a reversed window
     diagonals = padded[reach - m + 1:reach + m]
-    return sliding_window_view(diagonals, m)[:, ::-1].copy()
+    return sliding_window_view(diagonals, m)[:, ::-1]
 
 
 def toeplitz_tensor(cf: ToeplitzSpec, ch: ToeplitzSpec, m1: int,

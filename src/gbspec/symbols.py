@@ -56,19 +56,25 @@ class SymbolFn:
         object.__setattr__(self, "_tail", self.coefficients[1:])
 
     def __call__(self, theta):
-        # a float theta, as in the golden-section search, needs no outer product
+        # a float theta, as symbol_max takes it, needs no outer product
         if isinstance(theta, float):
             arg = theta * self._k
         else:
             arg = np.multiply.outer(np.asarray(theta, dtype=float), self._k)
+        return self.from_table(np.sin(arg) if self.kind == "g" else np.cos(arg))
+
+    def from_table(self, table):
+        """The symbol from ``table``, the cosine (h, f) or sine (g) of theta*k.
+
+        ``table[..., k-1]`` holds the value for k = 1..floor(p/2); h and f of
+        one degree take the same cosine table.
+        """
         c0 = self.coefficients[0]
         if self.kind == "h":
-            out = c0 + 2.0 * np.cos(arg) @ self._tail
-        elif self.kind == "g":
-            out = -2.0 * np.sin(arg) @ self._tail
-        else:
-            out = -c0 - 2.0 * np.cos(arg) @ self._tail
-        return out
+            return c0 + 2.0 * table @ self._tail
+        if self.kind == "g":
+            return -2.0 * table @ self._tail
+        return -c0 - 2.0 * table @ self._tail
 
     def toeplitz_coefficients(self) -> np.ndarray:
         """Fourier coefficients c_k, k = -b..b, of the symbol.
@@ -230,34 +236,35 @@ def lower_bound_residual(p: int, family: SectionFamily, theta) -> np.ndarray:
     return np.asarray(symbol_fn("h", p, family)(th)) - leading
 
 
-def symbol_max(s: SymbolFn, grid: int = 4096) -> float:
-    """Maximum over [-pi, pi]: coarse grid scan plus golden-section refinement."""
-    thetas = np.linspace(-math.pi, math.pi, grid)
-    return _refined_max(s, thetas, s(thetas))
+def symbol_max(s: SymbolFn) -> float:
+    """Maximum over [-pi, pi], from the critical points of ``s``.
 
-
-def _refined_max(s: SymbolFn, thetas: np.ndarray, vals: np.ndarray) -> float:
-    """:func:`symbol_max` from the values ``vals`` of ``s`` on the grid ``thetas``."""
-    i = int(np.argmax(vals))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, thetas.size - 1)]
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = float(s(x1)), float(s(x2))
-    for _ in range(200):
-        if b - a < 1e-14:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = float(s(x2))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = float(s(x1))
-    return max(float(vals[i]), f1, f2)
+    With x = cos(theta), h and f are Chebyshev series P(x) (coefficients
+    c0, 2c1, 2c2, ..., negated for f), so their maximum lies at theta = 0,
+    theta = pi or arccos of a root of P' in [-1, 1].  The derivative of g is
+    a cosine series, so g's lies at 0, pi or +-arccos of one of its roots.
+    The roots are the eigenvalues of a colleague matrix of order below p/2;
+    each candidate is evaluated through ``s`` itself, so a maximum at pi is
+    exactly ``s(pi)``.
+    """
+    # reached at call time, as spectral reaches legendre: importing
+    # numpy.polynomial costs every fresh process a few milliseconds
+    chebyshev = np.polynomial.chebyshev
+    if s.kind == "g":
+        # g'(theta) = -2 sum k c_k cos(k theta); its roots do not need the sign
+        series = np.concatenate(([0.0], s._k * s._tail))
+    else:
+        # P' has the roots of -P', so f needs no negation either
+        series = chebyshev.chebder(np.concatenate((s.coefficients[:1], 2.0 * s._tail)))
+    # the colleague matrix divides by the top coefficient, which overflows
+    # once that is subnormal (p = 260); a coefficient below eps times the
+    # largest moves no critical point by more than rounding
+    tol = np.finfo(float).eps * np.abs(series).max()
+    roots = chebyshev.chebroots(chebyshev.chebtrim(series, tol))
+    thetas = np.arccos(np.clip(roots.real, -1.0, 1.0))
+    if s.kind == "g":
+        thetas = np.concatenate((thetas, -thetas))
+    return max(float(s(t)) for t in [math.pi, 0.0, *thetas.tolist()])
 
 
 def decay_ratio(p: int, family: SectionFamily) -> float:
@@ -346,8 +353,10 @@ def bounds_report(p: int, family: SectionFamily,
     theta = np.linspace(-math.pi, math.pi, grid_size)
     h, f = symbol_fns([("h", p), ("f", p)], family) if p >= 2 else \
         (symbol_fn("h", p, family), None)
-    hv = h(theta)
-    fv = f(theta) if f is not None else None
+    # h and f of one degree share their k = 1..floor(p/2): one cosine table
+    table = np.cos(np.multiply.outer(theta, h._k))
+    hv = h.from_table(table)
+    fv = f.from_table(table) if f is not None else None
     upper = 0
     if p >= 2:
         upper += int(np.sum(hv > 1.0 + _BOUND_SLACK))
@@ -370,7 +379,7 @@ def bounds_report(p: int, family: SectionFamily,
         # f(h) - 2 f(0) + f(-h) = 8 sum c_k sin^2(k h / 2), without the
         # cancellation of the three values
         second = 8.0 * float(np.sin(f._k * (step / 2)) ** 2 @ f._tail) / step**2
-        mx = _refined_max(f, theta, fv)
+        mx = symbol_max(f)
         ratio = float(f(math.pi)) / mx
     else:
         f0 = first = second = mx = ratio = None

@@ -790,3 +790,67 @@ def outer_index_toeplitz(spec, m: int) -> np.ndarray:
     mask = np.abs(idx) <= b
     out[mask] = c[idx[mask] + b].astype(dtype)
     return out
+
+
+def mp_symbol_max(kind: str, coefficients, grid: int = 4096) -> float:
+    """Maximum over [-pi, pi] of a symbol with float ``coefficients``, in mpmath.
+
+    The symbol is ``c0 + 2 sum c_k cos(k theta)`` (h), its negation (f) or
+    ``-2 sum c_k sin(k theta)`` (g), with each coefficient taken exactly.
+    Its critical points are bracketed by the sign changes of a multiple of
+    its derivative on ``grid`` points: ``sum k c_k sin(k theta) / sin(theta)``
+    on [0, pi] for the even kinds, with its limits at 0 and pi, and ``sum
+    k c_k cos(k theta)`` on [-pi, pi] for g.  Each bracket is closed by
+    ``mp.findroot`` at 50 digits; one the 50-digit derivative does not
+    change sign across (float rounding of a derivative near zero) gives its
+    two ends instead, and a grid point where the float slope is 0 is taken
+    itself.  The maximum is taken over these points and the ends of the
+    range, at 50 digits.
+    """
+    import mpmath as mp
+
+    c = [float(v) for v in np.ravel(coefficients)]
+    k = np.arange(1, len(c))
+    tail = np.array(c[1:])
+    even = kind != "g"
+    with mp.workdps(50):
+        cs = [mp.mpf(v) for v in c]
+
+        def total(trig, t, power: int):
+            """sum k**power c_k trig(k t), k >= 1."""
+            return mp.fsum(j**power * ck * trig(j * t) for j, ck in enumerate(cs[1:], 1))
+
+        def value(t):
+            if kind == "g":
+                return -2 * total(mp.sin, t, 0)
+            h = cs[0] + 2 * total(mp.cos, t, 0)
+            return h if kind == "h" else -h
+
+        def slope(t):
+            return total(mp.sin, t, 1) / mp.sin(t) if even else total(mp.cos, t, 1)
+
+        if even:
+            thetas = np.linspace(0.0, math.pi, grid)
+            inner = thetas[1:-1]
+            slopes = np.concatenate((
+                [np.sum(k * k * tail)],
+                np.sin(np.multiply.outer(inner, k)) @ (k * tail) / np.sin(inner),
+                [np.sum(k * k * tail * (-1.0) ** (k + 1))]))
+            points = [mp.mpf(0), mp.pi]
+        else:
+            thetas = np.linspace(-math.pi, math.pi, grid)
+            slopes = np.cos(np.multiply.outer(thetas, k)) @ (k * tail)
+            points = [-mp.pi, mp.mpf(0), mp.pi]
+        signs = np.sign(slopes)
+        # a slope of 0 at every grid point is a constant symbol: its ends do
+        if signs.any():
+            points += [mp.mpf(t) for t in thetas[signs == 0]]
+        for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
+            lo, hi = mp.mpf(thetas[i]), mp.mpf(thetas[i + 1])
+            if even:  # the quotient form has no value at the ends themselves
+                lo, hi = max(lo, mp.mpf(1e-30)), min(hi, mp.pi - mp.mpf(1e-30))
+            if mp.sign(slope(lo)) * mp.sign(slope(hi)) < 0:
+                points.append(mp.findroot(slope, (lo, hi), solver="anderson"))
+            else:
+                points += [lo, hi]
+        return float(max(value(t) for t in points))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from gbspec import cli
 from gbspec.cli import main
-from gbspec.sections import SectionFamily
+from gbspec.sections import SectionFamily, polynomial
+from gbspec.spectral import ToeplitzSpec, eigenvalues_dense, toeplitz
+from gbspec.symbols import symbol_fn
 from oracles import mp_nested_shape_error
 
 CONFIGS = Path(__file__).resolve().parent.parent / "gbbench" / "configs"
@@ -76,6 +79,89 @@ class TestToeplitzCommand:
         eigs = sorted(float(re) for re, _ in rows)
         ref = [2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)]
         assert np.allclose(eigs, ref, atol=1e-9)
+
+
+class TestToeplitzViews:
+    """``toeplitz`` prints from a read-only view of the diagonals: its bytes
+    are those of the dense matrix, and it makes no m-by-m copy of its own."""
+
+    FAMILIES = [(), ("--alpha", "10")]
+
+    @staticmethod
+    def argv(kind, family, m, *extra):
+        tag = "polynomial" if not family else "hyperbolic"
+        return ["toeplitz", "--symbol", kind, "--p", "5", "--family", tag,
+                *family, "--m", str(m), *extra]
+
+    @staticmethod
+    def spec(kind, family):
+        fam = SectionFamily("hyperbolic", 10.0) if family else polynomial()
+        return ToeplitzSpec(symbol_fn(kind, 5, fam).toeplitz_coefficients())
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=["polynomial", "hyperbolic"])
+    @pytest.mark.parametrize("kind", ["h", "g", "f"])
+    @pytest.mark.parametrize("m", [1, 2, 7, 64])
+    def test_eig_matches_the_dense_matrix(self, capsys, kind, family, m):
+        eigs = np.sort_complex(eigenvalues_dense(toeplitz(self.spec(kind, family), m)))
+        want = cli._csv(["re", "im"], np.column_stack((eigs.real, eigs.imag)))
+        assert run(capsys, *self.argv(kind, family, m, "--eig")) == (0, want)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=["polynomial", "hyperbolic"])
+    @pytest.mark.parametrize("kind", ["h", "g", "f"])
+    @pytest.mark.parametrize("m", [1, 7, 100])
+    def test_csv_matches_the_dense_matrix(self, capsys, kind, family, m):
+        # a 100-column matrix prints over several blocks of rows
+        mat = toeplitz(self.spec(kind, family), m)
+        want = cli._csv([f"c{j}" for j in range(m)], mat)
+        assert run(capsys, *self.argv(kind, family, m)) == (0, want)
+
+    def test_eig_makes_no_matrix_copy(self, capsys):
+        # the one m-by-m array left is the parity workspace of
+        # eigenvalues_dense (8 MiB at m = 1024); a dense copy of the matrix
+        # would add 8 MiB more
+        argv = ["toeplitz", "--symbol", "f", "--p", "2", "--family",
+                "polynomial", "--m", "1024", "--eig"]
+        main([*argv[:-3], "8", "--eig"])  # import and build outside the trace
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(capsys.readouterr().out.splitlines()) == 1025
+        assert peak <= 9 * 2**20
+
+    def test_large_order_is_refused_before_any_matrix(self, capsys, monkeypatch):
+        calls = _counted(monkeypatch, "toeplitz_view")
+        argv = ["toeplitz", "--symbol", "f", "--p", "2", "--family",
+                "polynomial", "--m", "1000000"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: order 1000000 exceeds cap 4096\n"
+        assert calls == []
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["symbol", "--kind", "f", "--p", "3", "--family", "polynomial",
+      "--grid", "2000000000"], "_grid"),
+    (["bounds", "--p", "3", "--family", "polynomial"], "bounds_report"),
+], ids=["symbol", "bounds"])
+def test_memory_error_is_one_line_and_exit_two(capsys, monkeypatch, argv, target):
+    # the handler's allocation is replaced by one that fails at once: no
+    # test allocates what it reports as too large
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array with "
+                          "shape (2000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, target, refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("out of memory: Unable to allocate 14.9 GiB for an "
+                            "array with shape (2000000000,) and data type "
+                            "float64\n")
 
 
 class TestCardinalAndBounds:
@@ -269,8 +355,10 @@ class TestDistributionCommands:
     (["assemble", "--config", str(CONFIGS / "1d_hyperbolic_geometry.json"),
       "--n", "4096"], ("gb_basis", "assemble")),
     (["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
-      "--m", "4097", "--eig"], ("toeplitz",)),
-], ids=["eig", "assemble", "toeplitz"])
+      "--m", "4097", "--eig"], ("toeplitz_view",)),
+    (["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
+      "--m", "4097"], ("toeplitz_view",)),
+], ids=["eig", "assemble", "toeplitz", "toeplitz-csv"])
 def test_order_cap_is_checked_before_any_matrix(capsys, monkeypatch, argv, counted):
     calls = [_counted(monkeypatch, name) for name in counted]
     code = main(argv)

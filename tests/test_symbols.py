@@ -11,7 +11,8 @@ from gbspec.sections import hyperbolic, polynomial, trigonometric
 from gbspec.symbols import (KINDS, bounds_report, decay_ratio,
                             lower_bound_residual, symbol_closed_form, symbol_fn,
                             symbol_fns, symbol_max, symbol_series)
-from oracles import PHASE_SWEEP, mp_cardinal, piecewise_symbol_coefficients
+from oracles import (PHASE_SWEEP, mp_cardinal, mp_symbol_max,
+                     piecewise_symbol_coefficients)
 
 Q_FAMILIES = [hyperbolic(1.0), hyperbolic(10.0),
               trigonometric(math.pi / 4), trigonometric(math.pi / 2)]
@@ -199,6 +200,60 @@ class TestMax:
         assert symbol_max(sym) == pytest.approx(2.0, abs=1e-10)
 
 
+#: largest relative error of the former maximum (a 4096-point grid scan
+#: and a golden-section search) against mp_symbol_max over h and f of the
+#: sweep of TestMaxAgainstMpmath, as measured: hyperbolic(1) h at p = 11,
+#: 1 - 2**-51 where the maximum, at theta = 0, rounds to 1 - 2**-52.  The
+#: exact maximum takes the same value there.
+FORMER_HF_ERROR = 2.2204460492503136e-16
+
+
+class TestMaxAgainstMpmath:
+    """symbol_max against the 50-digit maximum of the same coefficients."""
+
+    @pytest.mark.parametrize("family", [polynomial(), *PHASE_SWEEP], ids=repr)
+    def test_within_rounding_of_the_symbol(self, family):
+        # h and f within 2 ulp; g within 3: hyperbolic(0.1) g at p = 14 is
+        # 3 ulp above the oracle, the rounding of g's own sum at the float
+        # theta of its maximum, whose 50-digit value there is the oracle's
+        requests = [(kind, p) for p in range(2, 15) for kind in KINDS]
+        worst = 0.0
+        for (kind, p), sym in zip(requests, symbol_fns(requests, family)):
+            want = mp_symbol_max(kind, sym.coefficients)
+            got = symbol_max(sym)
+            ulps = 3 if kind == "g" else 2
+            assert abs(got - want) <= ulps * math.ulp(want), (kind, p, got, want)
+            if kind != "g":
+                worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= FORMER_HF_ERROR
+
+    @pytest.mark.parametrize("sym", [
+        symbol_fn("h", 1, hyperbolic(3.0)),  # a constant: no derivative
+        symbol_fn("f", 2, hyperbolic(3.0)),  # a constant derivative
+        symbol_fn("h", 2, hyperbolic(76.0)),  # c1 == 0.0: h is the constant 1
+        symbols.SymbolFn("h", 4, polynomial(), np.array([0.5, 0.25, 0.0])),
+        symbols.SymbolFn("f", 4, polynomial(), np.array([-1.0, 0.5, 0.0])),
+        symbols.SymbolFn("g", 4, polynomial(), np.array([0.0, 0.5, 0.0])),
+        symbols.SymbolFn("g", 4, polynomial(), np.zeros(3)),
+    ], ids=["h1", "f2", "h2-zero-top", "h-zero-top", "f-zero-top",
+            "g-zero-top", "g-zero"])
+    def test_degenerate_series_raise_no_warning(self, sym):
+        # a RuntimeWarning fails the test (filterwarnings = error)
+        got = symbol_max(sym)
+        want = mp_symbol_max(sym.kind, sym.coefficients)
+        assert abs(got - want) <= 2 * math.ulp(want)
+
+
+    @pytest.mark.parametrize("p", [260, 300])
+    def test_high_degree_top_coefficient_is_trimmed(self, p):
+        # f's last nonzero coefficients are subnormal (4e-320 at p = 260):
+        # dividing by them in the colleague matrix would overflow
+        sym = symbol_fn("f", p, polynomial())
+        got = symbol_max(sym)
+        want = mp_symbol_max("f", sym.coefficients)
+        assert abs(got - want) <= 2 * math.ulp(want)
+
+
 class TestDecay:
     @pytest.mark.parametrize("p", range(2, 15))
     def test_polynomial_envelope(self, p):
@@ -208,8 +263,10 @@ class TestDecay:
         ratios = [decay_ratio(p, hyperbolic(10.0)) for p in (5, 7, 9, 11, 13)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
-    def test_maximum_attained_at_pi_for_degree_two(self):
-        assert decay_ratio(2, polynomial()) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_maximum_attained_at_pi_is_exact(self, p):
+        # f = 2 - 2cos(theta): the maximum is f(pi) itself
+        assert decay_ratio(p, polynomial()) == 1.0
 
 
 class TestBoundsReport:
@@ -264,19 +321,52 @@ class TestBoundsReport:
         with pytest.raises(UsageError):
             bounds_report(3, polynomial(), 32)
 
-    def test_each_symbol_is_evaluated_once_on_the_grid(self, monkeypatch):
-        grid_calls = []
-        call = symbols.SymbolFn.__call__
+    @pytest.mark.parametrize("p", [1, 6, 13])
+    def test_one_cosine_table_per_report(self, monkeypatch, p):
+        # h and f share one table of cos(theta k); neither goes through
+        # __call__ on the grid, and the values they take from the table are
+        # bit for bit those __call__ gives
+        tables, grid_calls, values = [], [], []
+        cos, call, from_table = np.cos, symbols.SymbolFn.__call__, \
+            symbols.SymbolFn.from_table
 
-        def counted(self, theta):
+        def counted_cos(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                tables.append(np.shape(x))
+            return cos(x, *args, **kwargs)
+
+        def counted_call(self, theta):
             if np.ndim(theta):
                 grid_calls.append(self.kind)
             return call(self, theta)
 
-        monkeypatch.setattr(symbols.SymbolFn, "__call__", counted)
-        rep = bounds_report(6, hyperbolic(10.0), 512)
-        assert sorted(grid_calls) == ["f", "h"]
-        assert rep.symbol_max == symbol_max(symbol_fn("f", 6, hyperbolic(10.0)), 512)
+        def recorded(self, table):
+            out = from_table(self, table)
+            if np.ndim(out):
+                values.append((self, out))
+            return out
+
+        monkeypatch.setattr(symbols.np, "cos", counted_cos)
+        monkeypatch.setattr(symbols.SymbolFn, "__call__", counted_call)
+        monkeypatch.setattr(symbols.SymbolFn, "from_table", recorded)
+        bounds_report(p, hyperbolic(10.0), 512)
+        monkeypatch.undo()
+        assert tables == [(512, p // 2)]
+        assert grid_calls == []
+        assert [sym.kind for sym, _ in values] == (["h", "f"] if p >= 2 else ["h"])
+        theta = np.linspace(-math.pi, math.pi, 512)
+        for sym, got in values:
+            assert np.array_equal(got, sym(theta)), sym.kind
+
+    @pytest.mark.parametrize("family", [polynomial(), hyperbolic(0.1),
+                                        hyperbolic(76.0), trigonometric(3.0)],
+                             ids=repr)
+    def test_maximum_does_not_depend_on_the_grid(self, family):
+        for p in range(2, 15):
+            coarse = bounds_report(p, family, 64)
+            fine = bounds_report(p, family, 4096)
+            assert coarse.symbol_max == fine.symbol_max, p
+            assert coarse.decay_ratio == fine.decay_ratio, p
 
     @pytest.mark.parametrize("alpha", [1.0, 10.0])
     @pytest.mark.parametrize("p", [3, 5, 7])

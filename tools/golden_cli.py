@@ -159,6 +159,11 @@ COMMANDS: list[list[str]] = [
      "--grid", "300"],
     ["cardinal", "--family", "hyperbolic", "--alpha", "100", "--p", "3"],
     ["eig", "--config", _HYP_P7_NESTED, "--n", "256"],
+    # the largest supported phase at a high degree, whose f has a top
+    # coefficient 1e-26 times its largest, and the order cap of the CSV path
+    ["bounds", "--p", "14", "--family", "hyperbolic", "--alpha", "76"],
+    ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
+     "--m", "4097"],
     # parser paths: usage, help and errors, with and without a command
     [],
     ["-h"],
