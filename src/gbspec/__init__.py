@@ -16,7 +16,7 @@ from .collocation import (CollocationSystem, GBBasis, GeometryMap1D,
 from .errors import (ConstraintError, ExprError, GbspecError, NumericalError,
                      UsageError, ValidationError)
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                       assemble_md, md_symbol_samples)
+                       assemble_md, md_symbol_sampler, md_symbol_samples)
 from .sections import (PiecewiseFn, SectionFamily, hyperbolic,
                        piecewise_antiderivative, piecewise_derivative,
                        piecewise_eval, polynomial, trigonometric)
@@ -41,7 +41,8 @@ __all__ = [
     "cardinal_spline", "cardinal_splines", "central_range", "decay_ratio",
     "decay_ratios",
     "eigenvalues_dense", "fourier_phi", "gb_basis", "greville_abscissae",
-    "hyperbolic", "lower_bound_residual", "md_symbol_samples",
+    "hyperbolic", "lower_bound_residual", "md_symbol_sampler",
+    "md_symbol_samples",
     "piecewise_antiderivative", "piecewise_derivative", "piecewise_eval",
     "polynomial",
     "product_symbol_sampler", "structure_report", "symbol_closed_form",

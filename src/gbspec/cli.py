@@ -22,9 +22,9 @@ from .collocation import (GeometryMap1D, ProblemCoefficients, assemble,
                           gb_basis, limit_family, transformed_coefficients)
 from .errors import GbspecError, NumericalError, UsageError
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                       assemble_md, direction_bases, md_symbol_samples)
+                       assemble_md, direction_bases, md_symbol_sampler)
 from .sections import SectionFamily, polynomial
-from .spectral import (SymbolDraw, ToeplitzSpec, check_order, check_outlier_eps,
+from .spectral import (ToeplitzSpec, check_order, check_outlier_eps,
                        eigenvalues_dense, product_symbol_sampler,
                        toeplitz_view, weyl_report)
 from .symbols import MIN_BOUNDS_GRID, bounds_report, decay_ratios, symbol_fn
@@ -209,10 +209,8 @@ def _run_distribution_1d(cfg: dict, ns: list[int], eps: list[float]) -> dict:
 def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
     check_outlier_eps(eps)  # refuse a bad eps before any solve
     problem, geometry = load_problem_md(cfg)
-    symbols = DirectionSymbols(problem.degrees, problem.families, problem.mode)
-
-    def sampler(count: int) -> SymbolDraw:
-        return md_symbol_samples(problem, geometry, count, symbols)
+    sampler = md_symbol_sampler(problem, geometry, DirectionSymbols(
+        problem.degrees, problem.families, problem.mode))
 
     for n in ns:  # refuse a bad n before the first solve
         direction_bases(problem, geometry, n)

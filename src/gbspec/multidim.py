@@ -27,7 +27,8 @@ from .collocation import (NESTED, NONNESTED, GBBasis, _assemble_terms, gb_basis,
                           greville_samples, limit_family)
 from .errors import UsageError, ValidationError
 from .sections import SectionFamily
-from .spectral import SymbolDraw, _tensor_grid, check_order, symbol_sampler
+from .spectral import (Sampler, SymbolDraw, _tensor_grid, check_order,
+                       symbol_sampler)
 from .symbols import symbol_fns
 
 _GRID_PER_DIM = {2: 33, 3: 9}
@@ -277,11 +278,18 @@ class DirectionSymbols:
 
 def md_symbol_samples(problem: ProblemMD, geometry: GeometryMapMD,
                       count: int, symbols: DirectionSymbols | None = None) -> SymbolDraw:
-    """Draw of the symbol  nu (J^{-1} K(G) J^{-T} o H(theta)) nu^T.
+    """One draw of :func:`md_symbol_sampler`."""
+    return md_symbol_sampler(problem, geometry, symbols)(count)
+
+
+def md_symbol_sampler(problem: ProblemMD, geometry: GeometryMapMD,
+                      symbols: DirectionSymbols | None = None) -> Sampler:
+    """Sampler of the symbol  nu (J^{-1} K(G) J^{-T} o H(theta)) nu^T.
 
     :func:`spectral.symbol_sampler` with a term per matrix entry; direction
     k's bandwidth is the largest Fourier index of its ``h``, ``g`` and ``f``.
-    A Jacobian that is singular at a sampled point is refused.
+    Its moments are computed once, on the first draw.  A Jacobian that is
+    singular at a sampled point is refused.
     """
     d = problem.d
     if symbols is None:
@@ -302,4 +310,4 @@ def md_symbol_samples(problem: ProblemMD, geometry: GeometryMapMD,
 
     bandwidths = [max(s.coefficients.size - 1 for s in (h, g, f))
                   for h, g, f in zip(symbols.h, symbols.g, symbols.f)]
-    return symbol_sampler(coefficients, weights, bandwidths)(count)
+    return symbol_sampler(coefficients, weights, bandwidths)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cardinal import _derivative_rows, _phi1_hat, cardinal_splines
+from .cardinal import (_derivative_rows, _frozen, _phi1_hat, cardinal_splines,
+                       kept)
 from .errors import UsageError
 from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily, _basis_matrix,
                        _local_derivative)
@@ -50,10 +51,16 @@ class SymbolFn:
     coefficients: np.ndarray
     _k: np.ndarray = field(init=False, repr=False, compare=False)
     _tail: np.ndarray = field(init=False, repr=False, compare=False)
+    _max: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_k", np.arange(1, self.coefficients.size))
+        object.__setattr__(self, "_k", _frozen(np.arange(1, self.coefficients.size)))
         object.__setattr__(self, "_tail", self.coefficients[1:])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the symbol's arrays."""
+        return self.coefficients.nbytes + self._k.nbytes
 
     def __call__(self, theta):
         # a float theta, as symbol_max takes it, needs no outer product
@@ -102,13 +109,20 @@ def symbol_fn(kind: str, p: int, family: SectionFamily) -> SymbolFn:
 def symbol_fns(requests, family: SectionFamily) -> list[SymbolFn]:
     """:func:`symbol_fn` of each ``(kind, p)`` in ``requests``, in order.
 
-    The splines they sample come from one cardinal recursion.
+    A process keeps each symbol, with read-only coefficients, beside its
+    family's recursion levels (:func:`cardinal.kept`); the splines that
+    the symbols not yet kept sample come from one cardinal recursion.
     """
     for kind, p in requests:
         if kind not in KINDS:
             raise UsageError(f"unknown symbol kind {kind!r}")
         if p < _MIN_DEGREE[kind]:
             raise UsageError(f"kind {kind!r} requires degree >= {_MIN_DEGREE[kind]}")
+    found = kept(family, requests, lambda missing: _sampled(missing, family))
+    return [found[r] for r in requests]
+
+
+def _sampled(requests, family: SectionFamily) -> list[SymbolFn]:
     orders = [KINDS.index(kind) for kind, _ in requests]  # derivative orders
     # the derivative recurrence samples a lower-degree spline, which keeps
     # the coefficients O(1) at large phases; it does not cover the second
@@ -129,7 +143,7 @@ def symbol_fns(requests, family: SectionFamily) -> list[SymbolFn]:
         tau = np.full(pieces.size, 0.5 if p % 2 == 0 else 0.0)
         basis = _basis_matrix(rows.shape[1] - 1, s, tau)
         out.append(SymbolFn(kind, p, family,
-                            np.einsum("ij,ij->i", basis, rows[pieces])))
+                            _frozen(np.einsum("ij,ij->i", basis, rows[pieces]))))
     return out
 
 
@@ -245,8 +259,15 @@ def symbol_max(s: SymbolFn) -> float:
     a cosine series, so g's lies at 0, pi or +-arccos of one of its roots.
     The roots are the eigenvalues of a colleague matrix of order below p/2;
     each candidate is evaluated through ``s`` itself, so a maximum at pi is
-    exactly ``s(pi)``.
+    exactly ``s(pi)``.  The maximum is computed once per symbol and kept
+    with it.
     """
+    if s._max is None:
+        object.__setattr__(s, "_max", _critical_max(s))
+    return s._max
+
+
+def _critical_max(s: SymbolFn) -> float:
     # reached at call time, as spectral reaches legendre: importing
     # numpy.polynomial costs every fresh process a few milliseconds
     chebyshev = np.polynomial.chebyshev
@@ -318,6 +339,14 @@ class BoundReport:
         }
 
 
+def _amplitude(family: SectionFamily) -> float:
+    """``a**2/(cosh(a) - 1)`` (trigonometric: ``1 - cos(a)``) of the phase,
+    as ``2 ((a/2)/sinh(a/2))**2`` (``sin``), which does not cancel."""
+    half = family.phase / 2.0
+    sine = math.sinh if family.tag == HYPERBOLIC else math.sin
+    return 2.0 * (half / sine(half)) ** 2
+
+
 def _lower_envelope(family: SectionFamily, p: int, kind: str,
                     theta: np.ndarray) -> np.ndarray:
     """Lower bound for h_p (constant) or f_p (times 2-2cos)."""
@@ -327,11 +356,9 @@ def _lower_envelope(family: SectionFamily, p: int, kind: str,
     else:
         a = family.phase
         if family.tag == HYPERBOLIC:
-            amp = (a * a / (math.cosh(a) - 1.0)) * \
-                ((math.cosh(a) + 1.0) / (a * a + math.pi**2))
+            amp = _amplitude(family) * ((math.cosh(a) + 1.0) / (a * a + math.pi**2))
         else:
-            amp = (a * a / (1.0 - math.cos(a))) * \
-                ((math.cos(a) + 1.0) / (math.pi**2 - a * a))
+            amp = _amplitude(family) * ((math.cos(a) + 1.0) / (math.pi**2 - a * a))
         base = amp * (2.0 / math.pi) ** (p - 1 if kind == "h" else p - 3)
     if kind == "h":
         return np.full_like(theta, base)

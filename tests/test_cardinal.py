@@ -187,7 +187,7 @@ class TestKeptLevels:
     def test_degree_200_stays_within_the_budget(self, capsys, recursion_runs):
         argv = ["cardinal", "--family", "polynomial", "--p", "200", "--grid", "8"]
         assert cli.main(argv) == 0
-        kept = sum(map(cardinal._level_bytes, cardinal._RECURSIONS.values()))
+        kept = sum(map(cardinal._kept_bytes, cardinal._RECURSIONS.values()))
         assert 0 < kept <= cardinal.KEPT_LEVEL_BYTES
         assert list(cardinal._RECURSIONS) == [polynomial()]
 

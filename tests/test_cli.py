@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbspec import cli
+from gbspec import cli, spectral
 from gbspec.cli import main
 from gbspec.sections import SectionFamily, polynomial
 from gbspec.spectral import ToeplitzSpec, eigenvalues_dense, toeplitz
@@ -198,6 +198,17 @@ class TestCardinalAndBounds:
             assert payload[key] is None, key
         assert math.isfinite(payload["h_min"])
 
+    @pytest.mark.parametrize("family, p", [("hyperbolic", "3"), ("trigonometric", "4")])
+    @pytest.mark.parametrize("alpha", ["1e-9", "1e-300"])
+    def test_bounds_at_small_phases(self, capsys, family, p, alpha):
+        # the envelope's amplitude divided by cosh(a) - 1 or 1 - cos(a),
+        # which is 0.0 at these phases
+        code = main(["bounds", "--p", p, "--family", family, "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        payload = json.loads(captured.out)
+        assert (payload["lower_violations"], payload["upper_violations"]) == (0, 0)
+
     def test_decay_table(self, capsys):
         code, out = run(capsys, "decay", "--family", "polynomial",
                         "--pmin", "2", "--pmax", "6")
@@ -262,6 +273,24 @@ class TestDistributionCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["runs"][0]["order"] == 36
+
+    def test_2d_moments_once_per_command(self, capsys, config_2d, monkeypatch):
+        calls = []
+        inner = spectral.symbol_moments
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(spectral, "symbol_moments", counted)
+        code, out = run(capsys, "distribution-md", "--config", config_2d,
+                        "--n", "5,6,7")
+        assert (code, len(calls)) == (0, 1)
+        # each n reports what it reports on its own
+        for n, report in zip((5, 6, 7), json.loads(out)["runs"]):
+            code, single = run(capsys, "distribution-md", "--config", config_2d,
+                               "--n", str(n))
+            assert json.loads(single)["runs"] == [report]
 
     def test_x1_names_the_1d_coordinate(self, capsys, tmp_path):
         outputs = []

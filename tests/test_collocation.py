@@ -135,7 +135,8 @@ class TestEffectivePhase:
             assert np.array_equal(basis.shape_normalizers,
                                   ref.shape_normalizers), n
 
-    def test_series_evaluations_do_not_depend_on_n(self, monkeypatch):
+    def test_series_evaluations_do_not_depend_on_n(self, monkeypatch,
+                                                    recursion_runs):
         # one array evaluation for each of the slots u and v, at any n
         calls = []
         inner = sections._series
@@ -146,14 +147,18 @@ class TestEffectivePhase:
             return inner(s, k, sigma)
 
         monkeypatch.setattr(sections, "_series", counted)
-        counts = {}
-        for n in (24, 32, 36, 256):
-            basis = gb_basis(n, 3, hyperbolic(10.0), "nonnested")
-            calls.clear()
-            greville_samples(basis)
-            counts[n] = len(calls)
-        # two for the corner rows, two for each of the symbols h, g and f
-        assert counts == {24: 8, 32: 8, 36: 8, 256: 8}
+        for fresh, want in ((True, 8), (False, 2)):
+            counts = {}
+            for n in (24, 32, 36, 256):
+                basis = gb_basis(n, 3, hyperbolic(10.0), "nonnested")
+                if fresh:
+                    recursion_runs.reset()
+                calls.clear()
+                greville_samples(basis)
+                counts[n] = len(calls)
+            # two for the corner rows, and two for each of the symbols h, g
+            # and f unless they are kept
+            assert counts == dict.fromkeys((24, 32, 36, 256), want), fresh
 
 
 # trigonometric(7) in nested mode is feasible from n = 3 on
@@ -273,7 +278,7 @@ class TestBandedBasis:
             n = _banded_size(size, p, family, mode)
             _assert_same_as_loop_basis(n, p, family, mode, loop_antiderivative)
 
-    def test_work_does_not_grow_with_n(self, monkeypatch):
+    def test_work_does_not_grow_with_n(self, monkeypatch, recursion_runs):
         made = []
         init = sections.PiecewiseFn.__post_init__
 
@@ -290,8 +295,12 @@ class TestBandedBasis:
             if n == 64:
                 made.clear()
                 greville_samples(basis)
-                # the cardinal splines of the symbols h, g and f alone
+                # the cardinal splines of the symbols h, g and f alone,
+                # and none once the symbols are kept
                 assert len(made) == 3
+                made.clear()
+                greville_samples(basis)
+                assert made == []
         assert counts[64] == counts[4096]
 
     @pytest.mark.parametrize("family,p,n", SMALL_PHASE_CASES, ids=repr)
@@ -614,7 +623,11 @@ class TestStructure:
     def test_one_cardinal_recursion(self, recursion_runs):
         # f, h and g sample degrees p-2, p and p-1 of one recursion
         system = make_system(n=24, p=4, family=hyperbolic(10.0), mode="nonnested")
+        recursion_runs.reset()
         rep = structure_report(system)
+        assert recursion_runs == [(1, 4)]
+        # the basis's symbols are kept: a repeat report runs no recursion
+        assert structure_report(system) == rep
         assert recursion_runs == [(1, 4)]
         assert rep.central_toeplitz
         assert rep.stiffness_correction_rank <= rep.rank_bound

@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from gbspec import cli, symbols
-from gbspec.errors import UsageError
+from gbspec import cardinal, cli, sections, symbols
+from gbspec.errors import ConstraintError, UsageError
 from gbspec.multidim import DirectionSymbols
-from gbspec.sections import hyperbolic, polynomial, trigonometric
+from gbspec.sections import SectionFamily, hyperbolic, polynomial, trigonometric
 from gbspec.symbols import (KINDS, bounds_report, decay_ratio,
                             lower_bound_residual, symbol_closed_form, symbol_fn,
                             symbol_fns, symbol_max, symbol_series)
@@ -388,8 +389,8 @@ class TestBoundsReport:
 
 
 class TestSplineBuilds:
-    """One recursion run per call, each from the seed to the top degree
-    asked for, with no degree kept from an earlier call."""
+    """From an empty store, one recursion run per call, from the seed to the
+    top degree asked for; a repeat call for kept symbols runs none."""
 
     @pytest.mark.parametrize("p", range(2, 9))
     def test_g_and_f_build_only_the_sampled_degree(self, family, p, recursion_runs):
@@ -399,9 +400,15 @@ class TestSplineBuilds:
         symbol_fn("f", p, family)
         # f of degree 2 differentiates the degree-2 spline twice
         assert recursion_runs == [(1, p - 2 if p >= 3 else 2)]
+        symbol_fn("f", p, family)
+        assert recursion_runs == [(1, p - 2 if p >= 3 else 2)]
 
     def test_bounds_and_decay(self, family, recursion_runs):
         bounds_report(6, family, 256)
+        assert recursion_runs == [(1, 6)]
+        # bounds kept f_6, which is all decay needs
+        bounds_report(6, family, 256)
+        decay_ratio(6, family)
         assert recursion_runs == [(1, 6)]
         recursion_runs.reset()
         decay_ratio(6, family)
@@ -416,9 +423,150 @@ class TestSplineBuilds:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [float(r.split(",")[1]) for r in rows] == [
             decay_ratio(p, family) for p in range(2, 15)]
+        assert recursion_runs == [(1, 12)]
 
     def test_direction_symbols_build_each_level_once(self, family, recursion_runs):
         # the second direction carries the first one's run on to its degree
         DirectionSymbols([3, 5], [family, family], "nonnested")
         assert recursion_runs == [(1, 3), (4, 5)]
+        DirectionSymbols([5, 3], [family, family], "nonnested")
+        assert recursion_runs == [(1, 3), (4, 5)]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+class TestKeptSymbols:
+    """A process keeps each symbol, and its maximum, with its family's
+    recursion levels."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_same_bits_as_a_fresh_build(self, order, recursion_runs):
+        degrees = range(2, 15) if order == "ascending" else range(14, 1, -1)
+        for family in [polynomial(), *PHASE_SWEEP]:
+            recursion_runs.reset()
+            requests = [(kind, p) for p in degrees for kind in KINDS]
+            kept = {r: symbol_fn(*r, family) for r in requests}
+            maxima = {r: symbol_max(s) for r, s in kept.items()}
+            for r in requests:
+                assert symbol_fn(*r, family) is kept[r]
+            for (kind, p), sym in kept.items():
+                recursion_runs.reset()
+                fresh = symbol_fn(kind, p, family)
+                assert fresh is not sym
+                assert (sym.kind, sym.degree, sym.family) == (kind, p, family)
+                assert _same_bits(sym.coefficients, fresh.coefficients), (family, kind, p)
+                assert _same_bits(sym.toeplitz_coefficients(),
+                                  fresh.toeplitz_coefficients()), (family, kind, p)
+                assert _same_bits(maxima[kind, p], symbol_max(fresh)), (family, kind, p)
+
+    def test_kept_arrays_are_read_only(self, recursion_runs):
+        sym = symbol_fn("f", 6, hyperbolic(10.0))
+        for array in (sym.coefficients, sym._tail, sym._k):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            symbol_fn("f", 6, hyperbolic(10.0)).coefficients *= 2.0
+
+    def test_kept_family_equals_the_one_asked(self, recursion_runs):
+        first = symbol_fn("h", 5, trigonometric(1.5))
+        again = symbol_fn("h", 5, trigonometric(1.5))
+        assert again is first
+        assert again.family == trigonometric(1.5)
+        # the store is keyed by the family, so a neighbour gets its own
+        assert symbol_fn("h", 5, trigonometric(1.5000000000000002)).family == \
+            trigonometric(1.5000000000000002)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--p", "3"],
+        ["symbol", "--kind", "f", "--p", "3"],
+        ["decay", "--pmin", "2", "--pmax", "3"],
+        ["toeplitz", "--symbol", "g", "--p", "3", "--m", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_large_phase_is_refused_with_planted_symbols(self, argv, capsys,
+                                                         recursion_runs):
+        for p in (2, 3):
+            bounds_report(p, hyperbolic(76.0), 64)
+            bounds_report(p, polynomial(), 64)
+            symbol_fn("g", p, hyperbolic(76.0))
+        kept = cardinal._RECURSIONS
+        assert {("h", 3), ("g", 3), ("f", 3), ("f", 2)} <= set(kept[hyperbolic(76.0)][2])
+        kept[hyperbolic(100.0)] = kept[hyperbolic(76.0)]
+        kept[trigonometric(3.5)] = kept[polynomial()]
+        with pytest.raises(ConstraintError):
+            symbol_fn("h", 3, trigonometric(3.5))
+        assert cli.main([*argv, "--family", "hyperbolic", "--alpha", "100"]) == 2
+        assert capsys.readouterr() == ("", (
+            "numerical failure: hyperbolic effective phase 100 is above the "
+            "supported maximum 76\n"))
+
+    def test_hand_built_symbol_has_its_own_maximum(self, recursion_runs):
+        kept = symbol_fn("g", 4, polynomial())
+        hand = symbols.SymbolFn("g", 4, polynomial(), np.array([0.0, 0.5, 0.0]))
+        for sym in (kept, hand, kept, hand):
+            want = mp_symbol_max("g", sym.coefficients)
+            assert abs(symbol_max(sym) - want) <= 2 * math.ulp(want)
+        assert symbol_max(hand) != symbol_max(kept)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--p", "9", "--family", "hyperbolic", "--alpha", "0.1"],
+        ["decay", "--family", "trigonometric", "--alpha", "2", "--pmin", "2",
+         "--pmax", "8"],
+        ["symbol", "--kind", "g", "--p", "6", "--family", "trigonometric",
+         "--alpha", "1.2", "--grid", "33"],
+        ["toeplitz", "--symbol", "f", "--p", "5", "--family", "hyperbolic",
+         "--alpha", "3", "--m", "12", "--eig"],
+    ], ids=lambda argv: argv[0])
+    def test_repeat_command_evaluates_no_series(self, argv, capsys, monkeypatch,
+                                                recursion_runs):
+        series, roots = [], []
+        inner_series = sections._series
+        inner_roots = np.polynomial.chebyshev.chebroots
+
+        def counted_series(*args):
+            series.append(args[:2])
+            return inner_series(*args)
+
+        def counted_roots(*args):
+            roots.append(args)
+            return inner_roots(*args)
+
+        monkeypatch.setattr(sections, "_series", counted_series)
+        monkeypatch.setattr(np.polynomial.chebyshev, "chebroots", counted_roots)
+        assert cli.main(argv) == 0
+        first = capsys.readouterr()
+        assert series
+        assert bool(roots) == (argv[0] in ("bounds", "decay"))
+        series.clear()
+        roots.clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == first
+        assert (series, roots) == ([], [])
+
+
+#: phases of the envelope amplitude's test, down to where a**2 underflows
+ENVELOPE_PHASES = {
+    "hyperbolic": [1e-300, 1e-200, 1e-20, 1e-9, 1e-8, 1e-6, 1e-3, 0.1, 1.0,
+                   10.0, 30.0, 50.0, 76.0],
+    "trigonometric": [1e-300, 1e-200, 1e-20, 1e-9, 1e-8, 1e-6, 1e-3, 0.1,
+                      1.0, 2.0, 3.0, 3.14],
+}
+
+
+class TestEnvelopeAmplitude:
+    @pytest.mark.parametrize("tag, alpha", [
+        (tag, a) for tag, phases in ENVELOPE_PHASES.items() for a in phases])
+    def test_against_mpmath(self, tag, alpha):
+        # a**2/(cosh(a) - 1) or a**2/(1 - cos(a)) at 50 digits beyond the
+        # cancellation of the direct form
+        digits = 50 + max(0, -2 * math.floor(math.log10(alpha)))
+        with mp.workdps(digits):
+            a = mp.mpf(alpha)
+            gap = mp.cosh(a) - 1 if tag == "hyperbolic" else 1 - mp.cos(a)
+            want = float(a * a / gap)
+        got = symbols._amplitude(SectionFamily(tag, alpha))
+        assert abs(got - want) <= 4 * math.ulp(want), (got, want)
 

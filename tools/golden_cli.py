@@ -155,6 +155,9 @@ COMMANDS: list[list[str]] = [
     ["cardinal", "--family", "hyperbolic", "--alpha", "50", "--p", "3",
      "--grid", "300"],
     ["bounds", "--p", "9", "--family", "hyperbolic", "--alpha", "0.1"],
+    # the f that bounds kept, asked again by another command
+    ["symbol", "--kind", "f", "--p", "9", "--family", "hyperbolic",
+     "--alpha", "0.1", "--grid", "64"],
     ["cardinal", "--family", "trigonometric", "--alpha", "0.5", "--p", "11",
      "--grid", "300"],
     ["cardinal", "--family", "hyperbolic", "--alpha", "100", "--p", "3"],
@@ -164,6 +167,9 @@ COMMANDS: list[list[str]] = [
     ["bounds", "--p", "14", "--family", "hyperbolic", "--alpha", "76"],
     ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
      "--m", "4097"],
+    # phases at which cosh(a) - 1 and 1 - cos(a) are 0.0
+    ["bounds", "--p", "3", "--family", "hyperbolic", "--alpha", "1e-9"],
+    ["bounds", "--p", "4", "--family", "trigonometric", "--alpha", "1e-9"],
     # parser paths: usage, help and errors, with and without a command
     [],
     ["-h"],
