@@ -117,15 +117,15 @@ def _recursion(rep: SectionFamily, top: int, done=None):
 #: keeps over all families.
 KEPT_LEVEL_BYTES = 2**25
 
-#: Each family's ``(delta1, levels, kept)``: ``kept`` maps keys to objects
-#: derived from the levels (the family's symbols), each with an ``nbytes``.
-_RECURSIONS: dict[SectionFamily, tuple[float, tuple[np.ndarray, ...], dict]] = {}
+#: Each family's ``(delta1, levels, kept, nbytes)``: ``kept`` maps keys to
+#: objects derived from the levels (the family's symbols), each with an
+#: ``nbytes``, and ``nbytes`` is the levels' and those objects' bytes.
+_RECURSIONS: dict[SectionFamily, tuple[float, tuple[np.ndarray, ...], dict, int]] = {}
 _RECURSIONS_LOCK = threading.Lock()
 
 
 def _kept_bytes(entry) -> int:
-    return (sum(level.nbytes for level in entry[1])
-            + sum(value.nbytes for value in entry[2].values()))
+    return entry[3]
 
 
 def _keep(rep: SectionFamily, entry) -> None:
@@ -153,11 +153,14 @@ def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
     with _RECURSIONS_LOCK:
         entry = _RECURSIONS.pop(rep, None)
         if entry is None or len(entry[1]) < top:
-            entry = (*_recursion(rep, top, entry), {} if entry is None else entry[2])
+            _, done, stored, size = entry or (None, (), {}, 0)
+            delta1, levels = _recursion(rep, top, entry)
+            size += sum(level.nbytes for level in levels[len(done):])
+            entry = (delta1, levels, stored, size)
             _keep(rep, entry)
         else:
             _RECURSIONS[rep] = entry  # now the most recently used
-    delta1, levels, _ = entry
+    delta1, levels = entry[:2]
     return [(PiecewiseFn(rep, q, np.arange(0.0, q + 2), levels[q - 1]), delta1)
             for q in degrees]
 
@@ -182,7 +185,9 @@ def kept(family: SectionFamily, keys, build) -> dict:
         with _RECURSIONS_LOCK:
             entry = _RECURSIONS.pop(family, None)
             if entry is not None:
-                _keep(family, (*entry[:2], {**entry[2], **found}))
+                added = {key: found[key] for key in missing if key not in entry[2]}
+                size = entry[3] + sum(value.nbytes for value in added.values())
+                _keep(family, (*entry[:2], {**entry[2], **added}, size))
     return found
 
 
@@ -241,9 +246,10 @@ def _phi1_hat(family: SectionFamily, theta: np.ndarray) -> np.ndarray:
     if family.tag == HYPERBOLIC:
         # amp * (cosh a - cos t)/(t^2 + a^2) with amp = a^2/(2 sinh^2(a/2)),
         # written by cosh a - cos t = 2 sinh^2(a/2) + 2 sin^2(t/2) as a sum
-        # of positive terms: q^2 sinc^2(t/2) (1 - w) + w, w = a^2/(t^2 + a^2)
+        # of positive terms: q^2 sinc^2(t/2) (1 - w) + w, w = a^2/(t^2 + a^2),
+        # with w from hypot, as t/a overflows at tiny phases
         q = a / (2.0 * math.sinh(a / 2.0))
-        w = 1.0 / (1.0 + (theta / a) ** 2)
+        w = (a / np.hypot(a, theta)) ** 2
         ratio = q * q * np.sinc(theta / (2.0 * math.pi)) ** 2 * (1.0 - w) + w
     else:
         amp = a * a / (2.0 * math.sin(a / 2.0) ** 2)

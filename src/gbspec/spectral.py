@@ -1,13 +1,13 @@
 """Toeplitz generation, dense eigenvalues and Weyl-distribution reports.
 
-Dense eigenvalues use the reflection symmetry of the matrices when it is
-exact.  A matrix unchanged, entry for entry, by reversing the index inside
-every block of ``s`` consecutive indices, for nested block sizes ``s_1 |
-s_2 | ...`` (a tensor collocation matrix with constant coefficients on the
-identity geometry, or a symmetric Toeplitz matrix), is solved as ``2**k``
-independent parity blocks of about ``N / 2**k`` rows each, built one after
-another in a single workspace of ``N**2`` entries.  Any other matrix takes
-one LAPACK call as a whole.
+Dense eigenvalues take one path, which uses the reflection symmetry of a
+matrix where it is exact.  A matrix unchanged, entry for entry, by
+reversing the index inside every block of ``s`` consecutive indices, for
+``k`` nested block sizes ``s_1 | s_2 | ...`` (a tensor collocation matrix
+with constant coefficients on the identity geometry, or a symmetric
+Toeplitz matrix), is solved as ``2**k`` independent parity blocks of about
+``N / 2**k`` rows each, every block built only when it is solved.  With
+``k = 0`` the one block is the matrix itself.
 
 The distribution comparator sorts eigenvalue real parts against the monotone
 rearrangement of symbol samples, reports moment errors for the test functions
@@ -121,15 +121,14 @@ def eigenvalues_dense(a: np.ndarray) -> np.ndarray:
     (tridiagonalization plus implicitly shifted iterations); everything else
     goes through Hessenberg reduction with shifted QR iterations.
 
-    A matrix that equals itself exactly, entry for entry, after reversing
-    the index inside every block of ``s`` consecutive indices, for one or
-    more block sizes ``s`` (:func:`_reflection_sizes`), is first split into
-    independent parity blocks of about ``N / 2**k`` rows, where ``k`` is the
-    number of sizes found (:func:`_parity_eigenvalues`); a tensor collocation
-    matrix with constant coefficients on the identity geometry has one such
-    size per direction.  The blocks are built in one workspace of ``N**2``
-    entries and take the same solver as the whole matrix would.  Any other
-    matrix goes to that solver unchanged.
+    Every matrix takes one path, :func:`_parity_eigenvalues`, with the block
+    sizes ``s`` under whose index reversal it is exactly unchanged
+    (:func:`_reflection_sizes`): ``k`` such sizes split it into ``2**k``
+    independent parity blocks of about ``N / 2**k`` rows, each built only
+    when it is solved.  A tensor collocation matrix with constant
+    coefficients on the identity geometry has one size per direction; a
+    matrix with none is one block, the whole matrix, and the solver sees it
+    unchanged.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -138,12 +137,7 @@ def eigenvalues_dense(a: np.ndarray) -> np.ndarray:
     try:
         residual, scale = _hermitian_residual(a)
         hermitian = bool(residual <= 1e-13 * max(scale, 1.0))
-        sizes = _reflection_sizes(a)
-        if sizes:
-            return _parity_eigenvalues(a, sizes, hermitian)
-        if hermitian:
-            return np.linalg.eigvalsh(a).astype(complex)
-        return np.asarray(np.linalg.eigvals(a), dtype=complex)
+        return _parity_eigenvalues(a, _reflection_sizes(a), hermitian)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
@@ -196,47 +190,36 @@ def _parity_eigenvalues(a: np.ndarray, sizes: Sequence[int],
     symmetric or Hermitian matrix so, and it doubles every eigenvalue.  In
     it, ``a`` has no entries between the parts, so each split leaves two
     independent blocks: after k splits, 2**k blocks, of about N / 2**k rows.
+    With no sizes, the one digit is the whole index and ``a`` is the block.
 
-    The blocks are built depth first into one workspace of ``N**2``
-    entries: each split writes its two blocks into the workspace past the
-    block it splits, and a block is solved as soon as it has no digit left
-    to split.  The eigenvalues of a symmetric or Hermitian ``a`` are
-    returned in ascending order, as the symmetric solver returns them.
+    The blocks are built depth first: each split writes its even block into
+    a new array and splits or solves that before it builds the odd one, so
+    no two blocks of one split are held at once.  The eigenvalues of a
+    symmetric or Hermitian ``a`` are returned in ascending order, as the
+    symmetric solver returns them.
     """
-    size = a.shape[0]
-    bounds = [size, *sizes[::-1]]
-    radices = [hi // lo for hi, lo in zip(bounds, bounds[1:])] + [sizes[0]]
-    dtype = np.result_type(a.dtype, float)
-    x = a.reshape(radices * 2).astype(dtype, copy=False)
-    work = np.empty(size * size, dtype=dtype)
+    bounds = [a.shape[0], *sizes[::-1], 1]
+    radices = [hi // lo for hi, lo in zip(bounds, bounds[1:])]
+    x = a.reshape(radices * 2).astype(np.result_type(a.dtype, float), copy=False)
     solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
     eigs = []
 
-    def split(block: np.ndarray, axis: int, free: np.ndarray) -> None:
+    def split(block: np.ndarray, axis: int) -> None:
         if axis == 0:
             order = math.isqrt(block.size)
             eigs.append(solve(block.reshape(order, order)))
             return
-        children = []
         for part in (0, 1):
-            shape = list(block.shape)
-            shape[axis] = shape[axis + len(radices)] = (
-                (block.shape[axis] + 1 - part) // 2)
-            count = math.prod(shape)
-            children.append(free[:count].reshape(shape))
-            free = free[count:]
-        _split_parity(block, axis, *children)
-        for child in children:
-            split(child, axis - 1, free)
+            split(_parity_block(block, axis, part), axis - 1)
 
-    split(x, len(radices) - 1, work)
+    split(x, len(radices) - 1)
     vals = np.concatenate(eigs) / 2.0 ** len(sizes)
     return (np.sort(vals) if hermitian else vals).astype(complex)
 
 
-def _split_parity(x: np.ndarray, axis: int, even: np.ndarray,
-                  odd: np.ndarray) -> None:
-    """Write the even and odd parity blocks of ``x`` along one digit.
+def _parity_block(x: np.ndarray, axis: int, part: int) -> np.ndarray:
+    """The even (``part`` 0) or odd (``part`` 1) parity block of ``x`` along
+    one digit, as a new array.
 
     ``axis`` is the digit's row axis; its column axis is ``axis + x.ndim//2``.
     With ``f`` the first ``r//2`` values of the digit and ``b`` their mirror
@@ -254,17 +237,22 @@ def _split_parity(x: np.ndarray, axis: int, even: np.ndarray,
         index[axis], index[axis + arr.ndim // 2] = row, col
         return arr[tuple(index)]
 
-    for out, combine in ((at(even, front, front), np.add), (odd, np.subtract)):
-        np.add(at(x, front, front), at(x, back, back), out=out)
-        combine(out, at(x, front, back), out=out)
-        combine(out, at(x, back, front), out=out)
-    if r % 2:
-        row, col = at(even, mid, front), at(even, front, mid)
+    shape = list(x.shape)
+    shape[axis] = shape[axis + x.ndim // 2] = (r + 1 - part) // 2
+    out = np.empty(shape, dtype=x.dtype)
+    core = at(out, front, front)
+    combine = np.subtract if part else np.add
+    np.add(at(x, front, front), at(x, back, back), out=core)
+    combine(core, at(x, front, back), out=core)
+    combine(core, at(x, back, front), out=core)
+    if r % 2 and not part:
+        row, col = at(out, mid, front), at(out, front, mid)
         np.add(at(x, mid, front), at(x, mid, back), out=row)
         np.add(at(x, front, mid), at(x, back, mid), out=col)
         row *= math.sqrt(2.0)
         col *= math.sqrt(2.0)
-        np.multiply(at(x, mid, mid), 2.0, out=at(even, mid, mid))
+        np.multiply(at(x, mid, mid), 2.0, out=at(out, mid, mid))
+    return out
 
 
 def _hermitian_residual(a: np.ndarray) -> tuple[float, float]:

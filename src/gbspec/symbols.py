@@ -178,19 +178,28 @@ def symbol_series(kind: str, p: int, family: SectionFamily, theta: float,
 
 
 def _h2_shape(family: SectionFamily, theta):
-    """Closed-form h_2: c1*cos(theta) - c2, shared by f_4."""
+    """Closed-form h_2: c1*cos(theta) - c2, shared by f_4.
+
+    ``c1 = (cosh(a/2) - 1)/(cosh(a) - 1)`` and ``-c2 = (cosh(a) -
+    cosh(a/2))/(cosh(a) - 1)`` (trigonometric: ``cos``) are taken in
+    half-angle form, ``(sinh(a/4)/sinh(a/2))**2`` and ``sinh(3a/4)
+    sinh(a/4)/sinh(a/2)**2`` (``sin``), which do not cancel at small phases.
+    """
     if family.is_polynomial:
         return 0.25 * np.cos(theta) + 0.75
     a = family.phase
-    fn = math.cosh if family.tag == HYPERBOLIC else math.cos
-    denom = fn(a) - 1.0
-    return ((fn(a / 2) - 1.0) / denom) * np.cos(theta) - (fn(a / 2) - fn(a)) / denom
+    sine = math.sinh if family.tag == HYPERBOLIC else math.sin
+    quarter = sine(a / 4) / sine(a / 2)
+    return quarter**2 * np.cos(theta) + sine(3 * a / 4) / sine(a / 2) * quarter
 
 
 def symbol_closed_form(kind: str, p: int, family: SectionFamily, theta):
-    """Literal transcription of the tabulated low-degree closed forms.
+    """Transcription of the tabulated low-degree closed forms.
 
     Available pairs: h1, h2, g2, f2, g3, f3, f4 (each for all families).
+    Their amplitudes, quotients by ``cosh(a) - 1`` (trigonometric:
+    ``cos(a) - 1``), are written in half-angle form, which does not cancel
+    at small phases.
     """
     th = np.asarray(theta, dtype=float)
     a = family.phase
@@ -205,20 +214,16 @@ def symbol_closed_form(kind: str, p: int, family: SectionFamily, theta):
         return np.full_like(th, val) if th.ndim else float(val)
     if kind == "h" and p == 2:
         return _h2_shape(family, th)
-    if kind == "g" and p == 2:
+    if kind in ("g", "f") and p == 2:
         if tag == POLYNOMIAL:
-            return -np.sin(th)
-        if tag == HYPERBOLIC:
-            return -(a * math.sinh(a / 2.0) / (math.cosh(a) - 1.0)) * np.sin(th)
-        return (a * math.sin(a / 2.0) / (math.cos(a) - 1.0)) * np.sin(th)
-    if kind == "f" and p == 2:
-        if tag == POLYNOMIAL:
-            return 2.0 - 2.0 * np.cos(th)
-        if tag == HYPERBOLIC:
-            amp = a * a * math.cosh(a / 2.0) / (math.cosh(a) - 1.0)
-        else:
-            amp = a * a * math.cos(a / 2.0) / (1.0 - math.cos(a))
-        return amp * (1.0 - np.cos(th))
+            return -np.sin(th) if kind == "g" else 2.0 - 2.0 * np.cos(th)
+        # a sinh(a/2)/(cosh(a) - 1) and a**2 cosh(a/2)/(cosh(a) - 1)
+        # (trigonometric: sin, cos), by cosh(a) - 1 = 2 sinh(a/2)**2
+        sine, cosine = (math.sinh, math.cosh) if tag == HYPERBOLIC else (math.sin, math.cos)
+        ratio = a / 2.0 / sine(a / 2.0)
+        if kind == "g":
+            return -ratio * np.sin(th)
+        return 2.0 * ratio**2 * cosine(a / 2.0) * (1.0 - np.cos(th))
     if kind == "g" and p == 3:
         return -np.sin(th)
     if kind == "f" and p == 3:
@@ -322,21 +327,7 @@ class BoundReport:
     f_zero_second_diff: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "family": self.family,
-            "phase": self.phase,
-            "grid_size": self.grid_size,
-            "symbol_max": self.symbol_max,
-            "h_min": self.h_min,
-            "upper_violations": self.upper_violations,
-            "lower_violations": self.lower_violations,
-            "lower_status": self.lower_status,
-            "decay_ratio": self.decay_ratio,
-            "f_zero_value": self.f_zero_value,
-            "f_zero_first_diff": self.f_zero_first_diff,
-            "f_zero_second_diff": self.f_zero_second_diff,
-        }
+        return dict(self.__dict__)
 
 
 def _amplitude(family: SectionFamily) -> float:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -184,6 +185,34 @@ class TestKeptLevels:
         cardinal_spline(trigonometric(0.5), 11)
         assert recursion_runs == [(1, 2), (1, 2), (1, 11), (1, 11)]
 
+    def test_a_kept_miss_reads_only_the_bytes_it_adds(self, recursion_runs):
+        read = []
+
+        class Sized:
+            def __init__(self, key):
+                self.key = key
+
+            @property
+            def nbytes(self):
+                read.append(self.key)
+                return 8
+
+        def build(keys):
+            return [Sized(key) for key in keys]
+
+        families = [hyperbolic(1.0 + k) for k in range(4)]
+        for family in families:
+            cardinal_spline(family, 2)
+            cardinal.kept(family, [(family, "a"), (family, "b")], build)
+        read.clear()
+        family = families[1]
+        found = cardinal.kept(family, [(family, "a"), (family, "c")], build)
+        assert list(found) == [(family, "a"), (family, "c")]
+        assert read == [(family, "c")]
+        entry = cardinal._RECURSIONS[family]
+        assert cardinal._kept_bytes(entry) == _P2_BYTES + 3 * 8
+        assert list(cardinal._RECURSIONS)[-1] == family
+
     def test_degree_200_stays_within_the_budget(self, capsys, recursion_runs):
         argv = ["cardinal", "--family", "polynomial", "--p", "200", "--grid", "8"]
         assert cli.main(argv) == 0
@@ -345,3 +374,31 @@ class TestFourier:
         hyp = fourier_phi(hyperbolic(1e-9), 2, th)
         poly = fourier_phi(polynomial(), 2, th)
         assert hyp == pytest.approx(poly, abs=1e-12)
+
+    def test_phase_1e300_overflows_nothing(self):
+        # warnings are errors: the former (theta/a)**2 overflowed here
+        th = np.array([0.0, 1e-300, 1.0, 1e3])
+        hyp = fourier_phi(hyperbolic(1e-300), 3, th)
+        assert np.max(np.abs(hyp - fourier_phi(polynomial(), 3, th))) <= 1e-15
+        assert hyp[0] == 1.0
+
+    @pytest.mark.parametrize("family", [f for f in PHASE_SWEEP
+                                        if f.tag == "hyperbolic"], ids=repr)
+    def test_phi1_hat_matches_mpmath_and_the_former_form(self, family):
+        th = np.concatenate([np.linspace(-3 * math.pi, 3 * math.pi, 61),
+                             [1e-300, 1e-8, 1e3]])
+        got = cardinal._phi1_hat(family, th)
+        a = family.phase
+        with mp.workdps(50):
+            ma = mp.mpf(a)
+            amp = ma**2 / (2 * mp.sinh(ma / 2) ** 2)
+            ref = np.array([complex(amp * (mp.cosh(ma) - mp.cos(t)) / (t**2 + ma**2)
+                                    * mp.exp(-1j * t)) for t in map(mp.mpf, th)])
+        # the former form, 1/(1 + (theta/a)**2), which overflows at tiny a
+        q = a / (2.0 * math.sinh(a / 2.0))
+        w = 1.0 / (1.0 + (th / a) ** 2)
+        former = (q * q * np.sinc(th / (2.0 * math.pi)) ** 2 * (1.0 - w) + w) \
+            * np.exp(-1j * th)
+        ulp = np.spacing(np.max(np.abs(ref)))
+        assert np.max(np.abs(got - ref)) <= 3 * ulp
+        assert np.max(np.abs(got - former)) <= 3 * ulp

@@ -132,6 +132,39 @@ class TestClosedForms:
         with pytest.raises(UsageError):
             symbol_closed_form("h", 3, polynomial(), 0.0)
 
+    @pytest.mark.parametrize("kind,p", [("h", 2), ("g", 2), ("f", 2), ("f", 4)])
+    @pytest.mark.parametrize("family", [
+        *(hyperbolic(a) for a in (1e-300, 1e-100, 1e-20, 1e-9, 1e-6, 1e-3, 0.1,
+                                  1.0, 10.0, 30.0, 50.0, 76.0)),
+        *(trigonometric(a) for a in (1e-300, 1e-20, 1e-9, 1e-3, 0.5, 1.5, 3.0,
+                                     3.14)),
+    ], ids=repr)
+    def test_matches_mpmath_at_every_phase(self, family, kind, p):
+        # the tabulated forms, quotients by cosh(a) - 1 (cos(a) - 1), in
+        # mpmath with the digits that difference cancels added to 50
+        theta = np.linspace(-math.pi, math.pi, 33)
+        with mp.workdps(50 + max(0, round(-2 * math.log10(family.phase)))):
+            a = mp.mpf(family.phase)
+            cosine, sine, sign = ((mp.cosh, mp.sinh, -1) if family.tag == "hyperbolic"
+                                  else (mp.cos, mp.sin, 1))
+            denom = cosine(a) - 1  # the tables negate g2 (hyperbolic), f2 (trig.)
+
+            def value(t):
+                h2 = ((cosine(a / 2) - 1) * mp.cos(t) - (cosine(a / 2) - cosine(a))) / denom
+                if kind == "h":
+                    return h2
+                if kind == "g":
+                    return sign * a * sine(a / 2) / denom * mp.sin(t)
+                if p == 2:
+                    return -sign * a * a * cosine(a / 2) / denom * (1 - mp.cos(t))
+                return (2 - 2 * mp.cos(t)) * h2
+
+            ref = np.array([float(value(t)) for t in map(mp.mpf, theta)])
+        got = symbol_closed_form(kind, p, family, theta)
+        # the largest error seen is 4 ulp, hyperbolic(10) f4, a product of
+        # two rounded factors
+        assert np.max(np.abs(got - ref)) <= 6 * np.spacing(np.max(np.abs(ref)))
+
 
 class TestSeries:
     def test_h_normalization_at_origin(self):
@@ -376,6 +409,12 @@ class TestBoundsReport:
         # form of h_p stays nonnegative for hyperbolic odd degrees
         res = lower_bound_residual(p, hyperbolic(alpha), THETA)
         assert res.min() >= -1e-12
+
+    def test_phase_1e300_overflows_nothing(self):
+        # warnings are errors: the former (theta/a)**2 overflowed here
+        res = lower_bound_residual(3, hyperbolic(1e-300), np.array([0.0, 1.0]))
+        ref = lower_bound_residual(3, polynomial(), np.array([0.0, 1.0]))
+        assert np.max(np.abs(res - ref)) <= 1e-15
 
     def test_residual_reconstructs_h(self):
         # leading term + residual = h_p, by construction of the split

@@ -150,6 +150,14 @@ COMMANDS: list[list[str]] = [
     ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
      "--m", "301", "--eig"],
     ["eig", "--config", _HYP_P6, "--n", "63"],
+    # the one eigensolver path at its smallest: an order-1 block, a radix-2
+    # split into 1x1 blocks, and an odd outer radix (25) in 2D
+    ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
+     "--m", "1", "--eig"],
+    ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
+     "--m", "2", "--eig"],
+    ["distribution-md", "--config", _cfg("2d_polynomial_trigonometric.json"),
+     "--n", "25"],
     # phases the former section basis got wrong or refused, and the
     # refusal above the largest supported hyperbolic phase
     ["cardinal", "--family", "hyperbolic", "--alpha", "50", "--p", "3",
