@@ -301,8 +301,7 @@ def _cmd_assemble(args) -> None:
     if args.normalized and args.part != "full":
         raise GbspecError("--normalized applies to --part full only "
                           "(the split parts are already scaled)")
-    mat = {"full": system.full_matrix, "stiffness": system.stiffness,
-           "advection": system.advection, "mass": system.mass}[args.part]
+    mat = system.full_matrix if args.part == "full" else getattr(system, args.part)
     if args.normalized:
         mat = system.scaled_matrix
     if args.format == "npy":

@@ -24,11 +24,13 @@ every ``n`` beyond the knot vector.
 The value, first- and second-derivative matrices at the Greville points
 are Toeplitz plus corners: away from ``floor(3p/2)-1`` rows at each end,
 they are the Toeplitz matrices of the basis's own symbols h, g and f, times
-``n**r`` for the r-th derivative.  The top rows are sampled from the shapes
-at the exact Greville points ``J/(n p)``, J an integer, and the bottom rows
-are their reflections about ``x = 1/2``: the matrices are
-reflection-symmetric by construction, which the dense eigensolver of
-:mod:`gbspec.spectral` uses.
+``n**r`` for the r-th derivative.  They are held as bands, each row's
+entries in a window of at most ``p+1`` columns, never as m-by-m arrays.
+The central rows take the symbols' Toeplitz coefficients, the top rows are
+sampled from the shapes at the exact Greville points ``J/(n p)``, J an
+integer, and the bottom rows are their reflections about ``x = 1/2``: the
+matrices are reflection-symmetric by construction, which the dense
+eigensolver of :mod:`gbspec.spectral` uses.
 
 The model problem is  -kappa u'' + beta u' + gamma u = f  on (0, 1) with
 homogeneous Dirichlet data, collocated at the interior Greville abscissae; a
@@ -36,8 +38,9 @@ homogeneous Dirichlet data, collocated at the interior Greville abscissae; a
 
 In any dimension the collocation matrix is a weighted sum of tensor products
 of the 1D value, first- and second-derivative matrices.  One band assembler
-builds it for d = 1, 2, 3: ``assemble`` is the d = 1 case and
-``multidim.assemble_md`` the d = 2, 3 case.
+builds it from the bands for d = 1, 2, 3: ``assemble`` is the d = 1 case and
+``multidim.assemble_md`` the d = 2, 3 case.  The collocation matrix is the
+one dense array it writes.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .errors import ConstraintError, NumericalError, UsageError, ValidationError
 from .sections import (TRIGONOMETRIC, PiecewiseFn, SectionFamily,
                        _antiderivative_stack, _at_edge, _basis_matrix,
                        _local_derivative, polynomial)
-from .spectral import ToeplitzSpec, toeplitz
+from .spectral import ToeplitzSpec, toeplitz, toeplitz_view
 from .symbols import symbol_fns
 
 NESTED = "nested"
@@ -257,20 +260,24 @@ def gb_basis(n: int, p: int, family: SectionFamily,
     return GBBasis(kv, family, mode, piece, *_short_run(m, p, piece))
 
 
-def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray, np.ndarray]:
-    """Interior Greville points xi and the matrices N_j(xi_i), N_j'(xi_i), N_j''(xi_i).
+def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior Greville points xi and the bands of N_j(xi_i), N_j'(xi_i), N_j''(xi_i).
 
-    Columns run over the boundary-vanishing splines N_2..N_{n+p-1}; an
-    entry is zero unless its point lies in ``[a, b)`` of the spline's
-    support ``[a, b]`` (right-continuous at interior knots).
+    Returns ``(xi, starts, samples)``.  The three matrices are m-by-m, m =
+    ``xi.size``, with columns over the boundary-vanishing splines
+    N_2..N_{n+p-1}; an entry is zero unless its point lies in ``[a, b)`` of
+    the spline's support ``[a, b]`` (right-continuous at interior knots).
+    Row i of the r-th derivative matrix holds ``samples[r, i]`` in columns
+    ``starts[i] .. starts[i]+w-1``, w = min(p+1, m), a window inside the
+    matrix, and zeros elsewhere (:func:`densify` writes it out).
 
     The rows of :func:`central_range` are those of T(h), n T(g) and -n^2
-    T(f) (:func:`symbol_toeplitz`).  The rows above are sampled, or every
-    row down to the middle if there is no central row: the point ``J/(n p)``
-    lies on interval ``J // p`` at the exact local coordinate ``(J mod
-    p)/p``, where the p+1 active splines take the coefficient rows of their
-    shapes, and one basis evaluation serves the three orders.
+    T(f), from the symbols' Toeplitz coefficients.  The rows above are
+    sampled, or every row down to the middle if there is no central row:
+    the point ``J/(n p)`` lies on interval ``J // p`` at the exact local
+    coordinate ``(J mod p)/p``, where the p+1 active splines take the
+    coefficient rows of their shapes, and one basis evaluation serves the
+    three orders.
 
     Since ``N_{j+2}(1-x) = N_{n+p-1-j}(x)``, row ``m-1-i`` of the ``m`` rows
     is set to row ``i`` reversed, times ``(-1)**r`` for the r-th derivative,
@@ -284,13 +291,22 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     n, p = basis.n, basis.degree
     units = _greville_units(n, p)
     xi, size = units / (n * p), units.size
-    mats = symbol_toeplitz(basis.section_family, p, size, (1.0, n, -n * n))
+    width = min(p + 1, size)
+    starts = np.empty(size, dtype=np.intp)
+    samples = np.zeros((3, size, width))
     rng = central_range(n, p)
     # the top ``top`` rows are sampled, the last ``half`` reflect the first
     half = size // 2 if rng is None else rng[0]
     top = size - half if rng is None else half
+    if rng is not None:
+        # row i of T(c), c_k for k = -b..b, holds c_b..c_{-b} from column i-b
+        coeffs = _symbol_coefficients(basis.section_family, p)
+        starts[half:size - half] = np.arange(half, size - half) - coeffs[0].size // 2
+        for r, (c, scale) in enumerate(zip(coeffs, (1.0, n, -n * n))):
+            samples[r, half:size - half, :c.size] = (c * scale)[::-1]
     # on interval c = J // p, N_{c+1}..N_{c+p+1} are active: columns c-1..c+p-1
     interval, steps = np.divmod(units[:top], p)
+    starts[:top] = np.clip(interval - 1, 0, size - width)
     cols = interval[:, None] - 1 + np.arange(p + 1)
     inside = (cols >= 0) & (cols < size)
     rows, cols = np.nonzero(inside)[0], cols[inside]
@@ -305,27 +321,44 @@ def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray,
     tau = steps[rows] / p
     vals = np.einsum("ij,ij->i", np.tile(_basis_matrix(p, s, tau), (3, 1)),
                      np.concatenate([c0, c1, c2]))
-    for order, (mat, v) in enumerate(zip(mats, vals.reshape(3, -1))):
-        mat[:top] = 0.0
-        mat[rows, cols] = v
-        mat[size - half:] = _mirror(mat[:half], order)
-        if top > half:  # the sampled middle row of an odd row count
-            mat[half, half + 1:] = _mirror(mat[half, :half], order)
-            if order == 1:
-                mat[half, half] = 0.0
-    return (xi, *mats)
+    samples[:, rows, cols - starts[rows]] = vals.reshape(3, -1)
+    starts[size - half:] = size - width - starts[:half][::-1]
+    for order in range(3):
+        samples[order, size - half:] = _mirror(samples[order, :half], order)
+    if top > half:  # the sampled middle row of an odd row count
+        mid = densify(starts[[half]], samples[:, [half]], size)[:, 0]
+        for order in range(3):
+            mid[order, half + 1:] = _mirror(mid[order, :half], order)
+        mid[1, half] = 0.0
+        samples[:, half] = mid[:, starts[half]:starts[half] + width]
+    return xi, starts, samples
 
 
-def symbol_toeplitz(family: SectionFamily, p: int, size: int,
-                    scales: Sequence[float] = (1.0, 1.0, 1.0)) -> list[np.ndarray]:
-    """T(h), i T(g) and T(f) of order ``size``, each times its scale.
-
-    They are the central rows of the mass, advection and stiffness matrices.
-    """
+def _symbol_coefficients(family: SectionFamily, p: int) -> tuple[np.ndarray, ...]:
+    """Toeplitz coefficients of h, i g and f: the central rows of the mass,
+    advection and stiffness matrices."""
     h, g, f = symbol_fns([("h", p), ("g", p), ("f", p)], family)
-    coeffs = (h.toeplitz_coefficients(), (1j * g.toeplitz_coefficients()).real,
-              f.toeplitz_coefficients())
-    return [toeplitz(ToeplitzSpec(c * scale), size) for c, scale in zip(coeffs, scales)]
+    return (h.toeplitz_coefficients(), (1j * g.toeplitz_coefficients()).real,
+            f.toeplitz_coefficients())
+
+
+def densify(starts: np.ndarray, band: np.ndarray, size: int) -> np.ndarray:
+    """The rows held in ``band`` as dense rows of ``size`` columns.
+
+    Row i holds ``band[..., i, a]`` in column ``starts[i] + a``; window
+    entries outside ``[0, size)`` are dropped, and every other entry is 0.
+    Leading axes of ``band`` are kept.
+    """
+    cols = starts[:, None] + np.arange(band.shape[-1])
+    inside = (cols >= 0) & (cols < size)
+    out = np.zeros(band.shape[:-1] + (size,))
+    out[..., np.nonzero(inside)[0], cols[inside]] = band[..., inside]
+    return out
+
+
+def _split_parts(samples: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
+    """Mass, advection and stiffness entries from those of N, N' and N''."""
+    return samples[0], samples[1] / n, -samples[2] / n**2
 
 
 def _mirror(block: np.ndarray, order: int) -> np.ndarray:
@@ -337,36 +370,42 @@ def _mirror(block: np.ndarray, order: int) -> np.ndarray:
     return 0.0 - flipped if order % 2 else flipped
 
 
-def _band(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Columns ``cols[i]`` of row i holding every nonzero of ``mats``, and the bands.
+def _band(starts: np.ndarray, parts: Sequence[np.ndarray]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``cols[i]`` of row i holding every nonzero of ``parts``, and the bands.
 
-    The window is one width ``w`` for all rows, at most ``p+1`` for the
-    Greville samples of a GB-spline basis; ``band[i, a] = mat[i, cols[i, a]]``.
+    ``parts`` hold square matrices in the windows ``starts`` of
+    :func:`greville_samples`.  The new window runs from the row's first
+    nonzero column over all parts, at one width ``w`` for all rows (at
+    most ``p+1``), clipped to the matrix; ``band[i, a] = mat[i, cols[i, a]]``.
     """
-    nz = np.logical_or.reduce([m != 0 for m in mats])
-    size = nz.shape[1]
-    lo = nz.argmax(axis=1)
-    hi = size - 1 - nz[:, ::-1].argmax(axis=1)
+    parts = np.stack(parts)
+    nz = np.any(parts != 0, axis=0)
+    size, w = nz.shape
+    lo = starts + nz.argmax(axis=1)
+    hi = starts + w - 1 - nz[:, ::-1].argmax(axis=1)
     width = int(np.max(hi - lo)) + 1
-    cols = np.minimum(lo, size - width)[:, None] + np.arange(width)
-    return cols, [np.take_along_axis(m, cols, axis=1) for m in mats]
+    first = np.minimum(lo, size - width)
+    return first[:, None] + np.arange(width), densify(starts - first, parts, width)
 
 
-def _assemble_terms(factors: Sequence[Sequence[np.ndarray]],
+def _assemble_terms(factors: Sequence[tuple[np.ndarray, Sequence[np.ndarray]]],
                     terms: Sequence[tuple[np.ndarray, Sequence[int]]]) -> np.ndarray:
-    """Dense sum of ``weight[:, None] * kron(factors[0][r_0], ..., factors[d-1][r_{d-1}])``.
+    """Dense sum of ``weight[:, None] * kron(M_0[r_0], ..., M_{d-1}[r_{d-1}])``.
 
-    ``factors[k][r]`` is the derivative-order-r matrix of direction k; each
-    term is ``(weight, (r_0, ..., r_{d-1}))``, one weight per row in
-    lexicographic order, last index fastest.  No Kronecker product is
-    formed: each term is the outer product of its factors' bands
-    (:func:`_band`), multiplied in ``np.kron`` order, and the terms are summed
-    in the given order in band storage, then written once into the dense
-    result.  Every entry thus comes from the same products and additions as
-    the dense sum, and the working memory is the result plus O(N prod_k w_k).
+    ``factors[k] = (starts, parts)`` holds direction k's matrices as bands,
+    ``parts[r]`` the derivative-order-r one, in the windows ``starts`` of
+    :func:`greville_samples`; each term is ``(weight, (r_0, ..., r_{d-1}))``,
+    one weight per row in lexicographic order, last index fastest.  No
+    Kronecker product and no dense factor is formed: each term is the outer
+    product of its factors' bands (:func:`_band`), multiplied in ``np.kron``
+    order, and the terms are summed in the given order in band storage, then
+    written once into the dense result.  Every entry thus comes from the
+    same products and additions as the dense sum, and the working memory is
+    the result plus O(N prod_k w_k).
     """
     d = len(factors)
-    cols, bands = zip(*(_band(mats) for mats in factors))
+    cols, bands = zip(*(_band(starts, parts) for starts, parts in factors))
     sizes = [c.shape[0] for c in cols]
     order = math.prod(sizes)
 
@@ -456,11 +495,14 @@ class GeometryMap1D:
 
 @dataclass(frozen=True)
 class CollocationSystem:
-    """Assembled collocation matrices and their diagonal coefficient samplings.
+    """Assembled collocation matrix, the bands of its parts, and its
+    diagonal coefficient samplings.
 
     ``full_matrix`` is  n^2 D(kappa_hat) @ stiffness + n D(beta_hat) @
     advection + D(gamma_hat) @ mass, where the hatted coefficients absorb the
-    geometry map; ``scaled_matrix`` is ``full_matrix / n^2``.
+    geometry map.  It is the one dense matrix held: ``scaled_matrix`` and the
+    parts are formed on each access, the parts from the bands ``starts`` and
+    ``samples`` of :func:`greville_samples`.
     """
 
     n: int
@@ -469,18 +511,39 @@ class CollocationSystem:
     mode: str
     section_family: SectionFamily
     greville: np.ndarray
-    stiffness: np.ndarray  # [-N_j''(xi_i)] / n^2
-    advection: np.ndarray  # [N_j'(xi_i)] / n
-    mass: np.ndarray       # [N_j(xi_i)]
+    starts: np.ndarray   # first column of each row's window
+    samples: np.ndarray  # N_j(xi_i), N_j'(xi_i), N_j''(xi_i) in the windows
     kappa_hat: np.ndarray
     beta_hat: np.ndarray
     gamma_hat: np.ndarray
     full_matrix: np.ndarray
-    scaled_matrix: np.ndarray
 
     @property
     def order(self) -> int:
-        return self.mass.shape[0]
+        return self.greville.size
+
+    @property
+    def scaled_matrix(self) -> np.ndarray:
+        """``full_matrix / n^2``."""
+        return self.full_matrix / self.n**2
+
+    def _dense(self, r: int) -> np.ndarray:
+        return densify(self.starts, self.samples[r], self.order)
+
+    @property
+    def stiffness(self) -> np.ndarray:
+        """``[-N_j''(xi_i)] / n^2``."""
+        return -self._dense(2) / self.n**2
+
+    @property
+    def advection(self) -> np.ndarray:
+        """``[N_j'(xi_i)] / n``."""
+        return self._dense(1) / self.n
+
+    @property
+    def mass(self) -> np.ndarray:
+        """``[N_j(xi_i)]``."""
+        return self._dense(0)
 
 
 def transformed_coefficients(problem: ProblemCoefficients,
@@ -509,19 +572,16 @@ def assemble(problem: ProblemCoefficients, geometry: GeometryMap1D,
     derivative order.
     """
     n, p = basis.n, basis.degree
-    xi, mass, first, second = greville_samples(basis)
-    adv = first / n
-    stiff = -second / n**2
+    xi, starts, samples = greville_samples(basis)
     kappa_hat, beta_hat, gamma_hat = transformed_coefficients(problem, geometry, xi)
-    full = _assemble_terms([(mass, adv, stiff)],
+    full = _assemble_terms([(starts, _split_parts(samples, n))],
                            [(n**2 * kappa_hat, (2,)), (n * beta_hat, (1,)),
                             (gamma_hat, (0,))])
     return CollocationSystem(
         n=n, degree=p, family=basis.family, mode=basis.mode,
-        section_family=basis.section_family,
-        greville=xi, stiffness=stiff, advection=adv, mass=mass,
-        kappa_hat=kappa_hat, beta_hat=beta_hat, gamma_hat=gamma_hat,
-        full_matrix=full, scaled_matrix=full / n**2,
+        section_family=basis.section_family, greville=xi, starts=starts,
+        samples=samples, kappa_hat=kappa_hat, beta_hat=beta_hat,
+        gamma_hat=gamma_hat, full_matrix=full,
     )
 
 
@@ -565,9 +625,10 @@ def structure_report(sys: CollocationSystem, tol: float = 1e-10) -> StructureRep
         return StructureReport(False, False, False, False, False,
                                None, None, None, bound)
 
-    # central submatrix: 1-based block indices p..n-1
-    sl = slice(p - 1, n - 1)
-    stiff, adv, mass = (m[sl, sl] for m in (sys.stiffness, sys.advection, sys.mass))
+    # central submatrix: 1-based block indices p..n-1, densified alone
+    lo, hi = p - 1, n - 1
+    mass, adv, stiff = _split_parts(
+        densify(sys.starts[lo:hi] - lo, sys.samples[:, lo:hi], hi - lo), n)
 
     def is_toeplitz(b):  # each diagonal within tol of its first entry
         first = ToeplitzSpec(np.r_[b[0, :0:-1], b[:, 0]])
@@ -581,10 +642,12 @@ def structure_report(sys: CollocationSystem, tol: float = 1e-10) -> StructureRep
     # every other row is that of T, up to the rounding of the scaling by
     # n^r: the correction ranks are those of the corner rows
     corners = np.r_[0:rng[0], rng[1]:sys.order]
+    rows = _split_parts(densify(sys.starts[corners], sys.samples[:, corners],
+                                sys.order), n)
     ranks = []
-    for mat, t in zip((sys.mass, sys.advection, sys.stiffness),
-                      symbol_toeplitz(sys.section_family, p, sys.order)):
-        sv = np.linalg.svd(mat[corners] - t[corners], compute_uv=False)
+    for mat, c in zip(rows, _symbol_coefficients(sys.section_family, p)):
+        t = toeplitz_view(ToeplitzSpec(c), sys.order)[corners]
+        sv = np.linalg.svd(mat - t, compute_uv=False)
         ranks.append(int(np.sum(sv > 1e-8 * sv[0])))
     r_mass, r_adv, r_stiff = ranks
     if r_stiff > bound:

@@ -203,12 +203,13 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int) -> np.ndarr
     the identity in three.
 
     The matrix is a weighted sum of ``d^2 + d + 1`` Kronecker products of 1D
-    value/derivative matrices, built from per-direction bands by
+    value/derivative matrices, built from the per-direction bands of
+    :func:`collocation.greville_samples` by
     :func:`collocation._assemble_terms` without forming any of them.
     """
     d = problem.d
     bases = direction_bases(problem, geometry, n)
-    grevilles, values, first, second = zip(*map(greville_samples, bases))
+    grevilles, starts, samples = zip(*map(greville_samples, bases))
 
     pts = _tensor_grid(grevilles)
     phys = geometry.map_at(pts)
@@ -230,7 +231,7 @@ def assemble_md(problem: ProblemMD, geometry: GeometryMapMD, n: int) -> np.ndarr
              for i in range(d) for j in range(d)]
     terms += [(grad_w[:, i], [int(k == i) for k in range(d)]) for i in range(d)]
     terms.append((gamma, [0] * d))
-    return _assemble_terms(list(zip(values, first, second)), terms)
+    return _assemble_terms(list(zip(starts, samples)), terms)
 
 
 class DirectionSymbols:

@@ -11,6 +11,8 @@ the integral recursion over the whole knot vector, kept as the reference
 for the banded basis, the former dense assemblies kept as bit-identity
 references for the band assembler: :func:`dense_assemble_1d` (1D) and
 :func:`dense_kron_assemble_md` (d-variate, from dense Kronecker products),
+the former scan of dense matrices for their bands, kept as the reference
+for the band-native window rule: :func:`dense_band`,
 the former spline-by-spline Greville sampling at floating-point points,
 kept as the independent reference for the corner rows and the accuracy
 baseline of the Toeplitz-plus-corners sampler:
@@ -37,11 +39,12 @@ midpoint rules).
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from gbspec import exprparse
-from gbspec.collocation import (CollocationSystem, KnotVector, gb_basis,
+from gbspec.collocation import (KnotVector, densify, gb_basis,
                                 greville_abscissae, greville_samples)
 from gbspec.cardinal import SEED_ROWS, cardinal_derivative, cardinal_spline
 from gbspec.errors import UsageError, ValidationError
@@ -308,6 +311,27 @@ def loop_greville_samples(basis):
     return (xi, *mats)
 
 
+def dense_greville_samples(basis):
+    """:func:`~gbspec.collocation.greville_samples` with its bands written
+    out: the Greville points and the dense value, first- and
+    second-derivative matrices."""
+    xi, starts, samples = greville_samples(basis)
+    return (xi, *densify(starts, samples, xi.size))
+
+
+def dense_band(mats):
+    """Columns ``cols[i]`` of row i holding every nonzero of the dense
+    ``mats``, and the bands: the former scan of the dense matrices, kept as
+    the reference for the band-native window rule."""
+    nz = np.logical_or.reduce([m != 0 for m in mats])
+    size = nz.shape[1]
+    lo = nz.argmax(axis=1)
+    hi = size - 1 - nz[:, ::-1].argmax(axis=1)
+    width = int(np.max(hi - lo)) + 1
+    cols = np.minimum(lo, size - width)[:, None] + np.arange(width)
+    return cols, [np.take_along_axis(m, cols, axis=1) for m in mats]
+
+
 def reflect_rows(samples):
     """Greville samples with every row below the middle replaced by its mirror.
 
@@ -413,7 +437,7 @@ def mp_nested_shape_error(n: int, p: int, family) -> float:
     exact = mp_greville_samples(n0, p, family.tag, small.section_family.phase,
                                 greville_abscissae(small.knots))
     return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
-               for a, b in zip(greville_samples(small)[1:], exact))
+               for a, b in zip(dense_greville_samples(small)[1:], exact))
 
 
 def _mp_samples(n, p, tag, eff, xs, mp) -> list:
@@ -582,7 +606,7 @@ def dense_kron_assemble_md(problem, geometry, n: int,
         raise UsageError("d = 3 supports the identity geometry only")
     bases = [gb_basis(problem.nu[j] * n, problem.degrees[j], problem.families[j],
                       problem.mode) for j in range(d)]
-    grevilles, values, first, second = zip(*map(greville_samples, bases))
+    grevilles, values, first, second = zip(*map(dense_greville_samples, bases))
     order = int(np.prod([v.shape[0] for v in values]))
     if order > order_cap:
         raise UsageError(f"system order {order} exceeds cap {order_cap}")
@@ -630,10 +654,10 @@ def dense_kron_assemble_md(problem, geometry, n: int,
     return out
 
 
-def dense_assemble_1d(problem, geometry, basis) -> CollocationSystem:
-    """The 1D collocation system from the dense three-term formula."""
+def dense_assemble_1d(problem, geometry, basis) -> SimpleNamespace:
+    """The fields of the 1D collocation system from the dense three-term formula."""
     n, p = basis.n, basis.degree
-    xi, mass, first, second = greville_samples(basis)
+    xi, mass, first, second = dense_greville_samples(basis)
     adv = first / n
     stiff = -second / n**2
 
@@ -656,9 +680,7 @@ def dense_assemble_1d(problem, geometry, basis) -> CollocationSystem:
     full = (n**2 * kappa_hat[:, None] * stiff
             + n * beta_hat[:, None] * adv
             + gamma_hat[:, None] * mass)
-    return CollocationSystem(
-        n=n, degree=p, family=basis.family, mode=basis.mode,
-        section_family=basis.section_family,
+    return SimpleNamespace(
         greville=xi, stiffness=stiff, advection=adv, mass=mass,
         kappa_hat=kappa_hat, beta_hat=beta_hat, gamma_hat=gamma_hat,
         full_matrix=full, scaled_matrix=full / n**2,

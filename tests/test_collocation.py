@@ -1,13 +1,17 @@
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gbspec import collocation, sections
+from gbspec.cli import load_problem_1d
 from gbspec.cardinal import cardinal_spline
 from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
                                 ProblemCoefficients, assemble, central_range,
-                                gb_basis, greville_abscissae,
+                                densify, gb_basis, greville_abscissae,
                                 greville_samples, structure_report)
 from gbspec.errors import (ConstraintError, NumericalError, UsageError,
                            ValidationError)
@@ -15,11 +19,13 @@ from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
                              polynomial, trigonometric)
 from gbspec.spectral import ToeplitzSpec, toeplitz
 from gbspec.symbols import symbol_fn
-from oracles import (dense_assemble_1d, exact_greville_abscissae,
+from oracles import (dense_assemble_1d, dense_greville_samples,
+                     exact_greville_abscissae,
                      full_span_basis, loop_antiderivative, loop_gb_basis,
                      loop_greville_samples, mp_greville_samples,
                      mp_nested_shape_error, reflect_rows)
 
+CONFIGS = Path(__file__).resolve().parent.parent / "gbbench" / "configs"
 MODES = ("nested", "nonnested")
 Q_CASES = [(hyperbolic(10.0), "nonnested"), (hyperbolic(10.0), "nested"),
            (trigonometric(math.pi / 2), "nonnested"),
@@ -231,7 +237,7 @@ class TestBandedBasis:
         for i, s in enumerate(basis.splines, start=1):
             assert s.coeffs.shape[0] <= p + 1
             assert s.support == (t[i - 1], t[i + p])
-        mats = greville_samples(basis)[1:]
+        mats = dense_greville_samples(basis)[1:]
         refs, residual = _full_span_samples(n, p, family, mode)
         err = _rel_err(mats, refs)
         if err <= 1e-12:
@@ -335,7 +341,7 @@ def _assert_as_accurate_as_the_loop_sampler(n: int, p: int, family: SectionFamil
     basis = gb_basis(n, p, family, mode)
     exact = mp_greville_samples(n, p, family.tag, basis.section_family.phase or 0.0,
                                 exact_greville_abscissae(n, p))
-    got = greville_samples(basis)[1:]
+    got = dense_greville_samples(basis)[1:]
     former = reflect_rows(loop_greville_samples(basis))[1:]
     for r, (a, b, ref) in enumerate(zip(got, former, exact)):
         err, former_err = np.max(np.abs(a - ref)), np.max(np.abs(b - ref))
@@ -369,7 +375,7 @@ class TestOnePassSampling:
         family, mode = case
         for n in (2 * p + 2, 37):
             basis = gb_basis(n, p, family, mode)
-            xi, *mats = greville_samples(basis)
+            xi, *mats = dense_greville_samples(basis)
             h, g, f = (symbol_fn(kind, p, basis.section_family) for kind in "hgf")
             coefficients = (h.toeplitz_coefficients(),
                             (1j * g.toeplitz_coefficients()).real,
@@ -392,7 +398,7 @@ class TestOnePassSampling:
             if n < smallest:
                 continue
             basis = gb_basis(n, p, family, mode)
-            got = greville_samples(basis)
+            got = dense_greville_samples(basis)
             ref = loop_greville_samples(basis)
             rng = central_range(n, p)
             corners = slice(None) if rng is None else np.r_[0:rng[0], rng[1]:got[0].size]
@@ -424,12 +430,36 @@ class TestReflectedSamples:
     @pytest.mark.parametrize("p", range(2, 9))
     @pytest.mark.parametrize("case", BANDED_CASES,
                              ids=lambda c: f"{c[0].tag}{c[0].phase or ''}-{c[1]}")
+    def test_band_invariants(self, case, p):
+        family, mode = case
+        smallest = _banded_size("smallest", p, family, mode)
+        # both parities of m = n+p-2, without and with central rows
+        for n in (smallest, smallest + 1, 2 * p + 2, 2 * p + 3, 37):
+            xi, starts, samples = greville_samples(gb_basis(n, p, family, mode))
+            m, w = xi.size, samples.shape[2]
+            assert starts.shape == (m,) and samples.shape == (3, m, w), n
+            assert w <= p + 1, n
+            assert starts.min() >= 0 and (starts + w).max() <= m, n
+            for r, mat in enumerate(densify(starts, samples, m)):
+                # row m-1-i is row i reversed, times (-1)**r, for every row
+                # above the middle and for the right half of a middle row
+                for i in range((m + 1) // 2):
+                    got, want = mat[m - 1 - i], mat[i, ::-1]
+                    if 2 * i == m - 1:
+                        got, want = got[i + 1:], want[i + 1:]
+                    want = 0.0 - want if r % 2 else want
+                    assert np.array_equal(got, want), (n, r, i)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (n, r, i)
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    @pytest.mark.parametrize("case", BANDED_CASES,
+                             ids=lambda c: f"{c[0].tag}{c[0].phase or ''}-{c[1]}")
     def test_exactly_reflection_symmetric(self, case, p):
         family, mode = case
         smallest = _banded_size("smallest", p, family, mode)
         # m = n+p-2 rows: both parities, below and above n = 2p+2
         for n in (smallest, smallest + 1, 2 * p + 2, 2 * p + 3):
-            _, *mats = greville_samples(gb_basis(n, p, family, mode))
+            _, *mats = dense_greville_samples(gb_basis(n, p, family, mode))
             for r, mat in enumerate(mats):
                 assert np.array_equal(mat[::-1, ::-1], (-1) ** r * mat), (n, r)
 
@@ -447,7 +477,7 @@ class TestReflectedSamples:
             exact = mp_greville_samples(n, p, family.tag,
                                         basis.section_family.phase or 0.0,
                                         exact_greville_abscissae(n, p))
-            got = greville_samples(basis)[1:]
+            got = dense_greville_samples(basis)[1:]
             every_row = loop_greville_samples(basis)[1:]
             for r, (a, b, ref) in enumerate(zip(got, every_row, exact)):
                 ulp = np.finfo(float).eps * np.max(np.abs(ref))
@@ -571,6 +601,36 @@ class TestBandAssembly1D:
                 assert np.array_equal(a, b), (name, size)
                 assert np.array_equal(np.signbit(a), np.signbit(b)), (name, size)
 
+    def test_holds_one_dense_matrix(self):
+        # 1d_hyperbolic_geometry at n = 1024: the full matrix is the one
+        # N x N array a system holds, and the scaled matrix the one more
+        # that asking for it makes
+        cfg = json.loads((CONFIGS / "1d_hyperbolic_geometry.json").read_text())
+        problem, geometry, family, mode, p = load_problem_1d(cfg)
+        basis = gb_basis(1024, p, family, mode)
+        assemble(problem, geometry, gb_basis(64, p, family, mode))  # warm caches
+        tracemalloc.start()
+        try:
+            system = assemble(problem, geometry, basis)
+            scaled = system.scaled_matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense = scaled.nbytes
+        assert scaled.shape == (1025, 1025)
+        assert peak <= 2.5 * dense
+        held = sum(v.nbytes for v in vars(system).values()
+                   if isinstance(v, np.ndarray))
+        assert held - dense <= 8 * 8 * system.order * (p + 1)
+
+    def test_parts_are_formed_on_access(self):
+        system = make_system(n=12, p=3, family=hyperbolic(10.0))
+        assert not any(isinstance(v, np.ndarray) and v.ndim == 2
+                       for v in vars(system).values()
+                       if v is not system.full_matrix)
+        assert system.mass is not system.mass
+        assert np.array_equal(system.scaled_matrix, system.full_matrix / 144)
+
 
 class TestNorms:
     @pytest.mark.parametrize("mode", MODES)
@@ -630,6 +690,14 @@ class TestStructure:
         assert structure_report(system) == rep
         assert recursion_runs == [(1, 4)]
         assert rep.central_toeplitz
+        assert rep.stiffness_correction_rank <= rep.rank_bound
+
+    def test_reads_the_bands_not_the_dense_parts(self, monkeypatch):
+        system = make_system(n=40, p=4, family=hyperbolic(10.0))
+        rep = structure_report(system)
+        monkeypatch.setattr(CollocationSystem, "_dense", None)
+        assert structure_report(system) == rep
+        assert rep.central_toeplitz and rep.advection_skew
         assert rep.stiffness_correction_rank <= rep.rank_bound
 
     def test_no_central_rows_reported(self):

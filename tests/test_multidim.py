@@ -6,7 +6,7 @@ import pytest
 
 from gbspec import exprparse, multidim, spectral
 from gbspec.collocation import (GeometryMap1D, ProblemCoefficients, _band,
-                                assemble, gb_basis, greville_samples)
+                                assemble, densify, gb_basis, greville_samples)
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
                              assemble_md, direction_bases, md_symbol_samples)
@@ -14,11 +14,11 @@ from gbspec.sections import (hyperbolic, piecewise_derivative, polynomial,
                              trigonometric)
 from gbspec.symbols import symbol_fn
 
-from oracles import dense_kron_assemble_md
+from oracles import dense_band, dense_kron_assemble_md
 
 
 def direction_data(problem, n):
-    """Greville points, value and derivative matrices of each direction."""
+    """Greville points, window starts and band samples of each direction."""
     bases = direction_bases(problem, GeometryMapMD.identity(problem.d), n)
     return tuple(zip(*map(greville_samples, bases)))
 
@@ -242,10 +242,11 @@ class TestBandAssembly:
     def test_bands_hold_every_nonzero(self, n):
         problem = laplace_problem(degrees=(2, 5), nu=(1, 2), mode="nonnested",
                                   families=(hyperbolic(3.0),) * 2)
-        _, values, first, second = direction_data(problem, n)
-        for k, mats in enumerate(zip(values, first, second)):
-            cols, bands = _band(mats)
-            size = mats[0].shape[1]
+        _, starts, samples = direction_data(problem, n)
+        for k, (s, parts) in enumerate(zip(starts, samples)):
+            cols, bands = _band(s, parts)
+            size = s.size
+            mats = densify(s, parts, size)
             assert cols.shape[1] <= problem.degrees[k] + 1
             assert cols.min() >= 0 and cols.max() < size
             for mat, band in zip(mats, bands):
@@ -255,9 +256,24 @@ class TestBandAssembly:
 
     def test_whole_matrix_band_at_smallest_n(self):
         problem = laplace_problem(degrees=(3, 3))
-        _, values, first, second = direction_data(problem, 2)
-        cols, _ = _band((values[0], first[0], second[0]))
-        assert cols.shape == values[0].shape
+        _, starts, samples = direction_data(problem, 2)
+        cols, _ = _band(starts[0], samples[0])
+        assert cols.shape == (starts[0].size,) * 2
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 24])
+    def test_windows_are_those_of_the_dense_scan(self, n):
+        # the window rule on the bands gives the columns and the entries,
+        # signs of zeros included, of the former scan of dense matrices
+        problem = laplace_problem(degrees=(3, 6), nu=(1, 2), mode="nonnested",
+                                  families=(trigonometric(2.0), hyperbolic(3.0)))
+        _, starts, samples = direction_data(problem, n)
+        for s, parts in zip(starts, samples):
+            cols, bands = _band(s, parts)
+            want_cols, want = dense_band(densify(s, parts, s.size))
+            assert np.array_equal(cols, want_cols)
+            for band, ref in zip(bands, want):
+                assert np.array_equal(band, ref)
+                assert np.array_equal(np.signbit(band), np.signbit(ref))
 
     def test_peak_memory_near_result_size(self):
         problem = cube_problem(hyperbolic(10.0))

@@ -158,6 +158,10 @@ COMMANDS: list[list[str]] = [
      "--m", "2", "--eig"],
     ["distribution-md", "--config", _cfg("2d_polynomial_trigonometric.json"),
      "--n", "25"],
+    # band edge cases: order 7 (p = 4, n = 5), no central row, and a sampled
+    # middle row whose right half mirrors its left
+    *[["assemble", "--config", _cfg("1d_trigonometric_nested.json"), "--n", "5",
+       "--part", part] for part in ("full", "stiffness", "advection", "mass")],
     # phases the former section basis got wrong or refused, and the
     # refusal above the largest supported hyperbolic phase
     ["cardinal", "--family", "hyperbolic", "--alpha", "50", "--p", "3",
