@@ -2,13 +2,21 @@
 
 Subcommands: cardinal, symbol, bounds, decay, assemble, eig, toeplitz,
 distribution, distribution-md.  All numeric output is deterministic given the
-configuration; CSV uses 17 significant digits, JSON uses stable key order.
+configuration; JSON uses stable key order.  A CSV value is exactly C's
+``%.17g`` of its double: style f for a decimal exponent X with
+-4 <= X < 17, else style e with at least two exponent digits; trailing
+zeros dropped, and the point when nothing follows it; ``-0``, ``nan`` and
+``inf`` as C prints them; a complex value as ``re+imj``.  :mod:`g17`
+prints blocks with numpy and certifies each value's rounding; exact
+decimal ties, nan, inf, subnormals, magnitudes beyond its table and small
+blocks are printed by ``%`` itself, so the bytes never depend on the path.
 The distribution commands solve their n values one after another.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -30,7 +38,10 @@ from .spectral import (ToeplitzSpec, check_order, check_outlier_eps,
 from .symbols import MIN_BOUNDS_GRID, bounds_report, decay_ratios, symbol_fn
 
 _FAMILY_NAMES = ("polynomial", "hyperbolic", "trigonometric")
-_CSV_BLOCK = 4096  # values per format operation
+#: values a CSV block: g17.lines peaks at about 150 bytes of temporaries a
+#: value, 0.6 MiB a block; blocks of 1024 and of 8192 values print the
+#: 4081-row cardinal output slower
+_CSV_BLOCK = 4096
 
 
 def worker_count() -> int:
@@ -38,12 +49,21 @@ def worker_count() -> int:
     return 1
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Refuse, in one line, an output path that cannot be written."""
+    try:
+        yield
+    except OSError as exc:
+        raise GbspecError(f"cannot write {path!r}: {exc}") from None
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _blocks(rows, size: int):
@@ -54,26 +74,23 @@ def _blocks(rows, size: int):
         return
     rows = iter(rows)
     while block := list(islice(rows, size)):
-        yield np.array(block)
+        # numpy converts a few long columns faster than many short rows
+        yield np.array(list(zip(*block, strict=True))).T
 
 
 def _csv(header: list[str], rows) -> str:
     """The header line, then one line per row of ``len(header)`` values.
 
     ``rows`` is a 2-D array or an iterable of rows.  A value prints as
-    ``%.17g`` of its float, a complex one as ``re+imj`` with both parts so.
-    Rows are formatted a block at a time, one format string per block, so
-    only one block's Python floats exist at once.
+    ``%.17g`` of its float, a complex one as ``re+imj`` with both parts so
+    (:func:`g17.lines`).  Rows are formatted a block at a time, so only one
+    block's temporaries exist at once.
     """
-    lines = [",".join(header)]
-    for values in _blocks(rows, max(1, _CSV_BLOCK // max(1, len(header)))):
-        if np.iscomplexobj(values):
-            field, values = "%.17g%+.17gj", np.ascontiguousarray(values).view(float)
-        else:
-            field, values = "%.17g", np.asarray(values, dtype=float)
-        line = ",".join([field] * len(header))
-        lines.append("\n".join([line] * len(values)) % tuple(values.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+    # imported here: a process that prints no CSV never compiles the writer
+    from . import g17
+
+    blocks = _blocks(rows, max(1, _CSV_BLOCK // max(1, len(header))))
+    return "".join([",".join(header) + "\n", *map(g17.lines, blocks)])
 
 
 def _json(payload) -> str:
@@ -307,7 +324,8 @@ def _cmd_assemble(args) -> None:
     if args.format == "npy":
         if args.out in (None, "-"):
             raise GbspecError("--format npy requires --out")
-        np.save(args.out, mat)
+        with _writing(args.out):
+            np.save(args.out, mat)
         return
     header = [f"c{j}" for j in range(mat.shape[1])]
     _write(args.out, _csv(header, mat))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cardinal import (_derivative_rows, _frozen, _phi1_hat, cardinal_splines,
                        kept)
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily, _basis_matrix,
                        _local_derivative)
 
@@ -300,8 +300,26 @@ def decay_ratio(p: int, family: SectionFamily) -> float:
 
 def decay_ratios(degrees, family: SectionFamily) -> list[float]:
     """:func:`decay_ratio` of each degree, from one cardinal recursion."""
-    fs = symbol_fns([("f", p) for p in degrees], family)
-    return [float(f(math.pi)) / symbol_max(f) for f in fs]
+    return [_decay_ratio(f) for f in symbol_fns([("f", p) for p in degrees], family)]
+
+
+def _decay_ratio(f: SymbolFn) -> float:
+    """``f(pi) / max f``, refused once ``f(pi)`` is rounding noise.
+
+    ``f(pi)`` sums n = floor(p/2) + 1 terms, ``c_0`` and ``2 c_k cos(k pi)``;
+    in floating point that sum errs by at most ``gamma_n`` times the sum of
+    the terms' magnitudes, ``gamma_n = n u / (1 - n u)`` with u = 2**-53.
+    A value that does not exceed that bound has no correct digit, nor a sign.
+    """
+    value = float(f(math.pi))
+    n = f.coefficients.size
+    u = np.finfo(float).eps / 2
+    bound = n * u / (1 - n * u) * (abs(f.coefficients[0]) + 2.0 * np.abs(f._tail).sum())
+    if not abs(value) > bound:
+        raise NumericalError(
+            f"decay ratio at p = {f.degree}: f(pi) = {value:.3g} does not exceed "
+            f"{bound:.3g}, the rounding bound of its sum")
+    return value / symbol_max(f)
 
 
 @dataclass(frozen=True)
@@ -398,7 +416,7 @@ def bounds_report(p: int, family: SectionFamily,
         # cancellation of the three values
         second = 8.0 * float(np.sin(f._k * (step / 2)) ** 2 @ f._tail) / step**2
         mx = symbol_max(f)
-        ratio = float(f(math.pi)) / mx
+        ratio = _decay_ratio(f)
     else:
         f0 = first = second = mx = ratio = None
 

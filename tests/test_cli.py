@@ -1,12 +1,14 @@
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbspec import cli, spectral
+from gbspec import cli, g17, spectral
+from gbspec.cardinal import cardinal_spline
 from gbspec.cli import main
 from gbspec.sections import SectionFamily, polynomial
 from gbspec.spectral import ToeplitzSpec, eigenvalues_dense, toeplitz
@@ -215,6 +217,58 @@ class TestCardinalAndBounds:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("argv, p", [
+        (["decay", "--family", "polynomial", "--pmin", "2", "--pmax", "400"], 81),
+        (["decay", "--family", "hyperbolic", "--alpha", "10", "--pmin", "80",
+          "--pmax", "90"], 83),
+        (["bounds", "--p", "90", "--family", "polynomial", "--grid", "64"], 90),
+    ], ids=["decay-polynomial", "decay-hyperbolic", "bounds"])
+    def test_decay_ratio_of_rounding_noise_exits_two(self, capsys, argv, p):
+        # where f(pi) is no larger than the rounding bound of its own sum,
+        # the ratio has no correct digit, nor a sign
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"numerical failure: decay ratio at p = {p}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_last_answered_decay_ratios_are_positive(self, capsys):
+        for family in (["polynomial"], ["hyperbolic", "--alpha", "10"]):
+            code, out = run(capsys, "decay", "--family", *family,
+                            "--pmin", "70", "--pmax", "80")
+            assert code == 0
+            assert all(float(line.split(",")[1]) > 0
+                       for line in out.splitlines()[1:])
+
+
+class TestOutputPath:
+    @pytest.fixture(params=["missing-directory", "directory"])
+    def unwritable(self, request, tmp_path):
+        if request.param == "directory":
+            # np.save adds ".npy" to a path without it, so the directory has it
+            (tmp_path / "d.npy").mkdir()
+            return tmp_path / "d.npy"
+        return tmp_path / "missing" / "x.npy"
+
+    def check_refused(self, capsys, argv, path):
+        code = main([*argv, "--out", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: cannot write {str(path)!r}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_csv(self, capsys, unwritable):
+        self.check_refused(capsys, ["cardinal", "--family", "polynomial", "--p", "3",
+                                    "--grid", "5"], unwritable)
+
+    def test_json(self, capsys, unwritable):
+        self.check_refused(capsys, ["bounds", "--p", "3", "--family", "polynomial"],
+                           unwritable)
+
+    def test_npy(self, capsys, config_1d, unwritable):
+        self.check_refused(capsys, ["assemble", "--config", config_1d, "--n", "8",
+                                    "--format", "npy"], unwritable)
 
 
 class TestAssembleAndEig:
@@ -582,11 +636,25 @@ def test_full_parser_has_every_command():
 
 
 def _value_by_value_csv(header, rows) -> str:
-    """The former CSV emitter: one f-string per value."""
+    """The former CSV emitter: one f-string per value, ``re+imj`` for a
+    complex one."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(f"{float(v):.17g}" for v in row))
+        lines.append(",".join(f"{v.real:.17g}{v.imag:+.17g}j" if isinstance(v, complex)
+                              else f"{float(v):.17g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _bit_neighbours(values, count: int) -> np.ndarray:
+    """``values`` and the ``count`` doubles on each side of each, by bit pattern."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(-count, count + 1)).view(float).ravel()
+
+
+#: the symbol-scan families of the benchmark whose cardinal splines print
+BENCHMARK_FAMILIES = [
+    polynomial(), *(SectionFamily("hyperbolic", a) for a in (0.1, 1.0, 10.0, 30.0)),
+    *(SectionFamily("trigonometric", a) for a in (0.5, 1.5, 3.0))]
 
 
 SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
@@ -616,6 +684,10 @@ class TestCsv:
             header = [f"c{j}" for j in range(shape[1])]
             assert cli._csv(header, mat) == _value_by_value_csv(header, mat)
 
+    def test_ragged_rows_are_refused(self):
+        with pytest.raises(ValueError):
+            cli._csv(["a", "b"], [(1.0, 2.0), (3.0,)])
+
     def test_zero_rows(self):
         assert cli._csv(["re", "im"], []) == "re,im\n"
         assert cli._csv(["c0"], np.zeros((0, 1))) == "c0\n"
@@ -626,9 +698,7 @@ class TestCsv:
         mat[0, :4] = [complex(-0.0, -0.0), complex(math.nan, math.inf),
                       complex(5e-324, -math.inf), 1j]
         header = [f"c{j}" for j in range(9)]
-        lines = [",".join(header)] + [
-            ",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in mat]
-        assert cli._csv(header, mat) == "\n".join(lines) + "\n"
+        assert cli._csv(header, mat) == _value_by_value_csv(header, mat)
 
     @pytest.mark.parametrize("columns", [1, 2, 3, 100])
     def test_array_matches_rows_across_block_edges(self, columns):
@@ -645,6 +715,74 @@ class TestCsv:
             assert text == cli._csv(header, zip(*mat.T)), count
             assert text == _value_by_value_csv(header, mat), count
             assert text.count("\n") == count + 1
+
+    def test_a_million_values_match_the_reference(self):
+        rng = np.random.default_rng(22)
+        powers = [float(f"1e{j}") for j in range(-307, 309)]
+        values = np.concatenate([
+            rng.integers(0, 2**64, 980_000, dtype=np.uint64).view(float),
+            _bit_neighbours(powers, 3),
+            1 + (2 * np.arange(2**12) + 1) * 2.0**-17,  # exact decimal ties
+            # where %.17g switches between styles f and e
+            _bit_neighbours([1e16, 1e17, 1e-4, 1e-5], 2000),
+            np.arange(10**16 - 2000, 10**16 + 2000, dtype=np.int64).astype(float),
+            np.arange(10**17 - 20000, 10**17 + 20000, 16, dtype=np.int64).astype(float),
+        ])
+        # a sign bit flipped by bits: arithmetic on a signalling nan warns
+        signs = rng.integers(0, 2, values.size, dtype=np.uint64) << np.uint64(63)
+        values = (values.view(np.uint64) ^ signs).view(float)
+        values[rng.random(values.size) < 0.01] = 0.0
+        values[rng.random(values.size) < 0.01] = -0.0
+        mat = rng.permutation(values)[:values.size // 4 * 4].reshape(-1, 4)
+        assert mat.size >= 10**6
+        header = ["a", "b", "c", "d"]
+        assert cli._csv(header, mat) == _value_by_value_csv(header, mat)
+
+    def test_complex_special_parts_match_the_reference(self):
+        rng = np.random.default_rng(23)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        count = 3000
+        re = rng.standard_normal(count) * 10.0 ** rng.integers(-20, 20, count)
+        im = rng.standard_normal(count) * 10.0 ** rng.integers(-20, 20, count)
+        im[::2] = rng.choice(special, count // 2)
+        re[::3] = rng.choice(special, len(re[::3]))
+        mat = np.empty((count // 3, 3), dtype=complex)
+        mat.real.flat, mat.imag.flat = re, im
+        mat.real[0, 0], mat.imag[0, 0] = -0.0, -0.0
+        header = ["c0", "c1", "c2"]
+        assert cli._csv(header, mat) == _value_by_value_csv(header, mat)
+        assert cli._csv(header, zip(*mat.T)) == _value_by_value_csv(header, mat)
+
+    def test_digits_and_exponent_are_those_percent_prints(self):
+        rng = np.random.default_rng(24)
+        values = np.abs(np.concatenate([
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(float),
+            _bit_neighbours([float(f"1e{j}") for j in range(-300, 300)], 2)]))
+        d, x, certified = g17.digits(values)
+        for value, digits, exponent in zip(values[certified].tolist(),
+                                           d[certified].tolist(),
+                                           x[certified].tolist()):
+            mantissa, printed = ("%.16e" % value).split("e")
+            assert (digits, exponent) == \
+                (int(mantissa.replace(".", "")), int(printed)), value
+        # inside the table, only exact ties are refused: 18 significant
+        # digits, the last a 5 (many between 2**46 and 2**53)
+        inside = (values > 1e-270) & (values < 1e270)
+        for value in values[inside & ~certified].tolist():
+            exact = Decimal(value).normalize().as_tuple().digits
+            assert (len(exact), exact[-1]) == (18, 5), value
+
+    def test_certification_refuses_ties_and_accepts_the_benchmark_cardinals(self):
+        ties = 1 + (2 * np.arange(2**16) + 1) * 2.0**-17
+        assert ("%.17g" % ties[0], "%.17g" % ties[1]) == \
+            ("1.0000076293945312", "1.0000228881835938")  # half to even
+        assert not g17.digits(ties)[2].any()
+        grid = 4081
+        for family in BENCHMARK_FAMILIES:
+            for p in (3, 7, 11):
+                ts = np.linspace(0.0, p + 1.0, grid)
+                values = np.concatenate((ts, cardinal_spline(family, p)(ts)))
+                assert g17.digits(np.abs(values))[2].all(), (family, p)
 
     @pytest.mark.parametrize("columns", [2, 9])
     def test_complex_array_matches_rows_across_block_edges(self, columns):

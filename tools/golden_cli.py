@@ -182,6 +182,17 @@ COMMANDS: list[list[str]] = [
     # phases at which cosh(a) - 1 and 1 - cos(a) are 0.0
     ["bounds", "--p", "3", "--family", "hyperbolic", "--alpha", "1e-9"],
     ["bounds", "--p", "4", "--family", "trigonometric", "--alpha", "1e-9"],
+    # the benchmark's cardinal jobs at phase 10, whose CSV is most of the
+    # symbol-scan workload's output
+    *[["cardinal", "--family", "hyperbolic", "--alpha", "10", "--p", str(p),
+       "--grid", "4081"] for p in (3, 7, 11)],
+    # refusals: decay ratios that reach rounding noise (from p = 81), and
+    # --out into a missing directory, relative to the working directory
+    ["decay", "--family", "polynomial", "--pmin", "2", "--pmax", "400"],
+    ["cardinal", "--family", "polynomial", "--p", "3", "--grid", "5",
+     "--out", "missing/x.csv"],
+    ["assemble", "--config", _ADVECTION, "--n", "8", "--format", "npy",
+     "--out", "missing/x.npy"],
     # parser paths: usage, help and errors, with and without a command
     [],
     ["-h"],
