@@ -324,8 +324,9 @@ def _cmd_assemble(args) -> None:
     if args.format == "npy":
         if args.out in (None, "-"):
             raise GbspecError("--format npy requires --out")
-        with _writing(args.out):
-            np.save(args.out, mat)
+        # through a file, so np.save adds no ".npy" to the path
+        with _writing(args.out), open(args.out, "wb") as fh:
+            np.save(fh, mat)
         return
     header = [f"c{j}" for j in range(mat.shape[1])]
     _write(args.out, _csv(header, mat))

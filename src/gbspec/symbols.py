@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cardinal
 from .cardinal import (_derivative_rows, _frozen, _phi1_hat, cardinal_splines,
                        kept)
 from .errors import NumericalError, UsageError
@@ -68,20 +69,22 @@ class SymbolFn:
             arg = theta * self._k
         else:
             arg = np.multiply.outer(np.asarray(theta, dtype=float), self._k)
-        return self.from_table(np.sin(arg) if self.kind == "g" else np.cos(arg))
+        if self.kind == "g":
+            return self.from_table(-2.0 * np.sin(arg))
+        return self.from_table(2.0 * np.cos(arg))
 
     def from_table(self, table):
-        """The symbol from ``table``, the cosine (h, f) or sine (g) of theta*k.
+        """The symbol from ``table``, 2cos(theta k) (h, f) or -2sin(theta k) (g).
 
         ``table[..., k-1]`` holds the value for k = 1..floor(p/2); h and f of
-        one degree take the same cosine table.
+        one degree take the same table.
         """
         c0 = self.coefficients[0]
         if self.kind == "h":
-            return c0 + 2.0 * table @ self._tail
+            return c0 + table @ self._tail
         if self.kind == "g":
-            return -2.0 * table @ self._tail
-        return -c0 - 2.0 * table @ self._tail
+            return table @ self._tail
+        return -c0 - table @ self._tail
 
     def toeplitz_coefficients(self) -> np.ndarray:
         """Fourier coefficients c_k, k = -b..b, of the symbol.
@@ -295,12 +298,13 @@ def _critical_max(s: SymbolFn) -> float:
 
 def decay_ratio(p: int, family: SectionFamily) -> float:
     """Ratio of the diffusion symbol at pi to its maximum."""
-    return decay_ratios([p], family)[0]
+    return _decay_ratio(symbol_fn("f", p, family))
 
 
 def decay_ratios(degrees, family: SectionFamily) -> list[float]:
-    """:func:`decay_ratio` of each degree, from one cardinal recursion."""
-    return [_decay_ratio(f) for f in symbol_fns([("f", p) for p in degrees], family)]
+    """:func:`decay_ratio` of each degree, in order, each ``f`` built and
+    checked before the next: a refused degree builds none above it."""
+    return [decay_ratio(p, family) for p in degrees]
 
 
 def _decay_ratio(f: SymbolFn) -> float:
@@ -356,22 +360,41 @@ def _amplitude(family: SectionFamily) -> float:
     return 2.0 * (half / sine(half)) ** 2
 
 
-def _lower_envelope(family: SectionFamily, p: int, kind: str,
-                    theta: np.ndarray) -> np.ndarray:
-    """Lower bound for h_p (constant) or f_p (times 2-2cos)."""
+def _lower_envelope(family: SectionFamily, p: int, kind: str) -> float:
+    """Lower bound for h_p, or the factor of 2-2cos in the one for f_p."""
     if family.is_polynomial:
-        base = (2.0 / math.pi) ** (p + 1) if kind == "h" else \
+        return (2.0 / math.pi) ** (p + 1) if kind == "h" else \
             (2.0 / math.pi) ** (p - 1)
+    a = family.phase
+    if family.tag == HYPERBOLIC:
+        amp = _amplitude(family) * ((math.cosh(a) + 1.0) / (a * a + math.pi**2))
     else:
-        a = family.phase
-        if family.tag == HYPERBOLIC:
-            amp = _amplitude(family) * ((math.cosh(a) + 1.0) / (a * a + math.pi**2))
-        else:
-            amp = _amplitude(family) * ((math.cos(a) + 1.0) / (math.pi**2 - a * a))
-        base = amp * (2.0 / math.pi) ** (p - 1 if kind == "h" else p - 3)
-    if kind == "h":
-        return np.full_like(theta, base)
-    return (2.0 - 2.0 * np.cos(theta)) * base
+        amp = _amplitude(family) * ((math.cos(a) + 1.0) / (math.pi**2 - a * a))
+    return amp * (2.0 / math.pi) ** (p - 1 if kind == "h" else p - 3)
+
+
+#: ``(table, 2 - 2cos(theta))`` of the last bounds grid, read-only:
+#: ``table[:, k-1]`` is ``2 cos(theta k)`` for k = 1..its column count
+_GRID: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _bounds_grid(size: int, columns: int):
+    """The bounds grid of ``size`` points with at least ``columns`` columns.
+
+    A process keeps one grid: it is rebuilt when ``size`` changes or more
+    columns are asked.  A grid of more than
+    :data:`~gbspec.cardinal.KEPT_LEVEL_BYTES` is built for the call only.
+    """
+    global _GRID
+    grid = _GRID
+    if grid is not None and grid[1].size == size and grid[0].shape[1] >= columns:
+        return grid
+    theta = np.linspace(-math.pi, math.pi, size)
+    table = 2.0 * np.cos(np.multiply.outer(theta, np.arange(1, columns + 1)))
+    grid = (_frozen(table), _frozen(2.0 - 2.0 * np.cos(theta)))
+    if sum(a.nbytes for a in grid) <= cardinal.KEPT_LEVEL_BYTES:
+        _GRID = grid
+    return grid
 
 
 def bounds_report(p: int, family: SectionFamily,
@@ -382,27 +405,28 @@ def bounds_report(p: int, family: SectionFamily,
     p >= 2 in the polynomial case) are proved; lower bounds are proved for
     the polynomial family and for hyperbolic odd degrees, conjectured
     otherwise, and the report labels them accordingly without failing on
-    conjectured ones.
+    conjectured ones.  The grid is the one a process keeps
+    (:func:`_bounds_grid`).
     """
     if grid_size < MIN_BOUNDS_GRID:
         raise UsageError(f"grid_size must be >= {MIN_BOUNDS_GRID}")
-    theta = np.linspace(-math.pi, math.pi, grid_size)
     h, f = symbol_fns([("h", p), ("f", p)], family) if p >= 2 else \
         (symbol_fn("h", p, family), None)
-    # h and f of one degree share their k = 1..floor(p/2): one cosine table
-    table = np.cos(np.multiply.outer(theta, h._k))
+    # h and f of one degree read the same k = 1..floor(p/2) columns
+    table, wave = _bounds_grid(grid_size, p // 2)
+    table = table[:, :p // 2]
     hv = h.from_table(table)
     fv = f.from_table(table) if f is not None else None
     upper = 0
     if p >= 2:
-        upper += int(np.sum(hv > 1.0 + _BOUND_SLACK))
+        upper += int(np.count_nonzero(hv > 1.0 + _BOUND_SLACK))
     if f is not None and (p >= 4 or (family.is_polynomial and p >= 2)):
-        upper += int(np.sum(fv > 2.0 - 2.0 * np.cos(theta) + _BOUND_SLACK))
+        upper += int(np.count_nonzero(fv > wave + _BOUND_SLACK))
 
-    lower = 0
-    lower += int(np.sum(hv < _lower_envelope(family, p, "h", theta) - _BOUND_SLACK))
+    lower = int(np.count_nonzero(hv < _lower_envelope(family, p, "h") - _BOUND_SLACK))
     if f is not None and (p >= 3 or (family.is_polynomial and p >= 2)):
-        lower += int(np.sum(fv < _lower_envelope(family, p, "f", theta) - _BOUND_SLACK))
+        envelope = wave * _lower_envelope(family, p, "f")
+        lower += int(np.count_nonzero(fv < envelope - _BOUND_SLACK))
     if family.is_polynomial or (family.tag == HYPERBOLIC and p % 2 == 1):
         status = "PROVED"
     else:

@@ -246,9 +246,9 @@ class TestOutputPath:
     @pytest.fixture(params=["missing-directory", "directory"])
     def unwritable(self, request, tmp_path):
         if request.param == "directory":
-            # np.save adds ".npy" to a path without it, so the directory has it
-            (tmp_path / "d.npy").mkdir()
-            return tmp_path / "d.npy"
+            # a path that names a directory, which no format can write to
+            (tmp_path / "d").mkdir()
+            return tmp_path / "d"
         return tmp_path / "missing" / "x.npy"
 
     def check_refused(self, capsys, argv, path):
@@ -285,6 +285,19 @@ class TestAssembleAndEig:
         assert code == 0
         mat = np.load(target)
         assert mat.shape == (9, 9)
+
+    def test_npy_writes_the_path_it_is_given(self, capsys, config_1d, tmp_path,
+                                             monkeypatch):
+        # np.save appends ".npy" to a path without it; --out is written as named
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path / "out")
+        code, _ = run(capsys, "assemble", "--config", config_1d, "--n", "8",
+                      "--format", "npy", "--out", "mat")
+        assert code == 0
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["mat"]
+        code, out = run(capsys, "assemble", "--config", config_1d, "--n", "8")
+        assert np.array_equal(np.load("mat"), np.loadtxt(out.splitlines()[1:],
+                                                         delimiter=","))
 
     def test_split_parts(self, capsys, config_1d):
         parts = {}

@@ -355,43 +355,6 @@ class TestBoundsReport:
         with pytest.raises(UsageError):
             bounds_report(3, polynomial(), 32)
 
-    @pytest.mark.parametrize("p", [1, 6, 13])
-    def test_one_cosine_table_per_report(self, monkeypatch, p):
-        # h and f share one table of cos(theta k); neither goes through
-        # __call__ on the grid, and the values they take from the table are
-        # bit for bit those __call__ gives
-        tables, grid_calls, values = [], [], []
-        cos, call, from_table = np.cos, symbols.SymbolFn.__call__, \
-            symbols.SymbolFn.from_table
-
-        def counted_cos(x, *args, **kwargs):
-            if np.ndim(x) == 2:
-                tables.append(np.shape(x))
-            return cos(x, *args, **kwargs)
-
-        def counted_call(self, theta):
-            if np.ndim(theta):
-                grid_calls.append(self.kind)
-            return call(self, theta)
-
-        def recorded(self, table):
-            out = from_table(self, table)
-            if np.ndim(out):
-                values.append((self, out))
-            return out
-
-        monkeypatch.setattr(symbols.np, "cos", counted_cos)
-        monkeypatch.setattr(symbols.SymbolFn, "__call__", counted_call)
-        monkeypatch.setattr(symbols.SymbolFn, "from_table", recorded)
-        bounds_report(p, hyperbolic(10.0), 512)
-        monkeypatch.undo()
-        assert tables == [(512, p // 2)]
-        assert grid_calls == []
-        assert [sym.kind for sym, _ in values] == (["h", "f"] if p >= 2 else ["h"])
-        theta = np.linspace(-math.pi, math.pi, 512)
-        for sym, got in values:
-            assert np.array_equal(got, sym(theta)), sym.kind
-
     @pytest.mark.parametrize("family", [polynomial(), hyperbolic(0.1),
                                         hyperbolic(76.0), trigonometric(3.0)],
                              ids=repr)
@@ -453,16 +416,29 @@ class TestSplineBuilds:
         decay_ratio(6, family)
         assert recursion_runs == [(1, 4)]
 
-    def test_decay_command_runs_one_recursion(self, family, recursion_runs, capsys):
+    def test_decay_command_builds_each_level_once(self, family, recursion_runs,
+                                                  capsys):
+        # one degree at a time: each run carries the last one on
         argv = ["decay", "--family", family.tag, "--pmin", "2", "--pmax", "14"]
         if not family.is_polynomial:
             argv += ["--alpha", repr(family.phase)]
         assert cli.main(argv) == 0
-        assert recursion_runs == [(1, 12)]
+        built = [q for first, top in recursion_runs for q in range(first, top + 1)]
+        assert built == list(range(1, 13))
+        runs = list(recursion_runs)
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [float(r.split(",")[1]) for r in rows] == [
             decay_ratio(p, family) for p in range(2, 15)]
-        assert recursion_runs == [(1, 12)]
+        assert recursion_runs == runs
+
+    def test_refused_decay_builds_no_degree_above(self, recursion_runs, capsys):
+        # polynomial f(pi) is rounding noise from p = 81, whose f samples
+        # the degree-79 spline
+        argv = ["decay", "--family", "polynomial", "--pmin", "2", "--pmax", "400"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: decay ratio at p = 81: ")
+        assert max(top for _, top in recursion_runs) == 79
 
     def test_direction_symbols_build_each_level_once(self, family, recursion_runs):
         # the second direction carries the first one's run on to its degree
@@ -470,6 +446,108 @@ class TestSplineBuilds:
         assert recursion_runs == [(1, 3), (4, 5)]
         DirectionSymbols([5, 3], [family, family], "nonnested")
         assert recursion_runs == [(1, 3), (4, 5)]
+
+
+def _fresh_grid(size, columns):
+    """The grid of one report, built for that report alone."""
+    theta = np.linspace(-math.pi, math.pi, size)
+    table = 2.0 * np.cos(np.multiply.outer(theta, np.arange(1, columns + 1)))
+    return table, 2.0 - 2.0 * np.cos(theta)
+
+
+@pytest.fixture
+def cosine_tables(monkeypatch):
+    """Shapes of the 2-D cosine tables built, in order, from no kept grid."""
+    monkeypatch.setattr(symbols, "_GRID", None)
+    tables = []
+    cos = np.cos
+
+    def counted(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            tables.append(np.shape(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(symbols.np, "cos", counted)
+    return tables
+
+
+class TestKeptGrid:
+    """bounds_report keeps one theta grid and cosine table per process."""
+
+    @pytest.mark.parametrize("family", [polynomial(), hyperbolic(0.1),
+                                        hyperbolic(76.0), trigonometric(3.0)],
+                             ids=repr)
+    def test_same_bits_as_a_fresh_table(self, family, monkeypatch):
+        # grid switches, and a table that grows (2 -> 14) and is then sliced
+        calls = [(grid, p) for grid in (512, 64, 4096, 512) for p in (2, 14, 3)]
+        calls += [(64, 1), (64, 13)]
+        monkeypatch.setattr(symbols, "_bounds_grid", _fresh_grid)
+        fresh = [bounds_report(p, family, grid).to_dict() for grid, p in calls]
+        monkeypatch.undo()
+        monkeypatch.setattr(symbols, "_GRID", None)
+        for (grid, p), want in zip(calls, fresh):
+            got = bounds_report(p, family, grid).to_dict()
+            assert got.keys() == want.keys()
+            for key, value in got.items():
+                if isinstance(value, float):
+                    assert _same_bits(value, want[key]), (grid, p, key)
+                else:
+                    assert value == want[key], (grid, p, key)
+
+    def test_one_table_per_new_grid_or_wider_table(self, cosine_tables,
+                                                   monkeypatch):
+        grid_calls, values = [], []
+        call, from_table = symbols.SymbolFn.__call__, symbols.SymbolFn.from_table
+
+        def counted_call(self, theta):
+            if np.ndim(theta):
+                grid_calls.append(self.kind)
+            return call(self, theta)
+
+        def recorded(self, table):
+            out = from_table(self, table)
+            if np.ndim(out):
+                values.append((self, out))
+            return out
+
+        monkeypatch.setattr(symbols.SymbolFn, "__call__", counted_call)
+        monkeypatch.setattr(symbols.SymbolFn, "from_table", recorded)
+        family = hyperbolic(10.0)
+        for grid, p, built in [(512, 6, [(512, 3)]), (512, 6, []), (512, 3, []),
+                               (512, 13, [(512, 6)]), (512, 2, []), (512, 1, []),
+                               (64, 2, [(64, 1)]), (64, 14, [(64, 7)]),
+                               (512, 1, [(512, 0)]), (512, 5, [(512, 2)])]:
+            cosine_tables.clear()
+            values.clear()
+            bounds_report(p, family, grid)
+            assert cosine_tables == built, (grid, p)
+            # h and f, bit for bit what __call__ gives on the grid
+            assert [sym.kind for sym, _ in values] == (["h", "f"] if p >= 2 else ["h"])
+            theta = np.linspace(-math.pi, math.pi, grid)
+            for sym, got in list(values):
+                assert np.array_equal(got, call(sym, theta)), (grid, p, sym.kind)
+        # neither h nor f goes through __call__ on the grid
+        assert grid_calls == []
+
+    def test_kept_arrays_are_read_only(self, cosine_tables):
+        bounds_report(6, polynomial(), 256)
+        table, wave = symbols._GRID
+        assert (table.shape, wave.shape) == ((256, 3), (256,))
+        for array in (table, table[:, :2], wave):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_grid_over_the_byte_budget_is_not_kept(self, cosine_tables,
+                                                    monkeypatch):
+        # 64 points and one column fit, in 64 * (1 + 1) doubles; seven do not
+        monkeypatch.setattr(cardinal, "KEPT_LEVEL_BYTES", 64 * 2 * 8)
+        family = trigonometric(1.5)
+        bounds_report(2, family, 64)
+        kept = symbols._GRID
+        want = bounds_report(14, family, 64)
+        assert symbols._GRID is kept
+        assert bounds_report(14, family, 64) == want
+        assert cosine_tables == [(64, 1), (64, 7), (64, 7)]
 
 
 def _same_bits(a, b) -> bool:

@@ -186,6 +186,18 @@ COMMANDS: list[list[str]] = [
     # symbol-scan workload's output
     *[["cardinal", "--family", "hyperbolic", "--alpha", "10", "--p", str(p),
        "--grid", "4081"] for p in (3, 7, 11)],
+    # the one bounds grid a process keeps, in list order and reversed: a
+    # new grid, a slice of a wider table, a switch of grid size, a grid
+    # over the byte budget (not kept), and a table that grows
+    ["bounds", "--p", "14", "--family", "polynomial", "--grid", "64"],
+    ["bounds", "--p", "2", "--family", "hyperbolic", "--alpha", "10", "--grid",
+     "64"],
+    ["bounds", "--p", "12", "--family", "hyperbolic", "--alpha", "10", "--grid",
+     "100001"],
+    ["bounds", "--p", "3", "--family", "trigonometric", "--alpha", "3"],
+    ["bounds", "--p", "14", "--family", "hyperbolic", "--alpha", "0.1", "--grid",
+     "600000"],
+    ["bounds", "--p", "9", "--family", "polynomial"],
     # refusals: decay ratios that reach rounding noise (from p = 81), and
     # --out into a missing directory, relative to the working directory
     ["decay", "--family", "polynomial", "--pmin", "2", "--pmax", "400"],
