@@ -22,8 +22,8 @@ from .sections import (PiecewiseFn, SectionFamily, hyperbolic,
                        piecewise_eval, polynomial, trigonometric)
 from .spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
                        eigenvalues_dense, product_symbol_sampler,
-                       symbol_moments, symbol_sampler, toeplitz, toeplitz_tensor,
-                       weyl_report)
+                       symbol_moments, symbol_sampler, toeplitz,
+                       toeplitz_eigenvalues, toeplitz_tensor, weyl_report)
 from .symbols import (BoundReport, SymbolFn, bounds_report, decay_ratio,
                       decay_ratios, lower_bound_residual, symbol_closed_form,
                       symbol_fn, symbol_fns, symbol_max, symbol_series)
@@ -47,6 +47,6 @@ __all__ = [
     "polynomial",
     "product_symbol_sampler", "structure_report", "symbol_closed_form",
     "symbol_fn", "symbol_fns", "symbol_max", "symbol_moments",
-    "symbol_sampler", "symbol_series", "toeplitz",
+    "symbol_sampler", "symbol_series", "toeplitz", "toeplitz_eigenvalues",
     "toeplitz_tensor", "trigonometric", "weyl_report",
 ]

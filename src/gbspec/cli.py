@@ -34,7 +34,7 @@ from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
 from .sections import SectionFamily, polynomial
 from .spectral import (ToeplitzSpec, check_order, check_outlier_eps,
                        eigenvalues_dense, product_symbol_sampler,
-                       toeplitz_view, weyl_report)
+                       toeplitz_eigenvalues, toeplitz_view, weyl_report)
 from .symbols import MIN_BOUNDS_GRID, bounds_report, decay_ratios, symbol_fn
 
 _FAMILY_NAMES = ("polynomial", "hyperbolic", "trigonometric")
@@ -343,13 +343,14 @@ def _cmd_toeplitz(args) -> None:
     fam = make_family(args.family, args.alpha)
     sym = symbol_fn(args.symbol, args.p, fam)
     check_order(args.m)  # before the matrix is built
-    # a read-only view: neither path makes an m-by-m copy of its own
-    mat = toeplitz_view(ToeplitzSpec(sym.toeplitz_coefficients()), args.m)
+    spec = ToeplitzSpec(sym.toeplitz_coefficients())
     if args.eig:
-        eigs = np.sort_complex(eigenvalues_dense(mat))
+        eigs = np.sort_complex(toeplitz_eigenvalues(spec, args.m))
         _write(args.out, _csv(["re", "im"], np.column_stack((eigs.real, eigs.imag))))
         return
-    _write(args.out, _csv([f"c{j}" for j in range(args.m)], mat))
+    # a read-only view: the CSV path makes no m-by-m copy of its own
+    _write(args.out, _csv([f"c{j}" for j in range(args.m)],
+                          toeplitz_view(spec, args.m)))
 
 
 def _cmd_distribution(args) -> None:

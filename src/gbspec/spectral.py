@@ -9,6 +9,16 @@ Toeplitz matrix), is solved as ``2**k`` independent parity blocks of about
 ``N / 2**k`` rows each, every block built only when it is solved.  With
 ``k = 0`` the one block is the matrix itself.
 
+A Hermitian Toeplitz matrix of bandwidth <= 1 needs no solve.  It lies in
+the tau algebra, which the sine transform diagonalises (D. Bini and
+M. Capovani, Linear Algebra Appl. 52/53, 1983): the m-by-m matrix with
+diagonal ``c0`` and off-diagonals ``c1``, ``conj(c1)`` has the eigenvalues
+``c0 + 2|c1| cos(j pi/(m+1))``, j = 1..m.  Every symbol of degree p <= 3
+(``floor(p/2) + 1`` coefficients) gives such a matrix.
+:func:`toeplitz_eigenvalues` takes them from that closed form, with no
+matrix, and :func:`eigenvalues_dense` gives a matrix that is exactly one
+the same values.
+
 The distribution comparator sorts eigenvalue real parts against the monotone
 rearrangement of symbol samples, reports moment errors for the test functions
 ``F(z) = z**r`` (r = 1..4) against the symbol's moments by exact quadrature in
@@ -114,6 +124,75 @@ def check_order(order: int, what: str = "order") -> None:
         raise UsageError(f"{what} {order} exceeds cap {DEFAULT_ORDER_CAP}")
 
 
+def toeplitz_eigenvalues(spec: ToeplitzSpec, m: int) -> np.ndarray:
+    """All eigenvalues of the m-by-m Toeplitz matrix of ``spec``, as a complex
+    array.
+
+    A finite Hermitian matrix of bandwidth <= 1 takes the tau closed form
+    (:func:`_tau_eigenvalues`) in O(m) time and memory, with no matrix;
+    its eigenvalues come in ascending order, with imaginary parts +0.0.
+    Every other matrix is solved as ``eigenvalues_dense(toeplitz_view(spec,
+    m))``.  Both paths refuse an order above the cap.
+    """
+    if m < 1:
+        raise UsageError("order must be >= 1")
+    check_order(m)
+    if _in_tau(spec):
+        return _tau_eigenvalues(spec.coefficients, m)
+    return eigenvalues_dense(toeplitz_view(spec, m))
+
+
+def _in_tau(spec: ToeplitzSpec) -> bool:
+    """Whether ``spec`` is finite, Hermitian and of bandwidth <= 1."""
+    return spec.bandwidth <= 1 and spec.is_hermitian \
+        and bool(np.isfinite(spec.coefficients).all())
+
+
+def _tau_spec(a: np.ndarray) -> ToeplitzSpec | None:
+    """The spec of ``a`` if ``a`` is exactly, entry for entry, the Toeplitz
+    matrix of a spec that :func:`_in_tau` accepts, else None.
+
+    Its three central diagonals must each be constant, which rejects most
+    other matrices in O(N); only then are the nonzero entries of the whole
+    matrix counted, which must all lie on them.
+    """
+    # the diagonals of c_-1, c0 and c1: a[j, k] = c_{j-k}
+    bands = [np.diagonal(a, d) for d in (1, 0, -1)]
+    if not all((band == band[:1]).all() for band in bands) \
+            or sum(map(np.count_nonzero, bands)) != np.count_nonzero(a):
+        return None
+    spec = ToeplitzSpec([band[0] for band in bands if band.size])
+    return spec if _in_tau(spec) else None
+
+
+def _tau_eigenvalues(c: np.ndarray, m: int) -> np.ndarray:
+    """``c0 + 2|c1| cos(j pi/(m+1))``, j = 1..m, in ascending order, as a
+    complex array.
+
+    With ``phi_k = (2k-m-1) pi/(2(m+1))`` the k-th is ``c0 + 2|c1|
+    sin(phi_k)``: exactly ``c0`` at the middle k of an odd m, and so
+    exactly 0 there when c0 = 0.  That form is taken unless its sine term
+    has the opposite sign to c0 and exceeds ``2|c0|/3``, so that it
+    cancels to below a third of c0.  There the same value comes from the
+    end of the spectrum next to it, where the symbol is ``c0 -+ 2|c1|``
+    (near 0 for f), with ``psi_i = i pi/(2(m+1))``: ``(c0 - 2|c1|) +
+    4|c1| sin(psi_k)**2`` if c0 > 0, ``(c0 + 2|c1|) - 4|c1|
+    sin(psi_{m+1-k})**2`` if c0 < 0; neither form cancels.
+    """
+    c0 = float(c[c.size // 2].real)
+    s = float(abs(c[-1])) if c.size == 3 else 0.0
+    step = math.pi / (2 * (m + 1))
+    k = np.arange(1, m + 1)
+    term = 2.0 * s * np.sin((2 * k - m - 1) * step)
+    vals = c0 + term
+    far = (c0 * term < 0.0) & (np.abs(term) > 2.0 * abs(c0) / 3.0)
+    if far.any():
+        i = k[far] if c0 > 0.0 else m + 1 - k[far]
+        vals[far] = (c0 - math.copysign(2.0 * s, c0)) \
+            + math.copysign(4.0 * s, c0) * np.sin(i * step) ** 2
+    return vals.astype(complex)
+
+
 def eigenvalues_dense(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense matrix, as a complex array.
 
@@ -128,12 +207,20 @@ def eigenvalues_dense(a: np.ndarray) -> np.ndarray:
     when it is solved.  A tensor collocation matrix with constant
     coefficients on the identity geometry has one size per direction; a
     matrix with none is one block, the whole matrix, and the solver sees it
-    unchanged.
+    unchanged.  A matrix that is exactly a finite Hermitian Toeplitz matrix
+    of bandwidth <= 1 (:func:`_tau_spec`) is not solved: it gets the tau
+    closed form, the eigenvalues :func:`toeplitz_eigenvalues` gives for its
+    spec.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise UsageError("matrix must be square")
+    if not a.size:
+        raise UsageError("matrix must not be empty")
     check_order(a.shape[0])
+    spec = _tau_spec(a)
+    if spec is not None:
+        return _tau_eigenvalues(spec.coefficients, a.shape[0])
     try:
         residual, scale = _hermitian_residual(a)
         hermitian = bool(residual <= 1e-13 * max(scale, 1.0))

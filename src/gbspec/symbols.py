@@ -52,7 +52,7 @@ class SymbolFn:
     coefficients: np.ndarray
     _k: np.ndarray = field(init=False, repr=False, compare=False)
     _tail: np.ndarray = field(init=False, repr=False, compare=False)
-    _max: float | None = field(default=None, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_k", _frozen(np.arange(1, self.coefficients.size)))
@@ -270,9 +270,19 @@ def symbol_max(s: SymbolFn) -> float:
     exactly ``s(pi)``.  The maximum is computed once per symbol and kept
     with it.
     """
-    if s._max is None:
-        object.__setattr__(s, "_max", _critical_max(s))
-    return s._max
+    return _kept_with(s, "max", _critical_max)
+
+
+def _kept_with(s: SymbolFn, name: str, compute):
+    """``compute(s)``, computed once per symbol and kept with it as ``name``.
+
+    Only what depends on the symbol alone is kept, so a symbol that a
+    process keeps answers a repeat with no evaluation.
+    """
+    kept = s._kept
+    if name not in kept:
+        kept[name] = compute(s)
+    return kept[name]
 
 
 def _critical_max(s: SymbolFn) -> float:
@@ -298,7 +308,7 @@ def _critical_max(s: SymbolFn) -> float:
 
 def decay_ratio(p: int, family: SectionFamily) -> float:
     """Ratio of the diffusion symbol at pi to its maximum."""
-    return _decay_ratio(symbol_fn("f", p, family))
+    return _kept_with(symbol_fn("f", p, family), "decay_ratio", _decay_ratio)
 
 
 def decay_ratios(degrees, family: SectionFamily) -> list[float]:
@@ -360,8 +370,9 @@ def _amplitude(family: SectionFamily) -> float:
     return 2.0 * (half / sine(half)) ** 2
 
 
-def _lower_envelope(family: SectionFamily, p: int, kind: str) -> float:
+def _lower_envelope(s: SymbolFn) -> float:
     """Lower bound for h_p, or the factor of 2-2cos in the one for f_p."""
+    family, p, kind = s.family, s.degree, s.kind
     if family.is_polynomial:
         return (2.0 / math.pi) ** (p + 1) if kind == "h" else \
             (2.0 / math.pi) ** (p - 1)
@@ -397,6 +408,18 @@ def _bounds_grid(size: int, columns: int):
     return grid
 
 
+def _zero_differences(f: SymbolFn) -> tuple[float, float, float]:
+    """``f(0)`` and the central first and second differences of ``f`` at 0,
+    with step 1e-3."""
+    step = 1e-3
+    f0 = float(f(0.0))
+    first = float(f(step) - f(-step)) / (2 * step)
+    # f(h) - 2 f(0) + f(-h) = 8 sum c_k sin^2(k h / 2), without the
+    # cancellation of the three values
+    second = 8.0 * float(np.sin(f._k * (step / 2)) ** 2 @ f._tail) / step**2
+    return f0, first, second
+
+
 def bounds_report(p: int, family: SectionFamily,
                   grid_size: int = 4096) -> BoundReport:
     """Count violations of the upper and lower symbol bounds on a theta grid.
@@ -406,7 +429,9 @@ def bounds_report(p: int, family: SectionFamily,
     the polynomial family and for hyperbolic odd degrees, conjectured
     otherwise, and the report labels them accordingly without failing on
     conjectured ones.  The grid is the one a process keeps
-    (:func:`_bounds_grid`).
+    (:func:`_bounds_grid`); the envelopes, the values at theta = 0 and the
+    decay ratio are kept with the symbols, so a repeat report evaluates
+    nothing off that grid.
     """
     if grid_size < MIN_BOUNDS_GRID:
         raise UsageError(f"grid_size must be >= {MIN_BOUNDS_GRID}")
@@ -423,9 +448,10 @@ def bounds_report(p: int, family: SectionFamily,
     if f is not None and (p >= 4 or (family.is_polynomial and p >= 2)):
         upper += int(np.count_nonzero(fv > wave + _BOUND_SLACK))
 
-    lower = int(np.count_nonzero(hv < _lower_envelope(family, p, "h") - _BOUND_SLACK))
+    lower = int(np.count_nonzero(
+        hv < _kept_with(h, "envelope", _lower_envelope) - _BOUND_SLACK))
     if f is not None and (p >= 3 or (family.is_polynomial and p >= 2)):
-        envelope = wave * _lower_envelope(family, p, "f")
+        envelope = wave * _kept_with(f, "envelope", _lower_envelope)
         lower += int(np.count_nonzero(fv < envelope - _BOUND_SLACK))
     if family.is_polynomial or (family.tag == HYPERBOLIC and p % 2 == 1):
         status = "PROVED"
@@ -433,14 +459,9 @@ def bounds_report(p: int, family: SectionFamily,
         status = "CONJECTURED"
 
     if f is not None:
-        step = 1e-3
-        f0 = float(f(0.0))
-        first = float(f(step) - f(-step)) / (2 * step)
-        # f(h) - 2 f(0) + f(-h) = 8 sum c_k sin^2(k h / 2), without the
-        # cancellation of the three values
-        second = 8.0 * float(np.sin(f._k * (step / 2)) ** 2 @ f._tail) / step**2
+        f0, first, second = _kept_with(f, "zero", _zero_differences)
         mx = symbol_max(f)
-        ratio = _decay_ratio(f)
+        ratio = _kept_with(f, "decay_ratio", _decay_ratio)
     else:
         f0 = first = second = mx = ratio = None
 

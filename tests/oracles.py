@@ -33,7 +33,9 @@ the strided one: :func:`outer_index_toeplitz`.  The 1D quantiles are checked
 against :func:`reference_discrepancy`, a far finer lattice.  The
 samplers' moments are checked against :func:`mp_product_moments` (mpmath
 quadrature) and :func:`richardson_md_moments` (Richardson-extrapolated
-midpoint rules).
+midpoint rules).  The tau closed form of bandwidth-1 Toeplitz spectra is
+checked against the same formula at 40 digits,
+:func:`mp_tridiagonal_toeplitz_eigenvalues`.
 """
 
 import math
@@ -876,3 +878,22 @@ def mp_symbol_max(kind: str, coefficients, grid: int = 4096) -> float:
             else:
                 points += [lo, hi]
         return float(max(value(t) for t in points))
+
+
+def mp_tridiagonal_toeplitz_eigenvalues(coefficients, m: int) -> list:
+    """Eigenvalues of the m-by-m Hermitian Toeplitz matrix of bandwidth <= 1
+    with float ``coefficients`` ``[c_-1, c0, c1]`` (or ``[c0]``), ascending.
+
+    ``c0 + 2|c1| cos(j pi/(m+1))``, j = 1..m, with each coefficient taken
+    exactly and the rest at 40 digits, as ``mp.mpf``.  ``mp.cospi`` is
+    exactly 0 at j = (m+1)/2, so a zero eigenvalue is exactly 0.
+    """
+    import mpmath as mp
+
+    c = np.ravel(coefficients)
+    with mp.workdps(40):
+        c0 = mp.mpf(float(np.real(c[c.size // 2])))
+        c1 = complex(c[-1]) if c.size == 3 else 0j
+        s = mp.sqrt(mp.mpf(c1.real) ** 2 + mp.mpf(c1.imag) ** 2)
+        return sorted(c0 + 2 * s * mp.cospi(mp.mpf(j) / (m + 1))
+                      for j in range(1, m + 1))

@@ -118,12 +118,15 @@ class TestToeplitzViews:
         assert run(capsys, *self.argv(kind, family, m)) == (0, want)
 
     def test_eig_makes_no_matrix_copy(self, capsys):
-        # the largest array left is the first parity block of
-        # eigenvalues_dense, m/2 by m/2 (2 MiB at m = 1024); a dense copy of
-        # the matrix would add 8 MiB
+        # a tridiagonal matrix takes the tau closed form, O(m) memory: what
+        # is left is the CSV text and its writer's blocks; the parent's
+        # first parity block alone, m/2 by m/2, was 2 MiB at m = 1024, and a
+        # dense copy of the matrix would be 8 MiB
         argv = ["toeplitz", "--symbol", "f", "--p", "2", "--family",
                 "polynomial", "--m", "1024", "--eig"]
-        main([*argv[:-2], "8", "--eig"])  # import and build outside the trace
+        # import, and build the symbol and the CSV writer's tables (which
+        # 600 values reach), outside the trace
+        main([*argv[:-2], "300", "--eig"])
         capsys.readouterr()
         tracemalloc.start()
         try:
@@ -132,7 +135,22 @@ class TestToeplitzViews:
         finally:
             tracemalloc.stop()
         assert code == 0 and len(capsys.readouterr().out.splitlines()) == 1025
-        assert peak <= 0.3 * 1024**2 * 8
+        assert peak <= 0.5 * 1024**2
+
+    @pytest.mark.parametrize("p,dense", [(2, 0), (3, 0), (4, 1), (5, 1)])
+    @pytest.mark.parametrize("kind", ["h", "g", "f"])
+    def test_eig_is_dense_from_bandwidth_two(self, capsys, monkeypatch, kind, p,
+                                             dense):
+        # p <= 3 gives a tridiagonal matrix, whose spectrum is the tau closed
+        # form; from p = 4 one matrix view is solved dense
+        calls = {name: _counted(monkeypatch, name, spectral)
+                 for name in ("toeplitz_view", "eigenvalues_dense")}
+        argv = ["toeplitz", "--symbol", kind, "--p", str(p), "--family",
+                "hyperbolic", "--alpha", "10", "--m", "33", "--eig"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and len(out.splitlines()) == 34
+        assert {name: len(c) for name, c in calls.items()} == \
+            {"toeplitz_view": dense, "eigenvalues_dense": dense}
 
     def test_large_order_is_refused_before_any_matrix(self, capsys, monkeypatch):
         calls = _counted(monkeypatch, "toeplitz_view")
@@ -464,16 +482,16 @@ def test_order_cap_is_checked_before_any_matrix(capsys, monkeypatch, argv, count
     assert calls == [[]] * len(counted)
 
 
-def _counted(monkeypatch, name: str) -> list:
-    """Wrap ``cli.<name>`` to record its calls; returns the call list."""
+def _counted(monkeypatch, name: str, module=cli) -> list:
+    """Wrap ``module.<name>`` to record its calls; returns the call list."""
     calls = []
-    inner = getattr(cli, name)
+    inner = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,16 +10,17 @@ from gbspec.collocation import GeometryMap1D, ProblemCoefficients, assemble, gb_
 from gbspec.errors import NumericalError, UsageError
 from gbspec.multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
                              assemble_md, md_symbol_samples)
-from gbspec.sections import hyperbolic, polynomial
+from gbspec.sections import hyperbolic, polynomial, trigonometric
 from gbspec import spectral
 from gbspec.spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
                              _hermitian_residual, _reflection_sizes,
                              eigenvalues_dense, product_symbol_sampler,
-                             symbol_moments, toeplitz, toeplitz_tensor,
-                             weyl_report)
+                             symbol_moments, toeplitz, toeplitz_eigenvalues,
+                             toeplitz_tensor, weyl_report)
 from gbspec.symbols import symbol_fn, symbol_max
 
-from oracles import (former_md_quantiles, mp_product_moments, outer_index_toeplitz,
+from oracles import (former_md_quantiles, mp_product_moments,
+                     mp_tridiagonal_toeplitz_eigenvalues, outer_index_toeplitz,
                      reference_discrepancy, richardson_md_moments)
 
 
@@ -99,6 +101,10 @@ class TestEigenvalues:
         with pytest.raises(UsageError):
             eigenvalues_dense(np.ones((2, 3)))
 
+    def test_empty(self):
+        with pytest.raises(UsageError, match="^matrix must not be empty$"):
+            eigenvalues_dense(np.ones((0, 0)))
+
     def test_analytic_family_accuracy(self):
         m = 100
         t = toeplitz(spec_of("f", 2), m)
@@ -126,6 +132,108 @@ class TestEigenvalues:
                 toeplitz(spec_of("h", p, hyperbolic(10.0)), 60)).real
             assert eigs.min() >= grid.min() - 1e-9
             assert eigs.max() <= grid.max() + 1e-9
+
+
+#: small, moderate and the largest supported hyperbolic phases, and
+#: trigonometric phases up to near pi, where h comes close to 0
+TAU_FAMILIES = [polynomial(), hyperbolic(0.1), hyperbolic(10.0), hyperbolic(76.0),
+                trigonometric(1.5), trigonometric(3.0)]
+#: odd orders hold a middle eigenvalue, exactly 0 for g
+TAU_ORDERS = (1, 2, 3, 8, 64, 301)
+
+
+class TestTauEigenvalues:
+    """toeplitz_eigenvalues: the tau closed form at bandwidth <= 1."""
+
+    @pytest.mark.parametrize("family", TAU_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("kind", ["h", "g", "f"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_against_the_40_digit_closed_form_and_the_dense_solve(self, p, kind,
+                                                                  family):
+        spec = spec_of(kind, p, family)
+        c = spec.coefficients
+        assert spec.bandwidth == 1 and spec.is_hermitian
+        scale = abs(c[1]) + 2 * abs(c[2])
+        for m in TAU_ORDERS:
+            got = toeplitz_eigenvalues(spec, m)
+            assert got.dtype == complex and got.shape == (m,)
+            assert np.array_equal(got.imag, np.zeros(m))
+            assert not np.signbit(got.imag).any()
+            re = got.real
+            assert np.all(np.diff(re) >= 0), m
+            for value, want in zip(re, mp_tridiagonal_toeplitz_eigenvalues(c, m)):
+                if want == 0:
+                    assert value == 0 and not np.signbit(value), m
+                else:
+                    assert abs(mp.mpf(value) - want) <= 2e-15 * abs(want), (m, value)
+            lapack = np.linalg.eigvalsh(toeplitz(spec, m))
+            assert np.max(np.abs(re - lapack)) <= 1e-13 * scale, m
+            # the dense matrix is recognised, and gets the same bits
+            assert np.array_equal(eigenvalues_dense(toeplitz(spec, m)).view(np.uint64),
+                                  got.view(np.uint64)), m
+        # the one eigenvalue of order 1 is c0 itself
+        assert toeplitz_eigenvalues(spec, 1)[0] == c[1]
+
+    def test_bandwidth_zero(self):
+        assert np.array_equal(toeplitz_eigenvalues(ToeplitzSpec([2.5]), 4),
+                              np.full(4, 2.5 + 0j))
+
+    def test_negative_diagonal(self):
+        # c0 < 0: the upper end, where the symbol is near 0, takes the
+        # cancellation-free form
+        spec = ToeplitzSpec(-spec_of("f", 3, hyperbolic(10.0)).coefficients)
+        c = spec.coefficients
+        for m in (1, 2, 8, 301):
+            got = toeplitz_eigenvalues(spec, m).real
+            assert np.all(np.diff(got) >= 0)
+            for value, want in zip(got, mp_tridiagonal_toeplitz_eigenvalues(c, m)):
+                assert abs(mp.mpf(value) - want) <= 2e-15 * abs(want), (m, value)
+
+    @pytest.mark.parametrize("coefficients", [[1.0, 2.0, 3.0],
+                                              [1.0, 4.0, 2.0, 3.0, 1.0]],
+                             ids=["non-hermitian", "bandwidth-2"])
+    def test_other_matrices_are_solved_dense(self, coefficients):
+        spec = ToeplitzSpec(np.array(coefficients))
+        for m in (1, 5, 12):
+            assert np.array_equal(toeplitz_eigenvalues(spec, m),
+                                  eigenvalues_dense(toeplitz(spec, m)))
+
+    def test_dense_tau_matrix_is_not_solved(self, monkeypatch):
+        used = _spy_solvers(monkeypatch)
+        for m in (1, 2, 50):
+            eigenvalues_dense(toeplitz(spec_of("g", 3, hyperbolic(10.0)), m))
+            eigenvalues_dense(np.eye(m))
+        assert used == []
+
+    @pytest.mark.parametrize("entry", [(0, 0), (9, 8), (0, 2), (19, 0)])
+    def test_one_changed_entry_is_solved(self, monkeypatch, entry):
+        # a changed diagonal entry, a changed off-diagonal one, and a nonzero
+        # beyond the band, at the first and the last row
+        a = toeplitz(spec_of("f", 2, hyperbolic(10.0)), 20)
+        a[entry] = np.nextafter(a[entry], np.inf)
+        a[entry[::-1]] = a[entry]  # still symmetric
+        used = _spy_solvers(monkeypatch)
+        got = eigenvalues_dense(a)
+        assert used and all(name == "eigvalsh" for name, _ in used)
+        assert np.max(np.abs(got.real - np.linalg.eigvalsh(a))) <= 1e-13
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_coefficients_are_refused(self, value):
+        # both go to the solver, which refuses them
+        spec = ToeplitzSpec(np.array([-1.0, value, -1.0]))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError):
+                toeplitz_eigenvalues(spec, 5)
+            with pytest.raises(NumericalError):
+                eigenvalues_dense(toeplitz(spec, 5))
+
+    def test_refusals(self, monkeypatch):
+        spec = spec_of("f", 2)
+        with pytest.raises(UsageError, match="^order must be >= 1$"):
+            toeplitz_eigenvalues(spec, 0)
+        monkeypatch.setattr(spectral, "DEFAULT_ORDER_CAP", 5)
+        with pytest.raises(UsageError, match="^order 6 exceeds cap 5$"):
+            toeplitz_eigenvalues(spec, 6)
 
 
 def _spy_solvers(monkeypatch) -> list:

@@ -550,6 +550,48 @@ class TestKeptGrid:
         assert cosine_tables == [(64, 1), (64, 7), (64, 7)]
 
 
+class _Refusing:
+    """``module`` with the functions ``names`` refused when looked up."""
+
+    def __init__(self, module, names):
+        self._module, self._names = module, names
+
+    def __getattr__(self, name):
+        if name in self._names:
+            raise AssertionError(f"{name} looked up by a repeat report")
+        return getattr(self._module, name)
+
+
+class TestKeptSymbolFeatures:
+    """bounds_report keeps f(0), its differences, the decay ratio and the
+    envelopes with the symbols, as symbol_max is kept."""
+
+    @pytest.mark.parametrize("family", [polynomial(), hyperbolic(10.0),
+                                        trigonometric(3.0)], ids=repr)
+    @pytest.mark.parametrize("p", [1, 2, 3, 9])
+    def test_repeat_report_evaluates_nothing_off_its_grid(self, monkeypatch,
+                                                          family, p):
+        want = bounds_report(p, family, 512)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a symbol evaluated by a repeat report")
+
+        monkeypatch.setattr(symbols.SymbolFn, "__call__", refuse)
+        monkeypatch.setattr(symbols, "np", _Refusing(
+            np, ("sin", "cos", "arccos", "polynomial")))
+        monkeypatch.setattr(symbols, "math", _Refusing(
+            math, ("sin", "cos", "tan", "sinh", "cosh", "tanh")))
+        assert bounds_report(p, family, 512) == want
+
+    def test_same_values_as_a_fresh_symbol(self, monkeypatch):
+        family = hyperbolic(10.0)
+        kept = [bounds_report(p, family).to_dict() for p in (2, 9, 2, 9)]
+        monkeypatch.setattr(symbols, "_kept_with",
+                            lambda s, name, compute: compute(s))
+        fresh = [bounds_report(p, family).to_dict() for p in (2, 9)]
+        assert kept == fresh * 2
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))

@@ -198,6 +198,17 @@ COMMANDS: list[list[str]] = [
     ["bounds", "--p", "14", "--family", "hyperbolic", "--alpha", "0.1", "--grid",
      "600000"],
     ["bounds", "--p", "9", "--family", "polynomial"],
+    # both sides of the Toeplitz eigenvalue selection: tridiagonal matrices
+    # (p <= 3) take the tau closed form, the g one with an exact zero in
+    # the middle and an f one at the order cap; a p = 4 one is solved dense
+    ["toeplitz", "--symbol", "h", "--p", "3", "--family", "trigonometric",
+     "--alpha", "1.5", "--m", "301", "--eig"],
+    ["toeplitz", "--symbol", "g", "--p", "2", "--family", "hyperbolic",
+     "--alpha", "10", "--m", "301", "--eig"],
+    ["toeplitz", "--symbol", "f", "--p", "3", "--family", "hyperbolic",
+     "--alpha", "10", "--m", "4096", "--eig"],
+    ["toeplitz", "--symbol", "f", "--p", "4", "--family", "polynomial",
+     "--m", "64", "--eig"],
     # refusals: decay ratios that reach rounding noise (from p = 81), and
     # --out into a missing directory, relative to the working directory
     ["decay", "--family", "polynomial", "--pmin", "2", "--pmax", "400"],
