@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .sections import (HYPERBOLIC, PiecewiseFn, SectionFamily,
-                       _antiderivative_stack, _at_edge)
+from .sections import (HYPERBOLIC, PiecewiseFn, SectionFamily, _at_edge,
+                       _local_primitive)
 
 #: Largest hyperbolic effective phase of a piece that is accepted;
 #: larger ones are refused with :class:`~gbspec.errors.NumericalError`.
@@ -94,8 +94,11 @@ def _recursion(rep: SectionFamily, top: int, done=None):
     s = rep.signed_square  # every piece has the effective phase
 
     def antiderivative(rows: np.ndarray) -> np.ndarray:
-        pieces, slots = rows.shape
-        return _antiderivative_stack(slots - 1, s, np.ones(pieces), rows[None])[0]
+        # each piece's integral is its primitive at tau = 1; the integration
+        # constants are their running sums
+        out = _local_primitive(rows.shape[1] - 1, s, rows)
+        out[1:, 0] += np.cumsum(_at_edge(out)[:-1])
+        return out
 
     if done is None:
         integral = _at_edge(antiderivative(SEED_ROWS)[-1])
@@ -104,12 +107,12 @@ def _recursion(rep: SectionFamily, top: int, done=None):
     else:
         delta1, levels = done[0], list(done[1])
     for q in range(len(levels) + 1, top + 1):
-        one = np.zeros(q + 1)
-        one[0] = 1.0  # constant slot exists for q >= 2
-        # the antiderivative ends at q; the constant row adds the piece [q, q+1)
-        rows = np.vstack([antiderivative(levels[-1]), one])
-        shifted = np.vstack([np.zeros(q + 1), rows[:-1]])
-        levels.append(_frozen(rows - shifted))
+        # the antiderivative ends at q; the constant row adds the piece
+        # [q, q+1) (the constant slot exists for q >= 2)
+        rows = np.zeros((q + 1, q + 1))
+        rows[:q] = antiderivative(levels[-1])
+        rows[q, 0] = 1.0
+        levels.append(_frozen(np.diff(rows, axis=0, prepend=0.0)))
     return delta1, tuple(levels)
 
 
@@ -140,16 +143,12 @@ def _keep(rep: SectionFamily, entry) -> None:
     _RECURSIONS[rep] = entry
 
 
-def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
-    """Levels ``degrees`` of the family's recursion, each with delta1.
-
-    A process runs each family's recursion once: the levels built so far
-    are kept (:data:`KEPT_LEVEL_BYTES`) and carried on from the last when a
-    higher degree is asked.  Only the levels asked for become
-    :class:`PiecewiseFn`.
-    """
+def kept_levels(rep: SectionFamily, top: int) -> tuple[float, tuple[np.ndarray, ...]]:
+    """``(delta1, levels)`` of the family's recursion, at least to level
+    ``top``: read-only ``(pieces, slots)`` rows on unit intervals.  A process
+    runs each family's recursion once: the levels built so far are kept
+    (:data:`KEPT_LEVEL_BYTES`) and carried on when a higher degree is asked."""
     _check_phase(rep)
-    top = max(degrees)
     with _RECURSIONS_LOCK:
         entry = _RECURSIONS.pop(rep, None)
         if entry is None or len(entry[1]) < top:
@@ -160,7 +159,12 @@ def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
             _keep(rep, entry)
         else:
             _RECURSIONS[rep] = entry  # now the most recently used
-    delta1, levels = entry[:2]
+    return entry[:2]
+
+
+def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
+    """Levels ``degrees`` of :func:`kept_levels` as :class:`PiecewiseFn`, each with delta1."""
+    delta1, levels = kept_levels(rep, max(degrees))
     return [(PiecewiseFn(rep, q, np.arange(0.0, q + 2), levels[q - 1]), delta1)
             for q in degrees]
 

@@ -349,6 +349,7 @@ def _hermitian_residual(a: np.ndarray) -> tuple[float, float]:
     of about ``_RESIDUAL_ENTRIES`` entries, reused for every block, so no
     N x N temporary is made; a maximum does not depend on the order it is
     taken in, so both values equal those of the whole-matrix expressions.
+    An entry that is not finite is refused before its block is compared.
     """
     size = a.shape[0]
     rows = max(1, _RESIDUAL_ENTRIES // size)
@@ -358,10 +359,13 @@ def _hermitian_residual(a: np.ndarray) -> tuple[float, float]:
     for lo in range(0, size, rows):
         hi = min(lo + rows, size)
         out, mag = block[:hi - lo], magnitude[:hi - lo]
+        scales.append(np.max(np.abs(a[lo:hi], out=mag)))
+        if not np.isfinite(scales[-1]):
+            raise NumericalError(
+                "eigenvalue iteration failed: Array must not contain infs or NaNs")
         np.conjugate(a[:, lo:hi].T, out=out)
         np.subtract(a[lo:hi], out, out=out)
         residuals.append(np.max(np.abs(out, out=mag)))
-        scales.append(np.max(np.abs(a[lo:hi], out=mag)))
     return np.max(residuals), np.max(scales)
 
 

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cardinal
-from .cardinal import (_derivative_rows, _frozen, _phi1_hat, cardinal_splines,
-                       kept)
+from .cardinal import _derivative_rows, _frozen, _phi1_hat, kept
 from .errors import NumericalError, UsageError
 from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily, _basis_matrix,
-                       _local_derivative)
+                       _edge_row, _local_derivative)
 
 KINDS = ("h", "g", "f")
 _MIN_DEGREE = {"h": 1, "g": 2, "f": 2}
@@ -131,22 +130,25 @@ def _sampled(requests, family: SectionFamily) -> list[SymbolFn]:
     # the coefficients O(1) at large phases; it does not cover the second
     # derivative of the degree-2 spline, which is taken from that spline
     degrees = [p if r >= p else p - r for (_, p), r in zip(requests, orders)]
+    s = family.signed_square
+    levels = cardinal.kept_levels(family, max(degrees))[1]
     out = []
-    for (kind, p), r, cs in zip(requests, orders, cardinal_splines(family, degrees)):
-        s = cs.pw.family.signed_square
-        rows = cs.pw.coeffs  # one row per unit interval
-        if cs.degree == p:
+    for (kind, p), r, q in zip(requests, orders, degrees):
+        rows = levels[q - 1]  # one row per unit interval
+        if q == p:
             for _ in range(r):
                 rows = _local_derivative(p, s, rows)
         else:
             rows = _derivative_rows(rows, r)
-        # the sample at (p+1)/2 - k lies on piece (p+1)//2 - k, at its
-        # midpoint for even p and at its left end for odd p
-        pieces = (p + 1) // 2 - np.arange(0, p // 2 + 1)
-        tau = np.full(pieces.size, 0.5 if p % 2 == 0 else 0.0)
-        basis = _basis_matrix(rows.shape[1] - 1, s, tau)
-        out.append(SymbolFn(kind, p, family,
-                            _frozen(np.einsum("ij,ij->i", basis, rows[pieces]))))
+        # the sample at (p+1)/2 - k lies on piece (p+1)//2 - k, at its left
+        # end for odd p and at its midpoint for even p; the basis row there
+        # is the edge row, or the constant slot alone but for degree-1 rows,
+        # whose u is 1/cosh(eps/2) (1/cos trigonometric) at the midpoint
+        rows = rows[(p + 1) // 2 - np.arange(0, p // 2 + 1)]
+        row = _edge_row(q, -1.0) if p % 2 else \
+            np.eye(1, q + 1)[0] if q > 1 else _basis_matrix(1, s, [0.5])[0]
+        basis = np.tile(row, (rows.shape[0], 1))
+        out.append(SymbolFn(kind, p, family, _frozen(np.einsum("ij,ij->i", basis, rows))))
     return out
 
 
@@ -286,24 +288,41 @@ def _kept_with(s: SymbolFn, name: str, compute):
 
 
 def _critical_max(s: SymbolFn) -> float:
-    # reached at call time, as spectral reaches legendre: importing
-    # numpy.polynomial costs every fresh process a few milliseconds
-    chebyshev = np.polynomial.chebyshev
     if s.kind == "g":
         # g'(theta) = -2 sum k c_k cos(k theta); its roots do not need the sign
         series = np.concatenate(([0.0], s._k * s._tail))
     else:
-        # P' has the roots of -P', so f needs no negation either
-        series = chebyshev.chebder(np.concatenate((s.coefficients[:1], 2.0 * s._tail)))
+        # P' has the roots of -P', so f needs no negation either; P' by the
+        # float operations of numpy.polynomial.chebyshev.chebder
+        c = np.concatenate((s.coefficients[:1], 2.0 * s._tail))
+        series = np.zeros(max(c.size - 1, 1))
+        for j in range(c.size - 1, 0, -1):
+            series[j - 1] = (2 * j) * c[j] if j > 1 else c[1]
+            if j > 2:
+                c[j - 2] += (j * c[j]) / (j - 2)
     # the colleague matrix divides by the top coefficient, which overflows
     # once that is subnormal (p = 260); a coefficient below eps times the
     # largest moves no critical point by more than rounding
-    tol = np.finfo(float).eps * np.abs(series).max()
-    roots = chebyshev.chebroots(chebyshev.chebtrim(series, tol))
+    live = np.flatnonzero(np.abs(series) > np.finfo(float).eps * np.abs(series).max())
+    roots = _chebroots(series[:live[-1] + 1]) if live.size else series[:0]
     thetas = np.arccos(np.clip(roots.real, -1.0, 1.0))
     if s.kind == "g":
         thetas = np.concatenate((thetas, -thetas))
     return max(float(s(t)) for t in [math.pi, 0.0, *thetas.tolist()])
+
+
+def _chebroots(c: np.ndarray) -> np.ndarray:
+    """The roots of the Chebyshev series ``c``, whose top coefficient is not
+    0: the eigenvalues of its colleague matrix (Good 1961), built in place
+    by the float operations of ``numpy.polynomial.chebyshev.chebroots``."""
+    n = c.size - 1
+    if n < 2:  # no root, or the one of c0 + c1 x
+        return -c[:n] / c[n:]
+    diagonal = np.r_[np.sqrt(0.5), np.full(n - 2, 0.5)]
+    mat = np.diag(diagonal, 1) + np.diag(diagonal, -1)
+    scale = np.array([1.0] + [np.sqrt(0.5)] * (n - 1))
+    mat[:, -1] -= (c[:-1] / c[-1]) * (scale / scale[-1]) * 0.5
+    return np.sort(np.linalg.eigvals(mat[::-1, ::-1]))  # rotated, as numpy's
 
 
 def decay_ratio(p: int, family: SectionFamily) -> float:

@@ -29,7 +29,10 @@ the level-batched one: :func:`loop_gb_basis`, and the former d-variate
 symbol lattice kept as the bit-identity reference for the quantiles of
 d = 2, 3: :func:`former_md_quantiles`, and the former Toeplitz build
 from an N-by-N index of diagonals, kept as the bit-identity reference for
-the strided one: :func:`outer_index_toeplitz`.  The 1D quantiles are checked
+the strided one: :func:`outer_index_toeplitz`, and the former symbol
+maximum through ``numpy.polynomial.chebyshev``, kept as the bit-identity
+reference for the colleague matrix built in place:
+:func:`numpy_symbol_max`.  The 1D quantiles are checked
 against :func:`reference_discrepancy`, a far finer lattice.  The
 samplers' moments are checked against :func:`mp_product_moments` (mpmath
 quadrature) and :func:`richardson_md_moments` (Richardson-extrapolated
@@ -814,6 +817,26 @@ def outer_index_toeplitz(spec, m: int) -> np.ndarray:
     mask = np.abs(idx) <= b
     out[mask] = c[idx[mask] + b].astype(dtype)
     return out
+
+
+def numpy_symbol_max(s) -> float:
+    """The former maximum of the symbol ``s``: the critical points from
+    ``numpy.polynomial.chebyshev``'s ``chebder``, ``chebtrim`` and
+    ``chebroots``, each evaluated through ``s``.
+
+    Kept as the bit-identity reference for :func:`gbspec.symbols.symbol_max`.
+    """
+    chebyshev = np.polynomial.chebyshev
+    if s.kind == "g":
+        series = np.concatenate(([0.0], s._k * s._tail))
+    else:
+        series = chebyshev.chebder(np.concatenate((s.coefficients[:1], 2.0 * s._tail)))
+    tol = np.finfo(float).eps * np.abs(series).max()
+    roots = chebyshev.chebroots(chebyshev.chebtrim(series, tol))
+    thetas = np.arccos(np.clip(roots.real, -1.0, 1.0))
+    if s.kind == "g":
+        thetas = np.concatenate((thetas, -thetas))
+    return max(float(s(t)) for t in [math.pi, 0.0, *thetas.tolist()])
 
 
 def mp_symbol_max(kind: str, coefficients, grid: int = 4096) -> float:

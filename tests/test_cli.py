@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -644,6 +647,31 @@ def test_main_builds_one_parser_per_command(capsys, monkeypatch):
     for argv, want in zip(argvs[::-1], first[::-1]):
         assert (main(list(argv)), capsys.readouterr()) == want
     assert len(built) == 3
+
+
+def test_symbol_commands_do_not_import_numpy_polynomial(tmp_path):
+    # in a fresh interpreter: the symbol maxima come from a colleague matrix
+    # built in place, and importing numpy.polynomial costs every process
+    script = """
+import contextlib, io, sys
+from gbspec import cli
+argvs = [["bounds", "--p", "9", "--family", "hyperbolic", "--alpha", "10"],
+         ["decay", "--family", "trigonometric", "--alpha", "2", "--pmin", "2",
+          "--pmax", "12"],
+         ["symbol", "--kind", "g", "--p", "6", "--family", "polynomial"],
+         ["toeplitz", "--symbol", "f", "--p", "5", "--family", "polynomial",
+          "--m", "16", "--eig"],
+         ["cardinal", "--family", "hyperbolic", "--alpha", "1", "--p", "7"]]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print("numpy.polynomial" in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, cwd=tmp_path, timeout=120)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "False\n")
 
 
 def test_full_parser_has_every_command():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbspec import collocation, sections
+from gbspec import collocation, sections, symbols
 from gbspec.cli import load_problem_1d
 from gbspec.cardinal import cardinal_spline
 from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
@@ -143,28 +143,35 @@ class TestEffectivePhase:
 
     def test_series_evaluations_do_not_depend_on_n(self, monkeypatch,
                                                     recursion_runs):
-        # one array evaluation for each of the slots u and v, at any n
-        calls = []
+        # one array evaluation for each of the slots u and v of the corner
+        # rows, at any n; the symbols h, g and f are sampled from the kept
+        # recursion rows, with no series, unless they are kept
+        calls, sampled = [], []
         inner = sections._series
+        inner_sampled = symbols._sampled
 
         def counted(s, k, sigma):
             if isinstance(sigma, np.ndarray):
                 calls.append(k)
             return inner(s, k, sigma)
 
+        def counted_sampled(requests, family):
+            sampled.extend(requests)
+            return inner_sampled(requests, family)
+
         monkeypatch.setattr(sections, "_series", counted)
-        for fresh, want in ((True, 8), (False, 2)):
+        monkeypatch.setattr(symbols, "_sampled", counted_sampled)
+        for fresh, want in ((True, [("h", 3), ("g", 3), ("f", 3)]), (False, [])):
             counts = {}
             for n in (24, 32, 36, 256):
                 basis = gb_basis(n, 3, hyperbolic(10.0), "nonnested")
                 if fresh:
                     recursion_runs.reset()
                 calls.clear()
+                sampled.clear()
                 greville_samples(basis)
-                counts[n] = len(calls)
-            # two for the corner rows, and two for each of the symbols h, g
-            # and f unless they are kept
-            assert counts == dict.fromkeys((24, 32, 36, 256), want), fresh
+                counts[n] = (len(calls), sampled[:])
+            assert counts == dict.fromkeys((24, 32, 36, 256), (2, want)), fresh
 
 
 # trigonometric(7) in nested mode is feasible from n = 3 on
@@ -285,14 +292,20 @@ class TestBandedBasis:
             _assert_same_as_loop_basis(n, p, family, mode, loop_antiderivative)
 
     def test_work_does_not_grow_with_n(self, monkeypatch, recursion_runs):
-        made = []
+        made, sampled = [], []
         init = sections.PiecewiseFn.__post_init__
+        inner_sampled = symbols._sampled
 
         def counted(self):
             made.append(self)
             init(self)
 
+        def counted_sampled(requests, family):
+            sampled.extend(requests)
+            return inner_sampled(requests, family)
+
         monkeypatch.setattr(sections.PiecewiseFn, "__post_init__", counted)
+        monkeypatch.setattr(symbols, "_sampled", counted_sampled)
         counts = {}
         for n in (64, 4096):
             made.clear()
@@ -301,12 +314,12 @@ class TestBandedBasis:
             if n == 64:
                 made.clear()
                 greville_samples(basis)
-                # the cardinal splines of the symbols h, g and f alone,
-                # and none once the symbols are kept
-                assert len(made) == 3
-                made.clear()
+                # the symbols h, g and f are sampled from the recursion rows
+                # with no cardinal spline built, and not again once kept
+                assert (made, sampled) == ([], [("h", 3), ("g", 3), ("f", 3)])
+                sampled.clear()
                 greville_samples(basis)
-                assert made == []
+                assert (made, sampled) == ([], [])
         assert counts[64] == counts[4096]
 
     @pytest.mark.parametrize("family,p,n", SMALL_PHASE_CASES, ids=repr)

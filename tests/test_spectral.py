@@ -219,13 +219,13 @@ class TestTauEigenvalues:
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_coefficients_are_refused(self, value):
-        # both go to the solver, which refuses them
+        # both go to the dense path, which refuses them before any
+        # arithmetic on them (a RuntimeWarning fails the test)
         spec = ToeplitzSpec(np.array([-1.0, value, -1.0]))
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericalError):
-                toeplitz_eigenvalues(spec, 5)
-            with pytest.raises(NumericalError):
-                eigenvalues_dense(toeplitz(spec, 5))
+        with pytest.raises(NumericalError, match="infs or NaNs"):
+            toeplitz_eigenvalues(spec, 5)
+        with pytest.raises(NumericalError, match="infs or NaNs"):
+            eigenvalues_dense(toeplitz(spec, 5))
 
     def test_refusals(self, monkeypatch):
         spec = spec_of("f", 2)
@@ -282,11 +282,14 @@ class TestSymmetryTest:
         buffers = spectral._RESIDUAL_ENTRIES * (24 if dtype is complex else 8)
         assert peak <= 1.1 * buffers
 
-    def test_nan_propagates(self):
-        a = np.eye(300)
-        a[280, 3] = np.nan
-        residual, scale = _hermitian_residual(a)
-        assert np.isnan(residual) and np.isnan(scale)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_is_refused(self, value):
+        # in the third row block, and with no RuntimeWarning
+        a = np.eye(600)
+        assert 2 * (spectral._RESIDUAL_ENTRIES // 600) <= 500
+        a[500, 3] = a[3, 500] = value
+        with pytest.raises(NumericalError, match="infs or NaNs"):
+            _hermitian_residual(a)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_solver_choice_at_the_threshold(self, monkeypatch, dtype):

@@ -12,7 +12,7 @@ from gbspec.sections import SectionFamily, hyperbolic, polynomial, trigonometric
 from gbspec.symbols import (KINDS, bounds_report, decay_ratio,
                             lower_bound_residual, symbol_closed_form, symbol_fn,
                             symbol_fns, symbol_max, symbol_series)
-from oracles import (PHASE_SWEEP, mp_cardinal, mp_symbol_max,
+from oracles import (PHASE_SWEEP, mp_cardinal, mp_symbol_max, numpy_symbol_max,
                      piecewise_symbol_coefficients)
 
 Q_FAMILIES = [hyperbolic(1.0), hyperbolic(10.0),
@@ -80,16 +80,17 @@ def test_coefficients_match_mpmath(family):
 
 class TestSampling:
     @pytest.mark.parametrize("family", [
-        polynomial(), hyperbolic(1e-9), hyperbolic(1e-3), hyperbolic(10.0),
-        hyperbolic(30.0), trigonometric(0.01), trigonometric(3.0)], ids=repr)
-    def test_same_samples_as_piecewise_functions(self, family):
-        requests = [(kind, p) for p in range(1, 15) for kind in KINDS
+        polynomial(), hyperbolic(1e-9), trigonometric(0.01), *PHASE_SWEEP],
+        ids=repr)
+    def test_same_samples_as_piecewise_functions(self, family, recursion_runs):
+        # from an empty store, sampled from the kept recursion rows at the
+        # left ends (odd p) and the midpoints (even p) of the pieces; g at
+        # p = 2 reads degree-1 rows, whose u slot is not 0 at the midpoint
+        requests = [(kind, p) for p in range(1, 17) for kind in KINDS
                     if (kind, p) not in (("g", 1), ("f", 1))]
         for (kind, p), sym in zip(requests, symbol_fns(requests, family)):
             ref = piecewise_symbol_coefficients(kind, p, family)
-            assert np.array_equal(sym.coefficients, ref), (kind, p)
-            assert np.array_equal(np.signbit(sym.coefficients),
-                                  np.signbit(ref)), (kind, p)
+            assert _same_bits(sym.coefficients, ref), (kind, p)
 
     @pytest.mark.parametrize("family", [
         polynomial(), hyperbolic(10.0), trigonometric(1.5)], ids=repr)
@@ -269,13 +270,25 @@ class TestMaxAgainstMpmath:
         symbols.SymbolFn("f", 4, polynomial(), np.array([-1.0, 0.5, 0.0])),
         symbols.SymbolFn("g", 4, polynomial(), np.array([0.0, 0.5, 0.0])),
         symbols.SymbolFn("g", 4, polynomial(), np.zeros(3)),
+        symbols.SymbolFn("g", 2, polynomial(), np.array([0.0, -0.5])),
+        symbols.SymbolFn("h", 6, polynomial(), np.array([0.3, -0.25, 1e-3, 2e-310])),
     ], ids=["h1", "f2", "h2-zero-top", "h-zero-top", "f-zero-top",
-            "g-zero-top", "g-zero"])
+            "g-zero-top", "g-zero", "g2", "h-subnormal-top"])
     def test_degenerate_series_raise_no_warning(self, sym):
         # a RuntimeWarning fails the test (filterwarnings = error)
         got = symbol_max(sym)
         want = mp_symbol_max(sym.kind, sym.coefficients)
         assert abs(got - want) <= 2 * math.ulp(want)
+        assert _same_bits(got, numpy_symbol_max(sym))
+
+    @pytest.mark.parametrize("family", [polynomial(), *PHASE_SWEEP], ids=repr)
+    def test_same_bits_as_numpy_polynomial(self, family):
+        # the colleague matrix built in place gives the roots, and so the
+        # maximum, of numpy.polynomial.chebyshev
+        requests = [(kind, p) for p in range(1, 41) for kind in KINDS
+                    if p >= symbols._MIN_DEGREE[kind]]
+        for (kind, p), sym in zip(requests, symbol_fns(requests, family)):
+            assert _same_bits(symbol_max(sym), numpy_symbol_max(sym)), (kind, p)
 
 
     @pytest.mark.parametrize("p", [260, 300])
@@ -286,6 +299,7 @@ class TestMaxAgainstMpmath:
         got = symbol_max(sym)
         want = mp_symbol_max("f", sym.coefficients)
         assert abs(got - want) <= 2 * math.ulp(want)
+        assert _same_bits(got, numpy_symbol_max(sym))
 
 
 class TestDecay:
@@ -681,29 +695,39 @@ class TestKeptSymbols:
     ], ids=lambda argv: argv[0])
     def test_repeat_command_evaluates_no_series(self, argv, capsys, monkeypatch,
                                                 recursion_runs):
-        series, roots = [], []
+        # the first run samples the symbols from the recursion rows and
+        # (bounds, decay) finds the maximum from a colleague matrix; a
+        # repeat does neither, nor evaluates any series
+        series, sampled, roots = [], [], []
         inner_series = sections._series
-        inner_roots = np.polynomial.chebyshev.chebroots
+        inner_sampled = symbols._sampled
+        inner_roots = symbols._chebroots
 
         def counted_series(*args):
             series.append(args[:2])
             return inner_series(*args)
 
-        def counted_roots(*args):
-            roots.append(args)
-            return inner_roots(*args)
+        def counted_sampled(requests, family):
+            sampled.extend(requests)
+            return inner_sampled(requests, family)
+
+        def counted_roots(c):
+            roots.append(c)
+            return inner_roots(c)
 
         monkeypatch.setattr(sections, "_series", counted_series)
-        monkeypatch.setattr(np.polynomial.chebyshev, "chebroots", counted_roots)
+        monkeypatch.setattr(symbols, "_sampled", counted_sampled)
+        monkeypatch.setattr(symbols, "_chebroots", counted_roots)
         assert cli.main(argv) == 0
         first = capsys.readouterr()
-        assert series
+        assert sampled
         assert bool(roots) == (argv[0] in ("bounds", "decay"))
         series.clear()
+        sampled.clear()
         roots.clear()
         assert cli.main(argv) == 0
         assert capsys.readouterr() == first
-        assert (series, roots) == ([], [])
+        assert (series, sampled, roots) == ([], [], [])
 
 
 #: phases of the envelope amplitude's test, down to where a**2 underflows

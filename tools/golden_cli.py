@@ -209,6 +209,16 @@ COMMANDS: list[list[str]] = [
      "--alpha", "10", "--m", "4096", "--eig"],
     ["toeplitz", "--symbol", "f", "--p", "4", "--family", "polynomial",
      "--m", "64", "--eig"],
+    # symbols sampled from the kept recursion rows: g at p = 2 reads
+    # degree-1 rows at the midpoints, whose u slot is not 0, and h at p = 1
+    # the left ends; a decay scan to p = 20 reaches the deep levels and the
+    # larger colleague matrices of the maxima
+    ["symbol", "--kind", "g", "--p", "2", "--family", "trigonometric",
+     "--alpha", "3.1", "--grid", "64"],
+    ["symbol", "--kind", "h", "--p", "1", "--family", "hyperbolic",
+     "--alpha", "50", "--grid", "64"],
+    ["decay", "--family", "trigonometric", "--alpha", "1.5", "--pmin", "2",
+     "--pmax", "20"],
     # refusals: decay ratios that reach rounding noise (from p = 81), and
     # --out into a missing directory, relative to the working directory
     ["decay", "--family", "polynomial", "--pmin", "2", "--pmax", "400"],
