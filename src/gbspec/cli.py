@@ -104,6 +104,8 @@ def make_family(name: str, alpha: float | None) -> SectionFamily:
         return polynomial()
     if alpha is None:
         raise GbspecError(f"family {name!r} requires --alpha")
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise GbspecError(f"family {name!r} needs a numeric alpha, got {alpha!r}")
     return SectionFamily(name, float(alpha))
 
 
@@ -166,6 +168,9 @@ def load_problem_md(cfg: dict) -> tuple[ProblemMD, GeometryMapMD]:
     mode = _require(cfg, "mode", str, where)
     if not (len(beta) == len(nu) == len(degrees) == len(fam_names) == d):
         raise GbspecError(f"{where}: beta/nu/p/family must have {d} entries")
+    for key in ("nu", "p"):
+        if any(type(v) is not int for v in cfg[key]):  # bool is not an int here
+            raise GbspecError(f"{where}: key {key!r} has the wrong type")
     families = tuple(make_family(nm, al) for nm, al in zip(fam_names, alphas))
     diffusion = tuple(
         tuple(exprparse.parse(e) for e in row) for row in kmat)
@@ -173,7 +178,7 @@ def load_problem_md(cfg: dict) -> tuple[ProblemMD, GeometryMapMD]:
         d=d, diffusion=diffusion,
         advection=tuple(exprparse.parse(e) for e in beta),
         gamma=exprparse.parse(gamma), families=families,
-        degrees=tuple(int(q) for q in degrees), nu=tuple(int(v) for v in nu),
+        degrees=tuple(degrees), nu=tuple(nu),
         mode=mode)
     geo_cfg = cfg.get("geometry")
     if geo_cfg is None:

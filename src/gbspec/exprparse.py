@@ -161,6 +161,8 @@ class _Parser:
 
 def parse(src: str, variables: tuple[str, ...] = RESERVED_VARS) -> ExprAst:
     """Parse an expression over the declared variable names."""
+    if not isinstance(src, str):
+        raise ExprError(f"expected an expression string, got {src!r}")
     return _Parser(src, variables).parse()
 
 

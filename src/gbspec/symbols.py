@@ -24,7 +24,7 @@ from . import cardinal
 from .cardinal import _derivative_rows, _frozen, _phi1_hat, kept
 from .errors import NumericalError, UsageError
 from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily, _basis_matrix,
-                       _edge_row, _local_derivative)
+                       _edge_row, _local_derivative, polynomial)
 
 KINDS = ("h", "g", "f")
 _MIN_DEGREE = {"h": 1, "g": 2, "f": 2}
@@ -69,21 +69,9 @@ class SymbolFn:
         else:
             arg = np.multiply.outer(np.asarray(theta, dtype=float), self._k)
         if self.kind == "g":
-            return self.from_table(-2.0 * np.sin(arg))
-        return self.from_table(2.0 * np.cos(arg))
-
-    def from_table(self, table):
-        """The symbol from ``table``, 2cos(theta k) (h, f) or -2sin(theta k) (g).
-
-        ``table[..., k-1]`` holds the value for k = 1..floor(p/2); h and f of
-        one degree take the same table.
-        """
-        c0 = self.coefficients[0]
-        if self.kind == "h":
-            return c0 + table @ self._tail
-        if self.kind == "g":
-            return table @ self._tail
-        return -c0 - table @ self._tail
+            return (-2.0 * np.sin(arg)) @ self._tail
+        c0, cosines = self.coefficients[0], (2.0 * np.cos(arg)) @ self._tail
+        return c0 + cosines if self.kind == "h" else -c0 - cosines
 
     def toeplitz_coefficients(self) -> np.ndarray:
         """Fourier coefficients c_k, k = -b..b, of the symbol.
@@ -272,7 +260,8 @@ def symbol_max(s: SymbolFn) -> float:
     exactly ``s(pi)``.  The maximum is computed once per symbol and kept
     with it.
     """
-    return _kept_with(s, "max", _critical_max)
+    return _kept_with(s, "max", lambda s: max(
+        float(s(t)) for t in _critical_points(s)))
 
 
 def _kept_with(s: SymbolFn, name: str, compute):
@@ -287,7 +276,10 @@ def _kept_with(s: SymbolFn, name: str, compute):
     return kept[name]
 
 
-def _critical_max(s: SymbolFn) -> float:
+def _critical_points(s: SymbolFn) -> list[float]:
+    """pi, 0 and arccos of each root's real part, clipped to [-1, 1], of the
+    derivative series (g: also their negatives): every extremum of ``s``
+    lies at one of them."""
     if s.kind == "g":
         # g'(theta) = -2 sum k c_k cos(k theta); its roots do not need the sign
         series = np.concatenate(([0.0], s._k * s._tail))
@@ -308,7 +300,14 @@ def _critical_max(s: SymbolFn) -> float:
     thetas = np.arccos(np.clip(roots.real, -1.0, 1.0))
     if s.kind == "g":
         thetas = np.concatenate((thetas, -thetas))
-    return max(float(s(t)) for t in [math.pi, 0.0, *thetas.tolist()])
+    return [math.pi, 0.0, *thetas.tolist()]
+
+
+def _extrema(s: SymbolFn) -> tuple[float, float]:
+    """The minimum and maximum of ``s``, from its critical points evaluated
+    as one array, as a grid is: ``s(pi)`` has a grid's bits."""
+    values = s(np.array(_critical_points(s)))
+    return float(values.min()), float(values.max())
 
 
 def _chebroots(c: np.ndarray) -> np.ndarray:
@@ -357,8 +356,10 @@ def _decay_ratio(f: SymbolFn) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Grid scan of the proved/conjectured envelope bounds for one (p, family).
+    """The proved/conjectured envelope bounds checked for one (p, family).
 
+    ``h_min`` is the exact minimum of h; the violation counts are those of
+    a ``grid_size``-point theta grid, 0 without one (:func:`bounds_report`).
     The fields about ``f`` (``symbol_max``, ``decay_ratio`` and the
     ``f_zero_*`` ones) are None below degree 2, where there is no ``f``.
     """
@@ -390,41 +391,29 @@ def _amplitude(family: SectionFamily) -> float:
 
 
 def _lower_envelope(s: SymbolFn) -> float:
-    """Lower bound for h_p, or the factor of 2-2cos in the one for f_p."""
-    family, p, kind = s.family, s.degree, s.kind
+    """Lower bound for h_q, q = ``s.degree``; times 2 - 2cos, for f_{q+2}."""
+    family, q = s.family, s.degree
     if family.is_polynomial:
-        return (2.0 / math.pi) ** (p + 1) if kind == "h" else \
-            (2.0 / math.pi) ** (p - 1)
+        return (2.0 / math.pi) ** (q + 1)
     a = family.phase
     if family.tag == HYPERBOLIC:
         amp = _amplitude(family) * ((math.cosh(a) + 1.0) / (a * a + math.pi**2))
     else:
         amp = _amplitude(family) * ((math.cos(a) + 1.0) / (math.pi**2 - a * a))
-    return amp * (2.0 / math.pi) ** (p - 1 if kind == "h" else p - 3)
+    return amp * (2.0 / math.pi) ** (q - 1)
 
 
-#: ``(table, 2 - 2cos(theta))`` of the last bounds grid, read-only:
-#: ``table[:, k-1]`` is ``2 cos(theta k)`` for k = 1..its column count
-_GRID: tuple[np.ndarray, np.ndarray] | None = None
+#: h_0 = 1, the factor of the polynomial f_2 = 2 - 2cos(theta)
+_H0 = SymbolFn("h", 0, polynomial(), _frozen(np.ones(1)))
 
 
-def _bounds_grid(size: int, columns: int):
-    """The bounds grid of ``size`` points with at least ``columns`` columns.
-
-    A process keeps one grid: it is rebuilt when ``size`` changes or more
-    columns are asked.  A grid of more than
-    :data:`~gbspec.cardinal.KEPT_LEVEL_BYTES` is built for the call only.
-    """
-    global _GRID
-    grid = _GRID
-    if grid is not None and grid[1].size == size and grid[0].shape[1] >= columns:
-        return grid
-    theta = np.linspace(-math.pi, math.pi, size)
-    table = 2.0 * np.cos(np.multiply.outer(theta, np.arange(1, columns + 1)))
-    grid = (_frozen(table), _frozen(2.0 - 2.0 * np.cos(theta)))
-    if sum(a.nbytes for a in grid) <= cardinal.KEPT_LEVEL_BYTES:
-        _GRID = grid
-    return grid
+def _clear(h: SymbolFn, upper: bool) -> bool:
+    """Whether the extrema of ``h`` clear h >= envelope, and if ``upper``
+    h <= 1, by the slack (by an eighth of it, as f_p - (2 - 2cos) h_{p-2}
+    is below that): then no grid point can cross either bound."""
+    low, high = _kept_with(h, "extrema", _extrema)
+    return (low >= _kept_with(h, "envelope", _lower_envelope) + _BOUND_SLACK
+            and (not upper or high <= 1.0 + _BOUND_SLACK / 8))
 
 
 def _zero_differences(f: SymbolFn) -> tuple[float, float, float]:
@@ -441,37 +430,37 @@ def _zero_differences(f: SymbolFn) -> tuple[float, float, float]:
 
 def bounds_report(p: int, family: SectionFamily,
                   grid_size: int = 4096) -> BoundReport:
-    """Count violations of the upper and lower symbol bounds on a theta grid.
+    """Check the upper and lower symbol bounds at the exact extrema of h.
 
     Upper bounds (h <= 1 for p >= 2, f <= 2 - 2cos for p >= 4, already from
     p >= 2 in the polynomial case) are proved; lower bounds are proved for
     the polynomial family and for hyperbolic odd degrees, conjectured
     otherwise, and the report labels them accordingly without failing on
-    conjectured ones.  The grid is the one a process keeps
-    (:func:`_bounds_grid`); the envelopes, the values at theta = 0 and the
-    decay ratio are kept with the symbols, so a repeat report evaluates
-    nothing off that grid.
+    conjectured ones.  As f_p = (2 - 2cos) h_{p-2}, each bound is one on h_p
+    or h_{p-2}.  While the extrema of both clear the bounds (:func:`_clear`),
+    no point of a theta grid can violate them; otherwise the violations are
+    counted on a grid of ``grid_size`` points, built for that report alone.
+    The extrema, envelopes, values at theta = 0 and decay ratio are kept
+    with the symbols, so a repeat report evaluates nothing.
     """
     if grid_size < MIN_BOUNDS_GRID:
         raise UsageError(f"grid_size must be >= {MIN_BOUNDS_GRID}")
     h, f = symbol_fns([("h", p), ("f", p)], family) if p >= 2 else \
         (symbol_fn("h", p, family), None)
-    # h and f of one degree read the same k = 1..floor(p/2) columns
-    table, wave = _bounds_grid(grid_size, p // 2)
-    table = table[:, :p // 2]
-    hv = h.from_table(table)
-    fv = f.from_table(table) if f is not None else None
-    upper = 0
-    if p >= 2:
-        upper += int(np.count_nonzero(hv > 1.0 + _BOUND_SLACK))
-    if f is not None and (p >= 4 or (family.is_polynomial and p >= 2)):
-        upper += int(np.count_nonzero(fv > wave + _BOUND_SLACK))
-
-    lower = int(np.count_nonzero(
-        hv < _kept_with(h, "envelope", _lower_envelope) - _BOUND_SLACK))
-    if f is not None and (p >= 3 or (family.is_polynomial and p >= 2)):
-        envelope = wave * _kept_with(f, "envelope", _lower_envelope)
-        lower += int(np.count_nonzero(fv < envelope - _BOUND_SLACK))
+    f_upper = p >= 4 or (family.is_polynomial and p >= 2)
+    f_lower = p >= 3 or (family.is_polynomial and p >= 2)
+    below = (symbol_fn("h", p - 2, family) if p >= 3 else _H0) if f_lower else None
+    upper = lower = 0
+    if not (_clear(h, p >= 2) and (below is None or _clear(below, f_upper))):
+        theta = np.linspace(-math.pi, math.pi, grid_size)
+        hv, wave = h(theta), 2.0 - 2.0 * np.cos(theta)
+        upper = int(np.count_nonzero(hv > 1.0 + _BOUND_SLACK)) if p >= 2 else 0
+        envelope = _kept_with(h, "envelope", _lower_envelope)
+        lower = int(np.count_nonzero(hv < envelope - _BOUND_SLACK))
+        if f_lower:
+            fv, envelope = f(theta), _kept_with(below, "envelope", _lower_envelope)
+            upper += int(np.count_nonzero(fv > wave + _BOUND_SLACK)) if f_upper else 0
+            lower += int(np.count_nonzero(fv < wave * envelope - _BOUND_SLACK))
     if family.is_polynomial or (family.tag == HYPERBOLIC and p % 2 == 1):
         status = "PROVED"
     else:
@@ -486,7 +475,8 @@ def bounds_report(p: int, family: SectionFamily,
 
     return BoundReport(
         degree=p, family=family.tag, phase=family.phase, grid_size=grid_size,
-        symbol_max=mx, h_min=float(hv.min()), upper_violations=upper,
-        lower_violations=lower, lower_status=status, decay_ratio=ratio,
-        f_zero_value=f0, f_zero_first_diff=first, f_zero_second_diff=second,
+        symbol_max=mx, h_min=_kept_with(h, "extrema", _extrema)[0],
+        upper_violations=upper, lower_violations=lower, lower_status=status,
+        decay_ratio=ratio, f_zero_value=f0, f_zero_first_diff=first,
+        f_zero_second_diff=second,
     )

@@ -221,6 +221,23 @@ class TestCardinalAndBounds:
             assert payload[key] is None, key
         assert math.isfinite(payload["h_min"])
 
+    def test_bounds_large_grid_allocates_no_grid(self, capsys):
+        # the exact extrema clear the bounds, so the 10**8 points are never
+        # built (800 MB a column)
+        tracemalloc.start()
+        try:
+            code = main(["bounds", "--p", "5", "--family", "polynomial",
+                         "--grid", "100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        payload = json.loads(captured.out)
+        assert (payload["upper_violations"], payload["lower_violations"]) == (0, 0)
+        assert payload["grid_size"] == 100000000
+        assert peak < 2**20
+
     @pytest.mark.parametrize("family, p", [("hyperbolic", "3"), ("trigonometric", "4")])
     @pytest.mark.parametrize("alpha", ["1e-9", "1e-300"])
     def test_bounds_at_small_phases(self, capsys, family, p, alpha):
@@ -407,6 +424,29 @@ class TestDistributionCommands:
         bad.write_text(json.dumps({"d": 1, "kappa": "x-2"}))
         code, _ = run(capsys, "distribution", "--config", str(bad), "--n", "8")
         assert code == 1
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"alpha": "abc"}, "family 'hyperbolic' needs a numeric alpha, got 'abc'"),
+        ({"alpha": [1, 2]}, "family 'hyperbolic' needs a numeric alpha, got [1, 2]"),
+        ({"alpha": True}, "family 'hyperbolic' needs a numeric alpha, got True"),
+        ({"geometry": {"G": "x", "G1": 1}}, "expected an expression string, got 1"),
+        ({"d": 2, "K": [[1, 0], [0, 1]]}, "expected an expression string, got 1"),
+        ({"d": 2, "family": ["hyperbolic", "hyperbolic"], "alpha": ["x", 1]},
+         "family 'hyperbolic' needs a numeric alpha, got 'x'"),
+        ({"d": 2, "nu": ["a", 1]}, "2D config: key 'nu' has the wrong type"),
+        ({"d": 2, "nu": [1.5, 1]}, "2D config: key 'nu' has the wrong type"),
+        ({"d": 2, "nu": [True, 1]}, "2D config: key 'nu' has the wrong type"),
+        ({"d": 2, "p": [3.7, 3]}, "2D config: key 'p' has the wrong type"),
+    ])
+    def test_wrong_typed_config_value_exits_one(self, capsys, tmp_path, changes,
+                                                message):
+        # one error line, never a traceback or a value silently truncated
+        cfg = dict(PROBLEM_2D if changes.get("d") == 2 else PROBLEM_1D, **changes)
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(cfg))
+        command = "distribution-md" if cfg["d"] == 2 else "distribution"
+        code = main([command, "--config", str(path), "--n", "8"])
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
 
     def test_infeasible_phase_exits_one(self, capsys, tmp_path):
         cfg = dict(PROBLEM_1D, family="trigonometric", alpha=4.0)

@@ -217,6 +217,16 @@ class TestRelationIdentity:
         ref = (2.0 - 2.0 * np.cos(THETA)) * h(THETA)
         assert np.max(np.abs(f(THETA) - ref)) <= 1e-11
 
+    @pytest.mark.parametrize("family", PHASE_SWEEP, ids=repr)
+    def test_within_the_margin_of_the_bounds_check(self, family):
+        # bounds_report reads f_p <= 2 - 2cos from max h_{p-2} <= 1 + slack/8
+        theta = np.linspace(-math.pi, math.pi, 4097)
+        wave = 2.0 - 2.0 * np.cos(theta)
+        for p in range(3, 41):
+            f, h = symbol_fns([("f", p), ("h", p - 2)], family)
+            gap = np.max(np.abs(f(theta) - wave * h(theta)))
+            assert gap <= symbols._BOUND_SLACK / 8, (p, gap)
+
 
 class TestMax:
     def test_polynomial_f2(self):
@@ -469,99 +479,91 @@ def _fresh_grid(size, columns):
     return table, 2.0 - 2.0 * np.cos(theta)
 
 
-@pytest.fixture
-def cosine_tables(monkeypatch):
-    """Shapes of the 2-D cosine tables built, in order, from no kept grid."""
-    monkeypatch.setattr(symbols, "_GRID", None)
-    tables = []
-    cos = np.cos
-
-    def counted(x, *args, **kwargs):
-        if np.ndim(x) == 2:
-            tables.append(np.shape(x))
-        return cos(x, *args, **kwargs)
-
-    monkeypatch.setattr(symbols.np, "cos", counted)
-    return tables
+def _fresh_grid_counts(p, family, size):
+    """``(upper, lower)`` violations of h_p and f_p, p >= 4, counted on
+    :func:`_fresh_grid` from the symbols' coefficients."""
+    table, wave = _fresh_grid(size, p // 2)
+    h, f, below = symbol_fns([("h", p), ("f", p), ("h", p - 2)], family)
+    hv = h.coefficients[0] + table @ h.coefficients[1:]
+    fv = -f.coefficients[0] - table @ f.coefficients[1:]
+    slack = symbols._BOUND_SLACK
+    upper = np.count_nonzero(hv > 1.0 + slack) + np.count_nonzero(fv > wave + slack)
+    lower = np.count_nonzero(hv < symbols._lower_envelope(h) - slack) + \
+        np.count_nonzero(fv < wave * symbols._lower_envelope(below) - slack)
+    return int(upper), int(lower)
 
 
-class TestKeptGrid:
-    """bounds_report keeps one theta grid and cosine table per process."""
+class TestExactExtrema:
+    """bounds_report checks each bound at the exact extrema of h_p or h_{p-2}
+    and builds a grid only when one of them crosses its bound."""
 
-    @pytest.mark.parametrize("family", [polynomial(), hyperbolic(0.1),
-                                        hyperbolic(76.0), trigonometric(3.0)],
-                             ids=repr)
-    def test_same_bits_as_a_fresh_table(self, family, monkeypatch):
-        # grid switches, and a table that grows (2 -> 14) and is then sliced
-        calls = [(grid, p) for grid in (512, 64, 4096, 512) for p in (2, 14, 3)]
-        calls += [(64, 1), (64, 13)]
-        monkeypatch.setattr(symbols, "_bounds_grid", _fresh_grid)
-        fresh = [bounds_report(p, family, grid).to_dict() for grid, p in calls]
-        monkeypatch.undo()
-        monkeypatch.setattr(symbols, "_GRID", None)
-        for (grid, p), want in zip(calls, fresh):
-            got = bounds_report(p, family, grid).to_dict()
-            assert got.keys() == want.keys()
-            for key, value in got.items():
-                if isinstance(value, float):
-                    assert _same_bits(value, want[key]), (grid, p, key)
-                else:
-                    assert value == want[key], (grid, p, key)
+    @pytest.mark.parametrize("family", [polynomial(), *PHASE_SWEEP], ids=repr)
+    def test_no_scan_point_beyond_the_extrema(self, family):
+        # h is even: a 200001-point scan of [0, pi], one cosine table for
+        # every degree; each point within the rounding bound of h's sum
+        theta = np.linspace(0.0, math.pi, 200001)
+        table = 2.0 * np.cos(np.multiply.outer(theta, np.arange(1, 16)))
+        u = np.finfo(float).eps / 2
+        for p in range(1, 31):
+            h = symbol_fn("h", p, family)
+            c = h.coefficients
+            n = c.size
+            bound = n * u / (1 - n * u) * (abs(c[0]) + 2.0 * np.abs(c[1:]).sum())
+            scan = c[0] + table[:, :p // 2] @ c[1:]
+            low, high = symbols._extrema(h)
+            assert bounds_report(p, family).h_min == low
+            assert scan.min() >= low - bound, (p, scan.min() - low)
+            assert scan.max() <= high + bound, (p, scan.max() - high)
 
-    def test_one_table_per_new_grid_or_wider_table(self, cosine_tables,
-                                                   monkeypatch):
-        grid_calls, values = [], []
-        call, from_table = symbols.SymbolFn.__call__, symbols.SymbolFn.from_table
+    def test_minimum_has_the_bits_of_a_grid_value(self):
+        # the critical points are evaluated as one array, as a grid is: the
+        # polynomial minimum, at pi, is the 4096-point grid's bit for bit
+        # (one point at a time, p = 12 was 5.5e-17 off).  Elsewhere, where
+        # the roots of h' cluster at pi, a root's value may round lower.
+        theta = np.linspace(-math.pi, math.pi, 4096)
+        for p in range(1, 21):
+            want = symbol_fn("h", p, polynomial())(theta).min()
+            assert _same_bits(bounds_report(p, polynomial()).h_min, want), p
 
-        def counted_call(self, theta):
-            if np.ndim(theta):
-                grid_calls.append(self.kind)
-            return call(self, theta)
+    def test_sweep_builds_no_grid(self, monkeypatch):
+        grids = []
+        monkeypatch.setattr(symbols.np, "linspace",
+                            lambda *args, **kwargs: grids.append(args))
+        for family in [polynomial(), *PHASE_SWEEP]:
+            for p in range(1, 41):
+                rep = bounds_report(p, family)
+                assert (rep.upper_violations, rep.lower_violations) == (0, 0)
+        assert grids == []
 
-        def recorded(self, table):
-            out = from_table(self, table)
-            if np.ndim(out):
-                values.append((self, out))
-            return out
-
-        monkeypatch.setattr(symbols.SymbolFn, "__call__", counted_call)
-        monkeypatch.setattr(symbols.SymbolFn, "from_table", recorded)
-        family = hyperbolic(10.0)
-        for grid, p, built in [(512, 6, [(512, 3)]), (512, 6, []), (512, 3, []),
-                               (512, 13, [(512, 6)]), (512, 2, []), (512, 1, []),
-                               (64, 2, [(64, 1)]), (64, 14, [(64, 7)]),
-                               (512, 1, [(512, 0)]), (512, 5, [(512, 2)])]:
-            cosine_tables.clear()
-            values.clear()
-            bounds_report(p, family, grid)
-            assert cosine_tables == built, (grid, p)
-            # h and f, bit for bit what __call__ gives on the grid
-            assert [sym.kind for sym, _ in values] == (["h", "f"] if p >= 2 else ["h"])
-            theta = np.linspace(-math.pi, math.pi, grid)
-            for sym, got in list(values):
-                assert np.array_equal(got, call(sym, theta)), (grid, p, sym.kind)
-        # neither h nor f goes through __call__ on the grid
-        assert grid_calls == []
-
-    def test_kept_arrays_are_read_only(self, cosine_tables):
-        bounds_report(6, polynomial(), 256)
-        table, wave = symbols._GRID
-        assert (table.shape, wave.shape) == ((256, 3), (256,))
-        for array in (table, table[:, :2], wave):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
-
-    def test_grid_over_the_byte_budget_is_not_kept(self, cosine_tables,
-                                                    monkeypatch):
-        # 64 points and one column fit, in 64 * (1 + 1) doubles; seven do not
-        monkeypatch.setattr(cardinal, "KEPT_LEVEL_BYTES", 64 * 2 * 8)
-        family = trigonometric(1.5)
-        bounds_report(2, family, 64)
-        kept = symbols._GRID
-        want = bounds_report(14, family, 64)
-        assert symbols._GRID is kept
-        assert bounds_report(14, family, 64) == want
-        assert cosine_tables == [(64, 1), (64, 7), (64, 7)]
+    @pytest.mark.parametrize("family", [polynomial(), hyperbolic(10.0),
+                                        trigonometric(1.5)], ids=repr)
+    @pytest.mark.parametrize("crossing", ["upper h", "lower h", "upper f",
+                                          "lower f"])
+    def test_crossing_counts_on_a_fresh_grid(self, family, crossing, monkeypatch,
+                                             recursion_runs):
+        # scale h_6 (or h_4 and f_6 alike, keeping f_6 = (2 - 2cos) h_4) so
+        # that its maximum passes 1 or its minimum half the envelope
+        p, size = 6, 512
+        bound, kind = crossing.split()
+        scaled = [("h", p)] if kind == "h" else [("h", p - 2), ("f", p)]
+        h = symbol_fn("h", scaled[0][1], family)
+        scale = 1.01 if bound == "upper" else \
+            0.5 * symbols._lower_envelope(h) / symbols._extrema(h)[0]
+        entry = cardinal._RECURSIONS[family]
+        planted = {key: symbols.SymbolFn(*key, family, scale * symbol_fn(
+            *key, family).coefficients) for key in scaled}
+        cardinal._RECURSIONS[family] = (*entry[:2], {**entry[2], **planted},
+                                        entry[3])
+        want = _fresh_grid_counts(p, family, size)
+        assert (want[0] > 0, want[1] > 0) == (bound == "upper", bound == "lower")
+        grids = []
+        linspace = np.linspace
+        monkeypatch.setattr(symbols.np, "linspace",
+                            lambda *args: grids.append(args) or linspace(*args))
+        rep = bounds_report(p, family, size)
+        assert (rep.upper_violations, rep.lower_violations) == want
+        assert grids == [(-math.pi, math.pi, size)]
+        assert rep.h_min == symbols._extrema(symbol_fn("h", p, family))[0]
 
 
 class _Refusing:
@@ -578,21 +580,21 @@ class _Refusing:
 
 class TestKeptSymbolFeatures:
     """bounds_report keeps f(0), its differences, the decay ratio and the
-    envelopes with the symbols, as symbol_max is kept."""
+    extrema and envelopes of h with the symbols, as symbol_max is kept."""
 
     @pytest.mark.parametrize("family", [polynomial(), hyperbolic(10.0),
                                         trigonometric(3.0)], ids=repr)
     @pytest.mark.parametrize("p", [1, 2, 3, 9])
-    def test_repeat_report_evaluates_nothing_off_its_grid(self, monkeypatch,
-                                                          family, p):
+    def test_repeat_report_evaluates_nothing(self, monkeypatch, family, p):
         want = bounds_report(p, family, 512)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a symbol evaluated by a repeat report")
 
         monkeypatch.setattr(symbols.SymbolFn, "__call__", refuse)
+        monkeypatch.setattr(symbols, "_critical_points", refuse)
         monkeypatch.setattr(symbols, "np", _Refusing(
-            np, ("sin", "cos", "arccos", "polynomial")))
+            np, ("sin", "cos", "arccos", "linspace", "polynomial")))
         monkeypatch.setattr(symbols, "math", _Refusing(
             math, ("sin", "cos", "tan", "sinh", "cosh", "tanh")))
         assert bounds_report(p, family, 512) == want

@@ -186,9 +186,9 @@ COMMANDS: list[list[str]] = [
     # symbol-scan workload's output
     *[["cardinal", "--family", "hyperbolic", "--alpha", "10", "--p", str(p),
        "--grid", "4081"] for p in (3, 7, 11)],
-    # the one bounds grid a process keeps, in list order and reversed: a
-    # new grid, a slice of a wider table, a switch of grid size, a grid
-    # over the byte budget (not kept), and a table that grows
+    # bounds at the exact extrema of h_p and h_{p-2}, at grid sizes from
+    # 64 to 600000 points (none built, as no extremum crosses), in list
+    # order and reversed, after reports of other degrees and families
     ["bounds", "--p", "14", "--family", "polynomial", "--grid", "64"],
     ["bounds", "--p", "2", "--family", "hyperbolic", "--alpha", "10", "--grid",
      "64"],
@@ -198,6 +198,11 @@ COMMANDS: list[list[str]] = [
     ["bounds", "--p", "14", "--family", "hyperbolic", "--alpha", "0.1", "--grid",
      "600000"],
     ["bounds", "--p", "9", "--family", "polynomial"],
+    # f_2 = (2 - 2cos) h_0 with h_0 = 1, a degree with no f, and f_3 read
+    # from the constant h_1
+    ["bounds", "--p", "2", "--family", "polynomial"],
+    ["bounds", "--p", "1", "--family", "hyperbolic", "--alpha", "76"],
+    ["bounds", "--p", "3", "--family", "hyperbolic", "--alpha", "10"],
     # both sides of the Toeplitz eigenvalue selection: tridiagonal matrices
     # (p <= 3) take the tau closed form, the g one with an exact zero in
     # the middle and an f one at the order cap; a p = 4 one is solved dense
