@@ -7,26 +7,23 @@ the associated spectral symbols, and provides the machinery to verify
 eigenvalue-distribution, clustering, bound and decay statements numerically.
 """
 
-from .cardinal import (CardinalSpline, cardinal_derivative, cardinal_spline,
-                       cardinal_splines, fourier_phi)
+from .cardinal import CardinalSpline, cardinal_spline, cardinal_splines
 from .collocation import (CollocationSystem, GBBasis, GeometryMap1D,
-                          KnotVector, ProblemCoefficients, StructureReport,
-                          assemble, central_range, gb_basis,
-                          greville_abscissae, structure_report)
+                          KnotVector, ProblemCoefficients, assemble,
+                          central_range, gb_basis, greville_abscissae)
 from .errors import (ConstraintError, ExprError, GbspecError, NumericalError,
                      UsageError, ValidationError)
 from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
                        assemble_md, md_symbol_sampler, md_symbol_samples)
-from .sections import (PiecewiseFn, SectionFamily, hyperbolic,
-                       piecewise_antiderivative, piecewise_derivative,
-                       piecewise_eval, polynomial, trigonometric)
+from .sections import (PiecewiseFn, SectionFamily, hyperbolic, piecewise_eval,
+                       polynomial, trigonometric)
 from .spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
                        eigenvalues_dense, product_symbol_sampler,
                        symbol_moments, symbol_sampler, toeplitz,
-                       toeplitz_eigenvalues, toeplitz_tensor, weyl_report)
+                       toeplitz_eigenvalues, weyl_report)
 from .symbols import (BoundReport, SymbolFn, bounds_report, decay_ratio,
-                      decay_ratios, lower_bound_residual, symbol_closed_form,
-                      symbol_fn, symbol_fns, symbol_max, symbol_series)
+                      decay_ratios, symbol_fn, symbol_fns, symbol_max,
+                      symbol_series)
 
 __version__ = "0.1.0"
 
@@ -34,19 +31,13 @@ __all__ = [
     "BoundReport", "CardinalSpline", "CollocationSystem", "ConstraintError",
     "DirectionSymbols", "DistributionReport", "ExprError", "GBBasis",
     "GbspecError", "GeometryMap1D", "GeometryMapMD", "KnotVector",
-    "NumericalError", "PiecewiseFn", "ProblemCoefficients",
-    "ProblemMD", "SectionFamily", "StructureReport", "SymbolDraw", "SymbolFn",
-    "ToeplitzSpec", "UsageError", "ValidationError", "assemble",
-    "assemble_md", "bounds_report", "cardinal_derivative",
+    "NumericalError", "PiecewiseFn", "ProblemCoefficients", "ProblemMD",
+    "SectionFamily", "SymbolDraw", "SymbolFn", "ToeplitzSpec", "UsageError",
+    "ValidationError", "assemble", "assemble_md", "bounds_report",
     "cardinal_spline", "cardinal_splines", "central_range", "decay_ratio",
-    "decay_ratios",
-    "eigenvalues_dense", "fourier_phi", "gb_basis", "greville_abscissae",
-    "hyperbolic", "lower_bound_residual", "md_symbol_sampler",
-    "md_symbol_samples",
-    "piecewise_antiderivative", "piecewise_derivative", "piecewise_eval",
-    "polynomial",
-    "product_symbol_sampler", "structure_report", "symbol_closed_form",
-    "symbol_fn", "symbol_fns", "symbol_max", "symbol_moments",
-    "symbol_sampler", "symbol_series", "toeplitz", "toeplitz_eigenvalues",
-    "toeplitz_tensor", "trigonometric", "weyl_report",
+    "decay_ratios", "eigenvalues_dense", "gb_basis", "greville_abscissae",
+    "hyperbolic", "md_symbol_sampler", "md_symbol_samples", "piecewise_eval",
+    "polynomial", "product_symbol_sampler", "symbol_fn", "symbol_fns",
+    "symbol_max", "symbol_moments", "symbol_sampler", "symbol_series",
+    "toeplitz", "toeplitz_eigenvalues", "trigonometric", "weyl_report",
 ]

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .sections import (HYPERBOLIC, PiecewiseFn, SectionFamily, _at_edge,
-                       _local_primitive)
+from .sections import (HYPERBOLIC, PiecewiseFn, SectionFamily,
+                       _antiderivative_stack, _at_edge)
 
 #: Largest hyperbolic effective phase of a piece that is accepted;
 #: larger ones are refused with :class:`~gbspec.errors.NumericalError`.
@@ -93,12 +93,9 @@ def _recursion(rep: SectionFamily, top: int, done=None):
     """
     s = rep.signed_square  # every piece has the effective phase
 
-    def antiderivative(rows: np.ndarray) -> np.ndarray:
-        # each piece's integral is its primitive at tau = 1; the integration
-        # constants are their running sums
-        out = _local_primitive(rows.shape[1] - 1, s, rows)
-        out[1:, 0] += np.cumsum(_at_edge(out)[:-1])
-        return out
+    def antiderivative(rows: np.ndarray) -> np.ndarray:  # on unit intervals
+        return _antiderivative_stack(rows.shape[1] - 1, s, np.ones(len(rows)),
+                                     rows)
 
     if done is None:
         integral = _at_edge(antiderivative(SEED_ROWS)[-1])
@@ -214,19 +211,6 @@ def cardinal_spline(family: SectionFamily, p: int) -> CardinalSpline:
     return cardinal_splines(family, [p])[0]
 
 
-def cardinal_derivative(cs: CardinalSpline, r: int) -> PiecewiseFn:
-    """r-th derivative via the recurrence phi_p^{(r)} = sum_j (-1)^j C(r,j) phi_{p-r}(. - j).
-
-    Valid for ``1 <= r <= p-1``; agrees with ``piecewise_derivative`` applied
-    r times.
-    """
-    if not 1 <= r <= cs.degree - 1:
-        raise UsageError(f"derivative order {r} outside 1..{cs.degree - 1}")
-    base = cardinal_spline(cs.family, cs.degree - r)
-    return PiecewiseFn(base.pw.family, base.degree, np.arange(0.0, cs.degree + 2),
-                       _derivative_rows(base.pw.coeffs, r))
-
-
 def _derivative_rows(coeffs: np.ndarray, r: int) -> np.ndarray:
     """Coefficient rows of the r-th derivative of the degree ``q + r`` cardinal
     spline, in the degree-q basis, from the rows ``coeffs`` of the degree-q one."""
@@ -244,6 +228,9 @@ def _phi0_hat(theta: np.ndarray) -> np.ndarray:
 
 
 def _phi1_hat(family: SectionFamily, theta: np.ndarray) -> np.ndarray:
+    """Fourier transform of the degree-1 cardinal spline; its removable
+    singularities (theta = 0 and the trigonometric theta = +-alpha) are
+    evaluated through singularity-free product forms."""
     if family.is_polynomial:
         return _phi0_hat(theta) ** 2
     a = family.phase
@@ -263,19 +250,3 @@ def _phi1_hat(family: SectionFamily, theta: np.ndarray) -> np.ndarray:
         v = (theta - a) / 2.0
         ratio = amp * (0.5 * np.sinc(u / math.pi) * np.sinc(v / math.pi))
     return ratio * np.exp(-1j * theta)
-
-
-def fourier_phi(family: SectionFamily, p: int, theta):
-    """Fourier transform of the degree-``p`` cardinal spline at ``theta``.
-
-    Computed as phi1_hat(theta) * phi0_hat(theta)**(p-1); removable
-    singularities (theta = 0 and the trigonometric theta = +-alpha) are
-    evaluated through singularity-free product forms.
-    """
-    if p < 1:
-        raise UsageError("degree must be >= 1")
-    th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    out = _phi1_hat(family, th) * _phi0_hat(th) ** (p - 1)
-    return complex(out[0]) if scalar else out

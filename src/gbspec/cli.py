@@ -112,7 +112,8 @@ def make_family(name: str, alpha: float | None) -> SectionFamily:
 def _require(cfg: dict, key: str, kinds, where: str):
     if key not in cfg:
         raise GbspecError(f"{where}: missing required key {key!r}")
-    if not isinstance(cfg[key], kinds):
+    # a JSON true is a bool, which Python counts as an int
+    if not isinstance(cfg[key], kinds) or isinstance(cfg[key], bool):
         raise GbspecError(f"{where}: key {key!r} has the wrong type")
     return cfg[key]
 

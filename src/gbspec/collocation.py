@@ -53,11 +53,9 @@ import numpy as np
 
 from . import exprparse
 from .cardinal import SEED_ROWS, _check_phase, _checked
-from .errors import ConstraintError, NumericalError, UsageError, ValidationError
-from .sections import (TRIGONOMETRIC, PiecewiseFn, SectionFamily,
-                       _antiderivative_stack, _at_edge, _basis_matrix,
-                       _local_derivative, polynomial)
-from .spectral import ToeplitzSpec, toeplitz, toeplitz_view
+from .errors import ConstraintError, UsageError, ValidationError
+from .sections import (TRIGONOMETRIC, SectionFamily, _antiderivative_stack,
+                       _at_edge, _basis_matrix, _local_derivative, polynomial)
 from .symbols import symbol_fns
 
 NESTED = "nested"
@@ -111,8 +109,8 @@ class GBBasis:
     p+1)``: row ``k`` holds the coefficients of spline N_{k+1} of the short
     run of :func:`gb_basis`, on its ``m = min(n, 2p+2)`` unit intervals;
     ``shape_normalizers[k]`` is ``1 / integral`` of that spline.  N_i has the
-    shape ``shape_index[i-1]``, translated and scaled to width ``1/n``.
-    ``splines`` and ``normalizers`` give the basis spline by spline.
+    shape ``shape_index[i-1]``, translated and scaled to width ``1/n``;
+    ``normalizers`` gives ``1 / integral`` of each.
     """
 
     knots: KnotVector
@@ -145,23 +143,6 @@ class GBBasis:
     def normalizers(self) -> np.ndarray:
         """``normalizers[i-1]`` is ``1 / integral(N_i)``."""
         return self.n * self.shape_normalizers[self.shape_index]
-
-    @property
-    def splines(self) -> tuple[PiecewiseFn, ...]:
-        """N_1..N_{n+p}, built on each access; ``splines[i-1]`` is N_i.
-
-        N_i is a :class:`PiecewiseFn` over its support ``[t_i, t_{i+p+1}]``
-        alone (at most ``p+1`` intervals); it evaluates to 0 outside.
-        """
-        n, p, rep = self.n, self.degree, self.section_family
-        grid = np.arange(n + 1) / n
-        out = []
-        for i, k in enumerate(self.shape_index.tolist(), start=1):
-            lo, hi = max(0, i - p - 1), min(n, i)
-            first = max(0, k - p)  # first short-run piece of the support
-            out.append(PiecewiseFn(rep, p, grid[lo:hi + 1],
-                                   self.shapes[k, first:first + hi - lo]))
-        return tuple(out)
 
 
 def limit_family(family: SectionFamily, mode: str) -> SectionFamily:
@@ -596,62 +577,3 @@ def central_range(n: int, p: int) -> tuple[int, int] | None:
     if n < 2 * p + 1 - (p % 2) or hi < lo:
         return None
     return lo - 1, hi
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Toeplitz/symmetry structure of the central block and correction ranks."""
-
-    has_central_rows: bool
-    central_toeplitz: bool
-    stiffness_symmetric: bool
-    mass_symmetric: bool
-    advection_skew: bool
-    stiffness_correction_rank: int | None
-    advection_correction_rank: int | None
-    mass_correction_rank: int | None
-    rank_bound: int
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-def structure_report(sys: CollocationSystem, tol: float = 1e-10) -> StructureReport:
-    """Check the central-block structure and the low-rank correction bounds."""
-    n, p = sys.n, sys.degree
-    bound = 2 * ((3 * p) // 2) - 2
-    rng = central_range(n, p)
-    if rng is None:
-        return StructureReport(False, False, False, False, False,
-                               None, None, None, bound)
-
-    # central submatrix: 1-based block indices p..n-1, densified alone
-    lo, hi = p - 1, n - 1
-    mass, adv, stiff = _split_parts(
-        densify(sys.starts[lo:hi] - lo, sys.samples[:, lo:hi], hi - lo), n)
-
-    def is_toeplitz(b):  # each diagonal within tol of its first entry
-        first = ToeplitzSpec(np.r_[b[0, :0:-1], b[:, 0]])
-        return np.max(np.abs(b - toeplitz(first, b.shape[0]))) <= tol
-
-    central_toeplitz = all(map(is_toeplitz, (stiff, adv, mass)))
-    stiff_sym = np.max(np.abs(stiff - stiff.T)) <= tol
-    mass_sym = np.max(np.abs(mass - mass.T)) <= tol
-    adv_skew = np.max(np.abs(adv + adv.T)) <= tol
-
-    # every other row is that of T, up to the rounding of the scaling by
-    # n^r: the correction ranks are those of the corner rows
-    corners = np.r_[0:rng[0], rng[1]:sys.order]
-    rows = _split_parts(densify(sys.starts[corners], sys.samples[:, corners],
-                                sys.order), n)
-    ranks = []
-    for mat, c in zip(rows, _symbol_coefficients(sys.section_family, p)):
-        t = toeplitz_view(ToeplitzSpec(c), sys.order)[corners]
-        sv = np.linalg.svd(mat - t, compute_uv=False)
-        ranks.append(int(np.sum(sv > 1e-8 * sv[0])))
-    r_mass, r_adv, r_stiff = ranks
-    if r_stiff > bound:
-        raise NumericalError(
-            f"stiffness correction rank {r_stiff} exceeds bound {bound}")
-    return StructureReport(True, central_toeplitz, stiff_sym, mass_sym,
-                           adv_skew, r_stiff, r_adv, r_mass, bound)

@@ -226,11 +226,6 @@ class PiecewiseFn:
         return PiecewiseFn(self.family, self.degree, self.breakpoints,
                            self.coeffs * factor)
 
-    def integral(self) -> float:
-        """Integral over the whole span (exact, via antidifferentiation)."""
-        anti = piecewise_antiderivative(self)
-        return float(_at_edge(anti.coeffs[-1]))
-
 
 def piecewise_eval(f: PiecewiseFn, x):
     """Evaluate ``f`` at scalar or array ``x`` (0 outside the support)."""
@@ -271,17 +266,6 @@ def _local_derivative(p: int, s: float, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def piecewise_derivative(f: PiecewiseFn) -> PiecewiseFn:
-    """Exact derivative, represented at the same degree.
-
-    Monomial slots shift down; the (u, v) pair maps into its own span plus
-    the top monomial.  Degree-0 input yields the zero function.
-    """
-    out = (_local_derivative(f.degree, f.family.signed_square, f.coeffs)
-           / f._widths[:, None])
-    return PiecewiseFn(f.family, f.degree, f.breakpoints, out)
-
-
 def _local_primitive(p: int, s: float, c: np.ndarray) -> np.ndarray:
     """Primitive of coefficient rows (vanishing at tau=0) in the degree-p+1 basis.
 
@@ -309,9 +293,10 @@ def _antiderivative_stack(p: int, s: float, widths: np.ndarray,
 
     ``coeffs`` has shape ``(S, m, p+1)``: S functions of degree ``p`` on one
     grid of m pieces of widths ``widths``, every piece at the signed
-    square ``s``.
-    The result, of shape ``(S, m, p+2)``, is what
-    :func:`piecewise_antiderivative` gives for each function on its own.
+    square ``s``.  The result, of shape ``(S, m, p+2)``, holds each
+    function's exact antiderivative from the left end of the grid, of
+    degree ``p+1``: the integration constants carry across the pieces, so
+    it is continuous.  ``coeffs`` may also be one function, ``(m, p+1)``.
     """
     out = _local_primitive(p, s, coeffs) * widths[:, None]
     # each piece's integral is its primitive at tau = 1, where the basis row
@@ -319,15 +304,3 @@ def _antiderivative_stack(p: int, s: float, widths: np.ndarray,
     steps = _at_edge(out)
     out[..., 1:, 0] += np.cumsum(steps[..., :-1], axis=-1)
     return out
-
-
-def piecewise_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
-    """Exact antiderivative ``F(x) = int_{left}^{x} f``, of degree ``p+1``.
-
-    Integration constants propagate across intervals, so ``F`` is continuous;
-    outside the span the compact-support convention of :class:`PiecewiseFn`
-    applies (in particular ``F`` at the last breakpoint is the total integral).
-    """
-    out = _antiderivative_stack(f.degree, f.family.signed_square, f._widths,
-                                f.coeffs[None])
-    return PiecewiseFn(f.family, f.degree + 1, f.breakpoints, out[0])

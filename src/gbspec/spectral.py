@@ -109,15 +109,6 @@ def toeplitz_view(spec: ToeplitzSpec, m: int) -> np.ndarray:
     return sliding_window_view(diagonals, m)[:, ::-1]
 
 
-def toeplitz_tensor(cf: ToeplitzSpec, ch: ToeplitzSpec, m1: int,
-                    m2: int) -> np.ndarray:
-    """Two-level Toeplitz of the product symbol f(t1)h(t2).
-
-    It is the Kronecker product of the two one-level matrices.
-    """
-    return np.kron(toeplitz(cf, m1), toeplitz(ch, m2))
-
-
 def check_order(order: int, what: str = "order") -> None:
     """Refuse an ``order`` above :data:`DEFAULT_ORDER_CAP`, read at call time."""
     if order > DEFAULT_ORDER_CAP:

@@ -8,9 +8,8 @@ Three trigonometric polynomials are attached to each family and degree:
   symbol).
 
 All three exist in a finite-sum form (the authoritative one, used for
-Toeplitz generation), an infinite-series form built from Fourier transforms
-(valid from a kind-dependent minimal degree), and explicit closed forms for
-low degrees.
+Toeplitz generation) and an infinite-series form built from Fourier
+transforms (valid from a kind-dependent minimal degree).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from . import cardinal
 from .cardinal import _derivative_rows, _frozen, _phi1_hat, kept
 from .errors import NumericalError, UsageError
-from .sections import (HYPERBOLIC, POLYNOMIAL, SectionFamily, _basis_matrix,
+from .sections import (HYPERBOLIC, SectionFamily, _basis_matrix,
                        _edge_row, _local_derivative, polynomial)
 
 KINDS = ("h", "g", "f")
@@ -170,84 +169,6 @@ def symbol_series(kind: str, p: int, family: SectionFamily, theta: float,
     return float(np.sum(terms).real)
 
 
-def _h2_shape(family: SectionFamily, theta):
-    """Closed-form h_2: c1*cos(theta) - c2, shared by f_4.
-
-    ``c1 = (cosh(a/2) - 1)/(cosh(a) - 1)`` and ``-c2 = (cosh(a) -
-    cosh(a/2))/(cosh(a) - 1)`` (trigonometric: ``cos``) are taken in
-    half-angle form, ``(sinh(a/4)/sinh(a/2))**2`` and ``sinh(3a/4)
-    sinh(a/4)/sinh(a/2)**2`` (``sin``), which do not cancel at small phases.
-    """
-    if family.is_polynomial:
-        return 0.25 * np.cos(theta) + 0.75
-    a = family.phase
-    sine = math.sinh if family.tag == HYPERBOLIC else math.sin
-    quarter = sine(a / 4) / sine(a / 2)
-    return quarter**2 * np.cos(theta) + sine(3 * a / 4) / sine(a / 2) * quarter
-
-
-def symbol_closed_form(kind: str, p: int, family: SectionFamily, theta):
-    """Transcription of the tabulated low-degree closed forms.
-
-    Available pairs: h1, h2, g2, f2, g3, f3, f4 (each for all families).
-    Their amplitudes, quotients by ``cosh(a) - 1`` (trigonometric:
-    ``cos(a) - 1``), are written in half-angle form, which does not cancel
-    at small phases.
-    """
-    th = np.asarray(theta, dtype=float)
-    a = family.phase
-    tag = family.tag
-    if kind == "h" and p == 1:
-        if tag == POLYNOMIAL:
-            val = 1.0
-        elif tag == HYPERBOLIC:
-            val = (a / 2.0) / math.tanh(a / 2.0)
-        else:
-            val = (a / 2.0) / math.tan(a / 2.0)
-        return np.full_like(th, val) if th.ndim else float(val)
-    if kind == "h" and p == 2:
-        return _h2_shape(family, th)
-    if kind in ("g", "f") and p == 2:
-        if tag == POLYNOMIAL:
-            return -np.sin(th) if kind == "g" else 2.0 - 2.0 * np.cos(th)
-        # a sinh(a/2)/(cosh(a) - 1) and a**2 cosh(a/2)/(cosh(a) - 1)
-        # (trigonometric: sin, cos), by cosh(a) - 1 = 2 sinh(a/2)**2
-        sine, cosine = (math.sinh, math.cosh) if tag == HYPERBOLIC else (math.sin, math.cos)
-        ratio = a / 2.0 / sine(a / 2.0)
-        if kind == "g":
-            return -ratio * np.sin(th)
-        return 2.0 * ratio**2 * cosine(a / 2.0) * (1.0 - np.cos(th))
-    if kind == "g" and p == 3:
-        return -np.sin(th)
-    if kind == "f" and p == 3:
-        if tag == POLYNOMIAL:
-            return 2.0 - 2.0 * np.cos(th)
-        if tag == HYPERBOLIC:
-            amp = a / math.tanh(a / 2.0)
-        else:
-            amp = a / math.tan(a / 2.0)
-        return amp * (1.0 - np.cos(th))
-    if kind == "f" and p == 4:
-        return (2.0 - 2.0 * np.cos(th)) * _h2_shape(family, th)
-    raise UsageError(f"no closed form tabulated for kind {kind!r}, degree {p}")
-
-
-def lower_bound_residual(p: int, family: SectionFamily, theta) -> np.ndarray:
-    """Residual of h_p after removing the leading Fourier-transform term.
-
-    Splitting the series form of h_p at its k = 0 term isolates the part
-    controlled by the lower-bound analysis; for hyperbolic families of odd
-    degree the residual is provably nonnegative, which is what pins h_p above
-    its envelope.  Requires ``p >= 3`` (the series form's validity range).
-    """
-    if p < 3:
-        raise UsageError("the series split requires degree >= 3")
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    sinc = np.sinc(th / (2.0 * math.pi))
-    leading = (_phi1_hat(family, th) * np.exp(1j * th)).real * sinc ** (p - 1)
-    return np.asarray(symbol_fn("h", p, family)(th)) - leading
-
-
 def symbol_max(s: SymbolFn) -> float:
     """Maximum over [-pi, pi], from the critical points of ``s``.
 
@@ -335,23 +256,29 @@ def decay_ratios(degrees, family: SectionFamily) -> list[float]:
     return [decay_ratio(p, family) for p in degrees]
 
 
-def _decay_ratio(f: SymbolFn) -> float:
-    """``f(pi) / max f``, refused once ``f(pi)`` is rounding noise.
+def _above_rounding(s: SymbolFn, value: float, what: str) -> float:
+    """``value``, a value of ``s``, refused once it is rounding noise.
 
-    ``f(pi)`` sums n = floor(p/2) + 1 terms, ``c_0`` and ``2 c_k cos(k pi)``;
-    in floating point that sum errs by at most ``gamma_n`` times the sum of
-    the terms' magnitudes, ``gamma_n = n u / (1 - n u)`` with u = 2**-53.
-    A value that does not exceed that bound has no correct digit, nor a sign.
+    ``s(theta)`` sums n = floor(p/2) + 1 terms, ``c_0`` and ``2 c_k cos(k
+    theta)``; in floating point that sum errs by at most ``gamma_n`` times
+    the sum of the terms' magnitudes, at most ``gamma_n (|c_0| + 2 sum
+    |c_k|)``, with ``gamma_n = n u / (1 - n u)`` and u = 2**-53.  A value
+    that does not exceed that bound has no correct digit, nor a sign.
     """
-    value = float(f(math.pi))
-    n = f.coefficients.size
+    n = s.coefficients.size
     u = np.finfo(float).eps / 2
-    bound = n * u / (1 - n * u) * (abs(f.coefficients[0]) + 2.0 * np.abs(f._tail).sum())
+    bound = n * u / (1 - n * u) * (abs(s.coefficients[0]) + 2.0 * np.abs(s._tail).sum())
     if not abs(value) > bound:
         raise NumericalError(
-            f"decay ratio at p = {f.degree}: f(pi) = {value:.3g} does not exceed "
+            f"{what} = {value:.3g} does not exceed "
             f"{bound:.3g}, the rounding bound of its sum")
-    return value / symbol_max(f)
+    return value
+
+
+def _decay_ratio(f: SymbolFn) -> float:
+    """``f(pi) / max f``, refused once ``f(pi)`` is rounding noise."""
+    what = f"decay ratio at p = {f.degree}: f(pi)"
+    return _above_rounding(f, float(f(math.pi)), what) / symbol_max(f)
 
 
 @dataclass(frozen=True)
@@ -441,7 +368,9 @@ def bounds_report(p: int, family: SectionFamily,
     no point of a theta grid can violate them; otherwise the violations are
     counted on a grid of ``grid_size`` points, built for that report alone.
     The extrema, envelopes, values at theta = 0 and decay ratio are kept
-    with the symbols, so a repeat report evaluates nothing.
+    with the symbols, so a repeat report evaluates nothing.  The report is
+    refused once f(pi), the decay ratio's numerator, or else ``h_min`` is
+    rounding noise (:func:`_above_rounding`).
     """
     if grid_size < MIN_BOUNDS_GRID:
         raise UsageError(f"grid_size must be >= {MIN_BOUNDS_GRID}")
@@ -472,10 +401,12 @@ def bounds_report(p: int, family: SectionFamily,
         ratio = _kept_with(f, "decay_ratio", _decay_ratio)
     else:
         f0 = first = second = mx = ratio = None
+    h_min = _above_rounding(h, _kept_with(h, "extrema", _extrema)[0],
+                            f"h_min at p = {p}: min h")
 
     return BoundReport(
         degree=p, family=family.tag, phase=family.phase, grid_size=grid_size,
-        symbol_max=mx, h_min=_kept_with(h, "extrema", _extrema)[0],
+        symbol_max=mx, h_min=h_min,
         upper_violations=upper, lower_violations=lower, lower_status=status,
         decay_ratio=ratio, f_zero_value=f0, f_zero_first_diff=first,
         f_zero_second_diff=second,

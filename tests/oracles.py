@@ -39,9 +39,22 @@ quadrature) and :func:`richardson_md_moments` (Richardson-extrapolated
 midpoint rules).  The tau closed form of bandwidth-1 Toeplitz spectra is
 checked against the same formula at 40 digits,
 :func:`mp_tridiagonal_toeplitz_eigenvalues`.
+
+The former package functions that only tests called live here too, as
+functions of their inputs built on the package's primitives:
+:func:`piecewise_derivative`, :func:`piecewise_antiderivative` and
+:func:`integral` (the section algebra on whole piecewise functions),
+:func:`basis_splines` (a basis spline by spline), :func:`cardinal_derivative`
+(the derivative recurrence the symbols sample), :func:`fourier_phi` and
+:func:`lower_bound_residual` (the Fourier transform of a cardinal spline
+and the split of h at its leading term), :func:`symbol_closed_form` (the
+tabulated low-degree closed forms of h, g and f), and
+:func:`toeplitz_tensor` and :func:`structure_report` (the
+Toeplitz-plus-low-rank structure of the collocation matrices).
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -49,14 +62,70 @@ from types import SimpleNamespace
 import numpy as np
 
 from gbspec import exprparse
-from gbspec.collocation import (KnotVector, densify, gb_basis,
+from gbspec.collocation import (KnotVector, _split_parts, _symbol_coefficients,
+                                central_range, densify, gb_basis,
                                 greville_abscissae, greville_samples)
-from gbspec.cardinal import SEED_ROWS, cardinal_derivative, cardinal_spline
-from gbspec.errors import UsageError, ValidationError
+from gbspec.cardinal import (SEED_ROWS, _derivative_rows, _phi0_hat,
+                             _phi1_hat, cardinal_spline)
+from gbspec.errors import NumericalError, UsageError, ValidationError
 from gbspec.multidim import _eval_grid
-from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
-                             _local_derivative, _norm_at,
-                             piecewise_antiderivative, piecewise_derivative)
+from gbspec.sections import (HYPERBOLIC, POLYNOMIAL, PiecewiseFn,
+                             SectionFamily, _antiderivative_stack,
+                             _basis_matrix, _local_derivative, _norm_at)
+from gbspec.spectral import ToeplitzSpec, toeplitz, toeplitz_view
+from gbspec.symbols import symbol_fn
+
+
+def piecewise_derivative(f: PiecewiseFn) -> PiecewiseFn:
+    """Exact derivative, represented at the same degree.
+
+    Monomial slots shift down; the (u, v) pair maps into its own span plus
+    the top monomial.  Degree-0 input yields the zero function.
+    """
+    out = (_local_derivative(f.degree, f.family.signed_square, f.coeffs)
+           / f._widths[:, None])
+    return PiecewiseFn(f.family, f.degree, f.breakpoints, out)
+
+
+def piecewise_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
+    """Exact antiderivative ``F(x) = int_{left}^{x} f``, of degree ``p+1``.
+
+    Integration constants propagate across intervals, so ``F`` is continuous;
+    outside the span the compact-support convention of :class:`PiecewiseFn`
+    applies (in particular ``F`` at the last breakpoint is the total integral).
+    """
+    out = _antiderivative_stack(f.degree, f.family.signed_square, f._widths,
+                                f.coeffs)
+    return PiecewiseFn(f.family, f.degree + 1, f.breakpoints, out)
+
+
+def integral(f: PiecewiseFn) -> float:
+    """Integral of ``f`` over its whole span (exact, via antidifferentiation)."""
+    return float(_total(piecewise_antiderivative(f)))
+
+
+def basis_splines(basis) -> tuple:
+    """N_1..N_{n+p} of a :class:`~gbspec.collocation.GBBasis`; entry ``i-1``
+    is N_i, a :class:`PiecewiseFn` over its support ``[t_i, t_{i+p+1}]``
+    alone (at most ``p+1`` intervals), 0 outside."""
+    n, p, rep = basis.n, basis.degree, basis.section_family
+    grid = np.arange(n + 1) / n
+    out = []
+    for i, k in enumerate(basis.shape_index.tolist(), start=1):
+        lo, hi = max(0, i - p - 1), min(n, i)
+        first = max(0, k - p)  # first short-run piece of the support
+        out.append(PiecewiseFn(rep, p, grid[lo:hi + 1],
+                               basis.shapes[k, first:first + hi - lo]))
+    return tuple(out)
+
+
+def cardinal_derivative(cs, r: int) -> PiecewiseFn:
+    """r-th derivative of a cardinal spline, ``1 <= r <= p-1``, by the
+    recurrence phi_p^{(r)} = sum_j (-1)^j C(r,j) phi_{p-r}(. - j) that the
+    package's symbols sample."""
+    base = cardinal_spline(cs.family, cs.degree - r)
+    return PiecewiseFn(base.pw.family, base.degree, np.arange(0.0, cs.degree + 2),
+                       _derivative_rows(base.pw.coeffs, r))
 
 
 def gauss_legendre(fn, a: float, b: float, pieces: int = 8,
@@ -288,16 +357,6 @@ def loop_greville_abscissae(kv: KnotVector) -> np.ndarray:
     return full[1:-1]
 
 
-def _loop_derivative(f: PiecewiseFn) -> PiecewiseFn:
-    """Exact derivative of ``f``, one piece at a time."""
-    p = f.degree
-    s = f.family.signed_square
-    out = np.zeros_like(f.coeffs)
-    for i in range(f.coeffs.shape[0]):
-        out[i] = _local_derivative(p, s, f.coeffs[i]) / f._widths[i]
-    return PiecewiseFn(f.family, p, f.breakpoints, out)
-
-
 def loop_greville_samples(basis):
     """Greville points and value/first/second-derivative matrices, spline by spline.
 
@@ -306,13 +365,13 @@ def loop_greville_samples(basis):
     """
     xi = loop_greville_abscissae(basis.knots)
     mats = tuple(np.zeros((xi.size, xi.size)) for _ in range(3))
-    for j, s in enumerate(basis.splines[1:-1]):
+    for j, s in enumerate(basis_splines(basis)[1:-1]):
         lo, hi = np.searchsorted(xi, s.support)
         pts = xi[lo:hi]
-        d1 = _loop_derivative(s)
+        d1 = piecewise_derivative(s)
         mats[0][lo:hi, j] = s(pts)
         mats[1][lo:hi, j] = d1(pts)
-        mats[2][lo:hi, j] = _loop_derivative(d1)(pts)
+        mats[2][lo:hi, j] = piecewise_derivative(d1)(pts)
     return (xi, *mats)
 
 
@@ -920,3 +979,160 @@ def mp_tridiagonal_toeplitz_eigenvalues(coefficients, m: int) -> list:
         s = mp.sqrt(mp.mpf(c1.real) ** 2 + mp.mpf(c1.imag) ** 2)
         return sorted(c0 + 2 * s * mp.cospi(mp.mpf(j) / (m + 1))
                       for j in range(1, m + 1))
+
+
+def fourier_phi(family, p: int, theta):
+    """Fourier transform of the degree-``p`` cardinal spline at ``theta``.
+
+    Computed as phi1_hat(theta) * phi0_hat(theta)**(p-1) from the package's
+    transforms of the degree-1 spline and of the unit indicator.
+    """
+    if p < 1:
+        raise UsageError("degree must be >= 1")
+    th = np.asarray(theta, dtype=float)
+    scalar = th.ndim == 0
+    th = np.atleast_1d(th)
+    out = _phi1_hat(family, th) * _phi0_hat(th) ** (p - 1)
+    return complex(out[0]) if scalar else out
+
+
+def lower_bound_residual(p: int, family, theta) -> np.ndarray:
+    """Residual of h_p after removing the leading Fourier-transform term.
+
+    Splitting the series form of h_p at its k = 0 term isolates the part
+    controlled by the lower-bound analysis; for hyperbolic families of odd
+    degree the residual is provably nonnegative, which is what pins h_p above
+    its envelope.  Requires ``p >= 3`` (the series form's validity range).
+    """
+    if p < 3:
+        raise UsageError("the series split requires degree >= 3")
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    sinc = np.sinc(th / (2.0 * math.pi))
+    leading = (_phi1_hat(family, th) * np.exp(1j * th)).real * sinc ** (p - 1)
+    return np.asarray(symbol_fn("h", p, family)(th)) - leading
+
+
+def _h2_shape(family, theta):
+    """Closed-form h_2: c1*cos(theta) - c2, shared by f_4.
+
+    ``c1 = (cosh(a/2) - 1)/(cosh(a) - 1)`` and ``-c2 = (cosh(a) -
+    cosh(a/2))/(cosh(a) - 1)`` (trigonometric: ``cos``) are taken in
+    half-angle form, ``(sinh(a/4)/sinh(a/2))**2`` and ``sinh(3a/4)
+    sinh(a/4)/sinh(a/2)**2`` (``sin``), which do not cancel at small phases.
+    """
+    if family.is_polynomial:
+        return 0.25 * np.cos(theta) + 0.75
+    a = family.phase
+    sine = math.sinh if family.tag == HYPERBOLIC else math.sin
+    quarter = sine(a / 4) / sine(a / 2)
+    return quarter**2 * np.cos(theta) + sine(3 * a / 4) / sine(a / 2) * quarter
+
+
+def symbol_closed_form(kind: str, p: int, family, theta):
+    """Transcription of the tabulated low-degree closed forms.
+
+    Available pairs: h1, h2, g2, f2, g3, f3, f4 (each for all families).
+    Their amplitudes, quotients by ``cosh(a) - 1`` (trigonometric:
+    ``cos(a) - 1``), are written in half-angle form, which does not cancel
+    at small phases.
+    """
+    th = np.asarray(theta, dtype=float)
+    a = family.phase
+    tag = family.tag
+    if kind == "h" and p == 1:
+        if tag == POLYNOMIAL:
+            val = 1.0
+        elif tag == HYPERBOLIC:
+            val = (a / 2.0) / math.tanh(a / 2.0)
+        else:
+            val = (a / 2.0) / math.tan(a / 2.0)
+        return np.full_like(th, val) if th.ndim else float(val)
+    if kind == "h" and p == 2:
+        return _h2_shape(family, th)
+    if kind in ("g", "f") and p == 2:
+        if tag == POLYNOMIAL:
+            return -np.sin(th) if kind == "g" else 2.0 - 2.0 * np.cos(th)
+        # a sinh(a/2)/(cosh(a) - 1) and a**2 cosh(a/2)/(cosh(a) - 1)
+        # (trigonometric: sin, cos), by cosh(a) - 1 = 2 sinh(a/2)**2
+        sine, cosine = (math.sinh, math.cosh) if tag == HYPERBOLIC else (math.sin, math.cos)
+        ratio = a / 2.0 / sine(a / 2.0)
+        if kind == "g":
+            return -ratio * np.sin(th)
+        return 2.0 * ratio**2 * cosine(a / 2.0) * (1.0 - np.cos(th))
+    if kind == "g" and p == 3:
+        return -np.sin(th)
+    if kind == "f" and p == 3:
+        if tag == POLYNOMIAL:
+            return 2.0 - 2.0 * np.cos(th)
+        if tag == HYPERBOLIC:
+            amp = a / math.tanh(a / 2.0)
+        else:
+            amp = a / math.tan(a / 2.0)
+        return amp * (1.0 - np.cos(th))
+    if kind == "f" and p == 4:
+        return (2.0 - 2.0 * np.cos(th)) * _h2_shape(family, th)
+    raise UsageError(f"no closed form tabulated for kind {kind!r}, degree {p}")
+
+
+def toeplitz_tensor(cf, ch, m1: int, m2: int) -> np.ndarray:
+    """Two-level Toeplitz matrix of the product symbol f(t1)h(t2): the
+    Kronecker product of the two one-level matrices."""
+    return np.kron(toeplitz(cf, m1), toeplitz(ch, m2))
+
+
+@dataclass(frozen=True)
+class StructureReport:
+    """Toeplitz/symmetry structure of the central block and correction ranks."""
+
+    has_central_rows: bool
+    central_toeplitz: bool
+    stiffness_symmetric: bool
+    mass_symmetric: bool
+    advection_skew: bool
+    stiffness_correction_rank: int | None
+    advection_correction_rank: int | None
+    mass_correction_rank: int | None
+    rank_bound: int
+
+
+def structure_report(sys, tol: float = 1e-10) -> StructureReport:
+    """Check the central-block structure of a
+    :class:`~gbspec.collocation.CollocationSystem` and the low-rank
+    correction bounds."""
+    n, p = sys.n, sys.degree
+    bound = 2 * ((3 * p) // 2) - 2
+    rng = central_range(n, p)
+    if rng is None:
+        return StructureReport(False, False, False, False, False,
+                               None, None, None, bound)
+
+    # central submatrix: 1-based block indices p..n-1, densified alone
+    lo, hi = p - 1, n - 1
+    mass, adv, stiff = _split_parts(
+        densify(sys.starts[lo:hi] - lo, sys.samples[:, lo:hi], hi - lo), n)
+
+    def is_toeplitz(b):  # each diagonal within tol of its first entry
+        first = ToeplitzSpec(np.r_[b[0, :0:-1], b[:, 0]])
+        return np.max(np.abs(b - toeplitz(first, b.shape[0]))) <= tol
+
+    central_toeplitz = all(map(is_toeplitz, (stiff, adv, mass)))
+    stiff_sym = np.max(np.abs(stiff - stiff.T)) <= tol
+    mass_sym = np.max(np.abs(mass - mass.T)) <= tol
+    adv_skew = np.max(np.abs(adv + adv.T)) <= tol
+
+    # every other row is that of T, up to the rounding of the scaling by
+    # n^r: the correction ranks are those of the corner rows
+    corners = np.r_[0:rng[0], rng[1]:sys.order]
+    rows = _split_parts(densify(sys.starts[corners], sys.samples[:, corners],
+                                sys.order), n)
+    ranks = []
+    for mat, c in zip(rows, _symbol_coefficients(sys.section_family, p)):
+        t = toeplitz_view(ToeplitzSpec(c), sys.order)[corners]
+        sv = np.linalg.svd(mat - t, compute_uv=False)
+        ranks.append(int(np.sum(sv > 1e-8 * sv[0])))
+    r_mass, r_adv, r_stiff = ranks
+    if r_stiff > bound:
+        raise NumericalError(
+            f"stiffness correction rank {r_stiff} exceeds bound {bound}")
+    return StructureReport(True, central_toeplitz, stiff_sym, mass_sym,
+                           adv_skew, r_stiff, r_adv, r_mass, bound)

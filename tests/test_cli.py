@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbspec import cli, g17, spectral
+from gbspec import cli, g17, spectral, symbols
 from gbspec.cardinal import cardinal_spline
 from gbspec.cli import main
 from gbspec.sections import SectionFamily, polynomial
 from gbspec.spectral import ToeplitzSpec, eigenvalues_dense, toeplitz
 from gbspec.symbols import symbol_fn
-from oracles import mp_nested_shape_error
+from oracles import PHASE_SWEEP, mp_nested_shape_error
 
 CONFIGS = Path(__file__).resolve().parent.parent / "gbbench" / "configs"
 
@@ -271,6 +271,32 @@ class TestCardinalAndBounds:
         assert captured.err.startswith(f"numerical failure: decay ratio at p = {p}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("family", [polynomial(), *PHASE_SWEEP], ids=repr)
+    def test_h_min_of_rounding_noise_exits_two(self, capsys, family):
+        # h_min sums floor(p/2) + 1 terms; where it does not exceed
+        # gamma_n (|c_0| + 2 sum |c_k|), the rounding bound of that sum, it
+        # has no correct digit, and the first such degree is refused
+        u = np.finfo(float).eps / 2
+
+        def noise(p):
+            h = symbol_fn("h", p, family)
+            c, n = h.coefficients, h.coefficients.size
+            bound = n * u / (1 - n * u) * (abs(c[0]) + 2.0 * np.abs(c[1:]).sum())
+            return not abs(symbols._extrema(h)[0]) > bound
+
+        first = next(p for p in range(1, 200) if noise(p))
+        args = ["--family", family.tag]
+        if not family.is_polynomial:
+            args += ["--alpha", repr(family.phase)]
+        code = main(["bounds", "--p", str(first), *args])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"numerical failure: h_min at p = {first}: ")
+        assert captured.err.count("\n") == 1
+        code, out = run(capsys, "bounds", "--p", str(first - 1), *args)
+        assert code == 0
+        assert json.loads(out)["h_min"] > 0
+
     def test_last_answered_decay_ratios_are_positive(self, capsys):
         for family in (["polynomial"], ["hyperbolic", "--alpha", "10"]):
             code, out = run(capsys, "decay", "--family", *family,
@@ -437,6 +463,7 @@ class TestDistributionCommands:
         ({"d": 2, "nu": [1.5, 1]}, "2D config: key 'nu' has the wrong type"),
         ({"d": 2, "nu": [True, 1]}, "2D config: key 'nu' has the wrong type"),
         ({"d": 2, "p": [3.7, 3]}, "2D config: key 'p' has the wrong type"),
+        ({"p": True}, "1D config: key 'p' has the wrong type"),
     ])
     def test_wrong_typed_config_value_exits_one(self, capsys, tmp_path, changes,
                                                 message):

@@ -6,10 +6,10 @@ import pytest
 from gbspec.cardinal import cardinal_spline
 from gbspec.errors import ConstraintError, UsageError
 from gbspec.sections import (PiecewiseFn, SectionFamily, _basis_matrix,
-                             _edge_row, hyperbolic, piecewise_antiderivative,
-                             piecewise_derivative, piecewise_eval, polynomial,
+                             _edge_row, hyperbolic, piecewise_eval, polynomial,
                              trigonometric)
 from oracles import (PHASE_SWEEP, gauss_legendre_split, loop_antiderivative,
+                     piecewise_antiderivative, piecewise_derivative,
                      sign_changes)
 
 

@@ -16,12 +16,13 @@ from gbspec.spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
                              _hermitian_residual, _reflection_sizes,
                              eigenvalues_dense, product_symbol_sampler,
                              symbol_moments, toeplitz, toeplitz_eigenvalues,
-                             toeplitz_tensor, weyl_report)
+                             weyl_report)
 from gbspec.symbols import symbol_fn, symbol_max
 
 from oracles import (former_md_quantiles, mp_product_moments,
                      mp_tridiagonal_toeplitz_eigenvalues, outer_index_toeplitz,
-                     reference_discrepancy, richardson_md_moments)
+                     reference_discrepancy, richardson_md_moments,
+                     toeplitz_tensor)
 
 
 def spec_of(kind, p, family=polynomial()) -> ToeplitzSpec:

@@ -9,11 +9,11 @@ from gbspec import cardinal, cli, sections, symbols
 from gbspec.errors import ConstraintError, UsageError
 from gbspec.multidim import DirectionSymbols
 from gbspec.sections import SectionFamily, hyperbolic, polynomial, trigonometric
-from gbspec.symbols import (KINDS, bounds_report, decay_ratio,
-                            lower_bound_residual, symbol_closed_form, symbol_fn,
+from gbspec.symbols import (KINDS, bounds_report, decay_ratio, symbol_fn,
                             symbol_fns, symbol_max, symbol_series)
-from oracles import (PHASE_SWEEP, mp_cardinal, mp_symbol_max, numpy_symbol_max,
-                     piecewise_symbol_coefficients)
+from oracles import (PHASE_SWEEP, lower_bound_residual, mp_cardinal,
+                     mp_symbol_max, numpy_symbol_max,
+                     piecewise_symbol_coefficients, symbol_closed_form)
 
 Q_FAMILIES = [hyperbolic(1.0), hyperbolic(10.0),
               trigonometric(math.pi / 4), trigonometric(math.pi / 2)]

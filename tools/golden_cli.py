@@ -6,12 +6,13 @@ SRC_A and SRC_B are checkouts of this repository (each holding
 ``src/gbspec``).  Every command below runs once against each tree, in a
 fresh interpreter with ``PYTHONPATH=<tree>/src``; the configurations come
 from this checkout's ``gbbench/configs``, so both trees read the same files.
-Four more 1D configurations are written to a temporary directory: one
+Five more 1D configurations are written to a temporary directory: one
 with diffusion, advection and reaction terms and a curved geometry, since
 two-term sums cannot show a change in the order the terms are added, two
 at degrees 6 and 7, whose short knot vectors (n < 2p+2) and boundary
-splines the benchmark configurations do not reach, and a nested degree-7
-one whose effective phase 1/n is small.  One line per command reports
+splines the benchmark configurations do not reach, a nested degree-7
+one whose effective phase 1/n is small, and one whose degree is a JSON
+true, which is refused.  One line per command reports
 ``same`` or which of stdout, stderr and exit code differ; when the two
 stdouts differ and hold the same count of numbers, the line also gives
 the largest absolute difference between them, and that difference
@@ -56,6 +57,7 @@ _ALL_TERMS = "1d_all_terms.json"
 _TRIG_P7 = "1d_trigonometric_p7.json"
 _HYP_P6 = "1d_hyperbolic_p6.json"
 _HYP_P7_NESTED = "1d_hyperbolic_p7_nested.json"
+_P_TRUE = "1d_p_true.json"
 TEMP_CONFIGS = {
     _ALL_TERMS: {
         "d": 1, "kappa": "1+x^2", "beta": "sin(6*x)-1/2", "gamma": "1+x",
@@ -73,6 +75,11 @@ TEMP_CONFIGS = {
     _HYP_P7_NESTED: {
         "d": 1, "kappa": "1", "beta": "0", "gamma": "0",
         "family": "hyperbolic", "alpha": 1.0, "mode": "nested", "p": 7,
+    },
+    # a JSON true is no degree
+    _P_TRUE: {
+        "d": 1, "kappa": "1", "beta": "0", "gamma": "0",
+        "family": "polynomial", "mode": "nested", "p": True,
     },
 }
 
@@ -231,6 +238,12 @@ COMMANDS: list[list[str]] = [
      "--out", "missing/x.csv"],
     ["assemble", "--config", _ADVECTION, "--n", "8", "--format", "npy",
      "--out", "missing/x.npy"],
+    ["distribution", "--config", _P_TRUE, "--n", "8"],
+    # h_min at the last answered polynomial degree, and refused as rounding
+    # noise from p = 74 (p = 70 at trigonometric phase 3)
+    ["bounds", "--p", "73", "--family", "polynomial"],
+    ["bounds", "--p", "74", "--family", "polynomial"],
+    ["bounds", "--p", "70", "--family", "trigonometric", "--alpha", "3"],
     # parser paths: usage, help and errors, with and without a command
     [],
     ["-h"],
