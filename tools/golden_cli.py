@@ -12,7 +12,9 @@ two-term sums cannot show a change in the order the terms are added, two
 at degrees 6 and 7, whose short knot vectors (n < 2p+2) and boundary
 splines the benchmark configurations do not reach, a nested degree-7
 one whose effective phase 1/n is small, and one whose degree is a JSON
-true, which is refused.  One line per command reports
+true, which is refused.  More 1D configurations: one whose geometry gives
+its derivatives ``G1`` and ``G2`` as strings, one at degree 1, and one for
+each refusal of a 1D coefficient or geometry.  One line per command reports
 ``same`` or which of stdout, stderr and exit code differ; when the two
 stdouts differ and hold the same count of numbers, the line also gives
 the largest absolute difference between them, and that difference
@@ -82,6 +84,25 @@ TEMP_CONFIGS = {
         "family": "polynomial", "mode": "nested", "p": True,
     },
 }
+_EXPLICIT_G = "1d_explicit_derivatives.json"
+_P_ONE = "1d_p1.json"
+_BASE_1D = {"d": 1, "kappa": "1", "beta": "0", "gamma": "0",
+            "family": "polynomial", "mode": "nonnested", "p": 3}
+# the derivatives of G given as strings are taken as given
+TEMP_CONFIGS[_EXPLICIT_G] = {
+    **_BASE_1D, "kappa": "1+x", "family": "hyperbolic", "alpha": 10.0,
+    "geometry": {"G": "(x+x^2)/2", "G1": "1/2+x", "G2": "1"}}
+TEMP_CONFIGS[_P_ONE] = {**_BASE_1D, "p": 1}
+# one config per refusal of the 1D validation
+_REFUSED_1D = {
+    "1d_kappa_negative.json": {"kappa": "x-1/2"},
+    "1d_gamma_negative.json": {"gamma": "0-1"},
+    "1d_g_end.json": {"geometry": {"G": "x/2"}},
+    "1d_g_decreasing.json": {"geometry": {"G": "2*x^2-x"}},
+    "1d_beta_not_finite.json": {"beta": "1e308*10"},
+}
+TEMP_CONFIGS.update({name: {**_BASE_1D, **change}
+                     for name, change in _REFUSED_1D.items()})
 
 COMMANDS: list[list[str]] = [
     # the six benchmark distribution jobs, with the benchmark's n lists
@@ -239,6 +260,12 @@ COMMANDS: list[list[str]] = [
     ["assemble", "--config", _ADVECTION, "--n", "8", "--format", "npy",
      "--out", "missing/x.npy"],
     ["distribution", "--config", _P_TRUE, "--n", "8"],
+    # a 1D geometry with given derivatives, degree 1, which has no f, and
+    # each refusal of the 1D validation
+    ["assemble", "--config", _EXPLICIT_G, "--n", "24"],
+    ["distribution", "--config", _EXPLICIT_G, "--n", "32"],
+    ["distribution", "--config", _P_ONE, "--n", "8"],
+    *[["eig", "--config", name, "--n", "8"] for name in _REFUSED_1D],
     # h_min at the last answered polynomial degree, and refused as rounding
     # noise from p = 74 (p = 70 at trigonometric phase 3)
     ["bounds", "--p", "73", "--family", "polynomial"],
