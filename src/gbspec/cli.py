@@ -26,15 +26,14 @@ import numpy as np
 
 from . import exprparse
 from .cardinal import cardinal_spline
-from .collocation import (GeometryMap1D, ProblemCoefficients, assemble,
-                          gb_basis, limit_family, transformed_coefficients)
+from .collocation import (Geometry, Problem, _pullback, assemble,
+                          collocation_matrix, greville_samples)
 from .errors import GbspecError, NumericalError, UsageError
-from .multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                       assemble_md, direction_bases, md_symbol_sampler)
+from .multidim import DirectionSymbols, direction_bases, problem_sampler
 from .sections import SectionFamily, polynomial
 from .spectral import (ToeplitzSpec, check_order, check_outlier_eps,
-                       eigenvalues_dense, product_symbol_sampler,
-                       toeplitz_eigenvalues, toeplitz_view, weyl_report)
+                       eigenvalues_dense, toeplitz_eigenvalues, toeplitz_view,
+                       weyl_report)
 from .symbols import MIN_BOUNDS_GRID, bounds_report, decay_ratios, symbol_fn
 
 _FAMILY_NAMES = ("polynomial", "hyperbolic", "trigonometric")
@@ -131,8 +130,18 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _geometry_config(cfg: dict, where: str) -> dict | None:
+    """The ``geometry`` object of a config, None for the identity."""
+    if cfg.get("geometry") is None:
+        return None
+    return _require(cfg, "geometry", dict, where)
+
+
 def load_problem_1d(cfg: dict):
-    """Validate a d=1 problem config and build the model objects."""
+    """Validate a d=1 problem config: its Problem, Geometry, family, mode and degree.
+
+    Explicit ``G1`` and ``G2`` strings are taken as the derivatives of G.
+    """
     d = cfg.get("d", 1)
     if d != 1:
         raise GbspecError(f"expected a 1D config, got d = {d}")
@@ -143,21 +152,25 @@ def load_problem_1d(cfg: dict):
     family = make_family(_require(cfg, "family", str, where), cfg.get("alpha"))
     mode = _require(cfg, "mode", str, where)
     p = _require(cfg, "p", int, where)
-    problem = ProblemCoefficients.from_strings(kappa, beta, gamma)
-    geo_cfg = cfg.get("geometry")
+    kappa, beta, gamma = map(exprparse.parse, (kappa, beta, gamma))
+    problem = Problem(1, ((kappa,),), (beta,), gamma, (family,), (p,), (1,), mode)
+    geo_cfg = _geometry_config(cfg, where)
     if geo_cfg is None:
-        geometry = GeometryMap1D.identity()
+        geometry = Geometry.identity(1)
     else:
-        g = _require(geo_cfg, "G", str, "geometry")
-        geometry = GeometryMap1D.from_strings(
-            g, geo_cfg.get("G1"), geo_cfg.get("G2"))
+        g = exprparse.parse(_require(geo_cfg, "G", str, "geometry"))
+        g1, g2 = (exprparse.parse(geo_cfg[k]) if geo_cfg.get(k) else None
+                  for k in ("G1", "G2"))
+        geometry = Geometry(1, (g,), None if g1 is None else ((g1,),),
+                            None if g2 is None else (((g2,),),))
     return problem, geometry, family, mode, p
 
 
-def load_problem_md(cfg: dict) -> tuple[ProblemMD, GeometryMapMD]:
+def load_problem_md(cfg: dict) -> tuple[Problem, Geometry]:
     d = cfg.get("d")
     if d not in (2, 3):
         raise GbspecError(f"expected a multidimensional config, got d = {d}")
+    _require(cfg, "d", int, "config")  # 2.0 equals 2 but is no dimension
     where = f"{d}D config"
     kmat = _require(cfg, "K", list, where)
     beta = _require(cfg, "beta", list, where)
@@ -165,7 +178,7 @@ def load_problem_md(cfg: dict) -> tuple[ProblemMD, GeometryMapMD]:
     nu = _require(cfg, "nu", list, where)
     degrees = _require(cfg, "p", list, where)
     fam_names = _require(cfg, "family", list, where)
-    alphas = cfg.get("alpha", [None] * d)
+    alphas = _require(cfg, "alpha", list, where) if "alpha" in cfg else [None] * d
     mode = _require(cfg, "mode", str, where)
     if not (len(beta) == len(nu) == len(degrees) == len(fam_names) == d):
         raise GbspecError(f"{where}: beta/nu/p/family must have {d} entries")
@@ -175,86 +188,56 @@ def load_problem_md(cfg: dict) -> tuple[ProblemMD, GeometryMapMD]:
     families = tuple(make_family(nm, al) for nm, al in zip(fam_names, alphas))
     diffusion = tuple(
         tuple(exprparse.parse(e) for e in row) for row in kmat)
-    problem = ProblemMD(
+    problem = Problem(
         d=d, diffusion=diffusion,
         advection=tuple(exprparse.parse(e) for e in beta),
         gamma=exprparse.parse(gamma), families=families,
         degrees=tuple(degrees), nu=tuple(nu),
         mode=mode)
-    geo_cfg = cfg.get("geometry")
+    geo_cfg = _geometry_config(cfg, where)
     if geo_cfg is None:
-        geometry = GeometryMapMD.identity(d)
+        geometry = Geometry.identity(d)
     else:
         comps = _require(geo_cfg, "G", list, "geometry")
-        geometry = GeometryMapMD(d, tuple(exprparse.parse(c) for c in comps))
+        geometry = Geometry(d, tuple(exprparse.parse(c) for c in comps))
     return problem, geometry
 
 
-def _coefficient_sampler(problem: ProblemCoefficients, geometry: GeometryMap1D):
-    return lambda xs: transformed_coefficients(problem, geometry, xs)[0]
+def _coefficient_sampler(problem: Problem, geometry: Geometry):
+    """The coefficient kappa(G)/G'^2 of a 1D symbol: the pullback at d = 1."""
+    def coefficient(xs: np.ndarray) -> np.ndarray:
+        pts = xs[:, None]
+        return _pullback(problem, geometry, pts, geometry.jacobian_at(pts))[1][:, 0, 0]
+    return coefficient
 
 
 def _distribution_symbol(family: SectionFamily, mode: str, p: int):
     """Limit symbol of the scaled collocation sequence for the given mode."""
-    return symbol_fn("f", p, limit_family(family, mode))
+    return DirectionSymbols([p], [family], mode).f[0]
 
 
-def _capped_basis(n: int, p: int, family: SectionFamily, mode: str):
-    """``gb_basis``, refused before it is built if the order of its
-    collocation system, one row per spline N_2..N_{n+p-1}, exceeds the cap
-    of :func:`eigenvalues_dense`."""
-    check_order(n + p - 2)
-    return gb_basis(n, p, family, mode)
-
-
-def _run_distribution_1d(cfg: dict, ns: list[int], eps: list[float]) -> dict:
+def _distribution(args, load) -> tuple[Problem, list[dict]]:
+    """The problem of ``args.config``, read by ``load``, and the Weyl report
+    of its scaled collocation matrix at each n, for any d."""
+    cfg = load_config(args.config)
+    ns, eps = _int_list(args.n), _float_list(args.eps)
     check_outlier_eps(eps)  # refuse a bad eps before any solve
-    problem, geometry, family, mode, p = load_problem_1d(cfg)
-    sym = _distribution_symbol(family, mode, p)
-    sampler = product_symbol_sampler(_coefficient_sampler(problem, geometry), sym)
+    problem, geometry = load(cfg)[:2]
+    sampler = problem_sampler(problem, geometry)
     # refuse a bad n before the first solve
-    bases = [_capped_basis(n, p, family, mode) for n in ns]
+    bases = [direction_bases(problem, geometry, n) for n in ns]
 
-    def solve(basis):
-        # keep no system alive while the Weyl report samples the symbol,
-        # so the samples can reuse its memory
-        eigs = eigenvalues_dense(assemble(problem, geometry, basis).scaled_matrix)
-        return weyl_report(eigs, sampler, eps)
-
-    reports = [solve(basis) for basis in bases]
-    return {
-        "d": 1, "p": p, "family": family.tag, "alpha": family.phase,
-        "mode": mode,
-        "runs": [{"n": n, **rep.to_dict()} for n, rep in zip(ns, reports)],
-    }
-
-
-def _run_distribution_md(cfg: dict, ns: list[int], eps: list[float]) -> dict:
-    check_outlier_eps(eps)  # refuse a bad eps before any solve
-    problem, geometry = load_problem_md(cfg)
-    sampler = md_symbol_sampler(problem, geometry, DirectionSymbols(
-        problem.degrees, problem.families, problem.mode))
-
-    for n in ns:  # refuse a bad n before the first solve
-        direction_bases(problem, geometry, n)
-
-    def solve(n: int):
-        a = assemble_md(problem, geometry, n)
+    def solve(n: int, directions) -> dict:
+        a = collocation_matrix(problem, geometry,
+                               [greville_samples(b) for b in directions])
         a /= n**2
         eigs = eigenvalues_dense(a)
         # free the matrix before the Weyl report samples the symbol, so
         # the samples can reuse its memory
         del a
-        return weyl_report(eigs, sampler, eps)
+        return {"n": n, **weyl_report(eigs, sampler, eps).to_dict()}
 
-    reports = [solve(n) for n in ns]
-    return {
-        "d": problem.d, "p": list(problem.degrees),
-        "family": [f.tag for f in problem.families],
-        "alpha": [f.phase for f in problem.families], "mode": problem.mode,
-        "nu": list(problem.nu),
-        "runs": [{"n": n, **rep.to_dict()} for n, rep in zip(ns, reports)],
-    }
+    return problem, [solve(n, b) for n, b in zip(ns, bases)]
 
 
 def _int_list(text: str) -> list[int]:
@@ -315,8 +298,9 @@ def _cmd_decay(args) -> None:
 
 def _build_system(args):
     cfg = load_config(args.config)
-    problem, geometry, family, mode, p = load_problem_1d(cfg)
-    return assemble(problem, geometry, _capped_basis(args.n, p, family, mode))
+    problem, geometry = load_problem_1d(cfg)[:2]
+    (basis,) = direction_bases(problem, geometry, args.n)
+    return assemble(problem, geometry, basis)
 
 
 def _cmd_assemble(args) -> None:
@@ -360,15 +344,20 @@ def _cmd_toeplitz(args) -> None:
 
 
 def _cmd_distribution(args) -> None:
-    cfg = load_config(args.config)
-    report = _run_distribution_1d(cfg, _int_list(args.n), _float_list(args.eps))
-    _write(args.out, _json(report))
+    problem, runs = _distribution(args, load_problem_1d)
+    (family,) = problem.families
+    _write(args.out, _json({
+        "d": 1, "p": problem.degrees[0], "family": family.tag,
+        "alpha": family.phase, "mode": problem.mode, "runs": runs}))
 
 
 def _cmd_distribution_md(args) -> None:
-    cfg = load_config(args.config)
-    report = _run_distribution_md(cfg, _int_list(args.n), _float_list(args.eps))
-    _write(args.out, _json(report))
+    problem, runs = _distribution(args, load_problem_md)
+    _write(args.out, _json({
+        "d": problem.d, "p": list(problem.degrees),
+        "family": [f.tag for f in problem.families],
+        "alpha": [f.phase for f in problem.families], "mode": problem.mode,
+        "nu": list(problem.nu), "runs": runs}))
 
 
 def _arg(flag: str, **kwargs) -> tuple[str, dict]:

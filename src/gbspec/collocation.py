@@ -1,4 +1,4 @@
-"""Open-knot GB-spline bases, Greville points and 1D collocation matrices.
+"""GB-spline bases, Greville points and collocation matrices for d = 1, 2, 3.
 
 The basis lives on the uniform open knot vector with ``p+1``-fold boundary
 knots and interior knots ``i/n``, so every piece of a basis has one
@@ -32,15 +32,18 @@ integer, and the bottom rows are their reflections about ``x = 1/2``: the
 matrices are reflection-symmetric by construction, which the dense
 eigensolver of :mod:`gbspec.spectral` uses.
 
-The model problem is  -kappa u'' + beta u' + gamma u = f  on (0, 1) with
-homogeneous Dirichlet data, collocated at the interior Greville abscissae; a
-1D geometry map folds into transformed coefficients.
-
-In any dimension the collocation matrix is a weighted sum of tensor products
-of the 1D value, first- and second-derivative matrices.  One band assembler
-builds it from the bands for d = 1, 2, 3: ``assemble`` is the d = 1 case and
-``multidim.assemble_md`` the d = 2, 3 case.  The collocation matrix is the
-one dense array it writes.
+One model serves every d: a :class:`Problem`  -sum_ij K_ij u_{x_i x_j} +
+beta . grad u + gamma u = f  on [0,1]^d with homogeneous Dirichlet data
+(d = 1:  -kappa u'' + beta u' + gamma u = f), collocated at the tensor
+Greville points under a :class:`Geometry` map G.  The geometry enters
+through one pullback, ``B = J^{-1} K(G) J^{-T}`` with the Hessians of G
+folded into the first-order term (``kappa(G)/G'^2`` at d = 1).  The
+collocation matrix is then a weighted sum of tensor products of the 1D
+value, first- and second-derivative matrices, and one band assembler,
+:func:`collocation_matrix`, builds it from the bands of each direction:
+:func:`assemble` is the d = 1 case, which keeps the bands, and
+``multidim.assemble_md`` builds the bases of every direction at one n.
+The collocation matrix is the one dense array it writes.
 """
 
 from __future__ import annotations
@@ -56,12 +59,11 @@ from .cardinal import SEED_ROWS, _check_phase, _checked
 from .errors import ConstraintError, UsageError, ValidationError
 from .sections import (TRIGONOMETRIC, SectionFamily, _antiderivative_stack,
                        _at_edge, _basis_matrix, _local_derivative, polynomial)
+from .spectral import _tensor_grid
 from .symbols import symbol_fns
 
 NESTED = "nested"
 NONNESTED = "nonnested"
-
-_VALIDATION_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -337,11 +339,6 @@ def densify(starts: np.ndarray, band: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _split_parts(samples: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
-    """Mass, advection and stiffness entries from those of N, N' and N''."""
-    return samples[0], samples[1] / n, -samples[2] / n**2
-
-
 def _mirror(block: np.ndarray, order: int) -> np.ndarray:
     """``block`` reversed along every axis, times ``(-1)**order``.
 
@@ -411,79 +408,222 @@ def _assemble_terms(factors: Sequence[tuple[np.ndarray, Sequence[np.ndarray]]],
     return out
 
 
-def _grid_eval(expr, xs: np.ndarray, name: str) -> np.ndarray:
-    vals = np.asarray(exprparse.evaluate(expr, {"x": xs, "x1": xs}), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(xs.shape, float(vals))
+def _coordinates(d: int) -> list[tuple[str, ...]]:
+    """The variable names of each coordinate: x1..xd, and x beside x1 when d = 1."""
+    return [("x1", "x")] if d == 1 else [(f"x{k + 1}",) for k in range(d)]
+
+
+def _eval_grid(expr, points: np.ndarray, d: int) -> np.ndarray:
+    env = {name: points[:, k] for k, names in enumerate(_coordinates(d))
+           for name in names}
+    vals = np.asarray(exprparse.evaluate(expr, env), dtype=float)
+    return np.broadcast_to(vals, (points.shape[0],)).astype(float)
+
+
+def _eval_array(exprs, points: np.ndarray, d: int) -> np.ndarray:
+    """Nested tuples of expressions at ``points``: shape ``(points, *nesting)``."""
+    table = np.asarray(exprs, dtype=object)
+    vals = np.stack([_eval_grid(e, points, d) for e in table.ravel()], axis=1)
+    return vals.reshape(points.shape[:1] + table.shape)
+
+
+def _validation_grid(d: int) -> np.ndarray:
+    """Where a problem and a geometry are checked: 1000 points of [0, 1],
+    ends included, in one dimension; the midpoint lattice of 33 (d = 2) or
+    9 (d = 3) points a side in more."""
+    if d == 1:
+        return np.linspace(0.0, 1.0, 1000)[:, None]
+    side = {2: 33, 3: 9}[d]
+    return _tensor_grid([(np.arange(side) + 0.5) / side] * d)
+
+
+def _finite(vals: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise ValidationError(f"{name} is not finite on the validation grid")
     return vals
 
 
 @dataclass(frozen=True)
-class ProblemCoefficients:
-    """Diffusion/advection/reaction coefficients on [0, 1] (f enters no matrix)."""
+class Problem:
+    """The problem  -sum_ij K_ij u_{x_i x_j} + beta . grad u + gamma u = f  on
+    [0,1]^d, d = 1, 2, 3, with homogeneous Dirichlet data (f enters no matrix).
 
-    kappa: exprparse.ExprAst
-    beta: exprparse.ExprAst
+    ``diffusion`` is the d-by-d symmetric expression matrix K, ``advection``
+    the d entries of beta.  Direction j has the family ``families[j]`` and
+    the degree ``degrees[j]`` on ``nu[j] * n`` subintervals.  For d = 1 this
+    is  -kappa u'' + beta u' + gamma u = f, K = ((kappa,),).  K must be
+    positive definite, and gamma non-negative, on the validation grid.
+    """
+
+    d: int
+    diffusion: tuple[tuple[exprparse.ExprAst, ...], ...]
+    advection: tuple[exprparse.ExprAst, ...]
     gamma: exprparse.ExprAst
+    families: tuple[SectionFamily, ...]
+    degrees: tuple[int, ...]
+    nu: tuple[int, ...]
+    mode: str
 
     def __post_init__(self):
-        xs = np.linspace(0.0, 1.0, _VALIDATION_POINTS)
-        if np.min(_grid_eval(self.kappa, xs, "kappa")) <= 0:
-            raise ValidationError("kappa must be positive on [0, 1]")
-        if np.min(_grid_eval(self.gamma, xs, "gamma")) < 0:
-            raise ValidationError("gamma must be non-negative on [0, 1]")
-        _grid_eval(self.beta, xs, "beta")
+        d = self.d
+        if d not in (1, 2, 3):
+            raise UsageError("only d in {1, 2, 3} is supported")
+        if not (len(self.families) == len(self.degrees) == len(self.nu) == d):
+            raise ValidationError("families/degrees/nu must each have d entries")
+        if len(self.diffusion) != d or any(len(row) != d for row in self.diffusion):
+            raise ValidationError("diffusion matrix must be d-by-d")
+        if self.mode not in (NESTED, NONNESTED):
+            raise UsageError(f"unknown phase mode {self.mode!r}")
+        for i in range(d):
+            for j in range(i + 1, d):
+                if self.diffusion[i][j] != self.diffusion[j][i]:
+                    raise ValidationError(
+                        "diffusion matrix must be symmetric entrywise")
+        # the 1D messages name the scalar coefficients of the 1D schema
+        pts = _validation_grid(d)
+        try:
+            np.linalg.cholesky(_finite(self.diffusion_at(pts),
+                                       "kappa" if d == 1 else "K"))
+        except np.linalg.LinAlgError:
+            raise ValidationError(
+                "kappa must be positive on [0, 1]" if d == 1 else
+                "diffusion matrix is not positive definite on the grid") from None
+        if np.min(_finite(_eval_grid(self.gamma, pts, d), "gamma")) < 0:
+            raise ValidationError("gamma must be non-negative"
+                                  + (" on [0, 1]" if d == 1 else ""))
+        _finite(self.advection_at(pts), "beta")
 
-    @classmethod
-    def from_strings(cls, kappa: str = "1", beta: str = "0",
-                     gamma: str = "0") -> "ProblemCoefficients":
-        return cls(*(exprparse.parse(s) for s in (kappa, beta, gamma)))
+    def diffusion_at(self, points: np.ndarray) -> np.ndarray:
+        return _eval_array(self.diffusion, points, self.d)
+
+    def advection_at(self, points: np.ndarray) -> np.ndarray:
+        return _eval_array(self.advection, points, self.d)
 
 
 @dataclass(frozen=True)
-class GeometryMap1D:
-    """Geometry map G: [0,1] -> [0,1] with its first two derivatives."""
+class Geometry:
+    """Componentwise geometry map G of [0,1]^d with its derivatives.
 
-    g: exprparse.ExprAst
-    g1: exprparse.ExprAst
-    g2: exprparse.ExprAst
+    ``jacobian[a][i]`` is dG_a/dx_i and ``hessians[a][i][j]`` is
+    d^2 G_a/dx_i dx_j.  Either may be given (the 1D schema's ``G1`` and
+    ``G2``); the Jacobian not given is the exact derivative of the
+    components, the Hessians not given that of the Jacobian.  For d = 1, G
+    must map 0 to 0 and 1 to 1 with G' > 0; for d = 2, 3 the corners must
+    map onto the boundary and the Jacobian must be regular.
+    """
+
+    d: int
+    components: tuple[exprparse.ExprAst, ...]
+    jacobian: tuple[tuple[exprparse.ExprAst, ...], ...] | None = None
+    hessians: tuple[tuple[tuple[exprparse.ExprAst, ...], ...], ...] | None = None
 
     def __post_init__(self):
-        xs = np.linspace(0.0, 1.0, _VALIDATION_POINTS)
-        vals = _grid_eval(self.g, xs, "G")
-        if abs(vals[0]) > 1e-10 or abs(vals[-1] - 1.0) > 1e-10:
+        d = self.d
+        if len(self.components) != d:
+            raise ValidationError("geometry needs d component expressions")
+        coords = _coordinates(d)
+        if self.jacobian is None:
+            object.__setattr__(self, "jacobian", tuple(
+                tuple(exprparse.differentiate(c, x) for x in coords)
+                for c in self.components))
+        if self.hessians is None:
+            object.__setattr__(self, "hessians", tuple(
+                tuple(tuple(exprparse.differentiate(e, x) for x in coords)
+                      for e in row) for row in self.jacobian))
+        pts = _validation_grid(d)
+        _finite(self.map_at(pts), "G")
+        corners = _tensor_grid([np.array([0.0, 1.0])] * d)
+        img = self.map_at(corners)
+        if d == 1 and np.max(np.abs(img - corners)) > 1e-10:
             raise ValidationError("geometry map must satisfy G(0)=0 and G(1)=1")
-        if np.min(_grid_eval(self.g1, xs, "G'")) <= 0:
+        if np.max(np.minimum(np.abs(img), np.abs(img - 1.0))) > 1e-8:
+            raise ValidationError("geometry must map corners onto the boundary")
+        jac = _finite(self.jacobian_at(pts), "G'")
+        if d == 1 and np.min(jac) <= 0:
             raise ValidationError("geometry map must have G' > 0 on [0, 1]")
-        _grid_eval(self.g2, xs, "G''")
+        if d > 1 and np.min(np.abs(np.linalg.det(jac))) < 1e-12:
+            raise ValidationError("geometry Jacobian is singular on the grid")
+        _finite(self.hessians_at(pts), "G''")
 
     @classmethod
-    def from_strings(cls, g: str, g1: str | None = None,
-                     g2: str | None = None) -> "GeometryMap1D":
-        # x and x1 both name the one coordinate
-        coord = ("x", "x1")
-        ast = exprparse.parse(g)
-        d1 = exprparse.parse(g1) if g1 else exprparse.differentiate(ast, coord)
-        d2 = exprparse.parse(g2) if g2 else exprparse.differentiate(d1, coord)
-        return cls(ast, d1, d2)
+    def identity(cls, d: int) -> "Geometry":
+        return cls(d, tuple(exprparse.parse(f"x{k + 1}") for k in range(d)))
 
-    @classmethod
-    def identity(cls) -> "GeometryMap1D":
-        return cls.from_strings("x")
+    @property
+    def is_identity(self) -> bool:
+        return self.components == Geometry.identity(self.d).components
+
+    def map_at(self, points: np.ndarray) -> np.ndarray:
+        return _eval_array(self.components, points, self.d)
+
+    def jacobian_at(self, points: np.ndarray) -> np.ndarray:
+        return _eval_array(self.jacobian, points, self.d)
+
+    def hessians_at(self, points: np.ndarray) -> np.ndarray:
+        """Hessian of each component: shape (npts, d, d, d), axis 1 = component."""
+        return _eval_array(self.hessians, points, self.d)
+
+
+def _pullback(problem: Problem, geometry: Geometry, points: np.ndarray,
+              jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``J^{-1}`` and ``B = J^{-1} K(G) J^{-T}`` at ``points``, ``jac`` being J
+    there.
+
+    For d = 1, B is formed as ``kappa(G)/G'^2``, which rounds once less than
+    the product with ``1/G'`` twice.
+    """
+    jinv = np.linalg.inv(jac)
+    kmat = problem.diffusion_at(geometry.map_at(points))
+    if problem.d == 1:
+        return jinv, kmat / jac**2
+    return jinv, np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
+
+
+def collocation_matrix(problem: Problem, geometry: Geometry,
+                       directions: Sequence[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """The collocation matrix of ``problem`` under ``geometry`` (unnormalized).
+
+    ``directions[k]`` is :func:`greville_samples` of direction k's basis.
+    Rows follow the lexicographic ordering of the tensor Greville points.
+    The geometry enters by the chain rule: with ``B = J^{-1} K(G) J^{-T}``
+    the matrix is the weighted sum of ``d^2 + d + 1`` Kronecker products of
+    1D value/derivative matrices, which :func:`_assemble_terms` builds from
+    the bands without forming any of them.
+    """
+    d = problem.d
+    grevilles, starts, samples = zip(*directions)
+    pts = _tensor_grid(grevilles)
+    phys = geometry.map_at(pts)
+    jinv, bmat = _pullback(problem, geometry, pts, geometry.jacobian_at(pts))
+    beta = problem.advection_at(phys)
+    gamma = _eval_grid(problem.gamma, phys, d)
+
+    # hessians of the geometry components fold the gradient term:
+    # tr(K Hx) = sum_ij B_ij Hhat_ij - sum_c s_c (grad_x)_c with
+    # s_c = tr(B Hhat(G_c)); the advection term adds J^{-1} beta.
+    ghess = geometry.hessians_at(pts)
+    s = np.einsum("nij,ncij->nc", bmat, ghess)
+    grad_w = np.einsum("nij,nj->ni", jinv, beta + s)
+
+    # the 1D derivative matrices are true parametric derivatives, so the
+    # direction scalings nu_j * n are already inside them
+    terms = [(-bmat[:, i, j], [2 if k == i == j else int(k in (i, j))
+                               for k in range(d)])
+             for i in range(d) for j in range(d)]
+    terms += [(grad_w[:, i], [int(k == i) for k in range(d)]) for i in range(d)]
+    terms.append((gamma, [0] * d))
+    return _assemble_terms(list(zip(starts, samples)), terms)
 
 
 @dataclass(frozen=True)
 class CollocationSystem:
-    """Assembled collocation matrix, the bands of its parts, and its
-    diagonal coefficient samplings.
+    """A 1D collocation matrix with the bands of its parts.
 
-    ``full_matrix`` is  n^2 D(kappa_hat) @ stiffness + n D(beta_hat) @
-    advection + D(gamma_hat) @ mass, where the hatted coefficients absorb the
-    geometry map.  It is the one dense matrix held: ``scaled_matrix`` and the
-    parts are formed on each access, the parts from the bands ``starts`` and
-    ``samples`` of :func:`greville_samples`.
+    ``full_matrix`` is :func:`collocation_matrix` at d = 1,  n^2 D(b)
+    stiffness + n D(w) advection + D(gamma(G)) mass  with ``b = kappa(G)/G'^2``
+    and ``w = (beta(G) + b G'')/G'``.  It is the one dense matrix held:
+    ``scaled_matrix`` and the parts are formed on each access, the parts
+    from the bands ``starts`` and ``samples`` of :func:`greville_samples`.
     """
 
     n: int
@@ -494,9 +634,6 @@ class CollocationSystem:
     greville: np.ndarray
     starts: np.ndarray   # first column of each row's window
     samples: np.ndarray  # N_j(xi_i), N_j'(xi_i), N_j''(xi_i) in the windows
-    kappa_hat: np.ndarray
-    beta_hat: np.ndarray
-    gamma_hat: np.ndarray
     full_matrix: np.ndarray
 
     @property
@@ -527,43 +664,15 @@ class CollocationSystem:
         return self._dense(0)
 
 
-def transformed_coefficients(problem: ProblemCoefficients,
-                             geometry: GeometryMap1D, xs: np.ndarray
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients of the problem pulled back through G, sampled at ``xs``.
-
-    ``kappa_hat = kappa(G)/G'^2``, ``beta_hat = kappa(G) G''/G'^3 +
-    beta(G)/G'`` and ``gamma_hat = gamma(G)``.
-    """
-    def sample(expr, at):
-        vals = np.asarray(exprparse.evaluate(expr, {"x": at, "x1": at}), dtype=float)
-        return np.broadcast_to(vals, xs.shape).astype(float)
-
-    gx, g1, g2 = (sample(e, xs) for e in (geometry.g, geometry.g1, geometry.g2))
-    kappa = sample(problem.kappa, gx)
-    return (kappa / g1**2, kappa * g2 / g1**3 + sample(problem.beta, gx) / g1,
-            sample(problem.gamma, gx))
-
-
-def assemble(problem: ProblemCoefficients, geometry: GeometryMap1D,
+def assemble(problem: Problem, geometry: Geometry,
              basis: GBBasis) -> CollocationSystem:
-    """Collocate the (geometry-transformed) model problem at Greville points.
-
-    This is the d = 1 case of :func:`_assemble_terms`, with one term per
-    derivative order.
-    """
-    n, p = basis.n, basis.degree
-    xi, starts, samples = greville_samples(basis)
-    kappa_hat, beta_hat, gamma_hat = transformed_coefficients(problem, geometry, xi)
-    full = _assemble_terms([(starts, _split_parts(samples, n))],
-                           [(n**2 * kappa_hat, (2,)), (n * beta_hat, (1,)),
-                            (gamma_hat, (0,))])
+    """The d = 1 collocation system of ``problem`` on ``basis``."""
+    xi, starts, samples = direction = greville_samples(basis)
     return CollocationSystem(
-        n=n, degree=p, family=basis.family, mode=basis.mode,
+        n=basis.n, degree=basis.degree, family=basis.family, mode=basis.mode,
         section_family=basis.section_family, greville=xi, starts=starts,
-        samples=samples, kappa_hat=kappa_hat, beta_hat=beta_hat,
-        gamma_hat=gamma_hat, full_matrix=full,
-    )
+        samples=samples,
+        full_matrix=collocation_matrix(problem, geometry, [direction]))
 
 
 def central_range(n: int, p: int) -> tuple[int, int] | None:

@@ -8,9 +8,11 @@ basis (:func:`mp_greville_samples` for bases, :func:`mp_cardinal` for
 cardinal splines and their derivatives).  The one
 exception is :func:`full_span_basis`, the package's former construction by
 the integral recursion over the whole knot vector, kept as the reference
-for the banded basis, the former dense assemblies kept as bit-identity
-references for the band assembler: :func:`dense_assemble_1d` (1D) and
-:func:`dense_kron_assemble_md` (d-variate, from dense Kronecker products),
+for the banded basis, the former dense assemblies kept as references
+for the band assembler: :func:`dense_assemble_1d` (1D, with the geometry
+folded into three coefficients; to within a few ulp) and
+:func:`dense_kron_assemble_md` (d-variate, from dense Kronecker products;
+bit for bit),
 the former scan of dense matrices for their bands, kept as the reference
 for the band-native window rule: :func:`dense_band`,
 the former spline-by-spline Greville sampling at floating-point points,
@@ -50,7 +52,9 @@ functions of their inputs built on the package's primitives:
 and the split of h at its leading term), :func:`symbol_closed_form` (the
 tabulated low-degree closed forms of h, g and f), and
 :func:`toeplitz_tensor` and :func:`structure_report` (the
-Toeplitz-plus-low-rank structure of the collocation matrices).
+Toeplitz-plus-low-rank structure of the collocation matrices), with
+:func:`split_parts`.  :func:`problem_1d` and :func:`geometry_1d` build the
+d = 1 problem and geometry of expression strings.
 """
 
 import math
@@ -62,16 +66,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from gbspec import exprparse
-from gbspec.collocation import (KnotVector, _split_parts, _symbol_coefficients,
-                                central_range, densify, gb_basis,
-                                greville_abscissae, greville_samples)
+from gbspec.collocation import (Geometry, KnotVector, Problem, _eval_grid,
+                                _symbol_coefficients, central_range, densify,
+                                gb_basis, greville_abscissae, greville_samples)
 from gbspec.cardinal import (SEED_ROWS, _derivative_rows, _phi0_hat,
                              _phi1_hat, cardinal_spline)
 from gbspec.errors import NumericalError, UsageError, ValidationError
-from gbspec.multidim import _eval_grid
 from gbspec.sections import (HYPERBOLIC, POLYNOMIAL, PiecewiseFn,
                              SectionFamily, _antiderivative_stack,
-                             _basis_matrix, _local_derivative, _norm_at)
+                             _basis_matrix, _local_derivative, _norm_at,
+                             polynomial)
 from gbspec.spectral import ToeplitzSpec, toeplitz, toeplitz_view
 from gbspec.symbols import symbol_fn
 
@@ -718,27 +722,54 @@ def dense_kron_assemble_md(problem, geometry, n: int,
     return out
 
 
+def problem_1d(kappa: str = "1", beta: str = "0", gamma: str = "0",
+               family: SectionFamily | None = None, p: int = 3,
+               mode: str = "nonnested") -> Problem:
+    """The d = 1 :class:`~gbspec.collocation.Problem` of these expressions."""
+    kappa, beta, gamma = map(exprparse.parse, (kappa, beta, gamma))
+    return Problem(1, ((kappa,),), (beta,), gamma, (family or polynomial(),),
+                   (p,), (1,), mode)
+
+
+def geometry_1d(g: str = "x") -> Geometry:
+    """The d = 1 :class:`~gbspec.collocation.Geometry` of G, its derivatives
+    derived."""
+    return Geometry(1, (exprparse.parse(g),))
+
+
+def split_parts(samples, n: int) -> tuple[np.ndarray, ...]:
+    """Mass, advection and stiffness entries from those of N, N' and N''."""
+    return samples[0], samples[1] / n, -samples[2] / n**2
+
+
 def dense_assemble_1d(problem, geometry, basis) -> SimpleNamespace:
-    """The fields of the 1D collocation system from the dense three-term formula."""
+    """The fields of the 1D collocation system from the dense three-term
+    formula, with the geometry folded into the coefficients
+
+    ``kappa_hat = kappa(G)/G'^2``, ``beta_hat = kappa(G) G''/G'^3 +
+    beta(G)/G'`` and ``gamma_hat = gamma(G)``.
+    """
     n, p = basis.n, basis.degree
     xi, mass, first, second = dense_greville_samples(basis)
     adv = first / n
     stiff = -second / n**2
 
     env = {"x": xi, "x1": xi}
-    gx = np.asarray(exprparse.evaluate(geometry.g, env), dtype=float)
-    g1 = np.asarray(exprparse.evaluate(geometry.g1, env), dtype=float)
-    g2 = np.asarray(exprparse.evaluate(geometry.g2, env), dtype=float)
-    gx, g1, g2 = (np.broadcast_to(v, xi.shape).astype(float) for v in (gx, g1, g2))
+    (g,), ((g1,),), (((g2,),),) = (geometry.components, geometry.jacobian,
+                                   geometry.hessians)
+    gx, g1, g2 = (np.broadcast_to(np.asarray(exprparse.evaluate(e, env), dtype=float),
+                                  xi.shape).astype(float) for e in (g, g1, g2))
     penv = {"x": gx, "x1": gx}
 
     def sample(expr):
         vals = np.asarray(exprparse.evaluate(expr, penv), dtype=float)
         return np.broadcast_to(vals, xi.shape).astype(float)
 
-    kappa = sample(problem.kappa)
+    kappa = sample(problem.diffusion[0][0])
     kappa_hat = kappa / g1**2
-    beta_hat = kappa * g2 / g1**3 + sample(problem.beta) / g1
+    # the two terms of beta_hat, whose sum can cancel
+    beta_terms = (kappa * g2 / g1**3, sample(problem.advection[0]) / g1)
+    beta_hat = beta_terms[0] + beta_terms[1]
     gamma_hat = sample(problem.gamma)
 
     full = (n**2 * kappa_hat[:, None] * stiff
@@ -747,6 +778,7 @@ def dense_assemble_1d(problem, geometry, basis) -> SimpleNamespace:
     return SimpleNamespace(
         greville=xi, stiffness=stiff, advection=adv, mass=mass,
         kappa_hat=kappa_hat, beta_hat=beta_hat, gamma_hat=gamma_hat,
+        beta_terms=beta_terms,
         full_matrix=full, scaled_matrix=full / n**2,
     )
 
@@ -1108,7 +1140,7 @@ def structure_report(sys, tol: float = 1e-10) -> StructureReport:
 
     # central submatrix: 1-based block indices p..n-1, densified alone
     lo, hi = p - 1, n - 1
-    mass, adv, stiff = _split_parts(
+    mass, adv, stiff = split_parts(
         densify(sys.starts[lo:hi] - lo, sys.samples[:, lo:hi], hi - lo), n)
 
     def is_toeplitz(b):  # each diagonal within tol of its first entry
@@ -1123,7 +1155,7 @@ def structure_report(sys, tol: float = 1e-10) -> StructureReport:
     # every other row is that of T, up to the rounding of the scaling by
     # n^r: the correction ranks are those of the corner rows
     corners = np.r_[0:rng[0], rng[1]:sys.order]
-    rows = _split_parts(densify(sys.starts[corners], sys.samples[:, corners],
+    rows = split_parts(densify(sys.starts[corners], sys.samples[:, corners],
                                 sys.order), n)
     ranks = []
     for mat, c in zip(rows, _symbol_coefficients(sys.section_family, p)):

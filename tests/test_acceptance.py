@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from gbspec.cardinal import cardinal_spline
-from gbspec.collocation import (GeometryMap1D, ProblemCoefficients, assemble,
-                                gb_basis)
+from gbspec.collocation import Geometry, assemble, gb_basis
 from gbspec.sections import (SectionFamily, hyperbolic, polynomial,
                              trigonometric)
 from gbspec.spectral import (ToeplitzSpec, eigenvalues_dense,
                              product_symbol_sampler, toeplitz, weyl_report)
 from gbspec.symbols import bounds_report, decay_ratio, symbol_fn, symbol_max
-from oracles import (cardinal_derivative, gauss_legendre_split, integral,
-                     loop_greville_samples, piecewise_derivative,
+from oracles import (cardinal_derivative, gauss_legendre_split, geometry_1d,
+                     integral, loop_greville_samples, piecewise_derivative,
+                     problem_1d,
                      structure_report, symbol_closed_form, toeplitz_tensor)
 
 THETA_512 = np.linspace(-math.pi, math.pi, 512)
@@ -175,8 +175,7 @@ def test_criterion_06_toeplitz_oracle():
 
 def test_criterion_07_structure():
     started = time.perf_counter()
-    problem = ProblemCoefficients.from_strings("1", "0", "0")
-    identity = GeometryMap1D.identity()
+    identity = Geometry.identity(1)
     failures = []
     # trigonometric phases: alpha < pi is forced in non-nested mode, while
     # nested mode admits alpha = 10 (feasible for n >= 4) like the hyperbolic
@@ -186,7 +185,8 @@ def test_criterion_07_structure():
     for fam, mode in cases:
         for p in (2, 3, 4):
             basis = gb_basis(64, p, fam, mode)
-            system = assemble(problem, identity, basis)
+            system = assemble(problem_1d(family=fam, p=p, mode=mode), identity,
+                              basis)
             # the parts against an independent sampling of every row, so
             # that the Toeplitz structure is not checked against itself
             _, mass, first, second = loop_greville_samples(basis)
@@ -209,22 +209,23 @@ def test_criterion_07_structure():
 
 
 def _distribution_run(kappa: str, mode: str, n: int,
-                      geometry: GeometryMap1D, eps: list[float]):
+                      geometry: Geometry, eps: list[float]):
     family = hyperbolic(10.0)
     basis = gb_basis(n, 3, family, mode)
-    problem = ProblemCoefficients.from_strings(kappa)
+    problem = problem_1d(kappa, family=family, mode=mode)
     system = assemble(problem, geometry, basis)
     eigs = eigenvalues_dense(system.scaled_matrix)
     sym = symbol_fn("f", 3, polynomial() if mode == "nested" else family)
 
     def coefficient(xs: np.ndarray) -> np.ndarray:
         from gbspec import exprparse
+        env = {"x": xs, "x1": xs}
         gx = np.broadcast_to(np.asarray(
-            exprparse.evaluate(geometry.g, {"x": xs}), dtype=float), xs.shape)
+            exprparse.evaluate(geometry.components[0], env), dtype=float), xs.shape)
         g1 = np.broadcast_to(np.asarray(
-            exprparse.evaluate(geometry.g1, {"x": xs}), dtype=float), xs.shape)
-        kx = np.broadcast_to(np.asarray(
-            exprparse.evaluate(problem.kappa, {"x": gx}), dtype=float), xs.shape)
+            exprparse.evaluate(geometry.jacobian[0][0], env), dtype=float), xs.shape)
+        kx = np.broadcast_to(np.asarray(exprparse.evaluate(
+            problem.diffusion[0][0], {"x": gx}), dtype=float), xs.shape)
         return kx / g1**2
 
     return weyl_report(eigs, product_symbol_sampler(coefficient, sym), eps)
@@ -234,7 +235,7 @@ def _distribution_run(kappa: str, mode: str, n: int,
 def nonnested_runs():
     started = time.perf_counter()
     eps = [0.1 * symbol_max(symbol_fn("f", 3, hyperbolic(10.0)))]
-    identity = GeometryMap1D.identity()
+    identity = Geometry.identity(1)
     runs = {
         (kappa, n): _distribution_run(kappa, "nonnested", n, identity, eps)
         for kappa in ("1", "1+x") for n in (64, 128)
@@ -263,7 +264,7 @@ def test_criterion_08_weyl_nonnested(nonnested_runs):
 
 def test_criterion_09_weyl_nested():
     started = time.perf_counter()
-    identity = GeometryMap1D.identity()
+    identity = Geometry.identity(1)
     failures = []
     for kappa in ("1", "1+x"):
         small = _distribution_run(kappa, "nested", 64, identity, [])
@@ -277,7 +278,7 @@ def test_criterion_09_weyl_nested():
 
 def test_criterion_10_geometry_map():
     started = time.perf_counter()
-    geometry = GeometryMap1D.from_strings("(x+x^2)/2")
+    geometry = geometry_1d("(x+x^2)/2")
     small = _distribution_run("1", "nested", 64, geometry, [])
     large = _distribution_run("1", "nested", 128, geometry, [])
     ok = large.mean_abs_discrepancy < small.mean_abs_discrepancy
@@ -304,14 +305,14 @@ def test_criterion_11_clustering(nonnested_runs):
 def test_criterion_12_distribution_2d():
     started = time.perf_counter()
     from gbspec import exprparse
-    from gbspec.multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                                 assemble_md, md_symbol_samples)
+    from gbspec.collocation import Problem
+    from gbspec.multidim import DirectionSymbols, assemble_md, md_symbol_samples
     one, zero = exprparse.parse("1"), exprparse.parse("0")
-    problem = ProblemMD(d=2, diffusion=((one, zero), (zero, one)),
+    problem = Problem(d=2, diffusion=((one, zero), (zero, one)),
                         advection=(zero, zero), gamma=zero,
                         families=(polynomial(), polynomial()),
                         degrees=(2, 2), nu=(1, 1), mode="nested")
-    geometry = GeometryMapMD.identity(2)
+    geometry = Geometry.identity(2)
     symbols = DirectionSymbols(problem.degrees, problem.families, problem.mode)
     discs = {}
     for n in (12, 20):

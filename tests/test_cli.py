@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbspec import cli, g17, spectral, symbols
+from gbspec import cli, g17, multidim, spectral, symbols
 from gbspec.cardinal import cardinal_spline
 from gbspec.cli import main
 from gbspec.sections import SectionFamily, polynomial
@@ -464,6 +464,12 @@ class TestDistributionCommands:
         ({"d": 2, "nu": [True, 1]}, "2D config: key 'nu' has the wrong type"),
         ({"d": 2, "p": [3.7, 3]}, "2D config: key 'p' has the wrong type"),
         ({"p": True}, "1D config: key 'p' has the wrong type"),
+        ({"geometry": "G"}, "1D config: key 'geometry' has the wrong type"),
+        ({"d": 2, "geometry": "G"}, "2D config: key 'geometry' has the wrong type"),
+        ({"d": 2, "geometry": ["x1", "x2"]},
+         "2D config: key 'geometry' has the wrong type"),
+        ({"d": 2, "alpha": 10.0}, "2D config: key 'alpha' has the wrong type"),
+        ({"d": 2.0}, "config: key 'd' has the wrong type"),
     ])
     def test_wrong_typed_config_value_exits_one(self, capsys, tmp_path, changes,
                                                 message):
@@ -474,6 +480,29 @@ class TestDistributionCommands:
         command = "distribution-md" if cfg["d"] == 2 else "distribution"
         code = main([command, "--config", str(path), "--n", "8"])
         assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"K": [["1e308*10", "0"], ["0", "1"]]}, "K is not finite"),
+        ({"geometry": {"G": ["x1*1e308*10", "x2"]}}, "G is not finite"),
+        ({"beta": ["0", "1e308*10"]}, "beta is not finite"),
+        ({"gamma": "1e308*x1*10"}, "gamma is not finite"),
+    ], ids=["K", "G", "beta", "gamma"])
+    def test_non_finite_md_input_is_refused_at_load(self, capsys, monkeypatch,
+                                                    tmp_path, changes, message):
+        # one line and exit 1, before any basis: no solve, no numpy warning
+        bases = _counted(monkeypatch, "gb_basis", multidim)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(dict(PROBLEM_2D, **changes)))
+        code = main(["distribution-md", "--config", str(path), "--n", "8"])
+        assert (code, capsys.readouterr(), bases) == (
+            1, ("", f"error: {message} on the validation grid\n"), [])
+
+    @pytest.mark.parametrize("ns", [[8], [8, 12, 6]])
+    def test_md_bases_are_built_once_per_n(self, monkeypatch, config_2d, ns):
+        bases = _counted(monkeypatch, "gb_basis", multidim)
+        argv = ["distribution-md", "--config", config_2d, "--n", ",".join(map(str, ns))]
+        assert main(argv) == 0
+        assert len(bases) == PROBLEM_2D["d"] * len(ns)
 
     def test_infeasible_phase_exits_one(self, capsys, tmp_path):
         cfg = dict(PROBLEM_1D, family="trigonometric", alpha=4.0)
@@ -535,16 +564,16 @@ class TestDistributionCommands:
 
 @pytest.mark.parametrize("argv,counted", [
     (["eig", "--config", str(CONFIGS / "1d_hyperbolic_geometry.json"),
-      "--n", "4096"], ("gb_basis", "assemble")),
+      "--n", "4096"], (("gb_basis", multidim), ("assemble", cli))),
     (["assemble", "--config", str(CONFIGS / "1d_hyperbolic_geometry.json"),
-      "--n", "4096"], ("gb_basis", "assemble")),
+      "--n", "4096"], (("gb_basis", multidim), ("assemble", cli))),
     (["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
-      "--m", "4097", "--eig"], ("toeplitz_view",)),
+      "--m", "4097", "--eig"], (("toeplitz_view", cli),)),
     (["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
-      "--m", "4097"], ("toeplitz_view",)),
+      "--m", "4097"], (("toeplitz_view", cli),)),
 ], ids=["eig", "assemble", "toeplitz", "toeplitz-csv"])
 def test_order_cap_is_checked_before_any_matrix(capsys, monkeypatch, argv, counted):
-    calls = [_counted(monkeypatch, name) for name in counted]
+    calls = [_counted(monkeypatch, name, module) for name, module in counted]
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")

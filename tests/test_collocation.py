@@ -1,29 +1,29 @@
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbspec import collocation, sections, symbols
+from gbspec import collocation, exprparse, sections, symbols
 from gbspec.cli import load_problem_1d
 from gbspec.cardinal import cardinal_spline
-from gbspec.collocation import (CollocationSystem, GeometryMap1D, KnotVector,
-                                ProblemCoefficients, assemble, central_range,
-                                densify, gb_basis, greville_abscissae,
-                                greville_samples)
+from gbspec.collocation import (CollocationSystem, Geometry, KnotVector,
+                                Problem, assemble, central_range, densify,
+                                gb_basis, greville_abscissae, greville_samples)
 from gbspec.errors import (ConstraintError, NumericalError, UsageError,
                            ValidationError)
 from gbspec.sections import SectionFamily, hyperbolic, polynomial, trigonometric
 from gbspec.spectral import ToeplitzSpec, toeplitz
 from gbspec.symbols import symbol_fn
 from oracles import (basis_splines, dense_assemble_1d, dense_greville_samples,
-                     exact_greville_abscissae, full_span_basis,
+                     exact_greville_abscissae, full_span_basis, geometry_1d,
                      loop_antiderivative, loop_gb_basis, loop_greville_samples,
                      mp_cardinal, mp_greville_samples, mp_nested_shape_error,
                      piecewise_antiderivative, piecewise_derivative,
-                     reflect_rows, structure_report)
+                     problem_1d, reflect_rows, structure_report)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "gbbench" / "configs"
 MODES = ("nested", "nonnested")
@@ -501,8 +501,8 @@ class TestReflectedSamples:
 def make_system(n=8, p=2, family=polynomial(), mode="nonnested",
                 kappa="1", beta="0", gamma="0",
                 geometry=None) -> CollocationSystem:
-    problem = ProblemCoefficients.from_strings(kappa, beta, gamma)
-    geo = geometry or GeometryMap1D.identity()
+    problem = problem_1d(kappa, beta, gamma, family, p, mode)
+    geo = geometry or Geometry.identity(1)
     return assemble(problem, geo, gb_basis(n, p, family, mode))
 
 
@@ -524,11 +524,16 @@ class TestAssemble:
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
     def test_split_reconstruction(self):
-        system = make_system(n=8, p=3, kappa="1+x", beta="sin(x)", gamma="x^2")
+        # the parts weighted by the folded coefficients of the dense formula
+        geometry = geometry_1d("(x+x^2)/2")
+        system = make_system(n=8, p=3, kappa="1+x", beta="sin(x)", gamma="x^2",
+                             geometry=geometry)
+        ref = dense_assemble_1d(problem_1d("1+x", "sin(x)", "x^2"), geometry,
+                                gb_basis(8, 3, polynomial(), "nonnested"))
         n = system.n
-        recon = (n**2 * np.diag(system.kappa_hat) @ system.stiffness
-                 + n * np.diag(system.beta_hat) @ system.advection
-                 + np.diag(system.gamma_hat) @ system.mass)
+        recon = (n**2 * np.diag(ref.kappa_hat) @ system.stiffness
+                 + n * np.diag(ref.beta_hat) @ system.advection
+                 + np.diag(ref.gamma_hat) @ system.mass)
         assert np.max(np.abs(recon - system.full_matrix)) <= 1e-9
 
     def test_split_matches_entrywise_collocation(self):
@@ -552,11 +557,9 @@ class TestAssemble:
 
     def test_geometry_equals_direct_transformed_problem(self):
         # G = (x + x^2)/2: transform by hand and assemble with identity map
-        geo = GeometryMap1D.from_strings("(x+x^2)/2")
-        via_map = make_system(n=8, p=3, geometry=geo)
-        transformed = ProblemCoefficients.from_strings(
-            kappa="1/((1/2+x)^2)", beta="1/((1/2+x)^3)", gamma="0")
-        direct = assemble(transformed, GeometryMap1D.identity(),
+        via_map = make_system(n=8, p=3, geometry=geometry_1d("(x+x^2)/2"))
+        transformed = problem_1d(kappa="1/((1/2+x)^2)", beta="1/((1/2+x)^3)")
+        direct = assemble(transformed, Geometry.identity(1),
                           gb_basis(8, 3, polynomial()))
         assert np.max(np.abs(via_map.full_matrix - direct.full_matrix)) <= 1e-9
 
@@ -570,17 +573,40 @@ class TestAssemble:
             dd_card = mp_cardinal("hyperbolic", 10.0, p, n * x - i + p + 1, r=2)
             assert float(dd(x)) == pytest.approx(n**2 * dd_card, rel=1e-9, abs=1e-6)
 
-    def test_coefficient_validation(self):
-        with pytest.raises(ValidationError):
-            ProblemCoefficients.from_strings(kappa="x-1/2")
-        with pytest.raises(ValidationError):
-            ProblemCoefficients.from_strings(gamma="0-1")
+    @pytest.mark.parametrize("coefficients,message", [
+        (("x-1/2", "0", "0"), "kappa must be positive on [0, 1]"),
+        (("1", "0", "0-1"), "gamma must be non-negative on [0, 1]"),
+        (("1e308*10", "0", "0"), "kappa is not finite on the validation grid"),
+        (("1", "1e308*10", "0"), "beta is not finite on the validation grid"),
+    ], ids=["kappa", "gamma", "kappa-finite", "beta-finite"])
+    def test_coefficient_validation(self, coefficients, message):
+        # d = 1 keeps the messages of the 1D schema
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            problem_1d(*coefficients)
 
-    def test_geometry_validation(self):
-        with pytest.raises(ValidationError):
-            GeometryMap1D.from_strings("x/2")  # G(1) != 1
-        with pytest.raises(ValidationError):
-            GeometryMap1D.from_strings("1-x")  # decreasing
+    @pytest.mark.parametrize("g,message", [
+        ("x/2", "geometry map must satisfy G(0)=0 and G(1)=1"),
+        ("1-x", "geometry map must satisfy G(0)=0 and G(1)=1"),
+        ("2*x^2-x", "geometry map must have G' > 0 on [0, 1]"),
+        ("x+1e308*10", "G is not finite on the validation grid"),
+    ], ids=["end", "reversed", "decreasing", "finite"])
+    def test_geometry_validation(self, g, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            geometry_1d(g)
+
+    def test_given_geometry_derivatives_are_taken_as_given(self):
+        # G1 = 1 everywhere is no derivative of G, but it is the one used
+        g = exprparse.parse("(x+x^2)/2")
+        given = Geometry(1, (g,), ((exprparse.parse("1"),),))
+        pts = np.linspace(0.0, 1.0, 5)[:, None]
+        assert np.array_equal(given.jacobian_at(pts), np.ones((5, 1, 1)))
+        assert np.array_equal(given.hessians_at(pts), np.zeros((5, 1, 1, 1)))
+        with pytest.raises(ValidationError, match="^G'' is not finite"):
+            Geometry(1, (g,), None, (((exprparse.parse("1e308*10"),),),))
+
+    def test_problem_is_one_type_for_every_d(self):
+        with pytest.raises(UsageError, match=r"^only d in \{1, 2, 3\}"):
+            Problem(4, ((), (), (), ()), (), exprparse.parse("0"), (), (), (), "nested")
 
 
 # (kappa, beta, gamma, family, mode, geometry): the three 1D benchmark
@@ -595,22 +621,54 @@ ASSEMBLY_CASES = {
 }
 
 
+#: largest distance of the 1D matrix from the dense formula, in units of
+#: eps times the sum of the magnitudes of an entry's terms (the advection
+#: weight's two terms apart, since their sum can cancel)
+ULP_BOUND = 4
+
+
+def _ulps_off_dense_formula(system, ref) -> float:
+    n = system.n
+    curvature, advection = map(np.abs, ref.beta_terms)
+    terms = (n**2 * np.abs(ref.kappa_hat[:, None] * ref.stiffness)
+             + n * (curvature + advection)[:, None] * np.abs(ref.advection)
+             + np.abs(ref.gamma_hat[:, None] * ref.mass))
+    gap = np.abs(system.full_matrix - ref.full_matrix)
+    assert np.all(gap[terms == 0] == 0)
+    return float(np.max(gap[terms > 0] / terms[terms > 0])) / np.finfo(float).eps
+
+
 class TestBandAssembly1D:
     @pytest.mark.parametrize("p", range(2, 7))
     @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
-    def test_bit_identical_to_dense_formula(self, case, p):
+    def test_matches_dense_formula(self, case, p):
+        # the parts bit for bit; the matrix, which folds the geometry by
+        # the chain rule rather than into three coefficients, within ulps
         kappa, beta, gamma, family, mode, g = ASSEMBLY_CASES[case]
-        problem = ProblemCoefficients.from_strings(kappa, beta, gamma)
-        geometry = GeometryMap1D.from_strings(g)
+        problem = problem_1d(kappa, beta, gamma, family, p, mode)
+        geometry = geometry_1d(g)
         for size in BANDED_SIZES:
             basis = gb_basis(_banded_size(size, p, family, mode), p, family, mode)
             system = assemble(problem, geometry, basis)
             ref = dense_assemble_1d(problem, geometry, basis)
-            for name in ("full_matrix", "scaled_matrix", "stiffness", "advection",
-                         "mass", "kappa_hat", "beta_hat", "gamma_hat"):
+            for name in ("stiffness", "advection", "mass"):
                 a, b = getattr(system, name), getattr(ref, name)
                 assert np.array_equal(a, b), (name, size)
                 assert np.array_equal(np.signbit(a), np.signbit(b)), (name, size)
+            assert _ulps_off_dense_formula(system, ref) <= ULP_BOUND, size
+
+    @pytest.mark.parametrize("n", [24, 36, 128])
+    @pytest.mark.parametrize("case", ["hyperbolic-geometry", "all-terms-curved"])
+    def test_curved_assembly_within_ulps_of_dense_formula(self, case, n):
+        # the curved benchmark config and the golden all-terms config, at
+        # the golden set's n and the benchmark's, none a power of two but 128
+        kappa, beta, gamma, family, mode, g = ASSEMBLY_CASES[case]
+        p = 3 if case == "hyperbolic-geometry" else 4
+        problem, geometry = problem_1d(kappa, beta, gamma, family, p, mode), geometry_1d(g)
+        basis = gb_basis(n, p, family, mode)
+        system = assemble(problem, geometry, basis)
+        ref = dense_assemble_1d(problem, geometry, basis)
+        assert _ulps_off_dense_formula(system, ref) <= ULP_BOUND
 
     def test_holds_one_dense_matrix(self):
         # 1d_hyperbolic_geometry at n = 1024: the full matrix is the one

@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 
 from gbspec import exprparse, multidim, spectral
-from gbspec.collocation import (GeometryMap1D, ProblemCoefficients, _band,
-                                assemble, densify, gb_basis, greville_samples)
+from gbspec.collocation import (Geometry, Problem, _band, assemble, densify,
+                                gb_basis, greville_samples)
 from gbspec.errors import UsageError, ValidationError
-from gbspec.multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                             assemble_md, direction_bases, md_symbol_samples)
+from gbspec.multidim import (DirectionSymbols, assemble_md, direction_bases,
+                             md_symbol_samples)
 from gbspec.sections import hyperbolic, polynomial, trigonometric
 from gbspec.symbols import symbol_fn
 
 from oracles import (basis_splines, dense_band, dense_kron_assemble_md,
-                     piecewise_derivative)
+                     geometry_1d, piecewise_derivative, problem_1d)
 
 
 def direction_data(problem, n):
     """Greville points, window starts and band samples of each direction."""
-    bases = direction_bases(problem, GeometryMapMD.identity(problem.d), n)
+    bases = direction_bases(problem, Geometry.identity(problem.d), n)
     return tuple(zip(*map(greville_samples, bases)))
 
 
@@ -32,7 +32,7 @@ def laplace_problem(gamma="0", degrees=(2, 2), families=None, mode="nested",
     families = families or (polynomial(), polynomial())
     off = exprparse.parse(koff)
     k = ((exprparse.parse(kdiag[0]), off), (off, exprparse.parse(kdiag[1])))
-    return ProblemMD(
+    return Problem(
         d=2, diffusion=k,
         advection=tuple(exprparse.parse(b) for b in beta),
         gamma=exprparse.parse(gamma), families=families,
@@ -43,7 +43,7 @@ class TestValidation:
     def test_rejects_asymmetric_diffusion(self):
         k = ((ONE, exprparse.parse("x1")), (exprparse.parse("x2"), ONE))
         with pytest.raises(ValidationError):
-            ProblemMD(d=2, diffusion=k, advection=(ZERO, ZERO), gamma=ZERO,
+            Problem(d=2, diffusion=k, advection=(ZERO, ZERO), gamma=ZERO,
                       families=(polynomial(), polynomial()), degrees=(2, 2),
                       nu=(1, 1), mode="nested")
 
@@ -57,29 +57,61 @@ class TestValidation:
 
     def test_geometry_corner_check(self):
         with pytest.raises(ValidationError):
-            GeometryMapMD(2, (exprparse.parse("x1/2"), exprparse.parse("x2")))
+            Geometry(2, (exprparse.parse("x1/2"), exprparse.parse("x2")))
+
+    @pytest.mark.parametrize("change,name", [
+        ({"kdiag": ("1e308*10", "1")}, "K"), ({"koff": "1/(x1-x1+1e-320)"}, "K"),
+        ({"beta": ("0", "1e308*(1+x2)*10")}, "beta"), ({"gamma": "1e308*10"}, "gamma"),
+    ], ids=["diagonal", "off-diagonal", "beta", "gamma"])
+    def test_non_finite_coefficients_are_refused(self, change, name):
+        # one validation for every d: what is not finite on the grid is refused
+        with pytest.raises(ValidationError,
+                           match=f"^{name} is not finite on the validation grid$"):
+            laplace_problem(**change)
+
+    @pytest.mark.parametrize("components,name", [
+        (("x1*1e308*10", "x2"), "G"), (("x1", "x2+x2*x2*1e308*10"), "G"),
+        (("x1", "x2"), "G'"),
+    ], ids=["overflow", "overflow-2", "jacobian"])
+    def test_non_finite_geometry_is_refused(self, components, name):
+        # a given Jacobian is checked like a derived one
+        jacobian = ((exprparse.parse("1e308*10"), ZERO), (ZERO, ONE))
+        with pytest.raises(ValidationError,
+                           match=f"^{name} is not finite on the validation grid$"):
+            Geometry(2, tuple(exprparse.parse(c) for c in components),
+                     jacobian if name == "G'" else None)
 
     def test_three_dimensional_geometry_restriction(self):
         one = exprparse.parse("1")
         k3 = ((one, ZERO, ZERO), (ZERO, one, ZERO), (ZERO, ZERO, one))
-        problem = ProblemMD(d=3, diffusion=k3, advection=(ZERO, ZERO, ZERO),
+        problem = Problem(d=3, diffusion=k3, advection=(ZERO, ZERO, ZERO),
                             gamma=ZERO,
                             families=(polynomial(),) * 3, degrees=(2, 2, 2),
                             nu=(1, 1, 1), mode="nested")
-        skewed = GeometryMapMD(3, tuple(
+        skewed = Geometry(3, tuple(
             exprparse.parse(s) for s in ("x1", "x2", "x3*x3")))
         with pytest.raises(UsageError):
             assemble_md(problem, skewed, 4)
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("n", [2, 24, 37])
+    def test_one_direction_is_the_1d_system(self, n):
+        # d = 1 is the one-direction case of the one assembler
+        problem = problem_1d("1+x^2", "sin(6*x)-1/2", "1+x", hyperbolic(3.0), 4,
+                             "nested")
+        geometry = geometry_1d("(2*x+x^3)/3")
+        (basis,) = direction_bases(problem, geometry, n)
+        system = assemble(problem, geometry, basis)
+        assert np.array_equal(assemble_md(problem, geometry, n), system.full_matrix)
+
     def test_separable_kronecker_structure(self):
         # Laplacian + reaction: A = n^2 (K1 x M2 + M1 x K2) + M1 x M2
         n = 6
         problem = laplace_problem(gamma="1")
-        a = assemble_md(problem, GeometryMapMD.identity(2), n)
-        coefficients = ProblemCoefficients.from_strings("1", "0", "0")
-        one_d = assemble(coefficients, GeometryMap1D.identity(),
+        a = assemble_md(problem, Geometry.identity(2), n)
+        coefficients = problem_1d()
+        one_d = assemble(coefficients, Geometry.identity(1),
                          gb_basis(n, 2, polynomial()))
         k1, m1 = one_d.stiffness, one_d.mass
         ref = n**2 * (np.kron(k1, m1) + np.kron(m1, k1)) + np.kron(m1, m1)
@@ -88,9 +120,9 @@ class TestAssembly:
     def test_pure_laplacian(self):
         n = 5
         problem = laplace_problem()
-        a = assemble_md(problem, GeometryMapMD.identity(2), n)
-        one_d = assemble(ProblemCoefficients.from_strings("1"),
-                         GeometryMap1D.identity(), gb_basis(n, 2, polynomial()))
+        a = assemble_md(problem, Geometry.identity(2), n)
+        one_d = assemble(problem_1d(),
+                         Geometry.identity(1), gb_basis(n, 2, polynomial()))
         k1, m1 = one_d.stiffness, one_d.mass
         ref = n**2 * (np.kron(k1, m1) + np.kron(m1, k1))
         assert np.max(np.abs(a - ref)) <= 1e-9
@@ -100,7 +132,7 @@ class TestAssembly:
         n = 5
         problem = laplace_problem(gamma="x1+x2", kdiag=("1+x1", "1+x2"),
                                   beta=("x2", "0"))
-        a = assemble_md(problem, GeometryMapMD.identity(2), n)
+        a = assemble_md(problem, Geometry.identity(2), n)
         basis = gb_basis(n, 2, polynomial())
         from gbspec.collocation import greville_abscissae
         xi = greville_abscissae(basis.knots)
@@ -128,17 +160,17 @@ class TestAssembly:
         monkeypatch.setattr(multidim, "greville_samples", samples.append)
         monkeypatch.setattr(spectral, "DEFAULT_ORDER_CAP", 10)
         with pytest.raises(UsageError, match="^system order 64 exceeds cap 10$"):
-            assemble_md(laplace_problem(), GeometryMapMD.identity(2), 8)
+            assemble_md(laplace_problem(), Geometry.identity(2), 8)
         assert samples == []
 
     def test_anisotropic_grid_ratios(self):
         n = 3
         problem = laplace_problem(nu=(1, 2))
-        a = assemble_md(problem, GeometryMapMD.identity(2), n)
-        sys1 = assemble(ProblemCoefficients.from_strings("1"),
-                        GeometryMap1D.identity(), gb_basis(n, 2, polynomial()))
-        sys2 = assemble(ProblemCoefficients.from_strings("1"),
-                        GeometryMap1D.identity(), gb_basis(2 * n, 2, polynomial()))
+        a = assemble_md(problem, Geometry.identity(2), n)
+        sys1 = assemble(problem_1d(),
+                        Geometry.identity(1), gb_basis(n, 2, polynomial()))
+        sys2 = assemble(problem_1d(),
+                        Geometry.identity(1), gb_basis(2 * n, 2, polynomial()))
         ref = (n**2 * np.kron(sys1.stiffness, sys2.mass)
                + (2 * n) ** 2 * np.kron(sys1.mass, sys2.stiffness))
         assert np.max(np.abs(a - ref)) <= 1e-9
@@ -148,16 +180,16 @@ class TestAssembly:
         # direction transforms exactly like the corresponding 1D problem
         n = 5
         problem = laplace_problem()
-        geometry = GeometryMapMD(2, (exprparse.parse("(x1+x1^2)/2"),
+        geometry = Geometry(2, (exprparse.parse("(x1+x1^2)/2"),
                                      exprparse.parse("x2^2/2+x2/2")))
         a = assemble_md(problem, geometry, n)
-        coefficients = ProblemCoefficients.from_strings("1")
+        coefficients = problem_1d()
         basis = gb_basis(n, 2, polynomial())
-        sys1 = assemble(coefficients, GeometryMap1D.from_strings("(x+x^2)/2"),
+        sys1 = assemble(coefficients, geometry_1d("(x+x^2)/2"),
                         basis)
-        sys2 = assemble(coefficients, GeometryMap1D.from_strings("x^2/2+x/2"),
+        sys2 = assemble(coefficients, geometry_1d("x^2/2+x/2"),
                         basis)
-        plain = assemble(coefficients, GeometryMap1D.identity(), basis)
+        plain = assemble(coefficients, Geometry.identity(1), basis)
         ref = (np.kron(sys1.full_matrix, plain.mass)
                + np.kron(plain.mass, sys2.full_matrix))
         assert np.max(np.abs(a - ref)) <= 1e-9
@@ -167,9 +199,9 @@ class TestAssembly:
         # Laplacian, where D1 holds true first-derivative samples
         n, c = 5, 0.4
         problem = laplace_problem(koff=f"{c}")
-        a = assemble_md(problem, GeometryMapMD.identity(2), n)
-        one_d = assemble(ProblemCoefficients.from_strings("1"),
-                         GeometryMap1D.identity(), gb_basis(n, 2, polynomial()))
+        a = assemble_md(problem, Geometry.identity(2), n)
+        one_d = assemble(problem_1d(),
+                         Geometry.identity(1), gb_basis(n, 2, polynomial()))
         k1, m1, d1 = one_d.stiffness, one_d.mass, one_d.advection * n
         ref = (n**2 * (np.kron(k1, m1) + np.kron(m1, k1))
                - 2 * c * np.kron(d1, d1))
@@ -180,12 +212,12 @@ class TestAssembly:
         one = exprparse.parse("1")
         k3 = tuple(tuple(one if i == j else ZERO for j in range(3))
                    for i in range(3))
-        problem = ProblemMD(d=3, diffusion=k3, advection=(ZERO,) * 3,
+        problem = Problem(d=3, diffusion=k3, advection=(ZERO,) * 3,
                             gamma=ZERO, families=(polynomial(),) * 3,
                             degrees=(2, 2, 2), nu=(1, 1, 1), mode="nested")
-        a = assemble_md(problem, GeometryMapMD.identity(3), n)
-        one_d = assemble(ProblemCoefficients.from_strings("1"),
-                         GeometryMap1D.identity(), gb_basis(n, 2, polynomial()))
+        a = assemble_md(problem, Geometry.identity(3), n)
+        one_d = assemble(problem_1d(),
+                         Geometry.identity(1), gb_basis(n, 2, polynomial()))
         k1, m1 = one_d.stiffness, one_d.mass
         ref = n**2 * (np.kron(np.kron(k1, m1), m1)
                       + np.kron(np.kron(m1, k1), m1)
@@ -194,10 +226,10 @@ class TestAssembly:
         assert np.max(np.abs(a - ref)) <= 1e-9
 
 
-def cube_problem(family) -> ProblemMD:
+def cube_problem(family) -> Problem:
     k3 = tuple(tuple(ONE if i == j else ZERO for j in range(3))
                for i in range(3))
-    return ProblemMD(d=3, diffusion=k3, advection=(ZERO,) * 3, gamma=ZERO,
+    return Problem(d=3, diffusion=k3, advection=(ZERO,) * 3, gamma=ZERO,
                      families=(family,) * 3, degrees=(3, 3, 3), nu=(1, 1, 1),
                      mode="nonnested")
 
@@ -230,8 +262,8 @@ class TestBandAssembly:
     def test_bit_identical_to_dense_kronecker(self, case):
         make, components, ns = BAND_CASES[case]
         problem = make()
-        geometry = (GeometryMapMD.identity(problem.d) if components is None
-                    else GeometryMapMD(problem.d, tuple(
+        geometry = (Geometry.identity(problem.d) if components is None
+                    else Geometry(problem.d, tuple(
                         exprparse.parse(c) for c in components)))
         for n in ns:
             a = assemble_md(problem, geometry, n)
@@ -277,7 +309,7 @@ class TestBandAssembly:
 
     def test_peak_memory_near_result_size(self):
         problem = cube_problem(hyperbolic(10.0))
-        geometry = GeometryMapMD.identity(3)
+        geometry = Geometry.identity(3)
         assemble_md(problem, geometry, 2)  # warm caches outside the trace
         tracemalloc.start()
         try:
@@ -323,7 +355,7 @@ class TestSymbolMatrix:
 class TestSymbolSamples:
     def test_identity_setup_matches_separable_form(self):
         problem = laplace_problem()
-        geometry = GeometryMapMD.identity(2)
+        geometry = Geometry.identity(2)
         samples = md_symbol_samples(problem, geometry, 200).quantiles
         assert samples.size == 200
         assert np.all(np.diff(samples) >= 0)
@@ -331,7 +363,7 @@ class TestSymbolSamples:
 
     def test_nonnegative_for_nested_polynomial(self):
         problem = laplace_problem(kdiag=("1+x1", "2"), koff="x1*x2/4")
-        samples = md_symbol_samples(problem, GeometryMapMD.identity(2), 500).quantiles
+        samples = md_symbol_samples(problem, Geometry.identity(2), 500).quantiles
         assert samples.min() >= -1e-12
 
 
@@ -350,12 +382,12 @@ class TestDistribution2D:
         return out
 
     def test_discrepancy_decreases(self):
-        discs = self.discrepancies(laplace_problem(), GeometryMapMD.identity(2),
+        discs = self.discrepancies(laplace_problem(), Geometry.identity(2),
                                    (12, 20))
         assert discs[20] < discs[12]
 
     def test_discrepancy_decreases_with_geometry(self):
-        geometry = GeometryMapMD(2, (exprparse.parse("(x1+x1^2)/2"),
+        geometry = Geometry(2, (exprparse.parse("(x1+x1^2)/2"),
                                      exprparse.parse("x2")))
         discs = self.discrepancies(laplace_problem(), geometry, (12, 20))
         assert discs[20] < discs[12]

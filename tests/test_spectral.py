@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from gbspec import cli, exprparse
-from gbspec.collocation import GeometryMap1D, ProblemCoefficients, assemble, gb_basis
+from gbspec.collocation import Geometry, Problem, assemble, gb_basis
 from gbspec.errors import NumericalError, UsageError
-from gbspec.multidim import (DirectionSymbols, GeometryMapMD, ProblemMD,
-                             assemble_md, md_symbol_samples)
+from gbspec.multidim import (DirectionSymbols, assemble_md, md_symbol_samples,
+                             problem_sampler)
 from gbspec.sections import hyperbolic, polynomial, trigonometric
 from gbspec import spectral
 from gbspec.spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
@@ -19,7 +20,7 @@ from gbspec.spectral import (DistributionReport, SymbolDraw, ToeplitzSpec,
                              weyl_report)
 from gbspec.symbols import symbol_fn, symbol_max
 
-from oracles import (former_md_quantiles, mp_product_moments,
+from oracles import (former_md_quantiles, mp_product_moments, problem_1d,
                      mp_tridiagonal_toeplitz_eigenvalues, outer_index_toeplitz,
                      reference_discrepancy, richardson_md_moments,
                      toeplitz_tensor)
@@ -430,10 +431,10 @@ class TestParitySplit:
         k3 = tuple(tuple(exprparse.parse("1" if i == j else "0")
                          for j in range(3)) for i in range(3))
         zero = exprparse.parse("0")
-        problem = ProblemMD(d=3, diffusion=k3, advection=(zero,) * 3,
+        problem = Problem(d=3, diffusion=k3, advection=(zero,) * 3,
                             gamma=zero, families=(hyperbolic(10.0),) * 3,
                             degrees=(3, 3, 3), nu=(1, 1, 1), mode="nonnested")
-        a = assemble_md(problem, GeometryMapMD.identity(3), 10) / 100
+        a = assemble_md(problem, Geometry.identity(3), 10) / 100
         assert _reflection_sizes(a) == [11, 121, 1331]
         eigenvalues_dense(a[:11, :11])  # warm caches outside the trace
         tracemalloc.start()
@@ -515,8 +516,7 @@ class TestDistributionScenario:
     def discrepancy(n, kappa="1"):
         family = hyperbolic(10.0)
         basis = gb_basis(n, 3, family, "nonnested")
-        problem = ProblemCoefficients.from_strings(kappa)
-        system = assemble(problem, GeometryMap1D.identity(), basis)
+        system = assemble(problem_1d(kappa), Geometry.identity(1), basis)
         eigs = eigenvalues_dense(system.scaled_matrix)
         sym = symbol_fn("f", 3, family)
         kap = (lambda xs: np.ones_like(xs)) if kappa == "1" else (lambda xs: 1 + xs)
@@ -570,6 +570,16 @@ CONFIGS_MD = [name for name, cfg in CONFIGS.items() if cfg["d"] > 1]
 RICHARDSON_LEVELS = {2: (8, 16, 32, 64, 128), 3: (4, 8)}
 
 
+def _distribution_runs(tmp_path, name, ns) -> list[dict]:
+    """The ``runs`` of the CLI distribution report of ``CONFIGS[name]``."""
+    path, out = tmp_path / f"{name}.json", tmp_path / "report.json"
+    path.write_text(json.dumps(CONFIGS[name]))
+    command = "distribution" if CONFIGS[name]["d"] == 1 else "distribution-md"
+    assert cli.main([command, "--config", str(path), "--n",
+                     ",".join(map(str, ns)), "--out", str(out)]) == 0
+    return json.loads(out.read_text())["runs"]
+
+
 def _sampler_1d(name):
     problem, geometry, family, mode, p = cli.load_problem_1d(CONFIGS[name])
     coefficient = cli._coefficient_sampler(problem, geometry)
@@ -592,6 +602,17 @@ class TestSymbolMoments:
         got = sampler(50).moments
         assert got == pytest.approx(mp_product_moments(coefficient, sym), rel=1e-12)
 
+    @pytest.mark.parametrize("name", CONFIGS_1D)
+    @pytest.mark.parametrize("count", [1, 129, 257])
+    def test_1d_adapters_draw_the_one_sampler(self, name, count):
+        # the separable 1D sampler, over the adapters the benchmark's trace
+        # calls, draws what the one sampler of every d draws, bit for bit
+        problem, geometry = cli.load_problem_1d(CONFIGS[name])[:2]
+        got = _sampler_1d(name)[2](count)
+        want = problem_sampler(problem, geometry)(count)
+        assert np.array_equal(got.quantiles, want.quantiles)
+        assert got.moments == want.moments
+
     @pytest.mark.parametrize("name", CONFIGS_MD)
     def test_md_moments_match_richardson(self, name):
         problem, geometry, symbols = _problem_md(name)
@@ -603,16 +624,16 @@ class TestSymbolMoments:
     @pytest.mark.parametrize("name,n", [("1d_hyperbolic_geometry", 128),
                                         ("1d_hyperbolic_geometry", 256),
                                         ("1d_trigonometric_nested", 128)])
-    def test_1d_discrepancy_matches_a_finer_lattice(self, name, n):
+    def test_1d_discrepancy_matches_a_finer_lattice(self, tmp_path, name, n):
         problem, geometry, family, mode, p = cli.load_problem_1d(CONFIGS[name])
-        printed = cli._run_distribution_1d(CONFIGS[name], [n], [])["runs"][0]
+        (printed,) = _distribution_runs(tmp_path, name, [n])
         eigs = eigenvalues_dense(
             assemble(problem, geometry, gb_basis(n, p, family, mode)).scaled_matrix)
 
         def coefficient(xs):
-            g = exprparse.evaluate(geometry.g, {"x": xs})
-            g1 = exprparse.evaluate(geometry.g1, {"x": xs})
-            return exprparse.evaluate(problem.kappa, {"x": g}) / g1**2
+            g = exprparse.evaluate(geometry.components[0], {"x": xs, "x1": xs})
+            g1 = exprparse.evaluate(geometry.jacobian[0][0], {"x": xs, "x1": xs})
+            return exprparse.evaluate(problem.diffusion[0][0], {"x": g}) / g1**2
 
         want = reference_discrepancy(
             eigs, coefficient, cli._distribution_symbol(family, mode, p).coefficients)
@@ -686,9 +707,9 @@ class TestSymbolMoments:
             symbol_moments(lambda x: np.sqrt(x), lambda t: np.ones((1, t.shape[0])),
                            [0])
 
-    def test_curved_1d_error_is_first_order(self):
+    def test_curved_1d_error_is_first_order(self, tmp_path):
         # n * (first moment error) is level: the reference has no bias
-        out = cli._run_distribution_1d(CONFIGS["1d_hyperbolic_geometry"],
-                                       [64, 128, 256, 512], [])
-        scaled = [run["n"] * run["moment_errors"][0] for run in out["runs"]]
+        runs = _distribution_runs(tmp_path, "1d_hyperbolic_geometry",
+                                  [64, 128, 256, 512])
+        scaled = [run["n"] * run["moment_errors"][0] for run in runs]
         assert max(scaled) <= 1.01 * min(scaled)
