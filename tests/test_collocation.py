@@ -664,8 +664,8 @@ class TestBandAssembly1D:
         # the golden set's n and the benchmark's, none a power of two but 128
         kappa, beta, gamma, family, mode, g = ASSEMBLY_CASES[case]
         p = 3 if case == "hyperbolic-geometry" else 4
-        problem, geometry = problem_1d(kappa, beta, gamma, family, p, mode), geometry_1d(g)
-        basis = gb_basis(n, p, family, mode)
+        problem = problem_1d(kappa, beta, gamma, family, p, mode)
+        geometry, basis = geometry_1d(g), gb_basis(n, p, family, mode)
         system = assemble(problem, geometry, basis)
         ref = dense_assemble_1d(problem, geometry, basis)
         assert _ulps_off_dense_formula(system, ref) <= ULP_BOUND
