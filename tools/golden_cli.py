@@ -13,8 +13,9 @@ at degrees 6 and 7, whose short knot vectors (n < 2p+2) and boundary
 splines the benchmark configurations do not reach, a nested degree-7
 one whose effective phase 1/n is small, and one whose degree is a JSON
 true, which is refused.  More 1D configurations: one whose geometry gives
-its derivatives ``G1`` and ``G2`` as strings, one at degree 1, and one for
-each refusal of a 1D coefficient or geometry.  One line per command reports
+its derivatives ``G1`` and ``G2`` as strings, one at degree 1, one for
+each refusal of a 1D coefficient or geometry, and three whose ``d`` is a
+JSON true, 1.0 or "1", which are refused.  One line per command reports
 ``same`` or which of stdout, stderr and exit code differ; when the two
 stdouts differ and hold the same count of numbers, the line also gives
 the largest absolute difference between them, and that difference
@@ -103,6 +104,11 @@ _REFUSED_1D = {
 }
 TEMP_CONFIGS.update({name: {**_BASE_1D, **change}
                      for name, change in _REFUSED_1D.items()})
+# a d that equals 1 but is no dimension
+_D_NOT_INT = {"1d_d_true.json": True, "1d_d_float.json": 1.0,
+              "1d_d_string.json": "1"}
+TEMP_CONFIGS.update({name: {**_BASE_1D, "d": d}
+                     for name, d in _D_NOT_INT.items()})
 
 COMMANDS: list[list[str]] = [
     # the six benchmark distribution jobs, with the benchmark's n lists
@@ -266,6 +272,7 @@ COMMANDS: list[list[str]] = [
     ["distribution", "--config", _EXPLICIT_G, "--n", "32"],
     ["distribution", "--config", _P_ONE, "--n", "8"],
     *[["eig", "--config", name, "--n", "8"] for name in _REFUSED_1D],
+    *[["distribution", "--config", name, "--n", "8"] for name in _D_NOT_INT],
     # h_min at the last answered polynomial degree, and refused as rounding
     # noise from p = 74 (p = 70 at trigonometric phase 3)
     ["bounds", "--p", "73", "--family", "polynomial"],
