@@ -11,10 +11,11 @@ of unity, C^{p-1} smoothness, symmetry about (p+1)/2) hold to rounding error.
 Level q of the recursion is the degree-q spline, so one recursion up to p
 serves every degree up to p: :func:`cardinal_splines` builds several
 degrees of one family from a single run, and a process keeps each family's
-levels, read-only, with what is derived from them (its symbols), for later
-calls.  The recursion runs in the section basis of :mod:`gbspec.sections`,
-which is one basis for every family and phase, so the same steps serve the
-polynomial limit and every phase up to :data:`MAX_HYPERBOLIC_PHASE`.
+levels, read-only, for later calls (:func:`kept_levels`); the symbols
+sampled from them are kept by :mod:`gbspec.symbols`.  The recursion runs
+in the section basis of :mod:`gbspec.sections`, which is one basis for
+every family and phase, so the same steps serve the polynomial limit and
+every phase up to :data:`MAX_HYPERBOLIC_PHASE`.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ def _frozen(rows: np.ndarray) -> np.ndarray:
 def _recursion(rep: SectionFamily, top: int, done=None):
     """``(delta1, levels)``: levels 1..``top`` of one recursion.
 
-    The run carries on from ``done``, whose first two items are the
-    ``(delta1, levels)`` of a shorter run of the same family, or starts
-    from the seed.  It works on plain ``(pieces, slots)`` coefficient
-    arrays on unit intervals, each made read-only.
+    The run carries on from ``done``, the ``(delta1, levels)`` of a shorter
+    run of the same family, or starts from the seed.  It works on plain
+    ``(pieces, slots)`` coefficient arrays on unit intervals, each made
+    read-only.
     """
     s = rep.signed_square  # every piece has the effective phase
 
@@ -113,50 +114,39 @@ def _recursion(rep: SectionFamily, top: int, done=None):
     return delta1, tuple(levels)
 
 
-#: Bytes of recursion levels, and of what is kept with them, a process
-#: keeps over all families.
+#: Bytes of recursion levels a process keeps over all families.
 KEPT_LEVEL_BYTES = 2**25
 
-#: Each family's ``(delta1, levels, kept, nbytes)``: ``kept`` maps keys to
-#: objects derived from the levels (the family's symbols), each with an
-#: ``nbytes``, and ``nbytes`` is the levels' and those objects' bytes.
-_RECURSIONS: dict[SectionFamily, tuple[float, tuple[np.ndarray, ...], dict, int]] = {}
+#: Each family's ``(delta1, levels)``, the least recently used first.
+_RECURSIONS: dict[SectionFamily, tuple[float, tuple[np.ndarray, ...]]] = {}
 _RECURSIONS_LOCK = threading.Lock()
 
 
 def _kept_bytes(entry) -> int:
-    return entry[3]
-
-
-def _keep(rep: SectionFamily, entry) -> None:
-    """Keep ``entry`` as the most recently used, under the lock, dropping the
-    least recently used families to fit, unless it alone is over budget."""
-    size = _kept_bytes(entry)
-    if size > KEPT_LEVEL_BYTES:
-        return
-    total = size + sum(map(_kept_bytes, _RECURSIONS.values()))
-    while total > KEPT_LEVEL_BYTES:
-        total -= _kept_bytes(_RECURSIONS.pop(next(iter(_RECURSIONS))))
-    _RECURSIONS[rep] = entry
+    return sum(level.nbytes for level in entry[1])
 
 
 def kept_levels(rep: SectionFamily, top: int) -> tuple[float, tuple[np.ndarray, ...]]:
     """``(delta1, levels)`` of the family's recursion, at least to level
     ``top``: read-only ``(pieces, slots)`` rows on unit intervals.  A process
-    runs each family's recursion once: the levels built so far are kept
-    (:data:`KEPT_LEVEL_BYTES`) and carried on when a higher degree is asked."""
+    runs each family's recursion once: the levels built so far are kept for
+    the most recently used families within :data:`KEPT_LEVEL_BYTES`, and
+    carried on when a higher degree is asked; levels alone over that budget
+    are returned but not kept."""
     _check_phase(rep)
     with _RECURSIONS_LOCK:
         entry = _RECURSIONS.pop(rep, None)
-        if entry is None or len(entry[1]) < top:
-            _, done, stored, size = entry or (None, (), {}, 0)
-            delta1, levels = _recursion(rep, top, entry)
-            size += sum(level.nbytes for level in levels[len(done):])
-            entry = (delta1, levels, stored, size)
-            _keep(rep, entry)
-        else:
+        if entry is not None and len(entry[1]) >= top:
             _RECURSIONS[rep] = entry  # now the most recently used
-    return entry[:2]
+            return entry
+        entry = _recursion(rep, top, entry)
+        size = _kept_bytes(entry)
+        if size <= KEPT_LEVEL_BYTES:
+            total = size + sum(map(_kept_bytes, _RECURSIONS.values()))
+            while total > KEPT_LEVEL_BYTES:
+                total -= _kept_bytes(_RECURSIONS.pop(next(iter(_RECURSIONS))))
+            _RECURSIONS[rep] = entry
+    return entry
 
 
 def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
@@ -164,32 +154,6 @@ def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
     delta1, levels = kept_levels(rep, max(degrees))
     return [(PiecewiseFn(rep, q, np.arange(0.0, q + 2), levels[q - 1]), delta1)
             for q in degrees]
-
-
-def kept(family: SectionFamily, keys, build) -> dict:
-    """``{key: value}`` for ``keys``, as kept with the family's levels.
-
-    The family's interval and phase checks run first, on every call.  The
-    values not kept yet are ``build(missing keys)``, kept if the levels are.
-    """
-    family.check_interval()
-    _check_phase(family)
-    with _RECURSIONS_LOCK:
-        entry = _RECURSIONS.pop(family, None)
-        if entry is not None:
-            _RECURSIONS[family] = entry  # now the most recently used
-    stored = {} if entry is None else entry[2]  # never changed in place
-    found = {key: stored[key] for key in keys if key in stored}
-    missing = list(dict.fromkeys(key for key in keys if key not in found))
-    if missing:
-        found.update(zip(missing, build(missing)))
-        with _RECURSIONS_LOCK:
-            entry = _RECURSIONS.pop(family, None)
-            if entry is not None:
-                added = {key: found[key] for key in missing if key not in entry[2]}
-                size = entry[3] + sum(value.nbytes for value in added.values())
-                _keep(family, (*entry[:2], {**entry[2], **added}, size))
-    return found
 
 
 def cardinal_splines(family: SectionFamily, degrees) -> list[CardinalSpline]:

@@ -142,9 +142,9 @@ def load_problem_1d(cfg: dict):
 
     Explicit ``G1`` and ``G2`` strings are taken as the derivatives of G.
     """
-    d = cfg.get("d", 1)
-    if d != 1:
-        raise GbspecError(f"expected a 1D config, got d = {d}")
+    # a JSON true or 1.0 equals 1 but is no dimension
+    if "d" in cfg and _require(cfg, "d", int, "config") != 1:
+        raise GbspecError(f"expected a 1D config, got d = {cfg['d']}")
     where = "1D config"
     kappa = _require(cfg, "kappa", str, where)
     beta = _require(cfg, "beta", str, where)

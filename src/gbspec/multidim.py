@@ -66,7 +66,7 @@ class DirectionSymbols:
     """
 
     def __init__(self, degrees: Sequence[int], families: Sequence[SectionFamily],
-                 mode: str = NESTED):
+                 mode: str):
         if mode not in (NESTED, NONNESTED):
             raise UsageError(f"unknown phase mode {mode!r}")
         self.degrees = tuple(degrees)

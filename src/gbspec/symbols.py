@@ -9,18 +9,23 @@ Three trigonometric polynomials are attached to each family and degree:
 
 All three exist in a finite-sum form (the authoritative one, used for
 Toeplitz generation) and an infinite-series form built from Fourier
-transforms (valid from a kind-dependent minimal degree).
+transforms (valid from a kind-dependent minimal degree).  The finite-sum
+form is a pure function of ``(kind, p, family)``, sampled from the
+family's kept recursion levels: a process builds each once and keeps the
+4096 most recently used, each with what is computed from it alone (its
+maximum, say).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import cardinal
-from .cardinal import _derivative_rows, _frozen, _phi1_hat, kept
+from .cardinal import _check_phase, _derivative_rows, _frozen, _phi1_hat
 from .errors import NumericalError, UsageError
 from .sections import (HYPERBOLIC, SectionFamily, _basis_matrix,
                        _edge_row, _local_derivative, polynomial)
@@ -55,11 +60,6 @@ class SymbolFn:
     def __post_init__(self):
         object.__setattr__(self, "_k", _frozen(np.arange(1, self.coefficients.size)))
         object.__setattr__(self, "_tail", self.coefficients[1:])
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the symbol's arrays."""
-        return self.coefficients.nbytes + self._k.nbytes
 
     def __call__(self, theta):
         # a float theta, as symbol_max takes it, needs no outer product
@@ -98,45 +98,45 @@ def symbol_fn(kind: str, p: int, family: SectionFamily) -> SymbolFn:
 def symbol_fns(requests, family: SectionFamily) -> list[SymbolFn]:
     """:func:`symbol_fn` of each ``(kind, p)`` in ``requests``, in order.
 
-    A process keeps each symbol, with read-only coefficients, beside its
-    family's recursion levels (:func:`cardinal.kept`); the splines that
-    the symbols not yet kept sample come from one cardinal recursion.
+    The family's interval and phase checks run on every call; each symbol
+    is then built once per process (:func:`_symbol`).
     """
     for kind, p in requests:
         if kind not in KINDS:
             raise UsageError(f"unknown symbol kind {kind!r}")
         if p < _MIN_DEGREE[kind]:
             raise UsageError(f"kind {kind!r} requires degree >= {_MIN_DEGREE[kind]}")
-    found = kept(family, requests, lambda missing: _sampled(missing, family))
-    return [found[r] for r in requests]
+    family.check_interval()
+    _check_phase(family)
+    return [_symbol(kind, p, family) for kind, p in requests]
 
 
-def _sampled(requests, family: SectionFamily) -> list[SymbolFn]:
-    orders = [KINDS.index(kind) for kind, _ in requests]  # derivative orders
+@lru_cache(maxsize=4096)
+def _symbol(kind: str, p: int, family: SectionFamily) -> SymbolFn:
+    """The symbol, with read-only coefficients, sampled from the family's
+    kept recursion levels (:func:`cardinal.kept_levels`); a process keeps
+    the 4096 most recently used."""
+    r = KINDS.index(kind)  # the derivative order
     # the derivative recurrence samples a lower-degree spline, which keeps
     # the coefficients O(1) at large phases; it does not cover the second
     # derivative of the degree-2 spline, which is taken from that spline
-    degrees = [p if r >= p else p - r for (_, p), r in zip(requests, orders)]
+    q = p if r >= p else p - r
     s = family.signed_square
-    levels = cardinal.kept_levels(family, max(degrees))[1]
-    out = []
-    for (kind, p), r, q in zip(requests, orders, degrees):
-        rows = levels[q - 1]  # one row per unit interval
-        if q == p:
-            for _ in range(r):
-                rows = _local_derivative(p, s, rows)
-        else:
-            rows = _derivative_rows(rows, r)
-        # the sample at (p+1)/2 - k lies on piece (p+1)//2 - k, at its left
-        # end for odd p and at its midpoint for even p; the basis row there
-        # is the edge row, or the constant slot alone but for degree-1 rows,
-        # whose u is 1/cosh(eps/2) (1/cos trigonometric) at the midpoint
-        rows = rows[(p + 1) // 2 - np.arange(0, p // 2 + 1)]
-        row = _edge_row(q, -1.0) if p % 2 else \
-            np.eye(1, q + 1)[0] if q > 1 else _basis_matrix(1, s, [0.5])[0]
-        basis = np.tile(row, (rows.shape[0], 1))
-        out.append(SymbolFn(kind, p, family, _frozen(np.einsum("ij,ij->i", basis, rows))))
-    return out
+    rows = cardinal.kept_levels(family, q)[1][q - 1]  # one row per unit interval
+    if q == p:
+        for _ in range(r):
+            rows = _local_derivative(p, s, rows)
+    else:
+        rows = _derivative_rows(rows, r)
+    # the sample at (p+1)/2 - k lies on piece (p+1)//2 - k, at its left
+    # end for odd p and at its midpoint for even p; the basis row there
+    # is the edge row, or the constant slot alone but for degree-1 rows,
+    # whose u is 1/cosh(eps/2) (1/cos trigonometric) at the midpoint
+    rows = rows[(p + 1) // 2 - np.arange(0, p // 2 + 1)]
+    row = _edge_row(q, -1.0) if p % 2 else \
+        np.eye(1, q + 1)[0] if q > 1 else _basis_matrix(1, s, [0.5])[0]
+    basis = np.tile(row, (rows.shape[0], 1))
+    return SymbolFn(kind, p, family, _frozen(np.einsum("ij,ij->i", basis, rows)))
 
 
 def symbol_series(kind: str, p: int, family: SectionFamily, theta: float,

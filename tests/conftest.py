@@ -1,11 +1,12 @@
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gbspec import cardinal  # noqa: E402
+from gbspec import cardinal, symbols  # noqa: E402
 from gbspec.sections import hyperbolic, polynomial, trigonometric  # noqa: E402
 
 ALL_FAMILIES = [polynomial(), hyperbolic(2.0), trigonometric(1.0)]
@@ -20,17 +21,20 @@ def family(request):
 def recursion_runs(monkeypatch):
     """``(first, top)`` levels computed by each cardinal recursion run, in order.
 
-    The process's kept levels are swapped for an empty store for the test;
-    ``recursion_runs.reset()`` forgets both the runs and the kept levels, so
-    the next call starts from the seed.
+    The process's kept levels and symbols are swapped for empty stores for
+    the test; ``recursion_runs.reset()`` forgets the runs, the kept levels
+    and the kept symbols, so the next call starts from the seed.
     """
     monkeypatch.setattr(cardinal, "_RECURSIONS", {})
+    monkeypatch.setattr(symbols, "_symbol",
+                        lru_cache(maxsize=4096)(symbols._symbol.__wrapped__))
     inner = cardinal._recursion
 
     class Runs(list):
         def reset(self):
             self.clear()
             cardinal._RECURSIONS.clear()
+            symbols._symbol.cache_clear()
 
     runs = Runs()
 

@@ -186,34 +186,6 @@ class TestKeptLevels:
         cardinal_spline(trigonometric(0.5), 11)
         assert recursion_runs == [(1, 2), (1, 2), (1, 11), (1, 11)]
 
-    def test_a_kept_miss_reads_only_the_bytes_it_adds(self, recursion_runs):
-        read = []
-
-        class Sized:
-            def __init__(self, key):
-                self.key = key
-
-            @property
-            def nbytes(self):
-                read.append(self.key)
-                return 8
-
-        def build(keys):
-            return [Sized(key) for key in keys]
-
-        families = [hyperbolic(1.0 + k) for k in range(4)]
-        for family in families:
-            cardinal_spline(family, 2)
-            cardinal.kept(family, [(family, "a"), (family, "b")], build)
-        read.clear()
-        family = families[1]
-        found = cardinal.kept(family, [(family, "a"), (family, "c")], build)
-        assert list(found) == [(family, "a"), (family, "c")]
-        assert read == [(family, "c")]
-        entry = cardinal._RECURSIONS[family]
-        assert cardinal._kept_bytes(entry) == _P2_BYTES + 3 * 8
-        assert list(cardinal._RECURSIONS)[-1] == family
-
     def test_degree_200_stays_within_the_budget(self, capsys, recursion_runs):
         argv = ["cardinal", "--family", "polynomial", "--p", "200", "--grid", "8"]
         assert cli.main(argv) == 0

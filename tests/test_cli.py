@@ -470,6 +470,9 @@ class TestDistributionCommands:
          "2D config: key 'geometry' has the wrong type"),
         ({"d": 2, "alpha": 10.0}, "2D config: key 'alpha' has the wrong type"),
         ({"d": 2.0}, "config: key 'd' has the wrong type"),
+        ({"d": True}, "config: key 'd' has the wrong type"),
+        ({"d": 1.0}, "config: key 'd' has the wrong type"),
+        ({"d": "1"}, "config: key 'd' has the wrong type"),
     ])
     def test_wrong_typed_config_value_exits_one(self, capsys, tmp_path, changes,
                                                 message):

@@ -146,31 +146,26 @@ class TestEffectivePhase:
         # one array evaluation for each of the slots u and v of the corner
         # rows, at any n; the symbols h, g and f are sampled from the kept
         # recursion rows, with no series, unless they are kept
-        calls, sampled = [], []
+        calls = []
         inner = sections._series
-        inner_sampled = symbols._sampled
 
         def counted(s, k, sigma):
             if isinstance(sigma, np.ndarray):
                 calls.append(k)
             return inner(s, k, sigma)
 
-        def counted_sampled(requests, family):
-            sampled.extend(requests)
-            return inner_sampled(requests, family)
-
         monkeypatch.setattr(sections, "_series", counted)
-        monkeypatch.setattr(symbols, "_sampled", counted_sampled)
-        for fresh, want in ((True, [("h", 3), ("g", 3), ("f", 3)]), (False, [])):
+        for fresh, want in ((True, 3), (False, 0)):
             counts = {}
             for n in (24, 32, 36, 256):
                 basis = gb_basis(n, 3, hyperbolic(10.0), "nonnested")
                 if fresh:
                     recursion_runs.reset()
                 calls.clear()
-                sampled.clear()
+                misses = symbols._symbol.cache_info().misses
                 greville_samples(basis)
-                counts[n] = (len(calls), sampled[:])
+                counts[n] = (len(calls),
+                             symbols._symbol.cache_info().misses - misses)
             assert counts == dict.fromkeys((24, 32, 36, 256), (2, want)), fresh
 
 
@@ -292,20 +287,17 @@ class TestBandedBasis:
             _assert_same_as_loop_basis(n, p, family, mode, loop_antiderivative)
 
     def test_work_does_not_grow_with_n(self, monkeypatch, recursion_runs):
-        made, sampled = [], []
+        made = []
         init = sections.PiecewiseFn.__post_init__
-        inner_sampled = symbols._sampled
 
         def counted(self):
             made.append(self)
             init(self)
 
-        def counted_sampled(requests, family):
-            sampled.extend(requests)
-            return inner_sampled(requests, family)
+        def misses():
+            return symbols._symbol.cache_info().misses
 
         monkeypatch.setattr(sections.PiecewiseFn, "__post_init__", counted)
-        monkeypatch.setattr(symbols, "_sampled", counted_sampled)
         counts = {}
         for n in (64, 4096):
             made.clear()
@@ -316,10 +308,9 @@ class TestBandedBasis:
                 greville_samples(basis)
                 # the symbols h, g and f are sampled from the recursion rows
                 # with no cardinal spline built, and not again once kept
-                assert (made, sampled) == ([], [("h", 3), ("g", 3), ("f", 3)])
-                sampled.clear()
+                assert (made, misses()) == ([], 3)
                 greville_samples(basis)
-                assert (made, sampled) == ([], [])
+                assert (made, misses()) == ([], 3)
         assert counts[64] == counts[4096]
 
     @pytest.mark.parametrize("family,p,n", SMALL_PHASE_CASES, ids=repr)

@@ -323,13 +323,13 @@ class TestBandAssembly:
 
 class TestSymbolMatrix:
     def test_diagonal_at_pi(self):
-        h = DirectionSymbols((2, 2), (polynomial(), polynomial())).matrix(
-            (math.pi, math.pi))
+        h = DirectionSymbols((2, 2), (polynomial(), polynomial()),
+                             "nested").matrix((math.pi, math.pi))
         assert np.allclose(h, np.diag([2.0, 2.0]), atol=1e-12)
 
     def test_zero_frequency(self):
-        h = DirectionSymbols((2, 2), (polynomial(), polynomial())).matrix(
-            (0.0, 0.0))
+        h = DirectionSymbols((2, 2), (polynomial(), polynomial()),
+                             "nested").matrix((0.0, 0.0))
         assert np.allclose(h, 0.0, atol=1e-14)
 
     def test_symmetric_for_random_frequencies(self):
@@ -346,7 +346,8 @@ class TestSymbolMatrix:
         f2 = symbol_fn("f", 2, polynomial())
         h2 = symbol_fn("h", 2, polynomial())
         g2 = symbol_fn("g", 2, polynomial())
-        h = DirectionSymbols((2, 2), (polynomial(), polynomial())).matrix(th)
+        h = DirectionSymbols((2, 2), (polynomial(), polynomial()),
+                             "nested").matrix(th)
         assert h[0, 0] == pytest.approx(float(f2(th[0]) * h2(th[1])), abs=1e-14)
         assert h[1, 1] == pytest.approx(float(h2(th[0]) * f2(th[1])), abs=1e-14)
         assert h[0, 1] == pytest.approx(float(g2(th[0]) * g2(th[1])), abs=1e-14)

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,11 +8,13 @@ import numpy as np
 import pytest
 
 from gbspec import cardinal, cli, sections, symbols
+from gbspec.cardinal import cardinal_spline
+from gbspec.collocation import gb_basis, greville_samples
 from gbspec.errors import ConstraintError, UsageError
 from gbspec.multidim import DirectionSymbols
 from gbspec.sections import SectionFamily, hyperbolic, polynomial, trigonometric
-from gbspec.symbols import (KINDS, bounds_report, decay_ratio, symbol_fn,
-                            symbol_fns, symbol_max, symbol_series)
+from gbspec.symbols import (KINDS, bounds_report, decay_ratio, decay_ratios,
+                            symbol_fn, symbol_fns, symbol_max, symbol_series)
 from oracles import (PHASE_SWEEP, lower_bound_residual, mp_cardinal,
                      mp_symbol_max, numpy_symbol_max,
                      piecewise_symbol_coefficients, symbol_closed_form)
@@ -549,11 +553,11 @@ class TestExactExtrema:
         h = symbol_fn("h", scaled[0][1], family)
         scale = 1.01 if bound == "upper" else \
             0.5 * symbols._lower_envelope(h) / symbols._extrema(h)[0]
-        entry = cardinal._RECURSIONS[family]
-        planted = {key: symbols.SymbolFn(*key, family, scale * symbol_fn(
+        planted = {(*key, family): symbols.SymbolFn(*key, family, scale * symbol_fn(
             *key, family).coefficients) for key in scaled}
-        cardinal._RECURSIONS[family] = (*entry[:2], {**entry[2], **planted},
-                                        entry[3])
+        inner = symbols._symbol
+        monkeypatch.setattr(symbols, "_symbol", lambda *key: planted[key]
+                            if key in planted else inner(*key))
         want = _fresh_grid_counts(p, family, size)
         assert (want[0] > 0, want[1] > 0) == (bound == "upper", bound == "lower")
         grids = []
@@ -662,15 +666,23 @@ class TestKeptSymbols:
         ["toeplitz", "--symbol", "g", "--p", "3", "--m", "4"],
     ], ids=lambda argv: argv[0])
     def test_large_phase_is_refused_with_planted_symbols(self, argv, capsys,
+                                                         monkeypatch,
                                                          recursion_runs):
         for p in (2, 3):
             bounds_report(p, hyperbolic(76.0), 64)
             bounds_report(p, polynomial(), 64)
             symbol_fn("g", p, hyperbolic(76.0))
-        kept = cardinal._RECURSIONS
-        assert {("h", 3), ("g", 3), ("f", 3), ("f", 2)} <= set(kept[hyperbolic(76.0)][2])
-        kept[hyperbolic(100.0)] = kept[hyperbolic(76.0)]
-        kept[trigonometric(3.5)] = kept[polynomial()]
+        # the store answers a refused family with another family's symbols
+        inner = symbols._symbol
+        planted = {hyperbolic(100.0): hyperbolic(76.0),
+                   trigonometric(3.5): polynomial()}
+        monkeypatch.setattr(symbols, "_symbol", lambda kind, p, family: inner(
+            kind, p, planted.get(family, family)))
+        misses = inner.cache_info().misses
+        for kind, p in (("h", 3), ("g", 3), ("f", 3), ("f", 2)):
+            assert symbols._symbol(kind, p, hyperbolic(100.0)) is \
+                symbol_fn(kind, p, hyperbolic(76.0))
+        assert inner.cache_info().misses == misses
         with pytest.raises(ConstraintError):
             symbol_fn("h", 3, trigonometric(3.5))
         assert cli.main([*argv, "--family", "hyperbolic", "--alpha", "100"]) == 2
@@ -700,36 +712,106 @@ class TestKeptSymbols:
         # the first run samples the symbols from the recursion rows and
         # (bounds, decay) finds the maximum from a colleague matrix; a
         # repeat does neither, nor evaluates any series
-        series, sampled, roots = [], [], []
+        series, roots = [], []
         inner_series = sections._series
-        inner_sampled = symbols._sampled
         inner_roots = symbols._chebroots
 
         def counted_series(*args):
             series.append(args[:2])
             return inner_series(*args)
 
-        def counted_sampled(requests, family):
-            sampled.extend(requests)
-            return inner_sampled(requests, family)
-
         def counted_roots(c):
             roots.append(c)
             return inner_roots(c)
 
         monkeypatch.setattr(sections, "_series", counted_series)
-        monkeypatch.setattr(symbols, "_sampled", counted_sampled)
         monkeypatch.setattr(symbols, "_chebroots", counted_roots)
         assert cli.main(argv) == 0
         first = capsys.readouterr()
+        sampled = symbols._symbol.cache_info().misses
         assert sampled
         assert bool(roots) == (argv[0] in ("bounds", "decay"))
         series.clear()
-        sampled.clear()
         roots.clear()
         assert cli.main(argv) == 0
         assert capsys.readouterr() == first
-        assert (series, sampled, roots) == ([], [], [])
+        assert (series, symbols._symbol.cache_info().misses, roots) == (
+            [], sampled, [])
+
+
+    @pytest.mark.parametrize("call", [
+        lambda: bounds_report(9, hyperbolic(10.0)),
+        lambda: decay_ratios(range(2, 9), trigonometric(2.0)),
+        lambda: greville_samples(gb_basis(16, 4, hyperbolic(3.0), "nonnested")),
+    ], ids=["bounds", "decay", "greville_samples"])
+    def test_repeat_call_builds_no_symbol(self, call, recursion_runs):
+        call()
+        first = symbols._symbol.cache_info()
+        call()
+        # each (kind, p, family) was built once, and none again
+        assert first.misses == first.currsize > 0
+        assert symbols._symbol.cache_info().misses == first.misses
+
+    def test_symbol_outlives_its_dropped_levels(self, monkeypatch,
+                                                recursion_runs):
+        family = hyperbolic(10.0)
+        kept = symbol_fn("f", 9, family)
+        peak = symbol_max(kept)
+        # a budget for one family's levels to degree 7: a second drops it
+        monkeypatch.setattr(cardinal, "KEPT_LEVEL_BYTES",
+                            cardinal._kept_bytes(cardinal._RECURSIONS[family]))
+        cardinal_spline(polynomial(), 7)
+        assert list(cardinal._RECURSIONS) == [polynomial()]
+        assert symbol_fn("f", 9, family) is kept
+        recursion_runs.reset()
+        fresh = symbol_fn("f", 9, family)
+        assert fresh is not kept
+        assert _same_bits(kept.coefficients, fresh.coefficients)
+        assert _same_bits(symbol_max(kept), peak)
+        assert _same_bits(symbol_max(fresh), peak)
+
+
+def _thread_call(call):
+    """The bytes of one call's result: symbols, a cardinal spline or a report."""
+    what, family, p = call
+    if what == "symbols":
+        return [s.coefficients.tobytes()
+                for s in symbol_fns([(kind, p) for kind in KINDS], family)]
+    if what == "cardinal":
+        cs = cardinal_spline(family, p)
+        return [cs.pw.coeffs.tobytes(), repr(cs.delta1)]
+    return repr(bounds_report(p, family).to_dict())
+
+
+class TestSharedStores:
+    """Objects are shared across threads, and each store is filled under
+    one lock."""
+
+    def test_threads_get_the_serial_bits(self, monkeypatch, recursion_runs):
+        # a budget for about two families' levels to degree 12, so that
+        # threads drop and rebuild levels while others read them
+        monkeypatch.setattr(cardinal, "KEPT_LEVEL_BYTES",
+                            2 * 8 * sum(k * k for k in range(2, 14)))
+        families = [polynomial(), hyperbolic(10.0), trigonometric(1.5),
+                    hyperbolic(0.1)]
+        calls = [(what, family, p) for family in families
+                 for what, degrees in (("symbols", (3, 7, 12)),
+                                       ("cardinal", (2, 9)), ("bounds", (4, 11)))
+                 for p in degrees]
+        order = np.random.default_rng(5).permutation(2 * len(calls))
+        calls = [calls[i % len(calls)] for i in order]
+        serial = [_thread_call(call) for call in calls]
+        recursion_runs.reset()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch between most bytecodes
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(_thread_call, calls))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        kept = sum(map(cardinal._kept_bytes, cardinal._RECURSIONS.values()))
+        assert 0 < kept <= cardinal.KEPT_LEVEL_BYTES
 
 
 #: phases of the envelope amplitude's test, down to where a**2 underflows
