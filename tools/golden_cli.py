@@ -15,7 +15,11 @@ one whose effective phase 1/n is small, and one whose degree is a JSON
 true, which is refused.  More 1D configurations: one whose geometry gives
 its derivatives ``G1`` and ``G2`` as strings, one at degree 1, one for
 each refusal of a 1D coefficient or geometry, and three whose ``d`` is a
-JSON true, 1.0 or "1", which are refused.  One line per command reports
+JSON true, 1.0 or "1", which are refused.  Two configurations that are
+refused late or not at all by a coarse check: a 1D kappa with a pole at
+x = 1/2, which no validation point hits, so the moments of its symbol do
+not settle; and a 2D geometry (x1^2, x2), whose Jacobian is singular on
+the boundary x1 = 0.  One line per command reports
 ``same`` or which of stdout, stderr and exit code differ; when the two
 stdouts differ and hold the same count of numbers, the line also gives
 the largest absolute difference between them, and that difference
@@ -109,6 +113,15 @@ _D_NOT_INT = {"1d_d_true.json": True, "1d_d_float.json": 1.0,
               "1d_d_string.json": "1"}
 TEMP_CONFIGS.update({name: {**_BASE_1D, "d": d}
                      for name, d in _D_NOT_INT.items()})
+# a pole between the 1D validation points, and a Jacobian singular on
+# the boundary of the 2D square
+_KAPPA_POLE = "1d_kappa_pole.json"
+_G_SINGULAR_2D = "2d_geometry_singular.json"
+TEMP_CONFIGS[_KAPPA_POLE] = {**_BASE_1D, "kappa": "1/(x-0.5)^2"}
+TEMP_CONFIGS[_G_SINGULAR_2D] = {
+    "d": 2, "K": [["1", "0"], ["0", "1"]], "beta": ["0", "0"], "gamma": "0",
+    "nu": [1, 1], "p": [2, 2], "family": ["polynomial", "polynomial"],
+    "mode": "nonnested", "geometry": {"G": ["x1^2", "x2"]}}
 
 COMMANDS: list[list[str]] = [
     # the six benchmark distribution jobs, with the benchmark's n lists
@@ -273,6 +286,10 @@ COMMANDS: list[list[str]] = [
     ["distribution", "--config", _P_ONE, "--n", "8"],
     *[["eig", "--config", name, "--n", "8"] for name in _REFUSED_1D],
     *[["distribution", "--config", name, "--n", "8"] for name in _D_NOT_INT],
+    # a symbol whose moments do not settle, and a 2D geometry singular on
+    # the boundary
+    ["distribution", "--config", _KAPPA_POLE, "--n", "5"],
+    ["distribution-md", "--config", _G_SINGULAR_2D, "--n", "4"],
     # h_min at the last answered polynomial degree, and refused as rounding
     # noise from p = 74 (p = 70 at trigonometric phase 3)
     ["bounds", "--p", "73", "--family", "polynomial"],
