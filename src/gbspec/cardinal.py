@@ -9,20 +9,19 @@ degree is obtained by exact antidifferentiation,
 so all stated properties (compact support on (0, p+1), positivity, partition
 of unity, C^{p-1} smoothness, symmetry about (p+1)/2) hold to rounding error.
 Level q of the recursion is the degree-q spline, so one recursion up to p
-serves every degree up to p: :func:`cardinal_splines` builds several
-degrees of one family from a single run, and a process keeps each family's
-levels, read-only, for later calls (:func:`kept_levels`); the symbols
-sampled from them are kept by :mod:`gbspec.symbols`.  The recursion runs
-in the section basis of :mod:`gbspec.sections`, which is one basis for
-every family and phase, so the same steps serve the polynomial limit and
-every phase up to :data:`MAX_HYPERBOLIC_PHASE`.
+serves every degree up to p: a process keeps each family's levels,
+read-only, for later calls (:func:`kept_levels`), and
+:func:`cardinal_spline` returns one level as a :class:`PiecewiseFn`; the
+symbols sampled from them are kept by :mod:`gbspec.symbols`.  The
+recursion runs in the section basis of :mod:`gbspec.sections`, which is
+one basis for every family and phase, so the same steps serve the
+polynomial limit and every phase up to :data:`MAX_HYPERBOLIC_PHASE`.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,23 +48,6 @@ def _check_phase(unit: SectionFamily) -> None:
         raise NumericalError(
             f"hyperbolic effective phase {unit.phase:g} is above the supported "
             f"maximum {MAX_HYPERBOLIC_PHASE:g}")
-
-
-@dataclass(frozen=True)
-class CardinalSpline:
-    """Normalized cardinal spline of one family and degree.
-
-    ``pw`` is the exact piecewise representation on {0, ..., p+1};
-    ``delta1`` is the degree-1 normalization factor of the family.
-    """
-
-    degree: int
-    family: SectionFamily
-    pw: PiecewiseFn
-    delta1: float
-
-    def __call__(self, t):
-        return self.pw(t)
 
 
 def _checked(integrals: np.ndarray, degree: int, rep: SectionFamily) -> np.ndarray:
@@ -149,30 +131,16 @@ def kept_levels(rep: SectionFamily, top: int) -> tuple[float, tuple[np.ndarray, 
     return entry
 
 
-def _build(rep: SectionFamily, degrees) -> list[tuple[PiecewiseFn, float]]:
-    """Levels ``degrees`` of :func:`kept_levels` as :class:`PiecewiseFn`, each with delta1."""
-    delta1, levels = kept_levels(rep, max(degrees))
-    return [(PiecewiseFn(rep, q, np.arange(0.0, q + 2), levels[q - 1]), delta1)
-            for q in degrees]
+def cardinal_spline(family: SectionFamily, p: int) -> PiecewiseFn:
+    """The degree-``p`` cardinal spline of the given family on {0, ..., p+1}.
 
-
-def cardinal_splines(family: SectionFamily, degrees) -> list[CardinalSpline]:
-    """The cardinal splines of the given family and degrees, in order.
-
-    One recursion up to the largest degree serves them all.
+    Its coefficients are level ``p`` of :func:`kept_levels`, read-only.
     """
-    if any(p < 1 for p in degrees):
+    if p < 1:
         raise UsageError("cardinal splines require degree p >= 1")
-    if not degrees:
-        return []
     family.check_interval()
-    return [CardinalSpline(p, family, pw, delta1)
-            for p, (pw, delta1) in zip(degrees, _build(family, degrees))]
-
-
-def cardinal_spline(family: SectionFamily, p: int) -> CardinalSpline:
-    """Build the degree-``p`` cardinal spline of the given family."""
-    return cardinal_splines(family, [p])[0]
+    return PiecewiseFn(family, p, np.arange(0.0, p + 2),
+                       kept_levels(family, p)[1][p - 1])
 
 
 def _derivative_rows(coeffs: np.ndarray, r: int) -> np.ndarray:

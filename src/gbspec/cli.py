@@ -185,6 +185,8 @@ def load_problem_md(cfg: dict) -> tuple[Problem, Geometry]:
     for key in ("nu", "p"):
         if any(type(v) is not int for v in cfg[key]):  # bool is not an int here
             raise GbspecError(f"{where}: key {key!r} has the wrong type")
+    if any(not isinstance(row, list) for row in kmat):
+        raise GbspecError(f"{where}: key 'K' has the wrong type")
     families = tuple(make_family(nm, al) for nm, al in zip(fam_names, alphas))
     diffusion = tuple(
         tuple(exprparse.parse(e) for e in row) for row in kmat)

@@ -66,33 +66,11 @@ NESTED = "nested"
 NONNESTED = "nonnested"
 
 
-@dataclass(frozen=True)
-class KnotVector:
-    """Uniform open knot vector: p+1 zeros, i/n for i=1..n-1, p+1 ones."""
-
-    n: int
-    degree: int
-    knots: np.ndarray
-
-    @classmethod
-    def open_uniform(cls, n: int, p: int) -> "KnotVector":
-        if n < 2 or p < 2:
-            raise UsageError("need n >= 2 subintervals and degree p >= 2")
-        interior = np.arange(1.0, n) / n
-        knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
-        return cls(n, p, knots)
-
-
 def _greville_units(n: int, p: int) -> np.ndarray:
     """The integer sums J of the knots t_{i+1..i+p} (1-based) in units of 1/n,
     i = 2..n+p-1: the interior Greville points are ``J / (n p)``."""
     units = np.clip(np.arange(-p, n + p + 1), 0, n)  # n t_k, k = 1..n+2p+1
     return units[np.arange(2, n + p)[:, None] + np.arange(p)].sum(axis=1)
-
-
-def greville_abscissae(kv: KnotVector) -> np.ndarray:
-    """Interior Greville points (knot averages), each correctly rounded."""
-    return _greville_units(kv.n, kv.degree) / (kv.n * kv.degree)
 
 
 def _min_feasible_n(alpha: float) -> int:
@@ -101,7 +79,8 @@ def _min_feasible_n(alpha: float) -> int:
 
 @dataclass(frozen=True)
 class GBBasis:
-    """GB-spline basis N_1..N_{n+p} over an open uniform knot vector.
+    """GB-spline basis N_1..N_{n+p} of degree p = ``degree`` over the open
+    uniform knot vector of ``n`` intervals.
 
     ``section_family`` is the family of every piece of the basis, whose
     phase is the effective one: ``family`` itself when not nested, and
@@ -115,20 +94,13 @@ class GBBasis:
     ``normalizers`` gives ``1 / integral`` of each.
     """
 
-    knots: KnotVector
+    n: int
+    degree: int
     family: SectionFamily
     mode: str
     section_family: SectionFamily
     shapes: np.ndarray
     shape_normalizers: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.knots.n
-
-    @property
-    def degree(self) -> int:
-        return self.knots.degree
 
     @property
     def shape_index(self) -> np.ndarray:
@@ -226,7 +198,8 @@ def gb_basis(n: int, p: int, family: SectionFamily,
     """
     if mode not in (NESTED, NONNESTED):
         raise UsageError(f"unknown phase mode {mode!r}")
-    kv = KnotVector.open_uniform(n, p)
+    if n < 2 or p < 2:
+        raise UsageError("need n >= 2 subintervals and degree p >= 2")
     piece = family
     if mode == NESTED and not family.is_polynomial:
         piece = SectionFamily(family.tag, family.phase / n)
@@ -240,7 +213,7 @@ def gb_basis(n: int, p: int, family: SectionFamily,
             f"trigonometric phase {alpha} needs n >= {_min_feasible_n(alpha)} "
             f"in nested mode, got n = {n}")
     m = min(n, 2 * p + 2)
-    return GBBasis(kv, family, mode, piece, *_short_run(m, p, piece))
+    return GBBasis(n, p, family, mode, piece, *_short_run(m, p, piece))
 
 
 def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -428,13 +401,11 @@ def _eval_array(exprs, points: np.ndarray, d: int) -> np.ndarray:
 
 
 def _validation_grid(d: int) -> np.ndarray:
-    """Where a problem and a geometry are checked: 1000 points of [0, 1],
-    ends included, in one dimension; the midpoint lattice of 33 (d = 2) or
-    9 (d = 3) points a side in more."""
-    if d == 1:
-        return np.linspace(0.0, 1.0, 1000)[:, None]
-    side = {2: 33, 3: 9}[d]
-    return _tensor_grid([(np.arange(side) + 0.5) / side] * d)
+    """Where a problem and a geometry are checked: 1000 points of [0, 1]
+    in one dimension, the lattice of 33 (d = 2) or 9 (d = 3) points a side
+    in more, ends included in every direction."""
+    side = {1: 1000, 2: 33, 3: 9}[d]
+    return _tensor_grid([np.linspace(0.0, 1.0, side)] * d)
 
 
 def _finite(vals: np.ndarray, name: str) -> np.ndarray:

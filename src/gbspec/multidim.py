@@ -86,10 +86,6 @@ class DirectionSymbols:
         return [max(s.coefficients.size - 1 for s in syms if s is not None)
                 for syms in zip(self.h, self.g, self.f)]
 
-    def matrix(self, thetas: Sequence[float]) -> np.ndarray:
-        """The d-by-d symbol matrix at one frequency vector."""
-        return self.matrix_batch(np.asarray(thetas, dtype=float)[None, :])[0]
-
     def matrix_batch(self, thetas: np.ndarray) -> np.ndarray:
         """Symbol matrices for a batch of frequency vectors, shape (m, d, d)."""
         thetas = np.asarray(thetas, dtype=float)

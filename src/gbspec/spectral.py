@@ -477,8 +477,9 @@ def symbol_moments(coefficients: Callable[[np.ndarray], np.ndarray],
                 r = int(np.argmax(unsettled))
                 raise NumericalError(
                     f"moment r={r + 1} of the symbol did not settle: "
-                    f"{previous[r]!r} with {xs.size // 2} and {sums[r]!r} with "
-                    f"{xs.size} Gauss-Legendre nodes per direction")
+                    f"{float(previous[r])!r} with {xs.size // 2} and "
+                    f"{float(sums[r])!r} with {xs.size} Gauss-Legendre nodes "
+                    "per direction")
         previous, panels = sums, 2 * panels
 
 

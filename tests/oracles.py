@@ -66,9 +66,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from gbspec import exprparse
-from gbspec.collocation import (Geometry, KnotVector, Problem, _eval_grid,
+from gbspec.collocation import (Geometry, Problem, _eval_grid,
                                 _symbol_coefficients, central_range, densify,
-                                gb_basis, greville_abscissae, greville_samples)
+                                gb_basis, greville_samples)
 from gbspec.cardinal import (SEED_ROWS, _derivative_rows, _phi0_hat,
                              _phi1_hat, cardinal_spline)
 from gbspec.errors import NumericalError, UsageError, ValidationError
@@ -128,8 +128,8 @@ def cardinal_derivative(cs, r: int) -> PiecewiseFn:
     recurrence phi_p^{(r)} = sum_j (-1)^j C(r,j) phi_{p-r}(. - j) that the
     package's symbols sample."""
     base = cardinal_spline(cs.family, cs.degree - r)
-    return PiecewiseFn(base.pw.family, base.degree, np.arange(0.0, cs.degree + 2),
-                       _derivative_rows(base.pw.coeffs, r))
+    return PiecewiseFn(base.family, base.degree, np.arange(0.0, cs.degree + 2),
+                       _derivative_rows(base.coeffs, r))
 
 
 def gauss_legendre(fn, a: float, b: float, pieces: int = 8,
@@ -175,9 +175,13 @@ def piece_family(family, mode: str, n: int):
     return SectionFamily(family.tag, family.phase / n)
 
 
-def _full_span_seeds(kv: KnotVector, rep) -> list:
+def open_knots(n: int, p: int) -> np.ndarray:
+    """Uniform open knot vector: p+1 zeros, i/n for i = 1..n-1, p+1 ones."""
+    return np.concatenate([np.zeros(p + 1), np.arange(1.0, n) / n, np.ones(p + 1)])
+
+
+def _full_span_seeds(n: int, p: int, rep) -> list:
     """Degree-1 splines over the distinct grid, one per index i = 1..n+2p-1."""
-    n, p = kv.n, kv.degree
     grid = np.arange(n + 1) / n
     up, down = SEED_ROWS
     seeds = []
@@ -217,8 +221,7 @@ def full_span_basis(n: int, p: int, family, mode: str = "nonnested") -> list:
     support).  This costs O(n^2 p) and serves only as the reference for
     ``gbspec.collocation.gb_basis``.
     """
-    kv = KnotVector.open_uniform(n, p)
-    level = _full_span_seeds(kv, piece_family(family, mode, n))
+    level = _full_span_seeds(n, p, piece_family(family, mode, n))
     for q in range(2, p + 1):
         level = _next_level([_cumulative(s, left_degenerate=(i + q <= p + 1))
                              for i, s in enumerate(level, start=1)])
@@ -345,7 +348,7 @@ def piecewise_symbol_coefficients(kind: str, p: int, family) -> np.ndarray:
     """
     r = "hgf".index(kind)
     if r >= p or r == 0:
-        pw = cardinal_spline(family, p).pw
+        pw = cardinal_spline(family, p)
         for _ in range(r):
             pw = piecewise_derivative(pw)
     else:
@@ -353,11 +356,10 @@ def piecewise_symbol_coefficients(kind: str, p: int, family) -> np.ndarray:
     return pw((p + 1) / 2 - np.arange(0, p // 2 + 1))
 
 
-def loop_greville_abscissae(kv: KnotVector) -> np.ndarray:
+def loop_greville_abscissae(n: int, p: int) -> np.ndarray:
     """Interior Greville points, one knot-window mean at a time."""
-    p = kv.degree
-    t = kv.knots
-    full = np.array([t[i:i + p].mean() for i in range(1, kv.n + p + 1)])
+    t = open_knots(n, p)
+    full = np.array([t[i:i + p].mean() for i in range(1, n + p + 1)])
     return full[1:-1]
 
 
@@ -367,7 +369,7 @@ def loop_greville_samples(basis):
     Each boundary-vanishing spline is differentiated and evaluated on its own
     at the Greville points in ``[a, b)`` of its support.
     """
-    xi = loop_greville_abscissae(basis.knots)
+    xi = loop_greville_abscissae(basis.n, basis.degree)
     mats = tuple(np.zeros((xi.size, xi.size)) for _ in range(3))
     for j, s in enumerate(basis_splines(basis)[1:-1]):
         lo, hi = np.searchsorted(xi, s.support)
@@ -503,7 +505,7 @@ def mp_nested_shape_error(n: int, p: int, family) -> float:
             small.shapes, basis.shapes):
         raise ValueError(f"n = {n0} does not reproduce the shapes of n = {n}")
     exact = mp_greville_samples(n0, p, family.tag, small.section_family.phase,
-                                greville_abscissae(small.knots))
+                                greville_samples(small)[0])
     return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
                for a, b in zip(dense_greville_samples(small)[1:], exact))
 

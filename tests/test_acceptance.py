@@ -82,7 +82,7 @@ def test_criterion_03_cardinal_property_suite():
             part = abs(sum(cs(float(k)) for k in range(1, p + 1)) - 1.0)
             if part > 1e-12:
                 failures.append(f"partition p={p} {fam.tag}: {part:.1e}")
-            integ = abs(integral(cs.pw) - 1.0)
+            integ = abs(integral(cs) - 1.0)
             if integ > 1e-12:
                 failures.append(f"integral p={p} {fam.tag}: {integ:.1e}")
             c = (p + 1) / 2
@@ -99,7 +99,7 @@ def test_criterion_03_cardinal_property_suite():
                     break
             for r in range(1, min(p, 4)):
                 rec = cardinal_derivative(cs, r)
-                direct = cs.pw
+                direct = cs
                 for _ in range(r):
                     direct = piecewise_derivative(direct)
                 xs = np.linspace(0.05, p + 0.95, 57)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gbspec import cardinal, cli
-from gbspec.cardinal import cardinal_spline, cardinal_splines
+from gbspec.cardinal import cardinal_spline, kept_levels
 from gbspec.errors import ConstraintError, NumericalError, UsageError
 from gbspec.sections import SectionFamily, hyperbolic, polynomial, trigonometric
 from gbspec.symbols import symbol_fn
@@ -24,7 +24,7 @@ class TestConstruction:
         cs = cardinal_spline(polynomial(), 1)
         assert cs(1.0) == 1.0
         assert cs(0.5) == 0.5
-        assert cs.delta1 == 1.0
+        assert kept_levels(polynomial(), 1)[0] == 1.0
 
     def test_hyperbolic_peak_value(self):
         # delta1 = (alpha/2) coth(alpha/2); at alpha = 2 this is coth(1)
@@ -53,15 +53,20 @@ class TestConstruction:
             assert cs(p + 1.5) == 0.0
 
 
-    def test_same_coefficients_as_loop_antiderivative(self):
+    def test_same_coefficients_as_loop_antiderivative(self, recursion_runs):
         families = [polynomial(), hyperbolic(1e-9), hyperbolic(0.1),
                     hyperbolic(10.0), hyperbolic(30.0), trigonometric(0.5),
                     trigonometric(3.0)]
         degrees = list(range(1, 14))
         for rep in families:
             ref = loop_cardinal_build(rep, degrees)
-            runs = [cardinal._build(rep, degrees),
-                    [level for p in degrees for level in cardinal._build(rep, [p])]]
+            # one recursion to the top degree, then one carried on per degree
+            runs = []
+            for first in (max(degrees), 1):
+                recursion_runs.reset()
+                cardinal_spline(rep, first)
+                runs.append([(cardinal_spline(rep, p), kept_levels(rep, 1)[0])
+                             for p in degrees])
             for run in runs:
                 for p, (pw, delta1), (ref_pw, ref_delta1) in zip(degrees, run, ref):
                     assert (pw.family, pw.degree) == (rep, p)
@@ -74,19 +79,17 @@ class TestConstruction:
     @pytest.mark.parametrize("family", [
         polynomial(), hyperbolic(1e-3), hyperbolic(10.0), trigonometric(0.01),
         trigonometric(3.0)], ids=repr)
-    def test_one_recursion_gives_each_degree_as_built_alone(self, family):
+    def test_one_recursion_gives_each_degree_as_built_alone(self, family,
+                                                             recursion_runs):
         degrees = [9, 1, 4, 13, 4, 2]
-        splines = cardinal_splines(family, degrees)
+        splines = [cardinal_spline(family, p) for p in degrees]
         for p, cs in zip(degrees, splines):
+            recursion_runs.reset()  # a fresh recursion up to p alone
             ref = cardinal_spline(family, p)
-            assert (cs.degree, cs.family, cs.pw.family) == (p, family, ref.pw.family)
-            assert np.array_equal(cs.pw.coeffs, ref.pw.coeffs), p
-            assert np.array_equal(np.signbit(cs.pw.coeffs),
-                                  np.signbit(ref.pw.coeffs)), p
-            assert cs.delta1 == ref.delta1
-
-    def test_no_degrees(self):
-        assert cardinal_splines(hyperbolic(100.0), []) == []
+            assert (cs.degree, cs.family) == (p, ref.family)
+            assert np.array_equal(cs.coeffs, ref.coeffs), p
+            assert np.array_equal(np.signbit(cs.coeffs),
+                                  np.signbit(ref.coeffs)), p
 
     @pytest.mark.parametrize("alpha", [100.0, 200.0, 800.0])
     def test_large_phase_is_a_numerical_error(self, alpha):
@@ -104,11 +107,12 @@ class TestKeptLevels:
         family = hyperbolic(10.0)
         cs = cardinal_spline(family, 3)
         with pytest.raises(ValueError, match="read-only"):
-            cs.pw.coeffs[0, 0] = 1.0
+            cs.coeffs[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            cs.pw.coeffs *= 2.0
+            cs.coeffs *= 2.0
+        assert cs.coeffs is kept_levels(family, 3)[1][2]
         (ref, _), = loop_cardinal_build(family, [3])
-        assert np.array_equal(cardinal_spline(family, 3).pw.coeffs, ref.coeffs)
+        assert np.array_equal(cardinal_spline(family, 3).coeffs, ref.coeffs)
         assert recursion_runs == [(1, 3)]
 
     @pytest.mark.parametrize("first, second", [(3, 11), (11, 3)])
@@ -118,13 +122,13 @@ class TestKeptLevels:
             ref = dict(zip((first, second),
                            loop_cardinal_build(family, [first, second])))
             for p in (first, second):
-                (cs,) = cardinal_splines(family, [p])
+                cs = cardinal_spline(family, p)
                 ref_pw, ref_delta1 = ref[p]
-                assert np.array_equal(cs.pw.breakpoints, ref_pw.breakpoints)
-                assert np.array_equal(cs.pw.coeffs, ref_pw.coeffs), (family, p)
-                assert np.array_equal(np.signbit(cs.pw.coeffs),
+                assert np.array_equal(cs.breakpoints, ref_pw.breakpoints)
+                assert np.array_equal(cs.coeffs, ref_pw.coeffs), (family, p)
+                assert np.array_equal(np.signbit(cs.coeffs),
                                       np.signbit(ref_pw.coeffs)), (family, p)
-                assert cs.delta1 == ref_delta1
+                assert kept_levels(family, 1)[0] == ref_delta1
         # a higher degree carries the kept run on; a lower one runs nothing
         runs = [(1, 3), (4, 11)] if first < second else [(1, 11)]
         assert recursion_runs == runs * len(self.FAMILIES)
@@ -134,8 +138,8 @@ class TestKeptLevels:
                                                             monkeypatch,
                                                             recursion_runs):
         if fill in ("other families", "planted"):
-            cardinal_splines(hyperbolic(76.0), [3])
-            cardinal_splines(polynomial(), [11])
+            cardinal_spline(hyperbolic(76.0), 3)
+            cardinal_spline(polynomial(), 11)
         if fill == "full":
             monkeypatch.setattr(cardinal, "KEPT_LEVEL_BYTES", 8 * _P2_BYTES)
             for k in range(8):
@@ -181,7 +185,7 @@ class TestKeptLevels:
             cardinal_spline(family, 2)
         (ref, _), = loop_cardinal_build(trigonometric(0.5), [11])
         cs = cardinal_spline(trigonometric(0.5), 11)
-        assert np.array_equal(cs.pw.coeffs, ref.coeffs)
+        assert np.array_equal(cs.coeffs, ref.coeffs)
         assert list(cardinal._RECURSIONS) == kept
         cardinal_spline(trigonometric(0.5), 11)
         assert recursion_runs == [(1, 2), (1, 2), (1, 11), (1, 11)]
@@ -199,14 +203,14 @@ def test_values_and_integrals_match_mpmath(family):
     # degrees 1..10 from one recursion, at the quarter points of every piece;
     # values are compared on the scale max(1, max value): the degree-1
     # spline of phase 76 peaks at 38, where 1e-14 is 1.4 ulp
-    for cs in cardinal_splines(family, list(range(1, 11))):
+    for cs in [cardinal_spline(family, p) for p in range(1, 11)]:
         p = cs.degree
         ts = [Fraction(j, 4) for j in range(4 * (p + 1) + 1)]
         want = np.array([mp_cardinal(family.tag, family.phase, p, t) for t in ts])
         got = cs(np.array([float(t) for t in ts]))
         scale = max(1.0, np.max(want))
         assert np.max(np.abs(got - want)) <= 1e-14 * scale, p
-        assert abs(integral(cs.pw) - 1.0) <= 1e-14, p
+        assert abs(integral(cs) - 1.0) <= 1e-14, p
 
 
 class TestProperties:
@@ -218,7 +222,7 @@ class TestProperties:
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_unit_integral(self, family, p):
-        assert integral(cardinal_spline(family, p).pw) == pytest.approx(
+        assert integral(cardinal_spline(family, p)) == pytest.approx(
             1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", range(2, 7))
@@ -274,7 +278,7 @@ class TestSmoothness:
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_one_sided_derivatives_agree(self, family, p):
         # global C^{p-1} smoothness at the interior integer breakpoints
-        pw = cardinal_spline(family, p).pw
+        pw = cardinal_spline(family, p)
         for _ in range(p):
             for k in range(1, p + 1):
                 t = float(pw.breakpoints[k])
@@ -305,7 +309,7 @@ class TestDerivative:
     def test_recurrence_matches_direct_differentiation(self, family, p, r):
         cs = cardinal_spline(family, p)
         rec = cardinal_derivative(cs, r)
-        direct = cs.pw
+        direct = cs
         for _ in range(r):
             direct = piecewise_derivative(direct)
         ts = np.linspace(0.05, p + 0.95, 97)

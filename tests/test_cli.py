@@ -457,6 +457,7 @@ class TestDistributionCommands:
         ({"alpha": True}, "family 'hyperbolic' needs a numeric alpha, got True"),
         ({"geometry": {"G": "x", "G1": 1}}, "expected an expression string, got 1"),
         ({"d": 2, "K": [[1, 0], [0, 1]]}, "expected an expression string, got 1"),
+        ({"d": 2, "K": [0.5, ["0", "1"]]}, "2D config: key 'K' has the wrong type"),
         ({"d": 2, "family": ["hyperbolic", "hyperbolic"], "alpha": ["x", 1]},
          "family 'hyperbolic' needs a numeric alpha, got 'x'"),
         ({"d": 2, "nu": ["a", 1]}, "2D config: key 'nu' has the wrong type"),
@@ -563,6 +564,92 @@ class TestDistributionCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert "--n needs at least one value" in captured.err
+
+    def test_boundary_singular_geometry_is_refused_at_load(self, capsys,
+                                                           monkeypatch, tmp_path):
+        # the Jacobian of (x1^2, x2) is singular on the edge x1 = 0 alone,
+        # which the validation lattice holds
+        bases = _counted(monkeypatch, "gb_basis", multidim)
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(dict(PROBLEM_2D, mode="nonnested",
+                                        geometry={"G": ["x1^2", "x2"]})))
+        code = main(["distribution-md", "--config", str(path), "--n", "4"])
+        assert (code, capsys.readouterr(), bases) == (
+            1, ("", "error: geometry Jacobian is singular on the grid\n"), [])
+
+
+#: What a mutated config key may hold, by the kind of value it held:
+#: expressions (some singular on the boundary or not finite), family and
+#: mode names, numbers, lists of the wrong length or entries, and objects.
+#: A key takes a value of another kind one time in four.
+CONTRACT_VALUES = {
+    str: ["2+x", "1+x1*x2", "exp(x2)", "x-", "", "1/x", "1/(1-x)", "log(x)",
+          "sqrt(x-1)", "1e308*10", "1/x1", "1/(1-x2)", "x1^2", "log(x2)",
+          "polynomial", "trigonometric", "hyperbolical", "nested",
+          "nonnested", "both"],
+    float: [-1, 0, 1, 2, 3, 2.5, 0.5, 100.0, 1e-300, True, None],
+    list: [[], ["1"], ["1", "0", "0"], [2], [1, 1, 1], ["polynomial"],
+           [[1, 0], [0, 1]], [None, 3.0]],
+    dict: [{}, {"G": 1}, {"G": "x^2"}, {"G": ["x1^2", "x2"]},
+           {"G": ["x1", "x2", "x3"]}],
+}
+CONTRACT_VALUES[int] = CONTRACT_VALUES[float]
+
+
+def _config_paths(value, path=()):
+    """``(path, value)`` of every entry of a config: dict keys and list
+    indices, nested."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield path + (key,), inner
+        yield from _config_paths(inner, path + (key,))
+
+
+def _mutated(cfg: dict, path: tuple, value) -> dict:
+    out = json.loads(json.dumps(cfg))
+    *parents, last = path
+    target = out
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return out
+
+
+def _contract_configs() -> list[tuple[str, dict]]:
+    """Seeded mutations of the benchmark's 1D and 2D configs, and the
+    identity 2D config under the map (x1^2, x2), singular on x1 = 0.  A
+    config with no geometry may gain one."""
+    rng = np.random.default_rng(20171)
+    kinds = list(CONTRACT_VALUES)
+    configs = [("distribution-md", dict(PROBLEM_2D, mode="nonnested",
+                                        geometry={"G": ["x1^2", "x2"]}))]
+    for path in sorted(CONFIGS.glob("[12]d_*.json")):
+        base = json.loads(path.read_text())
+        command = "distribution" if base["d"] == 1 else "distribution-md"
+        entries = list(_config_paths({"geometry": {}, **base}))
+        for _ in range(24):
+            key, held = entries[rng.integers(len(entries))]
+            kind = type(held)
+            if kind not in CONTRACT_VALUES or rng.random() < 0.25:
+                kind = kinds[rng.integers(len(kinds))]
+            pool = CONTRACT_VALUES[kind]
+            value = pool[rng.integers(len(pool))]
+            configs.append((command, _mutated(base, key, value)))
+    return configs
+
+
+def test_mutated_configs_exit_with_one_line(capsys, tmp_path):
+    # whatever a config holds, main returns 0, 1 or 2 and explains a
+    # refusal in one line of plain words: no traceback, no numpy repr
+    path = tmp_path / "mutated.json"
+    for command, cfg in _contract_configs():
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path), "--n", "4"])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), cfg
+        assert err.count("\n") <= 1 and ("\n" in err) == (code != 0), (cfg, err)
+        assert "np." not in err and "numpy" not in err, (cfg, err)
 
 
 @pytest.mark.parametrize("argv,counted", [

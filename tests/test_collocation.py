@@ -10,9 +10,9 @@ import pytest
 from gbspec import collocation, exprparse, sections, symbols
 from gbspec.cli import load_problem_1d
 from gbspec.cardinal import cardinal_spline
-from gbspec.collocation import (CollocationSystem, Geometry, KnotVector,
-                                Problem, assemble, central_range, densify,
-                                gb_basis, greville_abscissae, greville_samples)
+from gbspec.collocation import (CollocationSystem, Geometry, Problem,
+                                assemble, central_range, densify, gb_basis,
+                                greville_samples)
 from gbspec.errors import (ConstraintError, NumericalError, UsageError,
                            ValidationError)
 from gbspec.sections import SectionFamily, hyperbolic, polynomial, trigonometric
@@ -22,7 +22,7 @@ from oracles import (basis_splines, dense_assemble_1d, dense_greville_samples,
                      exact_greville_abscissae, full_span_basis, geometry_1d,
                      loop_antiderivative, loop_gb_basis, loop_greville_samples,
                      mp_cardinal, mp_greville_samples, mp_nested_shape_error,
-                     piecewise_antiderivative, piecewise_derivative,
+                     open_knots, piecewise_antiderivative, piecewise_derivative,
                      problem_1d, reflect_rows, structure_report)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "gbbench" / "configs"
@@ -39,31 +39,33 @@ def ids(case):
 
 class TestKnotsAndGreville:
     def test_open_uniform_layout(self):
-        kv = KnotVector.open_uniform(4, 2)
-        assert np.allclose(kv.knots,
+        basis = gb_basis(4, 2, polynomial())
+        assert (basis.n, basis.degree) == (4, 2)
+        assert np.allclose(open_knots(basis.n, basis.degree),
                            [0, 0, 0, 0.25, 0.5, 0.75, 1, 1, 1])
 
     def test_interior_points_n4_p2(self):
-        kv = KnotVector.open_uniform(4, 2)
-        assert np.allclose(greville_abscissae(kv), [1 / 8, 3 / 8, 5 / 8, 7 / 8])
+        basis = gb_basis(4, 2, polynomial())
+        assert np.allclose(greville_samples(basis)[0], [1 / 8, 3 / 8, 5 / 8, 7 / 8])
 
     def test_interior_simplification(self):
         # for interior indices the knot average reduces to i/n - (p+1)/(2n)
-        kv = KnotVector.open_uniform(8, 3)
-        xi = kv.knots[4:7].mean()  # 1-based index 4
+        xi = open_knots(8, 3)[4:7].mean()  # 1-based index 4
         assert xi == pytest.approx(4 / 8 - 4 / 16)
+        assert greville_samples(gb_basis(8, 3, polynomial()))[0][2] == xi
 
     def test_all_points_interior(self):
         for n, p in [(4, 2), (8, 3), (6, 4)]:
-            xi = greville_abscissae(KnotVector.open_uniform(n, p))
+            xi = greville_samples(gb_basis(n, p, polynomial()))[0]
             assert np.all(xi > 0) and np.all(xi < 1)
             assert xi.size == n + p - 2
 
     def test_parameter_validation(self):
-        with pytest.raises(UsageError):
-            KnotVector.open_uniform(1, 2)
-        with pytest.raises(UsageError):
-            KnotVector.open_uniform(4, 1)
+        message = "need n >= 2 subintervals and degree p >= 2"
+        with pytest.raises(UsageError, match=message):
+            gb_basis(1, 2, polynomial())
+        with pytest.raises(UsageError, match=message):
+            gb_basis(4, 1, polynomial())
 
 
 class TestBasis:
@@ -83,7 +85,7 @@ class TestBasis:
 
     def test_local_support(self, family):
         basis = gb_basis(8, 3, family)
-        t = basis.knots.knots
+        t = open_knots(basis.n, basis.degree)
         for i, s in enumerate(basis_splines(basis), start=1):
             lo, hi = t[i - 1], t[i + 3]
             pts = np.linspace(0.0, 1.0, 113)
@@ -193,7 +195,7 @@ def _banded_size(size, p: int, family: SectionFamily, mode: str) -> int:
 def _full_span_samples(n: int, p: int, family: SectionFamily, mode: str):
     """Reference sample matrices and partition-of-unity residual."""
     splines = full_span_basis(n, p, family, mode)
-    xi = greville_abscissae(KnotVector.open_uniform(n, p))
+    xi = greville_samples(gb_basis(n, p, polynomial()))[0]
     d1 = [piecewise_derivative(s) for s in splines]
     d2 = [piecewise_derivative(s) for s in d1]
     mats = [np.column_stack([s(xi) for s in fns[1:-1]]) for fns in (splines, d1, d2)]
@@ -235,7 +237,7 @@ class TestBandedBasis:
         family, mode = case
         n = _banded_size(size, p, family, mode)
         basis = gb_basis(n, p, family, mode)
-        t = basis.knots.knots
+        t = open_knots(basis.n, basis.degree)
         for i, s in enumerate(basis_splines(basis), start=1):
             assert s.coeffs.shape[0] <= p + 1
             assert s.support == (t[i - 1], t[i + p])
@@ -254,7 +256,7 @@ class TestBandedBasis:
         pytest.importorskip("mpmath")
         exact = mp_greville_samples(n, p, family.tag,
                                     basis.section_family.phase or 0.0,
-                                    greville_abscissae(basis.knots))
+                                    greville_samples(basis)[0])
         assert _rel_err(mats, exact) <= 32 * _rel_err(refs, exact)
 
     def test_interior_splines_share_coefficients(self):

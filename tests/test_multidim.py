@@ -89,8 +89,8 @@ class TestValidation:
                             families=(polynomial(),) * 3, degrees=(2, 2, 2),
                             nu=(1, 1, 1), mode="nested")
         skewed = Geometry(3, tuple(
-            exprparse.parse(s) for s in ("x1", "x2", "x3*x3")))
-        with pytest.raises(UsageError):
+            exprparse.parse(s) for s in ("x1", "x2", "x3*(1+x3)/2")))
+        with pytest.raises(UsageError, match="identity geometry only"):
             assemble_md(problem, skewed, 4)
 
 
@@ -134,8 +134,7 @@ class TestAssembly:
                                   beta=("x2", "0"))
         a = assemble_md(problem, Geometry.identity(2), n)
         basis = gb_basis(n, 2, polynomial())
-        from gbspec.collocation import greville_abscissae
-        xi = greville_abscissae(basis.knots)
+        xi = greville_samples(basis)[0]
         inner = basis_splines(basis)[1:-1]
         d1 = [piecewise_derivative(s) for s in inner]
         d2 = [piecewise_derivative(s) for s in d1]
@@ -324,12 +323,12 @@ class TestBandAssembly:
 class TestSymbolMatrix:
     def test_diagonal_at_pi(self):
         h = DirectionSymbols((2, 2), (polynomial(), polynomial()),
-                             "nested").matrix((math.pi, math.pi))
+                             "nested").matrix_batch(np.array([(math.pi, math.pi)]))[0]
         assert np.allclose(h, np.diag([2.0, 2.0]), atol=1e-12)
 
     def test_zero_frequency(self):
         h = DirectionSymbols((2, 2), (polynomial(), polynomial()),
-                             "nested").matrix((0.0, 0.0))
+                             "nested").matrix_batch(np.array([(0.0, 0.0)]))[0]
         assert np.allclose(h, 0.0, atol=1e-14)
 
     def test_symmetric_for_random_frequencies(self):
@@ -338,7 +337,7 @@ class TestSymbolMatrix:
                                 "nonnested")
         for _ in range(10):
             th = rng.uniform(-math.pi, math.pi, 2)
-            h = syms.matrix(th)
+            h = syms.matrix_batch(np.array([th]))[0]
             assert np.allclose(h, h.T, atol=0.0)
 
     def test_entries_compose_from_1d_symbols(self):
@@ -347,7 +346,7 @@ class TestSymbolMatrix:
         h2 = symbol_fn("h", 2, polynomial())
         g2 = symbol_fn("g", 2, polynomial())
         h = DirectionSymbols((2, 2), (polynomial(), polynomial()),
-                             "nested").matrix(th)
+                             "nested").matrix_batch(np.array([th]))[0]
         assert h[0, 0] == pytest.approx(float(f2(th[0]) * h2(th[1])), abs=1e-14)
         assert h[1, 1] == pytest.approx(float(h2(th[0]) * f2(th[1])), abs=1e-14)
         assert h[0, 1] == pytest.approx(float(g2(th[0]) * g2(th[1])), abs=1e-14)

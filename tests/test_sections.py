@@ -147,7 +147,7 @@ class TestDerivative:
     def test_cardinal_symmetry_point(self):
         from gbspec.cardinal import cardinal_spline
         cs = cardinal_spline(polynomial(), 2)
-        assert piecewise_derivative(cs.pw)(1.5) == pytest.approx(0.0, abs=1e-14)
+        assert piecewise_derivative(cs)(1.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_degree_zero_gives_zero_fn(self):
         f = PiecewiseFn(polynomial(), 0, np.array([0.0, 1.0]), np.array([[3.0]]))

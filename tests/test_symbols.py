@@ -779,7 +779,7 @@ def _thread_call(call):
                 for s in symbol_fns([(kind, p) for kind in KINDS], family)]
     if what == "cardinal":
         cs = cardinal_spline(family, p)
-        return [cs.pw.coeffs.tobytes(), repr(cs.delta1)]
+        return [cs.coeffs.tobytes(), repr(cardinal.kept_levels(family, 1)[0])]
     return repr(bounds_report(p, family).to_dict())
 
 
