@@ -19,7 +19,9 @@ JSON true, 1.0 or "1", which are refused.  Two configurations that are
 refused late or not at all by a coarse check: a 1D kappa with a pole at
 x = 1/2, which no validation point hits, so the moments of its symbol do
 not settle; and a 2D geometry (x1^2, x2), whose Jacobian is singular on
-the boundary x1 = 0.  One line per command reports
+the boundary x1 = 0.  Two geometries whose Jacobian is singular inside
+the domain, off every validation point: a 1D G with G'(1/2) = 0, and a
+2D map singular on the line x1 = 1/3.  One line per command reports
 ``same`` or which of stdout, stderr and exit code differ; when the two
 stdouts differ and hold the same count of numbers, the line also gives
 the largest absolute difference between them, and that difference
@@ -122,6 +124,15 @@ TEMP_CONFIGS[_G_SINGULAR_2D] = {
     "d": 2, "K": [["1", "0"], ["0", "1"]], "beta": ["0", "0"], "gamma": "0",
     "nu": [1, 1], "p": [2, 2], "family": ["polynomial", "polynomial"],
     "mode": "nonnested", "geometry": {"G": ["x1^2", "x2"]}}
+# a Jacobian singular inside the domain, between the validation points:
+# G'(1/2) = 0 in 1D, and det J = 0 on the line x1 = 1/3 in 2D
+_G_INTERIOR_1D = "1d_interior_singular.json"
+_G_INTERIOR_2D = "2d_interior_singular.json"
+TEMP_CONFIGS[_G_INTERIOR_1D] = {**_BASE_1D,
+                                "geometry": {"G": "0.5+4*(x-0.5)^3"}}
+TEMP_CONFIGS[_G_INTERIOR_2D] = {
+    **TEMP_CONFIGS[_G_SINGULAR_2D], "p": [3, 3],
+    "geometry": {"G": ["1/9+3*(x1-1/3)^3", "x2"]}}
 
 COMMANDS: list[list[str]] = [
     # the six benchmark distribution jobs, with the benchmark's n lists
@@ -290,6 +301,10 @@ COMMANDS: list[list[str]] = [
     # the boundary
     ["distribution", "--config", _KAPPA_POLE, "--n", "5"],
     ["distribution-md", "--config", _G_SINGULAR_2D, "--n", "4"],
+    # a geometry Jacobian singular inside the domain, in 1D and in 2D
+    ["eig", "--config", _G_INTERIOR_1D, "--n", "8"],
+    ["distribution", "--config", _G_INTERIOR_1D, "--n", "8"],
+    ["distribution-md", "--config", _G_INTERIOR_2D, "--n", "6"],
     # h_min at the last answered polynomial degree, and refused as rounding
     # noise from p = 74 (p = 70 at trigonometric phase 3)
     ["bounds", "--p", "73", "--family", "polynomial"],
