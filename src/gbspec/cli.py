@@ -207,10 +207,7 @@ def load_problem_md(cfg: dict) -> tuple[Problem, Geometry]:
 
 def _coefficient_sampler(problem: Problem, geometry: Geometry):
     """The coefficient kappa(G)/G'^2 of a 1D symbol: the pullback at d = 1."""
-    def coefficient(xs: np.ndarray) -> np.ndarray:
-        pts = xs[:, None]
-        return _pullback(problem, geometry, pts, geometry.jacobian_at(pts))[1][:, 0, 0]
-    return coefficient
+    return lambda xs: _pullback(problem, geometry, xs[:, None])[2][:, 0, 0]
 
 
 def _distribution_symbol(family: SectionFamily, mode: str, p: int):
@@ -225,9 +222,11 @@ def _distribution(args, load) -> tuple[Problem, list[dict]]:
     ns, eps = _int_list(args.n), _float_list(args.eps)
     check_outlier_eps(eps)  # refuse a bad eps before any solve
     problem, geometry = load(cfg)[:2]
-    sampler = problem_sampler(problem, geometry)
-    # refuse a bad n before the first solve
+    # every refusal before the first solve: the bases apply the order cap,
+    # which bounds the degree, before the sampler runs the symbol recursion,
+    # the moments and the Jacobian check at the quadrature points
     bases = [direction_bases(problem, geometry, n) for n in ns]
+    sampler = problem_sampler(problem, geometry)
 
     def solve(n: int, directions) -> dict:
         a = collocation_matrix(problem, geometry,

@@ -518,11 +518,11 @@ class Geometry:
 
     @classmethod
     def identity(cls, d: int) -> "Geometry":
-        return cls(d, tuple(exprparse.parse(f"x{k + 1}") for k in range(d)))
+        return cls(d, _identity_components(d))
 
     @property
     def is_identity(self) -> bool:
-        return self.components == Geometry.identity(self.d).components
+        return self.components == _identity_components(self.d)
 
     def map_at(self, points: np.ndarray) -> np.ndarray:
         return _eval_array(self.components, points, self.d)
@@ -535,19 +535,33 @@ class Geometry:
         return _eval_array(self.hessians, points, self.d)
 
 
-def _pullback(problem: Problem, geometry: Geometry, points: np.ndarray,
-              jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``J^{-1}`` and ``B = J^{-1} K(G) J^{-T}`` at ``points``, ``jac`` being J
-    there.
+def _identity_components(d: int) -> tuple[exprparse.ExprAst, ...]:
+    return tuple(exprparse.Var(f"x{k + 1}") for k in range(d))
 
-    For d = 1, B is formed as ``kappa(G)/G'^2``, which rounds once less than
-    the product with ``1/G'`` twice.
+
+def _pullback(problem: Problem, geometry: Geometry, points: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``G``, ``J^{-1}`` and ``B = J^{-1} K(G) J^{-T}`` at ``points``.
+
+    The one evaluation of the geometry at collocation, lattice and
+    quadrature points, which the validation grid need not hold: a Jacobian
+    with ``|det J| < 1e-12`` at any of them raises
+    :class:`~gbspec.errors.ValidationError`.  For d = 1, B is formed as
+    ``kappa(G)/G'^2``, which rounds once less than the product with ``1/G'``
+    twice.
     """
+    jac = geometry.jacobian_at(points)
+    # a 1-by-1 determinant is its entry: no LAPACK call per point
+    dets = np.abs(jac[:, 0, 0] if problem.d == 1 else np.linalg.det(jac))
+    if np.min(dets) < 1e-12:
+        bad = points[int(np.argmin(dets))]
+        raise ValidationError(f"geometry Jacobian singular near {bad.tolist()}")
+    phys = geometry.map_at(points)
     jinv = np.linalg.inv(jac)
-    kmat = problem.diffusion_at(geometry.map_at(points))
+    kmat = problem.diffusion_at(phys)
     if problem.d == 1:
-        return jinv, kmat / jac**2
-    return jinv, np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
+        return phys, jinv, kmat / jac**2
+    return phys, jinv, np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
 
 
 def collocation_matrix(problem: Problem, geometry: Geometry,
@@ -564,8 +578,7 @@ def collocation_matrix(problem: Problem, geometry: Geometry,
     d = problem.d
     grevilles, starts, samples = zip(*directions)
     pts = _tensor_grid(grevilles)
-    phys = geometry.map_at(pts)
-    jinv, bmat = _pullback(problem, geometry, pts, geometry.jacobian_at(pts))
+    phys, jinv, bmat = _pullback(problem, geometry, pts)
     beta = problem.advection_at(phys)
     gamma = _eval_grid(problem.gamma, phys, d)
 

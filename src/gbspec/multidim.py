@@ -77,10 +77,6 @@ class DirectionSymbols:
         self.h, self.g, self.f = ([s.get(k) for s in per_direction] for k in "hgf")
 
     @property
-    def d(self) -> int:
-        return len(self.degrees)
-
-    @property
     def bandwidths(self) -> list[int]:
         """Direction k's largest Fourier index over its symbols."""
         return [max(s.coefficients.size - 1 for s in syms if s is not None)
@@ -117,8 +113,9 @@ def problem_sampler(problem: Problem, geometry: Geometry,
 
     :func:`spectral.symbol_sampler` with a term per matrix entry; direction
     k's bandwidth is the largest Fourier index of its symbols.  Its moments
-    are computed once, on the first draw.  A Jacobian that is singular at a
-    sampled point is refused.
+    are computed when it is built, so a Jacobian singular at a quadrature
+    point is refused then, and one singular at a lattice point on a draw
+    (by :func:`~gbspec.collocation._pullback`).
     """
     d = problem.d
     if symbols is None:
@@ -126,12 +123,7 @@ def problem_sampler(problem: Problem, geometry: Geometry,
     nu = np.asarray(problem.nu, dtype=float)
 
     def coefficients(xpts: np.ndarray) -> np.ndarray:
-        jac = geometry.jacobian_at(xpts)
-        dets = np.linalg.det(jac)
-        if np.min(np.abs(dets)) < 1e-12:
-            bad = xpts[int(np.argmin(np.abs(dets)))]
-            raise ValidationError(f"geometry Jacobian singular near {bad.tolist()}")
-        return _pullback(problem, geometry, xpts, jac)[1].reshape(xpts.shape[0], d * d)
+        return _pullback(problem, geometry, xpts)[2].reshape(xpts.shape[0], d * d)
 
     def weights(tpts: np.ndarray) -> np.ndarray:
         h = np.einsum("i,nij,j->nij", nu, symbols.matrix_batch(tpts), nu)

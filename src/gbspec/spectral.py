@@ -515,13 +515,13 @@ def symbol_sampler(coefficients: Callable[[np.ndarray], np.ndarray],
     The quantiles are evenly spaced order statistics of the sorted symbol
     values on the midpoint lattice over [0,1]^d x [-pi,pi]^d, which holds at
     least ``LATTICE_OVERSAMPLE`` values per quantile.  The moments come from
-    :func:`symbol_moments`, once for every count.
+    :func:`symbol_moments`, computed once, when the sampler is built, so
+    whatever they refuse is refused before the first draw.
     """
     d = len(bandwidths)
-    moments = None
+    moments = symbol_moments(coefficients, weights, bandwidths)
 
     def sample(count: int) -> SymbolDraw:
-        nonlocal moments
         if count < 1:
             raise UsageError("sample count must be >= 1")
         side = max(4, math.ceil((LATTICE_OVERSAMPLE * count) ** (1.0 / (2 * d))))
@@ -534,8 +534,6 @@ def symbol_sampler(coefficients: Callable[[np.ndarray], np.ndarray],
         values = np.einsum("mt,nt->mn", np.ascontiguousarray(c),
                            np.ascontiguousarray(w.T)).ravel()
         values.sort()
-        if moments is None:
-            moments = symbol_moments(coefficients, weights, bandwidths)
         return SymbolDraw(_order_statistics(values, count), moments)
 
     return sample

@@ -62,11 +62,7 @@ class SymbolFn:
         object.__setattr__(self, "_tail", self.coefficients[1:])
 
     def __call__(self, theta):
-        # a float theta, as symbol_max takes it, needs no outer product
-        if isinstance(theta, float):
-            arg = theta * self._k
-        else:
-            arg = np.multiply.outer(np.asarray(theta, dtype=float), self._k)
+        arg = np.multiply.outer(np.asarray(theta, dtype=float), self._k)
         if self.kind == "g":
             return (-2.0 * np.sin(arg)) @ self._tail
         c0, cosines = self.coefficients[0], (2.0 * np.cos(arg)) @ self._tail

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbspec import cli, g17, multidim, spectral, symbols
+from gbspec import cardinal, cli, g17, multidim, spectral, symbols
 from gbspec.cardinal import cardinal_spline
 from gbspec.cli import main
 from gbspec.sections import SectionFamily, polynomial
@@ -577,21 +578,58 @@ class TestDistributionCommands:
         assert (code, capsys.readouterr(), bases) == (
             1, ("", "error: geometry Jacobian is singular on the grid\n"), [])
 
+    @pytest.mark.parametrize("command", ["eig", "assemble", "distribution"])
+    def test_interior_singular_geometry_is_refused_before_any_solve(
+            self, capsys, monkeypatch, tmp_path, command):
+        # G'(1/2) = 0 between the validation points: the pullback refuses it
+        # at a Greville point, or, for distribution, at a quadrature point
+        # of the moments, which come before the first solve
+        solves = _counted(monkeypatch, "eigenvalues_dense")
+        path = tmp_path / "interior.json"
+        path.write_text(json.dumps(dict(PROBLEM_1D, family="polynomial",
+                                        geometry={"G": "0.5+4*(x-0.5)^3"})))
+        code = main([command, "--config", str(path), "--n", "8"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, solves) == (1, "", [])
+        near = re.fullmatch(r"error: geometry Jacobian singular near \[(.*)\]\n",
+                            captured.err)
+        assert near and abs(float(near[1]) - 0.5) < 1e-6, captured.err
+
+    @pytest.mark.parametrize("command,config,message", [
+        ("distribution", dict(PROBLEM_1D, p=300), "order 302"),
+        ("distribution-md", dict(PROBLEM_2D, p=[300, 2]), "system order 1208"),
+    ], ids=["1d", "2d"])
+    def test_degree_above_the_cap_is_refused_before_its_recursion(
+            self, capsys, monkeypatch, tmp_path, command, config, message):
+        # the bases check the order before the sampler builds the symbols
+        monkeypatch.setattr(spectral, "DEFAULT_ORDER_CAP", 100)
+        recursions = _counted(monkeypatch, "_recursion", cardinal)
+        path = tmp_path / "high_degree.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--n", "4"])
+        assert (code, capsys.readouterr(), recursions) == (
+            1, ("", f"error: {message} exceeds cap 100\n"), [])
+
 
 #: What a mutated config key may hold, by the kind of value it held:
-#: expressions (some singular on the boundary or not finite), family and
-#: mode names, numbers, lists of the wrong length or entries, and objects.
-#: A key takes a value of another kind one time in four.
+#: expressions (some singular on the boundary, some inside the domain, or
+#: not finite), family and mode names, numbers (a degree above the order
+#: cap among them), lists of the wrong length or entries, and objects.
+#: A key takes a value of another kind one time in four.  The maps
+#: singular inside have zeros of high order, so that the first levels of
+#: the moment quadrature reach them.
 CONTRACT_VALUES = {
     str: ["2+x", "1+x1*x2", "exp(x2)", "x-", "", "1/x", "1/(1-x)", "log(x)",
           "sqrt(x-1)", "1e308*10", "1/x1", "1/(1-x2)", "x1^2", "log(x2)",
+          "0.5+16*(x-0.5)^5", "(1+(3*x1-1)^7)/129",
           "polynomial", "trigonometric", "hyperbolical", "nested",
           "nonnested", "both"],
-    float: [-1, 0, 1, 2, 3, 2.5, 0.5, 100.0, 1e-300, True, None],
+    float: [-1, 0, 1, 2, 3, 2.5, 0.5, 100.0, 1e-300, 10**5, True, None],
     list: [[], ["1"], ["1", "0", "0"], [2], [1, 1, 1], ["polynomial"],
            [[1, 0], [0, 1]], [None, 3.0]],
     dict: [{}, {"G": 1}, {"G": "x^2"}, {"G": ["x1^2", "x2"]},
-           {"G": ["x1", "x2", "x3"]}],
+           {"G": ["x1", "x2", "x3"]}, {"G": "0.5+16*(x-0.5)^5"},
+           {"G": ["(1+(3*x1-1)^7)/129", "x2"]}],
 }
 CONTRACT_VALUES[int] = CONTRACT_VALUES[float]
 
@@ -617,13 +655,15 @@ def _mutated(cfg: dict, path: tuple, value) -> dict:
 
 
 def _contract_configs() -> list[tuple[str, dict]]:
-    """Seeded mutations of the benchmark's 1D and 2D configs, and the
-    identity 2D config under the map (x1^2, x2), singular on x1 = 0.  A
-    config with no geometry may gain one."""
+    """Seeded mutations of the benchmark's 1D and 2D configs, the identity
+    2D config under the map (x1^2, x2), singular on x1 = 0, and a 1D config
+    under a map singular at x = 1/2.  A config with no geometry may gain
+    one."""
     rng = np.random.default_rng(20171)
     kinds = list(CONTRACT_VALUES)
     configs = [("distribution-md", dict(PROBLEM_2D, mode="nonnested",
-                                        geometry={"G": ["x1^2", "x2"]}))]
+                                        geometry={"G": ["x1^2", "x2"]})),
+               ("distribution", dict(PROBLEM_1D, geometry={"G": "0.5+16*(x-0.5)^5"}))]
     for path in sorted(CONFIGS.glob("[12]d_*.json")):
         base = json.loads(path.read_text())
         command = "distribution" if base["d"] == 1 else "distribution-md"

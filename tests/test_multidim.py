@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 from gbspec import exprparse, multidim, spectral
-from gbspec.collocation import (Geometry, Problem, _band, assemble, densify,
-                                gb_basis, greville_samples)
+from gbspec.collocation import (Geometry, Problem, _band, assemble,
+                                collocation_matrix, densify, gb_basis,
+                                greville_samples)
 from gbspec.errors import UsageError, ValidationError
 from gbspec.multidim import (DirectionSymbols, assemble_md, direction_bases,
-                             md_symbol_samples)
+                             md_symbol_samples, problem_sampler)
 from gbspec.sections import hyperbolic, polynomial, trigonometric
 from gbspec.symbols import symbol_fn
 
@@ -95,6 +97,21 @@ class TestValidation:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("problem,components,n,point", [
+        (problem_1d(), ("0.5+4*(x-0.5)^3",), 8, [0.5]),
+        (laplace_problem(degrees=(3, 3), mode="nonnested"),
+         ("1/9+3*(x1-1/3)^3", "x2"), 6, [1 / 3, 1 / 18]),
+    ], ids=["1d", "2d"])
+    def test_singular_collocation_point_is_refused(self, problem, components,
+                                                   n, point):
+        # G'(1/2) = 0 and det J = 0 on x1 = 1/3: off every validation point,
+        # on a Greville point of n
+        geometry = Geometry(problem.d, tuple(map(exprparse.parse, components)))
+        bases = direction_bases(problem, geometry, n)
+        with pytest.raises(ValidationError) as refused:
+            collocation_matrix(problem, geometry, [greville_samples(b) for b in bases])
+        assert str(refused.value) == f"geometry Jacobian singular near {point}"
+
     @pytest.mark.parametrize("n", [2, 24, 37])
     def test_one_direction_is_the_1d_system(self, n):
         # d = 1 is the one-direction case of the one assembler
@@ -365,6 +382,19 @@ class TestSymbolSamples:
         problem = laplace_problem(kdiag=("1+x1", "2"), koff="x1*x2/4")
         samples = md_symbol_samples(problem, Geometry.identity(2), 500).quantiles
         assert samples.min() >= -1e-12
+
+
+    def test_singular_quadrature_point_is_refused_when_built(self):
+        # det J = 0 on x1 = 1/3, off the lattice of the validation; the zero
+        # of order 6 puts the first moment levels' nodes near it below 1e-12
+        geometry = Geometry(2, (exprparse.parse("(1+(3*x1-1)^7)/129"),
+                                exprparse.parse("x2")))
+        with pytest.raises(ValidationError) as refused:
+            problem_sampler(laplace_problem(), geometry)
+        head, point = str(refused.value).split(" near ")
+        x1, x2 = json.loads(point)
+        assert head == "geometry Jacobian singular"
+        assert 21 / 129 * (3 * x1 - 1) ** 6 < 1e-12 and 0 < x2 < 1
 
 
 class TestDistribution2D:
