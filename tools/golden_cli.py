@@ -6,13 +6,14 @@ SRC_A and SRC_B are checkouts of this repository (each holding
 ``src/gbspec``).  Every command below runs once against each tree, in a
 fresh interpreter with ``PYTHONPATH=<tree>/src``; the configurations come
 from this checkout's ``gbbench/configs``, so both trees read the same files.
-Five more 1D configurations are written to a temporary directory: one
+Seven more 1D configurations are written to a temporary directory: one
 with diffusion, advection and reaction terms and a curved geometry, since
 two-term sums cannot show a change in the order the terms are added, two
 at degrees 6 and 7, whose short knot vectors (n < 2p+2) and boundary
-splines the benchmark configurations do not reach, a nested degree-7
-one whose effective phase 1/n is small, and one whose degree is a JSON
-true, which is refused.  More 1D configurations: one whose geometry gives
+splines the benchmark configurations do not reach, two more at degrees 12
+(every term, a curved geometry) and 9 (nested), a nested degree-7 one
+whose effective phase 1/n is small, and one whose degree is a JSON true,
+which is refused.  More 1D configurations: one whose geometry gives
 its derivatives ``G1`` and ``G2`` as strings, one at degree 1, one for
 each refusal of a 1D coefficient or geometry, and three whose ``d`` is a
 JSON true, 1.0 or "1", which are refused.  Two configurations that are
@@ -67,6 +68,8 @@ _TRIG_P7 = "1d_trigonometric_p7.json"
 _HYP_P6 = "1d_hyperbolic_p6.json"
 _HYP_P7_NESTED = "1d_hyperbolic_p7_nested.json"
 _P_TRUE = "1d_p_true.json"
+_HYP_P12 = "1d_hyperbolic_p12.json"
+_TRIG_P9_NESTED = "1d_trigonometric_p9_nested.json"
 TEMP_CONFIGS = {
     _ALL_TERMS: {
         "d": 1, "kappa": "1+x^2", "beta": "sin(6*x)-1/2", "gamma": "1+x",
@@ -84,6 +87,15 @@ TEMP_CONFIGS = {
     _HYP_P7_NESTED: {
         "d": 1, "kappa": "1", "beta": "0", "gamma": "0",
         "family": "hyperbolic", "alpha": 1.0, "mode": "nested", "p": 7,
+    },
+    _HYP_P12: {
+        "d": 1, "kappa": "1+x^2", "beta": "sin(6*x)-1/2", "gamma": "1+x",
+        "family": "hyperbolic", "alpha": 10.0, "mode": "nonnested", "p": 12,
+        "geometry": {"G": "(2*x+x^3)/3"},
+    },
+    _TRIG_P9_NESTED: {
+        "d": 1, "kappa": "1", "beta": "0", "gamma": "0",
+        "family": "trigonometric", "alpha": 2.0, "mode": "nested", "p": 9,
     },
     # a JSON true is no degree
     _P_TRUE: {
@@ -202,6 +214,13 @@ COMMANDS: list[list[str]] = [
     ["eig", "--config", _TRIG_P7, "--n", "40"],
     ["assemble", "--config", _HYP_P6, "--n", "11"],
     ["eig", "--config", _HYP_P6, "--n", "64"],
+    # degree 12 with every term and a curved map, and nested degree 9, at n
+    # on both sides of p+2, where sampled middle rows use right-boundary
+    # shapes
+    *[["assemble", "--config", _HYP_P12, "--n", str(n)] for n in (13, 14, 20)],
+    ["eig", "--config", _HYP_P12, "--n", "40"],
+    ["eig", "--config", _TRIG_P9_NESTED, "--n", "11"],
+    ["eig", "--config", _TRIG_P9_NESTED, "--n", "30"],
     # reflection-symmetric matrices at sizes the benchmark does not reach:
     # even radices in 3D, odd orders of a Toeplitz and of a 1D system
     ["distribution-md", "--config", _cfg("3d_hyperbolic.json"), "--n", "9"],
