@@ -101,6 +101,8 @@ KEPT_LEVEL_BYTES = 2**25
 
 #: Each family's ``(delta1, levels)``, the least recently used first.
 _RECURSIONS: dict[SectionFamily, tuple[float, tuple[np.ndarray, ...]]] = {}
+#: Bytes of the levels in ``_RECURSIONS``, kept as they come and go.
+_kept_total = 0
 _RECURSIONS_LOCK = threading.Lock()
 
 
@@ -115,18 +117,21 @@ def kept_levels(rep: SectionFamily, top: int) -> tuple[float, tuple[np.ndarray, 
     the most recently used families within :data:`KEPT_LEVEL_BYTES`, and
     carried on when a higher degree is asked; levels alone over that budget
     are returned but not kept."""
+    global _kept_total
     _check_phase(rep)
     with _RECURSIONS_LOCK:
         entry = _RECURSIONS.pop(rep, None)
-        if entry is not None and len(entry[1]) >= top:
-            _RECURSIONS[rep] = entry  # now the most recently used
-            return entry
+        if entry is not None:
+            if len(entry[1]) >= top:
+                _RECURSIONS[rep] = entry  # now the most recently used
+                return entry
+            _kept_total -= _kept_bytes(entry)
         entry = _recursion(rep, top, entry)
         size = _kept_bytes(entry)
         if size <= KEPT_LEVEL_BYTES:
-            total = size + sum(map(_kept_bytes, _RECURSIONS.values()))
-            while total > KEPT_LEVEL_BYTES:
-                total -= _kept_bytes(_RECURSIONS.pop(next(iter(_RECURSIONS))))
+            _kept_total += size
+            while _kept_total > KEPT_LEVEL_BYTES:
+                _kept_total -= _kept_bytes(_RECURSIONS.pop(next(iter(_RECURSIONS))))
             _RECURSIONS[rep] = entry
     return entry
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import exprparse
 from .cardinal import cardinal_spline
 from .collocation import (Geometry, Problem, _pullback, assemble,
-                          collocation_matrix, greville_samples)
+                          assemble_terms, collocation_terms, greville_samples)
 from .errors import GbspecError, NumericalError, UsageError
 from .multidim import DirectionSymbols, direction_bases, problem_sampler
 from .sections import SectionFamily, polynomial
@@ -223,14 +223,16 @@ def _distribution(args, load) -> tuple[Problem, list[dict]]:
     check_outlier_eps(eps)  # refuse a bad eps before any solve
     problem, geometry = load(cfg)[:2]
     # every refusal before the first solve: the bases apply the order cap,
-    # which bounds the degree, before the sampler runs the symbol recursion,
-    # the moments and the Jacobian check at the quadrature points
+    # which bounds the degree; the terms check the Jacobian at the Greville
+    # points; then the sampler runs the symbol recursion, the moments and
+    # the Jacobian check at the quadrature points
     bases = [direction_bases(problem, geometry, n) for n in ns]
+    samples = [[greville_samples(b) for b in bs] for bs in bases]
+    terms = [collocation_terms(problem, geometry, dirs) for dirs in samples]
     sampler = problem_sampler(problem, geometry)
 
-    def solve(n: int, directions) -> dict:
-        a = collocation_matrix(problem, geometry,
-                               [greville_samples(b) for b in directions])
+    def solve(n: int, directions, terms) -> dict:
+        a = assemble_terms(directions, terms)
         a /= n**2
         eigs = eigenvalues_dense(a)
         # free the matrix before the Weyl report samples the symbol, so
@@ -238,7 +240,7 @@ def _distribution(args, load) -> tuple[Problem, list[dict]]:
         del a
         return {"n": n, **weyl_report(eigs, sampler, eps).to_dict()}
 
-    return problem, [solve(n, b) for n, b in zip(ns, bases)]
+    return problem, [solve(*run) for run in zip(ns, samples, terms)]
 
 
 def _int_list(text: str) -> list[int]:

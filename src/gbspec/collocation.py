@@ -11,7 +11,7 @@ trigonometric families:
   same cardinal shape.
 
 The basis is built from the structure the spectral analysis rests on.  The
-integral recursion runs once, on a short open knot vector of ``2p+2`` unit
+integral recursion runs once, on a short open knot vector of ``p+2`` unit
 intervals (``n`` if smaller) at that effective phase.  It runs one level at
 a time: the splines of a level share one grid, degree and phase, so they
 are integrated as one stacked coefficient array.  The run's ``p``
@@ -39,11 +39,11 @@ Greville points under a :class:`Geometry` map G.  The geometry enters
 through one pullback, ``B = J^{-1} K(G) J^{-T}`` with the Hessians of G
 folded into the first-order term (``kappa(G)/G'^2`` at d = 1).  The
 collocation matrix is then a weighted sum of tensor products of the 1D
-value, first- and second-derivative matrices, and one band assembler,
-:func:`collocation_matrix`, builds it from the bands of each direction:
-:func:`assemble` is the d = 1 case, which keeps the bands, and
-``multidim.assemble_md`` builds the bases of every direction at one n.
-The collocation matrix is the one dense array it writes.
+value, first- and second-derivative matrices: :func:`collocation_terms`
+weights them at the tensor Greville points, and one band assembler,
+:func:`assemble_terms`, sums them from the bands of each direction
+(:func:`collocation_matrix` runs both; :func:`assemble` is its d = 1 case,
+which keeps the bands).  The collocation matrix is the one dense array.
 """
 
 from __future__ import annotations
@@ -83,24 +83,20 @@ class GBBasis:
     uniform knot vector of ``n`` intervals.
 
     ``section_family`` is the family of every piece of the basis, whose
-    phase is the effective one: ``family`` itself when not nested, and
-    ``family`` with the phase ``alpha/n`` when nested.
+    phase is the effective one: the family asked for when not nested, and
+    that family with the phase ``alpha/n`` when nested.
 
     Each distinct shape is stored once.  ``shapes`` has shape ``(m+p, m,
     p+1)``: row ``k`` holds the coefficients of spline N_{k+1} of the short
-    run of :func:`gb_basis`, on its ``m = min(n, 2p+2)`` unit intervals;
-    ``shape_normalizers[k]`` is ``1 / integral`` of that spline.  N_i has the
-    shape ``shape_index[i-1]``, translated and scaled to width ``1/n``;
-    ``normalizers`` gives ``1 / integral`` of each.
+    run of :func:`gb_basis`, on its ``m = min(n, p+2)`` unit intervals.
+    N_i has the shape ``shape_index[i-1]``, translated and scaled to width
+    ``1/n``.
     """
 
     n: int
     degree: int
-    family: SectionFamily
-    mode: str
     section_family: SectionFamily
     shapes: np.ndarray
-    shape_normalizers: np.ndarray
 
     @property
     def shape_index(self) -> np.ndarray:
@@ -112,11 +108,6 @@ class GBBasis:
         n, p, m = self.n, self.degree, self.shapes.shape[1]
         i = np.arange(1, n + p + 1)
         return np.where(i <= p, i, np.where(i <= n, p + 1, i - n + m)) - 1
-
-    @property
-    def normalizers(self) -> np.ndarray:
-        """``normalizers[i-1]`` is ``1 / integral(N_i)``."""
-        return self.n * self.shape_normalizers[self.shape_index]
 
 
 def limit_family(family: SectionFamily, mode: str) -> SectionFamily:
@@ -162,11 +153,11 @@ def _cumulative(level: np.ndarray, left_degenerate: np.ndarray,
     return cums
 
 
-def _short_run(m: int, p: int, rep: SectionFamily) -> tuple[np.ndarray, np.ndarray]:
+def _short_run(m: int, p: int, rep: SectionFamily) -> np.ndarray:
     """The integral recursion on m unit intervals, one level at a time.
 
     Returns its m+p splines of degree p, stacked with shape ``(m+p, m,
-    p+1)``, and ``1 / integral`` of each.
+    p+1)``, after refusing any whose integral is zero or not finite.
     """
     _check_phase(rep)
     level = _seed_level(m, p)
@@ -176,7 +167,8 @@ def _short_run(m: int, p: int, rep: SectionFamily) -> tuple[np.ndarray, np.ndarr
         cums = _cumulative(level, index + q <= p + 1, rep)
         level = cums[:-1] - cums[1:]
     anti = _antiderivative_stack(p, rep.signed_square, np.ones(m), level)
-    return level, 1.0 / _checked(_at_edge(anti[:, -1]), p, rep)
+    _checked(_at_edge(anti[:, -1]), p, rep)
+    return level
 
 
 def gb_basis(n: int, p: int, family: SectionFamily,
@@ -185,16 +177,20 @@ def gb_basis(n: int, p: int, family: SectionFamily,
 
     The effective phase of every piece is ``alpha``, or ``alpha/n`` when
     nested.  The integral recursion runs once, on the open knot vector of
-    ``m = min(n, 2p+2)`` unit intervals at that phase, one level at a time:
+    ``m = min(n, p+2)`` unit intervals at that phase, one level at a time:
     each level's splines share one grid, degree and phase, so one stacked
     antiderivative serves them all.  Its first ``p`` and last ``p`` splines
     are the boundary splines, which depend only on ``p`` and that phase;
     the ``n-p`` interior splines are translates of its first full-support
-    spline N_{p+1}.  The basis keeps that run's ``m+p`` shapes and their
-    normalizers, so its cost does not depend on ``n`` beyond the knot
-    vector.  A hyperbolic effective phase above
-    :data:`~gbspec.cardinal.MAX_HYPERBOLIC_PHASE`, or a spline with a zero
-    or non-finite integral, raises :class:`~gbspec.errors.NumericalError`.
+    spline N_{p+1}.  The basis keeps that run's ``m+p`` shapes, so its cost
+    does not depend on ``n`` beyond the knot vector.  The run is one
+    interval longer than the support of N_{p+1}: on p+1 intervals that
+    support would end at the run's last knot, where its total at each level
+    is summed in another order, an ulp off in places; on p+2 every support's
+    total is a running sum, as on any longer run.  A hyperbolic effective
+    phase above :data:`~gbspec.cardinal.MAX_HYPERBOLIC_PHASE`, or a spline
+    with a zero or non-finite integral, raises
+    :class:`~gbspec.errors.NumericalError`.
     """
     if mode not in (NESTED, NONNESTED):
         raise UsageError(f"unknown phase mode {mode!r}")
@@ -212,8 +208,8 @@ def gb_basis(n: int, p: int, family: SectionFamily,
         raise ConstraintError(
             f"trigonometric phase {alpha} needs n >= {_min_feasible_n(alpha)} "
             f"in nested mode, got n = {n}")
-    m = min(n, 2 * p + 2)
-    return GBBasis(n, p, family, mode, piece, *_short_run(m, p, piece))
+    m = min(n, p + 2)
+    return GBBasis(n, p, piece, _short_run(m, p, piece))
 
 
 def greville_samples(basis: GBBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,14 +336,15 @@ def _band(starts: np.ndarray, parts: Sequence[np.ndarray]
     return first[:, None] + np.arange(width), densify(starts - first, parts, width)
 
 
-def _assemble_terms(factors: Sequence[tuple[np.ndarray, Sequence[np.ndarray]]],
-                    terms: Sequence[tuple[np.ndarray, Sequence[int]]]) -> np.ndarray:
+def assemble_terms(directions: Sequence[tuple[np.ndarray, ...]],
+                   terms: Sequence[tuple[np.ndarray, Sequence[int]]]) -> np.ndarray:
     """Dense sum of ``weight[:, None] * kron(M_0[r_0], ..., M_{d-1}[r_{d-1}])``.
 
-    ``factors[k] = (starts, parts)`` holds direction k's matrices as bands,
-    ``parts[r]`` the derivative-order-r one, in the windows ``starts`` of
-    :func:`greville_samples`; each term is ``(weight, (r_0, ..., r_{d-1}))``,
-    one weight per row in lexicographic order, last index fastest.  No
+    ``directions[k] = (xi, starts, parts)`` is :func:`greville_samples` of
+    direction k, its matrices as bands, ``parts[r]`` the derivative-order-r
+    one, in the windows ``starts``; each term is ``(weight, (r_0, ...,
+    r_{d-1}))``, one weight per row in lexicographic order, last index
+    fastest (:func:`collocation_terms`).  No
     Kronecker product and no dense factor is formed: each term is the outer
     product of its factors' bands (:func:`_band`), multiplied in ``np.kron``
     order, and the terms are summed in the given order in band storage, then
@@ -355,8 +352,8 @@ def _assemble_terms(factors: Sequence[tuple[np.ndarray, Sequence[np.ndarray]]],
     same products and additions as the dense sum, and the working memory is
     the result plus O(N prod_k w_k).
     """
-    d = len(factors)
-    cols, bands = zip(*(_band(starts, parts) for starts, parts in factors))
+    d = len(directions)
+    cols, bands = zip(*(_band(starts, parts) for _, starts, parts in directions))
     sizes = [c.shape[0] for c in cols]
     order = math.prod(sizes)
 
@@ -564,20 +561,21 @@ def _pullback(problem: Problem, geometry: Geometry, points: np.ndarray
     return phys, jinv, np.einsum("nij,njk,nlk->nil", jinv, kmat, jinv)
 
 
-def collocation_matrix(problem: Problem, geometry: Geometry,
-                       directions: Sequence[tuple[np.ndarray, ...]]) -> np.ndarray:
-    """The collocation matrix of ``problem`` under ``geometry`` (unnormalized).
+def collocation_terms(problem: Problem, geometry: Geometry,
+                      directions: Sequence[tuple[np.ndarray, ...]]
+                      ) -> list[tuple[np.ndarray, list[int]]]:
+    """The ``d^2 + d + 1`` terms of the collocation matrix at the tensor
+    Greville points, ``directions[k]`` being :func:`greville_samples` of
+    direction k.
 
-    ``directions[k]`` is :func:`greville_samples` of direction k's basis.
-    Rows follow the lexicographic ordering of the tensor Greville points.
-    The geometry enters by the chain rule: with ``B = J^{-1} K(G) J^{-T}``
-    the matrix is the weighted sum of ``d^2 + d + 1`` Kronecker products of
-    1D value/derivative matrices, which :func:`_assemble_terms` builds from
-    the bands without forming any of them.
+    The geometry enters by the chain rule, ``B = J^{-1} K(G) J^{-T}``.  Term
+    ``(weight, (r_0, ..., r_{d-1}))`` weights the Kronecker product of the
+    order-r_k matrices row by row, rows in lexicographic order.  This is
+    the one evaluation of the problem and the geometry for a matrix, which
+    refuses a Jacobian singular at a collocation point (:func:`_pullback`).
     """
     d = problem.d
-    grevilles, starts, samples = zip(*directions)
-    pts = _tensor_grid(grevilles)
+    pts = _tensor_grid([xi for xi, _, _ in directions])
     phys, jinv, bmat = _pullback(problem, geometry, pts)
     beta = problem.advection_at(phys)
     gamma = _eval_grid(problem.gamma, phys, d)
@@ -596,7 +594,15 @@ def collocation_matrix(problem: Problem, geometry: Geometry,
              for i in range(d) for j in range(d)]
     terms += [(grad_w[:, i], [int(k == i) for k in range(d)]) for i in range(d)]
     terms.append((gamma, [0] * d))
-    return _assemble_terms(list(zip(starts, samples)), terms)
+    return terms
+
+
+def collocation_matrix(problem: Problem, geometry: Geometry,
+                       directions: Sequence[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """The collocation matrix of ``problem`` under ``geometry`` (unnormalized):
+    :func:`assemble_terms` of its :func:`collocation_terms`, ``directions[k]``
+    being :func:`greville_samples` of direction k's basis."""
+    return assemble_terms(directions, collocation_terms(problem, geometry, directions))
 
 
 @dataclass(frozen=True)
@@ -611,18 +617,13 @@ class CollocationSystem:
     """
 
     n: int
-    degree: int
-    family: SectionFamily
-    mode: str
-    section_family: SectionFamily
-    greville: np.ndarray
     starts: np.ndarray   # first column of each row's window
     samples: np.ndarray  # N_j(xi_i), N_j'(xi_i), N_j''(xi_i) in the windows
     full_matrix: np.ndarray
 
     @property
     def order(self) -> int:
-        return self.greville.size
+        return self.starts.size
 
     @property
     def scaled_matrix(self) -> np.ndarray:
@@ -651,12 +652,9 @@ class CollocationSystem:
 def assemble(problem: Problem, geometry: Geometry,
              basis: GBBasis) -> CollocationSystem:
     """The d = 1 collocation system of ``problem`` on ``basis``."""
-    xi, starts, samples = direction = greville_samples(basis)
-    return CollocationSystem(
-        n=basis.n, degree=basis.degree, family=basis.family, mode=basis.mode,
-        section_family=basis.section_family, greville=xi, starts=starts,
-        samples=samples,
-        full_matrix=collocation_matrix(problem, geometry, [direction]))
+    _, starts, samples = direction = greville_samples(basis)
+    return CollocationSystem(basis.n, starts, samples,
+                             collocation_matrix(problem, geometry, [direction]))
 
 
 def central_range(n: int, p: int) -> tuple[int, int] | None:

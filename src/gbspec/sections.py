@@ -215,16 +215,8 @@ class PiecewiseFn:
         object.__setattr__(self, "coeffs", cf)
         object.__setattr__(self, "_widths", widths)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.breakpoints[0]), float(self.breakpoints[-1])
-
     def __call__(self, x):
         return piecewise_eval(self, x)
-
-    def scaled(self, factor: float) -> "PiecewiseFn":
-        return PiecewiseFn(self.family, self.degree, self.breakpoints,
-                           self.coeffs * factor)
 
 
 def piecewise_eval(f: PiecewiseFn, x):

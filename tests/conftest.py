@@ -26,6 +26,7 @@ def recursion_runs(monkeypatch):
     and the kept symbols, so the next call starts from the seed.
     """
     monkeypatch.setattr(cardinal, "_RECURSIONS", {})
+    monkeypatch.setattr(cardinal, "_kept_total", 0)
     monkeypatch.setattr(symbols, "_symbol",
                         lru_cache(maxsize=4096)(symbols._symbol.__wrapped__))
     inner = cardinal._recursion
@@ -34,6 +35,7 @@ def recursion_runs(monkeypatch):
         def reset(self):
             self.clear()
             cardinal._RECURSIONS.clear()
+            cardinal._kept_total = 0
             symbols._symbol.cache_clear()
 
     runs = Runs()

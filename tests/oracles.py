@@ -44,8 +44,9 @@ checked against the same formula at 40 digits,
 
 The former package functions that only tests called live here too, as
 functions of their inputs built on the package's primitives:
-:func:`piecewise_derivative`, :func:`piecewise_antiderivative` and
-:func:`integral` (the section algebra on whole piecewise functions),
+:func:`piecewise_derivative`, :func:`piecewise_antiderivative`,
+:func:`integral` and :func:`support` (the section algebra on whole
+piecewise functions),
 :func:`basis_splines` (a basis spline by spline), :func:`cardinal_derivative`
 (the derivative recurrence the symbols sample), :func:`fourier_phi` and
 :func:`lower_bound_residual` (the Fourier transform of a cardinal spline
@@ -101,6 +102,11 @@ def piecewise_antiderivative(f: PiecewiseFn) -> PiecewiseFn:
     out = _antiderivative_stack(f.degree, f.family.signed_square, f._widths,
                                 f.coeffs)
     return PiecewiseFn(f.family, f.degree + 1, f.breakpoints, out)
+
+
+def support(f: PiecewiseFn) -> tuple[float, float]:
+    """The span ``[a, b]`` of ``f``'s breakpoints."""
+    return float(f.breakpoints[0]), float(f.breakpoints[-1])
 
 
 def integral(f: PiecewiseFn) -> float:
@@ -230,14 +236,16 @@ def full_span_basis(n: int, p: int, family, mode: str = "nonnested") -> list:
 
 def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
                   antiderivative=piecewise_antiderivative) -> tuple:
-    """The GB-spline basis spline by spline: ``(splines, normalizers)``.
+    """The GB-spline basis N_1..N_{n+p}, spline by spline.
 
     The integral recursion runs on ``m = min(n, 2p+2)`` unit intervals with
     one PiecewiseFn per spline per level, each integrated on its own by
     ``antiderivative``; the n+p splines are then placed on their supports in
     [0, 1] as boundary splines and translates of N_{p+1}.  This is the
     former ``gbspec.collocation.gb_basis``, kept as the bit-identity
-    reference for the level-batched one.
+    reference for the level-batched one; its run is longer than the p+2
+    intervals of the package's, so bit identity also shows that the
+    shorter run gives the same shapes.
     """
     rep = piece_family(family, mode, n)
     m = min(n, 2 * p + 2)
@@ -254,11 +262,8 @@ def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
     for q in range(2, p + 1):
         short = _next_level([_cumulative(s, i + q <= p + 1, antiderivative)
                              for i, s in enumerate(short, start=1)])
-    short_norms = []
-    for s in short:
-        short_norms.append(1.0 / _total(antiderivative(s)))
     grid = np.arange(n + 1) / n
-    splines, normalizers = [], []
+    splines = []
     for i in range(1, n + p + 1):
         # 1-based index of the short-vector spline with the same shape
         k = i if i <= p else p + 1 if i <= n else i - n + m
@@ -266,8 +271,7 @@ def loop_gb_basis(n: int, p: int, family, mode: str = "nonnested",
         k_lo = max(0, k - p - 1)
         splines.append(PiecewiseFn(rep, p, grid[lo:hi + 1],
                                    short[k - 1].coeffs[k_lo:k_lo + hi - lo]))
-        normalizers.append(n * short_norms[k - 1])
-    return tuple(splines), np.array(normalizers)
+    return tuple(splines)
 
 
 def _loop_primitive(p: int, s: float, c: np.ndarray,
@@ -328,7 +332,7 @@ def loop_cardinal_build(rep, degrees) -> list:
     """
     pw = PiecewiseFn(rep, 1, np.array([0.0, 1.0, 2.0]), SEED_ROWS)
     delta1 = 1.0 / _total(loop_antiderivative(pw))
-    levels = [pw.scaled(delta1)]
+    levels = [PiecewiseFn(rep, 1, pw.breakpoints, SEED_ROWS * delta1)]
     for q in range(2, max(degrees) + 1):
         anti = loop_antiderivative(levels[-1])  # degree q on {0..q}
         one = np.zeros(q + 1)
@@ -372,7 +376,7 @@ def loop_greville_samples(basis):
     xi = loop_greville_abscissae(basis.n, basis.degree)
     mats = tuple(np.zeros((xi.size, xi.size)) for _ in range(3))
     for j, s in enumerate(basis_splines(basis)[1:-1]):
-        lo, hi = np.searchsorted(xi, s.support)
+        lo, hi = np.searchsorted(xi, support(s))
         pts = xi[lo:hi]
         d1 = piecewise_derivative(s)
         mats[0][lo:hi, j] = s(pts)
@@ -491,10 +495,10 @@ def mp_greville_samples(n: int, p: int, tag: str, eff: float, xs,
 def mp_nested_shape_error(n: int, p: int, family) -> float:
     """Relative error of the shapes of ``gb_basis(n, p, family, "nested")``.
 
-    Beyond ``n = 2p+2`` the shapes depend only on p and the effective phase
-    ``alpha/n``, so they are checked through the basis of ``n0 = 2p+2``
-    intervals at that phase: the largest max-norm relative error of its
-    value, first- and second-derivative Greville matrices against
+    From ``n = p+2`` on, the shapes depend only on p and the effective
+    phase ``alpha/n``, so they are checked through the basis of ``n0 =
+    2p+2`` intervals at that phase: the largest max-norm relative error of
+    its value, first- and second-derivative Greville matrices against
     :func:`mp_greville_samples`, which is cheap at ``n0``.
     """
     basis = gb_basis(n, p, family, "nested")
@@ -1129,11 +1133,11 @@ class StructureReport:
     rank_bound: int
 
 
-def structure_report(sys, tol: float = 1e-10) -> StructureReport:
+def structure_report(sys, basis, tol: float = 1e-10) -> StructureReport:
     """Check the central-block structure of a
-    :class:`~gbspec.collocation.CollocationSystem` and the low-rank
-    correction bounds."""
-    n, p = sys.n, sys.degree
+    :class:`~gbspec.collocation.CollocationSystem` assembled on ``basis``
+    and the low-rank correction bounds."""
+    n, p = basis.n, basis.degree
     bound = 2 * ((3 * p) // 2) - 2
     rng = central_range(n, p)
     if rng is None:
@@ -1160,7 +1164,7 @@ def structure_report(sys, tol: float = 1e-10) -> StructureReport:
     rows = split_parts(densify(sys.starts[corners], sys.samples[:, corners],
                                 sys.order), n)
     ranks = []
-    for mat, c in zip(rows, _symbol_coefficients(sys.section_family, p)):
+    for mat, c in zip(rows, _symbol_coefficients(basis.section_family, p)):
         t = toeplitz_view(ToeplitzSpec(c), sys.order)[corners]
         sv = np.linalg.svd(mat - t, compute_uv=False)
         ranks.append(int(np.sum(sv > 1e-8 * sv[0])))

@@ -195,7 +195,7 @@ def test_criterion_07_structure():
                 err = np.max(np.abs(getattr(system, name) - want))
                 if err > 1e-12 * np.max(np.abs(want)):
                     failures.append(f"{fam.tag}/{mode}/p={p}: {name} sampling")
-            rep = structure_report(system, tol=1e-10)
+            rep = structure_report(system, basis, tol=1e-10)
             if not (rep.central_toeplitz and rep.stiffness_symmetric
                     and rep.mass_symmetric and rep.advection_skew):
                 failures.append(f"{fam.tag}/{mode}/p={p}: central structure")

@@ -19,6 +19,19 @@ from oracles import (PHASE_SWEEP, cardinal_derivative,
 _P2_BYTES = 8 * (2 * 2 + 3 * 3)
 
 
+def _counted_sizes(monkeypatch) -> list:
+    """Wrap ``cardinal._kept_bytes`` to record the entries it sizes."""
+    sized = []
+    inner = cardinal._kept_bytes
+
+    def counted(entry):
+        sized.append(entry)
+        return inner(entry)
+
+    monkeypatch.setattr(cardinal, "_kept_bytes", counted)
+    return sized
+
+
 class TestConstruction:
     def test_polynomial_degree_one_is_unit_hat(self):
         cs = cardinal_spline(polynomial(), 1)
@@ -176,6 +189,27 @@ class TestKeptLevels:
         cardinal_spline(families[0], 3)
         assert list(cardinal._RECURSIONS) == [
             *families[-limit + 4:], families[-limit], families[0]]
+        assert cardinal._kept_total == sum(
+            map(cardinal._kept_bytes, cardinal._RECURSIONS.values()))
+
+    def test_a_miss_sizes_its_own_levels_alone(self, monkeypatch,
+                                               recursion_runs):
+        # the kept bytes are counted as levels come and go, so a new family
+        # sizes its own levels, however many families are kept
+        for k in range(6):
+            cardinal_spline(hyperbolic(1.0 + k), 3)
+        cardinal_spline(polynomial(), 2)
+        sized = _counted_sizes(monkeypatch)
+        cardinal_spline(trigonometric(0.5), 3)
+        kept = cardinal._RECURSIONS
+        assert list(map(id, sized)) == [id(kept[trigonometric(0.5)])]
+        # carried on to a higher degree, it sizes its old and new levels
+        sized.clear()
+        old = kept[polynomial()]
+        cardinal_spline(polynomial(), 4)
+        assert list(map(id, sized)) == [id(old), id(kept[polynomial()])]
+        assert len(kept) == 8
+        assert cardinal._kept_total == sum(map(cardinal._kept_bytes, kept.values()))
 
     def test_levels_over_the_budget_are_returned_not_kept(self, monkeypatch,
                                                            recursion_runs):
@@ -194,7 +228,7 @@ class TestKeptLevels:
         argv = ["cardinal", "--family", "polynomial", "--p", "200", "--grid", "8"]
         assert cli.main(argv) == 0
         kept = sum(map(cardinal._kept_bytes, cardinal._RECURSIONS.values()))
-        assert 0 < kept <= cardinal.KEPT_LEVEL_BYTES
+        assert 0 < kept == cardinal._kept_total <= cardinal.KEPT_LEVEL_BYTES
         assert list(cardinal._RECURSIONS) == [polynomial()]
 
 

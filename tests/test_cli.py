@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -578,22 +577,27 @@ class TestDistributionCommands:
         assert (code, capsys.readouterr(), bases) == (
             1, ("", "error: geometry Jacobian is singular on the grid\n"), [])
 
-    @pytest.mark.parametrize("command", ["eig", "assemble", "distribution"])
+    @pytest.mark.parametrize("command,config,n,near", [
+        *((command, dict(PROBLEM_1D, family="polynomial",
+                         geometry={"G": "0.5+4*(x-0.5)^3"}), "8", "[0.5]")
+          for command in ("eig", "assemble", "distribution")),
+        ("distribution-md", dict(PROBLEM_2D, p=[3, 3], mode="nonnested",
+                                 geometry={"G": ["1/9+3*(x1-1/3)^3", "x2"]}),
+         "6", "[0.3333333333333333, 0.05555555555555555]"),
+    ], ids=["eig", "assemble", "distribution", "distribution-md"])
     def test_interior_singular_geometry_is_refused_before_any_solve(
-            self, capsys, monkeypatch, tmp_path, command):
-        # G'(1/2) = 0 between the validation points: the pullback refuses it
-        # at a Greville point, or, for distribution, at a quadrature point
-        # of the moments, which come before the first solve
+            self, capsys, monkeypatch, tmp_path, command, config, n, near):
+        # G'(1/2) = 0, or det J = 0 on x1 = 1/3, between the validation
+        # points: the pullback refuses it at a Greville point of n, before
+        # the first solve and before the moment quadrature would refine its
+        # panels towards the zero
         solves = _counted(monkeypatch, "eigenvalues_dense")
+        moments = _counted(monkeypatch, "symbol_moments", spectral)
         path = tmp_path / "interior.json"
-        path.write_text(json.dumps(dict(PROBLEM_1D, family="polynomial",
-                                        geometry={"G": "0.5+4*(x-0.5)^3"})))
-        code = main([command, "--config", str(path), "--n", "8"])
-        captured = capsys.readouterr()
-        assert (code, captured.out, solves) == (1, "", [])
-        near = re.fullmatch(r"error: geometry Jacobian singular near \[(.*)\]\n",
-                            captured.err)
-        assert near and abs(float(near[1]) - 0.5) < 1e-6, captured.err
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--n", n])
+        assert (code, capsys.readouterr(), solves, moments) == (
+            1, ("", f"error: geometry Jacobian singular near {near}\n"), [], [])
 
     @pytest.mark.parametrize("command,config,message", [
         ("distribution", dict(PROBLEM_1D, p=300), "order 302"),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -10,20 +11,19 @@ import pytest
 from gbspec import collocation, exprparse, sections, symbols
 from gbspec.cli import load_problem_1d
 from gbspec.cardinal import cardinal_spline
-from gbspec.collocation import (CollocationSystem, Geometry, Problem,
+from gbspec.collocation import (CollocationSystem, GBBasis, Geometry, Problem,
                                 assemble, central_range, densify, gb_basis,
                                 greville_samples)
-from gbspec.errors import (ConstraintError, NumericalError, UsageError,
-                           ValidationError)
+from gbspec.errors import ConstraintError, UsageError, ValidationError
 from gbspec.sections import SectionFamily, hyperbolic, polynomial, trigonometric
 from gbspec.spectral import ToeplitzSpec, toeplitz
 from gbspec.symbols import symbol_fn
-from oracles import (basis_splines, dense_assemble_1d, dense_greville_samples,
+from oracles import (PHASE_SWEEP, basis_splines, dense_assemble_1d, dense_greville_samples,
                      exact_greville_abscissae, full_span_basis, geometry_1d,
                      loop_antiderivative, loop_gb_basis, loop_greville_samples,
                      mp_cardinal, mp_greville_samples, mp_nested_shape_error,
                      open_knots, piecewise_antiderivative, piecewise_derivative,
-                     problem_1d, reflect_rows, structure_report)
+                     problem_1d, reflect_rows, structure_report, support)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "gbbench" / "configs"
 MODES = ("nested", "nonnested")
@@ -136,12 +136,29 @@ class TestEffectivePhase:
         assert basis.section_family == trigonometric(2.0 / n)
 
     def test_nonnested_shapes_do_not_depend_on_n(self):
-        ref = gb_basis(8, 3, hyperbolic(0.7), "nonnested")
-        for n in range(9, 200):
-            basis = gb_basis(n, 3, hyperbolic(0.7), "nonnested")
+        p = 3
+        ref = gb_basis(p + 2, p, hyperbolic(0.7), "nonnested")
+        for n in range(p + 3, 200):
+            basis = gb_basis(n, p, hyperbolic(0.7), "nonnested")
             assert np.array_equal(basis.shapes, ref.shapes), n
-            assert np.array_equal(basis.shape_normalizers,
-                                  ref.shape_normalizers), n
+
+    @pytest.mark.parametrize("family", [polynomial(), *PHASE_SWEEP], ids=repr)
+    def test_short_run_matches_a_longer_one(self, family):
+        # the recursion on p+2 intervals gives the Greville samples and
+        # every spline of the former run on 2p+2, bit for bit, on both
+        # sides of n = p+2
+        for mode, p in itertools.product(MODES, (2, 3, 5, 8)):
+            for n in sorted({2, p + 1, p + 2, p + 3, 2 * p + 1, 2 * p + 2, 37}):
+                basis = gb_basis(n, p, family, mode)
+                rep = basis.section_family
+                longer = GBBasis(n, p, rep, collocation._short_run(
+                    min(n, 2 * p + 2), p, rep))
+                pairs = [*zip(greville_samples(basis), greville_samples(longer)),
+                         *((a.coeffs, b.coeffs) for a, b in
+                           zip(basis_splines(basis), basis_splines(longer)))]
+                for got, want in pairs:
+                    assert np.array_equal(got, want), (mode, p, n)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_series_evaluations_do_not_depend_on_n(self, monkeypatch,
                                                     recursion_runs):
@@ -206,21 +223,14 @@ def _full_span_samples(n: int, p: int, family: SectionFamily, mode: str):
 
 def _assert_same_as_loop_basis(n: int, p: int, family: SectionFamily, mode: str,
                                antiderivative=piecewise_antiderivative):
-    """gb_basis equals the spline-by-spline oracle bit for bit, or both fail."""
-    try:
-        splines, normalizers = loop_gb_basis(n, p, family, mode, antiderivative)
-    except ZeroDivisionError:
-        with pytest.raises(NumericalError):
-            gb_basis(n, p, family, mode)
-        return
-    basis = gb_basis(n, p, family, mode)
-    got = basis_splines(basis)
-    assert [s.support for s in got] == [s.support for s in splines], n
+    """gb_basis equals the spline-by-spline oracle bit for bit."""
+    splines = loop_gb_basis(n, p, family, mode, antiderivative)
+    got = basis_splines(gb_basis(n, p, family, mode))
+    assert list(map(support, got)) == list(map(support, splines)), n
     assert {s.family for s in got} == {s.family for s in splines}, n
     got, want = (np.concatenate([s.coeffs for s in fns]) for fns in (got, splines))
     assert np.array_equal(got, want), n
     assert np.array_equal(np.signbit(got), np.signbit(want)), n
-    assert np.array_equal(basis.normalizers, normalizers), n
 
 
 def _rel_err(mats, refs) -> float:
@@ -240,7 +250,7 @@ class TestBandedBasis:
         t = open_knots(basis.n, basis.degree)
         for i, s in enumerate(basis_splines(basis), start=1):
             assert s.coeffs.shape[0] <= p + 1
-            assert s.support == (t[i - 1], t[i + p])
+            assert support(s) == (t[i - 1], t[i + p])
         mats = dense_greville_samples(basis)[1:]
         refs, residual = _full_span_samples(n, p, family, mode)
         err = _rel_err(mats, refs)
@@ -537,7 +547,7 @@ class TestAssemble:
         system = make_system(n=n, p=p, family=family, kappa="1+x^2",
                              beta="x", gamma="2")
         basis = gb_basis(n, p, family, "nonnested")
-        xi = system.greville
+        xi = greville_samples(basis)[0]
         inner = basis_splines(basis)[1:-1]
         d1 = [piecewise_derivative(s) for s in inner]
         d2 = [piecewise_derivative(s) for s in d1]
@@ -714,13 +724,18 @@ class TestNorms:
             assert 0.5 <= nb / na <= 2.0
 
 
+def system_and_basis(n: int, p: int, family=polynomial(), mode="nonnested"):
+    """A Laplacian system and the basis it is assembled on."""
+    return (make_system(n=n, p=p, family=family, mode=mode),
+            gb_basis(n, p, family, mode))
+
+
 class TestStructure:
     @pytest.mark.parametrize("case", Q_CASES, ids=ids)
     @pytest.mark.parametrize("p", [2, 3])
     def test_central_structure(self, case, p):
         family, mode = case
-        system = make_system(n=24, p=p, family=family, mode=mode)
-        rep = structure_report(system)
+        rep = structure_report(*system_and_basis(24, p, family, mode))
         assert rep.has_central_rows
         assert rep.central_toeplitz
         assert rep.stiffness_symmetric and rep.mass_symmetric
@@ -746,27 +761,26 @@ class TestStructure:
 
     def test_one_cardinal_recursion(self, recursion_runs):
         # f, h and g sample degrees p-2, p and p-1 of one recursion
-        system = make_system(n=24, p=4, family=hyperbolic(10.0), mode="nonnested")
+        system, basis = system_and_basis(24, 4, hyperbolic(10.0))
         recursion_runs.reset()
-        rep = structure_report(system)
+        rep = structure_report(system, basis)
         assert recursion_runs == [(1, 4)]
         # the basis's symbols are kept: a repeat report runs no recursion
-        assert structure_report(system) == rep
+        assert structure_report(system, basis) == rep
         assert recursion_runs == [(1, 4)]
         assert rep.central_toeplitz
         assert rep.stiffness_correction_rank <= rep.rank_bound
 
     def test_reads_the_bands_not_the_dense_parts(self, monkeypatch):
-        system = make_system(n=40, p=4, family=hyperbolic(10.0))
-        rep = structure_report(system)
+        system, basis = system_and_basis(40, 4, hyperbolic(10.0))
+        rep = structure_report(system, basis)
         monkeypatch.setattr(CollocationSystem, "_dense", None)
-        assert structure_report(system) == rep
+        assert structure_report(system, basis) == rep
         assert rep.central_toeplitz and rep.advection_skew
         assert rep.stiffness_correction_rank <= rep.rank_bound
 
     def test_no_central_rows_reported(self):
-        system = make_system(n=3, p=2)
-        rep = structure_report(system)
+        rep = structure_report(*system_and_basis(3, 2))
         assert not rep.has_central_rows
         assert rep.stiffness_correction_rank is None
 

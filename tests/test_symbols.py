@@ -811,7 +811,7 @@ class TestSharedStores:
             sys.setswitchinterval(interval)
         assert threaded == serial
         kept = sum(map(cardinal._kept_bytes, cardinal._RECURSIONS.values()))
-        assert 0 < kept <= cardinal.KEPT_LEVEL_BYTES
+        assert 0 < kept == cardinal._kept_total <= cardinal.KEPT_LEVEL_BYTES
 
 
 #: phases of the envelope amplitude's test, down to where a**2 underflows

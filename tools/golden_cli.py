@@ -9,11 +9,11 @@ from this checkout's ``gbbench/configs``, so both trees read the same files.
 Seven more 1D configurations are written to a temporary directory: one
 with diffusion, advection and reaction terms and a curved geometry, since
 two-term sums cannot show a change in the order the terms are added, two
-at degrees 6 and 7, whose short knot vectors (n < 2p+2) and boundary
-splines the benchmark configurations do not reach, two more at degrees 12
-(every term, a curved geometry) and 9 (nested), a nested degree-7 one
-whose effective phase 1/n is small, and one whose degree is a JSON true,
-which is refused.  More 1D configurations: one whose geometry gives
+at degrees 6 and 7, run from n = p+2 up, whose boundary splines the
+benchmark configurations do not reach, two more at degrees 12 (every
+term, a curved geometry) and 9 (nested), run on both sides of n = p+2, a
+nested degree-7 one whose effective phase 1/n is small, and one whose
+degree is a JSON true, which is refused.  More 1D configurations: one whose geometry gives
 its derivatives ``G1`` and ``G2`` as strings, one at degree 1, one for
 each refusal of a 1D coefficient or geometry, and three whose ``d`` is a
 JSON true, 1.0 or "1", which are refused.  Two configurations that are
@@ -209,7 +209,7 @@ COMMANDS: list[list[str]] = [
      "--m", "100"],
     ["toeplitz", "--symbol", "f", "--p", "2", "--family", "polynomial",
      "--m", "300", "--eig"],
-    # degree 6 and 7 bases, with n below and above 2p+2
+    # degree 6 and 7 bases, with n at and above p+2
     ["eig", "--config", _TRIG_P7, "--n", "9"],
     ["eig", "--config", _TRIG_P7, "--n", "40"],
     ["assemble", "--config", _HYP_P6, "--n", "11"],
